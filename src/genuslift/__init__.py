@@ -42,6 +42,7 @@ from .rmatrix import (
     compute_T,
     compute_V,
     edge_tail_data,
+    homogeneous_R,
     twist_R,
     unitarity_residual,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "bernoulli_constants",
     "bernoulli_numbers",
     "compute_R",
+    "homogeneous_R",
     "compute_T",
     "compute_V",
     "edge_tail_data",

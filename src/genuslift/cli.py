@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +35,7 @@ from .descendent import (
     descendent_frame,
     descendent_potential,
     point_descendent_reference,
+    point_descendent_resummed,
 )
 from .frame import canonical_frame
 from .frobenius import FrobeniusModel, point_model, threefold_cusp_model, two_primary_model
@@ -52,7 +54,14 @@ from .io import (
     render_report,
     rseries_to_json,
 )
-from .rmatrix import compute_R, edge_tail_data, twist_R, unitarity_residual
+from .rmatrix import (
+    compute_R,
+    edge_tail_data,
+    homogeneous_R,
+    twist_R,
+    unitarity_residual,
+    uses_homogeneity,
+)
 from .scalars import FloatContext, Rational, format_rational
 
 PRECISION_ENV = "GENUSLIFT_PRECISION"
@@ -224,8 +233,9 @@ def _cmd_frame(args):
 def _r_series(args, config, ctx):
     model = _load_model(args.model, config.tolerance)
     order = (config.truncation or 4) - 1
-    frame = canonical_frame(model, _point(args, model), ctx, order=order)
-    r = compute_R(frame, order, mode=args.mode)
+    homogeneous = uses_homogeneity(model, args.mode)
+    frame = canonical_frame(model, _point(args, model), ctx, order=0 if homogeneous else order)
+    r = homogeneous_R(frame, order) if homogeneous else compute_R(frame, order, mode=args.mode)
     if config.gauge is not None:
         r = twist_R(r, config.gauge)
     return r
@@ -277,8 +287,11 @@ def _cmd_genus(args):
         },
         "oracle": format_value(ctx.chop(oracle), ctx),
         "residual": format_value(residual, ctx),
+        "residuals": {
+            k: format_value(v, ctx) for k, v in sorted(report.data.residuals.items())
+        },
     }
-    code = EXIT_NUMERICAL if _breach(ctx, residual) else EXIT_OK
+    code = EXIT_NUMERICAL if _breach(ctx, residual, *report.data.residuals.values()) else EXIT_OK
     return code, render_report(doc, config.output)
 
 
@@ -343,13 +356,15 @@ def _cmd_descendent(args):
             k: format_value(v, ctx) for k, v in sorted(frame_data.residuals.items())
         },
     }
-    breach = _breach(ctx, frame_data.criticality_residual, *frame_data.residuals.values())
+    gates = [frame_data.criticality_residual, *frame_data.residuals.values()]
     if model.dimension == 1:
-        oracle = point_descendent_reference(tau, args.g, ctx, max_points=args.oracle_points)
+        oracle = point_descendent_resummed(tau, args.g, ctx)
         with ctx.guard():
             residual = ctx.abs(report.value - oracle)
         doc["oracle"] = format_value(oracle, ctx)
         doc["residual"] = format_value(residual, ctx)
+        gates.append(residual)
+    breach = _breach(ctx, *gates)
     return (EXIT_NUMERICAL if breach else EXIT_OK), render_report(doc, config.output)
 
 
@@ -570,8 +585,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--gauge", default=None)
     p.add_argument("--calibration-order", dest="calibration_order", type=int, default=None)
-    p.add_argument("--oracle-points", dest="oracle_points", type=int, default=12,
-                   help="insertion cutoff for the one-dimensional reference sum")
 
     p = add("wk", _cmd_wk, "psi-class intersection numbers")
     p.add_argument("--g", type=int, required=True)
@@ -589,11 +602,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# a value with a leading minus sign, e.g. "-1/3,3/2" or "-1,1"
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list:
+    """Join ``--opt -1/3,3/2`` into ``--opt=-1/3,3/2``.
+
+    argparse reads a separate argument with a leading minus sign as a flag
+    unless it is a plain number such as -1, so coordinate lists, sign flips
+    and anchors that start negative would be rejected."""
+    out: list = []
+    for arg in argv:
+        if out and _NEGATIVE_VALUE.match(arg) and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run_command(argv: Sequence[str]) -> tuple:
     """Parse and execute one command; returns (exit code, report text)."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_attach_negative_values(argv))
     except _UsageError as exc:
         return EXIT_VALIDATION, f"error: {exc}\n"
     try:

@@ -69,7 +69,16 @@ from .genus import GenusReport, evaluate_graph, genus1_differential
 from .graphs import enumerate_graphs
 from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
 from .linalg import identity, mat_inv_float, mat_mul, mat_vec, transpose
-from .rmatrix import EdgeTailData, RSeries, compute_R, compute_V, twist_R, unitarity_residual
+from .rmatrix import (
+    EdgeTailData,
+    RSeries,
+    compute_R,
+    compute_V,
+    homogeneous_R,
+    twist_R,
+    unitarity_residual,
+    uses_homogeneity,
+)
 from .scalars import FloatContext
 from .series import Caps, TruncatedSeries
 
@@ -792,7 +801,8 @@ def bold_quantities(
                 tails[i][k] = sign * gvals[k][i] * sqrt_d[i]
         v, vres = compute_V(r)
         residuals = dict(vres)
-        residuals["cross_direction"] = r.cross_residual
+        if r.cross_residual is not None:
+            residuals["cross_direction"] = r.cross_residual
         residuals["unitarity"] = unitarity_residual(r)
         residuals["criticality"] = crit
     return DescendentFrame(
@@ -824,12 +834,18 @@ def descendent_frame(
     criticality_tol=None,
 ) -> DescendentFrame:
     """Critical point, canonical frame, R-matrix, and bold extraction in one
-    call; the R gauge options match the primary genus pipeline."""
+    call; the R route and gauge options match the primary genus pipeline."""
     t_star = critical_point(model, calibration, tau, ctx, tol=tol)
+    homogeneous = uses_homogeneity(model, mode)
     frame = canonical_frame(
-        model, t_star, ctx, order=order, permutation=permutation, sign_flips=sign_flips
+        model,
+        t_star,
+        ctx,
+        order=0 if homogeneous else order,
+        permutation=permutation,
+        sign_flips=sign_flips,
     )
-    r = compute_R(frame, order, mode=mode)
+    r = homogeneous_R(frame, order) if homogeneous else compute_R(frame, order, mode=mode)
     if gauge is not None:
         r = twist_R(r, gauge)
     return bold_quantities(

@@ -48,7 +48,15 @@ from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
 from .graphs import StableGraph, enumerate_graphs
 from .intersection import IntersectionTable, _ascending_tuples, vertex_correlator
-from .rmatrix import EdgeTailData, RSeries, compute_R, edge_tail_data, twist_R
+from .rmatrix import (
+    EdgeTailData,
+    RSeries,
+    compute_R,
+    edge_tail_data,
+    homogeneous_R,
+    twist_R,
+    uses_homogeneity,
+)
 from .scalars import FloatContext
 from .series import Caps, TruncatedSeries
 
@@ -163,15 +171,24 @@ def genus_potential(
     constants mode: the conformal normalization already fixes R).
     ``permutation`` and ``sign_flips`` select the frame labeling and
     square-root branches; the value of F^g does not depend on them.
+    Models with Euler data in the conformal (default) mode get R from
+    :func:`homogeneous_R` on an order-0 frame; the rest solve the jet
+    recursion on frame jets of order ``order``.
     """
     if g < 2:
         raise ValueError("the graph sum starts at genus 2; genus 1 is a one-form")
     if order is None:
         order = 3 * g - 3
+    homogeneous = uses_homogeneity(model, mode)
     frame = canonical_frame(
-        model, point, ctx, order=order, permutation=permutation, sign_flips=sign_flips
+        model,
+        point,
+        ctx,
+        order=0 if homogeneous else order,
+        permutation=permutation,
+        sign_flips=sign_flips,
     )
-    r = compute_R(frame, order, mode=mode)
+    r = homogeneous_R(frame, order) if homogeneous else compute_R(frame, order, mode=mode)
     if gauge is not None:
         r = twist_R(r, gauge)
     data = edge_tail_data(r)

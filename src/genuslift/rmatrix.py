@@ -1,7 +1,25 @@
 """The asymptotic solution R(z) = 1 + R_1 z + R_2 z^2 + ... at a semisimple
 point, and the edge/tail data extracted from it.
 
-In the canonical frame the flatness equations determine R recursively.
+For a conformal model Euler homogeneity fixes R pointwise.  With
+U = diag(u), the canonical coordinates being the eigenvalues of E, and
+
+    V = Psi mu Psi^{-1},    mu = (1 - D/2) - grad E,    Psi^{-1} = g^{-1} Psi^T,
+
+homogeneity of R combined with flatness reads [R_{k+1}, U] = R_k V - k R_k.
+Its off-diagonal part gives (R_{k+1})_{ij} = (R_k V - k R_k)_{ij} / (u_j - u_i),
+and its diagonal one order up gives
+(R_{k+1})_{ii} = sum_{j != i} (R_{k+1})_{ij} V_{ji} / (k + 1).
+:func:`homogeneous_R` runs this from R_0 = 1 on the order-0 frame values,
+in O(order N^3) arithmetic and without jets.  ``genus_potential``,
+``descendent_frame`` and the CLI's R commands take this route whenever the
+model has Euler data and the mode is conformal or unset
+(:func:`uses_homogeneity`); ``mode="constants"`` and models without Euler
+data take the jet recursion below, which also stays as the independent
+check of the homogeneous route.  A gauge twist applies to either result.
+
+The jet recursion, :func:`compute_R`, works for any semisimple point.  In
+the canonical frame the flatness equations determine R recursively.
 Writing W_a = (d_a Psi) Psi^{-1} and D_a = diag(d_a u), the order-z^k part
 of the horizontality condition reads
 
@@ -194,6 +212,73 @@ def _diagonal_constant(mode, k, i, ddiag, evec, mats, ctx, n):
             entry = entry + mats[p][i][j].constant_term() * mats[q][i][j].constant_term()
         total = total + sign * entry
     return -total / 2
+
+
+def uses_homogeneity(model, mode: str | None) -> bool:
+    """Whether R comes from :func:`homogeneous_R` on an order-0 frame: the
+    model has Euler data and the normalization is conformal, which is the
+    default for such models."""
+    return model.euler is not None and mode in (None, "conformal")
+
+
+def homogeneous_R(frame: CanonicalFrame, order: int) -> RSeries:
+    """Solve for R_1 .. R_order of a conformal model from the frame's
+    order-0 values alone, by Euler homogeneity.
+
+    With V = Psi mu Psi^{-1}, mu = (1 - D/2) - grad E, and U = diag(u):
+
+        (R_{k+1})_{ij} = (R_k V - k R_k)_{ij} / (u_j - u_i)      (i != j),
+        (R_{k+1})_{ii} = sum_{j != i} (R_{k+1})_{ij} V_{ji} / (k + 1).
+
+    No jets enter, so the frame may be built at order 0, and the entries of
+    the result are constants (order-0 jets).  They equal the constants of
+    ``compute_R(frame, order, "conformal")`` on a frame with jets to
+    ``order``; there is no cross-direction residual (``cross_residual`` is
+    None).
+    """
+    if frame.model.euler is None:
+        raise ValueError("conformal normalization requires Euler data")
+    if not frame.conformal:
+        raise ValueError("homogeneity needs u from the Euler multiplication")
+    with frame.ctx.guard():
+        return _homogeneous_impl(frame, order)
+
+
+def _homogeneous_impl(frame: CanonicalFrame, order: int) -> RSeries:
+    ctx = frame.ctx
+    n = frame.dimension
+    euler = frame.model.euler
+    ginv = frame.model.metric_inverse
+    u = frame.u_values()
+    psi = frame.psi_values()
+    psi_inv = mat_mul([[ctx.num(x) for x in row] for row in ginv], transpose(psi))
+    shift = 1 - Fraction(euler.conformal_dimension) / 2
+    mu = [
+        [ctx.num((shift if a == b else 0) - euler.matrix[a][b]) for b in range(n)]
+        for a in range(n)
+    ]
+    v = mat_mul(psi, mat_mul(mu, psi_inv))
+
+    one, zero = ctx.num(1), ctx.num(0)
+    consts = [[[one if i == j else zero for j in range(n)] for i in range(n)]]
+    for k in range(order):
+        rv = mat_mul(consts[k], v)
+        nxt = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    nxt[i][j] = (rv[i][j] - k * consts[k][i][j]) / (u[j] - u[i])
+        for i in range(n):
+            acc = zero
+            for j in range(n):
+                if j != i:
+                    acc = acc + nxt[i][j] * v[j][i]
+            nxt[i][i] = acc / (k + 1)
+        consts.append(nxt)
+
+    caps = Caps.total(t_names(n), 0)
+    mats = [[[TruncatedSeries.const(caps, x) for x in row] for row in rk] for rk in consts]
+    return RSeries(frame=frame, order=order, mats=mats, mode="conformal")
 
 
 def _mat_add(a, b):
@@ -425,7 +510,8 @@ def edge_tail_data(r: RSeries, v_cutoff: int | None = None, t_cutoff: int | None
     v, resid = compute_V(r, v_cutoff)
     t = compute_T(r, t_cutoff)
     resid = dict(resid)
-    resid["cross_direction"] = r.cross_residual
+    if r.cross_residual is not None:
+        resid["cross_direction"] = r.cross_residual
     resid["unitarity"] = unitarity_residual(r)
     return EdgeTailData(
         dimension=r.dimension,

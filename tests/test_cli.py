@@ -15,11 +15,14 @@ import mpmath
 import pytest
 
 from genuslift import FloatContext, point_model, two_primary_model
+from genuslift import cli, rmatrix
 from genuslift.cli import run_command
 
 CTX = FloatContext(256)
 
 POINT_TAU = {"Kmax": 2, "t": [["0"], ["0"], ["1/8"]]}
+# nonzero t_0 and t_1: the direct intersection sum would be infinite here
+SHIFTED_POINT_TAU = {"t": [["3/37"], ["-2/29"], ["1/8"], ["-1/19"]]}
 
 
 def run_json(argv):
@@ -75,6 +78,30 @@ class TestExitCodes:
              "--tolerance", "1e-200"]
         )
         assert code == 2
+
+    def test_genus_data_residual_breach_is_numerical(self, monkeypatch):
+        argv = ["genus", "--model", "two-primary:d=1/2", "--point", "0,1", "--g", "2"]
+        code, doc = run_json(argv)
+        assert code == 0
+        assert set(doc["residuals"]) == {"divisibility", "unitarity", "v_symmetry"}
+        monkeypatch.setattr(rmatrix, "unitarity_residual", lambda r: CTX.num(1))
+        code, doc = run_json(argv)
+        assert code == 2
+        with CTX.guard():
+            assert mpmath.mpf(doc["residuals"]["unitarity"]) == 1
+
+    def test_descendent_oracle_gap_is_numerical(self, monkeypatch):
+        reference = cli.point_descendent_resummed
+        monkeypatch.setattr(
+            cli, "point_descendent_resummed", lambda tau, g, ctx: reference(tau, g, ctx) + 1
+        )
+        code, doc = run_json(
+            ["descendent", "--model", "point", "--tau", json.dumps(SHIFTED_POINT_TAU),
+             "--g", "2"]
+        )
+        assert code == 2
+        with CTX.guard():
+            assert mpmath.mpf(doc["residual"]) > mpmath.mpf("0.5")
 
     def test_bad_precision_env(self, monkeypatch):
         monkeypatch.setenv("GENUSLIFT_PRECISION", "lots")
@@ -146,6 +173,16 @@ class TestModelCommands:
         assert len(doc["u"]) == 2
         assert "jets" in doc
 
+    def test_negative_values_as_separate_arguments(self):
+        base = ["frame", "--model", "two-primary:d=1/3"]
+        code, spaced = run_json(base + ["--point", "-1/3,3/2", "--sign-flips", "-1,1"])
+        assert code == 0
+        joined = run_json(base + ["--point=-1/3,3/2", "--sign-flips=-1,1"])[1]
+        assert spaced == joined
+        plain = run_json(base + ["--point", "-1/3,3/2"])[1]
+        assert spaced["sqrt_delta"][1] == plain["sqrt_delta"][1]
+        assert spaced["sqrt_delta"][0] != plain["sqrt_delta"][0]
+
     def test_frame_branch_options(self):
         base = run_json(["frame", "--model", "two-primary:d=1/3", "--point", "0,1"])[1]
         flipped = run_json(
@@ -202,6 +239,12 @@ class TestGenusCommands:
         with CTX.guard():
             assert mpmath.fabs(mpmath.mpmathify(doc["F_g"])) > mpmath.mpf("1e-10")
 
+    def test_genus_negative_point(self):
+        argv = ["genus", "--model", "two-primary:d=1/2", "--g", "2"]
+        code, doc = run_json(argv + ["--point", "-1/3,3/2"])
+        assert code == 0 and doc["point"] == ["-1/3", "3/2"]
+        assert run_json(argv + ["--point=-1/3,3/2"]) == (code, doc)
+
     def test_genus1_diff(self):
         code, doc = run_json(
             ["genus1-diff", "--model", "two-primary:d=1", "--point", "0,0"]
@@ -233,6 +276,15 @@ class TestGenusCommands:
         assert doc["Kmax"] == 2
         with CTX.guard():
             assert mpmath.mpf(doc["criticality_residual"]) < mpmath.mpf("1e-60")
+            assert mpmath.mpf(doc["residual"]) < mpmath.mpf("1e-60")
+
+    def test_descendent_point_model_shifted(self):
+        code, doc = run_json(
+            ["descendent", "--model", "point", "--tau", json.dumps(SHIFTED_POINT_TAU),
+             "--g", "3"]
+        )
+        assert code == 0
+        with CTX.guard():
             assert mpmath.mpf(doc["residual"]) < mpmath.mpf("1e-60")
 
     def test_descendent_inline_tau(self):

@@ -12,7 +12,8 @@ which pins down the tails T_2 = (-1/16, 1/16), T_3 = (-9/512, -9/512) and
 the low V-table.  The remaining tests are structural: unitarity of R(z),
 agreement of the off-diagonal solve across coordinate directions, the
 diagonal-twist relation between the two normalization modes, Bernoulli
-gauge constants, and accessor semantics of the edge/tail container.
+gauge constants, and accessor semantics of the edge/tail container.  The
+jet-free homogeneity route is checked against the jet recursion.
 """
 
 import dataclasses
@@ -20,6 +21,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genuslift.frame import DegenerateFrameError, canonical_frame
 from genuslift.frobenius import threefold_cusp_model, two_primary_model
@@ -31,6 +34,7 @@ from genuslift.rmatrix import (
     compute_T,
     compute_V,
     edge_tail_data,
+    homogeneous_R,
     twist_R,
     unitarity_residual,
 )
@@ -308,3 +312,63 @@ class TestBranchChoices:
                 assert mpmath.fabs(
                     swapped.v_entry(1 - i, 1 - j, k, l) - exp_edge.v_entry(i, j, k, l)
                 ) <= TIGHT
+
+
+def _max_gap(a, b):
+    with CTX.guard():
+        return max(
+            mpmath.fabs(x - y)
+            for k in range(a.order + 1)
+            for row_a, row_b in zip(a.constants(k), b.constants(k))
+            for x, y in zip(row_a, row_b)
+        )
+
+
+class TestHomogeneous:
+    """The jet-free route against the jet recursion on the same point."""
+
+    @settings(max_examples=6, deadline=None, database=None)
+    @given(
+        d=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(3, 2),
+                           Fraction(5, 3)]),
+        t0=st.integers(-24, 24),
+        t1=st.integers(8, 36),
+        sign=st.sampled_from([1, -1]),
+    )
+    def test_matches_jet_recursion_two_primary(self, d, t0, t1, sign):
+        model = two_primary_model(d)
+        point = (Fraction(t0, 24), sign * Fraction(t1, 24))
+        jets = compute_R(canonical_frame(model, point, CTX, order=4), 4)
+        frame = canonical_frame(model, point, CTX, order=0)
+        r = homogeneous_R(frame, 4)
+        assert r.mode == "conformal" and r.cross_residual is None
+        assert _max_gap(r, jets) < mpmath.mpf("1e-60")
+        with CTX.guard():
+            assert unitarity_residual(r) < mpmath.mpf("1e-60")
+
+    def test_matches_jet_recursion_cusp(self):
+        model = threefold_cusp_model()
+        jets = compute_R(canonical_frame(model, CUSP_POINT, CTX, order=4), 4)
+        r = homogeneous_R(canonical_frame(model, CUSP_POINT, CTX, order=0), 4)
+        assert _max_gap(r, jets) < mpmath.mpf("1e-60")
+        with CTX.guard():
+            assert unitarity_residual(r) < mpmath.mpf("1e-60")
+
+    def test_edge_data_leaves_out_cross_direction(self):
+        model = two_primary_model(Fraction(1, 2))
+        frame = canonical_frame(model, (Fraction(2, 7), Fraction(3, 5)), CTX, order=0)
+        data = edge_tail_data(homogeneous_R(frame, 3))
+        assert "cross_direction" not in data.residuals
+        with CTX.guard():
+            for name in ("divisibility", "v_symmetry", "unitarity"):
+                assert mpmath.fabs(data.residuals[name]) <= TIGHT
+
+    def test_requires_euler_data(self):
+        model = two_primary_model(Fraction(1))
+        stripped = dataclasses.replace(model, euler=None)
+        frame = canonical_frame(
+            stripped, (Fraction(0), Fraction(0)), CTX, order=0,
+            generator_weights=(Fraction(1), Fraction(1, 2)),
+        )
+        with pytest.raises(ValueError):
+            homogeneous_R(frame, 2)

@@ -65,8 +65,7 @@ import mpmath
 from .expressions import Expression
 from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
-from .genus import GenusReport, evaluate_graph, genus1_differential
-from .graphs import enumerate_graphs
+from .genus import GenusReport, genus1_differential, graph_sum
 from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
 from .linalg import identity, mat_inv_float, mat_mul, mat_vec, transpose
 from .rmatrix import (
@@ -889,18 +888,7 @@ def descendent_potential(
             permutation=permutation,
             sign_flips=sign_flips,
         )
-    data = frame_data.edge_data()
-    graph_list = enumerate_graphs(g, model.dimension)
-    with ctx.guard():
-        total = ctx.num(0)
-        contributions = []
-        for graph in graph_list:
-            val = evaluate_graph(graph, data, table)
-            contributions.append((graph, val))
-            total = total + val
-    return GenusReport(
-        genus=g, value=total, contributions=contributions, data=data, frame=frame_data.frame
-    )
+    return graph_sum(frame_data.edge_data(), g, table, ctx, frame=frame_data.frame)
 
 
 # -- genus 1 -----------------------------------------------------------------------

@@ -36,6 +36,7 @@ residual and a quadrature helper for displaying differences F^1(b)-F^1(a).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -66,15 +67,13 @@ def evaluate_graph(
     data: EdgeTailData,
     table: Optional[IntersectionTable] = None,
     ctx: Optional[FloatContext] = None,
+    vertex_cache: Optional[dict] = None,
 ):
-    """Contribution of one graph: the half-edge power sum divided by |Aut|."""
-    if ctx is not None:
-        with ctx.guard():
-            return _evaluate_graph_impl(graph, data, table)
-    return _evaluate_graph_impl(graph, data, table)
+    """Contribution of one graph: the half-edge power sum divided by |Aut|.
 
-
-def _evaluate_graph_impl(graph, data, table):
+    ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
+    correlator on ``data``; a sum over many graphs passes one dict to all of
+    them, so each distinct vertex is evaluated once."""
     nv = graph.num_vertices()
     edges = []
     for v, w, mult in graph.edge_list():
@@ -89,14 +88,15 @@ def _evaluate_graph_impl(graph, data, table):
             )
 
     sd = data.sqrt_delta
-    vertex_cache = {}
+    if vertex_cache is None:
+        vertex_cache = {}
 
     def vertex_value(v, ks):
-        key = (v, tuple(sorted(ks)))
+        g_v, i_v = graph.vertices[v]
+        key = (g_v, i_v, tuple(sorted(ks)))
         if key not in vertex_cache:
-            g_v, i_v = graph.vertices[v]
             vertex_cache[key] = vertex_correlator(
-                g_v, key[1], data.t[i_v], data.delta[i_v], table=table
+                g_v, key[2], data.t[i_v], data.delta[i_v], table=table
             )
         return vertex_cache[key]
 
@@ -130,10 +130,10 @@ def _evaluate_graph_impl(graph, data, table):
                 budget[w] += l
             ks_at[v].pop()
             budget[v] += k
-        return
 
-    descend(0, 1)
-    return total / graph.aut if total else total
+    with ctx.guard() if ctx is not None else nullcontext():
+        descend(0, 1)
+        return total / graph.aut if total else total
 
 
 @dataclass
@@ -191,13 +191,27 @@ def genus_potential(
     r = homogeneous_R(frame, order) if homogeneous else compute_R(frame, order, mode=mode)
     if gauge is not None:
         r = twist_R(r, gauge)
-    data = edge_tail_data(r)
-    graph_list = enumerate_graphs(g, model.dimension)
-    with ctx.guard():
-        total = ctx.num(0)
+    return graph_sum(edge_tail_data(r), g, table, ctx, frame=frame)
+
+
+def graph_sum(
+    data: EdgeTailData,
+    g: int,
+    table: Optional[IntersectionTable] = None,
+    ctx: Optional[FloatContext] = None,
+    frame=None,
+) -> GenusReport:
+    """F^g from edge/tail data: every stable graph of genus g over
+    ``data.dimension`` indices, evaluated with one vertex cache shared by
+    the whole sum.  Exact when ``data`` is rational and ``ctx`` is None;
+    ``frame`` is only passed through to the report."""
+    graph_list = enumerate_graphs(g, data.dimension)
+    vertex_cache: dict = {}
+    with ctx.guard() if ctx is not None else nullcontext():
+        total = ctx.num(0) if ctx is not None else 0
         contributions = []
         for graph in graph_list:
-            val = _evaluate_graph_impl(graph, data, table)
+            val = evaluate_graph(graph, data, table, vertex_cache=vertex_cache)
             contributions.append((graph, val))
             total = total + val
     return GenusReport(genus=g, value=total, contributions=contributions, data=data, frame=frame)
@@ -220,120 +234,114 @@ def wick_oracle(
     directly; graph-free, hence an independent check of the graph sum."""
     if g < 2:
         raise ValueError("the expansion is normalized for genus >= 2")
-    if ctx is not None:
-        with ctx.guard():
-            return _wick_impl(data, g, table, ctx)
-    return _wick_impl(data, g, table, None)
+    with ctx.guard() if ctx is not None else nullcontext():
+        n = data.dimension
+        kq = 3 * g - 4  # largest psi-power any vertex can absorb
+        names = ("h",) + tuple(_qname(i, k) for i in range(n) for k in range(kq + 1))
+        grading = {"h": 2}
+        for nm in names[1:]:
+            grading[nm] = 1
+        caps = Caps.box(
+            names,
+            mins={"h": -(2 * g - 2)},
+            maxs={"h": g - 1},
+            weighted=[(grading, 2 * g - 2)],
+        )
+        qpos = {(i, k): 1 + i * (kq + 1) + k for i in range(n) for k in range(kq + 1)}
 
-
-def _wick_impl(data, g, table, ctx):
-    n = data.dimension
-    kq = 3 * g - 4  # largest psi-power any vertex can absorb
-    names = ("h",) + tuple(_qname(i, k) for i in range(n) for k in range(kq + 1))
-    grading = {"h": 2}
-    for nm in names[1:]:
-        grading[nm] = 1
-    caps = Caps.box(
-        names,
-        mins={"h": -(2 * g - 2)},
-        maxs={"h": g - 1},
-        weighted=[(grading, 2 * g - 2)],
-    )
-    qpos = {(i, k): 1 + i * (kq + 1) + k for i in range(n) for k in range(kq + 1)}
-
-    # each vertex generating function, expanded around Q = T
-    log_vertices = TruncatedSeries.zero(caps)
-    for i in range(n):
-        tails = data.t[i]
-        delta = data.delta[i]
-        for g_v in range(0, g + 1):
-            m_cap = 2 * g - 2 - 2 * (g_v - 1)
-            for m in range(0, m_cap + 1):
-                if g_v == 0 and m < 3:
-                    continue
-                if g_v == 1 and m == 0:
-                    continue
-                sum_cap = 3 * g_v - 3 + m
-                for s in range(0, sum_cap + 1):
-                    for ks in _ascending_tuples(m, s, 0):
-                        if ks and ks[-1] > kq:
-                            continue
-                        coeff = vertex_correlator(g_v, ks, tails, delta, table=table)
-                        if coeff == 0:
-                            continue
-                        mult = Fraction(1)
-                        seen = {}
-                        for k in ks:
-                            seen[k] = seen.get(k, 0) + 1
-                        for c in seen.values():
-                            mult /= factorial(c)
-                        key = [0] * len(names)
-                        key[0] = g_v - 1
-                        for k in ks:
-                            key[qpos[(i, k)]] += 1
-                        term = TruncatedSeries(caps, {tuple(key): coeff * mult})
-                        log_vertices = log_vertices + term
-
-    state = log_vertices.exp(ctx)
-
-    # propagator weights between variable slots
-    weights = {}
-    for (i, k), u in qpos.items():
-        for (j, l), v in qpos.items():
-            if u > v or k + l > data.v_cutoff:
-                continue
-            w = data.v_entry(i, j, k, l) * data.sqrt_delta[i] * data.sqrt_delta[j]
-            if w == 0:
-                continue
-            weights[(u, v)] = w
-
-    def propagate(series):
-        out = {}
-        for key, coef in series.c.items():
-            positions = [p for p, e in enumerate(key) if p > 0 and e > 0]
-            for a_idx, u in enumerate(positions):
-                for v in positions[a_idx:]:
-                    w = weights.get((u, v))
-                    if w is None:
+        # each vertex generating function, expanded around Q = T
+        log_vertices = TruncatedSeries.zero(caps)
+        for i in range(n):
+            tails = data.t[i]
+            delta = data.delta[i]
+            for g_v in range(0, g + 1):
+                m_cap = 2 * g - 2 - 2 * (g_v - 1)
+                for m in range(0, m_cap + 1):
+                    if g_v == 0 and m < 3:
                         continue
-                    if u == v:
-                        if key[u] < 2:
+                    if g_v == 1 and m == 0:
+                        continue
+                    sum_cap = 3 * g_v - 3 + m
+                    for s in range(0, sum_cap + 1):
+                        for ks in _ascending_tuples(m, s, 0):
+                            if ks and ks[-1] > kq:
+                                continue
+                            coeff = vertex_correlator(g_v, ks, tails, delta, table=table)
+                            if coeff == 0:
+                                continue
+                            mult = Fraction(1)
+                            seen = {}
+                            for k in ks:
+                                seen[k] = seen.get(k, 0) + 1
+                            for c in seen.values():
+                                mult /= factorial(c)
+                            key = [0] * len(names)
+                            key[0] = g_v - 1
+                            for k in ks:
+                                key[qpos[(i, k)]] += 1
+                            term = TruncatedSeries(caps, {tuple(key): coeff * mult})
+                            log_vertices = log_vertices + term
+
+        state = log_vertices.exp(ctx)
+
+        # propagator weights between variable slots
+        weights = {}
+        for (i, k), u in qpos.items():
+            for (j, l), v in qpos.items():
+                if u > v or k + l > data.v_cutoff:
+                    continue
+                w = data.v_entry(i, j, k, l) * data.sqrt_delta[i] * data.sqrt_delta[j]
+                if w == 0:
+                    continue
+                weights[(u, v)] = w
+
+        def propagate(series):
+            out = {}
+            for key, coef in series.c.items():
+                positions = [p for p, e in enumerate(key) if p > 0 and e > 0]
+                for a_idx, u in enumerate(positions):
+                    for v in positions[a_idx:]:
+                        w = weights.get((u, v))
+                        if w is None:
                             continue
-                        factor = Fraction(key[u] * (key[u] - 1), 2)
-                    else:
-                        factor = key[u] * key[v]
-                    nk = list(key)
-                    nk[0] += 1
-                    nk[u] -= 1
-                    nk[v] -= 1
-                    nk = tuple(nk)
-                    add = coef * factor * w
-                    out[nk] = out.get(nk, 0) + add
-        return TruncatedSeries(caps, out)
+                        if u == v:
+                            if key[u] < 2:
+                                continue
+                            factor = Fraction(key[u] * (key[u] - 1), 2)
+                        else:
+                            factor = key[u] * key[v]
+                        nk = list(key)
+                        nk[0] += 1
+                        nk[u] -= 1
+                        nk[v] -= 1
+                        nk = tuple(nk)
+                        add = coef * factor * w
+                        out[nk] = out.get(nk, 0) + add
+            return TruncatedSeries(caps, out)
 
-    order = 1
-    layer = state
-    while True:
-        layer = propagate(layer).scale(Fraction(1, order))
-        if not layer.c:
-            break
-        state = state + layer
-        order += 1
+        order = 1
+        layer = state
+        while True:
+            layer = propagate(layer).scale(Fraction(1, order))
+            if not layer.c:
+                break
+            state = state + layer
+            order += 1
 
-    collapsed = {}
-    for key, coef in state.c.items():
-        if any(e != 0 for e in key[1:]):
-            continue
-        collapsed[(key[0],)] = coef
-    hcaps = Caps.box(("h",), mins={"h": -(2 * g - 2)}, maxs={"h": g - 1})
-    connected = TruncatedSeries(hcaps, collapsed)
+        collapsed = {}
+        for key, coef in state.c.items():
+            if any(e != 0 for e in key[1:]):
+                continue
+            collapsed[(key[0],)] = coef
+        hcaps = Caps.box(("h",), mins={"h": -(2 * g - 2)}, maxs={"h": g - 1})
+        connected = TruncatedSeries(hcaps, collapsed)
 
-    c0 = connected.constant_term()
-    if isinstance(c0, (int, Fraction)):
-        logged = connected.scale(Fraction(1, 1) / c0).log()
-    else:
-        logged = connected.log(ctx)
-    return logged.scalar_coeff((g - 1,))
+        c0 = connected.constant_term()
+        if isinstance(c0, (int, Fraction)):
+            logged = connected.scale(Fraction(1, 1) / c0).log()
+        else:
+            logged = connected.log(ctx)
+        return logged.scalar_coeff((g - 1,))
 
 
 # -- genus 1 ------------------------------------------------------------------------

@@ -6,23 +6,42 @@ Stability is the single rule 2 g_v - 2 + valence(v) > 0 (loops count twice),
 which forces genus-0 vertices to have valence >= 3 and genus-1 vertices
 valence >= 1.  The total genus is sum(g_v) + b1.
 
-Summing 2 g_v - 2 + valence(v) > 0 over vertices gives 2g - 2, so a genus-g
-graph has at most 2g - 2 vertices and the enumeration space is tiny; graphs
-are deduplicated by a minimum-over-permutations canonical key and |Aut| is
-counted directly:
+The list is built in two steps, each memoized for the life of the process
+and filled on first use.
 
-    |Aut| = (decoration- and adjacency-preserving vertex permutations)
-            * prod_v 2^{loops_v} loops_v!  * prod_{v<w} m_vw!
+*Skeletons* (``skeletons(g)``) are the undecorated graphs: vertex genera and
+edges, no indices, one per isomorphism class.  Summing 2 g_v - 2 + valence(v)
+over vertices gives 2g - 2, so a genus-g skeleton has at most 2g - 2
+vertices, and its vertex types (g_v, valence) are the ways of splitting
+2g - 2 into per-vertex excesses >= 1.  For each sorted type sequence the
+adjacency matrices with exactly those valences are filled row by row, the
+connected ones kept, and duplicates removed by a canonical form that only
+permutes vertices of equal (genus, valence, loops) after colour refinement.
+There are 7, 42 and 379 skeletons of genus 2, 3 and 4.
 
-matching the 1/2, 1/m! weights of the Wick expansion the graphs index.
+*Decorations* put an index from {0..N-1} on every vertex.  Two labelings of
+one skeleton give isomorphic graphs exactly when a vertex automorphism of
+the skeleton carries one to the other, so one labeling per orbit is kept.
+Its decorated automorphisms are the orbit's stabilizer, and
+
+    |Aut| = |Stab_V(labeling)| * prod_v 2^{loops_v} loops_v! * prod_{v<w} m_vw!
+
+matches the 1/2, 1/m! weights of the Wick expansion the graphs index.  By
+orbit-stabilizer, sum over decorated graphs of 1/|Aut| equals sum over
+skeletons of N^|V| / |Aut(skeleton)|.  Each decorated graph is stored in the
+canonical form of the index-aware enumeration it replaces: vertices sorted
+by (genus, index) and the row-major least adjacency among the vertex orders
+that keep them sorted; the list is sorted by (vertex count, vertices,
+adjacency).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cache
+from itertools import combinations_with_replacement, groupby, permutations, product
 from math import factorial
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 Vertex = Tuple[int, int]  # (genus, canonical index)
 
@@ -70,127 +89,226 @@ class StableGraph:
         return f"[{verts}] {edges or 'no edges'} |Aut|={self.aut}"
 
 
-def _compositions(total: int, slots: int) -> Iterator[Tuple[int, ...]]:
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+@dataclass(frozen=True)
+class Skeleton:
+    """An undecorated stable graph: vertex genera and edges, no indices."""
+
+    genera: Tuple[int, ...]
+    adjacency: Tuple[Tuple[int, ...], ...]
+    automorphisms: Tuple[Tuple[int, ...], ...]  # vertex maps v -> p[v]
+    edge_aut: int  # prod 2^loops loops! * prod m!
+
+    @property
+    def aut(self) -> int:
+        return len(self.automorphisms) * self.edge_aut
 
 
-def _connected(adj, n: int) -> bool:
-    if n == 1:
-        return True
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in range(n):
-        for w in range(v + 1, n):
-            if adj[v][w]:
-                parent[find(v)] = find(w)
-    root = find(0)
-    return all(find(v) == root for v in range(n))
-
-
-def _canonical_key(verts, adj, n: int):
-    best = None
-    for perm in permutations(range(n)):
-        v_key = tuple(verts[p] for p in perm)
-        a_key = tuple(adj[perm[a]][perm[b]] for a in range(n) for b in range(n))
-        key = (v_key, a_key)
-        if best is None or key < best:
-            best = key
-    return best
-
-
-def _vertex_aut(verts, adj, n: int) -> int:
-    count = 0
-    for perm in permutations(range(n)):
-        if any(verts[perm[a]] != verts[a] for a in range(n)):
-            continue
-        if all(adj[perm[a]][perm[b]] == adj[a][b] for a in range(n) for b in range(n)):
-            count += 1
-    return count
-
-
-def enumerate_graphs(g: int, n_indices: int) -> List[StableGraph]:
-    """All isomorphism classes of connected stable graphs of total genus g
-    with canonical indices drawn from {0..n_indices-1}, in a deterministic
-    order."""
+def _check(g: int, n_indices: int = 1) -> None:
     if g < 2:
         raise ValueError("the graph expansion starts at genus 2")
     if n_indices < 1:
         raise ValueError("need at least one canonical index")
 
+
+def skeletons(g: int) -> Tuple[Skeleton, ...]:
+    """The undecorated stable graphs of genus g, one per isomorphism class."""
+    _check(g)
+    return _skeletons(g)
+
+
+def enumerate_graphs(g: int, n_indices: int) -> List[StableGraph]:
+    """All isomorphism classes of connected stable graphs of total genus g
+    with canonical indices drawn from {0..n_indices-1}, in a deterministic
+    order: by vertex count, then sorted (genus, index) vertices, then
+    row-major adjacency.
+
+    Built from the memoized skeletons of genus g, one labeling per orbit of
+    each skeleton's vertex automorphisms; the decorated tuple is memoized
+    per (g, n_indices), and every call returns a fresh list."""
+    _check(g, n_indices)
+    return list(_decorated(g, n_indices))
+
+
+# -- skeletons ---------------------------------------------------------------------
+
+
+def _vertex_types(g: int, nv: int) -> List[Tuple[Tuple[int, int], ...]]:
+    """Sorted (genus, valence) sequences whose excesses 2 g_v - 2 + val_v
+    are >= 1 and add up to 2g - 2."""
+    types = sorted(
+        (gv, e + 2 - 2 * gv)
+        for e in range(1, 2 * g - 1)
+        for gv in range(e // 2 + 2)
+        if e + 2 - 2 * gv >= (1 if nv > 1 else 0)
+    )
+    return [
+        seq
+        for seq in combinations_with_replacement(types, nv)
+        if sum(2 * gv - 2 + val for gv, val in seq) == 2 * g - 2
+    ]
+
+
+def _bounded(total: int, caps: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Tuples with entries 0 <= x_k <= caps[k] that add up to total."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    rest = sum(caps[1:])
+    for first in range(max(0, total - rest), min(total, caps[0]) + 1):
+        for tail in _bounded(total - first, caps[1:]):
+            yield (first,) + tail
+
+
+def _fillings(valences: Sequence[int]) -> Iterator[List[List[int]]]:
+    """Symmetric multiplicity matrices with the given valences (a loop
+    counts twice); every yielded matrix is the same live object."""
+    n = len(valences)
+    rem = list(valences)
+    adj = [[0] * n for _ in range(n)]
+
+    def row(v):
+        if v == n:
+            yield adj
+            return
+        for loops in range(rem[v] // 2 + 1):
+            left = rem[v] - 2 * loops
+            adj[v][v] = loops
+            for part in _bounded(left, rem[v + 1:]):
+                for w, m in enumerate(part, v + 1):
+                    adj[v][w] = adj[w][v] = m
+                    rem[w] -= m
+                yield from row(v + 1)
+                for w, m in enumerate(part, v + 1):
+                    rem[w] += m
+
+    yield from row(0)
+
+
+def _connected(adj, n: int) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in range(n):
+            if adj[v][w] and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+def _cells(colors: Sequence) -> List[List[int]]:
+    """Vertices grouped by colour, groups in ascending colour order."""
+    order = sorted(range(len(colors)), key=colors.__getitem__)
+    return [list(cell) for _, cell in groupby(order, key=colors.__getitem__)]
+
+
+def _orders(cells) -> Iterator[Tuple[int, ...]]:
+    """Every vertex order that keeps the cells in place."""
+    for parts in product(*(permutations(c) for c in cells)):
+        yield sum(parts, ())
+
+
+def _refined_colors(colors, adj, n: int) -> List[int]:
+    """Colour refinement: split colour classes by the multiset of
+    (neighbour colour, multiplicity) until stable.  Colours are ranks of
+    isomorphism-invariant signatures, so isomorphic graphs get matching
+    colours."""
+    ranks = {c: r for r, c in enumerate(sorted(set(colors)))}
+    current = [ranks[c] for c in colors]
+    while True:
+        sig = [
+            (current[v], tuple(sorted(
+                (current[w], adj[v][w]) for w in range(n) if w != v and adj[v][w]
+            )))
+            for v in range(n)
+        ]
+        ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
+        refined = [ranks[s] for s in sig]
+        if len(ranks) == len(set(current)):
+            return refined
+        current = refined
+
+
+def _least_form(adj, cells):
+    """Row-major least adjacency over the vertex orders that keep cells,
+    flattened."""
+    return min(
+        tuple([adj[a][b] for a in order for b in order]) for order in _orders(cells)
+    )
+
+
+def _rows(form, n: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(form[a * n:(a + 1) * n] for a in range(n))
+
+
+def _edge_aut(adj, n: int) -> int:
+    aut = 1
+    for v in range(n):
+        aut *= 2 ** adj[v][v] * factorial(adj[v][v])
+        for w in range(v + 1, n):
+            aut *= factorial(adj[v][w])
+    return aut
+
+
+@cache
+def _skeletons(g: int) -> Tuple[Skeleton, ...]:
     found = {}
     for nv in range(1, 2 * g - 1):
-        slots = [(v, w) for v in range(nv) for w in range(v, nv)]
-        for decorations in _nondecreasing_tuples(nv, g, n_indices):
-            gs = [d[0] for d in decorations]
-            edges = g - sum(gs) + nv - 1
-            if edges < 0 or (nv > 1 and edges < nv - 1):
-                continue
-            # quick valence feasibility: every vertex needs 2g_v-2+val >= 1
-            if sum(max(0, 3 - 2 * gv) for gv in gs) > 2 * edges:
-                continue
-            for comp in _compositions(edges, len(slots)):
-                adj = [[0] * nv for _ in range(nv)]
-                for (v, w), m in zip(slots, comp):
-                    adj[v][w] += m
-                    if v != w:
-                        adj[w][v] += m
+        for types in _vertex_types(g, nv):
+            genera = [gv for gv, _ in types]
+            for adj in _fillings([val for _, val in types]):
                 if not _connected(adj, nv):
                     continue
-                ok = True
-                for v in range(nv):
-                    val = sum(adj[v]) + adj[v][v]
-                    if 2 * gs[v] - 2 + val <= 0:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                key = _canonical_key(decorations, adj, nv)
-                if key in found:
-                    continue
-                aut = _vertex_aut(decorations, adj, nv)
-                for v in range(nv):
-                    loops = adj[v][v]
-                    aut *= 2 ** loops * factorial(loops)
-                for v in range(nv):
-                    for w in range(v + 1, nv):
-                        aut *= factorial(adj[v][w])
-                found[key] = StableGraph(
-                    genus=g,
-                    vertices=tuple(decorations),
-                    adjacency=tuple(tuple(row) for row in adj),
-                    aut=aut,
-                    b1=edges - nv + 1,
+                colors = _refined_colors(
+                    [(genera[v], types[v][1], adj[v][v]) for v in range(nv)], adj, nv
                 )
-    return [found[k] for k in sorted(found.keys(), key=_sort_key)]
+                cells = _cells(colors)
+                key = (tuple(genera[v] for v in sum(cells, [])), _least_form(adj, cells))
+                if key not in found:
+                    found[key] = _skeleton(*key, sorted(colors))
+    return tuple(found[k] for k in sorted(found, key=lambda k: (len(k[0]), k)))
 
 
-def _sort_key(key):
-    verts, adj = key
-    return (len(verts), verts, adj)
+def _skeleton(genera: Tuple[int, ...], form: Tuple[int, ...], colors) -> Skeleton:
+    """The skeleton in canonical vertex order.  ``colors`` are its refined
+    vertex colours in that order: ascending, so every cell is a run of
+    consecutive vertices, and every automorphism maps each cell to itself."""
+    n = len(genera)
+    adj = _rows(form, n)
+    autos = tuple(
+        p
+        for p in _orders(_cells(colors))
+        if all(adj[p[a]][p[b]] == adj[a][b] for a in range(n) for b in range(a, n))
+    )
+    return Skeleton(genera=genera, adjacency=adj, automorphisms=autos, edge_aut=_edge_aut(adj, n))
 
 
-def _nondecreasing_tuples(nv: int, g: int, n_indices: int) -> Iterator[Tuple[Vertex, ...]]:
-    symbols = [(gv, i) for gv in range(g + 1) for i in range(n_indices)]
+# -- decorations -------------------------------------------------------------------
 
-    def rec(prefix, start, budget):
-        if len(prefix) == nv:
-            yield tuple(prefix)
-            return
-        for s in range(start, len(symbols)):
-            gv = symbols[s][0]
-            if gv > budget:
-                continue
-            yield from rec(prefix + [symbols[s]], s, budget - gv)
 
-    yield from rec([], 0, g)
+@cache
+def _decorated(g: int, n_indices: int) -> Tuple[StableGraph, ...]:
+    found = []
+    for sk in _skeletons(g):
+        n = len(sk.genera)
+        adj = sk.adjacency
+        b1 = sum(adj[v][w] for v in range(n) for w in range(v, n)) - n + 1
+        for labels in product(range(n_indices), repeat=n):
+            images = [tuple(labels[p[v]] for v in range(n)) for p in sk.automorphisms]
+            if min(images) != labels:
+                continue  # not the least labeling of its orbit
+            stab = sum(1 for im in images if im == labels)
+            verts = [(sk.genera[v], labels[v]) for v in range(n)]
+            cells = _cells(verts)
+            found.append(
+                StableGraph(
+                    genus=g,
+                    vertices=tuple(verts[v] for v in sum(cells, [])),
+                    adjacency=_rows(_least_form(adj, cells), n),
+                    aut=stab * sk.edge_aut,
+                    b1=b1,
+                )
+            )
+    found.sort(key=lambda gr: (len(gr.vertices), gr.vertices, gr.adjacency))
+    return tuple(found)

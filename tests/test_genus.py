@@ -37,12 +37,14 @@ from genuslift.frobenius import (
     threefold_cusp_model,
     two_primary_model,
 )
+from genuslift import genus as genus_module
 from genuslift.genus import (
     evaluate_graph,
     genus_potential,
     genus1_closedness_residual,
     genus1_difference_quadrature,
     genus1_one_form,
+    graph_sum,
     two_primary_genus2_reference,
     wick_oracle,
 )
@@ -162,6 +164,14 @@ class TestOracleAgreement:
             total = total + evaluate_graph(graph, data)
         assert isinstance(total, Fraction)
         assert total == wick_oracle(data, g)
+        assert graph_sum(data, g).value == total
+
+    def test_exact_synthetic_genus4(self):
+        data = synthetic_data(1, 4, seed=401)
+        report = graph_sum(data, 4)
+        assert len(report.contributions) == 379
+        assert isinstance(report.value, Fraction)
+        assert report.value == wick_oracle(data, 4)
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_float_two_primary(self, g):
@@ -201,6 +211,30 @@ class TestOracleAgreement:
             assert mpmath.fabs(rep.value) < TIGHT
             w = wick_oracle(rep.data, 2, ctx=CTX)
             assert mpmath.fabs(w - rep.value) < TIGHT
+
+
+class TestSharedVertexCache:
+    def test_each_vertex_evaluated_once(self, monkeypatch):
+        calls = []
+        original = genus_module.vertex_correlator
+
+        def counting(g_v, ks, tails, delta, table=None):
+            calls.append((g_v, tuple(ks), id(tails)))
+            return original(g_v, ks, tails, delta, table=table)
+
+        monkeypatch.setattr(genus_module, "vertex_correlator", counting)
+        model = two_primary_model(Fraction(1, 2))
+        rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
+        # one call per distinct (g_v, i_v, edge powers) over all 271 graphs
+        assert len(calls) == len(set(calls)) == 114
+        calls.clear()
+        with CTX.guard():
+            for graph, val in rep.contributions:
+                assert evaluate_graph(graph, rep.data) == val
+        # a cache per graph evaluates the same vertices over and over
+        assert len(calls) == 1206
+        w = wick_oracle(rep.data, 3, ctx=CTX)
+        assert rel_err(w, rep.value) < TIGHT
 
 
 class TestGenusReport:

@@ -1,15 +1,123 @@
 """Stable-graph enumeration: the genus-2 list is checked vertex by vertex
 against a hand enumeration; structural invariants are swept over larger
-(g, N).  The evaluation-side cross-check that certifies these lists (graph
-sum == operator-exponential oracle) lives in test_genus.py."""
+(g, N); the skeleton-based lists are compared graph by graph, in order,
+with a direct index-aware enumeration kept here as an oracle; and the
+orbit-stabilizer identity ties every decorated list to its skeletons.  The
+evaluation-side cross-check that certifies these lists (graph sum ==
+operator-exponential oracle) lives in test_genus.py."""
+
+from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
-from genuslift.graphs import StableGraph, enumerate_graphs
+from genuslift import graphs as graphs_module
+from genuslift.graphs import StableGraph, enumerate_graphs, skeletons
 
 
 def signature(graph):
     return (graph.vertices, graph.adjacency, graph.aut, graph.b1)
+
+
+# -- direct enumeration oracle -----------------------------------------------------
+#
+# Every edge multiset over every vertex-pair slot, once per sorted index
+# decoration, deduplicated by a minimum over all vertex permutations.  It
+# shares no code with the skeleton construction; exponential in the number
+# of slots, so it stops at genus 3.
+
+
+def _compositions(total, slots):
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def _connected(adj, n):
+    seen, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for w in range(n):
+            if adj[v][w] and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+def _canonical_key(verts, adj, n):
+    return min(
+        (
+            tuple(verts[p] for p in perm),
+            tuple(adj[perm[a]][perm[b]] for a in range(n) for b in range(n)),
+        )
+        for perm in permutations(range(n))
+    )
+
+
+def _vertex_aut(verts, adj, n):
+    return sum(
+        1
+        for perm in permutations(range(n))
+        if all(verts[perm[a]] == verts[a] for a in range(n))
+        and all(adj[perm[a]][perm[b]] == adj[a][b] for a in range(n) for b in range(n))
+    )
+
+
+def _nondecreasing_tuples(nv, g, n_indices):
+    symbols = [(gv, i) for gv in range(g + 1) for i in range(n_indices)]
+
+    def rec(prefix, start, budget):
+        if len(prefix) == nv:
+            yield tuple(prefix)
+            return
+        for s in range(start, len(symbols)):
+            if symbols[s][0] <= budget:
+                yield from rec(prefix + [symbols[s]], s, budget - symbols[s][0])
+
+    yield from rec([], 0, g)
+
+
+def direct_enumeration(g, n_indices):
+    found = {}
+    for nv in range(1, 2 * g - 1):
+        slots = [(v, w) for v in range(nv) for w in range(v, nv)]
+        for decorations in _nondecreasing_tuples(nv, g, n_indices):
+            gs = [d[0] for d in decorations]
+            edges = g - sum(gs) + nv - 1
+            if edges < 0 or (nv > 1 and edges < nv - 1):
+                continue
+            if sum(max(0, 3 - 2 * gv) for gv in gs) > 2 * edges:
+                continue
+            for comp in _compositions(edges, len(slots)):
+                adj = [[0] * nv for _ in range(nv)]
+                for (v, w), m in zip(slots, comp):
+                    adj[v][w] += m
+                    if v != w:
+                        adj[w][v] += m
+                if not _connected(adj, nv):
+                    continue
+                if any(2 * gs[v] - 2 + sum(adj[v]) + adj[v][v] <= 0 for v in range(nv)):
+                    continue
+                key = _canonical_key(decorations, adj, nv)
+                if key in found:
+                    continue
+                aut = _vertex_aut(decorations, adj, nv)
+                for v in range(nv):
+                    aut *= 2 ** adj[v][v] * factorial(adj[v][v])
+                    for w in range(v + 1, nv):
+                        aut *= factorial(adj[v][w])
+                found[key] = StableGraph(
+                    genus=g,
+                    vertices=tuple(decorations),
+                    adjacency=tuple(tuple(row) for row in adj),
+                    aut=aut,
+                    b1=edges - nv + 1,
+                )
+    return [found[k] for k in sorted(found, key=lambda k: (len(k[0]),) + k)]
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +156,7 @@ class TestGenusTwoSingleIndex:
 
 
 class TestStructuralInvariants:
-    @pytest.mark.parametrize("g, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("g, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1)])
     def test_sweep(self, g, n):
         graphs = enumerate_graphs(g, n)
         assert len(graphs) == len({signature(gr) for gr in graphs})
@@ -71,6 +179,8 @@ class TestStructuralInvariants:
         assert len(enumerate_graphs(2, 3)) == 36
         assert len(enumerate_graphs(3, 1)) == 42
         assert len(enumerate_graphs(3, 2)) == 271
+        assert len(enumerate_graphs(3, 3)) == 942
+        assert len(enumerate_graphs(4, 1)) == 379
 
     def test_deterministic_order(self):
         a = enumerate_graphs(2, 2)
@@ -88,10 +198,15 @@ class TestStructuralInvariants:
         assert all(g.aut == (12 if g.vertices[0] == g.vertices[1] else 6) for g in thetas)
 
     def test_errors(self):
+        memo = graphs_module._decorated.cache_info().currsize
         with pytest.raises(ValueError):
             enumerate_graphs(1, 1)
         with pytest.raises(ValueError):
             enumerate_graphs(2, 0)
+        with pytest.raises(ValueError):
+            skeletons(1)
+        # rejected before the memo is consulted, so nothing is stored
+        assert graphs_module._decorated.cache_info().currsize == memo
 
     def test_accessors(self):
         dumbbell = StableGraph(
@@ -105,3 +220,59 @@ class TestStructuralInvariants:
         assert dumbbell.num_edges() == 3
         assert dumbbell.edge_list() == [(0, 0, 1), (0, 1, 1), (1, 1, 1)]
         assert "Aut" in dumbbell.describe()
+
+
+class TestSkeletons:
+    def test_counts(self):
+        # stable graphs of genus 2, 3, 4 with no legs
+        assert [len(skeletons(g)) for g in (2, 3, 4)] == [7, 42, 379]
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_single_index_lists_match(self, g):
+        # with one index every skeleton is one decorated graph
+        sks = skeletons(g)
+        decorated = enumerate_graphs(g, 1)
+        assert sorted(sk.aut for sk in sks) == sorted(gr.aut for gr in decorated)
+        for sk in sks:
+            n = len(sk.genera)
+            assert all(
+                sk.genera[p[v]] == sk.genera[v]
+                and all(sk.adjacency[p[v]][p[w]] == sk.adjacency[v][w] for w in range(n))
+                for p in sk.automorphisms
+                for v in range(n)
+            )
+
+    @pytest.mark.parametrize(
+        "g, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1)]
+    )
+    def test_orbit_stabilizer_identity(self, g, n):
+        decorated = sum(Fraction(1, gr.aut) for gr in enumerate_graphs(g, n))
+        undecorated = sum(Fraction(n ** len(sk.genera), sk.aut) for sk in skeletons(g))
+        assert decorated == undecorated
+
+
+class TestDirectEnumerationOracle:
+    @pytest.mark.parametrize("g, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_same_graphs_same_order(self, g, n):
+        want = direct_enumeration(g, n)
+        got = enumerate_graphs(g, n)
+        assert [signature(gr) for gr in got] == [signature(gr) for gr in want]
+        assert [gr.describe() for gr in got] == [gr.describe() for gr in want]
+
+
+class TestMemoSafety:
+    def test_returned_list_is_fresh(self):
+        before = [signature(gr) for gr in enumerate_graphs(3, 2)]
+        first = enumerate_graphs(3, 2)
+        first.clear()
+        second = enumerate_graphs(3, 2)
+        second.append(second[0])
+        second.reverse()
+        assert [signature(gr) for gr in enumerate_graphs(3, 2)] == before
+
+    def test_graphs_are_frozen(self):
+        graph = enumerate_graphs(2, 1)[0]
+        with pytest.raises(AttributeError):
+            graph.aut = 1
+        with pytest.raises(AttributeError):
+            skeletons(2)[0].genera = (0,)

@@ -41,7 +41,7 @@ from .frame import canonical_frame
 from .frobenius import FrobeniusModel, point_model, threefold_cusp_model, two_primary_model
 from .genus import genus1_closedness_residual, genus1_one_form, genus_potential, wick_oracle
 from .hodge import HodgeParameters, HodgeTruncation, hodge_lemma_residual
-from .intersection import IntersectionTable, psi_intersection
+from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
 from .io import (
     RunConfig,
     SchemaError,
@@ -368,18 +368,6 @@ def _cmd_descendent(args):
     return (EXIT_NUMERICAL if breach else EXIT_OK), render_report(doc, config.output)
 
 
-def _ascending(count: int, total: int, minimum: int = 0):
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(minimum, total + 1):
-        if first * count > total:
-            break
-        for rest in _ascending(count - 1, total - first, first):
-            yield (first,) + rest
-
-
 def _cmd_wk(args):
     config = _config(args)
     table = IntersectionTable()
@@ -404,11 +392,8 @@ def _cmd_wk(args):
     if total < 0:
         raise SchemaError(f"genus {args.g} with {args.n} insertions has no stable moduli")
     values = {}
-    for ks in _ascending(args.n, total):
-        if sum(ks) == total:
-            values[",".join(str(k) for k in ks)] = format_rational(
-                psi_intersection(args.g, ks, table)
-            )
+    for ks in _ascending_tuples(args.n, total, 0):
+        values[",".join(str(k) for k in ks)] = format_rational(psi_intersection(args.g, ks, table))
     doc = {"genus": args.g, "insertions": args.n, "dimension": total, "values": values}
     return EXIT_OK, render_report(doc, config.output)
 

@@ -65,7 +65,7 @@ import mpmath
 from .expressions import Expression
 from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
-from .genus import GenusReport, genus1_differential, graph_sum
+from .genus import _STENCIL, GenusReport, genus1_differential, graph_sum
 from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
 from .linalg import identity, mat_inv_float, mat_mul, mat_vec, transpose
 from .rmatrix import (
@@ -931,10 +931,6 @@ def _det(mat):
             term = -term
         total = term if total is None else total + term
     return total
-
-
-_STENCIL = ((1, Fraction(45)), (-1, Fraction(-45)), (2, Fraction(-9)),
-            (-2, Fraction(9)), (3, Fraction(1)), (-3, Fraction(-1)))
 
 
 @dataclass

@@ -68,12 +68,15 @@ def evaluate_graph(
     table: Optional[IntersectionTable] = None,
     ctx: Optional[FloatContext] = None,
     vertex_cache: Optional[dict] = None,
+    edge_weights: Optional[dict] = None,
 ):
     """Contribution of one graph: the half-edge power sum divided by |Aut|.
 
     ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
-    correlator on ``data``; a sum over many graphs passes one dict to all of
-    them, so each distinct vertex is evaluated once."""
+    correlator on ``data``, or to None where it vanishes; ``edge_weights``
+    is :func:`edge_weight_table` of ``data``.  A sum over many graphs passes
+    one of each to all of them, so each distinct vertex and edge weight is
+    evaluated once; either is built here when not given."""
     nv = graph.num_vertices()
     edges = []
     for v, w, mult in graph.edge_list():
@@ -87,7 +90,6 @@ def evaluate_graph(
                 f"edge coefficients known to order {data.v_cutoff}, need {joint}"
             )
 
-    sd = data.sqrt_delta
     if vertex_cache is None:
         vertex_cache = {}
 
@@ -95,9 +97,8 @@ def evaluate_graph(
         g_v, i_v = graph.vertices[v]
         key = (g_v, i_v, tuple(sorted(ks)))
         if key not in vertex_cache:
-            vertex_cache[key] = vertex_correlator(
-                g_v, key[2], data.t[i_v], data.delta[i_v], table=table
-            )
+            val = vertex_correlator(g_v, key[2], data.t[i_v], data.delta[i_v], table=table)
+            vertex_cache[key] = None if val == 0 else val
         return vertex_cache[key]
 
     ks_at: List[List[int]] = [[] for _ in range(nv)]
@@ -109,31 +110,52 @@ def evaluate_graph(
             prod = weight
             for v in range(nv):
                 val = vertex_value(v, ks_at[v])
-                if val == 0:
+                if val is None:
                     return
                 prod = prod * val
             total = total + prod
             return
         v, w = edges[e_idx]
-        i_v, i_w = graph.vertices[v][1], graph.vertices[w][1]
+        rows = edge_weights[graph.vertices[v][1], graph.vertices[w][1]]
         for k in range(budget[v] + 1):
             budget[v] -= k
             ks_at[v].append(k)
-            for l in range(budget[w] + 1):
-                vw = data.v_entry(i_v, i_w, k, l)
-                if vw == 0:
-                    continue
+            for l, weight_kl in rows[k]:
+                if l > budget[w]:
+                    break
                 budget[w] -= l
                 ks_at[w].append(l)
-                descend(e_idx + 1, weight * vw * sd[i_v] * sd[i_w])
+                descend(e_idx + 1, weight * weight_kl)
                 ks_at[w].pop()
                 budget[w] += l
             ks_at[v].pop()
             budget[v] += k
 
     with ctx.guard() if ctx is not None else nullcontext():
+        if edge_weights is None:
+            edge_weights = edge_weight_table(data)
         descend(0, 1)
         return total / graph.aut if total else total
+
+
+def edge_weight_table(data: EdgeTailData) -> dict:
+    """Edge weights V^{ij}_{kl} sqrt(Delta_i) sqrt(Delta_j) for k + l <=
+    ``data.v_cutoff``: (i, j) maps to one row per k of (l, weight) pairs in
+    ascending l, with vanishing entries left out."""
+    n, cutoff, sd = data.dimension, data.v_cutoff, data.sqrt_delta
+    weights = {}
+    for i in range(n):
+        for j in range(n):
+            rows = []
+            for k in range(cutoff + 1):
+                row = []
+                for l in range(cutoff + 1 - k):
+                    v = data.v_entry(i, j, k, l)
+                    if v != 0:
+                        row.append((l, v * sd[i] * sd[j]))
+                rows.append(row)
+            weights[i, j] = rows
+    return weights
 
 
 @dataclass
@@ -202,16 +224,19 @@ def graph_sum(
     frame=None,
 ) -> GenusReport:
     """F^g from edge/tail data: every stable graph of genus g over
-    ``data.dimension`` indices, evaluated with one vertex cache shared by
-    the whole sum.  Exact when ``data`` is rational and ``ctx`` is None;
-    ``frame`` is only passed through to the report."""
+    ``data.dimension`` indices, evaluated with one vertex cache and one edge
+    weight table shared by the whole sum.  Exact when ``data`` is rational
+    and ``ctx`` is None; ``frame`` is only passed through to the report."""
     graph_list = enumerate_graphs(g, data.dimension)
     vertex_cache: dict = {}
     with ctx.guard() if ctx is not None else nullcontext():
+        edge_weights = edge_weight_table(data)
         total = ctx.num(0) if ctx is not None else 0
         contributions = []
         for graph in graph_list:
-            val = evaluate_graph(graph, data, table, vertex_cache=vertex_cache)
+            val = evaluate_graph(
+                graph, data, table, vertex_cache=vertex_cache, edge_weights=edge_weights
+            )
             contributions.append((graph, val))
             total = total + val
     return GenusReport(genus=g, value=total, contributions=contributions, data=data, frame=frame)

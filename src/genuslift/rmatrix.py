@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 
-from .expressions import t_names
+from .expressions import _multi_indices, t_names
 from .frame import CanonicalFrame, DegenerateFrameError
 from .linalg import mat_mul, transpose
 from .scalars import FloatContext, Rational
@@ -175,7 +175,7 @@ def _compute_r_impl(frame: CanonicalFrame, order: int, mode: str) -> RSeries:
             ddiag.append([-m[i][i] for i in range(n)])
         for i in range(n):
             diag = TruncatedSeries.zero(caps_k)
-            for key in _keys_up_to(n, content):
+            for key in _multi_indices(n, content):
                 total = sum(key)
                 if total == 0 or total > content:
                     continue
@@ -283,26 +283,6 @@ def _homogeneous_impl(frame: CanonicalFrame, order: int) -> RSeries:
 
 def _mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _keys_up_to(n: int, order: int):
-    if n == 1:
-        for t in range(order + 1):
-            yield (t,)
-        return
-    for t in range(order + 1):
-        for first in range(t + 1):
-            for rest in _keys_up_to_fixed(n - 1, t - first):
-                yield (first,) + rest
-
-
-def _keys_up_to_fixed(n: int, total: int):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _keys_up_to_fixed(n - 1, total - first):
-            yield (first,) + rest
 
 
 def unitarity_residual(r: RSeries) -> object:

@@ -14,12 +14,19 @@ Caps support per-variable exponent ranges plus any number of weighted total
 bounds ``sum(w_i * k_i) <= b``.  Weighted bounds with mixed-sign weights are
 what make exponentials of Laurent series terminate (e.g. a grading in which
 every retained monomial has positive weight).
+
+Products prune pairs before forming them: a weighted degree is linear, so
+the degree of a product key is the sum of its factors' degrees, and
+:meth:`TruncatedSeries.__mul__` walks the inner operand in ascending degree
+under the first weighted bound, stopping once that bound is passed.  Every
+pair that is formed is still checked against all the caps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter, mul
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import mpmath
@@ -213,12 +220,21 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         keep = self.caps.keep
+        # with no weighted bound every degree is 0 and nothing is cut
+        weights, bound = self.caps.weighted[0] if self.caps.weighted else ((), 0)
         acc: Dict[Key, object] = {}
         # iterate the smaller operand outside
         a, b = (self.c, other.c) if len(self.c) <= len(other.c) else (other.c, self.c)
+        inner = sorted(
+            ((sum(map(mul, weights, kb)), kb, vb) for kb, vb in b.items()),
+            key=itemgetter(0),
+        )
         for ka, va in a.items():
-            for kb, vb in b.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
+            room = bound - sum(map(mul, weights, ka))
+            for db, kb, vb in inner:
+                if db > room:
+                    break
+                k = tuple(map(add, ka, kb))
                 if keep(k):
                     if k in acc:
                         acc[k] = acc[k] + va * vb

@@ -51,6 +51,7 @@ from genuslift.genus import (
 from genuslift.graphs import enumerate_graphs
 from genuslift.rmatrix import EdgeTailData
 from genuslift.scalars import FloatContext
+from genuslift.series import Caps
 
 CTX = FloatContext()
 TIGHT = mpmath.mpf("1e-60")
@@ -234,6 +235,44 @@ class TestSharedVertexCache:
         # a cache per graph evaluates the same vertices over and over
         assert len(calls) == 1206
         w = wick_oracle(rep.data, 3, ctx=CTX)
+        assert rel_err(w, rep.value) < TIGHT
+
+    def test_each_edge_weight_evaluated_once(self, monkeypatch):
+        model = two_primary_model(Fraction(1, 2))
+        rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
+        calls = []
+        original = EdgeTailData.v_entry
+
+        def counting(self, i, j, k, l):
+            calls.append((i, j, k, l))
+            return original(self, i, j, k, l)
+
+        monkeypatch.setattr(EdgeTailData, "v_entry", counting)
+        again = graph_sum(rep.data, 3, ctx=CTX)
+        # one table entry per (i, j) and k + l <= v_cutoff = 5, shared by
+        # all 271 graphs
+        assert len(calls) == len(set(calls)) == 4 * 21
+        assert again.value == rep.value
+
+
+class TestSeriesProductPruning:
+    def test_wick_oracle_forms_few_over_cap_products(self, monkeypatch):
+        model = two_primary_model(Fraction(1, 2))
+        rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
+        verdicts = []
+        original = Caps.keep
+
+        def counting(self, key):
+            kept = original(self, key)
+            verdicts.append(kept)
+            return kept
+
+        monkeypatch.setattr(Caps, "keep", counting)
+        w = wick_oracle(rep.data, 3, ctx=CTX)
+        # the weighted bound stops each inner loop of a product before the
+        # pairs it would reject, so almost every formed pair is kept
+        assert verdicts.count(False) == 5
+        assert verdicts.count(True) == 2400
         assert rel_err(w, rep.value) < TIGHT
 
 

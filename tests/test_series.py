@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genuslift.scalars import FloatContext
 from genuslift.series import Caps, TruncatedSeries, singular_quotient
@@ -226,3 +228,42 @@ class TestJetCalculus:
         assert sl.scalar_coeff((0, 2)) == 5
         assert sl.scalar_coeff((0, 3)) == -1
         assert sl.scalar_coeff((0, 0)) == 0
+
+
+@st.composite
+def capped_operands(draw):
+    """Caps with negative or open mins, mixed-sign weights and zero to two
+    weighted bounds, plus two operands whose keys may lie outside them."""
+    n = draw(st.integers(1, 3))
+    names = ("x", "y", "z")[:n]
+    mins = tuple(draw(st.one_of(st.none(), st.integers(-3, 0))) for _ in range(n))
+    maxs = tuple(draw(st.one_of(st.none(), st.integers(0, 4))) for _ in range(n))
+    weighted = tuple(
+        (tuple(draw(st.integers(-2, 3)) for _ in range(n)), draw(st.integers(-2, 6)))
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    caps = Caps(names, mins, maxs, weighted)
+    keys = st.tuples(*[st.integers(-3, 4)] * n)
+    values = st.fractions(-5, 5, max_denominator=7).filter(bool)
+
+    def operand():
+        s = TruncatedSeries(caps)
+        s.c = draw(st.dictionaries(keys, values, max_size=12))
+        return s
+
+    return caps, operand(), operand()
+
+
+class TestProductKernel:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(capped_operands())
+    def test_matches_all_pairs_product(self, case):
+        caps, a, b = case
+        naive = {}
+        for ka, va in a.c.items():
+            for kb, vb in b.c.items():
+                k = tuple(x + y for x, y in zip(ka, kb))
+                naive[k] = naive.get(k, 0) + va * vb
+        naive = {k: v for k, v in naive.items() if v != 0 and caps.keep(k)}
+        assert (a * b).c == naive
+        assert (b * a).c == naive

@@ -31,15 +31,21 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .descendent import (
+    CurvePoint,
     compute_calibration,
     descendent_frame,
     descendent_potential,
-    point_descendent_reference,
     point_descendent_resummed,
 )
 from .frame import canonical_frame
 from .frobenius import FrobeniusModel, point_model, threefold_cusp_model, two_primary_model
-from .genus import genus1_closedness_residual, genus1_one_form, genus_potential, wick_oracle
+from .genus import (
+    frame_and_R,
+    genus1_closedness_residual,
+    genus1_one_form,
+    genus_potential,
+    wick_oracle,
+)
 from .hodge import HodgeParameters, HodgeTruncation, hodge_lemma_residual
 from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
 from .io import (
@@ -54,14 +60,7 @@ from .io import (
     render_report,
     rseries_to_json,
 )
-from .rmatrix import (
-    compute_R,
-    edge_tail_data,
-    homogeneous_R,
-    twist_R,
-    unitarity_residual,
-    uses_homogeneity,
-)
+from .rmatrix import compute_R, edge_tail_data, unitarity_residual
 from .scalars import FloatContext, Rational, format_rational
 
 PRECISION_ENV = "GENUSLIFT_PRECISION"
@@ -233,11 +232,7 @@ def _cmd_frame(args):
 def _r_series(args, config, ctx):
     model = _load_model(args.model, config.tolerance)
     order = (config.truncation or 4) - 1
-    homogeneous = uses_homogeneity(model, args.mode)
-    frame = canonical_frame(model, _point(args, model), ctx, order=0 if homogeneous else order)
-    r = homogeneous_R(frame, order) if homogeneous else compute_R(frame, order, mode=args.mode)
-    if config.gauge is not None:
-        r = twist_R(r, config.gauge)
+    _, r = frame_and_R(model, _point(args, model), ctx, order, mode=args.mode, gauge=config.gauge)
     return r
 
 
@@ -333,8 +328,8 @@ def _cmd_descendent(args):
         raise SchemaError(
             f"curve point has dimension {tau.dimension}, model has {model.dimension}"
         )
-    cal_order = args.calibration_order or 2 * max(tau.kmax, 1) + 1
-    calibration = compute_calibration(model, order=cal_order)
+    # the bold data read S_0 .. S_K only
+    calibration = compute_calibration(model, order=max(tau.kmax, 1))
     frame_data = descendent_frame(
         model, calibration, tau, ctx, order=config.r_order, gauge=config.gauge
     )
@@ -353,10 +348,10 @@ def _cmd_descendent(args):
             for k, v in sorted(report.contribution_map().items())
         },
         "residuals": {
-            k: format_value(v, ctx) for k, v in sorted(frame_data.residuals.items())
+            k: format_value(v, ctx) for k, v in sorted(frame_data.data.residuals.items())
         },
     }
-    gates = [frame_data.criticality_residual, *frame_data.residuals.values()]
+    gates = [frame_data.criticality_residual, *frame_data.data.residuals.values()]
     if model.dimension == 1:
         oracle = point_descendent_resummed(tau, args.g, ctx)
         with ctx.guard():
@@ -456,11 +451,9 @@ def _selftest_checks(ctx: FloatContext):
         unit = unitarity_residual(compute_R(canonical_frame(model, point, ctx, order=5), 5))
     yield ("r-matrix-unitarity", unit, "two-primary d=1/3, order 5")
 
-    from .descendent import CurvePoint  # local import keeps module load light
-
     tau = CurvePoint(((Fraction(0),), (Fraction(0),), (Fraction(1, 8),)))
     calibration = compute_calibration(point_model(), order=7)
-    direct = point_descendent_reference(tau, 2, ctx)
+    direct = point_descendent_resummed(tau, 2, ctx)
     dreport = descendent_potential(point_model(), calibration, tau, 2, ctx)
     with ctx.guard():
         yield (
@@ -569,7 +562,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--gauge", default=None)
-    p.add_argument("--calibration-order", dest="calibration_order", type=int, default=None)
 
     p = add("wk", _cmd_wk, "psi-class intersection numbers")
     p.add_argument("--g", type=int, required=True)

@@ -24,9 +24,7 @@ here from the fixed-point form
 
     t = t_0 + sum_{m>=1} S_m(t) t_m
 
-by Newton iteration (or, in the formal regime, by nilpotent iteration with
-the couplings graded by a bookkeeping variable, which is exact).  The
-genus-0 potential is then
+by Newton iteration.  The genus-0 potential is then
 
     F0(tau) = (1/2) <tau(c) - c, tau(c) - c>'(t(tau)),
 
@@ -56,7 +54,7 @@ sqrt(Delta_i / D_i).  Both are computed and compared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -65,23 +63,11 @@ import mpmath
 from .expressions import Expression
 from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
-from .genus import _STENCIL, GenusReport, genus1_differential, graph_sum
+from .genus import _STENCIL, GenusReport, frame_and_R, genus1_differential, graph_sum
 from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
-from .linalg import identity, mat_inv_float, mat_mul, mat_vec, transpose
-from .rmatrix import (
-    EdgeTailData,
-    RSeries,
-    compute_R,
-    compute_V,
-    homogeneous_R,
-    twist_R,
-    unitarity_residual,
-    uses_homogeneity,
-)
+from .linalg import det, identity, mat_add, mat_inv_float, mat_mul, mat_scale, mat_vec, transpose
+from .rmatrix import EdgeTailData, RSeries, compute_R, compute_V
 from .scalars import FloatContext
-from .series import Caps, TruncatedSeries
-
-_EPS = "e"
 
 
 # -- expression plumbing ---------------------------------------------------------
@@ -168,19 +154,6 @@ def _structure_expressions(model: FrobeniusModel) -> List[List[List[Expression]]
     return ops
 
 
-def _mat_mul_expr(a, b, n: int):
-    out = []
-    for i in range(len(a)):
-        row = []
-        for j in range(len(b[0])):
-            acc = Expression.zero(n)
-            for k in range(len(b)):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 # -- the calibration -------------------------------------------------------------
 
 
@@ -237,14 +210,10 @@ class Calibration:
             adj = [mat_mul(ginv, mat_mul(transpose(s), g)) for s in svals]
             worst = ctx.num(0)
             for k in range(1, self.order + 1):
-                acc = None
-                for a in range(k + 1):
+                acc = mat_mul(adj[0], svals[k])
+                for a in range(1, k + 1):
                     term = mat_mul(adj[a], svals[k - a])
-                    if a % 2:
-                        term = [[-x for x in row] for row in term]
-                    acc = term if acc is None else [
-                        [x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, term)
-                    ]
+                    acc = mat_add(acc, mat_scale(term, -1) if a % 2 else term)
                 for row in acc:
                     for x in row:
                         worst = max(worst, mpmath.fabs(x))
@@ -275,7 +244,7 @@ def compute_calibration(model: FrobeniusModel, base=None, order: int = 6) -> Cal
     ]
     mats = []
     for k in range(1, order + 1):
-        grads = [_mat_mul_expr(ops[a], prev, n) for a in range(n)]
+        grads = [mat_mul(ops[a], prev) for a in range(n)]
         cur = []
         for i in range(n):
             row = []
@@ -454,14 +423,10 @@ def _two_point_tables(svals, gmat, kmax: int) -> Dict[Tuple[int, int], list]:
     tables = {}
     for m in range(kmax + 1):
         for l in range(kmax + 1):
-            acc = None
-            for i in range(l + 1):
+            acc = nmats[(m + 1, l)]
+            for i in range(1, l + 1):
                 term = nmats[(m + 1 + i, l - i)]
-                if i % 2:
-                    term = [[-x for x in row] for row in term]
-                acc = term if acc is None else [
-                    [x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, term)
-                ]
+                acc = mat_add(acc, mat_scale(term, -1) if i % 2 else term)
             tables[(m, l)] = acc
     return tables
 
@@ -537,148 +502,6 @@ def genus0_descendents(
     )
 
 
-# -- the formal regime ------------------------------------------------------------
-
-
-def _formal_caps(order: int) -> Caps:
-    return Caps.total((_EPS,), order)
-
-
-def _entry_series(jets, devs, caps: Caps) -> TruncatedSeries:
-    """Compose a cached t-jet with deviation series of positive valuation."""
-    out = TruncatedSeries.zero(caps)
-    powers = [{0: TruncatedSeries.const(caps, Fraction(1))} for _ in devs]
-
-    def power(a, k):
-        if k not in powers[a]:
-            powers[a][k] = power(a, k - 1) * devs[a]
-        return powers[a][k]
-
-    for key, coeff in jets.items():
-        term = TruncatedSeries.const(caps, coeff)
-        for a, k in enumerate(key):
-            if k:
-                term = term * power(a, k)
-        out = out + term
-    return out
-
-
-class _FormalEvaluator:
-    """Evaluates calibration matrices at a series-valued point by composing
-    exact t-jets taken at the rational center."""
-
-    def __init__(self, calibration: Calibration, center, order: int):
-        self.n = calibration.dimension
-        self.center = tuple(Fraction(x) for x in center)
-        self.order = order
-        self.caps = _formal_caps(order)
-        self.calibration = calibration
-        self._jets: Dict[Tuple[int, int, int], Dict] = {}
-
-    def _jet(self, k: int, i: int, j: int) -> Dict:
-        key = (k, i, j)
-        if key not in self._jets:
-            series = self.calibration.s[k - 1][i][j].jet(self.center, self.order, None)
-            self._jets[key] = dict(series.c)
-        return self._jets[key]
-
-    def matrices(self, point_series, order: int) -> list:
-        devs = [p - TruncatedSeries.const(self.caps, c) for p, c in zip(point_series, self.center)]
-        one = TruncatedSeries.const(self.caps, Fraction(1))
-        zero = TruncatedSeries.zero(self.caps)
-        out = [identity(self.n, one, zero)]
-        for k in range(1, order + 1):
-            out.append(
-                [
-                    [_entry_series(self._jet(k, i, j), devs, self.caps) for j in range(self.n)]
-                    for i in range(self.n)
-                ]
-            )
-        return out
-
-
-def critical_point_formal(
-    model: FrobeniusModel, calibration: Calibration, tau: CurvePoint, order: int
-) -> tuple:
-    """Critical point with couplings t_m (m >= 1) graded by a nilpotent
-    bookkeeping variable, as a tuple of truncated series.
-
-    The fixed-point map gains one order of valuation per pass, so ``order``
-    iterations land on the exact solution in the truncated ring.  Exact
-    arithmetic throughout; restricted to polynomial potentials with rational
-    data (a transcendental jet raises)."""
-    n = model.dimension
-    _require_origin(calibration)
-    kmax = tau.kmax
-    if kmax > calibration.order:
-        raise ValueError(
-            f"calibration order {calibration.order} too small for couplings up to c^{kmax}"
-        )
-    caps = _formal_caps(order)
-    t0 = tuple(Fraction(x) for x in tau.coupling(0))
-    eps = TruncatedSeries.var(caps, _EPS)
-    couplings = [
-        [TruncatedSeries.const(caps, Fraction(x)) * eps for x in tau.coupling(m)]
-        for m in range(kmax + 1)
-    ]
-    live = [m for m in range(1, kmax + 1) if any(tau.coupling(m))]
-    evaluator = _FormalEvaluator(calibration, t0, order)
-    t = [TruncatedSeries.const(caps, c) for c in t0]
-    for _ in range(order):
-        svals = evaluator.matrices(t, kmax) if live else None
-        nxt = [TruncatedSeries.const(caps, c) for c in t0]
-        for m in live:
-            sm = svals[m]
-            for a in range(n):
-                for b in range(n):
-                    nxt[a] = nxt[a] + sm[a][b] * couplings[m][b]
-        t = nxt
-    if live:
-        svals = evaluator.matrices(t, kmax)
-        for a in range(n):
-            check = TruncatedSeries.const(caps, t0[a]) - t[a]
-            for m in live:
-                for b in range(n):
-                    check = check + svals[m][a][b] * couplings[m][b]
-            if check.c:
-                raise ArithmeticError("formal fixed point failed to stabilize")
-    return tuple(t)
-
-
-def genus0_formal(
-    model: FrobeniusModel, calibration: Calibration, tau: CurvePoint, order: int
-) -> Genus0Descendents:
-    """Exact epsilon-graded genus-0 descendents; same assembly as the
-    numeric path, run over the truncated series ring."""
-    kk = max(tau.kmax, 1)
-    if calibration.order < 2 * kk + 1:
-        raise ValueError(
-            f"two-point tables need calibration order {2 * kk + 1}, have {calibration.order}"
-        )
-    critical = critical_point_formal(model, calibration, tau, order)
-    caps = _formal_caps(order)
-    eps = TruncatedSeries.var(caps, _EPS)
-    evaluator = _FormalEvaluator(calibration, tau.coupling(0), order)
-    svals = evaluator.matrices(list(critical), 2 * kk + 1)
-    gmat = [
-        [TruncatedSeries.const(caps, Fraction(x)) for x in row] for row in model.metric
-    ]
-    one = TruncatedSeries.const(caps, Fraction(1))
-    xvecs = []
-    for m in range(kk + 1):
-        row = [TruncatedSeries.const(caps, Fraction(x)) for x in tau.coupling(m)]
-        if m >= 1:
-            row = [x * eps for x in row]
-        if m == 1:
-            row[model.unit_index] = row[model.unit_index] - one
-        xvecs.append(row)
-    tables = _two_point_tables(svals, gmat, kk)
-    value, one_point = _genus0_assembly(tables, xvecs, kk, Fraction(1, 2))
-    return Genus0Descendents(
-        critical=critical, value=value, one_point=one_point, two_point=tables
-    )
-
-
 # -- bold quantities ---------------------------------------------------------------
 
 
@@ -706,37 +529,16 @@ def _brackets(model, calibration, t_star, tau, ctx) -> list:
 class DescendentFrame:
     """Bold edge and tail data at the critical point of a curve-space point.
 
-    Shaped to drop into the stable-graph sum exactly where the primary
-    (Delta, T, V) data goes; ``sqrt_d`` follows the square-root branches of
-    the underlying frame, and flipping one flips the matching V rows, so the
-    graph sum is branch-invariant."""
+    ``data`` drops into the stable-graph sum exactly where the primary
+    (Delta, T, V) data goes, with D in place of Delta; its ``sqrt_delta``
+    follows the square-root branches of ``frame``, and flipping one flips
+    the matching V rows, so the graph sum is branch-invariant.  Its
+    residuals include the criticality residual."""
 
     critical: tuple
-    d: list
-    sqrt_d: list
-    tails: List[Dict[int, object]]
-    v: Dict
-    v_cutoff: int
-    t_cutoff: int
     criticality_residual: object
-    residuals: dict = field(default_factory=dict)
-    frame: Optional[CanonicalFrame] = None
-
-    @property
-    def dimension(self) -> int:
-        return len(self.d)
-
-    def edge_data(self) -> EdgeTailData:
-        return EdgeTailData(
-            dimension=self.dimension,
-            delta=list(self.d),
-            sqrt_delta=list(self.sqrt_d),
-            v=self.v,
-            t=self.tails,
-            v_cutoff=self.v_cutoff,
-            t_cutoff=self.t_cutoff,
-            residuals=dict(self.residuals),
-        )
+    frame: CanonicalFrame
+    data: EdgeTailData
 
 
 def bold_quantities(
@@ -792,29 +594,25 @@ def bold_quantities(
                 f"criticality residual {mpmath.nstr(crit, 8)} exceeds {mpmath.nstr(tol, 8)}"
             )
         sqrt_d = [1 / gvals[1][i] for i in range(n)]
-        d = [x * x for x in sqrt_d]
         tails: List[Dict[int, object]] = [dict() for _ in range(n)]
         for k in range(2, t_cutoff + 1):
             sign = 1 if k % 2 == 0 else -1
             for i in range(n):
                 tails[i][k] = sign * gvals[k][i] * sqrt_d[i]
-        v, vres = compute_V(r)
-        residuals = dict(vres)
-        if r.cross_residual is not None:
-            residuals["cross_direction"] = r.cross_residual
-        residuals["unitarity"] = unitarity_residual(r)
+        v, residuals = compute_V(r)
         residuals["criticality"] = crit
+        data = EdgeTailData(
+            dimension=n,
+            delta=[x * x for x in sqrt_d],
+            sqrt_delta=sqrt_d,
+            v=v,
+            t=tails,
+            v_cutoff=r.order - 1,
+            t_cutoff=t_cutoff,
+            residuals=residuals,
+        )
     return DescendentFrame(
-        critical=tuple(t_star),
-        d=d,
-        sqrt_d=sqrt_d,
-        tails=tails,
-        v=v,
-        v_cutoff=r.order - 1,
-        t_cutoff=t_cutoff,
-        criticality_residual=crit,
-        residuals=residuals,
-        frame=frame,
+        critical=tuple(t_star), criticality_residual=crit, frame=frame, data=data
     )
 
 
@@ -833,20 +631,13 @@ def descendent_frame(
     criticality_tol=None,
 ) -> DescendentFrame:
     """Critical point, canonical frame, R-matrix, and bold extraction in one
-    call; the R route and gauge options match the primary genus pipeline."""
+    call; the frame and R come from :func:`genus.frame_and_R`, as in the
+    primary genus pipeline."""
     t_star = critical_point(model, calibration, tau, ctx, tol=tol)
-    homogeneous = uses_homogeneity(model, mode)
-    frame = canonical_frame(
-        model,
-        t_star,
-        ctx,
-        order=0 if homogeneous else order,
-        permutation=permutation,
-        sign_flips=sign_flips,
+    frame, r = frame_and_R(
+        model, t_star, ctx, order, mode=mode, gauge=gauge,
+        permutation=permutation, sign_flips=sign_flips,
     )
-    r = homogeneous_R(frame, order) if homogeneous else compute_R(frame, order, mode=mode)
-    if gauge is not None:
-        r = twist_R(r, gauge)
     return bold_quantities(
         model, calibration, frame, r, tau, criticality_tol=criticality_tol
     )
@@ -888,7 +679,7 @@ def descendent_potential(
             permutation=permutation,
             sign_flips=sign_flips,
         )
-    return graph_sum(frame_data.edge_data(), g, table, ctx, frame=frame_data.frame)
+    return graph_sum(frame_data.data, g, table, ctx, frame=frame_data.frame)
 
 
 # -- genus 1 -----------------------------------------------------------------------
@@ -917,20 +708,6 @@ def critical_inverse_jacobian(
             [-sum(b1[mu] * cmats[mu][i][j] for mu in range(n)) for j in range(n)]
             for i in range(n)
         ]
-
-
-def _det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
 
 
 @dataclass
@@ -978,18 +755,18 @@ def genus1_descendent_routes(
         denom = 60 * ctx.num(step)
         samples = {}
         for shift, _ in _STENCIL:
-            data = frame_at(tau.shifted(direction, shift * step))
-            det = _det(
+            bold = frame_at(tau.shifted(direction, shift * step))
+            jacobian_det = det(
                 critical_inverse_jacobian(
                     model, calibration, tau.shifted(direction, shift * step), ctx,
-                    critical=data.critical,
+                    critical=bold.critical,
                 )
             )
             samples[shift] = (
-                data.frame.u_values(),
-                data.d,
-                mpmath.log(det),
-                data.critical,
+                bold.frame.u_values(),
+                bold.data.delta,
+                mpmath.log(jacobian_det),
+                bold.critical,
             )
 
         def fd(pick):
@@ -1002,10 +779,10 @@ def genus1_descendent_routes(
         for i in range(n):
             du_i = fd(lambda s, i=i: s[0][i])
             dd_i = fd(lambda s, i=i: s[1][i])
-            v00 = center.v.get((i, i, 0, 0), ctx.num(0))
-            curve_form = curve_form + v00 * du_i / 2 + dd_i / (48 * center.d[i])
+            v00 = center.data.v.get((i, i, 0, 0), ctx.num(0))
+            curve_form = curve_form + v00 * du_i / 2 + dd_i / (48 * center.data.delta[i])
 
-        one_form = genus1_differential(center.frame, center.edge_data())
+        one_form = genus1_differential(center.frame, center.data)
         pullback = ctx.num(0)
         for a in range(n):
             dt_a = fd(lambda s, a=a: s[3][a])
@@ -1016,74 +793,6 @@ def genus1_descendent_routes(
 
 
 # -- one-dimensional reference ------------------------------------------------------
-
-
-def point_descendent_reference(
-    tau: CurvePoint,
-    g: int,
-    ctx: FloatContext | None,
-    *,
-    table: Optional[IntersectionTable] = None,
-    max_points: Optional[int] = None,
-):
-    """F^g(tau) for the one-dimensional model summed straight from the
-    intersection table: sum over n of (1/n!) <tau_{k_1}...tau_{k_n}>_g
-    prod t_{k_i}.
-
-    With t_0 = t_1 = 0 the dimension constraint caps n at 3g - 3 and the
-    sum is finite and exact (``ctx=None`` keeps rationals).  Otherwise pass
-    ``max_points``: the series is infinite and its truncation error is not
-    bounded -- it shrinks only for small couplings, and slowly (at
-    |t_k| ~ 0.1 a 28-insertion sum is still ~1e-24 off while costing
-    seconds).  For nonzero t_0 or t_1 use the finite resummed form
-    :func:`point_descendent_resummed`."""
-    if tau.dimension != 1:
-        raise ValueError("the direct sum is for the one-dimensional model")
-    if g < 2:
-        raise ValueError("the direct reference starts at genus 2")
-    times = [row[0] for row in tau.times]
-    if max_points is None:
-        if len(times) > 0 and times[0] != 0 or len(times) > 1 and times[1] != 0:
-            raise ValueError(
-                "nonzero t_0 or t_1 makes the sum infinite; pass max_points"
-            )
-        max_points = 3 * g - 3
-    if ctx is None:
-        times = [Fraction(x) for x in times]
-        one = Fraction(1)
-    else:
-        times = [ctx.num(x) for x in times]
-        one = ctx.num(1)
-    total = one * 0
-    live = [k for k, x in enumerate(times) if x != 0]
-    if not live:
-        return total
-    top = max(live)
-    ks: list = []
-
-    def descend(pos, remaining, minimum, weight):
-        nonlocal total
-        if pos == 0:
-            if remaining == 0:
-                total = total + weight * psi_intersection(g, tuple(ks), table=table)
-            return
-        for k in live:
-            if k < minimum or k > remaining or remaining - k > (pos - 1) * top:
-                continue
-            ks.append(k)
-            descend(pos - 1, remaining - k, k, weight * times[k] / ks.count(k))
-            ks.pop()
-
-    def run():
-        for n in range(1, max_points + 1):
-            descend(n, 3 * g - 3 + n, 0, one)
-
-    if ctx is None:
-        run()
-    else:
-        with ctx.guard():
-            run()
-    return total
 
 
 def _coupling_series(times, k: int, u):
@@ -1111,7 +820,7 @@ def point_descendent_resummed(
 
     summed over k >= 2 with sum (k - 1) l_k = 3g - 3, where
     I_k = sum_n t_{n+k} u_0^n / n! and u_0 solves u_0 = I_0(u_0) (Newton
-    from 0).  Unlike :func:`point_descendent_reference` the sum is finite
+    from 0).  Unlike the direct sum over insertions, this sum is finite
     for any couplings, and it reads nothing but the intersection table.
 
     ``ctx=None`` keeps rationals, which needs t_0 = 0 (then u_0 = 0).

@@ -23,7 +23,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import mpmath
 
-from .scalars import FloatContext, Rational, format_rational, parse_rational
+from .scalars import FloatContext, format_rational, parse_rational
 from .series import Caps, TruncatedSeries
 
 TermKey = Tuple[Tuple[int, ...], Tuple[Fraction, ...]]

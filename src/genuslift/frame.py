@@ -24,15 +24,15 @@ the rationals even for rational models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import mpmath
 
 from .expressions import t_names
 from .frobenius import FrobeniusModel
-from .linalg import charpoly, identity, mat_mul, mat_scale, max_abs_entry, trace, transpose
+from .linalg import charpoly, identity, mat_add, mat_mul, mat_scale, poly_eval, trace
 from .scalars import FloatContext
 from .series import Caps, TruncatedSeries
 
@@ -119,10 +119,17 @@ def canonical_frame(
     """Build the canonical frame jets at ``point`` to the given order.
 
     ``permutation`` reorders the default (ascending by real part, then
-    imaginary part) branch ordering; ``sign_flips`` multiplies chosen
-    sqrt(Delta_i) branches by -1; ``anchors`` fixes the integration
-    constants of u for non-conformal models.
+    imaginary part) branch ordering; ``sign_flips`` holds one sign (1 or -1)
+    per branch and multiplies sqrt(Delta_i) by it; ``anchors`` holds the N
+    integration constants of u for non-conformal models.
     """
+    n = model.dimension
+    if sign_flips is not None and (
+        len(sign_flips) != n or any(s not in (1, -1) for s in sign_flips)
+    ):
+        raise ValueError(f"sign flips must be {n} entries, each 1 or -1")
+    if anchors is not None and len(anchors) != n:
+        raise ValueError(f"anchors must have {n} entries")
     with ctx.guard():
         return _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, generator_weights)
 
@@ -141,8 +148,8 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, gene
         weights = generator_weights or _default_weights(n)
         gen = None
         for a in range(n):
-            term = [[e.scale(ctx.num(weights[a])) for e in row] for row in cjets[a]]
-            gen = term if gen is None else [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(gen, term)]
+            term = mat_scale(cjets[a], ctx.num(weights[a]))
+            gen = term if gen is None else mat_add(gen, term)
 
     one = TruncatedSeries.const(caps, ctx.num(1))
     chi = charpoly(gen, one, lambda s, k: s.scale(Fraction(1, k)))
@@ -249,8 +256,8 @@ def _euler_multiplication_jet(model, point, ctx, cjets, caps):
         for b in range(n):
             if e.matrix[a][b]:
                 ejet = ejet + TruncatedSeries.var(caps, f"t{b}", 1, ctx.num(e.matrix[a][b]))
-        term = [[x * ejet for x in row] for row in cjets[a]]
-        gen = term if gen is None else [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(gen, term)]
+        term = mat_scale(cjets[a], ejet)
+        gen = term if gen is None else mat_add(gen, term)
     return gen
 
 
@@ -263,17 +270,10 @@ def _hensel_lift(chi, root0, caps, ctx, order):
     while (1 << steps) < order + 1:
         steps += 1
     for _ in range(steps + 1):
-        p = _poly_eval_series(chi, lam, caps)
-        dp = _poly_eval_series(dchi, lam, caps)
+        p = poly_eval(chi, lam)
+        dp = poly_eval(dchi, lam)
         lam = lam - p * dp.inverse()
     return lam
-
-
-def _poly_eval_series(coeffs, x, caps):
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * x + c
-    return acc
 
 
 def _lagrange_projectors(gen, lam, caps, ctx):

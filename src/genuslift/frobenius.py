@@ -23,9 +23,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .expressions import Expression, t_names
-from .linalg import mat_inv_exact, mat_mul, mat_sub, max_abs_entry, transpose
-from .scalars import FloatContext, Rational, format_rational, parse_rational
-from .series import Caps, TruncatedSeries
+from .linalg import mat_inv_exact, mat_mul, mat_sub, max_abs_entry
+from .scalars import FloatContext, format_rational, parse_rational
+from .series import Caps
 
 
 @dataclass
@@ -79,9 +79,6 @@ class FrobeniusModel:
         self._bound = self.potential.bind(self.parameters) if self.potential.parameters() else self.potential
 
     # -- jets of third derivatives ---------------------------------------
-
-    def potential_jet(self, point: Sequence, order: int, ctx: FloatContext | None) -> TruncatedSeries:
-        return self._bound.jet(point, order, ctx)
 
     def third_derivative_jets(self, point: Sequence, order: int, ctx: FloatContext | None):
         """F_{abc} as jets of order ``order``; returns nested dict [a][b][c]

@@ -31,7 +31,11 @@ Genus 1 is exposed as the one-form
     dF^1 = sum_i [ V^{ii}_{00}/2 du^i + dDelta_i/(48 Delta_i) ]
 
 pulled back to flat coordinates, plus a finite-difference closedness
-residual and a quadrature helper for displaying differences F^1(b)-F^1(a).
+residual.
+
+:func:`frame_and_R` is where every pipeline that needs an R-matrix at a
+point (the genus potential, the descendent bold data and the CLI's R
+commands) builds its canonical frame and picks the R route.
 """
 
 from __future__ import annotations
@@ -193,14 +197,35 @@ def genus_potential(
     constants mode: the conformal normalization already fixes R).
     ``permutation`` and ``sign_flips`` select the frame labeling and
     square-root branches; the value of F^g does not depend on them.
-    Models with Euler data in the conformal (default) mode get R from
-    :func:`homogeneous_R` on an order-0 frame; the rest solve the jet
-    recursion on frame jets of order ``order``.
+    The frame and R come from :func:`frame_and_R`.
     """
     if g < 2:
         raise ValueError("the graph sum starts at genus 2; genus 1 is a one-form")
     if order is None:
         order = 3 * g - 3
+    frame, r = frame_and_R(
+        model, point, ctx, order, mode=mode, gauge=gauge,
+        permutation=permutation, sign_flips=sign_flips,
+    )
+    return graph_sum(edge_tail_data(r), g, table, ctx, frame=frame)
+
+
+def frame_and_R(
+    model: FrobeniusModel,
+    point,
+    ctx: FloatContext,
+    order: int,
+    mode: Optional[str] = None,
+    gauge=None,
+    permutation=None,
+    sign_flips=None,
+) -> Tuple[CanonicalFrame, RSeries]:
+    """The canonical frame at ``point`` and R_1 .. R_order on it.
+
+    Models with Euler data in the conformal (or unset) mode get R from
+    :func:`homogeneous_R` on an order-0 frame; the rest solve the jet
+    recursion :func:`compute_R` on frame jets of order ``order``.  A
+    ``gauge`` then twists R by :func:`twist_R`."""
     homogeneous = uses_homogeneity(model, mode)
     frame = canonical_frame(
         model,
@@ -213,7 +238,7 @@ def genus_potential(
     r = homogeneous_R(frame, order) if homogeneous else compute_R(frame, order, mode=mode)
     if gauge is not None:
         r = twist_R(r, gauge)
-    return graph_sum(edge_tail_data(r), g, table, ctx, frame=frame)
+    return frame, r
 
 
 def graph_sum(
@@ -440,49 +465,3 @@ def genus1_closedness_residual(
                     curl = curl + ctx.num(coeff) * (da - db)
                 worst = max(worst, mpmath.fabs(curl / ctx.num(denom)))
         return worst
-
-
-def genus1_difference_quadrature(
-    model: FrobeniusModel,
-    start,
-    end,
-    ctx: FloatContext,
-) -> object:
-    """F^1(end) - F^1(start) by numerical quadrature of dF^1 along the
-    straight segment.  Display helper: accuracy is whatever mpmath.quad
-    delivers on the sampled one-form, not the library's exact pipeline."""
-    n = model.dimension
-    with ctx.guard():
-        s0 = [ctx.num(x) for x in start]
-        s1 = [ctx.num(x) for x in end]
-        direction = [b - a for a, b in zip(s0, s1)]
-
-        def integrand(s):
-            pt = tuple(a + s * d for a, d in zip(s0, direction))
-            comps = genus1_one_form(model, pt, ctx)
-            total = ctx.num(0)
-            for c, d in zip(comps, direction):
-                total = total + c * d
-            return total
-
-        return mpmath.quad(integrand, [0, 1])
-
-
-# -- reference values ----------------------------------------------------------------
-
-
-def two_primary_genus2_reference(frame: CanonicalFrame):
-    """Closed form for F^2 on the two-primary conformal family:
-
-        d(3d-1)(d-1)^2(3d-5)(d-2)/2880 * Delta_0 / (u_1 - u_0)^3,
-
-    invariant under branch relabeling (both factors flip sign together)."""
-    if frame.model.euler is None:
-        raise ValueError("the closed form needs the conformal dimension")
-    d = Fraction(frame.model.euler.conformal_dimension)
-    poly = d * (3 * d - 1) * (d - 1) ** 2 * (3 * d - 5) * (d - 2)
-    ctx = frame.ctx
-    with ctx.guard():
-        u = frame.u_values()
-        delta = frame.delta_values()
-        return ctx.num(poly / 2880) * delta[0] / (u[1] - u[0]) ** 3

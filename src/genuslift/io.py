@@ -23,7 +23,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath
 
@@ -164,6 +164,11 @@ def _load(document) -> dict:
     return document
 
 
+def _is_integer(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_tau(document) -> CurvePoint:
     """``{"Kmax": K, "t": [[..], ..]}`` with rational entries -> CurvePoint.
 
@@ -180,7 +185,10 @@ def parse_tau(document) -> CurvePoint:
         times = tuple(tuple(parse_rational(str(x)) for x in row) for row in rows)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"coupling entries must be rational: {exc}") from None
-    if "Kmax" in doc and int(doc["Kmax"]) != len(times) - 1:
+    kmax = doc.get("Kmax", len(times) - 1)
+    if not _is_integer(kmax):
+        raise SchemaError(f"Kmax must be an integer, not {kmax!r}")
+    if kmax != len(times) - 1:
         raise SchemaError(
             f"Kmax={doc['Kmax']} disagrees with {len(times)} coupling vectors"
         )
@@ -234,10 +242,9 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
     extra = set(doc) - known
     if extra:
         raise SchemaError(f"unknown model keys: {sorted(extra)}")
-    try:
-        n = int(doc["dimension"])
-    except (TypeError, ValueError):
-        raise SchemaError("dimension must be an integer") from None
+    n = doc["dimension"]
+    if not _is_integer(n):
+        raise SchemaError(f"dimension must be an integer, not {n!r}")
     if n < 1:
         raise SchemaError("dimension must be positive")
 
@@ -256,7 +263,9 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
     except (KeyError, ValueError, TypeError, IndexError, ZeroDivisionError) as exc:
         raise SchemaError(f"potential AST: {exc}") from None
 
-    unit_index = int(doc.get("unit_index", 0))
+    unit_index = doc.get("unit_index", 0)
+    if not _is_integer(unit_index):
+        raise SchemaError(f"unit_index must be an integer, not {unit_index!r}")
     if not 0 <= unit_index < n:
         raise SchemaError(f"unit_index {unit_index} out of range for dimension {n}")
 

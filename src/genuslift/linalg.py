@@ -15,7 +15,6 @@ from typing import Callable, List, Sequence
 import mpmath
 
 from .scalars import FloatContext
-from .series import TruncatedSeries
 
 Matrix = List[list]
 
@@ -69,10 +68,6 @@ def identity(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_map(a: Matrix, f: Callable) -> Matrix:
-    return [[f(x) for x in row] for row in a]
-
-
 def charpoly(a: Matrix, one, divk: Callable[[object, int], object]) -> list:
     """Faddeev-LeVerrier: coefficients [1, c_1, ..., c_n] of
     det(x I - A) = x^n + c_1 x^{n-1} + ... + c_n.
@@ -100,6 +95,21 @@ def poly_eval(coeffs: Sequence, x):
     for c in coeffs[1:]:
         acc = acc * x + c
     return acc
+
+
+def det(a: Matrix):
+    """Determinant by cofactor expansion along the first row."""
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    total = None
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
+        term = a[0][j] * det(minor)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
 def mat_inv_exact(a: Matrix) -> Matrix:
@@ -136,36 +146,6 @@ def mat_inv_float(a: Matrix, ctx: FloatContext) -> Matrix:
                     f = m[r][col]
                     m[r] = [x - f * y for x, y in zip(m[r], m[col])]
         return [row[n:] for row in m]
-
-
-def mat_inv_series(a: Matrix) -> Matrix:
-    """Gauss-Jordan for matrices of TruncatedSeries; pivots need invertible
-    constant terms."""
-    n = len(a)
-    caps = a[0][0].caps
-    one = TruncatedSeries.const(caps, Fraction(1))
-    zero = TruncatedSeries.zero(caps)
-    m = [list(row) + [one.copy() if i == j else zero.copy() for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(
-            (r for r in range(col, n) if _invertible_const(m[r][col])),
-            None,
-        )
-        if piv is None:
-            raise ZeroDivisionError("no invertible pivot in series matrix")
-        m[col], m[piv] = m[piv], m[col]
-        pv_inv = m[col][col].inverse()
-        m[col] = [x * pv_inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def _invertible_const(s: TruncatedSeries) -> bool:
-    c = s.constant_term()
-    return bool(c) or c != 0
 
 
 def eigenvalues_float(a: Matrix, ctx: FloatContext) -> list:

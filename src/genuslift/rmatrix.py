@@ -11,12 +11,15 @@ Its off-diagonal part gives (R_{k+1})_{ij} = (R_k V - k R_k)_{ij} / (u_j - u_i),
 and its diagonal one order up gives
 (R_{k+1})_{ii} = sum_{j != i} (R_{k+1})_{ij} V_{ji} / (k + 1).
 :func:`homogeneous_R` runs this from R_0 = 1 on the order-0 frame values,
-in O(order N^3) arithmetic and without jets.  ``genus_potential``,
-``descendent_frame`` and the CLI's R commands take this route whenever the
-model has Euler data and the mode is conformal or unset
-(:func:`uses_homogeneity`); ``mode="constants"`` and models without Euler
-data take the jet recursion below, which also stays as the independent
-check of the homogeneous route.  A gauge twist applies to either result.
+in O(order N^3) arithmetic and without jets.
+
+One function picks the route for every caller: ``genus.frame_and_R``,
+which ``genus_potential``, ``descendent_frame`` and the CLI's R commands
+call.  Models with Euler data in the conformal (or unset) mode
+(:func:`uses_homogeneity`) take :func:`homogeneous_R` on an order-0 frame;
+``mode="constants"`` and models without Euler data take the jet recursion
+below on frame jets, which also stays as the independent check of the
+homogeneous route.  A gauge twist applies to either result.
 
 The jet recursion, :func:`compute_R`, works for any semisimple point.  In
 the canonical frame the flatness equations determine R recursively.
@@ -54,8 +57,7 @@ import mpmath
 
 from .expressions import _multi_indices, t_names
 from .frame import CanonicalFrame, DegenerateFrameError
-from .linalg import mat_mul, transpose
-from .scalars import FloatContext, Rational
+from .linalg import mat_add, mat_mul, mat_scale, transpose
 from .series import Caps, TruncatedSeries, singular_quotient
 
 
@@ -150,7 +152,7 @@ def _compute_r_impl(frame: CanonicalFrame, order: int, mode: str) -> RSeries:
         sources = []
         for a in range(n):
             dprev = [[e.partial(names[a]).repruned(caps_k) for e in row] for row in prev]
-            sources.append(_mat_add(dprev, mat_mul(prev_k, w_k[a])))
+            sources.append(mat_add(dprev, mat_mul(prev_k, w_k[a])))
 
         rk = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -281,10 +283,6 @@ def _homogeneous_impl(frame: CanonicalFrame, order: int) -> RSeries:
     return RSeries(frame=frame, order=order, mats=mats, mode="conformal")
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def unitarity_residual(r: RSeries) -> object:
     """Max entry of sum_{p+q=m} (-1)^q R_p R_q^T - delta_{m,0} over m <= order,
     evaluated on the constant terms."""
@@ -297,23 +295,12 @@ def unitarity_residual(r: RSeries) -> object:
             acc = [[ctx.num(0)] * n for _ in range(n)]
             for p in range(m + 1):
                 q = m - p
-                sign = (-1) ** q
-                rp, rq = consts[p], consts[q]
-                for i in range(n):
-                    for j in range(n):
-                        acc[i][j] = acc[i][j] + sign * _dot(rp, rq, i, j, n)
+                acc = mat_add(acc, mat_scale(mat_mul(consts[p], transpose(consts[q])), (-1) ** q))
             for i in range(n):
                 for j in range(n):
                     target = 1 if (m == 0 and i == j) else 0
                     worst = max(worst, mpmath.fabs(acc[i][j] - target))
         return worst
-
-
-def _dot(rp, rq, i, j, n):
-    s = rp[i][0] * rq[j][0]
-    for t in range(1, n):
-        s = s + rp[i][t] * rq[j][t]
-    return s
 
 
 def twist_R(r: RSeries, gauge: Sequence[Sequence]) -> RSeries:
@@ -327,6 +314,8 @@ def twist_R(r: RSeries, gauge: Sequence[Sequence]) -> RSeries:
     """
     ctx = r.frame.ctx
     n = r.dimension
+    if len(gauge) != n:
+        raise ValueError(f"gauge needs {n} rows, one per canonical index, not {len(gauge)}")
     with ctx.guard():
         zcaps = Caps.total(("z",), r.order)
         dseries = []
@@ -427,7 +416,9 @@ class EdgeTailData:
 
 def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
     """Edge coefficients V^{ij}_{kl} for k+l <= cutoff (default order-1),
-    from the constants of R.  Returns (table, residuals)."""
+    from the constants of R.  Returns (table, residuals): the divisibility
+    of the numerator by z + w, the symmetry of V, the cross-direction
+    residual of R when it has one, and the unitarity of R."""
     ctx = r.frame.ctx
     n = r.dimension
     if cutoff is None:
@@ -436,6 +427,11 @@ def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
         raise ValueError("V cutoff exceeds the trustworthy range of R")
     with ctx.guard():
         consts = r.all_constants()
+        products = {
+            (p, q): mat_mul(consts[p], transpose(consts[q]))
+            for p in range(r.order + 1)
+            for q in range(r.order + 1 - p)
+        }
         caps = Caps.total(("z", "w"), r.order)
         table: Dict[Tuple[int, int, int, int], object] = {}
         div_resid = ctx.num(0)
@@ -443,13 +439,12 @@ def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
         for i in range(n):
             for j in range(n):
                 num = TruncatedSeries.zero(caps)
-                for p in range(r.order + 1):
-                    for q in range(r.order + 1 - p):
-                        s = _dot(consts[p], consts[q], i, j, n)
-                        if i == j and p == 0 and q == 0:
-                            s = s - 1
-                        if s or s != 0:
-                            num = num + TruncatedSeries(caps, {(p, q): s})
+                for (p, q), prod in products.items():
+                    s = prod[i][j]
+                    if i == j and p == 0 and q == 0:
+                        s = s - 1
+                    if s or s != 0:
+                        num = num + TruncatedSeries(caps, {(p, q): s})
                 quot, rem = singular_quotient(num, "z", "w")
                 div_resid = max(div_resid, rem.max_abs(ctx))
                 for (k, l), v in quot.c.items():
@@ -458,7 +453,11 @@ def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
         for (i, j, k, l), v in table.items():
             mirror = table.get((j, i, l, k), 0)
             sym_resid = max(sym_resid, mpmath.fabs(v - mirror))
-        return table, {"divisibility": div_resid, "v_symmetry": sym_resid}
+        residuals = {"divisibility": div_resid, "v_symmetry": sym_resid}
+        if r.cross_residual is not None:
+            residuals["cross_direction"] = r.cross_residual
+        residuals["unitarity"] = unitarity_residual(r)
+        return table, residuals
 
 
 def compute_T(r: RSeries, cutoff: int | None = None) -> List[Dict[int, object]]:
@@ -489,10 +488,6 @@ def edge_tail_data(r: RSeries, v_cutoff: int | None = None, t_cutoff: int | None
     frame = r.frame
     v, resid = compute_V(r, v_cutoff)
     t = compute_T(r, t_cutoff)
-    resid = dict(resid)
-    if r.cross_residual is not None:
-        resid["cross_direction"] = r.cross_residual
-    resid["unitarity"] = unitarity_residual(r)
     return EdgeTailData(
         dimension=r.dimension,
         delta=frame.delta_values(),

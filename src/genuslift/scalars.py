@@ -132,21 +132,3 @@ class FloatContext:
                 m = max(m, mpmath.fabs(self.num(x)))
             return m
 
-
-def is_exact(x) -> bool:
-    return isinstance(x, (int, Rational))
-
-
-def as_scalar(x, ctx: FloatContext | None):
-    """Coerce ``x`` into the backend selected by ``ctx`` (None means exact)."""
-    if ctx is None:
-        if isinstance(x, (int, Rational)):
-            return Rational(x)
-        raise TypeError(f"exact backend cannot hold {type(x).__name__}")
-    return ctx.num(x)
-
-
-def scalar_abs(x, ctx: FloatContext | None):
-    if ctx is None:
-        return abs(Rational(x))
-    return ctx.abs(x)

@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import mpmath
 
-from .scalars import FloatContext, Rational
+from .scalars import FloatContext
 
 Key = Tuple[int, ...]
 
@@ -85,10 +85,6 @@ class Caps:
             if sum(w * k for w, k in zip(weights, key)) > bound:
                 return False
         return True
-
-    def with_weighted(self, wmap: Mapping[str, int], bound: int) -> "Caps":
-        w = (tuple(int(wmap.get(nm, 0)) for nm in self.names), int(bound))
-        return Caps(self.names, self.mins, self.maxs, self.weighted + (w,))
 
 
 class TruncatedSeries:
@@ -161,14 +157,6 @@ class TruncatedSeries:
         if ctx is None:
             return max((abs(Fraction(v)) for v in self.c.values()), default=Fraction(0))
         return ctx.max_abs(self.c.values())
-
-    def map_coeffs(self, f: Callable) -> "TruncatedSeries":
-        out = TruncatedSeries(self.caps)
-        for k, v in self.c.items():
-            w = f(v)
-            if w or w != 0:
-                out.c[k] = w
-        return out
 
     def repruned(self, caps: Caps) -> "TruncatedSeries":
         """Same terms under new caps (names must match)."""
@@ -504,7 +492,3 @@ def singular_quotient(
     quotient = TruncatedSeries(num.caps, q_parts)
     remainder = TruncatedSeries(num.caps, remainder_terms)
     return quotient, remainder
-
-
-def jet_caps(names: Iterable[str], order: int) -> Caps:
-    return Caps.total(names, order)

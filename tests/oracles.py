@@ -1,0 +1,302 @@
+"""Reference implementations that the tests compare the library against.
+
+None of these is on the pipeline's path; each recomputes a quantity the
+library produces by another route:
+
+* the formal regime: the critical point and genus-0 descendents with the
+  couplings t_m (m >= 1) graded by a nilpotent bookkeeping variable, by
+  nilpotent iteration, which is exact on polynomial potentials;
+* ``point_descendent_reference``: F^g of the one-dimensional model summed
+  straight from the intersection table;
+* ``genus1_difference_quadrature``: F^1(b) - F^1(a) by quadrature of the
+  genus-1 one-form;
+* ``two_primary_genus2_reference``: the closed form of F^2 on the
+  two-primary conformal family.
+
+Test modules import it from their own directory (``from oracles import
+...``).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Dict, Optional, Tuple
+
+import mpmath
+
+from genuslift.descendent import (
+    Calibration,
+    CurvePoint,
+    Genus0Descendents,
+    _genus0_assembly,
+    _require_origin,
+    _two_point_tables,
+)
+from genuslift.frame import CanonicalFrame
+from genuslift.frobenius import FrobeniusModel
+from genuslift.genus import genus1_one_form
+from genuslift.intersection import IntersectionTable, psi_intersection
+from genuslift.linalg import identity
+from genuslift.scalars import FloatContext
+from genuslift.series import Caps, TruncatedSeries
+
+_EPS = "e"
+
+
+# -- the formal regime ---------------------------------------------------------
+
+
+def _formal_caps(order: int) -> Caps:
+    return Caps.total((_EPS,), order)
+
+
+def _entry_series(jets, devs, caps: Caps) -> TruncatedSeries:
+    """Compose a cached t-jet with deviation series of positive valuation."""
+    out = TruncatedSeries.zero(caps)
+    powers = [{0: TruncatedSeries.const(caps, Fraction(1))} for _ in devs]
+
+    def power(a, k):
+        if k not in powers[a]:
+            powers[a][k] = power(a, k - 1) * devs[a]
+        return powers[a][k]
+
+    for key, coeff in jets.items():
+        term = TruncatedSeries.const(caps, coeff)
+        for a, k in enumerate(key):
+            if k:
+                term = term * power(a, k)
+        out = out + term
+    return out
+
+
+class _FormalEvaluator:
+    """Evaluates calibration matrices at a series-valued point by composing
+    exact t-jets taken at the rational center."""
+
+    def __init__(self, calibration: Calibration, center, order: int):
+        self.n = calibration.dimension
+        self.center = tuple(Fraction(x) for x in center)
+        self.order = order
+        self.caps = _formal_caps(order)
+        self.calibration = calibration
+        self._jets: Dict[Tuple[int, int, int], Dict] = {}
+
+    def _jet(self, k: int, i: int, j: int) -> Dict:
+        key = (k, i, j)
+        if key not in self._jets:
+            series = self.calibration.s[k - 1][i][j].jet(self.center, self.order, None)
+            self._jets[key] = dict(series.c)
+        return self._jets[key]
+
+    def matrices(self, point_series, order: int) -> list:
+        devs = [p - TruncatedSeries.const(self.caps, c) for p, c in zip(point_series, self.center)]
+        one = TruncatedSeries.const(self.caps, Fraction(1))
+        zero = TruncatedSeries.zero(self.caps)
+        out = [identity(self.n, one, zero)]
+        for k in range(1, order + 1):
+            out.append(
+                [
+                    [_entry_series(self._jet(k, i, j), devs, self.caps) for j in range(self.n)]
+                    for i in range(self.n)
+                ]
+            )
+        return out
+
+
+def critical_point_formal(
+    model: FrobeniusModel, calibration: Calibration, tau: CurvePoint, order: int
+) -> tuple:
+    """Critical point with couplings t_m (m >= 1) graded by a nilpotent
+    bookkeeping variable, as a tuple of truncated series.
+
+    The fixed-point map gains one order of valuation per pass, so ``order``
+    iterations land on the exact solution in the truncated ring.  Exact
+    arithmetic throughout; restricted to polynomial potentials with rational
+    data (a transcendental jet raises)."""
+    n = model.dimension
+    _require_origin(calibration)
+    kmax = tau.kmax
+    if kmax > calibration.order:
+        raise ValueError(
+            f"calibration order {calibration.order} too small for couplings up to c^{kmax}"
+        )
+    caps = _formal_caps(order)
+    t0 = tuple(Fraction(x) for x in tau.coupling(0))
+    eps = TruncatedSeries.var(caps, _EPS)
+    couplings = [
+        [TruncatedSeries.const(caps, Fraction(x)) * eps for x in tau.coupling(m)]
+        for m in range(kmax + 1)
+    ]
+    live = [m for m in range(1, kmax + 1) if any(tau.coupling(m))]
+    evaluator = _FormalEvaluator(calibration, t0, order)
+    t = [TruncatedSeries.const(caps, c) for c in t0]
+    for _ in range(order):
+        svals = evaluator.matrices(t, kmax) if live else None
+        nxt = [TruncatedSeries.const(caps, c) for c in t0]
+        for m in live:
+            sm = svals[m]
+            for a in range(n):
+                for b in range(n):
+                    nxt[a] = nxt[a] + sm[a][b] * couplings[m][b]
+        t = nxt
+    if live:
+        svals = evaluator.matrices(t, kmax)
+        for a in range(n):
+            check = TruncatedSeries.const(caps, t0[a]) - t[a]
+            for m in live:
+                for b in range(n):
+                    check = check + svals[m][a][b] * couplings[m][b]
+            if check.c:
+                raise ArithmeticError("formal fixed point failed to stabilize")
+    return tuple(t)
+
+
+def genus0_formal(
+    model: FrobeniusModel, calibration: Calibration, tau: CurvePoint, order: int
+) -> Genus0Descendents:
+    """Exact epsilon-graded genus-0 descendents; same assembly as the
+    numeric path, run over the truncated series ring."""
+    kk = max(tau.kmax, 1)
+    if calibration.order < 2 * kk + 1:
+        raise ValueError(
+            f"two-point tables need calibration order {2 * kk + 1}, have {calibration.order}"
+        )
+    critical = critical_point_formal(model, calibration, tau, order)
+    caps = _formal_caps(order)
+    eps = TruncatedSeries.var(caps, _EPS)
+    evaluator = _FormalEvaluator(calibration, tau.coupling(0), order)
+    svals = evaluator.matrices(list(critical), 2 * kk + 1)
+    gmat = [
+        [TruncatedSeries.const(caps, Fraction(x)) for x in row] for row in model.metric
+    ]
+    one = TruncatedSeries.const(caps, Fraction(1))
+    xvecs = []
+    for m in range(kk + 1):
+        row = [TruncatedSeries.const(caps, Fraction(x)) for x in tau.coupling(m)]
+        if m >= 1:
+            row = [x * eps for x in row]
+        if m == 1:
+            row[model.unit_index] = row[model.unit_index] - one
+        xvecs.append(row)
+    tables = _two_point_tables(svals, gmat, kk)
+    value, one_point = _genus0_assembly(tables, xvecs, kk, Fraction(1, 2))
+    return Genus0Descendents(
+        critical=critical, value=value, one_point=one_point, two_point=tables
+    )
+
+
+# -- one-dimensional reference ---------------------------------------------------
+
+
+def point_descendent_reference(
+    tau: CurvePoint,
+    g: int,
+    ctx: FloatContext | None,
+    *,
+    table: Optional[IntersectionTable] = None,
+    max_points: Optional[int] = None,
+):
+    """F^g(tau) for the one-dimensional model summed straight from the
+    intersection table: sum over n of (1/n!) <tau_{k_1}...tau_{k_n}>_g
+    prod t_{k_i}.
+
+    With t_0 = t_1 = 0 the dimension constraint caps n at 3g - 3 and the
+    sum is finite and exact (``ctx=None`` keeps rationals).  Otherwise pass
+    ``max_points``: the series is infinite and its truncation error is not
+    bounded -- it shrinks only for small couplings, and slowly (at
+    |t_k| ~ 0.1 a 28-insertion sum is still ~1e-24 off while costing
+    seconds).  For nonzero t_0 or t_1 use the finite resummed form
+    ``genuslift.descendent.point_descendent_resummed``."""
+    if tau.dimension != 1:
+        raise ValueError("the direct sum is for the one-dimensional model")
+    if g < 2:
+        raise ValueError("the direct reference starts at genus 2")
+    times = [row[0] for row in tau.times]
+    if max_points is None:
+        if len(times) > 0 and times[0] != 0 or len(times) > 1 and times[1] != 0:
+            raise ValueError(
+                "nonzero t_0 or t_1 makes the sum infinite; pass max_points"
+            )
+        max_points = 3 * g - 3
+    if ctx is None:
+        times = [Fraction(x) for x in times]
+        one = Fraction(1)
+    else:
+        times = [ctx.num(x) for x in times]
+        one = ctx.num(1)
+    total = one * 0
+    live = [k for k, x in enumerate(times) if x != 0]
+    if not live:
+        return total
+    top = max(live)
+    ks: list = []
+
+    def descend(pos, remaining, minimum, weight):
+        nonlocal total
+        if pos == 0:
+            if remaining == 0:
+                total = total + weight * psi_intersection(g, tuple(ks), table=table)
+            return
+        for k in live:
+            if k < minimum or k > remaining or remaining - k > (pos - 1) * top:
+                continue
+            ks.append(k)
+            descend(pos - 1, remaining - k, k, weight * times[k] / ks.count(k))
+            ks.pop()
+
+    def run():
+        for n in range(1, max_points + 1):
+            descend(n, 3 * g - 3 + n, 0, one)
+
+    if ctx is None:
+        run()
+    else:
+        with ctx.guard():
+            run()
+    return total
+
+
+# -- genus 1 and genus 2 ------------------------------------------------------------
+
+
+def genus1_difference_quadrature(
+    model: FrobeniusModel,
+    start,
+    end,
+    ctx: FloatContext,
+) -> object:
+    """F^1(end) - F^1(start) by numerical quadrature of dF^1 along the
+    straight segment.  Display helper: accuracy is whatever mpmath.quad
+    delivers on the sampled one-form, not the library's exact pipeline."""
+    n = model.dimension
+    with ctx.guard():
+        s0 = [ctx.num(x) for x in start]
+        s1 = [ctx.num(x) for x in end]
+        direction = [b - a for a, b in zip(s0, s1)]
+
+        def integrand(s):
+            pt = tuple(a + s * d for a, d in zip(s0, direction))
+            comps = genus1_one_form(model, pt, ctx)
+            total = ctx.num(0)
+            for c, d in zip(comps, direction):
+                total = total + c * d
+            return total
+
+        return mpmath.quad(integrand, [0, 1])
+
+
+def two_primary_genus2_reference(frame: CanonicalFrame):
+    """Closed form for F^2 on the two-primary conformal family:
+
+        d(3d-1)(d-1)^2(3d-5)(d-2)/2880 * Delta_0 / (u_1 - u_0)^3,
+
+    invariant under branch relabeling (both factors flip sign together)."""
+    if frame.model.euler is None:
+        raise ValueError("the closed form needs the conformal dimension")
+    d = Fraction(frame.model.euler.conformal_dimension)
+    poly = d * (3 * d - 1) * (d - 1) ** 2 * (3 * d - 5) * (d - 2)
+    ctx = frame.ctx
+    with ctx.guard():
+        u = frame.u_values()
+        delta = frame.delta_values()
+        return ctx.num(poly / 2880) * delta[0] / (u[1] - u[0]) ** 3

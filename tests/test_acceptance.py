@@ -37,7 +37,6 @@ from genuslift.descendent import (
     descendent_potential,
     genus0_descendents,
     genus1_descendent_routes,
-    point_descendent_reference,
     point_descendent_resummed,
 )
 from genuslift.expressions import Expression
@@ -48,7 +47,6 @@ from genuslift.genus import (
     genus1_closedness_residual,
     genus1_one_form,
     genus_potential,
-    two_primary_genus2_reference,
     wick_oracle,
 )
 from genuslift.graphs import enumerate_graphs
@@ -56,6 +54,7 @@ from genuslift.hodge import HodgeParameters, HodgeTruncation, hodge_lambda, hodg
 from genuslift.intersection import IntersectionTable, psi_intersection
 from genuslift.rmatrix import EdgeTailData, compute_R, twist_R, unitarity_residual
 from genuslift.scalars import FloatContext
+from oracles import point_descendent_reference, two_primary_genus2_reference
 
 CTX = FloatContext(256)
 

@@ -103,6 +103,53 @@ class TestExitCodes:
         with CTX.guard():
             assert mpmath.mpf(doc["residual"]) > mpmath.mpf("0.5")
 
+    @pytest.mark.parametrize("kmax", [[1], None, 1.5])
+    def test_non_integer_kmax(self, kmax):
+        tau = {"Kmax": kmax, "t": [["0"], ["1/8"]]}
+        code, text = run_command(
+            ["descendent", "--model", "point", "--tau", json.dumps(tau), "--g", "2"]
+        )
+        assert code == 1 and text.startswith("error:") and "Kmax" in text
+
+    @pytest.mark.parametrize("key, value", [("unit_index", [0]), ("dimension", 1.5)])
+    def test_non_integer_model_field(self, tmp_path, key, value):
+        doc = point_model().to_json()
+        doc[key] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, text = run_command(["validate", "--model", str(path)])
+        assert code == 1 and text.startswith("error:") and key in text
+
+    def test_sign_flips_must_be_signs(self):
+        # 2 would double sqrt(Delta_0) instead of picking a branch
+        code, text = run_command(
+            ["frame", "--model", "two-primary:d=1/2", "--point", "1/5,2/3",
+             "--sign-flips=2,1"]
+        )
+        assert code == 1 and text.startswith("error:") and "sign flips" in text
+
+    def test_sign_flips_and_anchors_need_one_entry_per_branch(self, tmp_path):
+        code, text = run_command(
+            ["frame", "--model", "two-primary:d=1/2", "--point", "1/5,2/3",
+             "--sign-flips=1"]
+        )
+        assert code == 1 and text.startswith("error:") and "sign flips" in text
+        doc = two_primary_model(Fraction(1, 2)).to_json()
+        del doc["euler"]
+        path = tmp_path / "plain.json"
+        path.write_text(json.dumps(doc))
+        code, text = run_command(
+            ["frame", "--model", str(path), "--point", "1/5,2/3", "--anchors=1"]
+        )
+        assert code == 1 and text.startswith("error:") and "anchors" in text
+
+    def test_gauge_needs_one_row_per_branch(self):
+        code, text = run_command(
+            ["genus", "--model", "two-primary:d=1/2", "--point", "1/5,2/3", "--g", "2",
+             "--mode", "constants", "--gauge", "[[1]]"]
+        )
+        assert code == 1 and text.startswith("error:") and "gauge" in text
+
     def test_bad_precision_env(self, monkeypatch):
         monkeypatch.setenv("GENUSLIFT_PRECISION", "lots")
         code, text = run_command(["wk", "--g", "0", "--indices", "0,0,0"])
@@ -360,3 +407,44 @@ class TestDeterminism:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert "error" in proc.stderr
+
+
+class TestPublicApi:
+    def test_all_is_the_user_facing_pipeline(self):
+        import genuslift
+
+        assert sorted(genuslift.__all__) == [
+            "CurvePoint",
+            "DegenerateFrameError",
+            "EulerData",
+            "FloatContext",
+            "FrobeniusModel",
+            "GenusReport",
+            "NonSemisimpleError",
+            "Rational",
+            "RunConfig",
+            "SchemaError",
+            "TruncationWarning",
+            "UnitAxiomWarning",
+            "cli",
+            "compute_calibration",
+            "descendent_potential",
+            "genus1_one_form",
+            "genus_potential",
+            "io",
+            "main",
+            "parse_model",
+            "parse_tau",
+            "point_model",
+            "render_report",
+            "run_command",
+            "threefold_cusp_model",
+            "two_primary_model",
+            "wick_oracle",
+        ]
+        for name in genuslift.__all__:
+            assert getattr(genuslift, name) is not None
+        # what the benchmark worker reaches through the package
+        assert genuslift.cli.run_command is run_command
+        assert genuslift.io.render_report is genuslift.render_report
+        assert genuslift.FloatContext is FloatContext

@@ -42,19 +42,17 @@ from genuslift.descendent import (
     compute_calibration,
     critical_inverse_jacobian,
     critical_point,
-    critical_point_formal,
     descendent_frame,
     descendent_potential,
     genus0_descendents,
-    genus0_formal,
     genus1_descendent_routes,
-    point_descendent_reference,
     point_descendent_resummed,
 )
 from genuslift.linalg import eigenvalues_float, mat_mul
 from genuslift.rmatrix import compute_R, edge_tail_data
 from genuslift.scalars import FloatContext
 from genuslift.series import TruncatedSeries
+from oracles import critical_point_formal, genus0_formal, point_descendent_reference
 
 CTX = FloatContext()
 TIGHT = mpmath.mpf("1e-60")
@@ -468,9 +466,9 @@ class TestBoldQuantities:
                     acc += CTX.num(tau.coupling(k)[0]) * ts ** (k - p) / math.factorial(k - p)
                 return acc
 
-            assert mpmath.fabs(1 / bold.sqrt_d[0] + fder(1)) < TIGHT
+            assert mpmath.fabs(1 / bold.data.sqrt_delta[0] + fder(1)) < TIGHT
             for k in range(2, 6):
-                assert mpmath.fabs(bold.tails[0][k] - fder(k) * bold.sqrt_d[0]) < TIGHT
+                assert mpmath.fabs(bold.data.t[0][k] - fder(k) * bold.data.sqrt_delta[0]) < TIGHT
 
     def test_reduction_to_primary_data(self):
         tau = CurvePoint(((Fraction(1, 8), Fraction(3, 16)),))
@@ -481,14 +479,14 @@ class TestBoldQuantities:
         primary = edge_tail_data(r)
         with CTX.guard():
             for i in range(2):
-                assert mpmath.fabs(bold.d[i] - CTX.num(primary.delta[i])) < REDUCE
-                assert mpmath.fabs(bold.sqrt_d[i] - primary.sqrt_delta[i]) < REDUCE
+                assert mpmath.fabs(bold.data.delta[i] - CTX.num(primary.delta[i])) < REDUCE
+                assert mpmath.fabs(bold.data.sqrt_delta[i] - primary.sqrt_delta[i]) < REDUCE
                 for k, v in primary.t[i].items():
-                    assert mpmath.fabs(bold.tails[i][k] - v) < REDUCE
+                    assert mpmath.fabs(bold.data.t[i][k] - v) < REDUCE
             for key, v in primary.v.items():
-                assert bold.v[key] == v
-        assert bold.t_cutoff == primary.t_cutoff
-        assert bold.v_cutoff == primary.v_cutoff
+                assert bold.data.v[key] == v
+        assert bold.data.t_cutoff == primary.t_cutoff
+        assert bold.data.v_cutoff == primary.v_cutoff
 
     def test_criticality_residual_enforced(self):
         # a frame at the wrong point leaves a visible z^0 coefficient
@@ -499,25 +497,25 @@ class TestBoldQuantities:
             bold_quantities(QUINTIC, QUINTIC_CAL, frame, r, QUINTIC_TAU)
 
     def test_branch_consistency(self):
-        # flipping a sqrt branch flips sqrt_d with the frame; D is invariant
+        # flipping a sqrt branch flips sqrt(D) with the frame; D is invariant
         a = descendent_frame(QUINTIC, QUINTIC_CAL, QUINTIC_TAU, CTX, order=2)
         b = descendent_frame(
             QUINTIC, QUINTIC_CAL, QUINTIC_TAU, CTX, order=2, sign_flips=(-1, 1)
         )
         with CTX.guard():
-            assert mpmath.fabs(a.d[0] - b.d[0]) < TIGHT
-            assert mpmath.fabs(a.sqrt_d[0] + b.sqrt_d[0]) < TIGHT
-            assert mpmath.fabs(a.sqrt_d[1] - b.sqrt_d[1]) < TIGHT
-            for k, v in a.tails[0].items():
-                assert mpmath.fabs(b.tails[0][k] - v) < TIGHT
+            assert mpmath.fabs(a.data.delta[0] - b.data.delta[0]) < TIGHT
+            assert mpmath.fabs(a.data.sqrt_delta[0] + b.data.sqrt_delta[0]) < TIGHT
+            assert mpmath.fabs(a.data.sqrt_delta[1] - b.data.sqrt_delta[1]) < TIGHT
+            for k, v in a.data.t[0].items():
+                assert mpmath.fabs(b.data.t[0][k] - v) < TIGHT
 
     def test_edge_data_shape(self):
         bold = descendent_frame(QUINTIC, QUINTIC_CAL, QUINTIC_TAU, CTX, order=3)
-        data = bold.edge_data()
+        data = bold.data
         assert data.dimension == 2
         assert data.t_cutoff == 4 and data.v_cutoff == 2
         assert "criticality" in data.residuals
-        assert data.t_entry(0, 1) == 0 and data.t_entry(0, 2) == bold.tails[0][2]
+        assert data.t_entry(0, 1) == 0 and data.t_entry(0, 2) == bold.data.t[0][2]
 
 
 class TestJacobianIdentity:
@@ -549,7 +547,7 @@ class TestJacobianIdentity:
         with CTX.guard():
             eig = sorted(eigenvalues_float(A, CTX), key=lambda z: (mpmath.re(z), mpmath.im(z)))
             targets = sorted(
-                (mpmath.sqrt(bold.frame.delta_values()[i] / bold.d[i]) for i in range(2)),
+                (mpmath.sqrt(bold.frame.delta_values()[i] / bold.data.delta[i]) for i in range(2)),
                 key=lambda z: (mpmath.re(z), mpmath.im(z)),
             )
             assert max(mpmath.fabs(x - y) for x, y in zip(eig, targets)) < mpmath.mpf("1e-30")

@@ -40,18 +40,18 @@ from genuslift.frobenius import (
 from genuslift import genus as genus_module
 from genuslift.genus import (
     evaluate_graph,
+    frame_and_R,
     genus_potential,
     genus1_closedness_residual,
-    genus1_difference_quadrature,
     genus1_one_form,
     graph_sum,
-    two_primary_genus2_reference,
     wick_oracle,
 )
 from genuslift.graphs import enumerate_graphs
 from genuslift.rmatrix import EdgeTailData
 from genuslift.scalars import FloatContext
 from genuslift.series import Caps
+from oracles import genus1_difference_quadrature, two_primary_genus2_reference
 
 CTX = FloatContext()
 TIGHT = mpmath.mpf("1e-60")
@@ -299,6 +299,40 @@ class TestGenusReport:
             model, pt, 2, CTX, mode="constants", gauge=[[0, 0], [0, 0]]
         )
         assert rel_err(twisted.value, plain.value) < TIGHT
+
+
+class TestRRoute:
+    def test_frame_and_R_takes_each_route(self, monkeypatch):
+        calls = []
+        homogeneous, jets = genus_module.homogeneous_R, genus_module.compute_R
+
+        def spy_homogeneous(frame, order):
+            calls.append(("homogeneous", frame.order))
+            return homogeneous(frame, order)
+
+        def spy_jets(frame, order, mode=None):
+            calls.append(("jets", frame.order, mode))
+            return jets(frame, order, mode=mode)
+
+        monkeypatch.setattr(genus_module, "homogeneous_R", spy_homogeneous)
+        monkeypatch.setattr(genus_module, "compute_R", spy_jets)
+        quintic = two_primary_model(Fraction(1, 2))
+        pt = (Fraction(1, 5), Fraction(2, 3))
+        cases = (
+            (threefold_cusp_model(), (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2)),
+             None, ("homogeneous", 0)),
+            (quintic, pt, "constants", ("jets", 3, "constants")),
+            (FrobeniusModel(dimension=2, metric=quintic.metric, potential=quintic.potential),
+             pt, None, ("jets", 3, None)),
+        )
+        for model, point, mode, route in cases:
+            calls.clear()
+            frame, r = frame_and_R(model, point, CTX, 3, mode=mode)
+            assert calls == [route]
+            assert r.order == 3 and r.frame is frame and r.gauge is None
+        gauge = [[Fraction(1, 3)], [Fraction(1, 5)]]
+        _, twisted = frame_and_R(quintic, pt, CTX, 3, mode="constants", gauge=gauge)
+        assert twisted.gauge == gauge
 
 
 class TestValidation:

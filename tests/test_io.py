@@ -15,28 +15,28 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from genuslift import (
-    CurvePoint,
-    FloatContext,
+from genuslift.descendent import CurvePoint
+from genuslift.frame import canonical_frame
+from genuslift.frobenius import point_model, two_primary_model
+from genuslift.io import (
     RunConfig,
     SchemaError,
     TruncationWarning,
     UnitAxiomWarning,
-    canonical_frame,
-    compute_R,
     edge_data_to_json,
-    edge_tail_data,
+    format_value,
     frame_to_json,
     parse_model,
     parse_tau,
-    point_model,
+    parse_value,
+    precision_annotation,
     render_report,
     rseries_to_json,
     series_to_json,
     tau_to_json,
-    two_primary_model,
 )
-from genuslift.io import format_value, parse_value, precision_annotation
+from genuslift.rmatrix import compute_R, edge_tail_data
+from genuslift.scalars import FloatContext
 from genuslift.series import Caps, TruncatedSeries
 
 CTX = FloatContext(256)

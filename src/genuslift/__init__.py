@@ -19,8 +19,7 @@ The names below are the user-facing pipeline; each layer's own functions
 live in its module (``genuslift.frame``, ``genuslift.rmatrix``, ...).
 """
 
-from . import cli, io
-from .cli import main, run_command
+from . import io
 from .descendent import CurvePoint, compute_calibration, descendent_potential
 from .frame import DegenerateFrameError, NonSemisimpleError
 from .frobenius import (
@@ -73,3 +72,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # ``cli`` loads on first use: imported here, ``python -m genuslift.cli``
+    # would find it in sys.modules before running it as __main__ and warn
+    if name in ("cli", "main", "run_command"):
+        from importlib import import_module
+
+        cli = import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

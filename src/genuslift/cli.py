@@ -264,11 +264,11 @@ def _cmd_genus(args):
     ctx = config.context()
     model = _load_model(args.model, config.tolerance)
     point = _point(args, model)
-    table = IntersectionTable()
     report = genus_potential(
         model, point, args.g, ctx, order=config.r_order, mode=args.mode, gauge=config.gauge
     )
-    oracle = wick_oracle(report.data, args.g, table, ctx)
+    # the process-wide intersection table, already filled by the graph sum
+    oracle = wick_oracle(report.data, args.g, ctx=ctx)
     with ctx.guard():
         residual = ctx.abs(report.value - oracle)
     doc = {

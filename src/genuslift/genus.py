@@ -10,6 +10,10 @@ summed over half-edge psi-powers (k, l).  The per-vertex power budget
 3 g_v - 3 + valence bounds every sum, so the whole expression is a finite
 rational combination of the V/T/Delta tables.
 
+:func:`evaluate_graph` sums one graph edge by edge along its memoized
+:func:`edge_plan`, so assignments that leave the same powers at the
+still-open vertices share one sum over the remaining edges.
+
 ``wick_oracle`` evaluates the same quantity without enumerating graphs: it
 truncates each vertex generating function log tau(hbar Delta_i; Q^i) around
 Q = T, applies the exponential of the propagator
@@ -43,8 +47,9 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import mpmath
 
@@ -66,6 +71,46 @@ from .scalars import FloatContext
 from .series import Caps, TruncatedSeries
 
 
+class EdgePlan(NamedTuple):
+    """The order in which :func:`evaluate_graph` assigns a graph's edges.
+
+    ``edges`` lists (v, w) once per parallel edge in ``edge_list()`` order;
+    ``closes[e]`` are the vertices whose last half-edge is edge e and
+    ``still_open[e]`` those with a half-edge at or before e and one after
+    it.  ``caps`` are the psi caps and ``reach`` the largest joint budget
+    k + l any edge can ask of V."""
+
+    edges: Tuple[Tuple[int, int], ...]
+    closes: Tuple[Tuple[int, ...], ...]
+    still_open: Tuple[Tuple[int, ...], ...]
+    caps: Tuple[int, ...]
+    reach: int
+
+
+@cache
+def edge_plan(graph: StableGraph) -> EdgePlan:
+    """The :class:`EdgePlan` of ``graph``, built once per graph."""
+    edges = tuple((v, w) for v, w, mult in graph.edge_list() for _ in range(mult))
+    first, last = {}, {}
+    for e, (v, w) in enumerate(edges):
+        for x in (v, w):
+            first.setdefault(x, e)
+            last[x] = e
+    caps = tuple(graph.psi_cap(v) for v in range(graph.num_vertices()))
+    return EdgePlan(
+        edges=edges,
+        closes=tuple(
+            tuple(x for x in sorted({v, w}) if last[x] == e) for e, (v, w) in enumerate(edges)
+        ),
+        still_open=tuple(
+            tuple(x for x in sorted(last) if first[x] <= e < last[x]) for e in range(len(edges))
+        ),
+        caps=caps,
+        # a loop draws both half-edges from one shared budget
+        reach=max((caps[v] if v == w else caps[v] + caps[w] for v, w in edges), default=0),
+    )
+
+
 def evaluate_graph(
     graph: StableGraph,
     data: EdgeTailData,
@@ -76,26 +121,27 @@ def evaluate_graph(
 ):
     """Contribution of one graph: the half-edge power sum divided by |Aut|.
 
+    The powers are assigned edge by edge in the order of :func:`edge_plan`.
+    A vertex is multiplied in as soon as its last half-edge has a power, so
+    a vanishing vertex drops every assignment of the later edges; the sum
+    over the later edges depends only on the edge reached and the powers
+    already at each still-open vertex, and is computed once per such state.
+
     ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
     correlator on ``data``, or to None where it vanishes; ``edge_weights``
     is :func:`edge_weight_table` of ``data``.  A sum over many graphs passes
     one of each to all of them, so each distinct vertex and edge weight is
     evaluated once; either is built here when not given."""
-    nv = graph.num_vertices()
-    edges = []
-    for v, w, mult in graph.edge_list():
-        edges.extend([(v, w)] * mult)
-    budget = [graph.psi_cap(v) for v in range(nv)]
-    for v, w in edges:
-        # a loop draws both half-edges from one shared budget
-        joint = budget[v] if v == w else budget[v] + budget[w]
-        if joint > data.v_cutoff:
-            raise ValueError(
-                f"edge coefficients known to order {data.v_cutoff}, need {joint}"
-            )
-
+    plan = edge_plan(graph)
+    if plan.reach > data.v_cutoff:
+        raise ValueError(
+            f"edge coefficients known to order {data.v_cutoff}, need {plan.reach}"
+        )
     if vertex_cache is None:
         vertex_cache = {}
+    edges, closes, still_open = plan.edges, plan.closes, plan.still_open
+    n_edges = len(edges)
+    index = [i_v for _, i_v in graph.vertices]
 
     def vertex_value(v, ks):
         g_v, i_v = graph.vertices[v]
@@ -105,40 +151,54 @@ def evaluate_graph(
             vertex_cache[key] = None if val == 0 else val
         return vertex_cache[key]
 
-    ks_at: List[List[int]] = [[] for _ in range(nv)]
-    total = 0
+    ks_at: List[List[int]] = [[] for _ in index]
+    budget = list(plan.caps)
+    rests: dict = {}
 
-    def descend(e_idx, weight):
-        nonlocal total
-        if e_idx == len(edges):
-            prod = weight
-            for v in range(nv):
-                val = vertex_value(v, ks_at[v])
-                if val is None:
-                    return
-                prod = prod * val
-            total = total + prod
-            return
-        v, w = edges[e_idx]
-        rows = edge_weights[graph.vertices[v][1], graph.vertices[w][1]]
+    def rest(e):
+        # sum over the powers of edges e.. of their weights times the
+        # vertices they close; None when no term survives
+        v, w = edges[e]
+        rows = edge_weights[index[v], index[w]]
+        closing = closes[e]
+        opened = still_open[e] if e + 1 < n_edges else None
+        acc = None
         for k in range(budget[v] + 1):
             budget[v] -= k
             ks_at[v].append(k)
-            for l, weight_kl in rows[k]:
+            for l, term in rows[k]:
                 if l > budget[w]:
                     break
                 budget[w] -= l
                 ks_at[w].append(l)
-                descend(e_idx + 1, weight * weight_kl)
+                for x in closing:
+                    val = vertex_value(x, ks_at[x])
+                    if val is None:
+                        term = None
+                        break
+                    term = term * val
+                if term is not None and opened is not None:
+                    key = (e,) + tuple(tuple(sorted(ks_at[x])) for x in opened)
+                    if key in rests:
+                        sub = rests[key]
+                    else:
+                        sub = rests[key] = rest(e + 1)
+                    term = None if sub is None else term * sub
+                if term is not None:
+                    acc = term if acc is None else acc + term
                 ks_at[w].pop()
                 budget[w] += l
             ks_at[v].pop()
             budget[v] += k
+        return acc
 
     with ctx.guard() if ctx is not None else nullcontext():
         if edge_weights is None:
             edge_weights = edge_weight_table(data)
-        descend(0, 1)
+        # a connected graph without edges is a single vertex
+        total = rest(0) if n_edges else vertex_value(0, ())
+        if total is None:
+            return 0
         return total / graph.aut if total else total
 
 
@@ -357,7 +417,7 @@ def wick_oracle(
                         if u == v:
                             if key[u] < 2:
                                 continue
-                            factor = Fraction(key[u] * (key[u] - 1), 2)
+                            factor = key[u] * (key[u] - 1) // 2
                         else:
                             factor = key[u] * key[v]
                         nk = list(key)

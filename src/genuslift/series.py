@@ -168,12 +168,15 @@ class TruncatedSeries:
 
     def _binary(self, other, sign) -> "TruncatedSeries":
         out = self.copy()
+        c = out.c
         for k, v in other.c.items():
-            w = out.c.get(k, 0) + sign * v
+            if sign < 0:
+                v = -v
+            w = c[k] + v if k in c else v
             if w or w != 0:
-                out.c[k] = w
-            elif k in out.c:
-                del out.c[k]
+                c[k] = w
+            elif k in c:
+                del c[k]
         return out
 
     def __add__(self, other):
@@ -201,7 +204,15 @@ class TruncatedSeries:
         if not a and a == 0:
             return TruncatedSeries(self.caps)
         out = TruncatedSeries(self.caps)
-        out.c = {k: a * v for k, v in self.c.items()}
+        if isinstance(a, Fraction):
+            # mpmath rounds a Fraction to the working precision before every
+            # product with a float; rounding it once here gives the same bits
+            f = mpmath.mpmathify(a)
+            out.c = {
+                k: a * v if isinstance(v, (int, Fraction)) else f * v for k, v in self.c.items()
+            }
+        else:
+            out.c = {k: a * v for k, v in self.c.items()}
         return out
 
     def __mul__(self, other):

@@ -11,7 +11,9 @@ library produces by another route:
 * ``genus1_difference_quadrature``: F^1(b) - F^1(a) by quadrature of the
   genus-1 one-form;
 * ``two_primary_genus2_reference``: the closed form of F^2 on the
-  two-primary conformal family.
+  two-primary conformal family;
+* ``evaluate_graph_ordered``: one graph's contribution by a plain descent
+  over its half-edge powers, with no sharing between assignments.
 
 Test modules import it from their own directory (``from oracles import
 ...``).
@@ -19,8 +21,9 @@ Test modules import it from their own directory (``from oracles import
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import mpmath
 
@@ -34,9 +37,11 @@ from genuslift.descendent import (
 )
 from genuslift.frame import CanonicalFrame
 from genuslift.frobenius import FrobeniusModel
-from genuslift.genus import genus1_one_form
-from genuslift.intersection import IntersectionTable, psi_intersection
+from genuslift.genus import edge_weight_table, genus1_one_form
+from genuslift.graphs import StableGraph
+from genuslift.intersection import IntersectionTable, psi_intersection, vertex_correlator
 from genuslift.linalg import identity
+from genuslift.rmatrix import EdgeTailData
 from genuslift.scalars import FloatContext
 from genuslift.series import Caps, TruncatedSeries
 
@@ -300,3 +305,83 @@ def two_primary_genus2_reference(frame: CanonicalFrame):
         u = frame.u_values()
         delta = frame.delta_values()
         return ctx.num(poly / 2880) * delta[0] / (u[1] - u[0]) ** 3
+
+
+# -- one graph, leaf by leaf ------------------------------------------------------
+
+
+def evaluate_graph_ordered(
+    graph: StableGraph,
+    data: EdgeTailData,
+    table: Optional[IntersectionTable] = None,
+    ctx: Optional[FloatContext] = None,
+    vertex_cache: Optional[dict] = None,
+    edge_weights: Optional[dict] = None,
+):
+    """Contribution of one graph: the half-edge power sum divided by |Aut|,
+    summed leaf by leaf with every vertex multiplied in at each leaf.
+
+    ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
+    correlator on ``data``, or to None where it vanishes; ``edge_weights``
+    is :func:`edge_weight_table` of ``data``.  A sum over many graphs passes
+    one of each to all of them, so each distinct vertex and edge weight is
+    evaluated once; either is built here when not given."""
+    nv = graph.num_vertices()
+    edges = []
+    for v, w, mult in graph.edge_list():
+        edges.extend([(v, w)] * mult)
+    budget = [graph.psi_cap(v) for v in range(nv)]
+    for v, w in edges:
+        # a loop draws both half-edges from one shared budget
+        joint = budget[v] if v == w else budget[v] + budget[w]
+        if joint > data.v_cutoff:
+            raise ValueError(
+                f"edge coefficients known to order {data.v_cutoff}, need {joint}"
+            )
+
+    if vertex_cache is None:
+        vertex_cache = {}
+
+    def vertex_value(v, ks):
+        g_v, i_v = graph.vertices[v]
+        key = (g_v, i_v, tuple(sorted(ks)))
+        if key not in vertex_cache:
+            val = vertex_correlator(g_v, key[2], data.t[i_v], data.delta[i_v], table=table)
+            vertex_cache[key] = None if val == 0 else val
+        return vertex_cache[key]
+
+    ks_at: List[List[int]] = [[] for _ in range(nv)]
+    total = 0
+
+    def descend(e_idx, weight):
+        nonlocal total
+        if e_idx == len(edges):
+            prod = weight
+            for v in range(nv):
+                val = vertex_value(v, ks_at[v])
+                if val is None:
+                    return
+                prod = prod * val
+            total = total + prod
+            return
+        v, w = edges[e_idx]
+        rows = edge_weights[graph.vertices[v][1], graph.vertices[w][1]]
+        for k in range(budget[v] + 1):
+            budget[v] -= k
+            ks_at[v].append(k)
+            for l, weight_kl in rows[k]:
+                if l > budget[w]:
+                    break
+                budget[w] -= l
+                ks_at[w].append(l)
+                descend(e_idx + 1, weight * weight_kl)
+                ks_at[w].pop()
+                budget[w] += l
+            ks_at[v].pop()
+            budget[v] += k
+
+    with ctx.guard() if ctx is not None else nullcontext():
+        if edge_weights is None:
+            edge_weights = edge_weight_table(data)
+        descend(0, 1)
+        return total / graph.aut if total else total

@@ -398,6 +398,18 @@ class TestDeterminism:
         assert proc.returncode == 0
         assert proc.stdout == "1/24\n"
 
+    def test_module_run_is_quiet(self):
+        # the package must not import cli before runpy runs it as __main__
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "genuslift.cli", "wk", "--g", "1",
+             "--indices", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "1/24\n"
+        assert proc.stderr == ""
+
     def test_errors_go_to_stderr(self):
         proc = subprocess.run(
             [sys.executable, "-m", "genuslift.cli", "validate", "--model", "missing.json"],

@@ -39,6 +39,7 @@ from genuslift.frobenius import (
 )
 from genuslift import genus as genus_module
 from genuslift.genus import (
+    edge_plan,
     evaluate_graph,
     frame_and_R,
     genus_potential,
@@ -51,7 +52,11 @@ from genuslift.graphs import enumerate_graphs
 from genuslift.rmatrix import EdgeTailData
 from genuslift.scalars import FloatContext
 from genuslift.series import Caps
-from oracles import genus1_difference_quadrature, two_primary_genus2_reference
+from oracles import (
+    evaluate_graph_ordered,
+    genus1_difference_quadrature,
+    two_primary_genus2_reference,
+)
 
 CTX = FloatContext()
 TIGHT = mpmath.mpf("1e-60")
@@ -212,6 +217,67 @@ class TestOracleAgreement:
             assert mpmath.fabs(rep.value) < TIGHT
             w = wick_oracle(rep.data, 2, ctx=CTX)
             assert mpmath.fabs(w - rep.value) < TIGHT
+
+
+class TestEdgeOrderSum:
+    @pytest.mark.parametrize(
+        "g, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1)]
+    )
+    def test_matches_ordered_descent_exactly(self, g, n):
+        data = synthetic_data(n, g, seed=700 + 10 * g + n)
+        report = graph_sum(data, g)
+        for graph, val in report.contributions:
+            assert val == evaluate_graph_ordered(graph, data)
+
+    def test_matches_ordered_descent_two_primary(self):
+        model = two_primary_model(Fraction(1, 2))
+        rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
+        with CTX.guard():
+            largest = max(mpmath.fabs(v) for _, v in rep.contributions)
+            for graph, val in rep.contributions:
+                ordered = evaluate_graph_ordered(graph, rep.data)
+                assert mpmath.fabs(val - ordered) < mpmath.mpf("1e-70") * largest
+
+    @pytest.mark.parametrize("g, n", [(3, 2), (4, 1)])
+    def test_plan_closes_every_vertex_once(self, g, n):
+        for graph in enumerate_graphs(g, n):
+            plan = edge_plan(graph)
+            assert plan is edge_plan(graph)
+            assert len(plan.edges) == graph.num_edges()
+            if not plan.edges:
+                assert graph.num_vertices() == 1
+                continue
+            closed = [x for group in plan.closes for x in group]
+            assert sorted(closed) == list(range(graph.num_vertices()))
+            for e, (v, w) in enumerate(plan.edges):
+                later = {x for pair in plan.edges[e + 1:] for x in pair}
+                earlier = {x for pair in plan.edges[: e + 1] for x in pair}
+                assert set(plan.closes[e]) == {v, w} - later
+                assert set(plan.still_open[e]) == earlier & later
+
+
+class TestExactZeros:
+    """F^3 vanishes on QH(P^1) (d = 1) and on A_2 (d = 1/3): the primary
+    dimension count allows no genus-3 invariant, so the graph sum must
+    cancel down to rounding noise against its largest graph."""
+
+    @pytest.mark.parametrize(
+        "point", [(Fraction(2, 7), Fraction(3, 5)), (Fraction(-1, 3), Fraction(7, 9))]
+    )
+    @pytest.mark.parametrize("d", [Fraction(1), Fraction(1, 3)])
+    def test_genus3_cancels(self, d, point):
+        assert self.ratio(d, point) < mpmath.mpf("1e-60")
+
+    def test_control_does_not_cancel(self):
+        ratio = self.ratio(Fraction(1, 2), (Fraction(2, 7), Fraction(3, 5)))
+        assert mpmath.mpf("0.02") < ratio < mpmath.mpf("0.03")
+
+    @staticmethod
+    def ratio(d, point):
+        rep = genus_potential(two_primary_model(d), point, 3, CTX)
+        with CTX.guard():
+            largest = max(mpmath.fabs(v) for _, v in rep.contributions)
+            return mpmath.fabs(rep.value) / largest
 
 
 class TestSharedVertexCache:

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,3 +268,74 @@ class TestProductKernel:
         naive = {k: v for k, v in naive.items() if v != 0 and caps.keep(k)}
         assert (a * b).c == naive
         assert (b * a).c == naive
+
+
+CTX = FloatContext(256)
+_NONZERO = st.fractions(-50, 50, max_denominator=99).filter(bool)
+
+
+@st.composite
+def mixed_coefficients(draw):
+    """Coefficients over one variable, each a Fraction, an mpf or an mpc
+    with a full 256-bit mantissa."""
+    coeffs = {}
+    for k in draw(st.lists(st.integers(0, 6), unique=True, max_size=8)):
+        kind = draw(st.sampled_from(("fraction", "mpf", "mpc")))
+        a = draw(_NONZERO)
+        with CTX.guard():
+            if kind == "fraction":
+                coeffs[(k,)] = a
+            elif kind == "mpf":
+                coeffs[(k,)] = CTX.num(a) / 7
+            else:
+                coeffs[(k,)] = mpmath.mpc(CTX.num(a) / 7, CTX.num(draw(_NONZERO)) / 3)
+    return coeffs
+
+
+def bits(v):
+    """A value with its exact representation: the rational itself, or the
+    mantissa/exponent tuples of an mpmath number."""
+    return type(v), getattr(v, "_mpc_", getattr(v, "_mpf_", v))
+
+
+def difference(v, w):
+    try:
+        return v - w
+    except TypeError:  # mpmath defines no Fraction - mpf
+        return v + -w
+
+
+def series_of(coeffs):
+    s = TruncatedSeries(Caps.box(("x",)))
+    s.c = dict(coeffs)
+    return s
+
+
+class TestLinearKernels:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        mixed_coefficients(),
+        st.one_of(_NONZERO, st.integers(-1000, 1000).filter(bool), st.integers(2**256, 2**300)),
+    )
+    def test_scale_matches_per_coefficient_product(self, coeffs, drawn):
+        s = series_of(coeffs)
+        for a in (drawn, 2**257 + 3, Fraction(-(2**300) - 1, 7)):
+            with CTX.guard():
+                expected = {k: bits(a * v) for k, v in coeffs.items()}
+                assert {k: bits(v) for k, v in s.scale(a).c.items()} == expected
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(mixed_coefficients(), mixed_coefficients())
+    def test_sum_and_difference_match_per_coefficient(self, first, second):
+        keys = set(first) | set(second)
+        with CTX.guard():
+            plus = {k: first.get(k, 0) + second.get(k, 0) for k in keys}
+            minus = {k: difference(first.get(k, 0), second.get(k, 0)) for k in keys}
+            got_plus = (series_of(first) + series_of(second)).c
+            got_minus = (series_of(first) - series_of(second)).c
+        assert {k: bits(v) for k, v in got_plus.items()} == {
+            k: bits(v) for k, v in plus.items() if v != 0
+        }
+        assert {k: bits(v) for k, v in got_minus.items()} == {
+            k: bits(v) for k, v in minus.items() if v != 0
+        }

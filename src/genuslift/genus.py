@@ -16,19 +16,26 @@ still-open vertices share one sum over the remaining edges.
 
 ``wick_oracle`` evaluates the same quantity without enumerating graphs: it
 truncates each vertex generating function log tau(hbar Delta_i; Q^i) around
-Q = T, applies the exponential of the propagator
+Q = T, exponentiates, applies the exponential of the propagator
 
     P = (hbar/2) sum V^{ij}_{kl} sqrt(Delta_i Delta_j) d/dq^i_k d/dq^j_l,
 
-sets q = 0 and reads the hbar^{g-1} coefficient of the logarithm.  The two
-code paths share nothing beyond the input tables, which makes them mutual
-oracles; agreement is exact on rational synthetic data.
+sets q = 0 and reads the hbar^{g-1} coefficient of the logarithm.
 
-Truncation bookkeeping for the oracle uses the grading deg(hbar) = 2,
-deg(q) = 1: the propagator is neutral, every surviving monomial of the
-connected part has degree exactly 2g - 2, and a genus-0 cluster carries
-hbar^{-1} q^{>=3}, so the grading cap makes exponentials of the Laurent
-series terminate.
+The oracle grades by deg(hbar) = 2, deg(q) = 1.  A stable vertex term has
+degree d = 2(g_v - 1) + m >= 1 (a genus-0 vertex carries hbar^{-1} q^{>=3}),
+and only degrees up to 2g - 2 reach F^g.  So log tau is collected into one
+homogeneous part L_d per degree, and exp(L) is built degree by degree from
+E_0 = 1, d E_d = sum_j j L_j E_{d-j}; the truncation holds by construction.
+P is neutral for the grading, so at q = 0 it sends a term c hbar^a q^M of
+E_d to c hbar^{d/2} <M>, the moment of a centred Gaussian vector whose
+covariance holds the propagator weights (Isserlis's theorem,
+:func:`gaussian_moment`, memoized per monomial); odd degrees give nothing.
+
+The oracle shares with the graph sum the input tables and, when handed
+:attr:`GenusReport.vertex_cache`, the memo of ``vertex_correlator`` on those
+tables.  Graphs, edge weights and summation are its own, which makes the two
+mutual oracles; agreement is exact on rational synthetic data.
 
 Genus 1 is exposed as the one-form
 
@@ -45,7 +52,7 @@ commands) builds its canonical frame and picks the R route.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -224,13 +231,18 @@ def edge_weight_table(data: EdgeTailData) -> dict:
 
 @dataclass
 class GenusReport:
-    """Graph-sum result with its per-graph breakdown."""
+    """Graph-sum result with its per-graph breakdown.
+
+    ``vertex_cache`` is the sum's table of vertex correlators on ``data``:
+    (g_v, i, sorted edge powers) maps to the correlator, or to None where
+    it vanishes.  :func:`wick_oracle` reads and extends it."""
 
     genus: int
     value: object
     contributions: List[Tuple[StableGraph, object]]
     data: EdgeTailData
     frame: Optional[CanonicalFrame] = None
+    vertex_cache: dict = field(default_factory=dict)
 
     def contribution_map(self):
         return {g.describe(): v for g, v in self.contributions}
@@ -324,14 +336,114 @@ def graph_sum(
             )
             contributions.append((graph, val))
             total = total + val
-    return GenusReport(genus=g, value=total, contributions=contributions, data=data, frame=frame)
+    return GenusReport(
+        genus=g, value=total, contributions=contributions, data=data, frame=frame,
+        vertex_cache=vertex_cache,
+    )
 
 
 # -- operator-exponential oracle ---------------------------------------------------
 
 
-def _qname(i: int, k: int) -> str:
-    return f"q{i}_{k}"
+def gaussian_moment(mono: Tuple[int, ...], cov: dict, memo: dict):
+    """<q_{s_1} ... q_{s_n}> of a centred Gaussian vector q with covariance
+    ``cov``, for ``mono`` = (s_1, ..., s_n) a sorted tuple of slots.
+
+    ``cov[u]`` maps v >= u to C_uv = C_vu, with zeros left out.  Isserlis's
+    theorem pairs the lowest slot u with each other factor,
+
+        <q_u M'> = sum_v C_uv d<M'>/dq_v,
+
+    so only v >= u is ever read, and a monomial of odd degree has moment 0.
+    ``memo`` keeps every moment of positive even degree computed so far,
+    keyed by its monomial."""
+    if len(mono) % 2:
+        return 0
+    if not mono:
+        return 1
+    if mono in memo:
+        return memo[mono]
+    u, rest = mono[0], mono[1:]
+    row = cov.get(u, {})
+    total = 0
+    for pos, v in enumerate(rest):
+        if pos and rest[pos - 1] == v:
+            continue
+        c = row.get(v)
+        if c is None:
+            continue
+        sub = gaussian_moment(rest[:pos] + rest[pos + 1:], cov, memo)
+        if sub:
+            total = total + rest.count(v) * c * sub
+    memo[mono] = total
+    return total
+
+
+def _log_tau_layers(
+    data: EdgeTailData,
+    g: int,
+    table: Optional[IntersectionTable],
+    vertex_cache: dict,
+) -> List[dict]:
+    """The vertex generating functions log tau(hbar Delta_i; Q^i) around
+    Q = T, truncated at weighted degree 2g - 2 and split by degree.
+
+    Entry d maps a sorted tuple of slots i(3g - 3) + k, one per factor
+    q^i_k, to the coefficient of hbar^{(d - m)/2} times their product, with
+    m the length of the tuple; the coefficient includes 1/c! for a factor
+    repeated c times.  Correlators come from ``vertex_cache`` when it holds
+    them; the ones computed here are added to it."""
+    kq = 3 * g - 4  # largest psi-power any vertex can absorb
+    top = 2 * g - 2
+    layers: List[dict] = [{} for _ in range(top + 1)]
+    for i in range(data.dimension):
+        for g_v in range(g + 1):
+            for m in range(top - 2 * (g_v - 1) + 1):
+                d = 2 * (g_v - 1) + m
+                # stable vertices are exactly those of positive degree
+                if d < 1:
+                    continue
+                for s in range(3 * g_v - 3 + m + 1):
+                    for ks in _ascending_tuples(m, s, 0):
+                        if ks and ks[-1] > kq:
+                            continue
+                        key = (g_v, i, ks)
+                        if key not in vertex_cache:
+                            val = vertex_correlator(g_v, ks, data.t[i], data.delta[i], table=table)
+                            vertex_cache[key] = None if val == 0 else val
+                        coeff = vertex_cache[key]
+                        if coeff is None:
+                            continue
+                        denom = 1
+                        for k in set(ks):
+                            denom *= factorial(ks.count(k))
+                        if denom != 1:
+                            coeff = coeff / denom
+                        # vertices without edges share the empty monomial
+                        mono = tuple(i * (kq + 1) + k for k in ks)
+                        layer = layers[d]
+                        layer[mono] = layer[mono] + coeff if mono in layer else coeff
+    return layers
+
+
+def _graded_exp(layers: List[dict]) -> List[dict]:
+    """exp of the series whose degree-d part is ``layers[d]`` (``layers[0]``
+    empty), degree by degree: E_0 = 1 and d E_d = sum_j j L_j E_{d-j}.
+    Keys are sorted slot tuples as in :func:`_log_tau_layers`; a product
+    of monomials merges their tuples."""
+    out = [{(): 1}]
+    for d in range(1, len(layers)):
+        acc: dict = {}
+        for j in range(1, d + 1):
+            lower = out[d - j]
+            for m1, c1 in layers[j].items():
+                c1 = j * c1
+                for m2, c2 in lower.items():
+                    mono = tuple(sorted(m1 + m2))
+                    term = c1 * c2
+                    acc[mono] = acc[mono] + term if mono in acc else term
+        out.append({mono: c / d for mono, c in acc.items() if c})
+    return out
 
 
 def wick_oracle(
@@ -339,118 +451,50 @@ def wick_oracle(
     g: int,
     table: Optional[IntersectionTable] = None,
     ctx: Optional[FloatContext] = None,
+    vertex_cache: Optional[dict] = None,
 ):
     """F^g from the same edge/tail data by expanding the operator exponential
-    directly; graph-free, hence an independent check of the graph sum."""
+    directly; graph-free, hence an independent check of the graph sum.
+
+    ``vertex_cache`` is a table of vertex correlators keyed like the graph
+    sum's (:attr:`GenusReport.vertex_cache`); correlators missing from it
+    are computed and added."""
     if g < 2:
         raise ValueError("the expansion is normalized for genus >= 2")
+    if vertex_cache is None:
+        vertex_cache = {}
     with ctx.guard() if ctx is not None else nullcontext():
-        n = data.dimension
-        kq = 3 * g - 4  # largest psi-power any vertex can absorb
-        names = ("h",) + tuple(_qname(i, k) for i in range(n) for k in range(kq + 1))
-        grading = {"h": 2}
-        for nm in names[1:]:
-            grading[nm] = 1
-        caps = Caps.box(
-            names,
-            mins={"h": -(2 * g - 2)},
-            maxs={"h": g - 1},
-            weighted=[(grading, 2 * g - 2)],
-        )
-        qpos = {(i, k): 1 + i * (kq + 1) + k for i in range(n) for k in range(kq + 1)}
+        kq = 3 * g - 4
+        powers = _graded_exp(_log_tau_layers(data, g, table, vertex_cache))
 
-        # each vertex generating function, expanded around Q = T
-        log_vertices = TruncatedSeries.zero(caps)
-        for i in range(n):
-            tails = data.t[i]
-            delta = data.delta[i]
-            for g_v in range(0, g + 1):
-                m_cap = 2 * g - 2 - 2 * (g_v - 1)
-                for m in range(0, m_cap + 1):
-                    if g_v == 0 and m < 3:
-                        continue
-                    if g_v == 1 and m == 0:
-                        continue
-                    sum_cap = 3 * g_v - 3 + m
-                    for s in range(0, sum_cap + 1):
-                        for ks in _ascending_tuples(m, s, 0):
-                            if ks and ks[-1] > kq:
-                                continue
-                            coeff = vertex_correlator(g_v, ks, tails, delta, table=table)
-                            if coeff == 0:
-                                continue
-                            mult = Fraction(1)
-                            seen = {}
-                            for k in ks:
-                                seen[k] = seen.get(k, 0) + 1
-                            for c in seen.values():
-                                mult /= factorial(c)
-                            key = [0] * len(names)
-                            key[0] = g_v - 1
-                            for k in ks:
-                                key[qpos[(i, k)]] += 1
-                            term = TruncatedSeries(caps, {tuple(key): coeff * mult})
-                            log_vertices = log_vertices + term
-
-        state = log_vertices.exp(ctx)
-
-        # propagator weights between variable slots
-        weights = {}
-        for (i, k), u in qpos.items():
-            for (j, l), v in qpos.items():
-                if u > v or k + l > data.v_cutoff:
+        # propagator weights C_uv = V^{ij}_{kl} sqrt(Delta_i Delta_j) for
+        # u = slot (i, k) <= v = slot (j, l); slot (i, k) is i(kq + 1) + k,
+        # as in the monomials of _log_tau_layers
+        slots = [(i, k) for i in range(data.dimension) for k in range(kq + 1)]
+        sd = data.sqrt_delta
+        cov: dict = {}
+        for u, (i, k) in enumerate(slots):
+            for v in range(u, len(slots)):
+                j, l = slots[v]
+                if k + l > data.v_cutoff:
                     continue
-                w = data.v_entry(i, j, k, l) * data.sqrt_delta[i] * data.sqrt_delta[j]
-                if w == 0:
-                    continue
-                weights[(u, v)] = w
+                w = data.v_entry(i, j, k, l) * sd[i] * sd[j]
+                if w != 0:
+                    cov.setdefault(u, {})[v] = w
 
-        def propagate(series):
-            out = {}
-            for key, coef in series.c.items():
-                positions = [p for p, e in enumerate(key) if p > 0 and e > 0]
-                for a_idx, u in enumerate(positions):
-                    for v in positions[a_idx:]:
-                        w = weights.get((u, v))
-                        if w is None:
-                            continue
-                        if u == v:
-                            if key[u] < 2:
-                                continue
-                            factor = key[u] * (key[u] - 1) // 2
-                        else:
-                            factor = key[u] * key[v]
-                        nk = list(key)
-                        nk[0] += 1
-                        nk[u] -= 1
-                        nk[v] -= 1
-                        nk = tuple(nk)
-                        add = coef * factor * w
-                        out[nk] = out.get(nk, 0) + add
-            return TruncatedSeries(caps, out)
-
-        order = 1
-        layer = state
-        while True:
-            layer = propagate(layer).scale(Fraction(1, order))
-            if not layer.c:
-                break
-            state = state + layer
-            order += 1
-
-        collapsed = {}
-        for key, coef in state.c.items():
-            if any(e != 0 for e in key[1:]):
-                continue
-            collapsed[(key[0],)] = coef
-        hcaps = Caps.box(("h",), mins={"h": -(2 * g - 2)}, maxs={"h": g - 1})
-        connected = TruncatedSeries(hcaps, collapsed)
-
-        c0 = connected.constant_term()
-        if isinstance(c0, (int, Fraction)):
-            logged = connected.scale(Fraction(1, 1) / c0).log()
-        else:
-            logged = connected.log(ctx)
+        # exp(P) hbar^a q^M at q = 0 is hbar^{a + m/2} <M>, and a degree-2b
+        # term has a + m/2 = b
+        memo: dict = {}
+        connected = {(0,): 1}
+        for b in range(1, g):
+            z = 0
+            for mono, coef in powers[2 * b].items():
+                moment = gaussian_moment(mono, cov, memo)
+                if moment:
+                    z = z + coef * moment
+            if z:
+                connected[(b,)] = z
+        logged = TruncatedSeries(Caps.total(("h",), g - 1), connected).log(ctx)
         return logged.scalar_coeff((g - 1,))
 
 

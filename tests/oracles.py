@@ -13,7 +13,10 @@ library produces by another route:
 * ``two_primary_genus2_reference``: the closed form of F^2 on the
   two-primary conformal family;
 * ``evaluate_graph_ordered``: one graph's contribution by a plain descent
-  over its half-edge powers, with no sharing between assignments.
+  over its half-edge powers, with no sharing between assignments;
+* ``wick_oracle_layers``: the Wick expansion of F^g as a capped series
+  exponential followed by one propagator layer per order, each scaled by
+  1/n!.
 
 Test modules import it from their own directory (``from oracles import
 ...``).
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from fractions import Fraction
+from math import factorial
 from typing import Dict, List, Optional, Tuple
 
 import mpmath
@@ -39,7 +43,12 @@ from genuslift.frame import CanonicalFrame
 from genuslift.frobenius import FrobeniusModel
 from genuslift.genus import edge_weight_table, genus1_one_form
 from genuslift.graphs import StableGraph
-from genuslift.intersection import IntersectionTable, psi_intersection, vertex_correlator
+from genuslift.intersection import (
+    IntersectionTable,
+    _ascending_tuples,
+    psi_intersection,
+    vertex_correlator,
+)
 from genuslift.linalg import identity
 from genuslift.rmatrix import EdgeTailData
 from genuslift.scalars import FloatContext
@@ -385,3 +394,130 @@ def evaluate_graph_ordered(
             edge_weights = edge_weight_table(data)
         descend(0, 1)
         return total / graph.aut if total else total
+
+
+# -- the Wick expansion, layer by layer ---------------------------------------
+
+
+def _qname(i: int, k: int) -> str:
+    return f"q{i}_{k}"
+
+
+def wick_oracle_layers(
+    data: EdgeTailData,
+    g: int,
+    table: Optional[IntersectionTable] = None,
+    ctx: Optional[FloatContext] = None,
+):
+    """F^g from the same edge/tail data by expanding the operator exponential
+    directly; graph-free, hence an independent check of the graph sum."""
+    if g < 2:
+        raise ValueError("the expansion is normalized for genus >= 2")
+    with ctx.guard() if ctx is not None else nullcontext():
+        n = data.dimension
+        kq = 3 * g - 4  # largest psi-power any vertex can absorb
+        names = ("h",) + tuple(_qname(i, k) for i in range(n) for k in range(kq + 1))
+        grading = {"h": 2}
+        for nm in names[1:]:
+            grading[nm] = 1
+        caps = Caps.box(
+            names,
+            mins={"h": -(2 * g - 2)},
+            maxs={"h": g - 1},
+            weighted=[(grading, 2 * g - 2)],
+        )
+        qpos = {(i, k): 1 + i * (kq + 1) + k for i in range(n) for k in range(kq + 1)}
+
+        # each vertex generating function, expanded around Q = T
+        log_vertices = TruncatedSeries.zero(caps)
+        for i in range(n):
+            tails = data.t[i]
+            delta = data.delta[i]
+            for g_v in range(0, g + 1):
+                m_cap = 2 * g - 2 - 2 * (g_v - 1)
+                for m in range(0, m_cap + 1):
+                    if g_v == 0 and m < 3:
+                        continue
+                    if g_v == 1 and m == 0:
+                        continue
+                    sum_cap = 3 * g_v - 3 + m
+                    for s in range(0, sum_cap + 1):
+                        for ks in _ascending_tuples(m, s, 0):
+                            if ks and ks[-1] > kq:
+                                continue
+                            coeff = vertex_correlator(g_v, ks, tails, delta, table=table)
+                            if coeff == 0:
+                                continue
+                            mult = Fraction(1)
+                            seen = {}
+                            for k in ks:
+                                seen[k] = seen.get(k, 0) + 1
+                            for c in seen.values():
+                                mult /= factorial(c)
+                            key = [0] * len(names)
+                            key[0] = g_v - 1
+                            for k in ks:
+                                key[qpos[(i, k)]] += 1
+                            term = TruncatedSeries(caps, {tuple(key): coeff * mult})
+                            log_vertices = log_vertices + term
+
+        state = log_vertices.exp(ctx)
+
+        # propagator weights between variable slots
+        weights = {}
+        for (i, k), u in qpos.items():
+            for (j, l), v in qpos.items():
+                if u > v or k + l > data.v_cutoff:
+                    continue
+                w = data.v_entry(i, j, k, l) * data.sqrt_delta[i] * data.sqrt_delta[j]
+                if w == 0:
+                    continue
+                weights[(u, v)] = w
+
+        def propagate(series):
+            out = {}
+            for key, coef in series.c.items():
+                positions = [p for p, e in enumerate(key) if p > 0 and e > 0]
+                for a_idx, u in enumerate(positions):
+                    for v in positions[a_idx:]:
+                        w = weights.get((u, v))
+                        if w is None:
+                            continue
+                        if u == v:
+                            if key[u] < 2:
+                                continue
+                            factor = key[u] * (key[u] - 1) // 2
+                        else:
+                            factor = key[u] * key[v]
+                        nk = list(key)
+                        nk[0] += 1
+                        nk[u] -= 1
+                        nk[v] -= 1
+                        nk = tuple(nk)
+                        add = coef * factor * w
+                        out[nk] = out.get(nk, 0) + add
+            return TruncatedSeries(caps, out)
+
+        order = 1
+        layer = state
+        while True:
+            layer = propagate(layer).scale(Fraction(1, order))
+            if not layer.c:
+                break
+            state = state + layer
+            order += 1
+
+        collapsed = {}
+        for key, coef in state.c.items():
+            if any(e != 0 for e in key[1:]):
+                continue
+            collapsed[(key[0],)] = coef
+        hcaps = Caps.box(("h",), mins={"h": -(2 * g - 2)}, maxs={"h": g - 1})
+        connected = TruncatedSeries(hcaps, collapsed)
+
+        c0 = connected.constant_term()
+        if isinstance(c0, (int, Fraction)):
+            logged = connected.scale(Fraction(1, 1) / c0).log()
+        else:
+            logged = connected.log(ctx)
+        return logged.scalar_coeff((g - 1,))

@@ -25,9 +25,12 @@ components are exactly (0, -1/24), which also pins the quadrature helper.
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genuslift.expressions import Expression
 from genuslift.frame import canonical_frame
@@ -39,9 +42,12 @@ from genuslift.frobenius import (
 )
 from genuslift import genus as genus_module
 from genuslift.genus import (
+    _graded_exp,
+    _log_tau_layers,
     edge_plan,
     evaluate_graph,
     frame_and_R,
+    gaussian_moment,
     genus_potential,
     genus1_closedness_residual,
     genus1_one_form,
@@ -49,13 +55,15 @@ from genuslift.genus import (
     wick_oracle,
 )
 from genuslift.graphs import enumerate_graphs
-from genuslift.rmatrix import EdgeTailData
+from genuslift.intersection import vertex_correlator
+from genuslift.rmatrix import EdgeTailData, edge_tail_data
 from genuslift.scalars import FloatContext
-from genuslift.series import Caps
+from genuslift.series import Caps, TruncatedSeries
 from oracles import (
     evaluate_graph_ordered,
     genus1_difference_quadrature,
     two_primary_genus2_reference,
+    wick_oracle_layers,
 )
 
 CTX = FloatContext()
@@ -257,9 +265,10 @@ class TestEdgeOrderSum:
 
 
 class TestExactZeros:
-    """F^3 vanishes on QH(P^1) (d = 1) and on A_2 (d = 1/3): the primary
-    dimension count allows no genus-3 invariant, so the graph sum must
-    cancel down to rounding noise against its largest graph."""
+    """F^3 and F^4 vanish on QH(P^1) (d = 1) and on A_2 (d = 1/3): the
+    primary dimension count allows no invariant of genus >= 2, so the
+    genus-3 graph sum must cancel down to rounding noise against its
+    largest graph, and the genus-4 Wick expansion against F^4 of d = 1/2."""
 
     @pytest.mark.parametrize(
         "point", [(Fraction(2, 7), Fraction(3, 5)), (Fraction(-1, 3), Fraction(7, 9))]
@@ -278,6 +287,25 @@ class TestExactZeros:
         with CTX.guard():
             largest = max(mpmath.fabs(v) for _, v in rep.contributions)
             return mpmath.fabs(rep.value) / largest
+
+    @pytest.mark.parametrize(
+        "point", [(Fraction(2, 7), Fraction(3, 5)), (Fraction(-1, 3), Fraction(7, 9))]
+    )
+    @pytest.mark.parametrize("d", [Fraction(1), Fraction(1, 3)])
+    def test_genus4_wick_cancels(self, d, point):
+        # no graph enumeration: frame, R, V/T and the Wick expansion alone,
+        # measured against F^4 of the d = 1/2 model at the same point
+        with CTX.guard():
+            control = self.wick_genus4(Fraction(1, 2), point)
+            assert control > mpmath.mpf("1e-8")
+            assert self.wick_genus4(d, point) < mpmath.mpf("1e-60") * control
+
+    @staticmethod
+    @cache
+    def wick_genus4(d, point):
+        _, r = frame_and_R(two_primary_model(d), point, CTX, 9)
+        with CTX.guard():
+            return mpmath.fabs(wick_oracle(edge_tail_data(r), 4, ctx=CTX))
 
 
 class TestSharedVertexCache:
@@ -334,12 +362,158 @@ class TestSeriesProductPruning:
             return kept
 
         monkeypatch.setattr(Caps, "keep", counting)
-        w = wick_oracle(rep.data, 3, ctx=CTX)
+        w = wick_oracle_layers(rep.data, 3, ctx=CTX)
         # the weighted bound stops each inner loop of a product before the
         # pairs it would reject, so almost every formed pair is kept
         assert verdicts.count(False) == 5
         assert verdicts.count(True) == 2400
         assert rel_err(w, rep.value) < TIGHT
+
+
+def _perfect_matchings(factors):
+    """Every way to split the list ``factors`` into unordered pairs."""
+    if not factors:
+        yield []
+        return
+    first, rest = factors[0], factors[1:]
+    for p, partner in enumerate(rest):
+        for tail in _perfect_matchings(rest[:p] + rest[p + 1:]):
+            yield [(first, partner)] + tail
+
+
+def _matching_sum(mono, cov):
+    """Isserlis's theorem term by term: the covariance product of every
+    perfect matching of the factors of ``mono``, summed."""
+    total = Fraction(0)
+    for matching in _perfect_matchings(list(mono)):
+        term = Fraction(1)
+        for u, v in matching:
+            term *= cov.get(min(u, v), {}).get(max(u, v), 0)
+        total += term
+    return total
+
+
+@st.composite
+def moment_problems(draw):
+    """A symmetric Fraction covariance on up to four slots, as its upper
+    triangle with zeros left out, and a sorted monomial of degree at most 8
+    in those slots."""
+    n = draw(st.integers(1, 4))
+    entries = st.fractions(-5, 5, max_denominator=7)
+    cov = {}
+    for u in range(n):
+        for v in range(u, n):
+            c = draw(entries)
+            if c:
+                cov.setdefault(u, {})[v] = c
+    mono = tuple(sorted(draw(st.lists(st.integers(0, n - 1), max_size=8))))
+    return cov, mono
+
+
+class TestWickExpansion:
+    """The Wick oracle as a graded exponential and an Isserlis contraction,
+    against the layer-by-layer propagator expansion it replaced."""
+
+    @pytest.mark.parametrize(
+        "g, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1)]
+    )
+    def test_matches_layered_expansion_exactly(self, g, n):
+        data = synthetic_data(n, g, seed=800 + 10 * g + n)
+        value = wick_oracle(data, g)
+        assert isinstance(value, Fraction)
+        assert value == wick_oracle_layers(data, g)
+
+    @pytest.mark.parametrize("g", [3, 4])
+    @pytest.mark.parametrize("d", [Fraction(1, 2), Fraction(3, 2)])
+    def test_matches_layered_expansion_two_primary(self, d, g):
+        _, r = frame_and_R(two_primary_model(d), (Fraction(2, 7), Fraction(3, 5)), CTX, 3 * g - 3)
+        data = edge_tail_data(r)
+        value = wick_oracle(data, g, ctx=CTX)
+        assert rel_err(value, wick_oracle_layers(data, g, ctx=CTX)) < mpmath.mpf("1e-70")
+
+    def test_counts_with_and_without_the_graph_sum_table(self, monkeypatch):
+        model = two_primary_model(Fraction(1, 2))
+        rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
+        calls, memos = [], []
+        correlator, moment = genus_module.vertex_correlator, genus_module.gaussian_moment
+
+        def counting(g_v, ks, tails, delta, table=None):
+            calls.append((g_v, tuple(ks), id(tails)))
+            return correlator(g_v, ks, tails, delta, table=table)
+
+        def spying(mono, cov, memo):
+            if not any(m is memo for m in memos):
+                memos.append(memo)
+            return moment(mono, cov, memo)
+
+        monkeypatch.setattr(genus_module, "vertex_correlator", counting)
+        monkeypatch.setattr(genus_module, "gaussian_moment", spying)
+        assert len(rep.vertex_cache) == 114
+        shared = wick_oracle(rep.data, 3, ctx=CTX, vertex_cache=rep.vertex_cache)
+        # the graph sum already holds 114 of the oracle's 116 correlators
+        assert len(calls) == 2
+        assert len(rep.vertex_cache) == 116
+        calls.clear()
+        alone = wick_oracle(rep.data, 3, ctx=CTX)
+        assert len(calls) == len(set(calls)) == 116
+        # one memo per call, holding every even monomial reached
+        assert [len(m) for m in memos] == [251, 251]
+        assert shared == alone
+        assert rel_err(shared, rep.value) < TIGHT
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(moment_problems())
+    def test_contraction_is_the_sum_over_perfect_matchings(self, problem):
+        cov, mono = problem
+        memo = {}
+        got = gaussian_moment(mono, cov, memo)
+        assert got == _matching_sum(mono, cov)
+        if len(mono) % 2:
+            assert got == 0 and not memo
+        # every memoized moment is a moment of its own monomial
+        for sub, value in memo.items():
+            assert sub and len(sub) % 2 == 0
+            assert value == _matching_sum(sub, cov)
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]),
+        st.integers(0, 10 ** 6),
+    )
+    def test_graded_exp_is_the_series_exp(self, shape, seed):
+        g, n = shape
+        layers = _log_tau_layers(synthetic_data(n, g, seed), g, None, {})
+        slots = n * (3 * g - 3)
+        names = ("h",) + tuple(f"q{s}" for s in range(slots))
+        grading = dict.fromkeys(names, 1)
+        grading["h"] = 2
+        caps = Caps.box(
+            names, mins={"h": -(2 * g - 2)}, maxs={"h": g - 1}, weighted=[(grading, 2 * g - 2)]
+        )
+
+        def exponents(d, mono):
+            key = [(d - len(mono)) // 2] + [0] * slots
+            for s in mono:
+                key[1 + s] += 1
+            return tuple(key)
+
+        def as_series(parts):
+            return {exponents(d, m): c for d, part in enumerate(parts) for m, c in part.items()}
+
+        log_tau = TruncatedSeries(caps, as_series(layers))
+        assert len(log_tau.c) == sum(1 for part in layers for c in part.values() if c)
+        assert as_series(_graded_exp(layers)) == log_tau.exp().c
+
+    def test_shared_table_is_sound(self):
+        data = synthetic_data(2, 3, seed=321)
+        report = graph_sum(data, 3)
+        shared = wick_oracle(data, 3, vertex_cache=report.vertex_cache)
+        assert shared == wick_oracle(data, 3)
+        assert shared == report.value
+        for (g_v, i, ks), value in report.vertex_cache.items():
+            fresh = vertex_correlator(g_v, ks, data.t[i], data.delta[i])
+            assert (0 if value is None else value) == fresh
+            assert (value is None) == (fresh == 0)
 
 
 class TestGenusReport:

@@ -276,6 +276,7 @@ def _cmd_genus(args):
         "genus": args.g,
         "point": [format_rational(x) for x in point],
         "F_g": format_value(ctx.chop(report.value), ctx),
+        # one entry per skeleton, its decorated graphs summed
         "graphs": {
             k: format_value(ctx.chop(v), ctx)
             for k, v in sorted(report.contribution_map().items())
@@ -343,6 +344,7 @@ def _cmd_descendent(args):
         "critical_point": [format_value(ctx.chop(x), ctx) for x in frame_data.critical],
         "criticality_residual": format_value(frame_data.criticality_residual, ctx),
         "F_g": format_value(ctx.chop(report.value), ctx),
+        # one entry per skeleton, its decorated graphs summed
         "graphs": {
             k: format_value(ctx.chop(v), ctx)
             for k, v in sorted(report.contribution_map().items())

@@ -10,9 +10,16 @@ summed over half-edge psi-powers (k, l).  The per-vertex power budget
 3 g_v - 3 + valence bounds every sum, so the whole expression is a finite
 rational combination of the V/T/Delta tables.
 
-:func:`evaluate_graph` sums one graph edge by edge along its memoized
-:func:`edge_plan`, so assignments that leave the same powers at the
-still-open vertices share one sum over the remaining edges.
+No decorated graph is built.  By orbit-stabilizer the decorated graphs of
+one skeleton (``graphs.skeletons``) add up to the sum over all N^|V|
+labelings of its vertices, divided by |Aut(skeleton)|, and
+:func:`skeleton_sum` evaluates that in one walk over the skeleton's edges,
+in the order of its memoized :func:`walk_plan`.  A vertex gets its index
+when the walk first reaches it and is multiplied in once its last
+half-edge has a power.  The sum over the remaining edges is memoized on
+the edge reached and the (index, sorted powers) of every still-open
+vertex; a closed vertex drops out of that key, so labelings and power
+assignments that differ only at closed vertices share one suffix sum.
 
 ``wick_oracle`` evaluates the same quantity without enumerating graphs: it
 truncates each vertex generating function log tau(hbar Delta_i; Q^i) around
@@ -55,15 +62,16 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from math import factorial
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 
 from .expressions import t_names
 from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
-from .graphs import StableGraph, enumerate_graphs
+from .graphs import Skeleton, skeletons
 from .intersection import IntersectionTable, _ascending_tuples, vertex_correlator
 from .rmatrix import (
     EdgeTailData,
@@ -78,34 +86,44 @@ from .scalars import FloatContext
 from .series import Caps, TruncatedSeries
 
 
-class EdgePlan(NamedTuple):
-    """The order in which :func:`evaluate_graph` assigns a graph's edges.
+class WalkPlan(NamedTuple):
+    """The order in which :func:`skeleton_sum` walks a skeleton's edges.
 
-    ``edges`` lists (v, w) once per parallel edge in ``edge_list()`` order;
+    ``edges`` lists (v, w) once per parallel edge; ``opens[e]`` are the
+    vertices that edge e reaches first, whose index the walk chooses there;
     ``closes[e]`` are the vertices whose last half-edge is edge e and
     ``still_open[e]`` those with a half-edge at or before e and one after
     it.  ``caps`` are the psi caps and ``reach`` the largest joint budget
     k + l any edge can ask of V."""
 
     edges: Tuple[Tuple[int, int], ...]
+    opens: Tuple[Tuple[int, ...], ...]
     closes: Tuple[Tuple[int, ...], ...]
     still_open: Tuple[Tuple[int, ...], ...]
     caps: Tuple[int, ...]
     reach: int
 
 
-@cache
-def edge_plan(graph: StableGraph) -> EdgePlan:
-    """The :class:`EdgePlan` of ``graph``, built once per graph."""
-    edges = tuple((v, w) for v, w, mult in graph.edge_list() for _ in range(mult))
+def _plan(sk: Skeleton, order: Sequence[int]) -> WalkPlan:
+    """The walk that places the vertices in ``order``: each vertex brings
+    its edges to the vertices placed before it, then its loops."""
+    adj = sk.adjacency
+    edges: List[Tuple[int, int]] = []
+    for pos, x in enumerate(order):
+        for y in order[:pos]:
+            edges.extend([(y, x)] * adj[y][x])
+        edges.extend([(x, x)] * adj[x][x])
     first, last = {}, {}
     for e, (v, w) in enumerate(edges):
         for x in (v, w):
             first.setdefault(x, e)
             last[x] = e
-    caps = tuple(graph.psi_cap(v) for v in range(graph.num_vertices()))
-    return EdgePlan(
-        edges=edges,
+    caps = tuple(sk.psi_cap(v) for v in range(len(sk.genera)))
+    return WalkPlan(
+        edges=tuple(edges),
+        opens=tuple(
+            tuple(x for x in sorted({v, w}) if first[x] == e) for e, (v, w) in enumerate(edges)
+        ),
         closes=tuple(
             tuple(x for x in sorted({v, w}) if last[x] == e) for e, (v, w) in enumerate(edges)
         ),
@@ -118,95 +136,146 @@ def edge_plan(graph: StableGraph) -> EdgePlan:
     )
 
 
-def evaluate_graph(
-    graph: StableGraph,
-    data: EdgeTailData,
-    table: Optional[IntersectionTable] = None,
-    ctx: Optional[FloatContext] = None,
-    vertex_cache: Optional[dict] = None,
-    edge_weights: Optional[dict] = None,
-):
-    """Contribution of one graph: the half-edge power sum divided by |Aut|.
+def _plan_cost(plan: WalkPlan) -> int:
+    """Sum over edges of prod over the still-open vertices of 2 (cap + 1):
+    an estimate of the states the walk memoizes, counting two indices and
+    cap + 1 power sums per still-open vertex."""
+    total = 0
+    for group in plan.still_open:
+        states = 1
+        for x in group:
+            states *= 2 * (plan.caps[x] + 1)
+        total += states
+    return total
 
-    The powers are assigned edge by edge in the order of :func:`edge_plan`.
-    A vertex is multiplied in as soon as its last half-edge has a power, so
-    a vanishing vertex drops every assignment of the later edges; the sum
-    over the later edges depends only on the edge reached and the powers
-    already at each still-open vertex, and is computed once per such state.
+
+@cache
+def walk_plan(sk: Skeleton) -> WalkPlan:
+    """The :class:`WalkPlan` of ``sk``, built once per skeleton.
+
+    From every start vertex a greedy order appends the unplaced vertex with
+    the most edges into the placed ones (the lowest on ties); the order
+    whose plan has the least :func:`_plan_cost` is kept."""
+    adj = sk.adjacency
+    n = len(sk.genera)
+    best = None
+    for start in range(n):
+        order = [start]
+        while len(order) < n:
+            order.append(max(
+                (y for y in range(n) if y not in order),
+                key=lambda y: (sum(adj[x][y] for x in order), -y),
+            ))
+        plan = _plan(sk, order)
+        if best is None or _plan_cost(plan) < _plan_cost(best):
+            best = plan
+    return best
+
+
+def skeleton_sum(
+    sk: Skeleton,
+    data: EdgeTailData,
+    table: Optional[IntersectionTable],
+    vertex_cache: dict,
+    edge_weights: dict,
+):
+    """Contribution of one skeleton: the sum over every labeling of its
+    vertices by the ``data.dimension`` canonical indices and every half-edge
+    power assignment, divided by |Aut(skeleton)|.
+
+    By orbit-stabilizer this is the sum of the decorated graphs with this
+    skeleton, each over its own |Aut|.  The walk follows
+    :func:`walk_plan`: a vertex gets its index when the walk first reaches
+    it and is multiplied in once its last half-edge has a power, so a
+    vanishing vertex drops every later assignment.  The sum over the later
+    edges depends only on the edge reached and the (index, powers) of each
+    still-open vertex, and is computed once per such state; labelings that
+    differ only at closed vertices share it.
 
     ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
-    correlator on ``data``, or to None where it vanishes; ``edge_weights``
-    is :func:`edge_weight_table` of ``data``.  A sum over many graphs passes
-    one of each to all of them, so each distinct vertex and edge weight is
-    evaluated once; either is built here when not given."""
-    plan = edge_plan(graph)
+    correlator on ``data``, or to None where it vanishes, and is extended
+    here; ``edge_weights`` is :func:`edge_weight_table` of ``data``."""
+    plan = walk_plan(sk)
     if plan.reach > data.v_cutoff:
         raise ValueError(
             f"edge coefficients known to order {data.v_cutoff}, need {plan.reach}"
         )
-    if vertex_cache is None:
-        vertex_cache = {}
-    edges, closes, still_open = plan.edges, plan.closes, plan.still_open
+    genera = sk.genera
+    edges, opens, closes, still_open = plan.edges, plan.opens, plan.closes, plan.still_open
     n_edges = len(edges)
-    index = [i_v for _, i_v in graph.vertices]
+    labels = range(data.dimension)
+    index = [0] * len(genera)
 
-    def vertex_value(v, ks):
-        g_v, i_v = graph.vertices[v]
-        key = (g_v, i_v, tuple(sorted(ks)))
+    def vertex_value(x, ks):
+        i_v = index[x]
+        key = (genera[x], i_v, tuple(sorted(ks)))
         if key not in vertex_cache:
-            val = vertex_correlator(g_v, key[2], data.t[i_v], data.delta[i_v], table=table)
+            val = vertex_correlator(genera[x], key[2], data.t[i_v], data.delta[i_v], table=table)
             vertex_cache[key] = None if val == 0 else val
         return vertex_cache[key]
 
-    ks_at: List[List[int]] = [[] for _ in index]
+    ks_at: List[List[int]] = [[] for _ in genera]
     budget = list(plan.caps)
     rests: dict = {}
 
     def rest(e):
-        # sum over the powers of edges e.. of their weights times the
-        # vertices they close; None when no term survives
+        # sum over the indices first reached at edge e and the powers of
+        # edges e.. of their weights times the vertices they close; None
+        # when no term survives
         v, w = edges[e]
-        rows = edge_weights[index[v], index[w]]
+        fresh = opens[e]
         closing = closes[e]
         opened = still_open[e] if e + 1 < n_edges else None
         acc = None
-        for k in range(budget[v] + 1):
-            budget[v] -= k
-            ks_at[v].append(k)
-            for l, term in rows[k]:
-                if l > budget[w]:
-                    break
-                budget[w] -= l
-                ks_at[w].append(l)
-                for x in closing:
-                    val = vertex_value(x, ks_at[x])
-                    if val is None:
-                        term = None
+        for chosen in product(labels, repeat=len(fresh)):
+            for x, i in zip(fresh, chosen):
+                index[x] = i
+            rows = edge_weights[index[v], index[w]]
+            for k in range(budget[v] + 1):
+                budget[v] -= k
+                ks_at[v].append(k)
+                for l, term in rows[k]:
+                    if l > budget[w]:
                         break
-                    term = term * val
-                if term is not None and opened is not None:
-                    key = (e,) + tuple(tuple(sorted(ks_at[x])) for x in opened)
-                    if key in rests:
-                        sub = rests[key]
-                    else:
-                        sub = rests[key] = rest(e + 1)
-                    term = None if sub is None else term * sub
-                if term is not None:
-                    acc = term if acc is None else acc + term
-                ks_at[w].pop()
-                budget[w] += l
-            ks_at[v].pop()
-            budget[v] += k
+                    budget[w] -= l
+                    ks_at[w].append(l)
+                    for x in closing:
+                        val = vertex_value(x, ks_at[x])
+                        if val is None:
+                            term = None
+                            break
+                        term = term * val
+                    if term is not None and opened is not None:
+                        key = (e,) + tuple((index[x], tuple(sorted(ks_at[x]))) for x in opened)
+                        if key in rests:
+                            sub = rests[key]
+                        else:
+                            sub = rests[key] = rest(e + 1)
+                        term = None if sub is None else term * sub
+                    if term is not None:
+                        acc = term if acc is None else acc + term
+                    ks_at[w].pop()
+                    budget[w] += l
+                ks_at[v].pop()
+                budget[v] += k
         return acc
 
-    with ctx.guard() if ctx is not None else nullcontext():
-        if edge_weights is None:
-            edge_weights = edge_weight_table(data)
-        # a connected graph without edges is a single vertex
-        total = rest(0) if n_edges else vertex_value(0, ())
-        if total is None:
-            return 0
-        return total / graph.aut if total else total
+    if n_edges:
+        total = rest(0)
+    else:
+        # a connected skeleton without edges is a single vertex
+        total = None
+        for i in labels:
+            index[0] = i
+            val = vertex_value(0, ())
+            if val is not None:
+                total = val if total is None else total + val
+    # rest refers to itself: dropping the name frees its memo now, not at
+    # the next cyclic collection
+    del rest
+    if total is None:
+        return 0
+    return total / sk.aut if total else total
 
 
 def edge_weight_table(data: EdgeTailData) -> dict:
@@ -231,21 +300,24 @@ def edge_weight_table(data: EdgeTailData) -> dict:
 
 @dataclass
 class GenusReport:
-    """Graph-sum result with its per-graph breakdown.
+    """Graph-sum result with its per-skeleton breakdown.
 
-    ``vertex_cache`` is the sum's table of vertex correlators on ``data``:
-    (g_v, i, sorted edge powers) maps to the correlator, or to None where
-    it vanishes.  :func:`wick_oracle` reads and extends it."""
+    ``contributions`` pairs every skeleton of genus ``genus`` with the sum
+    of its decorated graphs; :meth:`contribution_map` keys them by
+    :meth:`Skeleton.describe`.  ``vertex_cache`` is the sum's table of
+    vertex correlators on ``data``: (g_v, i, sorted edge powers) maps to
+    the correlator, or to None where it vanishes.  :func:`wick_oracle`
+    reads and extends it."""
 
     genus: int
     value: object
-    contributions: List[Tuple[StableGraph, object]]
+    contributions: List[Tuple[Skeleton, object]]
     data: EdgeTailData
     frame: Optional[CanonicalFrame] = None
     vertex_cache: dict = field(default_factory=dict)
 
     def contribution_map(self):
-        return {g.describe(): v for g, v in self.contributions}
+        return {sk.describe(): v for sk, v in self.contributions}
 
 
 def genus_potential(
@@ -320,21 +392,19 @@ def graph_sum(
     ctx: Optional[FloatContext] = None,
     frame=None,
 ) -> GenusReport:
-    """F^g from edge/tail data: every stable graph of genus g over
-    ``data.dimension`` indices, evaluated with one vertex cache and one edge
-    weight table shared by the whole sum.  Exact when ``data`` is rational
-    and ``ctx`` is None; ``frame`` is only passed through to the report."""
-    graph_list = enumerate_graphs(g, data.dimension)
+    """F^g from edge/tail data: every skeleton of genus g summed over all
+    labelings by ``data.dimension`` indices (:func:`skeleton_sum`), with one
+    vertex cache and one edge weight table shared by the whole sum.  Exact
+    when ``data`` is rational and ``ctx`` is None; ``frame`` is only passed
+    through to the report."""
     vertex_cache: dict = {}
     with ctx.guard() if ctx is not None else nullcontext():
         edge_weights = edge_weight_table(data)
         total = ctx.num(0) if ctx is not None else 0
         contributions = []
-        for graph in graph_list:
-            val = evaluate_graph(
-                graph, data, table, vertex_cache=vertex_cache, edge_weights=edge_weights
-            )
-            contributions.append((graph, val))
+        for sk in skeletons(g):
+            val = skeleton_sum(sk, data, table, vertex_cache, edge_weights)
+            contributions.append((sk, val))
             total = total + val
     return GenusReport(
         genus=g, value=total, contributions=contributions, data=data, frame=frame,

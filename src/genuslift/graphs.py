@@ -1,38 +1,34 @@
-"""Connected stable decorated graphs indexing the genus expansion.
+"""Stable-graph skeletons indexing the genus expansion.
 
-A graph carries a genus g_v >= 0 and a canonical index i_v on every vertex,
-plus an unordered edge multiset that may include loops and parallel edges.
-Stability is the single rule 2 g_v - 2 + valence(v) > 0 (loops count twice),
-which forces genus-0 vertices to have valence >= 3 and genus-1 vertices
-valence >= 1.  The total genus is sum(g_v) + b1.
+A stable graph carries a genus g_v >= 0 on every vertex plus an unordered
+edge multiset that may include loops and parallel edges.  Stability is the
+single rule 2 g_v - 2 + valence(v) > 0 (loops count twice), which forces
+genus-0 vertices to have valence >= 3 and genus-1 vertices valence >= 1.
+The total genus is sum(g_v) + b1.
 
-The list is built in two steps, each memoized for the life of the process
-and filled on first use.
+*Skeletons* (``skeletons(g)``) are these graphs without canonical indices,
+one per isomorphism class, memoized for the life of the process and built
+on first use.  Summing 2 g_v - 2 + valence(v) over vertices gives 2g - 2,
+so a genus-g skeleton has at most 2g - 2 vertices, and its vertex types
+(g_v, valence) are the ways of splitting 2g - 2 into per-vertex excesses
+>= 1.  For each sorted type sequence the adjacency matrices with exactly
+those valences are filled row by row, the connected ones kept, and
+duplicates removed by a canonical form that only permutes vertices of equal
+(genus, valence, loops) after colour refinement.  There are 7, 42 and 379
+skeletons of genus 2, 3 and 4.
 
-*Skeletons* (``skeletons(g)``) are the undecorated graphs: vertex genera and
-edges, no indices, one per isomorphism class.  Summing 2 g_v - 2 + valence(v)
-over vertices gives 2g - 2, so a genus-g skeleton has at most 2g - 2
-vertices, and its vertex types (g_v, valence) are the ways of splitting
-2g - 2 into per-vertex excesses >= 1.  For each sorted type sequence the
-adjacency matrices with exactly those valences are filled row by row, the
-connected ones kept, and duplicates removed by a canonical form that only
-permutes vertices of equal (genus, valence, loops) after colour refinement.
-There are 7, 42 and 379 skeletons of genus 2, 3 and 4.
-
-*Decorations* put an index from {0..N-1} on every vertex.  Two labelings of
-one skeleton give isomorphic graphs exactly when a vertex automorphism of
-the skeleton carries one to the other, so one labeling per orbit is kept.
-Its decorated automorphisms are the orbit's stabilizer, and
+The graph sum puts a canonical index from {0..N-1} on every vertex.  Its
+terms are indexed by the isomorphism classes of such decorated graphs, each
+weighted by 1 / |Aut|, with
 
     |Aut| = |Stab_V(labeling)| * prod_v 2^{loops_v} loops_v! * prod_{v<w} m_vw!
 
-matches the 1/2, 1/m! weights of the Wick expansion the graphs index.  By
-orbit-stabilizer, sum over decorated graphs of 1/|Aut| equals sum over
-skeletons of N^|V| / |Aut(skeleton)|.  Each decorated graph is stored in the
-canonical form of the index-aware enumeration it replaces: vertices sorted
-by (genus, index) and the row-major least adjacency among the vertex orders
-that keep them sorted; the list is sorted by (vertex count, vertices,
-adjacency).
+matching the 1/2, 1/m! weights of the Wick expansion.  Two labelings of one
+skeleton give isomorphic graphs exactly when a vertex automorphism of the
+skeleton carries one to the other, so by orbit-stabilizer the sum over the
+decorated graphs of one skeleton equals the sum over all N^|V| labelings
+divided by |Aut(skeleton)| = |automorphisms| * ``edge_aut``.  That is how
+:func:`genus.graph_sum` evaluates it; no decorated graph is built.
 """
 
 from __future__ import annotations
@@ -42,51 +38,6 @@ from functools import cache
 from itertools import combinations_with_replacement, groupby, permutations, product
 from math import factorial
 from typing import Iterator, List, Sequence, Tuple
-
-Vertex = Tuple[int, int]  # (genus, canonical index)
-
-
-@dataclass(frozen=True)
-class StableGraph:
-    genus: int
-    vertices: Tuple[Vertex, ...]
-    adjacency: Tuple[Tuple[int, ...], ...]  # symmetric multiplicity matrix
-    aut: int
-    b1: int
-
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    def num_edges(self) -> int:
-        n = len(self.vertices)
-        return sum(self.adjacency[v][w] for v in range(n) for w in range(v, n))
-
-    def valence(self, v: int) -> int:
-        row = self.adjacency[v]
-        return sum(row) + row[v]
-
-    def edge_list(self) -> List[Tuple[int, int, int]]:
-        """(v, w, multiplicity) with v <= w and multiplicity >= 1."""
-        n = len(self.vertices)
-        return [
-            (v, w, self.adjacency[v][w])
-            for v in range(n)
-            for w in range(v, n)
-            if self.adjacency[v][w]
-        ]
-
-    def psi_cap(self, v: int) -> int:
-        """Largest total psi-power the vertex correlator can absorb."""
-        g_v = self.vertices[v][0]
-        return 3 * g_v - 3 + self.valence(v)
-
-    def describe(self) -> str:
-        verts = " ".join(f"g{g}@{i}" for g, i in self.vertices)
-        edges = " ".join(
-            (f"{v}-{w}" if v != w else f"loop{v}") + (f"x{m}" if m > 1 else "")
-            for v, w, m in self.edge_list()
-        )
-        return f"[{verts}] {edges or 'no edges'} |Aut|={self.aut}"
 
 
 @dataclass(frozen=True)
@@ -102,31 +53,37 @@ class Skeleton:
     def aut(self) -> int:
         return len(self.automorphisms) * self.edge_aut
 
+    def edge_list(self) -> List[Tuple[int, int, int]]:
+        """(v, w, multiplicity) with v <= w and multiplicity >= 1."""
+        n = len(self.genera)
+        return [
+            (v, w, self.adjacency[v][w])
+            for v in range(n)
+            for w in range(v, n)
+            if self.adjacency[v][w]
+        ]
 
-def _check(g: int, n_indices: int = 1) -> None:
-    if g < 2:
-        raise ValueError("the graph expansion starts at genus 2")
-    if n_indices < 1:
-        raise ValueError("need at least one canonical index")
+    def psi_cap(self, v: int) -> int:
+        """Largest total psi-power the vertex correlator can absorb."""
+        row = self.adjacency[v]
+        return 3 * self.genera[v] - 3 + sum(row) + row[v]
+
+    def describe(self) -> str:
+        """Vertex genera, edges and |Aut|; distinct for distinct skeletons."""
+        verts = " ".join(f"g{g}" for g in self.genera)
+        edges = " ".join(
+            (f"{v}-{w}" if v != w else f"loop{v}") + (f"x{m}" if m > 1 else "")
+            for v, w, m in self.edge_list()
+        )
+        return f"[{verts}] {edges or 'no edges'} |Aut|={self.aut}"
 
 
 def skeletons(g: int) -> Tuple[Skeleton, ...]:
-    """The undecorated stable graphs of genus g, one per isomorphism class."""
-    _check(g)
+    """The undecorated stable graphs of genus g, one per isomorphism class,
+    by vertex count and then canonical form."""
+    if g < 2:
+        raise ValueError("the graph expansion starts at genus 2")
     return _skeletons(g)
-
-
-def enumerate_graphs(g: int, n_indices: int) -> List[StableGraph]:
-    """All isomorphism classes of connected stable graphs of total genus g
-    with canonical indices drawn from {0..n_indices-1}, in a deterministic
-    order: by vertex count, then sorted (genus, index) vertices, then
-    row-major adjacency.
-
-    Built from the memoized skeletons of genus g, one labeling per orbit of
-    each skeleton's vertex automorphisms; the decorated tuple is memoized
-    per (g, n_indices), and every call returns a fresh list."""
-    _check(g, n_indices)
-    return list(_decorated(g, n_indices))
 
 
 # -- skeletons ---------------------------------------------------------------------
@@ -282,33 +239,3 @@ def _skeleton(genera: Tuple[int, ...], form: Tuple[int, ...], colors) -> Skeleto
         if all(adj[p[a]][p[b]] == adj[a][b] for a in range(n) for b in range(a, n))
     )
     return Skeleton(genera=genera, adjacency=adj, automorphisms=autos, edge_aut=_edge_aut(adj, n))
-
-
-# -- decorations -------------------------------------------------------------------
-
-
-@cache
-def _decorated(g: int, n_indices: int) -> Tuple[StableGraph, ...]:
-    found = []
-    for sk in _skeletons(g):
-        n = len(sk.genera)
-        adj = sk.adjacency
-        b1 = sum(adj[v][w] for v in range(n) for w in range(v, n)) - n + 1
-        for labels in product(range(n_indices), repeat=n):
-            images = [tuple(labels[p[v]] for v in range(n)) for p in sk.automorphisms]
-            if min(images) != labels:
-                continue  # not the least labeling of its orbit
-            stab = sum(1 for im in images if im == labels)
-            verts = [(sk.genera[v], labels[v]) for v in range(n)]
-            cells = _cells(verts)
-            found.append(
-                StableGraph(
-                    genus=g,
-                    vertices=tuple(verts[v] for v in sum(cells, [])),
-                    adjacency=_rows(_least_form(adj, cells), n),
-                    aut=stab * sk.edge_aut,
-                    b1=b1,
-                )
-            )
-    found.sort(key=lambda gr: (len(gr.vertices), gr.vertices, gr.adjacency))
-    return tuple(found)

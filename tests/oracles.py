@@ -12,8 +12,13 @@ library produces by another route:
   genus-1 one-form;
 * ``two_primary_genus2_reference``: the closed form of F^2 on the
   two-primary conformal family;
-* ``evaluate_graph_ordered``: one graph's contribution by a plain descent
-  over its half-edge powers, with no sharing between assignments;
+* decorated graphs: ``enumerate_graphs`` lists the stable graphs with a
+  canonical index on every vertex, one labeling per automorphism orbit of
+  each skeleton, and ``evaluate_graph`` sums one of them edge by edge with
+  memoized suffix sums; ``decorated_sum`` gives every graph's contribution.
+  The library sums each skeleton over all labelings at once instead;
+* ``evaluate_graph_ordered``: one decorated graph's contribution by a plain
+  descent over its half-edge powers, with no sharing between assignments;
 * ``wick_oracle_layers``: the Wick expansion of F^g as a capped series
   exponential followed by one propagator layer per order, each scaled by
   1/n!.
@@ -25,9 +30,12 @@ Test modules import it from their own directory (``from oracles import
 from __future__ import annotations
 
 from contextlib import nullcontext
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import factorial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import mpmath
 
@@ -42,7 +50,7 @@ from genuslift.descendent import (
 from genuslift.frame import CanonicalFrame
 from genuslift.frobenius import FrobeniusModel
 from genuslift.genus import edge_weight_table, genus1_one_form
-from genuslift.graphs import StableGraph
+from genuslift.graphs import Skeleton, _cells, _least_form, _rows, skeletons
 from genuslift.intersection import (
     IntersectionTable,
     _ascending_tuples,
@@ -314,6 +322,262 @@ def two_primary_genus2_reference(frame: CanonicalFrame):
         u = frame.u_values()
         delta = frame.delta_values()
         return ctx.num(poly / 2880) * delta[0] / (u[1] - u[0]) ** 3
+
+
+# -- decorated graphs -----------------------------------------------------------
+
+
+Vertex = Tuple[int, int]  # (genus, canonical index)
+
+
+@dataclass(frozen=True)
+class StableGraph:
+    """A connected stable graph with a canonical index on every vertex."""
+
+    genus: int
+    vertices: Tuple[Vertex, ...]
+    adjacency: Tuple[Tuple[int, ...], ...]  # symmetric multiplicity matrix
+    aut: int
+    b1: int
+
+    def num_vertices(self) -> int:
+        return len(self.vertices)
+
+    def num_edges(self) -> int:
+        n = len(self.vertices)
+        return sum(self.adjacency[v][w] for v in range(n) for w in range(v, n))
+
+    def valence(self, v: int) -> int:
+        row = self.adjacency[v]
+        return sum(row) + row[v]
+
+    def edge_list(self) -> List[Tuple[int, int, int]]:
+        """(v, w, multiplicity) with v <= w and multiplicity >= 1."""
+        n = len(self.vertices)
+        return [
+            (v, w, self.adjacency[v][w])
+            for v in range(n)
+            for w in range(v, n)
+            if self.adjacency[v][w]
+        ]
+
+    def psi_cap(self, v: int) -> int:
+        """Largest total psi-power the vertex correlator can absorb."""
+        g_v = self.vertices[v][0]
+        return 3 * g_v - 3 + self.valence(v)
+
+    def describe(self) -> str:
+        verts = " ".join(f"g{g}@{i}" for g, i in self.vertices)
+        edges = " ".join(
+            (f"{v}-{w}" if v != w else f"loop{v}") + (f"x{m}" if m > 1 else "")
+            for v, w, m in self.edge_list()
+        )
+        return f"[{verts}] {edges or 'no edges'} |Aut|={self.aut}"
+
+
+def enumerate_graphs(g: int, n_indices: int) -> List[StableGraph]:
+    """All isomorphism classes of connected stable graphs of total genus g
+    with canonical indices drawn from {0..n_indices-1}, in a deterministic
+    order: by vertex count, then sorted (genus, index) vertices, then
+    row-major adjacency.
+
+    Built from the memoized skeletons of genus g, one labeling per orbit of
+    each skeleton's vertex automorphisms; the decorated tuple is memoized
+    per (g, n_indices), and every call returns a fresh list."""
+    if g < 2:
+        raise ValueError("the graph expansion starts at genus 2")
+    if n_indices < 1:
+        raise ValueError("need at least one canonical index")
+    return list(_decorated(g, n_indices))
+
+
+def decorations(sk: Skeleton, n_indices: int) -> List[StableGraph]:
+    """The decorated graphs with skeleton ``sk``: one labeling per orbit of
+    its vertex automorphisms, each stored in the canonical form of
+    :func:`enumerate_graphs`.  Their automorphism group is the orbit's
+    stabilizer times the edge automorphisms of ``sk``."""
+    n = len(sk.genera)
+    adj = sk.adjacency
+    b1 = sum(adj[v][w] for v in range(n) for w in range(v, n)) - n + 1
+    found = []
+    for labels in product(range(n_indices), repeat=n):
+        images = [tuple(labels[p[v]] for v in range(n)) for p in sk.automorphisms]
+        if min(images) != labels:
+            continue  # not the least labeling of its orbit
+        stab = sum(1 for im in images if im == labels)
+        verts = [(sk.genera[v], labels[v]) for v in range(n)]
+        cells = _cells(verts)
+        found.append(
+            StableGraph(
+                genus=sum(sk.genera) + b1,
+                vertices=tuple(verts[v] for v in sum(cells, [])),
+                adjacency=_rows(_least_form(adj, cells), n),
+                aut=stab * sk.edge_aut,
+                b1=b1,
+            )
+        )
+    return found
+
+
+@cache
+def _decorated(g: int, n_indices: int) -> Tuple[StableGraph, ...]:
+    found = [gr for sk in skeletons(g) for gr in decorations(sk, n_indices)]
+    found.sort(key=lambda gr: (len(gr.vertices), gr.vertices, gr.adjacency))
+    return tuple(found)
+
+
+class EdgePlan(NamedTuple):
+    """The order in which :func:`evaluate_graph` assigns a graph's edges.
+
+    ``edges`` lists (v, w) once per parallel edge in ``edge_list()`` order;
+    ``closes[e]`` are the vertices whose last half-edge is edge e and
+    ``still_open[e]`` those with a half-edge at or before e and one after
+    it.  ``caps`` are the psi caps and ``reach`` the largest joint budget
+    k + l any edge can ask of V."""
+
+    edges: Tuple[Tuple[int, int], ...]
+    closes: Tuple[Tuple[int, ...], ...]
+    still_open: Tuple[Tuple[int, ...], ...]
+    caps: Tuple[int, ...]
+    reach: int
+
+
+@cache
+def edge_plan(graph: StableGraph) -> EdgePlan:
+    """The :class:`EdgePlan` of ``graph``, built once per graph."""
+    edges = tuple((v, w) for v, w, mult in graph.edge_list() for _ in range(mult))
+    first, last = {}, {}
+    for e, (v, w) in enumerate(edges):
+        for x in (v, w):
+            first.setdefault(x, e)
+            last[x] = e
+    caps = tuple(graph.psi_cap(v) for v in range(graph.num_vertices()))
+    return EdgePlan(
+        edges=edges,
+        closes=tuple(
+            tuple(x for x in sorted({v, w}) if last[x] == e) for e, (v, w) in enumerate(edges)
+        ),
+        still_open=tuple(
+            tuple(x for x in sorted(last) if first[x] <= e < last[x]) for e in range(len(edges))
+        ),
+        caps=caps,
+        # a loop draws both half-edges from one shared budget
+        reach=max((caps[v] if v == w else caps[v] + caps[w] for v, w in edges), default=0),
+    )
+
+
+def evaluate_graph(
+    graph: StableGraph,
+    data: EdgeTailData,
+    table: Optional[IntersectionTable] = None,
+    ctx: Optional[FloatContext] = None,
+    vertex_cache: Optional[dict] = None,
+    edge_weights: Optional[dict] = None,
+):
+    """Contribution of one decorated graph: the half-edge power sum divided
+    by |Aut|.
+
+    The powers are assigned edge by edge in the order of :func:`edge_plan`.
+    A vertex is multiplied in as soon as its last half-edge has a power, so
+    a vanishing vertex drops every assignment of the later edges; the sum
+    over the later edges depends only on the edge reached and the powers
+    already at each still-open vertex, and is computed once per such state.
+
+    ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
+    correlator on ``data``, or to None where it vanishes; ``edge_weights``
+    is :func:`edge_weight_table` of ``data``.  A sum over many graphs passes
+    one of each to all of them, so each distinct vertex and edge weight is
+    evaluated once; either is built here when not given."""
+    plan = edge_plan(graph)
+    if plan.reach > data.v_cutoff:
+        raise ValueError(
+            f"edge coefficients known to order {data.v_cutoff}, need {plan.reach}"
+        )
+    if vertex_cache is None:
+        vertex_cache = {}
+    edges, closes, still_open = plan.edges, plan.closes, plan.still_open
+    n_edges = len(edges)
+    index = [i_v for _, i_v in graph.vertices]
+
+    def vertex_value(v, ks):
+        g_v, i_v = graph.vertices[v]
+        key = (g_v, i_v, tuple(sorted(ks)))
+        if key not in vertex_cache:
+            val = vertex_correlator(g_v, key[2], data.t[i_v], data.delta[i_v], table=table)
+            vertex_cache[key] = None if val == 0 else val
+        return vertex_cache[key]
+
+    ks_at: List[List[int]] = [[] for _ in index]
+    budget = list(plan.caps)
+    rests: dict = {}
+
+    def rest(e):
+        # sum over the powers of edges e.. of their weights times the
+        # vertices they close; None when no term survives
+        v, w = edges[e]
+        rows = edge_weights[index[v], index[w]]
+        closing = closes[e]
+        opened = still_open[e] if e + 1 < n_edges else None
+        acc = None
+        for k in range(budget[v] + 1):
+            budget[v] -= k
+            ks_at[v].append(k)
+            for l, term in rows[k]:
+                if l > budget[w]:
+                    break
+                budget[w] -= l
+                ks_at[w].append(l)
+                for x in closing:
+                    val = vertex_value(x, ks_at[x])
+                    if val is None:
+                        term = None
+                        break
+                    term = term * val
+                if term is not None and opened is not None:
+                    key = (e,) + tuple(tuple(sorted(ks_at[x])) for x in opened)
+                    if key in rests:
+                        sub = rests[key]
+                    else:
+                        sub = rests[key] = rest(e + 1)
+                    term = None if sub is None else term * sub
+                if term is not None:
+                    acc = term if acc is None else acc + term
+                ks_at[w].pop()
+                budget[w] += l
+            ks_at[v].pop()
+            budget[v] += k
+        return acc
+
+    with ctx.guard() if ctx is not None else nullcontext():
+        if edge_weights is None:
+            edge_weights = edge_weight_table(data)
+        # a connected graph without edges is a single vertex
+        total = rest(0) if n_edges else vertex_value(0, ())
+        if total is None:
+            return 0
+        return total / graph.aut if total else total
+
+
+def decorated_sum(
+    data: EdgeTailData,
+    g: int,
+    table: Optional[IntersectionTable] = None,
+    ctx: Optional[FloatContext] = None,
+    vertex_cache: Optional[dict] = None,
+) -> List[Tuple[StableGraph, object]]:
+    """Every decorated graph of genus g over ``data.dimension`` indices with
+    its :func:`evaluate_graph` contribution, one vertex cache and one edge
+    weight table shared by all of them."""
+    if vertex_cache is None:
+        vertex_cache = {}
+    with ctx.guard() if ctx is not None else nullcontext():
+        edge_weights = edge_weight_table(data)
+        return [
+            (graph, evaluate_graph(
+                graph, data, table, vertex_cache=vertex_cache, edge_weights=edge_weights
+            ))
+            for graph in enumerate_graphs(g, data.dimension)
+        ]
 
 
 # -- one graph, leaf by leaf ------------------------------------------------------

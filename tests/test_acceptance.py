@@ -43,18 +43,21 @@ from genuslift.expressions import Expression
 from genuslift.frame import canonical_frame
 from genuslift.frobenius import FrobeniusModel, point_model, threefold_cusp_model, two_primary_model
 from genuslift.genus import (
-    evaluate_graph,
     genus1_closedness_residual,
     genus1_one_form,
     genus_potential,
     wick_oracle,
 )
-from genuslift.graphs import enumerate_graphs
 from genuslift.hodge import HodgeParameters, HodgeTruncation, hodge_lambda, hodge_lemma_residual
 from genuslift.intersection import IntersectionTable, psi_intersection
 from genuslift.rmatrix import EdgeTailData, compute_R, twist_R, unitarity_residual
 from genuslift.scalars import FloatContext
-from oracles import point_descendent_reference, two_primary_genus2_reference
+from oracles import (
+    enumerate_graphs,
+    evaluate_graph,
+    point_descendent_reference,
+    two_primary_genus2_reference,
+)
 
 CTX = FloatContext(256)
 

@@ -17,6 +17,7 @@ import pytest
 from genuslift import FloatContext, point_model, two_primary_model
 from genuslift import cli, rmatrix
 from genuslift.cli import run_command
+from genuslift.graphs import skeletons
 
 CTX = FloatContext(256)
 
@@ -276,7 +277,14 @@ class TestGenusCommands:
         with CTX.guard():
             assert mpmath.fabs(mpmath.mpmathify(doc["F_g"])) < mpmath.mpf("1e-60")
             assert mpmath.mpf(doc["residual"]) < mpmath.mpf("1e-60")
-        assert len(doc["graphs"]) == 19
+        # one entry per skeleton, keyed by its description
+        assert len(doc["graphs"]) == 7
+        assert set(doc["graphs"]) == {sk.describe() for sk in skeletons(2)}
+        with CTX.guard():
+            entries = [mpmath.mpmathify(v) for v in doc["graphs"].values()]
+            largest = max(mpmath.fabs(v) for v in entries)
+            gap = mpmath.fabs(mpmath.fsum(entries) - mpmath.mpmathify(doc["F_g"]))
+            assert gap < mpmath.mpf("1e-70") * largest
 
     def test_genus2_nonvanishing_value(self):
         code, doc = run_json(

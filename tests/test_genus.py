@@ -23,6 +23,7 @@ dDelta_i/(48 Delta_i)].  For the exponential two-primary model (d = 1) the
 components are exactly (0, -1/24), which also pins the quadrature helper.
 """
 
+import gc
 import random
 from fractions import Fraction
 from functools import cache
@@ -44,22 +45,27 @@ from genuslift import genus as genus_module
 from genuslift.genus import (
     _graded_exp,
     _log_tau_layers,
-    edge_plan,
-    evaluate_graph,
     frame_and_R,
     gaussian_moment,
     genus_potential,
     genus1_closedness_residual,
     genus1_one_form,
     graph_sum,
+    walk_plan,
     wick_oracle,
 )
-from genuslift.graphs import enumerate_graphs
+from genuslift.graphs import skeletons
 from genuslift.intersection import vertex_correlator
 from genuslift.rmatrix import EdgeTailData, edge_tail_data
 from genuslift.scalars import FloatContext
 from genuslift.series import Caps, TruncatedSeries
+import oracles
 from oracles import (
+    decorated_sum,
+    decorations,
+    edge_plan,
+    enumerate_graphs,
+    evaluate_graph,
     evaluate_graph_ordered,
     genus1_difference_quadrature,
     two_primary_genus2_reference,
@@ -227,22 +233,33 @@ class TestOracleAgreement:
             assert mpmath.fabs(w - rep.value) < TIGHT
 
 
+@cache
+def ordered_contributions(g, n):
+    """Synthetic data for (g, n) and every decorated graph with its
+    contribution by the plain leaf-by-leaf descent."""
+    data = synthetic_data(n, g, seed=700 + 10 * g + n)
+    return data, [(graph, evaluate_graph_ordered(graph, data)) for graph in enumerate_graphs(g, n)]
+
+
 class TestEdgeOrderSum:
+    """The edge-by-edge decorated-graph oracle against the plain descent."""
+
     @pytest.mark.parametrize(
         "g, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1)]
     )
     def test_matches_ordered_descent_exactly(self, g, n):
-        data = synthetic_data(n, g, seed=700 + 10 * g + n)
-        report = graph_sum(data, g)
-        for graph, val in report.contributions:
-            assert val == evaluate_graph_ordered(graph, data)
+        data, ordered = ordered_contributions(g, n)
+        want = dict(ordered)
+        for graph, val in decorated_sum(data, g):
+            assert val == want[graph]
 
     def test_matches_ordered_descent_two_primary(self):
         model = two_primary_model(Fraction(1, 2))
         rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
+        decorated = decorated_sum(rep.data, 3, ctx=CTX)
         with CTX.guard():
-            largest = max(mpmath.fabs(v) for _, v in rep.contributions)
-            for graph, val in rep.contributions:
+            largest = max(mpmath.fabs(v) for _, v in decorated)
+            for graph, val in decorated:
                 ordered = evaluate_graph_ordered(graph, rep.data)
                 assert mpmath.fabs(val - ordered) < mpmath.mpf("1e-70") * largest
 
@@ -264,11 +281,112 @@ class TestEdgeOrderSum:
                 assert set(plan.still_open[e]) == earlier & later
 
 
+def relabel(data, perm):
+    """``data`` with canonical index i renamed perm.index(i): index i of the
+    result carries the Delta, sqrt(Delta), T and V entries of perm[i]."""
+    return EdgeTailData(
+        dimension=data.dimension,
+        delta=[data.delta[p] for p in perm],
+        sqrt_delta=[data.sqrt_delta[p] for p in perm],
+        v={(i, j, k, l): data.v[perm[i], perm[j], k, l] for i, j, k, l in data.v},
+        t=[data.t[p] for p in perm],
+        v_cutoff=data.v_cutoff,
+        t_cutoff=data.t_cutoff,
+    )
+
+
+@st.composite
+def relabeled_data(draw):
+    """Random synthetic tables for g = 2, 3 and N = 1..3, and the same
+    tables under a random permutation of the canonical indices."""
+    g = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    data = synthetic_data(n, g, draw(st.integers(0, 10 ** 6)))
+    return g, data, relabel(data, draw(st.permutations(range(n))))
+
+
+class TestSkeletonSum:
+    """Each skeleton summed over all labelings at once, against the sum of
+    its decorated graphs."""
+
+    @pytest.mark.parametrize(
+        "g, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1)]
+    )
+    def test_each_skeleton_is_the_sum_of_its_decorations(self, g, n):
+        data, ordered = ordered_contributions(g, n)
+        by_graph = dict(ordered)
+        report = graph_sum(data, g)
+        assert [sk for sk, _ in report.contributions] == list(skeletons(g))
+        seen = 0
+        for sk, val in report.contributions:
+            graphs = decorations(sk, n)
+            seen += len(graphs)
+            assert isinstance(val, (int, Fraction))
+            assert val == sum(by_graph[graph] for graph in graphs)
+        assert seen == len(ordered)
+        assert report.value == wick_oracle(data, g)
+
+    def test_matches_decorated_sum_two_primary(self):
+        model = two_primary_model(Fraction(1, 2))
+        rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
+        by_graph = dict(decorated_sum(rep.data, 3, ctx=CTX))
+        with CTX.guard():
+            largest = max(mpmath.fabs(v) for v in by_graph.values())
+            for sk, val in rep.contributions:
+                want = sum(by_graph[graph] for graph in decorations(sk, 2))
+                assert mpmath.fabs(val - want) < mpmath.mpf("1e-70") * largest
+
+    def test_sum_leaves_no_cyclic_garbage(self):
+        # each skeleton's recursive walk is freed by reference counting, so
+        # its memo does not wait for the cyclic collector
+        data = synthetic_data(2, 3, seed=5)
+        graph_sum(data, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            graph_sum(data, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(relabeled_data())
+    def test_relabeling_leaves_every_skeleton_unchanged(self, problem):
+        g, data, permuted = problem
+        base, other = graph_sum(data, g), graph_sum(permuted, g)
+        assert other.value == base.value
+        assert other.contributions == base.contributions
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_walk_opens_and_closes_every_vertex_once(self, g):
+        for sk in skeletons(g):
+            plan = walk_plan(sk)
+            assert plan is walk_plan(sk)
+            n = len(sk.genera)
+            # every edge once, however the walk orients it
+            assert sorted(tuple(sorted(e)) for e in plan.edges) == [
+                (v, w) for v, w, m in sk.edge_list() for _ in range(m)
+            ]
+            if not plan.edges:
+                assert n == 1
+                continue
+            opened = [x for group in plan.opens for x in group]
+            closed = [x for group in plan.closes for x in group]
+            assert sorted(opened) == sorted(closed) == list(range(n))
+            for e, (v, w) in enumerate(plan.edges):
+                later = {x for pair in plan.edges[e + 1:] for x in pair}
+                earlier = {x for pair in plan.edges[:e] for x in pair}
+                assert set(plan.opens[e]) == {v, w} - earlier
+                assert set(plan.closes[e]) == {v, w} - later
+                assert set(plan.still_open[e]) == (earlier | {v, w}) & later
+
+
 class TestExactZeros:
     """F^3 and F^4 vanish on QH(P^1) (d = 1) and on A_2 (d = 1/3): the
     primary dimension count allows no invariant of genus >= 2, so the
     genus-3 graph sum must cancel down to rounding noise against its
-    largest graph, and the genus-4 Wick expansion against F^4 of d = 1/2."""
+    largest decorated graph, and the genus-4 graph sum and Wick expansion
+    against F^4 of d = 1/2."""
 
     @pytest.mark.parametrize(
         "point", [(Fraction(2, 7), Fraction(3, 5)), (Fraction(-1, 3), Fraction(7, 9))]
@@ -284,8 +402,10 @@ class TestExactZeros:
     @staticmethod
     def ratio(d, point):
         rep = genus_potential(two_primary_model(d), point, 3, CTX)
+        # the scale is the largest decorated graph, not the largest skeleton
+        decorated = decorated_sum(rep.data, 3, ctx=CTX, vertex_cache=rep.vertex_cache)
         with CTX.guard():
-            largest = max(mpmath.fabs(v) for _, v in rep.contributions)
+            largest = max(mpmath.fabs(v) for _, v in decorated)
             return mpmath.fabs(rep.value) / largest
 
     @pytest.mark.parametrize(
@@ -300,12 +420,28 @@ class TestExactZeros:
             assert control > mpmath.mpf("1e-8")
             assert self.wick_genus4(d, point) < mpmath.mpf("1e-60") * control
 
+    @pytest.mark.parametrize(
+        "point", [(Fraction(2, 7), Fraction(3, 5)), (Fraction(-1, 3), Fraction(7, 9))]
+    )
+    @pytest.mark.parametrize("d", [Fraction(1), Fraction(1, 3)])
+    def test_genus4_graph_sum_cancels(self, d, point):
+        # the whole chain through the graph sum, against the same gate
+        with CTX.guard():
+            control = self.wick_genus4(Fraction(1, 2), point)
+            value = mpmath.fabs(graph_sum(self.data_genus4(d, point), 4, ctx=CTX).value)
+            assert value < mpmath.mpf("1e-60") * control
+
     @staticmethod
     @cache
-    def wick_genus4(d, point):
+    def data_genus4(d, point):
         _, r = frame_and_R(two_primary_model(d), point, CTX, 9)
+        return edge_tail_data(r)
+
+    @classmethod
+    @cache
+    def wick_genus4(cls, d, point):
         with CTX.guard():
-            return mpmath.fabs(wick_oracle(edge_tail_data(r), 4, ctx=CTX))
+            return mpmath.fabs(wick_oracle(cls.data_genus4(d, point), 4, ctx=CTX))
 
 
 class TestSharedVertexCache:
@@ -318,13 +454,17 @@ class TestSharedVertexCache:
             return original(g_v, ks, tails, delta, table=table)
 
         monkeypatch.setattr(genus_module, "vertex_correlator", counting)
+        monkeypatch.setattr(oracles, "vertex_correlator", counting)
         model = two_primary_model(Fraction(1, 2))
         rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
-        # one call per distinct (g_v, i_v, edge powers) over all 271 graphs
+        # one call per distinct (g_v, i_v, edge powers) over all 42 skeletons
         assert len(calls) == len(set(calls)) == 114
+        decorated = decorated_sum(rep.data, 3, ctx=CTX, vertex_cache=dict(rep.vertex_cache))
+        # the 271 decorated graphs reach no vertex the skeletons did not
+        assert len(calls) == 114
         calls.clear()
         with CTX.guard():
-            for graph, val in rep.contributions:
+            for graph, val in decorated:
                 assert evaluate_graph(graph, rep.data) == val
         # a cache per graph evaluates the same vertices over and over
         assert len(calls) == 1206
@@ -344,7 +484,7 @@ class TestSharedVertexCache:
         monkeypatch.setattr(EdgeTailData, "v_entry", counting)
         again = graph_sum(rep.data, 3, ctx=CTX)
         # one table entry per (i, j) and k + l <= v_cutoff = 5, shared by
-        # all 271 graphs
+        # all 42 skeletons
         assert len(calls) == len(set(calls)) == 4 * 21
         assert again.value == rep.value
 
@@ -521,7 +661,7 @@ class TestGenusReport:
         model = two_primary_model(Fraction(1, 2))
         rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 2, CTX)
         assert rep.genus == 2
-        assert len(rep.contributions) == len(enumerate_graphs(2, 2))
+        assert [sk for sk, _ in rep.contributions] == list(skeletons(2))
         with CTX.guard():
             total = CTX.num(0)
             for _, val in rep.contributions:
@@ -596,12 +736,9 @@ class TestValidation:
             v_cutoff=1,
             t_cutoff=data.t_cutoff,
         )
-        loop_graph = next(
-            g for g in enumerate_graphs(2, 1)
-            if g.num_edges() == 1 and g.vertices[0][0] == 1
-        )
-        with pytest.raises(ValueError):
-            evaluate_graph(loop_graph, starved)
+        # the genus-1 loop skeleton stops the sum
+        with pytest.raises(ValueError, match="known to order 1, need 2"):
+            graph_sum(starved, 2)
 
 
 class TestGenusOne:

@@ -1,10 +1,11 @@
-"""Stable-graph enumeration: the genus-2 list is checked vertex by vertex
-against a hand enumeration; structural invariants are swept over larger
-(g, N); the skeleton-based lists are compared graph by graph, in order,
-with a direct index-aware enumeration kept here as an oracle; and the
-orbit-stabilizer identity ties every decorated list to its skeletons.  The
-evaluation-side cross-check that certifies these lists (graph sum ==
-operator-exponential oracle) lives in test_genus.py."""
+"""Stable-graph enumeration: the library's skeletons and the decorated
+lists built from them in tests/oracles.py.  The genus-2 list is checked
+vertex by vertex against a hand enumeration; structural invariants are
+swept over larger (g, N); the skeleton-based lists are compared graph by
+graph, in order, with a direct index-aware enumeration kept here as an
+oracle; and the orbit-stabilizer identity ties every decorated list to its
+skeletons.  The evaluation-side cross-check that certifies these lists
+(graph sum == operator-exponential oracle) lives in test_genus.py."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -12,8 +13,9 @@ from math import factorial
 
 import pytest
 
-from genuslift import graphs as graphs_module
-from genuslift.graphs import StableGraph, enumerate_graphs, skeletons
+import oracles
+from genuslift.graphs import skeletons
+from oracles import StableGraph, enumerate_graphs
 
 
 def signature(graph):
@@ -198,7 +200,7 @@ class TestStructuralInvariants:
         assert all(g.aut == (12 if g.vertices[0] == g.vertices[1] else 6) for g in thetas)
 
     def test_errors(self):
-        memo = graphs_module._decorated.cache_info().currsize
+        memo = oracles._decorated.cache_info().currsize
         with pytest.raises(ValueError):
             enumerate_graphs(1, 1)
         with pytest.raises(ValueError):
@@ -206,7 +208,7 @@ class TestStructuralInvariants:
         with pytest.raises(ValueError):
             skeletons(1)
         # rejected before the memo is consulted, so nothing is stored
-        assert graphs_module._decorated.cache_info().currsize == memo
+        assert oracles._decorated.cache_info().currsize == memo
 
     def test_accessors(self):
         dumbbell = StableGraph(
@@ -241,6 +243,16 @@ class TestSkeletons:
                 for p in sk.automorphisms
                 for v in range(n)
             )
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_descriptions_are_distinct(self, g):
+        # the graph-sum breakdown is keyed by them
+        sks = skeletons(g)
+        assert len({sk.describe() for sk in sks}) == len(sks)
+        for sk in sks:
+            n = len(sk.genera)
+            assert sum(m for _, _, m in sk.edge_list()) - n + 1 + sum(sk.genera) == g
+            assert all(sk.psi_cap(v) >= 0 for v in range(n))
 
     @pytest.mark.parametrize(
         "g, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1)]

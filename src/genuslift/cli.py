@@ -22,6 +22,7 @@ variable ``GENUSLIFT_PRECISION``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -342,7 +343,7 @@ def _cmd_descendent(args):
         "genus": args.g,
         "Kmax": tau.kmax,
         "critical_point": [format_value(ctx.chop(x), ctx) for x in frame_data.critical],
-        "criticality_residual": format_value(frame_data.criticality_residual, ctx),
+        "criticality_residual": format_value(frame_data.data.residuals["criticality"], ctx),
         "F_g": format_value(ctx.chop(report.value), ctx),
         # one entry per skeleton, its decorated graphs summed
         "graphs": {
@@ -353,7 +354,7 @@ def _cmd_descendent(args):
             k: format_value(v, ctx) for k, v in sorted(frame_data.data.residuals.items())
         },
     }
-    gates = [frame_data.criticality_residual, *frame_data.data.residuals.values()]
+    gates = list(frame_data.data.residuals.values())
     if model.dimension == 1:
         oracle = point_descendent_resummed(tau, args.g, ctx)
         with ctx.guard():
@@ -500,7 +501,9 @@ def _cmd_selftest(args):
 # -- parser -------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process; parse_args returns a fresh namespace per call
     parser = _Parser(prog="genuslift", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=None,
@@ -602,9 +605,8 @@ def _attach_negative_values(argv: Sequence[str]) -> list:
 
 def run_command(argv: Sequence[str]) -> tuple:
     """Parse and execute one command; returns (exit code, report text)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_negative_values(argv))
+        args = _build_parser().parse_args(_attach_negative_values(argv))
     except _UsageError as exc:
         return EXIT_VALIDATION, f"error: {exc}\n"
     try:

@@ -8,7 +8,9 @@ The calibration is the 1/z fundamental solution S(z) = 1 + S_1/z + S_2/z^2
 by symbolic antidifferentiation along coordinate paths; closedness of each
 step's gradient is exactly the flatness of the pencil (WDVV), so the result
 is path-independent and the construction double-checks itself by
-re-integrating along a permuted coordinate order.  The entries of S_k are
+re-integrating along a permuted coordinate order.  The C_a come from
+``FrobeniusModel.multiplication``, and the path integrals run on
+``Expression.restrict`` and ``antidiff``.  The entries of S_k are
 one-point descendent correlators, and the two-point functions come from the
 1/(z+w) expansion
 
@@ -73,37 +75,6 @@ from .scalars import FloatContext
 # -- expression plumbing ---------------------------------------------------------
 
 
-def _restrict(expr: Expression, i: int, value) -> Expression:
-    """Substitute the rational constant ``value`` for coordinate ``i``.
-
-    Exponentials in the restricted direction force value = 0: e^{lam v} with
-    lam, v rational and nonzero leaves the coefficient field."""
-    value = Fraction(value)
-    out = Expression(expr.nvars)
-    acc: Dict = {}
-    out.terms = acc
-    for (mono, expo), (c, p) in expr.terms.items():
-        m, lam = mono[i], expo[i]
-        if lam != 0 and value != 0:
-            raise ArithmeticError(
-                "restriction of an exponential direction to a nonzero base is not rational"
-            )
-        if value == 0:
-            if m < 0:
-                raise ZeroDivisionError("negative power restricted to zero")
-            if m > 0:
-                continue
-            factor = Fraction(1)
-        else:
-            factor = value**m
-        key = (
-            mono[:i] + (0,) + mono[i + 1 :],
-            expo[:i] + (Fraction(0),) + expo[i + 1 :],
-        )
-        out._merged(key, c * factor, p, acc)
-    return out
-
-
 def _path_integral(grad: List[Expression], base: Tuple[Fraction, ...], path) -> Expression:
     """Integrate the closed form sum_a grad[a] dt^a from base along the
     coordinate staircase visiting directions in ``path`` order."""
@@ -113,45 +84,10 @@ def _path_integral(grad: List[Expression], base: Tuple[Fraction, ...], path) -> 
     for pos, a in enumerate(path):
         piece = grad[a]
         for later in path[pos + 1 :]:
-            piece = _restrict(piece, later, base[later])
+            piece = piece.restrict(later, base[later])
         anti = piece.antidiff(a)
-        total = total + anti - _restrict(anti, a, base[a])
+        total = total + anti - anti.restrict(a, base[a])
     return total
-
-
-def _coeff_norm(expr: Expression) -> Fraction:
-    m = Fraction(0)
-    for c, _ in expr.terms.values():
-        m = max(m, abs(c))
-    return m
-
-
-def _structure_expressions(model: FrobeniusModel) -> List[List[List[Expression]]]:
-    """Multiplication operators (C_a)^i_j = F_{ajm} g^{mi} as expressions,
-    parameters bound."""
-    n = model.dimension
-    pot = model.potential.bind(model.parameters) if model.potential.parameters() else model.potential
-    ginv = model.metric_inverse
-    third = {}
-    for a in range(n):
-        da = pot.diff(a)
-        for j in range(a, n):
-            third[(a, j)] = [da.diff(j).diff(m) for m in range(n)]
-    ops = []
-    for a in range(n):
-        mat = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = Expression.zero(n)
-                cols = third[(a, j) if a <= j else (j, a)]
-                for m in range(n):
-                    if ginv[m][i]:
-                        acc = acc + cols[m].scale(ginv[m][i])
-                row.append(acc)
-            mat.append(row)
-        ops.append(mat)
-    return ops
 
 
 # -- the calibration -------------------------------------------------------------
@@ -235,7 +171,7 @@ def compute_calibration(model: FrobeniusModel, base=None, order: int = 6) -> Cal
     base = tuple(Fraction(x) for x in base)
     if len(base) != n:
         raise ValueError("base point dimension mismatch")
-    ops = _structure_expressions(model)
+    ops = model.multiplication
     forward = list(range(n))
     backward = forward[::-1]
     prev = [
@@ -252,7 +188,7 @@ def compute_calibration(model: FrobeniusModel, base=None, order: int = 6) -> Cal
                 grad_ij = [grads[a][i][j] for a in range(n)]
                 entry = _path_integral(grad_ij, base, forward)
                 check = _path_integral(grad_ij, base, backward)
-                resid = _coeff_norm(entry - check)
+                resid = (entry - check).coeff_norm()
                 if resid != 0:
                     raise ArithmeticError(
                         f"path-dependence residual {resid} in S_{k}[{i}][{j}]: WDVV violation"
@@ -336,17 +272,17 @@ def _require_origin(calibration: Calibration):
 
 # -- the critical point ----------------------------------------------------------
 
+_NEWTON_STEPS = 60
+
 
 def critical_point(
     model: FrobeniusModel,
     calibration: Calibration,
     tau: CurvePoint,
     ctx: FloatContext,
-    *,
-    tol=None,
-    max_iter: int = 60,
 ) -> tuple:
-    """Newton solve of t = t_0 + sum_{m>=1} S_m(t) t_m, seeded at t_0.
+    """Newton solve of t = t_0 + sum_{m>=1} S_m(t) t_m, seeded at t_0, until
+    the residual is at most 2^(40 - bits).
 
     The Jacobian is 1 - (quantum multiplication by sum_m S_{m-1}(t) t_m), so
     each step costs one calibration evaluation and one N x N solve.  With
@@ -361,16 +297,13 @@ def critical_point(
             f"calibration order {calibration.order} too small for couplings up to c^{kmax}"
         )
     with ctx.guard():
-        if tol is None:
-            tol = mpmath.mpf(2) ** (40 - ctx.prec_bits)
-        else:
-            tol = ctx.num(tol)
+        tol = mpmath.mpf(2) ** (40 - ctx.prec_bits)
         t0 = [ctx.num(x) for x in tau.coupling(0)]
         couplings = [[ctx.num(x) for x in tau.coupling(m)] for m in range(kmax + 1)]
         live = [m for m in range(1, kmax + 1) if any(x != 0 for x in couplings[m])]
         t = list(t0)
         rmax = None
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_STEPS):
             svals = calibration.s_values(t, ctx, order=kmax) if live else None
             res = list(t)
             for a in range(n):
@@ -404,7 +337,7 @@ def critical_point(
             step = mat_vec(mat_inv_float(jac, ctx), res)
             t = [t[a] - step[a] for a in range(n)]
         raise ArithmeticError(
-            f"critical point Newton stalled after {max_iter} iterations; "
+            f"critical point Newton stalled after {_NEWTON_STEPS} iterations; "
             f"residual {mpmath.nstr(rmax, 8)}"
         )
 
@@ -476,7 +409,6 @@ def genus0_descendents(
     ctx: FloatContext,
     *,
     critical=None,
-    tol=None,
 ) -> Genus0Descendents:
     """Genus-0 descendent potential and correlator tables at t(tau).
 
@@ -490,7 +422,7 @@ def genus0_descendents(
             f"two-point tables need calibration order {2 * kk + 1}, have {calibration.order}"
         )
     if critical is None:
-        critical = critical_point(model, calibration, tau, ctx, tol=tol)
+        critical = critical_point(model, calibration, tau, ctx)
     with ctx.guard():
         svals = calibration.s_values(critical, ctx, order=2 * kk + 1)
         gmat = [[ctx.num(x) for x in row] for row in model.metric]
@@ -536,7 +468,6 @@ class DescendentFrame:
     residuals include the criticality residual."""
 
     critical: tuple
-    criticality_residual: object
     frame: CanonicalFrame
     data: EdgeTailData
 
@@ -547,14 +478,12 @@ def bold_quantities(
     frame: CanonicalFrame,
     r: RSeries,
     tau: CurvePoint,
-    *,
-    criticality_tol=None,
 ) -> DescendentFrame:
     """Extract (D, T, V) from the z-expansion of the one-point correlator.
 
     ``frame`` and ``r`` must live at the critical point of ``tau``.  With
     G_k the z^k coefficient of sum (-z)^p R_q Psi b_p: G_0 is the
-    criticality residual (raised if above tolerance), G_1 = D^{-1/2}, and
+    criticality residual (raised above ``ctx.tol``), G_1 = D^{-1/2}, and
     T_k = (-1)^k G_k / G_1 for k >= 2.  V is evaluated at the critical
     point, which is definition (not extraction): the two-point functions
     factor through it."""
@@ -588,10 +517,9 @@ def bold_quantities(
                     vec[i] = acc
             gvals.append(vec)
         crit = ctx.max_abs(gvals[0])
-        tol = ctx.tol if criticality_tol is None else ctx.num(criticality_tol)
-        if crit > tol:
+        if crit > ctx.tol:
             raise ArithmeticError(
-                f"criticality residual {mpmath.nstr(crit, 8)} exceeds {mpmath.nstr(tol, 8)}"
+                f"criticality residual {mpmath.nstr(crit, 8)} exceeds {mpmath.nstr(ctx.tol, 8)}"
             )
         sqrt_d = [1 / gvals[1][i] for i in range(n)]
         tails: List[Dict[int, object]] = [dict() for _ in range(n)]
@@ -611,9 +539,7 @@ def bold_quantities(
             t_cutoff=t_cutoff,
             residuals=residuals,
         )
-    return DescendentFrame(
-        critical=tuple(t_star), criticality_residual=crit, frame=frame, data=data
-    )
+    return DescendentFrame(critical=tuple(t_star), frame=frame, data=data)
 
 
 def descendent_frame(
@@ -627,20 +553,16 @@ def descendent_frame(
     gauge=None,
     permutation=None,
     sign_flips=None,
-    tol=None,
-    criticality_tol=None,
 ) -> DescendentFrame:
     """Critical point, canonical frame, R-matrix, and bold extraction in one
     call; the frame and R come from :func:`genus.frame_and_R`, as in the
     primary genus pipeline."""
-    t_star = critical_point(model, calibration, tau, ctx, tol=tol)
+    t_star = critical_point(model, calibration, tau, ctx)
     frame, r = frame_and_R(
         model, t_star, ctx, order, mode=mode, gauge=gauge,
         permutation=permutation, sign_flips=sign_flips,
     )
-    return bold_quantities(
-        model, calibration, frame, r, tau, criticality_tol=criticality_tol
-    )
+    return bold_quantities(model, calibration, frame, r, tau)
 
 
 def descendent_potential(

@@ -6,10 +6,12 @@ of terms
     c * prod_a (t^a)**m_a * exp(sum_a lam_a t^a)
 
 with rational ``lam_a``, integer ``m_a`` (negative exponents allowed), and
-coefficient ``c`` a rational, optionally times one named parameter.  This
-class is closed under differentiation, and under antidifferentiation except
-for the genuinely non-elementary cases (``1/t`` without an exponential, or a
-negative power against a nonzero exponential), which raise.
+a rational coefficient ``c``.  A document may name a coefficient by a
+parameter; :meth:`Expression.from_json` substitutes the document's value, so
+no parameter outlives the read.  This class is closed under differentiation,
+and under antidifferentiation except for the genuinely non-elementary cases
+(``1/t`` without an exponential, or a negative power against a nonzero
+exponential), which raise.  Only this module reads the term table.
 
 Jets evaluate each term as a product of one-variable Taylor expansions, so a
 full order-``J`` jet costs about ``terms * N * J`` coefficient operations.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import mpmath
 
@@ -27,23 +29,26 @@ from .scalars import FloatContext, format_rational, parse_rational
 from .series import Caps, TruncatedSeries
 
 TermKey = Tuple[Tuple[int, ...], Tuple[Fraction, ...]]
-Coeff = Tuple[Fraction, Optional[str]]
 
 
 def t_names(n: int) -> Tuple[str, ...]:
     return tuple(f"t{i}" for i in range(n))
 
 
+class UnboundParameterError(LookupError):
+    """A potential names parameters its document gives no value."""
+
+
 class Expression:
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Dict[TermKey, Coeff] | None = None):
+    def __init__(self, nvars: int, terms: Dict[TermKey, Fraction] | None = None):
         self.nvars = nvars
-        self.terms: Dict[TermKey, Coeff] = {}
+        self.terms: Dict[TermKey, Fraction] = {}
         if terms:
-            for k, (c, p) in terms.items():
+            for k, c in terms.items():
                 if c != 0:
-                    self.terms[k] = (Fraction(c), p)
+                    self.terms[k] = Fraction(c)
 
     # -- constructors -----------------------------------------------------
 
@@ -57,31 +62,24 @@ class Expression:
         coeff,
         mono: Sequence[int] | None = None,
         expo: Sequence | None = None,
-        param: str | None = None,
     ) -> "Expression":
         mono = tuple(int(m) for m in (mono or (0,) * nvars))
         expo = tuple(Fraction(e) for e in (expo or (0,) * nvars))
         if len(mono) != nvars or len(expo) != nvars:
             raise ValueError("term length mismatch")
-        return Expression(nvars, {(mono, expo): (Fraction(coeff), param)})
+        return Expression(nvars, {(mono, expo): Fraction(coeff)})
 
     # -- algebra ----------------------------------------------------------
 
-    def _merged(self, key: TermKey, c: Fraction, p: Optional[str], acc: Dict[TermKey, Coeff]):
+    def _merged(self, key: TermKey, c: Fraction, acc: Dict[TermKey, Fraction]):
         if key in acc:
-            c0, p0 = acc[key]
-            if p0 == p:
-                s = c0 + c
-                if s == 0:
-                    del acc[key]
-                else:
-                    acc[key] = (s, p)
-                return
-            # same monomial, different parameter: keep separate via a twin key
-            # (cannot happen through the public constructors, which fold params)
-            raise ArithmeticError("conflicting parameters on one monomial")
-        if c != 0:
-            acc[key] = (c, p)
+            s = acc[key] + c
+            if s == 0:
+                del acc[key]
+            else:
+                acc[key] = s
+        elif c != 0:
+            acc[key] = c
 
     def __add__(self, other: "Expression") -> "Expression":
         if self.nvars != other.nvars:
@@ -89,13 +87,13 @@ class Expression:
         acc = dict(self.terms)
         out = Expression(self.nvars)
         out.terms = acc
-        for k, (c, p) in other.terms.items():
-            self._merged(k, c, p, acc)
+        for k, c in other.terms.items():
+            self._merged(k, c, acc)
         return out
 
     def __neg__(self) -> "Expression":
         out = Expression(self.nvars)
-        out.terms = {k: (-c, p) for k, (c, p) in self.terms.items()}
+        out.terms = {k: -c for k, c in self.terms.items()}
         return out
 
     def __sub__(self, other: "Expression") -> "Expression":
@@ -105,54 +103,52 @@ class Expression:
         a = Fraction(a)
         out = Expression(self.nvars)
         if a != 0:
-            out.terms = {k: (a * c, p) for k, (c, p) in self.terms.items()}
+            out.terms = {k: a * c for k, c in self.terms.items()}
         return out
 
     def __mul__(self, other: "Expression") -> "Expression":
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        acc: Dict[TermKey, Coeff] = {}
+        acc: Dict[TermKey, Fraction] = {}
         out = Expression(self.nvars)
         out.terms = acc
-        for (m1, e1), (c1, p1) in self.terms.items():
-            for (m2, e2), (c2, p2) in other.terms.items():
-                if p1 is not None and p2 is not None:
-                    raise ArithmeticError("nonlinear use of parameters")
+        for (m1, e1), c1 in self.terms.items():
+            for (m2, e2), c2 in other.terms.items():
                 key = (
                     tuple(a + b for a, b in zip(m1, m2)),
                     tuple(a + b for a, b in zip(e1, e2)),
                 )
-                self._merged(key, c1 * c2, p1 or p2, acc)
+                self._merged(key, c1 * c2, acc)
         return out
 
     # -- calculus ---------------------------------------------------------
 
     def diff(self, i: int) -> "Expression":
-        acc: Dict[TermKey, Coeff] = {}
+        acc: Dict[TermKey, Fraction] = {}
         out = Expression(self.nvars)
         out.terms = acc
-        for (mono, expo), (c, p) in self.terms.items():
+        for (mono, expo), c in self.terms.items():
             m = mono[i]
             if m != 0:
                 key = (mono[:i] + (m - 1,) + mono[i + 1 :], expo)
-                self._merged(key, c * m, p, acc)
+                self._merged(key, c * m, acc)
             lam = expo[i]
             if lam != 0:
-                self._merged((mono, expo), c * lam, p, acc)
+                self._merged((mono, expo), c * lam, acc)
         return out
 
     def antidiff(self, i: int) -> "Expression":
         out = Expression(self.nvars)
-        acc: Dict[TermKey, Coeff] = {}
+        acc: Dict[TermKey, Fraction] = {}
         out.terms = acc
-        for (mono, expo), (c, p) in self.terms.items():
+        for (mono, expo), c in self.terms.items():
             m = mono[i]
             lam = expo[i]
             if lam == 0:
                 if m == -1:
                     raise ArithmeticError("antiderivative hits a logarithm (exponent -1)")
                 key = (mono[:i] + (m + 1,) + mono[i + 1 :], expo)
-                self._merged(key, c / (m + 1), p, acc)
+                self._merged(key, c / (m + 1), acc)
             else:
                 if m < 0:
                     raise ArithmeticError(
@@ -162,41 +158,57 @@ class Expression:
                 coef = c / lam
                 for j in range(m, -1, -1):
                     key = (mono[:i] + (j,) + mono[i + 1 :], expo)
-                    self._merged(key, coef, p, acc)
+                    self._merged(key, coef, acc)
                     if j > 0:
                         coef = -coef * j / lam
         return out
 
-    # -- parameter handling -------------------------------------------------
+    def restrict(self, i: int, value) -> "Expression":
+        """Substitute the rational constant ``value`` for coordinate ``i``.
 
-    def parameters(self) -> set:
-        return {p for (_, p) in self.terms.values() if p is not None}
-
-    def bind(self, params: Mapping[str, object] | None) -> "Expression":
-        """Substitute rational parameter values, leaving a parameter-free sum."""
-        params = params or {}
-        acc: Dict[TermKey, Coeff] = {}
+        Exponentials in the restricted direction force value = 0: e^{lam v}
+        with lam, v rational and nonzero leaves the coefficient field."""
+        value = Fraction(value)
         out = Expression(self.nvars)
+        acc: Dict[TermKey, Fraction] = {}
         out.terms = acc
-        for key, (c, p) in self.terms.items():
-            if p is None:
-                self._merged(key, c, None, acc)
+        for (mono, expo), c in self.terms.items():
+            m, lam = mono[i], expo[i]
+            if lam != 0 and value != 0:
+                raise ArithmeticError(
+                    "restriction of an exponential direction to a nonzero base is not rational"
+                )
+            if value == 0:
+                if m < 0:
+                    raise ZeroDivisionError("negative power restricted to zero")
+                if m > 0:
+                    continue
+                factor = Fraction(1)
             else:
-                if p not in params:
-                    raise KeyError(f"parameter {p!r} has no bound value")
-                self._merged(key, c * Fraction(params[p]), None, acc)
+                factor = value**m
+            key = (
+                mono[:i] + (0,) + mono[i + 1 :],
+                expo[:i] + (Fraction(0),) + expo[i + 1 :],
+            )
+            self._merged(key, c * factor, acc)
         return out
+
+    def coeff_norm(self) -> Fraction:
+        """Largest |coefficient|; zero exactly when the expression is."""
+        m = Fraction(0)
+        for c in self.terms.values():
+            m = max(m, abs(c))
+        return m
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, point: Sequence, ctx: FloatContext | None, params=None):
-        expr = self.bind(params) if (params or self.parameters()) else self
+    def evaluate(self, point: Sequence, ctx: FloatContext | None):
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
         if ctx is None:
             pt = [Fraction(x) for x in point]
             total = Fraction(0)
-            for (mono, expo), (c, _) in expr.terms.items():
+            for (mono, expo), c in self.terms.items():
                 arg = sum((lam * x for lam, x in zip(expo, pt)), Fraction(0))
                 if arg != 0:
                     raise ArithmeticError("exact evaluation hits a transcendental exponential")
@@ -209,7 +221,7 @@ class Expression:
         with ctx.guard():
             pt = [ctx.num(x) for x in point]
             total = ctx.num(0)
-            for (mono, expo), (c, _) in expr.terms.items():
+            for (mono, expo), c in self.terms.items():
                 term = ctx.num(c)
                 for x, m in zip(pt, mono):
                     if m:
@@ -223,16 +235,15 @@ class Expression:
                 total = total + term
             return total
 
-    def jet(self, point: Sequence, order: int, ctx: FloatContext | None, params=None) -> TruncatedSeries:
+    def jet(self, point: Sequence, order: int, ctx: FloatContext | None) -> TruncatedSeries:
         """Taylor expansion around ``point`` as a series in t0..t{N-1},
         truncated at total degree ``order``.  Coefficients are Taylor
         coefficients (derivative / m!)."""
-        expr = self.bind(params) if (params or self.parameters()) else self
         if ctx is None:
-            return expr._jet_impl(point, order, None)
+            return self._jet_impl(point, order, None)
         # every Fraction-to-mpf conversion must happen at full precision
         with ctx.guard():
-            return expr._jet_impl(point, order, ctx)
+            return self._jet_impl(point, order, ctx)
 
     def _jet_impl(self, point: Sequence, order: int, ctx) -> TruncatedSeries:
         caps = Caps.total(t_names(self.nvars), order)
@@ -242,8 +253,8 @@ class Expression:
         else:
             pt = [ctx.num(x) for x in point]
         names = t_names(self.nvars)
-        for (mono, expo), (c, _) in self.terms.items():
-            term = TruncatedSeries.const(caps, Fraction(c) if ctx is None else ctx.num(c))
+        for (mono, expo), c in self.terms.items():
+            term = TruncatedSeries.const(caps, c if ctx is None else ctx.num(c))
             for i, m in enumerate(mono):
                 if m or expo[i]:
                     term = term * _onevar_jet(caps, names[i], pt[i], m, expo[i], order, ctx)
@@ -252,9 +263,9 @@ class Expression:
             out = out + term
         return out
 
-    def derivatives(self, point: Sequence, order: int, ctx: FloatContext | None, params=None):
+    def derivatives(self, point: Sequence, order: int, ctx: FloatContext | None):
         """Dict of all partial derivatives up to total order: {multi-index: value}."""
-        jet = self.jet(point, order, ctx, params)
+        jet = self.jet(point, order, ctx)
         out = {}
         import math
 
@@ -270,16 +281,10 @@ class Expression:
 
     def to_json(self) -> list:
         items = []
-        for (mono, expo), (c, p) in sorted(self.terms.items()):
-            if p is None:
-                coeff = format_rational(c)
-            elif c == 1:
-                coeff = {"param": p}
-            else:
-                coeff = {"param": p, "times": format_rational(c)}
+        for (mono, expo), c in sorted(self.terms.items()):
             items.append(
                 {
-                    "coeff": coeff,
+                    "coeff": format_rational(c),
                     "mono": list(mono),
                     "exp": [format_rational(e) for e in expo],
                 }
@@ -287,38 +292,48 @@ class Expression:
         return items
 
     @staticmethod
-    def from_json(data, nvars: int | None = None) -> "Expression":
+    def from_json(
+        data, nvars: int | None = None, parameters: Mapping | None = None
+    ) -> "Expression":
+        """Read a term list.  A ``{"param": p, "times": c}`` coefficient is
+        c times ``parameters[p]``; naming a parameter without a value raises
+        :class:`UnboundParameterError` once the whole list has parsed."""
         if isinstance(data, str):
             data = json.loads(data)
         if nvars is None:
             if not data:
                 raise ValueError("cannot infer variable count from an empty term list")
             nvars = len(data[0]["mono"])
+        parameters = parameters or {}
         out = Expression(nvars)
-        acc: Dict[TermKey, Coeff] = {}
+        acc: Dict[TermKey, Fraction] = {}
         out.terms = acc
+        unbound = set()
         for item in data:
             coeff = item["coeff"]
             if isinstance(coeff, dict):
                 p = coeff["param"]
                 c = parse_rational(coeff.get("times", "1"))
+                if p in parameters:
+                    c = c * Fraction(parameters[p])
+                else:
+                    unbound.add(p)
             else:
-                p = None
                 c = parse_rational(coeff)
             mono = tuple(int(m) for m in item["mono"])
             expo = tuple(parse_rational(str(e)) for e in item.get("exp", [0] * nvars))
             if len(mono) != nvars or len(expo) != nvars:
                 raise ValueError("term length mismatch")
-            out._merged((mono, expo), c, p, acc)
+            out._merged((mono, expo), c, acc)
+        if unbound:
+            raise UnboundParameterError(sorted(unbound))
         return out
 
     def __repr__(self):
         bits = []
         names = t_names(self.nvars)
-        for (mono, expo), (c, p) in sorted(self.terms.items()):
+        for (mono, expo), c in sorted(self.terms.items()):
             factors = [format_rational(c)] if (c != 1 or (not any(mono) and not any(expo))) else []
-            if p:
-                factors.append(p)
             for nm, m in zip(names, mono):
                 if m == 1:
                     factors.append(nm)

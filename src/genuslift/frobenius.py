@@ -12,12 +12,20 @@ dimension ``D``; conformal models get their canonical coordinates anchored
 by eigenvalues of the Euler multiplication instead of by integration
 constants.
 
+The model owns the potential's symbolic form.  It differentiates F once, at
+construction, into the expressions F_abc (a <= b <= c) and C_a; jets and
+point values of the multiplication, the axiom residuals, and the descendent
+calibration all read those.  A model read from a document has its
+parameters already substituted; ``parameters`` keeps the values read.
+
 All axioms (WDVV, unit, Euler homogeneity) are checked pointwise through
-residual functions rather than assumed.
+residual functions rather than assumed; with a float context every residual
+is computed at its working precision.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -25,7 +33,6 @@ from typing import Dict, List, Optional, Sequence
 from .expressions import Expression, t_names
 from .linalg import mat_inv_exact, mat_mul, mat_sub, max_abs_entry
 from .scalars import FloatContext, format_rational, parse_rational
-from .series import Caps
 
 
 @dataclass
@@ -75,86 +82,71 @@ class FrobeniusModel:
             for j in range(i):
                 if self.metric[i][j] != self.metric[j][i]:
                     raise ValueError("metric is not symmetric")
-        self.metric_inverse = mat_inv_exact(self.metric)
-        self._bound = self.potential.bind(self.parameters) if self.potential.parameters() else self.potential
+        self.metric_inverse = ginv = mat_inv_exact(self.metric)
+        self.third_derivatives: Dict[tuple, Expression] = {}
+        for a in range(n):
+            fa = self.potential.diff(a)
+            for b in range(a, n):
+                fab = fa.diff(b)
+                for c in range(b, n):
+                    self.third_derivatives[(a, b, c)] = fab.diff(c)
 
-    # -- jets of third derivatives ---------------------------------------
+        def entry(a, i, j):
+            acc = Expression.zero(n)
+            for m in range(n):
+                if ginv[m][i]:
+                    acc = acc + self._third(a, j, m).scale(ginv[m][i])
+            return acc
 
-    def third_derivative_jets(self, point: Sequence, order: int, ctx: FloatContext | None):
-        """F_{abc} as jets of order ``order``; returns nested dict [a][b][c]
-        with a <= b <= c (symmetric in all indices)."""
-        jet = self._bound.jet(point, order + 3, ctx)
-        names = t_names(self.dimension)
-        honest = Caps.total(names, order)
-        out = {}
-        for a in range(self.dimension):
-            ja = jet.partial(names[a])
-            for b in range(a, self.dimension):
-                jab = ja.partial(names[b])
-                for c in range(b, self.dimension):
-                    # differentiating an order+3 jet three times leaves content
-                    # valid exactly to ``order``; prune the stale tail keys
-                    out[(a, b, c)] = jab.partial(names[c]).repruned(honest)
-        return out
+        self.multiplication = [
+            [[entry(a, i, j) for j in range(n)] for i in range(n)] for a in range(n)
+        ]
 
-    def third_derivative(self, triple, jets):
-        a, b, c = sorted(triple)
-        return jets[(a, b, c)]
+    def _third(self, a: int, b: int, c: int) -> Expression:
+        return self.third_derivatives[tuple(sorted((a, b, c)))]
 
     # -- multiplication ----------------------------------------------------
 
     def structure_constant_jets(self, point: Sequence, order: int, ctx: FloatContext | None):
         """List of N matrices of jets: (C_a)[i][j] = F_{a j m} g^{m i}."""
-        jets = self.third_derivative_jets(point, order, ctx)
-        n = self.dimension
-        ginv = self.metric_inverse
-        out = []
-        for a in range(n):
-            mat = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = None
-                    for m in range(n):
-                        gmi = ginv[m][i]
-                        if gmi == 0:
-                            continue
-                        term = self.third_derivative((a, j, m), jets).scale(gmi)
-                        acc = term if acc is None else acc + term
-                    row.append(acc)
-                mat.append(row)
-            out.append(mat)
-        return out
+        return [
+            [[e.jet(point, order, ctx) for e in row] for row in mat] for mat in self.multiplication
+        ]
 
     def structure_constants(self, point: Sequence, ctx: FloatContext | None):
         """Scalar matrices C_a at the point."""
-        cjets = self.structure_constant_jets(point, 0, ctx)
-        return [[[e.constant_term() for e in row] for row in mat] for mat in cjets]
+        return [
+            [[e.evaluate(point, ctx) for e in row] for row in mat] for mat in self.multiplication
+        ]
 
     # -- axiom residuals -----------------------------------------------------
 
     def unit_residual(self, point: Sequence, ctx: FloatContext | None):
-        jets = self.third_derivative_jets(point, 0, ctx)
+        """Max |F_{u,b,c} - g_{bc}|; raises off the potential's domain (the
+        pole of a Laurent potential), like every evaluation of F there."""
         n = self.dimension
         u = self.unit_index
-        worst = Fraction(0) if ctx is None else ctx.num(0)
-        for b in range(n):
-            for c in range(n):
-                v = self.third_derivative((u, b, c), jets).constant_term() - self.metric[b][c]
-                worst = max(worst, abs(v) if ctx is None else ctx.abs(v))
-        return worst
+        self.potential.evaluate(point, ctx)
+        with ctx.guard() if ctx is not None else nullcontext():
+            worst = Fraction(0) if ctx is None else ctx.num(0)
+            for b in range(n):
+                for c in range(n):
+                    v = self._third(u, b, c).evaluate(point, ctx) - self.metric[b][c]
+                    worst = max(worst, abs(v) if ctx is None else ctx.abs(v))
+            return worst
 
     def wdvv_residual(self, point: Sequence, ctx: FloatContext | None):
         """Max deviation of C_a C_b - C_b C_a over all pairs (equivalent to
         the four-index associativity identity given commutativity of the
         algebra and symmetry of F_{abc})."""
-        cs = self.structure_constants(point, ctx)
-        worst = Fraction(0) if ctx is None else ctx.num(0)
-        for a in range(self.dimension):
-            for b in range(a + 1, self.dimension):
-                comm = mat_sub(mat_mul(cs[a], cs[b]), mat_mul(cs[b], cs[a]))
-                worst = max(worst, max_abs_entry(comm, ctx))
-        return worst
+        with ctx.guard() if ctx is not None else nullcontext():
+            cs = self.structure_constants(point, ctx)
+            worst = Fraction(0) if ctx is None else ctx.num(0)
+            for a in range(self.dimension):
+                for b in range(a + 1, self.dimension):
+                    comm = mat_sub(mat_mul(cs[a], cs[b]), mat_mul(cs[b], cs[a]))
+                    worst = max(worst, max_abs_entry(comm, ctx))
+            return worst
 
     def euler_residual(self, point: Sequence, ctx: FloatContext | None):
         """Pointwise residual of the three Euler axioms: homogeneity of the
@@ -163,51 +155,57 @@ class FrobeniusModel:
             raise ValueError("model has no Euler data")
         e = self.euler
         n = self.dimension
-        d3 = self.third_derivative_jets(point, 1, ctx)
-        evec = e.components(point, ctx)
         factor = Fraction(3) - e.conformal_dimension
         names = t_names(n)
-        worst = Fraction(0) if ctx is None else ctx.num(0)
 
         def absval(x):
             return abs(x) if ctx is None else ctx.abs(x)
 
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    jet = self.third_derivative((a, b, c), d3)
-                    acc = jet.constant_term() * (-factor)
+        with ctx.guard() if ctx is not None else nullcontext():
+            d3 = {key: f.jet(point, 1, ctx) for key, f in self.third_derivatives.items()}
+
+            def f3(*idx):
+                return d3[tuple(sorted(idx))]
+
+            evec = e.components(point, ctx)
+            worst = Fraction(0) if ctx is None else ctx.num(0)
+            for a in range(n):
+                for b in range(n):
+                    for c in range(n):
+                        jet = f3(a, b, c)
+                        acc = jet.constant_term() * (-factor)
+                        for m in range(n):
+                            acc = acc + evec[m] * jet.partial(names[m]).constant_term()
+                            acc = acc + e.matrix[m][a] * f3(m, b, c).constant_term()
+                            acc = acc + e.matrix[m][b] * f3(a, m, c).constant_term()
+                            acc = acc + e.matrix[m][c] * f3(a, b, m).constant_term()
+                        worst = max(worst, absval(acc))
+            # L_E g = (2 - D) g
+            for a in range(n):
+                for b in range(n):
+                    acc = -(Fraction(2) - e.conformal_dimension) * self.metric[a][b]
                     for m in range(n):
-                        acc = acc + evec[m] * jet.partial(names[m]).constant_term()
-                        acc = acc + e.matrix[m][a] * self.third_derivative((m, b, c), d3).constant_term()
-                        acc = acc + e.matrix[m][b] * self.third_derivative((a, m, c), d3).constant_term()
-                        acc = acc + e.matrix[m][c] * self.third_derivative((a, b, m), d3).constant_term()
+                        acc = acc + e.matrix[m][a] * self.metric[m][b] + e.matrix[m][b] * self.metric[a][m]
                     worst = max(worst, absval(acc))
-        # L_E g = (2 - D) g
-        for a in range(n):
-            for b in range(n):
-                acc = -(Fraction(2) - e.conformal_dimension) * self.metric[a][b]
-                for m in range(n):
-                    acc = acc + e.matrix[m][a] * self.metric[m][b] + e.matrix[m][b] * self.metric[a][m]
-                worst = max(worst, absval(acc))
-        # unit direction is an eigenvector of weight 1: a^m_unit = delta
-        for m in range(n):
-            expect = Fraction(1) if m == self.unit_index else Fraction(0)
-            worst = max(worst, absval(e.matrix[m][self.unit_index] - expect))
-        return worst
+            # unit direction is an eigenvector of weight 1: a^m_unit = delta
+            for m in range(n):
+                expect = Fraction(1) if m == self.unit_index else Fraction(0)
+                worst = max(worst, absval(e.matrix[m][self.unit_index] - expect))
+            return worst
 
     def euler_multiplication(self, point: Sequence, ctx: FloatContext | None):
         """Matrix of multiplication by the Euler field, E dot."""
-        cs = self.structure_constants(point, ctx)
-        evec = self.euler.components(point, ctx)
         n = self.dimension
         out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = evec[0] * cs[0][i][j]
-                for a in range(1, n):
-                    acc = acc + evec[a] * cs[a][i][j]
-                out[i][j] = acc
+        with ctx.guard() if ctx is not None else nullcontext():
+            cs = self.structure_constants(point, ctx)
+            evec = self.euler.components(point, ctx)
+            for i in range(n):
+                for j in range(n):
+                    acc = evec[0] * cs[0][i][j]
+                    for a in range(1, n):
+                        acc = acc + evec[a] * cs[a][i][j]
+                    out[i][j] = acc
         return out
 
     # -- serialization ----------------------------------------------------------
@@ -235,7 +233,8 @@ class FrobeniusModel:
     def from_json(doc: dict) -> "FrobeniusModel":
         n = int(doc["dimension"])
         metric = [[parse_rational(str(x)) for x in row] for row in doc["metric"]]
-        potential = Expression.from_json(doc["potential"], nvars=n)
+        params = {k: parse_rational(str(v)) for k, v in doc.get("parameters", {}).items()}
+        potential = Expression.from_json(doc["potential"], n, params)
         euler = None
         if doc.get("euler"):
             ed = doc["euler"]
@@ -244,7 +243,6 @@ class FrobeniusModel:
                 [parse_rational(str(x)) for x in ed["shift"]],
                 parse_rational(str(ed["conformal_dimension"])),
             )
-        params = {k: parse_rational(str(v)) for k, v in doc.get("parameters", {}).items()}
         return FrobeniusModel(
             dimension=n,
             metric=metric,

@@ -4,7 +4,10 @@ JSON schemas for the objects that cross the package boundary:
 
 * model documents (dimension, metric, potential AST, optional Euler data
   and parameters), validated on the way in: symmetric invertible metric,
-  parseable AST, and a unit-axiom spot check at the origin;
+  parseable AST, and a unit-axiom spot check at the origin.  Parameters are
+  bound when the document is read: every ``{"param": p, "times": c}``
+  coefficient becomes the rational c * p, and the model keeps the values
+  only to report them;
 * curve-space points ``{"Kmax": K, "t": [[..], ..]}`` for descendent runs;
 * frame, R-matrix, and edge/tail dumps on the way out.
 
@@ -28,7 +31,7 @@ from typing import Optional
 import mpmath
 
 from .descendent import CurvePoint
-from .expressions import Expression
+from .expressions import Expression, UnboundParameterError
 from .frame import CanonicalFrame
 from .frobenius import FrobeniusModel
 from .linalg import mat_inv_exact
@@ -226,8 +229,9 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
     """Validate a model document and build the FrobeniusModel.
 
     Checks, in order: required keys and shapes; metric symmetry; metric
-    invertibility (exact); potential AST parse; bound values for every
-    named parameter; Euler block shapes.  Finally the unit axiom
+    invertibility (exact); rational parameter values; potential AST parse,
+    with a bound value for every named parameter; unit index; Euler block
+    shapes.  Finally the unit axiom
     F_{u,b,c}(0) = g_{bc} is spot-checked at the origin with exact
     arithmetic; a violation above ``tolerance`` emits a UnitAxiomWarning
     rather than an error, since the axiom is pointwise and the origin may
@@ -258,8 +262,17 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
     except (ZeroDivisionError, ArithmeticError):
         raise SchemaError("metric is singular") from None
 
+    params_doc = doc.get("parameters", {})
+    if not isinstance(params_doc, dict):
+        raise SchemaError("parameters must map names to rationals")
     try:
-        potential = Expression.from_json(doc["potential"], nvars=n)
+        params = {str(k): parse_rational(str(v)) for k, v in params_doc.items()}
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"parameter values must be rational: {exc}") from None
+    try:
+        Expression.from_json(doc["potential"], n, params)
+    except UnboundParameterError as exc:
+        raise SchemaError(f"potential uses unbound parameters: {exc.args[0]}") from None
     except (KeyError, ValueError, TypeError, IndexError, ZeroDivisionError) as exc:
         raise SchemaError(f"potential AST: {exc}") from None
 
@@ -268,17 +281,6 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
         raise SchemaError(f"unit_index must be an integer, not {unit_index!r}")
     if not 0 <= unit_index < n:
         raise SchemaError(f"unit_index {unit_index} out of range for dimension {n}")
-
-    params_doc = doc.get("parameters", {})
-    if not isinstance(params_doc, dict):
-        raise SchemaError("parameters must map names to rationals")
-    try:
-        params = {str(k): parse_rational(str(v)) for k, v in params_doc.items()}
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"parameter values must be rational: {exc}") from None
-    unbound = potential.parameters() - set(params)
-    if unbound:
-        raise SchemaError(f"potential uses unbound parameters: {sorted(unbound)}")
 
     if doc.get("euler"):
         ed = doc["euler"]
@@ -310,7 +312,7 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
 # -- output documents -----------------------------------------------------------
 
 
-def frame_to_json(frame: CanonicalFrame, include_jets: bool = True) -> dict:
+def frame_to_json(frame: CanonicalFrame) -> dict:
     """Canonical-frame dump: u, Delta, sqrt(Delta), Psi, and their jets."""
     ctx = frame.ctx
     doc = {
@@ -323,7 +325,7 @@ def frame_to_json(frame: CanonicalFrame, include_jets: bool = True) -> dict:
         "sqrt_delta": [format_value(x, ctx) for x in frame.sqrt_delta_values()],
         "psi": [[format_value(x, ctx) for x in row] for row in frame.psi_values()],
     }
-    if include_jets and frame.order > 0:
+    if frame.order > 0:
         doc["jets"] = {
             "u": [series_to_json(s, ctx) for s in frame.u],
             "delta": [series_to_json(s, ctx) for s in frame.delta],

@@ -157,6 +157,19 @@ class TestExitCodes:
         assert code == 1 and "GENUSLIFT_PRECISION" in text
 
 
+class TestParser:
+    def test_parser_built_once_per_process(self):
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert run_command(["wk", "--g", "1", "--indices", "1"]) == (0, "1/24\n")
+        assert cli._build_parser.cache_info().misses == 1
+        # a usage error after a good call still maps onto exit code 1
+        code, text = run_command(["wk", "--g", "1", "--no-such-flag"])
+        assert code == 1 and text.startswith("error:")
+        assert run_command(["wk", "--g", "1", "--indices", "1"]) == (0, "1/24\n")
+        assert cli._build_parser.cache_info().misses == 1
+
+
 class TestWk:
     def test_single_correlator_text(self):
         code, text = run_command(["wk", "--g", "1", "--indices", "1"])

@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genuslift.frobenius import (
     EulerData,
@@ -11,8 +14,9 @@ from genuslift.frobenius import (
     threefold_cusp_model,
     two_primary_model,
 )
-from genuslift.expressions import Expression
+from genuslift.expressions import Expression, t_names
 from genuslift.scalars import FloatContext
+from genuslift.series import Caps, TruncatedSeries
 
 
 class TestStructureConstants:
@@ -92,6 +96,127 @@ class TestAxioms:
                 assert emat[i][j] == expect
 
 
+class TestWorkingPrecision:
+    """Float residuals and structure constants called outside any precision
+    guard must still carry the context's 256 bits, not double precision."""
+
+    CTX = FloatContext(256)
+    CUSP_POINT = (Fraction(1, 3), Fraction(-2, 5), Fraction(-3, 7))
+    QUINTIC_POINT = (Fraction(2, 7), Fraction(3, 5))
+    BOUND = mpmath.mpf("1e-70")
+
+    def cases(self):
+        return [
+            (threefold_cusp_model(), self.CUSP_POINT),
+            (two_primary_model(Fraction(1, 2)), self.QUINTIC_POINT),
+        ]
+
+    def test_cusp_wdvv_and_unit(self):
+        m = threefold_cusp_model()
+        assert m.wdvv_residual(self.CUSP_POINT, self.CTX) < self.BOUND
+        assert m.unit_residual(self.CUSP_POINT, self.CTX) < self.BOUND
+
+    def test_euler_residual(self):
+        for m, pt in self.cases():
+            assert m.euler_residual(pt, self.CTX) < self.BOUND
+
+    def test_structure_constants_match_exact(self):
+        for m, pt in self.cases():
+            floats = m.structure_constants(pt, self.CTX)
+            exact = m.structure_constants(pt, None)
+            with self.CTX.guard():
+                gap = max(
+                    abs(x - self.CTX.num(y))
+                    for fm, em in zip(floats, exact)
+                    for fr, er in zip(fm, em)
+                    for x, y in zip(fr, er)
+                )
+            assert gap < self.BOUND
+
+    def test_euler_multiplication_matches_exact(self):
+        for m, pt in self.cases():
+            floats = m.euler_multiplication(pt, self.CTX)
+            exact = m.euler_multiplication(pt, None)
+            with self.CTX.guard():
+                gap = max(
+                    abs(x - self.CTX.num(y)) for fr, er in zip(floats, exact) for x, y in zip(fr, er)
+                )
+            assert gap < self.BOUND
+
+
+def _jet_route(model, point, order):
+    """C_a jets by the potential's jet to order + 3, differentiated three
+    times and contracted with g^{-1}."""
+    n = model.dimension
+    names = t_names(n)
+    jet = model.potential.jet(point, order + 3, None)
+    honest = Caps.total(names, order)
+    ginv = model.metric_inverse
+    out = []
+    for a in range(n):
+        mat = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = TruncatedSeries.zero(honest)
+                for m in range(n):
+                    if ginv[m][i]:
+                        third = jet.partial(names[a]).partial(names[j]).partial(names[m])
+                        acc = acc + third.repruned(honest).scale(ginv[m][i])
+                row.append(acc)
+            mat.append(row)
+        out.append(mat)
+    return out
+
+
+_PROPERTY_MODELS = {
+    "cusp": threefold_cusp_model(),
+    "d=1/3": two_primary_model(Fraction(1, 3)),
+    "d=1/2": two_primary_model(Fraction(1, 2)),
+}
+
+_coordinates = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def _model_points(draw):
+    name = draw(st.sampled_from(sorted(_PROPERTY_MODELS)))
+    model = _PROPERTY_MODELS[name]
+    point = tuple(draw(_coordinates) for _ in range(model.dimension))
+    return model, point
+
+
+class TestSingleDerivation:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(_model_points(), st.integers(min_value=0, max_value=2))
+    def test_jets_match_jet_route(self, model_point, order):
+        model, point = model_point
+        new = model.structure_constant_jets(point, order, None)
+        old = _jet_route(model, point, order)
+        n = model.dimension
+        for a in range(n):
+            for i in range(n):
+                for j in range(n):
+                    diff = new[a][i][j] - old[a][i][j]
+                    assert all(v == 0 for v in diff.c.values())
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(_model_points())
+    def test_multiplication_commutes_with_unit(self, model_point):
+        model, point = model_point
+        n = model.dimension
+        cs = model.structure_constants(point, None)
+        for a in range(n):
+            for b in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        ab = sum(cs[a][i][k] * cs[b][k][j] for k in range(n))
+                        ba = sum(cs[b][i][k] * cs[a][k][j] for k in range(n))
+                        assert ab == ba
+        unit = cs[model.unit_index]
+        assert unit == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 class TestModelConstruction:
     def test_non_symmetric_metric_rejected(self):
         with pytest.raises(ValueError):
@@ -136,9 +261,7 @@ class TestModelConstruction:
         m2 = FrobeniusModel.from_json(doc)
         assert m2.dimension == m.dimension
         assert m2.metric == m.metric
-        assert m2.potential.bind(m.parameters or None).terms == m.potential.bind(
-            m.parameters or None
-        ).terms
+        assert m2.potential.terms == m.potential.terms
         assert m2.euler.conformal_dimension == m.euler.conformal_dimension
         pt = (Fraction(1, 5), Fraction(3, 7))
         assert m2.wdvv_residual(pt, None) == m.wdvv_residual(pt, None) == 0

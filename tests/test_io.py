@@ -155,7 +155,7 @@ class TestModelDocuments:
         assert model.parameters == {"c": Fraction(1)}
         reference = two_primary_model(Fraction(1, 2))
         origin = (Fraction(0), Fraction(0))
-        assert model.potential.bind(model.parameters).evaluate(
+        assert model.potential.evaluate(
             (Fraction(1), Fraction(2)), None
         ) == reference.potential.evaluate((Fraction(1), Fraction(2)), None)
         assert model.unit_residual(origin, None) == 0

@@ -62,7 +62,7 @@ from .io import (
     rseries_to_json,
 )
 from .rmatrix import compute_R, edge_tail_data, unitarity_residual
-from .scalars import FloatContext, Rational, format_rational
+from .scalars import EXACT, FloatContext, Rational, format_rational
 
 PRECISION_ENV = "GENUSLIFT_PRECISION"
 
@@ -200,7 +200,7 @@ def _cmd_validate(args):
     model = _load_model(args.model, config.tolerance)
     origin = (Fraction(0),) * model.dimension
     try:
-        residual = format_rational(model.unit_residual(origin, None))
+        residual = format_rational(model.unit_residual(origin, EXACT))
     except (ArithmeticError, ValueError):
         residual = "skipped: origin outside the domain"
     doc = {

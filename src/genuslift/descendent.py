@@ -67,9 +67,9 @@ from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
 from .genus import _STENCIL, GenusReport, frame_and_R, genus1_differential, graph_sum
 from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
-from .linalg import det, identity, mat_add, mat_inv_float, mat_mul, mat_scale, mat_vec, transpose
+from .linalg import det, identity, mat_add, mat_inv, mat_mul, mat_scale, mat_vec, transpose
 from .rmatrix import EdgeTailData, RSeries, compute_R, compute_V
-from .scalars import FloatContext
+from .scalars import EXACT, Context, FloatContext
 
 
 # -- expression plumbing ---------------------------------------------------------
@@ -114,23 +114,18 @@ class Calibration:
             raise ValueError(f"S_{k} not stored; calibration order is {self.order}")
         return self.s[k - 1]
 
-    def s_values(self, point, ctx: FloatContext | None, order: Optional[int] = None) -> list:
+    def s_values(self, point, ctx: Context, order: Optional[int] = None) -> list:
         """[S_0, S_1(point), ..., S_order(point)] as scalar matrices.
 
-        ``ctx=None`` evaluates in exact rationals (polynomial potentials
+        With ``EXACT`` the values are rationals (polynomial potentials
         only)."""
         n = self.dimension
         if order is None:
             order = self.order
         if order > self.order:
             raise ValueError(f"calibration order {self.order} < requested {order}")
-        if ctx is None:
-            out = [identity(n)]
-            pt = tuple(Fraction(x) for x in point)
-        else:
-            one, zero = ctx.num(1), ctx.num(0)
-            out = [identity(n, one, zero)]
-            pt = tuple(point)
+        out = [identity(n, ctx.num(1), ctx.num(0))]
+        pt = tuple(point)
         for k in range(1, order + 1):
             mat = self.s[k - 1]
             out.append([[mat[i][j].evaluate(pt, ctx) for j in range(n)] for i in range(n)])
@@ -297,7 +292,7 @@ def critical_point(
             f"calibration order {calibration.order} too small for couplings up to c^{kmax}"
         )
     with ctx.guard():
-        tol = mpmath.mpf(2) ** (40 - ctx.prec_bits)
+        tol = ctx.noise_floor(40)
         t0 = [ctx.num(x) for x in tau.coupling(0)]
         couplings = [[ctx.num(x) for x in tau.coupling(m)] for m in range(kmax + 1)]
         live = [m for m in range(1, kmax + 1) if any(x != 0 for x in couplings[m])]
@@ -334,7 +329,7 @@ def critical_point(
                 ]
                 for i in range(n)
             ]
-            step = mat_vec(mat_inv_float(jac, ctx), res)
+            step = mat_vec(mat_inv(jac, ctx), res)
             t = [t[a] - step[a] for a in range(n)]
         raise ArithmeticError(
             f"critical point Newton stalled after {_NEWTON_STEPS} iterations; "
@@ -665,6 +660,8 @@ def genus1_descendent_routes(
     stencil error is O(step^6) against values computed at working
     precision."""
     n = model.dimension
+    if step == 0:
+        raise ValueError(f"finite-difference step must be nonzero, not {step}")
 
     def frame_at(curve: CurvePoint):
         t_star = critical_point(model, calibration, curve, ctx)
@@ -731,7 +728,7 @@ def _coupling_series(times, k: int, u):
 def point_descendent_resummed(
     tau: CurvePoint,
     g: int,
-    ctx: FloatContext | None,
+    ctx: Context,
     *,
     table: Optional[IntersectionTable] = None,
 ):
@@ -745,25 +742,24 @@ def point_descendent_resummed(
     from 0).  Unlike the direct sum over insertions, this sum is finite
     for any couplings, and it reads nothing but the intersection table.
 
-    ``ctx=None`` keeps rationals, which needs t_0 = 0 (then u_0 = 0).
+    ``EXACT`` keeps rationals, which needs t_0 = 0 (then u_0 = 0).
     A stalled Newton solve, or 1 - I_1(u_0) = 0, raises ArithmeticError."""
     if tau.dimension != 1:
         raise ValueError("the resummed reference is for the one-dimensional model")
     if g < 2:
         raise ValueError("the resummed reference starts at genus 2")
     times = [row[0] for row in tau.times]
-    if ctx is None:
-        if times[0] != 0:
-            raise ValueError("exact arithmetic needs t_0 = 0; pass a FloatContext")
-        return _resummed_sum([Fraction(x) for x in times], g, Fraction(0), table, 0)
+    # with t_0 != 0, rational Newton steps never reach a zero residual
+    if ctx is EXACT and times[0] != 0:
+        raise ValueError("exact arithmetic needs t_0 = 0; pass a FloatContext")
     with ctx.guard():
         times = [ctx.num(x) for x in times]
-        tol = mpmath.mpf(2) ** (40 - ctx.prec_bits)
+        tol = ctx.noise_floor(40)
         u = ctx.num(0)
         for _ in range(60):
             res = _coupling_series(times, 0, u) - u
             slope = 1 - _coupling_series(times, 1, u)
-            converged = mpmath.fabs(res) <= tol
+            converged = ctx.abs(res) <= tol
             if slope != 0:
                 # once converged, this step polishes u_0 to working precision
                 u = u + res / slope

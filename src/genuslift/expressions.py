@@ -23,9 +23,7 @@ import json
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
-import mpmath
-
-from .scalars import FloatContext, format_rational, parse_rational
+from .scalars import Context, format_rational, parse_rational
 from .series import Caps, TruncatedSeries
 
 TermKey = Tuple[Tuple[int, ...], Tuple[Fraction, ...]]
@@ -202,22 +200,9 @@ class Expression:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, point: Sequence, ctx: FloatContext | None):
+    def evaluate(self, point: Sequence, ctx: Context):
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
-        if ctx is None:
-            pt = [Fraction(x) for x in point]
-            total = Fraction(0)
-            for (mono, expo), c in self.terms.items():
-                arg = sum((lam * x for lam, x in zip(expo, pt)), Fraction(0))
-                if arg != 0:
-                    raise ArithmeticError("exact evaluation hits a transcendental exponential")
-                term = c
-                for x, m in zip(pt, mono):
-                    if m:
-                        term *= x**m
-                total += term
-            return total
         with ctx.guard():
             pt = [ctx.num(x) for x in point]
             total = ctx.num(0)
@@ -231,16 +216,14 @@ class Expression:
                     if lam:
                         arg = arg + ctx.num(lam) * x
                 if arg != 0:
-                    term = term * mpmath.exp(arg)
+                    term = term * ctx.exp(arg)
                 total = total + term
             return total
 
-    def jet(self, point: Sequence, order: int, ctx: FloatContext | None) -> TruncatedSeries:
+    def jet(self, point: Sequence, order: int, ctx: Context) -> TruncatedSeries:
         """Taylor expansion around ``point`` as a series in t0..t{N-1},
         truncated at total degree ``order``.  Coefficients are Taylor
         coefficients (derivative / m!)."""
-        if ctx is None:
-            return self._jet_impl(point, order, None)
         # every Fraction-to-mpf conversion must happen at full precision
         with ctx.guard():
             return self._jet_impl(point, order, ctx)
@@ -248,13 +231,10 @@ class Expression:
     def _jet_impl(self, point: Sequence, order: int, ctx) -> TruncatedSeries:
         caps = Caps.total(t_names(self.nvars), order)
         out = TruncatedSeries.zero(caps)
-        if ctx is None:
-            pt = [Fraction(x) for x in point]
-        else:
-            pt = [ctx.num(x) for x in point]
+        pt = [ctx.num(x) for x in point]
         names = t_names(self.nvars)
         for (mono, expo), c in self.terms.items():
-            term = TruncatedSeries.const(caps, c if ctx is None else ctx.num(c))
+            term = TruncatedSeries.const(caps, ctx.num(c))
             for i, m in enumerate(mono):
                 if m or expo[i]:
                     term = term * _onevar_jet(caps, names[i], pt[i], m, expo[i], order, ctx)
@@ -263,7 +243,7 @@ class Expression:
             out = out + term
         return out
 
-    def derivatives(self, point: Sequence, order: int, ctx: FloatContext | None):
+    def derivatives(self, point: Sequence, order: int, ctx: Context):
         """Dict of all partial derivatives up to total order: {multi-index: value}."""
         jet = self.jet(point, order, ctx)
         out = {}
@@ -369,13 +349,7 @@ def _onevar_jet(caps: Caps, name: str, p, m: int, lam: Fraction, order: int, ctx
                 out = out + TruncatedSeries.var(caps, name, j, c)
         return out
     # exp(lam p) * exp(lam d)
-    if ctx is None:
-        if lam * Fraction(p) != 0:
-            raise ArithmeticError("exact jet hits a transcendental exponential")
-        pref = Fraction(1)
-    else:
-        with ctx.guard():
-            pref = mpmath.exp(ctx.num(lam) * p)
+    pref = ctx.exp(ctx.num(lam) * p)
     exp_coeffs = []
     fact = Fraction(1)
     for j in range(order + 1):
@@ -398,11 +372,9 @@ def _binom(m: int, j: int) -> Fraction:
     return out
 
 
-def _power(p, k: int, ctx):
+def _power(p, k: int, ctx: Context):
     if k == 0:
-        return Fraction(1) if ctx is None else ctx.num(1)
-    if ctx is None:
-        return Fraction(p) ** k
+        return ctx.num(1)
     with ctx.guard():
         return ctx.num(p) ** k
 

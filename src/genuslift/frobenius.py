@@ -25,14 +25,13 @@ is computed at its working precision.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .expressions import Expression, t_names
-from .linalg import mat_inv_exact, mat_mul, mat_sub, max_abs_entry
-from .scalars import FloatContext, format_rational, parse_rational
+from .linalg import mat_inv, mat_mul, mat_sub
+from .scalars import EXACT, Context, format_rational, parse_rational
 
 
 @dataclass
@@ -43,14 +42,8 @@ class EulerData:
     shift: List[Fraction]
     conformal_dimension: Fraction
 
-    def components(self, point: Sequence, ctx: FloatContext | None) -> list:
+    def components(self, point: Sequence, ctx: Context) -> list:
         n = len(self.shift)
-        if ctx is None:
-            pt = [Fraction(x) for x in point]
-            return [
-                sum((self.matrix[a][b] * pt[b] for b in range(n)), Fraction(0)) + self.shift[a]
-                for a in range(n)
-            ]
         with ctx.guard():
             pt = [ctx.num(x) for x in point]
             out = []
@@ -82,7 +75,7 @@ class FrobeniusModel:
             for j in range(i):
                 if self.metric[i][j] != self.metric[j][i]:
                     raise ValueError("metric is not symmetric")
-        self.metric_inverse = ginv = mat_inv_exact(self.metric)
+        self.metric_inverse = ginv = mat_inv(self.metric, EXACT)
         self.third_derivatives: Dict[tuple, Expression] = {}
         for a in range(n):
             fa = self.potential.diff(a)
@@ -107,13 +100,13 @@ class FrobeniusModel:
 
     # -- multiplication ----------------------------------------------------
 
-    def structure_constant_jets(self, point: Sequence, order: int, ctx: FloatContext | None):
+    def structure_constant_jets(self, point: Sequence, order: int, ctx: Context):
         """List of N matrices of jets: (C_a)[i][j] = F_{a j m} g^{m i}."""
         return [
             [[e.jet(point, order, ctx) for e in row] for row in mat] for mat in self.multiplication
         ]
 
-    def structure_constants(self, point: Sequence, ctx: FloatContext | None):
+    def structure_constants(self, point: Sequence, ctx: Context):
         """Scalar matrices C_a at the point."""
         return [
             [[e.evaluate(point, ctx) for e in row] for row in mat] for mat in self.multiplication
@@ -121,34 +114,34 @@ class FrobeniusModel:
 
     # -- axiom residuals -----------------------------------------------------
 
-    def unit_residual(self, point: Sequence, ctx: FloatContext | None):
+    def unit_residual(self, point: Sequence, ctx: Context):
         """Max |F_{u,b,c} - g_{bc}|; raises off the potential's domain (the
         pole of a Laurent potential), like every evaluation of F there."""
         n = self.dimension
         u = self.unit_index
         self.potential.evaluate(point, ctx)
-        with ctx.guard() if ctx is not None else nullcontext():
-            worst = Fraction(0) if ctx is None else ctx.num(0)
+        with ctx.guard():
+            worst = ctx.num(0)
             for b in range(n):
                 for c in range(n):
                     v = self._third(u, b, c).evaluate(point, ctx) - self.metric[b][c]
-                    worst = max(worst, abs(v) if ctx is None else ctx.abs(v))
+                    worst = max(worst, ctx.abs(v))
             return worst
 
-    def wdvv_residual(self, point: Sequence, ctx: FloatContext | None):
+    def wdvv_residual(self, point: Sequence, ctx: Context):
         """Max deviation of C_a C_b - C_b C_a over all pairs (equivalent to
         the four-index associativity identity given commutativity of the
         algebra and symmetry of F_{abc})."""
-        with ctx.guard() if ctx is not None else nullcontext():
+        with ctx.guard():
             cs = self.structure_constants(point, ctx)
-            worst = Fraction(0) if ctx is None else ctx.num(0)
+            worst = ctx.num(0)
             for a in range(self.dimension):
                 for b in range(a + 1, self.dimension):
                     comm = mat_sub(mat_mul(cs[a], cs[b]), mat_mul(cs[b], cs[a]))
-                    worst = max(worst, max_abs_entry(comm, ctx))
+                    worst = max(worst, ctx.max_abs([x for row in comm for x in row]))
             return worst
 
-    def euler_residual(self, point: Sequence, ctx: FloatContext | None):
+    def euler_residual(self, point: Sequence, ctx: Context):
         """Pointwise residual of the three Euler axioms: homogeneity of the
         third derivatives, metric scaling, and unit scaling."""
         if self.euler is None:
@@ -157,18 +150,14 @@ class FrobeniusModel:
         n = self.dimension
         factor = Fraction(3) - e.conformal_dimension
         names = t_names(n)
-
-        def absval(x):
-            return abs(x) if ctx is None else ctx.abs(x)
-
-        with ctx.guard() if ctx is not None else nullcontext():
+        with ctx.guard():
             d3 = {key: f.jet(point, 1, ctx) for key, f in self.third_derivatives.items()}
 
             def f3(*idx):
                 return d3[tuple(sorted(idx))]
 
             evec = e.components(point, ctx)
-            worst = Fraction(0) if ctx is None else ctx.num(0)
+            worst = ctx.num(0)
             for a in range(n):
                 for b in range(n):
                     for c in range(n):
@@ -179,25 +168,25 @@ class FrobeniusModel:
                             acc = acc + e.matrix[m][a] * f3(m, b, c).constant_term()
                             acc = acc + e.matrix[m][b] * f3(a, m, c).constant_term()
                             acc = acc + e.matrix[m][c] * f3(a, b, m).constant_term()
-                        worst = max(worst, absval(acc))
+                        worst = max(worst, ctx.abs(acc))
             # L_E g = (2 - D) g
             for a in range(n):
                 for b in range(n):
                     acc = -(Fraction(2) - e.conformal_dimension) * self.metric[a][b]
                     for m in range(n):
                         acc = acc + e.matrix[m][a] * self.metric[m][b] + e.matrix[m][b] * self.metric[a][m]
-                    worst = max(worst, absval(acc))
+                    worst = max(worst, ctx.abs(acc))
             # unit direction is an eigenvector of weight 1: a^m_unit = delta
             for m in range(n):
                 expect = Fraction(1) if m == self.unit_index else Fraction(0)
-                worst = max(worst, absval(e.matrix[m][self.unit_index] - expect))
+                worst = max(worst, ctx.abs(e.matrix[m][self.unit_index] - expect))
             return worst
 
-    def euler_multiplication(self, point: Sequence, ctx: FloatContext | None):
+    def euler_multiplication(self, point: Sequence, ctx: Context):
         """Matrix of multiplication by the Euler field, E dot."""
         n = self.dimension
         out = [[None] * n for _ in range(n)]
-        with ctx.guard() if ctx is not None else nullcontext():
+        with ctx.guard():
             cs = self.structure_constants(point, ctx)
             evec = self.euler.components(point, ctx)
             for i in range(n):

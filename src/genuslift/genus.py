@@ -58,7 +58,6 @@ commands) builds its canonical frame and picks the R route.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -82,7 +81,7 @@ from .rmatrix import (
     twist_R,
     uses_homogeneity,
 )
-from .scalars import FloatContext
+from .scalars import EXACT, Context, FloatContext
 from .series import Caps, TruncatedSeries
 
 
@@ -389,18 +388,18 @@ def graph_sum(
     data: EdgeTailData,
     g: int,
     table: Optional[IntersectionTable] = None,
-    ctx: Optional[FloatContext] = None,
+    ctx: Context = EXACT,
     frame=None,
 ) -> GenusReport:
     """F^g from edge/tail data: every skeleton of genus g summed over all
     labelings by ``data.dimension`` indices (:func:`skeleton_sum`), with one
     vertex cache and one edge weight table shared by the whole sum.  Exact
-    when ``data`` is rational and ``ctx`` is None; ``frame`` is only passed
-    through to the report."""
+    when ``data`` is rational and ``ctx`` is ``EXACT`` (the default);
+    ``frame`` is only passed through to the report."""
     vertex_cache: dict = {}
-    with ctx.guard() if ctx is not None else nullcontext():
+    with ctx.guard():
         edge_weights = edge_weight_table(data)
-        total = ctx.num(0) if ctx is not None else 0
+        total = ctx.num(0)
         contributions = []
         for sk in skeletons(g):
             val = skeleton_sum(sk, data, table, vertex_cache, edge_weights)
@@ -520,7 +519,7 @@ def wick_oracle(
     data: EdgeTailData,
     g: int,
     table: Optional[IntersectionTable] = None,
-    ctx: Optional[FloatContext] = None,
+    ctx: Context = EXACT,
     vertex_cache: Optional[dict] = None,
 ):
     """F^g from the same edge/tail data by expanding the operator exponential
@@ -533,7 +532,7 @@ def wick_oracle(
         raise ValueError("the expansion is normalized for genus >= 2")
     if vertex_cache is None:
         vertex_cache = {}
-    with ctx.guard() if ctx is not None else nullcontext():
+    with ctx.guard():
         kq = 3 * g - 4
         powers = _graded_exp(_log_tau_layers(data, g, table, vertex_cache))
 
@@ -614,6 +613,8 @@ def genus1_closedness_residual(
 
     Exact rational displacement points keep the frame inputs exact; the
     stencil error is O(step^6)."""
+    if step == 0:
+        raise ValueError(f"finite-difference step must be nonzero, not {step}")
     n = model.dimension
     point = tuple(point)
     forms = {}

@@ -26,7 +26,6 @@ truncates because a_j >= 2 forces at most 3g - 3 + m - sum(edge ks) legs.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from fractions import Fraction
 from math import factorial
 from typing import Dict, Iterator, Optional, Sequence, Tuple
@@ -160,45 +159,45 @@ def vertex_correlator(
     tails,
     hbar_delta,
     table: Optional[IntersectionTable] = None,
-    ctx=None,
 ):
     """Correlator of a single graph vertex: edge insertions tau_{k} plus the
     tail sum, times (hbar*Delta)^(g-1).
 
     ``tails`` maps index a >= 2 to the tail value T_a (anything else is
     treated as zero).  Unstable or dimension-starved configurations return
-    0 rather than raising, so callers can sum blindly over graphs.
+    0 rather than raising, so callers can sum blindly over graphs.  Float
+    tails are summed at the caller's working precision: call it inside the
+    context's guard.
     """
-    with ctx.guard() if ctx is not None else nullcontext():
-        table = _DEFAULT_TABLE if table is None else table
-        edge_ks = tuple(int(k) for k in edge_ks)
-        m = len(edge_ks)
-        budget = 3 * g - 3 + m - sum(edge_ks)
-        if isinstance(hbar_delta, int):
-            hbar_delta = Fraction(hbar_delta)
-        total = Fraction(0)
-        for n in range(0, max(budget, 0) + 1):
-            if not _stable(g, m + n):
+    table = _DEFAULT_TABLE if table is None else table
+    edge_ks = tuple(int(k) for k in edge_ks)
+    m = len(edge_ks)
+    budget = 3 * g - 3 + m - sum(edge_ks)
+    if isinstance(hbar_delta, int):
+        hbar_delta = Fraction(hbar_delta)
+    total = Fraction(0)
+    for n in range(0, max(budget, 0) + 1):
+        if not _stable(g, m + n):
+            continue
+        legs = 3 * g - 3 + m + n - sum(edge_ks)
+        if legs < 2 * n:
+            continue
+        for assignment in _ascending_tuples(n, legs, 2):
+            tvals = [tails.get(a, 0) for a in assignment]
+            if any(v == 0 for v in tvals):
                 continue
-            legs = 3 * g - 3 + m + n - sum(edge_ks)
-            if legs < 2 * n:
+            corr = table.value(g, edge_ks + assignment)
+            if corr == 0:
                 continue
-            for assignment in _ascending_tuples(n, legs, 2):
-                tvals = [tails.get(a, 0) for a in assignment]
-                if any(v == 0 for v in tvals):
-                    continue
-                corr = table.value(g, edge_ks + assignment)
-                if corr == 0:
-                    continue
-                # ascending tuples stand for unordered leg sets: the 1/n! of the
-                # exponential collapses to 1/prod(multiplicities!)
-                coeff = corr
-                seen = {}
-                for a in assignment:
-                    seen[a] = seen.get(a, 0) + 1
-                for c in seen.values():
-                    coeff /= factorial(c)
-                for v in tvals:
-                    coeff = v * coeff
-                total = total + coeff
-        return total * hbar_delta ** (g - 1)
+            # ascending tuples stand for unordered leg sets: the 1/n! of the
+            # exponential collapses to 1/prod(multiplicities!)
+            coeff = corr
+            seen = {}
+            for a in assignment:
+                seen[a] = seen.get(a, 0) + 1
+            for c in seen.values():
+                coeff /= factorial(c)
+            for v in tvals:
+                coeff = v * coeff
+            total = total + coeff
+    return total * hbar_delta ** (g - 1)

@@ -34,9 +34,9 @@ from .descendent import CurvePoint
 from .expressions import Expression, UnboundParameterError
 from .frame import CanonicalFrame
 from .frobenius import FrobeniusModel
-from .linalg import mat_inv_exact
+from .linalg import mat_inv
 from .rmatrix import EdgeTailData, RSeries
-from .scalars import FloatContext, Rational, format_rational, parse_rational
+from .scalars import EXACT, Context, FloatContext, Rational, format_rational, parse_rational
 from .series import TruncatedSeries
 
 
@@ -122,18 +122,17 @@ class RunConfig:
 # -- scalar and series formatting ----------------------------------------------
 
 
-def format_value(x, ctx: FloatContext | None = None) -> str:
-    """Rational -> "p/q"; float/complex -> decimal string at ctx precision."""
+def format_value(x, ctx: Context = EXACT) -> str:
+    """Rational -> "p/q"; float/complex -> decimal string at ctx precision
+    (``EXACT`` raises TypeError on them)."""
     if isinstance(x, (int, Rational)):
         return format_rational(Rational(x))
-    if ctx is None:
-        raise TypeError(f"formatting {type(x).__name__} needs a FloatContext")
     return ctx.format(x)
 
 
-def parse_value(text: str, ctx: FloatContext | None = None):
+def parse_value(text: str, ctx: Context = EXACT):
     text = text.strip()
-    if ctx is None or ("/" in text and "j" not in text and "(" not in text):
+    if "/" in text and "j" not in text and "(" not in text:
         return parse_rational(text)
     return ctx.parse(text)
 
@@ -142,7 +141,7 @@ def precision_annotation(ctx: FloatContext) -> dict:
     return {"bits": ctx.prec_bits, "digits": ctx.digits}
 
 
-def series_to_json(series: TruncatedSeries, ctx: FloatContext | None = None) -> dict:
+def series_to_json(series: TruncatedSeries, ctx: Context = EXACT) -> dict:
     coeffs = {}
     for key in sorted(series.c):
         coeffs[",".join(str(e) for e in key)] = format_value(series.c[key], ctx)
@@ -258,7 +257,7 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
             if metric[a][b] != metric[b][a]:
                 raise SchemaError(f"metric is not symmetric at ({a},{b})")
     try:
-        mat_inv_exact(metric)
+        mat_inv(metric, EXACT)
     except (ZeroDivisionError, ArithmeticError):
         raise SchemaError("metric is singular") from None
 
@@ -297,7 +296,7 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
 
     origin = (Fraction(0),) * n
     try:
-        residual = model.unit_residual(origin, None)
+        residual = model.unit_residual(origin, EXACT)
     except (ArithmeticError, ValueError):
         residual = None  # origin outside the potential's domain
     if residual is not None and residual > tolerance:
@@ -355,7 +354,7 @@ def rseries_to_json(r: RSeries, ctx: FloatContext) -> dict:
     return doc
 
 
-def edge_data_to_json(data: EdgeTailData, ctx: FloatContext | None) -> dict:
+def edge_data_to_json(data: EdgeTailData, ctx: Context) -> dict:
     """Edge and tail tables: V keyed "i,j,k,l", T keyed "i,k"."""
     vdoc = {}
     for key in sorted(data.v):
@@ -374,7 +373,7 @@ def edge_data_to_json(data: EdgeTailData, ctx: FloatContext | None) -> dict:
         "t": tdoc,
         "residuals": {k: format_value(v, ctx) for k, v in sorted(data.residuals.items())},
     }
-    if ctx is not None:
+    if ctx is not EXACT:
         doc["precision"] = precision_annotation(ctx)
     return doc
 

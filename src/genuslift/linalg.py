@@ -14,7 +14,7 @@ from typing import Callable, List, Sequence
 
 import mpmath
 
-from .scalars import FloatContext
+from .scalars import Context, FloatContext
 
 Matrix = List[list]
 
@@ -112,31 +112,14 @@ def det(a: Matrix):
     return total
 
 
-def mat_inv_exact(a: Matrix) -> Matrix:
-    """Gauss-Jordan over Fractions."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def mat_inv_float(a: Matrix, ctx: FloatContext) -> Matrix:
+def mat_inv(a: Matrix, ctx: Context) -> Matrix:
+    """Gauss-Jordan with partial pivoting, in the context's arithmetic."""
     with ctx.guard():
         n = len(a)
         m = [[ctx.num(x) for x in row] + [ctx.num(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
         for col in range(n):
-            piv = max(range(col, n), key=lambda r: mpmath.fabs(m[r][col]))
-            if mpmath.fabs(m[piv][col]) == 0:
+            piv = max(range(col, n), key=lambda r: ctx.abs(m[r][col]))
+            if ctx.abs(m[piv][col]) == 0:
                 raise ZeroDivisionError("singular matrix")
             m[col], m[piv] = m[piv], m[col]
             pv = m[col][col]
@@ -156,9 +139,3 @@ def eigenvalues_float(a: Matrix, ctx: FloatContext) -> list:
         coeffs = charpoly(num, one, lambda x, k: x / k)
         roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=ctx.prec_bits)
         return list(roots)
-
-
-def max_abs_entry(a: Matrix, ctx: FloatContext | None):
-    if ctx is None:
-        return max((abs(Fraction(x)) for row in a for x in row), default=Fraction(0))
-    return ctx.max_abs([x for row in a for x in row])

@@ -1,22 +1,27 @@
 """Scalar backends: exact rationals and guarded arbitrary-precision floats.
 
 Every quantity in this package is computed over one of two coefficient
-backends:
+backends, each driven through a context object with the same methods:
 
-* exact -- ``fractions.Fraction``; used whenever the input data is rational
-  and no square roots or transcendental functions are required.
-* float -- mpmath ``mpf``/``mpc`` at a fixed binary precision; used for
-  canonical frames, which involve eigenvalues and square roots.
+* :data:`EXACT`, the one :class:`ExactContext` -- ``fractions.Fraction``;
+  used whenever the input data is rational.  Square roots of perfect
+  squares, exp(0) and log(1) stay rational; any other square root,
+  exponential or logarithm raises ``ArithmeticError``.
+* :class:`FloatContext` -- mpmath ``mpf``/``mpc`` at a fixed binary
+  precision; used for canonical frames, which involve eigenvalues and
+  square roots.  mpmath's global precision is mutable state, so every
+  operation runs inside a ``workprec`` guard, and the context carries the
+  default tolerance used by internal consistency checks.
 
-The float backend is always driven through a :class:`FloatContext`, which
-pins the working precision (mpmath's global precision is mutable state, so
-every operation runs inside a ``workprec`` guard) and carries the default
-tolerance used by internal consistency checks.
+Arithmetic code takes a context and calls it; which backend runs is
+decided here alone.  ``EXACT`` is the default wherever a context is
+optional.
 """
 
 from __future__ import annotations
 
 import fractions
+from math import isqrt
 from typing import Iterable, Union
 
 import mpmath
@@ -63,12 +68,14 @@ class FloatContext:
 
     def num(self, x):
         """Convert int/Fraction/float/str/mpf/mpc to mpf or mpc at full precision."""
-        with self.guard():
-            if isinstance(x, Rational):
-                return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-            if isinstance(x, complex):
-                return mpmath.mpc(x.real, x.imag)
-            return mpmath.mpmathify(x)
+        if mpmath.mp.prec != self.prec_bits:
+            with self.guard():
+                return self.num(x)
+        if isinstance(x, Rational):
+            return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+        if isinstance(x, complex):
+            return mpmath.mpc(x.real, x.imag)
+        return mpmath.mpmathify(x)
 
     def parse(self, text: str):
         with self.guard():
@@ -94,6 +101,19 @@ class FloatContext:
                     return mpmath.sqrt(x)
                 return mpmath.mpc(0, mpmath.sqrt(-x))
             return mpmath.sqrt(x)
+
+    def exp(self, x):
+        with self.guard():
+            return mpmath.exp(self.num(x))
+
+    def log(self, x):
+        with self.guard():
+            return mpmath.log(self.num(x))
+
+    def noise_floor(self, headroom_bits: int):
+        """2**headroom_bits units in the last place: a residual at or below
+        it is rounding noise."""
+        return mpmath.mpf(2) ** (headroom_bits - self.prec_bits)
 
     def abs(self, x):
         with self.guard():
@@ -132,3 +152,61 @@ class FloatContext:
                 m = max(m, mpmath.fabs(self.num(x)))
             return m
 
+
+class ExactContext:
+    """Exact rational arithmetic behind the :class:`FloatContext` calls the
+    arithmetic layers make.  A result that is not rational raises
+    ``ArithmeticError`` instead of being rounded."""
+
+    tol = Rational(0)
+
+    def guard(self) -> "ExactContext":
+        """No precision to pin: the context is its own do-nothing guard."""
+        return self
+
+    def __enter__(self) -> "ExactContext":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def num(self, x) -> Rational:
+        return Rational(x)
+
+    def parse(self, text: str) -> Rational:
+        return parse_rational(text)
+
+    def format(self, x) -> str:
+        return format_rational(self.num(x))
+
+    def sqrt(self, x) -> Rational:
+        q = self.num(x)
+        if q >= 0:
+            root = Rational(isqrt(q.numerator), isqrt(q.denominator))
+            if root * root == q:
+                return root
+        raise ArithmeticError(f"sqrt({format_rational(q)}) is not rational")
+
+    def exp(self, x) -> Rational:
+        if x != 0:
+            raise ArithmeticError(f"exp({format_rational(self.num(x))}) is transcendental")
+        return Rational(1)
+
+    def log(self, x) -> Rational:
+        if x != 1:
+            raise ArithmeticError(f"log({format_rational(self.num(x))}) is transcendental")
+        return Rational(0)
+
+    def noise_floor(self, headroom_bits: int) -> Rational:
+        return Rational(0)
+
+    def abs(self, x) -> Rational:
+        return abs(self.num(x))
+
+    def max_abs(self, xs: Iterable) -> Rational:
+        return max((abs(self.num(x)) for x in xs), default=Rational(0))
+
+
+EXACT = ExactContext()
+
+Context = Union[FloatContext, ExactContext]

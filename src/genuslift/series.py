@@ -8,7 +8,9 @@ arithmetic prunes to the caps, so products and exponentials of capped series
 stay finite.
 
 Coefficients are either exact (``Fraction``/``int``) or mpmath floats; the
-two backends must not be mixed within one computation.
+two backends must not be mixed within one computation.  The series
+functions that leave the ring (exp, log, sqrt of a non-unit constant term)
+take the backend's context and run at its precision.
 
 Caps support per-variable exponent ranges plus any number of weighted total
 bounds ``sum(w_i * k_i) <= b``.  Weighted bounds with mixed-sign weights are
@@ -31,7 +33,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import mpmath
 
-from .scalars import FloatContext
+from .scalars import EXACT, Context
 
 Key = Tuple[int, ...]
 
@@ -153,9 +155,7 @@ class TruncatedSeries:
                 out.c[tuple(nk)] = v
         return out
 
-    def max_abs(self, ctx: FloatContext | None):
-        if ctx is None:
-            return max((abs(Fraction(v)) for v in self.c.values()), default=Fraction(0))
+    def max_abs(self, ctx: Context):
         return ctx.max_abs(self.c.values())
 
     def repruned(self, caps: Caps) -> "TruncatedSeries":
@@ -296,41 +296,32 @@ class TruncatedSeries:
             return self.scale(Fraction(1, other))
         return self.scale(1 / other)
 
-    def exp(self, ctx: FloatContext | None = None) -> "TruncatedSeries":
+    def exp(self, ctx: Context = EXACT) -> "TruncatedSeries":
         c0, n = self._nilpotent_part()
-        if c0 or c0 != 0:
-            if ctx is None:
-                raise ArithmeticError("exact exp requires zero constant term")
-            with ctx.guard():
-                pref = mpmath.exp(ctx.num(c0))
-        else:
-            pref = 1
-        out = TruncatedSeries.const(self.caps, 1)
-        fact = 1
-        for j, p in self._powers_of_nilpotent(n):
-            fact = fact * j
-            out = out + p.scale(Fraction(1, fact) if isinstance(fact, int) else 1 / fact)
-        return out.scale(pref) if pref != 1 else out
+        with ctx.guard():
+            pref = ctx.exp(c0) if c0 or c0 != 0 else 1
+            out = TruncatedSeries.const(self.caps, 1)
+            fact = 1
+            for j, p in self._powers_of_nilpotent(n):
+                fact = fact * j
+                out = out + p.scale(Fraction(1, fact))
+            return out.scale(pref) if pref != 1 else out
 
-    def log(self, ctx: FloatContext | None = None) -> "TruncatedSeries":
+    def log(self, ctx: Context = EXACT) -> "TruncatedSeries":
         c0, n = self._nilpotent_part()
         if not c0 and c0 == 0:
             raise ZeroDivisionError("log of series with zero constant term")
-        extra = 0
-        if c0 != 1:
-            if ctx is None:
-                raise ArithmeticError("exact log requires constant term 1")
-            with ctx.guard():
-                extra = mpmath.log(ctx.num(c0))
-        m = n.scale(Fraction(1, 1) / c0 if isinstance(c0, (int, Fraction)) else 1 / c0)
-        out = TruncatedSeries.zero(self.caps)
-        sign = 1
-        for j, p in self._powers_of_nilpotent(m):
-            out = out + p.scale(Fraction(sign, j))
-            sign = -sign
-        if extra or extra != 0:
-            out = out + extra
-        return out
+        with ctx.guard():
+            extra = ctx.log(c0) if c0 != 1 else 0
+            m = n.scale(Fraction(1, 1) / c0 if isinstance(c0, (int, Fraction)) else 1 / c0)
+            out = TruncatedSeries.zero(self.caps)
+            sign = 1
+            for j, p in self._powers_of_nilpotent(m):
+                out = out + p.scale(Fraction(sign, j))
+                sign = -sign
+            if extra or extra != 0:
+                out = out + extra
+            return out
 
     def _binomial_on_nilpotent(self, n: "TruncatedSeries", alpha: Fraction) -> "TruncatedSeries":
         out = TruncatedSeries.const(self.caps, 1)
@@ -349,19 +340,15 @@ class TruncatedSeries:
             raise ArithmeticError("rpow requires constant term exactly 1")
         return self._binomial_on_nilpotent(n, alpha)
 
-    def sqrt(self, ctx: FloatContext | None = None) -> "TruncatedSeries":
+    def sqrt(self, ctx: Context = EXACT) -> "TruncatedSeries":
         """Square root with the principal branch on the constant term."""
         c0, n = self._nilpotent_part()
         if not c0 and c0 == 0:
             raise ZeroDivisionError("series sqrt requires nonzero constant term")
-        if ctx is None:
-            r = Fraction(c0)
-            root = Fraction(_exact_sqrt(r.numerator), _exact_sqrt(r.denominator))
-            m = n.scale(1 / r)
-        else:
+        with ctx.guard():
             root = ctx.sqrt(c0)
             m = n.scale(1 / ctx.num(c0))
-        return self._binomial_on_nilpotent(m, Fraction(1, 2)).scale(root)
+            return self._binomial_on_nilpotent(m, Fraction(1, 2)).scale(root)
 
     # -- calculus -----------------------------------------------------------
 
@@ -426,32 +413,20 @@ class TruncatedSeries:
             out = out + term
         return out
 
-    def evaluate(self, assignment: Mapping[str, object], ctx: FloatContext | None):
+    def evaluate(self, assignment: Mapping[str, object], ctx: Context):
         vals = []
         for nm in self.caps.names:
             if nm not in assignment:
                 raise KeyError(f"no value for variable {nm}")
             vals.append(assignment[nm])
-        total = Fraction(0) if ctx is None else ctx.num(0)
+        total = ctx.num(0)
         for key, v in self.c.items():
             term = v
             for x, k in zip(vals, key):
                 if k:
-                    if ctx is None:
-                        term = term * Fraction(x) ** k
-                    else:
-                        term = term * ctx.num(x) ** k
+                    term = term * ctx.num(x) ** k
             total = total + term
         return total
-
-
-def _exact_sqrt(n: int) -> int:
-    import math
-
-    r = math.isqrt(n)
-    if r * r != n:
-        raise ArithmeticError(f"{n} is not a perfect square")
-    return r
 
 
 def singular_quotient(

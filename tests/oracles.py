@@ -29,7 +29,6 @@ Test modules import it from their own directory (``from oracles import
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -59,7 +58,7 @@ from genuslift.intersection import (
 )
 from genuslift.linalg import identity
 from genuslift.rmatrix import EdgeTailData
-from genuslift.scalars import FloatContext
+from genuslift.scalars import EXACT, Context, FloatContext
 from genuslift.series import Caps, TruncatedSeries
 
 _EPS = "e"
@@ -106,7 +105,7 @@ class _FormalEvaluator:
     def _jet(self, k: int, i: int, j: int) -> Dict:
         key = (k, i, j)
         if key not in self._jets:
-            series = self.calibration.s[k - 1][i][j].jet(self.center, self.order, None)
+            series = self.calibration.s[k - 1][i][j].jet(self.center, self.order, EXACT)
             self._jets[key] = dict(series.c)
         return self._jets[key]
 
@@ -213,7 +212,7 @@ def genus0_formal(
 def point_descendent_reference(
     tau: CurvePoint,
     g: int,
-    ctx: FloatContext | None,
+    ctx: Context,
     *,
     table: Optional[IntersectionTable] = None,
     max_points: Optional[int] = None,
@@ -223,7 +222,7 @@ def point_descendent_reference(
     prod t_{k_i}.
 
     With t_0 = t_1 = 0 the dimension constraint caps n at 3g - 3 and the
-    sum is finite and exact (``ctx=None`` keeps rationals).  Otherwise pass
+    sum is finite and exact (``EXACT`` keeps rationals).  Otherwise pass
     ``max_points``: the series is infinite and its truncation error is not
     bounded -- it shrinks only for small couplings, and slowly (at
     |t_k| ~ 0.1 a 28-insertion sum is still ~1e-24 off while costing
@@ -240,12 +239,8 @@ def point_descendent_reference(
                 "nonzero t_0 or t_1 makes the sum infinite; pass max_points"
             )
         max_points = 3 * g - 3
-    if ctx is None:
-        times = [Fraction(x) for x in times]
-        one = Fraction(1)
-    else:
-        times = [ctx.num(x) for x in times]
-        one = ctx.num(1)
+    times = [ctx.num(x) for x in times]
+    one = ctx.num(1)
     total = one * 0
     live = [k for k, x in enumerate(times) if x != 0]
     if not live:
@@ -266,15 +261,9 @@ def point_descendent_reference(
             descend(pos - 1, remaining - k, k, weight * times[k] / ks.count(k))
             ks.pop()
 
-    def run():
+    with ctx.guard():
         for n in range(1, max_points + 1):
             descend(n, 3 * g - 3 + n, 0, one)
-
-    if ctx is None:
-        run()
-    else:
-        with ctx.guard():
-            run()
     return total
 
 
@@ -470,7 +459,7 @@ def evaluate_graph(
     graph: StableGraph,
     data: EdgeTailData,
     table: Optional[IntersectionTable] = None,
-    ctx: Optional[FloatContext] = None,
+    ctx: Context = EXACT,
     vertex_cache: Optional[dict] = None,
     edge_weights: Optional[dict] = None,
 ):
@@ -548,7 +537,7 @@ def evaluate_graph(
             budget[v] += k
         return acc
 
-    with ctx.guard() if ctx is not None else nullcontext():
+    with ctx.guard():
         if edge_weights is None:
             edge_weights = edge_weight_table(data)
         # a connected graph without edges is a single vertex
@@ -562,7 +551,7 @@ def decorated_sum(
     data: EdgeTailData,
     g: int,
     table: Optional[IntersectionTable] = None,
-    ctx: Optional[FloatContext] = None,
+    ctx: Context = EXACT,
     vertex_cache: Optional[dict] = None,
 ) -> List[Tuple[StableGraph, object]]:
     """Every decorated graph of genus g over ``data.dimension`` indices with
@@ -570,7 +559,7 @@ def decorated_sum(
     weight table shared by all of them."""
     if vertex_cache is None:
         vertex_cache = {}
-    with ctx.guard() if ctx is not None else nullcontext():
+    with ctx.guard():
         edge_weights = edge_weight_table(data)
         return [
             (graph, evaluate_graph(
@@ -587,7 +576,7 @@ def evaluate_graph_ordered(
     graph: StableGraph,
     data: EdgeTailData,
     table: Optional[IntersectionTable] = None,
-    ctx: Optional[FloatContext] = None,
+    ctx: Context = EXACT,
     vertex_cache: Optional[dict] = None,
     edge_weights: Optional[dict] = None,
 ):
@@ -653,7 +642,7 @@ def evaluate_graph_ordered(
             ks_at[v].pop()
             budget[v] += k
 
-    with ctx.guard() if ctx is not None else nullcontext():
+    with ctx.guard():
         if edge_weights is None:
             edge_weights = edge_weight_table(data)
         descend(0, 1)
@@ -671,13 +660,13 @@ def wick_oracle_layers(
     data: EdgeTailData,
     g: int,
     table: Optional[IntersectionTable] = None,
-    ctx: Optional[FloatContext] = None,
+    ctx: Context = EXACT,
 ):
     """F^g from the same edge/tail data by expanding the operator exponential
     directly; graph-free, hence an independent check of the graph sum."""
     if g < 2:
         raise ValueError("the expansion is normalized for genus >= 2")
-    with ctx.guard() if ctx is not None else nullcontext():
+    with ctx.guard():
         n = data.dimension
         kq = 3 * g - 4  # largest psi-power any vertex can absorb
         names = ("h",) + tuple(_qname(i, k) for i in range(n) for k in range(kq + 1))

@@ -51,7 +51,7 @@ from genuslift.genus import (
 from genuslift.hodge import HodgeParameters, HodgeTruncation, hodge_lambda, hodge_lemma_residual
 from genuslift.intersection import IntersectionTable, psi_intersection
 from genuslift.rmatrix import EdgeTailData, compute_R, twist_R, unitarity_residual
-from genuslift.scalars import FloatContext
+from genuslift.scalars import EXACT, FloatContext
 from oracles import (
     enumerate_graphs,
     evaluate_graph,
@@ -315,7 +315,7 @@ def test_criterion_08_descendents():
     # rational direct sum
     exact_tau = CurvePoint(((0,), (0,), (Fraction(102, 1024),), (Fraction(-77, 1024),),
                             (Fraction(51, 1024),), (Fraction(-26, 1024),)))
-    exact = point_descendent_reference(exact_tau, 2, None, table=table)
+    exact = point_descendent_reference(exact_tau, 2, EXACT, table=table)
     with CTX.guard():
         exact_gap = mpmath.fabs(
             point_descendent_resummed(exact_tau, 2, CTX, table=table) - CTX.num(exact)

@@ -334,6 +334,13 @@ class TestGenusCommands:
         with CTX.guard():
             assert mpmath.mpf(doc["closedness_residual"]) < mpmath.mpf("1e-18")
 
+    def test_zero_step_is_validation_error(self):
+        code, text = run_command(
+            ["genus1-diff", "--model", "two-primary:d=1/2", "--point", "1/3,2/5",
+             "--closedness", "--step", "0"]
+        )
+        assert code == 1 and "step must be nonzero" in text
+
     def test_descendent_point_model(self, tmp_path):
         path = tmp_path / "tau.json"
         path.write_text(json.dumps(POINT_TAU))

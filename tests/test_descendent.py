@@ -50,7 +50,7 @@ from genuslift.descendent import (
 )
 from genuslift.linalg import eigenvalues_float, mat_mul
 from genuslift.rmatrix import compute_R, edge_tail_data
-from genuslift.scalars import FloatContext
+from genuslift.scalars import EXACT, FloatContext
 from genuslift.series import TruncatedSeries
 from oracles import critical_point_formal, genus0_formal, point_descendent_reference
 
@@ -87,7 +87,7 @@ class TestCalibration:
     def test_point_model_powers(self):
         for k in range(1, 10):
             entry = POINT_CAL.matrix(k)[0][0]
-            val = entry.evaluate((Fraction(3, 7),), None)
+            val = entry.evaluate((Fraction(3, 7),), EXACT)
             assert val == Fraction(3, 7) ** k / math.factorial(k)
 
     def test_first_order_is_shifted_hessian(self):
@@ -104,9 +104,9 @@ class TestCalibration:
                     if ginv[m][i]:
                         hess = pot.diff(j).diff(m)
                         expect += ginv[m][i] * (
-                            hess.evaluate(pt, None) - hess.evaluate((0, 0), None)
+                            hess.evaluate(pt, EXACT) - hess.evaluate((0, 0), EXACT)
                         )
-                assert cal.matrix(1)[i][j].evaluate(pt, None) == expect
+                assert cal.matrix(1)[i][j].evaluate(pt, EXACT) == expect
 
     def test_unitarity_at_random_points(self):
         rng = random.Random(11)
@@ -126,7 +126,7 @@ class TestCalibration:
         for k in range(1, 4):
             for row in cal.matrix(k):
                 for entry in row:
-                    assert entry.evaluate(base, None) == 0
+                    assert entry.evaluate(base, EXACT) == 0
 
     def test_wdvv_violation_detected(self):
         # [C_1, C_2] != 0 for F = t1^2 t2^2 / 4; the S_1 step is still a
@@ -562,11 +562,11 @@ class TestDescendentPotential:
         ref = point_descendent_reference(tau, g, CTX)
         with CTX.guard():
             assert mpmath.fabs(rep.value - ref) < REDUCE
-        exact = point_descendent_reference(tau, g, None)
+        exact = point_descendent_reference(tau, g, EXACT)
         with CTX.guard():
             assert mpmath.fabs(rep.value - CTX.num(exact)) < REDUCE
         # here u_0 = 0 and I_k = t_k, so the resummed form is the same finite sum
-        assert point_descendent_resummed(tau, g, None) == exact
+        assert point_descendent_resummed(tau, g, EXACT) == exact
         with CTX.guard():
             assert mpmath.fabs(point_descendent_resummed(tau, g, CTX) - CTX.num(exact)) < REDUCE
 
@@ -603,7 +603,7 @@ class TestDescendentPotential:
         with pytest.raises(ValueError, match="genus 2"):
             point_descendent_resummed(CurvePoint(((0,), (0,))), 1, CTX)
         with pytest.raises(ValueError, match="t_0 = 0"):
-            point_descendent_resummed(CurvePoint(((Fraction(1, 2),),)), 2, None)
+            point_descendent_resummed(CurvePoint(((Fraction(1, 2),),)), 2, EXACT)
 
     def test_resummed_failures_reported(self):
         # u = 1 + 50 u^2 has no real root; Newton must give up loudly
@@ -612,7 +612,7 @@ class TestDescendentPotential:
             point_descendent_resummed(stalled, 2, CTX)
         # t_0 = 0, t_1 = 1: u_0 = 0 and 1 - I_1(u_0) = 0
         singular = CurvePoint(((0,), (1,), (Fraction(1, 3),)))
-        for ctx in (CTX, None):
+        for ctx in (CTX, EXACT):
             with pytest.raises(ArithmeticError, match="vanishes"):
                 point_descendent_resummed(singular, 2, ctx)
 
@@ -671,3 +671,8 @@ class TestGenus1Routes:
         routes = genus1_descendent_routes(POINT, POINT_CAL, tau, direction, CTX)
         with CTX.guard():
             assert mpmath.fabs(routes.difference) < mpmath.mpf("1e-20")
+
+    def test_zero_step_rejected(self):
+        tau = CurvePoint(((Fraction(1, 5),), (Fraction(1, 7),)))
+        with pytest.raises(ValueError, match="step must be nonzero"):
+            genus1_descendent_routes(POINT, POINT_CAL, tau, tau, CTX, step=Fraction(0))

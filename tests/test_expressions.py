@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from genuslift.expressions import Expression, UnboundParameterError
-from genuslift.scalars import FloatContext
+from genuslift.scalars import EXACT, FloatContext
 
 
 def cp1_like_potential():
@@ -19,7 +19,7 @@ def cp1_like_potential():
 class TestDerivativesAtPoint:
     def test_third_derivatives_exponential_model(self):
         f = cp1_like_potential()
-        d = f.derivatives((0, 0), 3, None)
+        d = f.derivatives((0, 0), 3, EXACT)
         assert d[(2, 1)] == 1  # F_001 with two 0-legs and one 1-leg
         assert d[(0, 3)] == 1  # F_111
         assert d[(3, 0)] == 0  # F_000
@@ -28,7 +28,7 @@ class TestDerivativesAtPoint:
     def test_cubic_second_and_third(self):
         f = Expression.term(1, Fraction(1, 6), mono=(3,))
         a = Fraction(5, 7)
-        d = f.derivatives((a,), 3, None)
+        d = f.derivatives((a,), 3, EXACT)
         assert d[(3,)] == 1
         assert d[(2,)] == a
 
@@ -36,7 +36,7 @@ class TestDerivativesAtPoint:
         f = Expression.from_json(
             [{"coeff": {"param": "q"}, "mono": [0], "exp": ["1"]}], 1, {"q": Fraction(1, 4)}
         )
-        d = f.derivatives((0,), 2, None)
+        d = f.derivatives((0,), 2, EXACT)
         assert d[(0,)] == Fraction(1, 4)
         assert d[(1,)] == Fraction(1, 4)
         assert d[(2,)] == Fraction(1, 4)
@@ -98,7 +98,7 @@ class TestJets:
 
     def test_exact_jet_of_laurent_term(self):
         f = Expression.term(1, Fraction(3), mono=(-2,))
-        jet = f.jet((Fraction(1, 2),), 3, None)
+        jet = f.jet((Fraction(1, 2),), 3, EXACT)
         # 3 (1/2 + d)^-2 = 12 - 48 d + 144 d^2 - 384 d^3 + ...
         assert jet.scalar_coeff((0,)) == 12
         assert jet.scalar_coeff((1,)) == -48
@@ -107,14 +107,14 @@ class TestJets:
 
     def test_exact_jet_exponential_at_zero(self):
         f = Expression.term(1, 1, expo=(Fraction(5),))
-        jet = f.jet((0,), 4, None)
+        jet = f.jet((0,), 4, EXACT)
         for j in range(5):
             assert jet.scalar_coeff((j,)) == Fraction(5**j, math.factorial(j))
 
     def test_exact_jet_transcendental_point_raises(self):
         f = Expression.term(1, 1, expo=(1,))
         with pytest.raises(ArithmeticError):
-            f.jet((1,), 2, None)
+            f.jet((1,), 2, EXACT)
 
 
 class TestSerialization:

@@ -15,7 +15,7 @@ from genuslift.frobenius import (
     two_primary_model,
 )
 from genuslift.expressions import Expression, t_names
-from genuslift.scalars import FloatContext
+from genuslift.scalars import EXACT, FloatContext
 from genuslift.series import Caps, TruncatedSeries
 
 
@@ -23,7 +23,7 @@ class TestStructureConstants:
     def test_point_model_unit_algebra(self):
         m = point_model()
         for t in (Fraction(0), Fraction(2), Fraction(-1, 3)):
-            cs = m.structure_constants((t,), None)
+            cs = m.structure_constants((t,), EXACT)
             assert cs == [[[Fraction(1)]]]
 
     def test_exponential_model_at_origin(self):
@@ -39,14 +39,14 @@ class TestStructureConstants:
     def test_quintic_model_structure(self):
         m = two_primary_model(Fraction(1, 2))
         b = Fraction(3, 7)
-        cs = m.structure_constants((Fraction(1, 5), b), None)
+        cs = m.structure_constants((Fraction(1, 5), b), EXACT)
         assert cs[1][0][1] == 60 * b**2
         assert cs[1][1][0] == 1
         assert cs[1][0][0] == 0
 
     def test_unit_is_identity(self):
         m = threefold_cusp_model()
-        cs = m.structure_constants((Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)), None)
+        cs = m.structure_constants((Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)), EXACT)
         assert cs[0] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -60,15 +60,15 @@ class TestAxioms:
     def test_cusp_model_axioms_exact(self):
         m = threefold_cusp_model()
         for pt in self.POINTS:
-            assert m.wdvv_residual(pt, None) == 0
-            assert m.unit_residual(pt, None) == 0
-            assert m.euler_residual(pt, None) == 0
+            assert m.wdvv_residual(pt, EXACT) == 0
+            assert m.unit_residual(pt, EXACT) == 0
+            assert m.euler_residual(pt, EXACT) == 0
 
     def test_two_primary_axioms(self):
         for d in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 2), Fraction(5, 3)):
             m = two_primary_model(d)
-            assert m.wdvv_residual((Fraction(1, 5), Fraction(3, 7)), None) == 0
-            assert m.euler_residual((Fraction(1, 5), Fraction(3, 7)), None) == 0
+            assert m.wdvv_residual((Fraction(1, 5), Fraction(3, 7)), EXACT) == 0
+            assert m.euler_residual((Fraction(1, 5), Fraction(3, 7)), EXACT) == 0
 
     def test_exponential_family_axioms_float(self):
         ctx = FloatContext(192)
@@ -81,15 +81,15 @@ class TestAxioms:
             metric=[[0, 1], [1, 0]],
             potential=Expression.term(2, Fraction(1, 3), mono=(3, 0)),
         )
-        assert bad.unit_residual((Fraction(1), Fraction(1)), None) != 0
+        assert bad.unit_residual((Fraction(1), Fraction(1)), EXACT) != 0
 
     def test_euler_multiplication_matches_field(self):
         m = two_primary_model(Fraction(1, 2))
         pt = (Fraction(1, 5), Fraction(3, 7))
-        emat = m.euler_multiplication(pt, None)
-        evec = m.euler.components(pt, None)
+        emat = m.euler_multiplication(pt, EXACT)
+        evec = m.euler.components(pt, EXACT)
         # E acts as E^0 I + E^1 C_1
-        cs = m.structure_constants(pt, None)
+        cs = m.structure_constants(pt, EXACT)
         for i in range(2):
             for j in range(2):
                 expect = evec[0] * cs[0][i][j] + evec[1] * cs[1][i][j]
@@ -123,7 +123,7 @@ class TestWorkingPrecision:
     def test_structure_constants_match_exact(self):
         for m, pt in self.cases():
             floats = m.structure_constants(pt, self.CTX)
-            exact = m.structure_constants(pt, None)
+            exact = m.structure_constants(pt, EXACT)
             with self.CTX.guard():
                 gap = max(
                     abs(x - self.CTX.num(y))
@@ -136,7 +136,7 @@ class TestWorkingPrecision:
     def test_euler_multiplication_matches_exact(self):
         for m, pt in self.cases():
             floats = m.euler_multiplication(pt, self.CTX)
-            exact = m.euler_multiplication(pt, None)
+            exact = m.euler_multiplication(pt, EXACT)
             with self.CTX.guard():
                 gap = max(
                     abs(x - self.CTX.num(y)) for fr, er in zip(floats, exact) for x, y in zip(fr, er)
@@ -149,7 +149,7 @@ def _jet_route(model, point, order):
     times and contracted with g^{-1}."""
     n = model.dimension
     names = t_names(n)
-    jet = model.potential.jet(point, order + 3, None)
+    jet = model.potential.jet(point, order + 3, EXACT)
     honest = Caps.total(names, order)
     ginv = model.metric_inverse
     out = []
@@ -191,7 +191,7 @@ class TestSingleDerivation:
     @given(_model_points(), st.integers(min_value=0, max_value=2))
     def test_jets_match_jet_route(self, model_point, order):
         model, point = model_point
-        new = model.structure_constant_jets(point, order, None)
+        new = model.structure_constant_jets(point, order, EXACT)
         old = _jet_route(model, point, order)
         n = model.dimension
         for a in range(n):
@@ -205,7 +205,7 @@ class TestSingleDerivation:
     def test_multiplication_commutes_with_unit(self, model_point):
         model, point = model_point
         n = model.dimension
-        cs = model.structure_constants(point, None)
+        cs = model.structure_constants(point, EXACT)
         for a in range(n):
             for b in range(n):
                 for i in range(n):
@@ -264,4 +264,4 @@ class TestModelConstruction:
         assert m2.potential.terms == m.potential.terms
         assert m2.euler.conformal_dimension == m.euler.conformal_dimension
         pt = (Fraction(1, 5), Fraction(3, 7))
-        assert m2.wdvv_residual(pt, None) == m.wdvv_residual(pt, None) == 0
+        assert m2.wdvv_residual(pt, EXACT) == m.wdvv_residual(pt, EXACT) == 0

@@ -136,7 +136,7 @@ class TestVertexCorrelator:
     def test_float_backend(self):
         with CTX.guard():
             tails = {2: CTX.num(Fraction(1, 2))}
-            got = vertex_correlator(1, (0,), tails, CTX.num(3), ctx=CTX)
+            got = vertex_correlator(1, (0,), tails, CTX.num(3))
             want = CTX.num(Fraction(1, 48))
             assert mpmath.fabs(got - want) <= mpmath.mpf("1e-70")
 

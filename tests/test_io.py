@@ -36,7 +36,7 @@ from genuslift.io import (
     tau_to_json,
 )
 from genuslift.rmatrix import compute_R, edge_tail_data
-from genuslift.scalars import FloatContext
+from genuslift.scalars import EXACT, FloatContext
 from genuslift.series import Caps, TruncatedSeries
 
 CTX = FloatContext(256)
@@ -156,9 +156,9 @@ class TestModelDocuments:
         reference = two_primary_model(Fraction(1, 2))
         origin = (Fraction(0), Fraction(0))
         assert model.potential.evaluate(
-            (Fraction(1), Fraction(2)), None
-        ) == reference.potential.evaluate((Fraction(1), Fraction(2)), None)
-        assert model.unit_residual(origin, None) == 0
+            (Fraction(1), Fraction(2)), EXACT
+        ) == reference.potential.evaluate((Fraction(1), Fraction(2)), EXACT)
+        assert model.unit_residual(origin, EXACT) == 0
 
     def test_json_string_accepted(self):
         model = parse_model(json.dumps(QUINTIC_DOC))
@@ -170,7 +170,7 @@ class TestModelDocuments:
         assert again.metric == model.metric
         assert again.euler.conformal_dimension == model.euler.conformal_dimension
         pt = (Fraction(1, 5), Fraction(3, 2))
-        assert again.potential.evaluate(pt, None) == model.potential.evaluate(pt, None)
+        assert again.potential.evaluate(pt, EXACT) == model.potential.evaluate(pt, EXACT)
 
     def test_missing_key(self):
         doc = dict(QUINTIC_DOC)

@@ -478,10 +478,10 @@ def bold_quantities(
 
     ``frame`` and ``r`` must live at the critical point of ``tau``.  With
     G_k the z^k coefficient of sum (-z)^p R_q Psi b_p: G_0 is the
-    criticality residual (raised above ``ctx.tol``), G_1 = D^{-1/2}, and
-    T_k = (-1)^k G_k / G_1 for k >= 2.  V is evaluated at the critical
-    point, which is definition (not extraction): the two-point functions
-    factor through it."""
+    criticality residual (raised above ``ctx.tol``), G_1 = D^{-1/2} (an
+    exact zero raises ArithmeticError), and T_k = (-1)^k G_k / G_1 for
+    k >= 2.  V is evaluated at the critical point, which is definition
+    (not extraction): the two-point functions factor through it."""
     ctx = frame.ctx
     n = frame.dimension
     _require_origin(calibration)
@@ -516,6 +516,9 @@ def bold_quantities(
             raise ArithmeticError(
                 f"criticality residual {mpmath.nstr(crit, 8)} exceeds {mpmath.nstr(ctx.tol, 8)}"
             )
+        for i in range(n):
+            if not gvals[1][i] and gvals[1][i] == 0:
+                raise ArithmeticError(f"G_1 = D^(-1/2) vanishes at canonical index {i}")
         sqrt_d = [1 / gvals[1][i] for i in range(n)]
         tails: List[Dict[int, object]] = [dict() for _ in range(n)]
         for k in range(2, t_cutoff + 1):

@@ -124,6 +124,8 @@ def canonical_frame(
     integration constants of u for non-conformal models.
     """
     n = model.dimension
+    if order < 0:
+        raise ValueError(f"frame order must be nonnegative, not {order}")
     if sign_flips is not None and (
         len(sign_flips) != n or any(s not in (1, -1) for s in sign_flips)
     ):

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .expressions import Expression, t_names
 from .linalg import mat_inv, mat_mul, mat_sub
-from .scalars import EXACT, Context, format_rational, parse_rational
+from .scalars import EXACT, Context, format_rational
 
 
 @dataclass
@@ -217,30 +217,6 @@ class FrobeniusModel:
         if self.name:
             doc["name"] = self.name
         return doc
-
-    @staticmethod
-    def from_json(doc: dict) -> "FrobeniusModel":
-        n = int(doc["dimension"])
-        metric = [[parse_rational(str(x)) for x in row] for row in doc["metric"]]
-        params = {k: parse_rational(str(v)) for k, v in doc.get("parameters", {}).items()}
-        potential = Expression.from_json(doc["potential"], n, params)
-        euler = None
-        if doc.get("euler"):
-            ed = doc["euler"]
-            euler = EulerData(
-                [[parse_rational(str(x)) for x in row] for row in ed["matrix"]],
-                [parse_rational(str(x)) for x in ed["shift"]],
-                parse_rational(str(ed["conformal_dimension"])),
-            )
-        return FrobeniusModel(
-            dimension=n,
-            metric=metric,
-            potential=potential,
-            unit_index=int(doc.get("unit_index", 0)),
-            euler=euler,
-            parameters=params,
-            name=doc.get("name", ""),
-        )
 
 
 # -- built-in models ------------------------------------------------------------

@@ -59,9 +59,6 @@ class IntersectionTable:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def keys(self):
-        return self._cache.keys()
-
     def value(self, g: int, ks: Sequence[int]) -> Fraction:
         g = int(g)
         ks = tuple(sorted(int(k) for k in ks))

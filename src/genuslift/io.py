@@ -33,7 +33,7 @@ import mpmath
 from .descendent import CurvePoint
 from .expressions import Expression, UnboundParameterError
 from .frame import CanonicalFrame
-from .frobenius import FrobeniusModel
+from .frobenius import EulerData, FrobeniusModel
 from .linalg import mat_inv
 from .rmatrix import EdgeTailData, RSeries
 from .scalars import EXACT, Context, FloatContext, Rational, format_rational, parse_rational
@@ -183,10 +183,7 @@ def parse_tau(document) -> CurvePoint:
     rows = doc["t"]
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise SchemaError("\"t\" must be a nonempty array of coupling vectors")
-    try:
-        times = tuple(tuple(parse_rational(str(x)) for x in row) for row in rows)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"coupling entries must be rational: {exc}") from None
+    times = tuple(tuple(_rational(x, "coupling entries") for x in row) for row in rows)
     kmax = doc.get("Kmax", len(times) - 1)
     if not _is_integer(kmax):
         raise SchemaError(f"Kmax must be an integer, not {kmax!r}")
@@ -210,6 +207,13 @@ def tau_to_json(tau: CurvePoint) -> dict:
 # -- model documents ------------------------------------------------------------
 
 
+def _rational(value, what: str) -> Rational:
+    try:
+        return parse_rational(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{what} must be rational: {exc}") from None
+
+
 def _rational_matrix(rows, n: int, what: str) -> list:
     if not isinstance(rows, list) or len(rows) != n:
         raise SchemaError(f"{what} must be a {n}x{n} array")
@@ -217,10 +221,7 @@ def _rational_matrix(rows, n: int, what: str) -> list:
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{what} must be a {n}x{n} array")
-        try:
-            out.append([parse_rational(str(x)) for x in row])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{what} entries must be rational: {exc}") from None
+        out.append([_rational(x, f"{what} entries") for x in row])
     return out
 
 
@@ -230,7 +231,8 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
     Checks, in order: required keys and shapes; metric symmetry; metric
     invertibility (exact); rational parameter values; potential AST parse,
     with a bound value for every named parameter; unit index; Euler block
-    shapes.  Finally the unit axiom
+    shapes and rational entries.  The model is built from the checked
+    pieces.  Finally the unit axiom
     F_{u,b,c}(0) = g_{bc} is spot-checked at the origin with exact
     arithmetic; a violation above ``tolerance`` emits a UnitAxiomWarning
     rather than an error, since the axiom is pointwise and the origin may
@@ -264,12 +266,9 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
     params_doc = doc.get("parameters", {})
     if not isinstance(params_doc, dict):
         raise SchemaError("parameters must map names to rationals")
+    params = {str(k): _rational(v, "parameter values") for k, v in params_doc.items()}
     try:
-        params = {str(k): parse_rational(str(v)) for k, v in params_doc.items()}
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"parameter values must be rational: {exc}") from None
-    try:
-        Expression.from_json(doc["potential"], n, params)
+        potential = Expression.from_json(doc["potential"], n, params)
     except UnboundParameterError as exc:
         raise SchemaError(f"potential uses unbound parameters: {exc.args[0]}") from None
     except (KeyError, ValueError, TypeError, IndexError, ZeroDivisionError) as exc:
@@ -281,6 +280,7 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
     if not 0 <= unit_index < n:
         raise SchemaError(f"unit_index {unit_index} out of range for dimension {n}")
 
+    euler = None
     if doc.get("euler"):
         ed = doc["euler"]
         if not isinstance(ed, dict):
@@ -288,11 +288,24 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
         for key in ("matrix", "shift", "conformal_dimension"):
             if key not in ed:
                 raise SchemaError(f"euler block needs \"{key}\"")
-        _rational_matrix(ed["matrix"], n, "euler matrix")
+        matrix = _rational_matrix(ed["matrix"], n, "euler matrix")
         if not isinstance(ed["shift"], list) or len(ed["shift"]) != n:
             raise SchemaError(f"euler shift must have {n} entries")
+        euler = EulerData(
+            matrix,
+            [_rational(x, "euler shift entries") for x in ed["shift"]],
+            _rational(ed["conformal_dimension"], "euler conformal_dimension"),
+        )
 
-    model = FrobeniusModel.from_json(doc)
+    model = FrobeniusModel(
+        dimension=n,
+        metric=metric,
+        potential=potential,
+        unit_index=unit_index,
+        euler=euler,
+        parameters=params,
+        name=doc.get("name", ""),
+    )
 
     origin = (Fraction(0),) * n
     try:

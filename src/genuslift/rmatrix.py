@@ -44,7 +44,12 @@ Edge coefficients V and tail values T come from R by
     T^i_{m+1} = (-1)^{m+1} sqrt(Delta_i) sum_j Delta_j^{-1/2} (R_m)^i_j,
 
 with T_0 = T_1 = 0.  The pure exponential prefactor e^{u/z + u/w} is never
-folded into V.
+folded into V.  :func:`compute_V` divides by z + w in closed form: with
+N_pq = R_p R_q^T, the quotient Q = sum Q_kl z^k w^l obeys
+Q_{k,l} = N_{k,l+1} - Q_{k-1,l+1} (Q_{-1,.} = 0) and V^{ij}_{kl} =
+(-1)^{k+l} Q^{ij}_{kl}.  The remainder of the division is
+N(z, -z) - delta = sum_m z^m (sum_{p+q=m} (-1)^q N_pq - delta_{m,0}),
+which is exactly the unitarity residual, so one table of N_pq feeds both.
 """
 
 from __future__ import annotations
@@ -57,8 +62,8 @@ import mpmath
 
 from .expressions import _multi_indices, t_names
 from .frame import CanonicalFrame, DegenerateFrameError
-from .linalg import mat_add, mat_mul, mat_scale, transpose
-from .series import Caps, TruncatedSeries, singular_quotient
+from .linalg import mat_add, mat_mul, transpose
+from .series import Caps, TruncatedSeries
 
 
 @dataclass
@@ -283,24 +288,36 @@ def _homogeneous_impl(frame: CanonicalFrame, order: int) -> RSeries:
     return RSeries(frame=frame, order=order, mats=mats, mode="conformal")
 
 
-def unitarity_residual(r: RSeries) -> object:
+def unitarity_residual(r: RSeries, products: Dict | None = None) -> object:
     """Max entry of sum_{p+q=m} (-1)^q R_p R_q^T - delta_{m,0} over m <= order,
-    evaluated on the constant terms."""
+    evaluated on the constant terms.  ``products`` is the table of
+    :func:`_products` when the caller already holds it."""
     ctx = r.frame.ctx
     n = r.dimension
     with ctx.guard():
-        consts = r.all_constants()
+        if products is None:
+            products = _products(r)
         worst = ctx.num(0)
         for m in range(r.order + 1):
-            acc = [[ctx.num(0)] * n for _ in range(n)]
-            for p in range(m + 1):
-                q = m - p
-                acc = mat_add(acc, mat_scale(mat_mul(consts[p], transpose(consts[q])), (-1) ** q))
             for i in range(n):
                 for j in range(n):
+                    acc = ctx.num(0)
+                    for p in range(m + 1):
+                        x = products[(p, m - p)][i][j]
+                        acc = acc - x if (m - p) % 2 else acc + x
                     target = 1 if (m == 0 and i == j) else 0
-                    worst = max(worst, mpmath.fabs(acc[i][j] - target))
+                    worst = max(worst, mpmath.fabs(acc - target))
         return worst
+
+
+def _products(r: RSeries) -> Dict[Tuple[int, int], list]:
+    """The table N_pq = R_p R_q^T of constant terms for p + q <= order."""
+    consts = r.all_constants()
+    return {
+        (p, q): mat_mul(consts[p], transpose(consts[q]))
+        for p in range(r.order + 1)
+        for q in range(r.order + 1 - p)
+    }
 
 
 def twist_R(r: RSeries, gauge: Sequence[Sequence]) -> RSeries:
@@ -416,9 +433,19 @@ class EdgeTailData:
 
 def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
     """Edge coefficients V^{ij}_{kl} for k+l <= cutoff (default order-1),
-    from the constants of R.  Returns (table, residuals): the divisibility
-    of the numerator by z + w, the symmetry of V, the cross-direction
-    residual of R when it has one, and the unitarity of R."""
+    from the constants of R.  Returns (table, residuals): the symmetry of
+    V, the cross-direction residual of R when it has one, and the unitarity
+    of R.
+
+    With N_pq = R_p R_q^T, comparing coefficients in
+    sum N_pq z^p w^q - delta = (z + w) sum Q_kl z^k w^l gives
+
+        Q_{k,l} = N_{k,l+1} - Q_{k-1,l+1},    Q_{-1,.} = 0,
+
+    and V^{ij}_{kl} = (-1)^{k+l} Q^{ij}_{kl}.  The remainder of this
+    division is N(z, -z) - delta, the unitarity residual, so one table of
+    products feeds both.  Only nonzero entries are stored.
+    """
     ctx = r.frame.ctx
     n = r.dimension
     if cutoff is None:
@@ -426,37 +453,25 @@ def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
     if cutoff > r.order - 1:
         raise ValueError("V cutoff exceeds the trustworthy range of R")
     with ctx.guard():
-        consts = r.all_constants()
-        products = {
-            (p, q): mat_mul(consts[p], transpose(consts[q]))
-            for p in range(r.order + 1)
-            for q in range(r.order + 1 - p)
-        }
-        caps = Caps.total(("z", "w"), r.order)
+        products = _products(r)
         table: Dict[Tuple[int, int, int, int], object] = {}
-        div_resid = ctx.num(0)
-        sym_resid = ctx.num(0)
         for i in range(n):
             for j in range(n):
-                num = TruncatedSeries.zero(caps)
-                for (p, q), prod in products.items():
-                    s = prod[i][j]
-                    if i == j and p == 0 and q == 0:
-                        s = s - 1
-                    if s or s != 0:
-                        num = num + TruncatedSeries(caps, {(p, q): s})
-                quot, rem = singular_quotient(num, "z", "w")
-                div_resid = max(div_resid, rem.max_abs(ctx))
-                for (k, l), v in quot.c.items():
-                    if k + l <= cutoff:
-                        table[(i, j, k, l)] = v * (-1) ** (k + l)
+                for m in range(1, cutoff + 2):
+                    quot = 0  # Q_{k-1,l+1}, zero at k = 0
+                    for k in range(m):
+                        entry = products[(k, m - k)][i][j]
+                        quot = entry - quot if quot or quot != 0 else entry
+                        if quot or quot != 0:
+                            table[(i, j, k, m - 1 - k)] = quot if m % 2 else -quot
+        sym_resid = ctx.num(0)
         for (i, j, k, l), v in table.items():
             mirror = table.get((j, i, l, k), 0)
             sym_resid = max(sym_resid, mpmath.fabs(v - mirror))
-        residuals = {"divisibility": div_resid, "v_symmetry": sym_resid}
+        residuals = {"v_symmetry": sym_resid}
         if r.cross_residual is not None:
             residuals["cross_direction"] = r.cross_residual
-        residuals["unitarity"] = unitarity_residual(r)
+        residuals["unitarity"] = unitarity_residual(r, products)
         return table, residuals
 
 

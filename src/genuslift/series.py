@@ -142,19 +142,6 @@ class TruncatedSeries:
     def constant_term(self):
         return self.c.get((0,) * len(self.caps.names), 0)
 
-    def coeff(self, **exps) -> "TruncatedSeries":
-        """Sub-series of terms matching the given exponents, with those
-        exponents reset to zero in the result keys."""
-        idx = [(self.caps.index(nm), e) for nm, e in exps.items()]
-        out = TruncatedSeries(self.caps)
-        for key, v in self.c.items():
-            if all(key[i] == e for i, e in idx):
-                nk = list(key)
-                for i, _ in idx:
-                    nk[i] = 0
-                out.c[tuple(nk)] = v
-        return out
-
     def max_abs(self, ctx: Context):
         return ctx.max_abs(self.c.values())
 
@@ -323,23 +310,6 @@ class TruncatedSeries:
                 out = out + extra
             return out
 
-    def _binomial_on_nilpotent(self, n: "TruncatedSeries", alpha: Fraction) -> "TruncatedSeries":
-        out = TruncatedSeries.const(self.caps, 1)
-        binom = Fraction(1)
-        for j, p in self._powers_of_nilpotent(n):
-            binom = binom * (Fraction(alpha) - (j - 1)) / j
-            if binom == 0:
-                break
-            out = out + p.scale(binom)
-        return out
-
-    def rpow(self, alpha: Fraction) -> "TruncatedSeries":
-        """(1 + n)**alpha for rational alpha; constant term must be 1."""
-        c0, n = self._nilpotent_part()
-        if c0 != 1:
-            raise ArithmeticError("rpow requires constant term exactly 1")
-        return self._binomial_on_nilpotent(n, alpha)
-
     def sqrt(self, ctx: Context = EXACT) -> "TruncatedSeries":
         """Square root with the principal branch on the constant term."""
         c0, n = self._nilpotent_part()
@@ -348,7 +318,12 @@ class TruncatedSeries:
         with ctx.guard():
             root = ctx.sqrt(c0)
             m = n.scale(1 / ctx.num(c0))
-            return self._binomial_on_nilpotent(m, Fraction(1, 2)).scale(root)
+            out = TruncatedSeries.const(self.caps, 1)
+            binom = Fraction(1)
+            for j, p in self._powers_of_nilpotent(m):
+                binom = binom * (Fraction(1, 2) - (j - 1)) / j
+                out = out + p.scale(binom)
+            return out.scale(root)
 
     # -- calculus -----------------------------------------------------------
 
@@ -368,50 +343,7 @@ class TruncatedSeries:
         out.c = {k: v for k, v in out.c.items() if v or v != 0}
         return out
 
-    def integrate(self, name: str) -> "TruncatedSeries":
-        i = self.caps.index(name)
-        out = TruncatedSeries(self.caps)
-        for key, v in self.c.items():
-            k = key[i]
-            if k == -1:
-                raise ArithmeticError(f"antiderivative in {name} hits exponent -1")
-            nk = key[:i] + (k + 1,) + key[i + 1 :]
-            if self.caps.keep(nk):
-                out.c[nk] = v * Fraction(1, k + 1) if isinstance(v, (int, Fraction)) else v / (k + 1)
-        return out
-
-    # -- substitution and evaluation -----------------------------------------
-
-    def substitute(self, mapping: Mapping[str, "TruncatedSeries"]) -> "TruncatedSeries":
-        """Replace every variable by a series (all over one shared caps).
-
-        Variables absent from ``mapping`` are carried across unchanged,
-        provided the target caps contain a variable of the same name.
-        """
-        targets = list(mapping.values())
-        caps = targets[0].caps if targets else self.caps
-        subs: list[TruncatedSeries] = []
-        for nm in self.caps.names:
-            if nm in mapping:
-                subs.append(mapping[nm])
-            else:
-                subs.append(TruncatedSeries.var(caps, nm))
-        pow_cache: list[dict[int, TruncatedSeries]] = [dict() for _ in subs]
-
-        def var_power(i: int, k: int) -> TruncatedSeries:
-            cache = pow_cache[i]
-            if k not in cache:
-                cache[k] = subs[i] ** k
-            return cache[k]
-
-        out = TruncatedSeries.zero(caps)
-        for key, v in self.c.items():
-            term = TruncatedSeries.const(caps, v)
-            for i, k in enumerate(key):
-                if k:
-                    term = term * var_power(i, k)
-            out = out + term
-        return out
+    # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, object], ctx: Context):
         vals = []
@@ -435,9 +367,9 @@ def singular_quotient(
     """Divide ``num`` by ``(z + w)``, treating it as a polynomial in ``w``.
 
     Returns ``(quotient, remainder)`` with ``num = (z+w) * quotient +
-    remainder`` and the remainder independent of ``w``.  When the numerator
-    vanishes on the antidiagonal ``w = -z`` the remainder is zero up to the
-    working truncation; its magnitude is the caller's divisibility residual.
+    remainder`` and the remainder independent of ``w``.  The remainder is
+    the numerator on the antidiagonal ``w = -z``; when the numerator
+    vanishes there it is zero up to the working truncation.
 
     If the numerator is trusted to total degree ``K`` in ``(z, w)``, the
     quotient's coefficients are trustworthy to total degree ``K - 1``.

@@ -21,7 +21,11 @@ library produces by another route:
   descent over its half-edge powers, with no sharing between assignments;
 * ``wick_oracle_layers``: the Wick expansion of F^g as a capped series
   exponential followed by one propagator layer per order, each scaled by
-  1/n!.
+  1/n!;
+* ``compute_V_series``: the edge coefficients V^{ij}_{kl} by building the
+  numerator sum_s R(z)^i_s R(w)^j_s - delta_ij as a two-variable series and
+  dividing it by z + w with ``singular_quotient``; its remainder is reported
+  as ``"divisibility"``.
 
 Test modules import it from their own directory (``from oracles import
 ...``).
@@ -56,10 +60,10 @@ from genuslift.intersection import (
     psi_intersection,
     vertex_correlator,
 )
-from genuslift.linalg import identity
-from genuslift.rmatrix import EdgeTailData
+from genuslift.linalg import identity, mat_mul, transpose
+from genuslift.rmatrix import EdgeTailData, RSeries, unitarity_residual
 from genuslift.scalars import EXACT, Context, FloatContext
-from genuslift.series import Caps, TruncatedSeries
+from genuslift.series import Caps, TruncatedSeries, singular_quotient
 
 _EPS = "e"
 
@@ -774,3 +778,52 @@ def wick_oracle_layers(
         else:
             logged = connected.log(ctx)
         return logged.scalar_coeff((g - 1,))
+
+
+# -- edge coefficients by series division ----------------------------------------
+
+
+def compute_V_series(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
+    """Edge coefficients V^{ij}_{kl} for k+l <= cutoff (default order-1),
+    from the constants of R.  Returns (table, residuals): the divisibility
+    of the numerator by z + w, the symmetry of V, the cross-direction
+    residual of R when it has one, and the unitarity of R."""
+    ctx = r.frame.ctx
+    n = r.dimension
+    if cutoff is None:
+        cutoff = r.order - 1
+    if cutoff > r.order - 1:
+        raise ValueError("V cutoff exceeds the trustworthy range of R")
+    with ctx.guard():
+        consts = r.all_constants()
+        products = {
+            (p, q): mat_mul(consts[p], transpose(consts[q]))
+            for p in range(r.order + 1)
+            for q in range(r.order + 1 - p)
+        }
+        caps = Caps.total(("z", "w"), r.order)
+        table: Dict[Tuple[int, int, int, int], object] = {}
+        div_resid = ctx.num(0)
+        sym_resid = ctx.num(0)
+        for i in range(n):
+            for j in range(n):
+                num = TruncatedSeries.zero(caps)
+                for (p, q), prod in products.items():
+                    s = prod[i][j]
+                    if i == j and p == 0 and q == 0:
+                        s = s - 1
+                    if s or s != 0:
+                        num = num + TruncatedSeries(caps, {(p, q): s})
+                quot, rem = singular_quotient(num, "z", "w")
+                div_resid = max(div_resid, rem.max_abs(ctx))
+                for (k, l), v in quot.c.items():
+                    if k + l <= cutoff:
+                        table[(i, j, k, l)] = v * (-1) ** (k + l)
+        for (i, j, k, l), v in table.items():
+            mirror = table.get((j, i, l, k), 0)
+            sym_resid = max(sym_resid, mpmath.fabs(v - mirror))
+        residuals = {"divisibility": div_resid, "v_symmetry": sym_resid}
+        if r.cross_residual is not None:
+            residuals["cross_direction"] = r.cross_residual
+        residuals["unitarity"] = unitarity_residual(r)
+        return table, residuals

@@ -84,12 +84,45 @@ class TestExitCodes:
         argv = ["genus", "--model", "two-primary:d=1/2", "--point", "0,1", "--g", "2"]
         code, doc = run_json(argv)
         assert code == 0
-        assert set(doc["residuals"]) == {"divisibility", "unitarity", "v_symmetry"}
-        monkeypatch.setattr(rmatrix, "unitarity_residual", lambda r: CTX.num(1))
+        assert set(doc["residuals"]) == {"unitarity", "v_symmetry"}
+        monkeypatch.setattr(rmatrix, "unitarity_residual", lambda r, products=None: CTX.num(1))
         code, doc = run_json(argv)
         assert code == 2
         with CTX.guard():
             assert mpmath.mpf(doc["residuals"]["unitarity"]) == 1
+
+    def test_genus_wrong_r_matrix_is_numerical(self, monkeypatch):
+        from genuslift import genus
+        from genuslift.series import TruncatedSeries
+
+        solve = genus.homogeneous_R
+
+        def wrong_r2(frame, order):
+            r = solve(frame, order)
+            with CTX.guard():
+                entry = r.mats[2][0][0]
+                r.mats[2][0][0] = entry + TruncatedSeries.const(entry.caps, CTX.num(1))
+            return r
+
+        monkeypatch.setattr(genus, "homogeneous_R", wrong_r2)
+        code, doc = run_json(
+            ["genus", "--model", "two-primary:d=1/2", "--point", "0,1", "--g", "2"]
+        )
+        assert code == 2
+        with CTX.guard():
+            assert mpmath.mpf(doc["residuals"]["unitarity"]) > mpmath.mpf("0.1")
+            assert mpmath.mpf(doc["residuals"]["v_symmetry"]) > mpmath.mpf("0.1")
+
+    def test_frame_negative_order(self):
+        code, text = run_command(["frame", "--model", "point", "--point", "1", "--order", "-1"])
+        assert code == 1 and text.startswith("error:") and "order" in text
+
+    def test_descendent_vanishing_g1_is_numerical(self):
+        # t_1 = 1 cancels the dilaton shift of the point model: G_1 = 0
+        code, text = run_command(
+            ["descendent", "--model", "point", "--tau", '{"t":[["0"],["1"]]}', "--g", "2"]
+        )
+        assert code == 2 and "G_1" in text and "canonical index 0" in text
 
     def test_descendent_oracle_gap_is_numerical(self, monkeypatch):
         reference = cli.point_descendent_resummed
@@ -143,6 +176,14 @@ class TestExitCodes:
             ["frame", "--model", str(path), "--point", "1/5,2/3", "--anchors=1"]
         )
         assert code == 1 and text.startswith("error:") and "anchors" in text
+
+    def test_non_rational_euler_entry_names_the_field(self, tmp_path):
+        doc = two_primary_model(Fraction(1, 2)).to_json()
+        doc["euler"]["conformal_dimension"] = "x"
+        path = tmp_path / "bad-euler.json"
+        path.write_text(json.dumps(doc))
+        code, text = run_command(["validate", "--model", str(path)])
+        assert code == 1 and text.startswith("error:") and "conformal_dimension" in text
 
     def test_gauge_needs_one_row_per_branch(self):
         code, text = run_command(

@@ -15,6 +15,7 @@ from genuslift.frobenius import (
     two_primary_model,
 )
 from genuslift.expressions import Expression, t_names
+from genuslift.io import parse_model
 from genuslift.scalars import EXACT, FloatContext
 from genuslift.series import Caps, TruncatedSeries
 
@@ -258,7 +259,7 @@ class TestModelConstruction:
     def test_json_roundtrip(self):
         m = two_primary_model(Fraction(3, 2), coefficient=Fraction(2, 7))
         doc = m.to_json()
-        m2 = FrobeniusModel.from_json(doc)
+        m2 = parse_model(doc)
         assert m2.dimension == m.dimension
         assert m2.metric == m.metric
         assert m2.potential.terms == m.potential.terms

@@ -227,6 +227,13 @@ class TestModelDocuments:
         with pytest.raises(SchemaError, match="shift"):
             parse_model(doc)
 
+    def test_euler_entries_must_be_rational(self):
+        for field, value in (("shift", ["x", "0"]), ("conformal_dimension", "x")):
+            doc = json.loads(json.dumps(QUINTIC_DOC))
+            doc["euler"][field] = value
+            with pytest.raises(SchemaError, match=f"euler {field}"):
+                parse_model(doc)
+
     def test_not_json(self):
         with pytest.raises(SchemaError, match="JSON"):
             parse_model("{this is not json")

@@ -13,7 +13,8 @@ the low V-table.  The remaining tests are structural: unitarity of R(z),
 agreement of the off-diagonal solve across coordinate directions, the
 diagonal-twist relation between the two normalization modes, Bernoulli
 gauge constants, and accessor semantics of the edge/tail container.  The
-jet-free homogeneity route is checked against the jet recursion.
+jet-free homogeneity route is checked against the jet recursion, and the
+closed-form z + w quotient of ``compute_V`` against series division.
 """
 
 import dataclasses
@@ -39,6 +40,8 @@ from genuslift.rmatrix import (
     unitarity_residual,
 )
 from genuslift.scalars import FloatContext
+from genuslift.series import TruncatedSeries
+from oracles import compute_V_series
 
 CTX = FloatContext()
 TIGHT = mpmath.mpf("1e-70")
@@ -117,7 +120,8 @@ class TestHandValues:
         assert_close(exp_edge.v_entry(0, 1, 0, 1), imag(-3, 128))
 
     def test_residuals(self, exp_edge):
-        for name in ("divisibility", "v_symmetry", "cross_direction", "unitarity"):
+        assert set(exp_edge.residuals) == {"v_symmetry", "cross_direction", "unitarity"}
+        for name in exp_edge.residuals:
             with CTX.guard():
                 assert mpmath.fabs(exp_edge.residuals[name]) <= TIGHT
 
@@ -360,7 +364,7 @@ class TestHomogeneous:
         data = edge_tail_data(homogeneous_R(frame, 3))
         assert "cross_direction" not in data.residuals
         with CTX.guard():
-            for name in ("divisibility", "v_symmetry", "unitarity"):
+            for name in ("v_symmetry", "unitarity"):
                 assert mpmath.fabs(data.residuals[name]) <= TIGHT
 
     def test_requires_euler_data(self):
@@ -372,3 +376,66 @@ class TestHomogeneous:
         )
         with pytest.raises(ValueError):
             homogeneous_R(frame, 2)
+
+
+def _assert_same_edge_table(r, cutoff=None):
+    table, residuals = compute_V(r, cutoff)
+    reference, ref_residuals = compute_V_series(r, cutoff)
+    assert table == reference
+    assert residuals == {k: v for k, v in ref_residuals.items() if k != "divisibility"}
+
+
+def _wrong_r2(r):
+    """``r`` with (R_2)_00 moved off its value by 1/10."""
+    with CTX.guard():
+        entry = r.mats[2][0][0]
+        r.mats[2][0][0] = entry + TruncatedSeries.const(entry.caps, CTX.num(Fraction(1, 10)))
+    return r
+
+
+class TestClosedFormQuotient:
+    """``compute_V`` against the series division it replaced, entry for entry."""
+
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(
+        d=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(3, 2),
+                           Fraction(5, 3)]),
+        t0=st.integers(-24, 24),
+        t1=st.integers(8, 36),
+        sign=st.sampled_from([1, -1]),
+        order=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_matches_series_division_two_primary(self, d, t0, t1, sign, order, data):
+        point = (Fraction(t0, 24), sign * Fraction(t1, 24))
+        r = homogeneous_R(canonical_frame(two_primary_model(d), point, CTX, order=0), order)
+        cutoff = data.draw(st.integers(0, order - 1))
+        _assert_same_edge_table(r)
+        _assert_same_edge_table(r, cutoff)
+
+    def test_matches_series_division_cusp(self):
+        model = threefold_cusp_model()
+        _assert_same_edge_table(homogeneous_R(canonical_frame(model, CUSP_POINT, CTX), 5))
+        _assert_same_edge_table(compute_R(canonical_frame(model, CUSP_POINT, CTX, order=4), 4))
+
+    def test_matches_series_division_twisted_constants_mode(self):
+        model = two_primary_model(Fraction(1, 2))
+        frame = canonical_frame(model, (Fraction(2, 7), Fraction(3, 5)), CTX, order=5)
+        r = compute_R(frame, 5, mode="constants")
+        gauge = [[Fraction(1, 3), Fraction(-2, 7), Fraction(1, 11)],
+                 [Fraction(1, 5), Fraction(4, 9), Fraction(0)]]
+        _assert_same_edge_table(twist_R(r, gauge))
+
+    def test_wrong_r_breaches_unitarity_and_symmetry(self):
+        frame = canonical_frame(threefold_cusp_model(), CUSP_POINT, CTX)
+        _, good = compute_V(homogeneous_R(frame, 3))
+        wrong = _wrong_r2(homogeneous_R(frame, 3))
+        _, bad = compute_V(wrong)
+        assert set(bad) == {"v_symmetry", "unitarity"}
+        with CTX.guard():
+            assert max(good.values()) <= TIGHT
+            assert bad["unitarity"] > CTX.tol
+            assert bad["v_symmetry"] > CTX.tol
+            # the remainder of the series division is the unitarity residual
+            _, division = compute_V_series(wrong)
+            assert mpmath.fabs(division["divisibility"] - bad["unitarity"]) <= TIGHT

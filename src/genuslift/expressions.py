@@ -38,11 +38,13 @@ class UnboundParameterError(LookupError):
 
 
 class Expression:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_numeric")
 
     def __init__(self, nvars: int, terms: Dict[TermKey, Fraction] | None = None):
         self.nvars = nvars
         self.terms: Dict[TermKey, Fraction] = {}
+        # evaluate's converted terms, one list per context precision
+        self._numeric: Dict[object, list] = {}
         if terms:
             for k, c in terms.items():
                 if c != 0:
@@ -205,16 +207,22 @@ class Expression:
             raise ValueError("point dimension mismatch")
         with ctx.guard():
             pt = [ctx.num(x) for x in point]
-            total = ctx.num(0)
-            for (mono, expo), c in self.terms.items():
-                term = ctx.num(c)
+            total = zero = ctx.num(0)
+            # coefficients and rates go through ctx.num once per precision
+            terms = self._numeric.get(ctx.prec_bits)
+            if terms is None:
+                terms = self._numeric[ctx.prec_bits] = [
+                    (ctx.num(c), mono, [(a, ctx.num(lam)) for a, lam in enumerate(expo) if lam])
+                    for (mono, expo), c in self.terms.items()
+                ]
+            for c, mono, rates in terms:
+                term = c
                 for x, m in zip(pt, mono):
                     if m:
                         term = term * x**m
-                arg = ctx.num(0)
-                for lam, x in zip(expo, pt):
-                    if lam:
-                        arg = arg + ctx.num(lam) * x
+                arg = zero
+                for a, lam in rates:
+                    arg = arg + lam * pt[a]
                 if arg != 0:
                     term = term * ctx.exp(arg)
                 total = total + term

@@ -15,8 +15,10 @@ The eigenvalue jets are obtained by Newton iteration on the characteristic
 polynomial of a multiplication operator (the Euler multiplication for
 conformal models, a fixed generic combination otherwise), starting from
 high-precision roots of the order-zero polynomial.  Projectors onto the
-eigenlines are Lagrange interpolation polynomials in the operator, which
-keeps every step a ring operation on jets.
+eigenlines are Lagrange interpolation polynomials in the operator, so every
+step is a ring operation, an inverse or a square root.  The same steps run on
+jets for order >= 1 and, at order 0, on mpmath values at the point, which
+become one-term series only in the returned :class:`CanonicalFrame`.
 
 Everything here is float-backend only: eigenvalues and square roots leave
 the rationals even for rational models.
@@ -32,7 +34,7 @@ import mpmath
 
 from .expressions import t_names
 from .frobenius import FrobeniusModel
-from .linalg import charpoly, identity, mat_add, mat_mul, mat_scale, poly_eval, trace
+from .linalg import charpoly, identity, mat_add, mat_mul, mat_scale, poly_eval, sum_entries
 from .scalars import FloatContext
 from .series import Caps, TruncatedSeries
 
@@ -136,26 +138,116 @@ def canonical_frame(
         return _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, generator_weights)
 
 
+class _Jets:
+    """The frame's ring, jets of total degree <= order: beyond +, - and *,
+    the frame steps call only these methods."""
+
+    def __init__(self, names, order: int, ctx: FloatContext):
+        self.names, self.order, self.ctx = names, order, ctx
+        self.caps = Caps.total(names, order)
+
+    def multiplication(self, model: FrobeniusModel, point):
+        return model.structure_constant_jets(point, self.order, self.ctx)
+
+    def const(self, x):
+        return TruncatedSeries.const(self.caps, x)
+
+    def var(self, name: str, coeff):
+        """``coeff`` times the displacement of coordinate ``name``."""
+        return TruncatedSeries.var(self.caps, name, 1, coeff)
+
+    def inverse(self, x):
+        return x.inverse()
+
+    def sqrt(self, x):
+        return x.sqrt(self.ctx)
+
+    def value(self, x):
+        """The value at the point (the constant term)."""
+        return x.constant_term()
+
+    def series(self, x) -> TruncatedSeries:
+        return x
+
+    def integrate(self, grad, anchor):
+        """Rebuild a jet from its gradient jets plus a constant."""
+        seen = {}
+        for a in range(len(self.names)):
+            for key, v in grad[a].c.items():
+                nk = key[:a] + (key[a] + 1,) + key[a + 1 :]
+                if nk not in seen:
+                    seen[nk] = v / nk[a]
+        # the caps drop the keys above the order
+        return self.const(anchor) + TruncatedSeries(self.caps, seen)
+
+    def du_consistency(self, u, du):
+        """Max mismatch between the stored du jets and derivatives of u."""
+        worst = self.ctx.num(0)
+        for i, ujet in enumerate(u):
+            for a, nm in enumerate(self.names):
+                diff = ujet.partial(nm) - du[i][a]
+                # derivative content is only valid to order-1
+                for key, v in diff.c.items():
+                    if sum(key) <= self.order - 1:
+                        worst = max(worst, mpmath.fabs(v))
+        return worst
+
+
+class _Values:
+    """The same methods on values at the point (order 0), where every
+    displacement is zero and no derivative is left to integrate or check."""
+
+    def __init__(self, names, ctx: FloatContext):
+        self.ctx = ctx
+        self.caps = Caps.total(names, 0)
+
+    def multiplication(self, model: FrobeniusModel, point):
+        return model.structure_constants(point, self.ctx)
+
+    def const(self, x):
+        return x
+
+    def var(self, name: str, coeff):
+        return 0
+
+    def inverse(self, x):
+        return 1 / x
+
+    def sqrt(self, x):
+        return self.ctx.sqrt(x)
+
+    def value(self, x):
+        return x
+
+    def series(self, x) -> TruncatedSeries:
+        return TruncatedSeries.const(self.caps, x)
+
+    def integrate(self, grad, anchor):
+        return anchor
+
+    def du_consistency(self, u, du):
+        return self.ctx.num(0)
+
+
 def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, generator_weights):
     n = model.dimension
     point = tuple(ctx.num(x) for x in point)
     names = t_names(n)
-    caps = Caps.total(names, order)
-    cjets = model.structure_constant_jets(point, order, ctx)
+    ring = _Jets(names, order, ctx) if order else _Values(names, ctx)
+    cmats = ring.multiplication(model, point)
 
     conformal = model.euler is not None and generator_weights is None
     if conformal:
-        gen = _euler_multiplication_jet(model, point, ctx, cjets, caps)
+        gen = _euler_multiplication(model, point, ctx, cmats, ring)
     else:
         weights = generator_weights or _default_weights(n)
         gen = None
         for a in range(n):
-            term = mat_scale(cjets[a], ctx.num(weights[a]))
+            term = mat_scale(cmats[a], ctx.num(weights[a]))
             gen = term if gen is None else mat_add(gen, term)
 
-    one = TruncatedSeries.const(caps, ctx.num(1))
-    chi = charpoly(gen, one, lambda s, k: s.scale(Fraction(1, k)))
-    chi0 = [c.constant_term() for c in chi]
+    chi = charpoly(gen, ring.const(ctx.num(1)), lambda s, k: s * Fraction(1, k))
+    chi0 = [ring.value(c) for c in chi]
     try:
         roots = mpmath.polyroots(
             [mpmath.mpc(c) for c in chi0], maxsteps=200, extraprec=ctx.prec_bits
@@ -184,25 +276,26 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, gene
             raise ValueError("permutation must reorder 0..N-1")
         roots = [roots[p] for p in permutation]
 
-    lam = [_hensel_lift(chi, r0, caps, ctx, order) for r0 in roots]
+    lam = [_hensel_lift(chi, r0, ring, order) for r0 in roots]
 
-    projectors = _lagrange_projectors(gen, lam, caps, ctx)
+    projectors = _lagrange_projectors(gen, lam, ring, ctx)
     idem = [[projectors[i][a][model.unit_index] for a in range(n)] for i in range(n)]
 
-    du = []
-    for i in range(n):
-        row = []
-        for a in range(n):
-            row.append(trace(mat_mul(cjets[a], projectors[i])))
-        du.append(row)
+    # du^i_a = trace(C_a P_i), from the diagonal of the product only
+    du = [
+        [
+            sum_entries([sum_entries([c[j][k] * p[k][j] for k in range(n)]) for j in range(n)])
+            for c in cmats
+        ]
+        for p in projectors
+    ]
 
     if conformal:
-        u = [l.copy() for l in lam]
-        resid = _du_consistency(u, du, names, ctx, order)
+        u = lam
     else:
         anchors = anchors or [0] * n
-        u = [_integrate_gradient(du[i], names, caps, order, ctx.num(anchors[i])) for i in range(n)]
-        resid = _du_consistency(u, du, names, ctx, order)
+        u = [ring.integrate(du[i], ctx.num(anchors[i])) for i in range(n)]
+    resid = ring.du_consistency(u, du)
 
     g = model.metric
     delta, sqrt_delta = [], []
@@ -213,31 +306,33 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, gene
             for b in range(n):
                 if g[a][b] == 0:
                     continue
-                term = (idem[i][a] * idem[i][b]).scale(g[a][b])
+                term = idem[i][a] * idem[i][b] * g[a][b]
                 eta = term if eta is None else eta + term
-        c0 = eta.constant_term()
-        if mpmath.fabs(c0) <= ctx.tol:
+        if mpmath.fabs(ring.value(eta)) <= ctx.tol:
             raise DegenerateFrameError(f"idempotent {i} has zero squared length")
-        dlt = eta.inverse()
+        dlt = ring.inverse(eta)
         delta.append(dlt)
-        sqrt_delta.append(dlt.sqrt(ctx).scale(ctx.num(flips[i])))
+        sqrt_delta.append(ring.sqrt(dlt) * ctx.num(flips[i]))
 
     psi = []
     for i in range(n):
-        inv_sqrt = sqrt_delta[i].inverse()
+        inv_sqrt = ring.inverse(sqrt_delta[i])
         psi.append([inv_sqrt * du[i][a] for a in range(n)])
+
+    def rows(table):
+        return [[ring.series(x) for x in row] for row in table]
 
     return CanonicalFrame(
         model=model,
         point=point,
         ctx=ctx,
         order=order,
-        u=u,
-        du=du,
-        delta=delta,
-        sqrt_delta=sqrt_delta,
-        psi=psi,
-        idempotents=idem,
+        u=[ring.series(x) for x in u],
+        du=rows(du),
+        delta=[ring.series(x) for x in delta],
+        sqrt_delta=[ring.series(x) for x in sqrt_delta],
+        psi=rows(psi),
+        idempotents=rows(idem),
         conformal=conformal,
         residual=resid,
     )
@@ -248,144 +343,51 @@ def _default_weights(n: int) -> list:
     return [Fraction(2 * a + 1, 1) for a in range(n)]
 
 
-def _euler_multiplication_jet(model, point, ctx, cjets, caps):
+def _euler_multiplication(model, point, ctx, cmats, ring):
+    """sum_a E^a C_a, with E^a an element of the ring."""
     n = model.dimension
     e = model.euler
     evals = e.components(point, ctx)
     gen = None
     for a in range(n):
-        ejet = TruncatedSeries.const(caps, evals[a])
+        ejet = ring.const(evals[a])
         for b in range(n):
             if e.matrix[a][b]:
-                ejet = ejet + TruncatedSeries.var(caps, f"t{b}", 1, ctx.num(e.matrix[a][b]))
-        term = mat_scale(cjets[a], ejet)
+                ejet = ejet + ring.var(f"t{b}", ctx.num(e.matrix[a][b]))
+        term = mat_scale(cmats[a], ejet)
         gen = term if gen is None else mat_add(gen, term)
     return gen
 
 
-def _hensel_lift(chi, root0, caps, ctx, order):
-    """Newton-lift a simple root of a jet-coefficient polynomial."""
+def _hensel_lift(chi, root0, ring, order):
+    """Newton-lift a simple root of a polynomial with coefficients in the ring."""
     n = len(chi) - 1
-    dchi = [chi[k].scale(n - k) for k in range(n)]
-    lam = TruncatedSeries.const(caps, root0)
-    steps = 1
-    while (1 << steps) < order + 1:
-        steps += 1
-    for _ in range(steps + 1):
+    dchi = [chi[k] * (n - k) for k in range(n)]
+    lam = ring.const(root0)
+    # each step doubles the number of correct orders: 2^steps >= order + 1
+    for _ in range(max(1, order.bit_length()) + 1):
         p = poly_eval(chi, lam)
         dp = poly_eval(dchi, lam)
-        lam = lam - p * dp.inverse()
+        lam = lam - p * ring.inverse(dp)
     return lam
 
 
-def _lagrange_projectors(gen, lam, caps, ctx):
+def _lagrange_projectors(gen, lam, ring, ctx):
     n = len(lam)
     size = len(gen)
     projectors = []
     for i in range(n):
-        mat = identity(size, TruncatedSeries.const(caps, ctx.num(1)), TruncatedSeries.zero(caps))
+        mat = None
         for j in range(n):
             if j == i:
                 continue
+            denom_inv = ring.inverse(lam[i] - lam[j])
             shifted = [
-                [gen[r][c] - lam[j] if r == c else gen[r][c] for c in range(size)]
+                [(gen[r][c] - lam[j] if r == c else gen[r][c]) * denom_inv for c in range(size)]
                 for r in range(size)
             ]
-            denom_inv = (lam[i] - lam[j]).inverse()
-            shifted = [[e * denom_inv for e in row] for row in shifted]
-            mat = mat_mul(mat, shifted)
+            mat = shifted if mat is None else mat_mul(mat, shifted)
+        if mat is None:
+            mat = identity(size, ring.const(ctx.num(1)), ring.const(ctx.num(0)))
         projectors.append(mat)
     return projectors
-
-
-def _du_consistency(u, du, names, ctx, order):
-    """Max mismatch between the stored du jets and derivatives of u."""
-    worst = ctx.num(0)
-    for i, ujet in enumerate(u):
-        for a, nm in enumerate(names):
-            diff = ujet.partial(nm) - du[i][a]
-            # derivative content is only valid to order-1
-            for key, v in diff.c.items():
-                if sum(key) <= order - 1:
-                    worst = max(worst, mpmath.fabs(v))
-    return worst
-
-
-def _integrate_gradient(grad, names, caps, order, anchor):
-    """Rebuild a jet from its gradient jets plus a constant."""
-    out = TruncatedSeries.const(caps, anchor)
-    seen = {}
-    for a, nm in enumerate(names):
-        ia = a
-        for key, v in grad[a].c.items():
-            nk = list(key)
-            nk[ia] += 1
-            nk = tuple(nk)
-            if sum(nk) > order:
-                continue
-            c = v / nk[ia]
-            if nk in seen:
-                continue
-            seen[nk] = c
-    for k, v in seen.items():
-        out = out + TruncatedSeries(caps, {k: v})
-    return out
-
-
-def frame_invariant_residuals(frame: CanonicalFrame) -> dict:
-    """Numerical residuals of the defining identities, for tests and reports.
-
-    Checks, as jets to the frame order (derivative identities one lower):
-      * Psi g^{-1} Psi^T = 1
-      * sum_i (idempotent_i) = unit vector
-      * Psi C_a Psi^{-1} = diag(d_a u)
-      * W_a antisymmetric with zero diagonal
-    """
-    ctx = frame.ctx
-    model = frame.model
-    n = frame.dimension
-    with ctx.guard():
-        out = {}
-        psi_inv = frame.psi_inverse_jets()
-        prod = mat_mul(frame.psi, psi_inv)
-        eye = identity(
-            n,
-            TruncatedSeries.const(frame.psi[0][0].caps, ctx.num(1)),
-            TruncatedSeries.zero(frame.psi[0][0].caps),
-        )
-        out["orthonormality"] = max(
-            (prod[i][j] - eye[i][j]).max_abs(ctx) for i in range(n) for j in range(n)
-        )
-
-        unit_resid = ctx.num(0)
-        for a in range(n):
-            acc = frame.idempotents[0][a]
-            for i in range(1, n):
-                acc = acc + frame.idempotents[i][a]
-            target = 1 if a == model.unit_index else 0
-            unit_resid = max(unit_resid, (acc - target).max_abs(ctx))
-        out["unit_decomposition"] = unit_resid
-
-        cjets = model.structure_constant_jets(frame.point, frame.order, ctx)
-        diag_resid = ctx.num(0)
-        for a in range(n):
-            m = mat_mul(frame.psi, mat_mul(cjets[a], psi_inv))
-            for i in range(n):
-                for j in range(n):
-                    expect = frame.du[i][a] if i == j else None
-                    diff = m[i][j] - expect if expect is not None else m[i][j]
-                    diag_resid = max(diag_resid, diff.max_abs(ctx))
-        out["diagonalization"] = diag_resid
-
-        w = frame.rotation_jets()
-        w_resid = ctx.num(0)
-        for a in range(n):
-            for i in range(n):
-                for j in range(n):
-                    s = w[a][i][j] + w[a][j][i]
-                    for key, v in s.c.items():
-                        if sum(key) <= frame.order - 1:
-                            w_resid = max(w_resid, mpmath.fabs(v))
-        out["rotation_antisymmetry"] = w_resid
-        out["du_consistency"] = frame.residual
-        return out

@@ -12,9 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, List, Sequence
 
-import mpmath
-
-from .scalars import Context, FloatContext
+from .scalars import Context
 
 Matrix = List[list]
 
@@ -130,12 +128,3 @@ def mat_inv(a: Matrix, ctx: Context) -> Matrix:
                     m[r] = [x - f * y for x, y in zip(m[r], m[col])]
         return [row[n:] for row in m]
 
-
-def eigenvalues_float(a: Matrix, ctx: FloatContext) -> list:
-    """Roots of the characteristic polynomial, as mpc numbers."""
-    with ctx.guard():
-        num = [[ctx.num(x) for x in row] for row in a]
-        one = ctx.num(1)
-        coeffs = charpoly(num, one, lambda x, k: x / k)
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=ctx.prec_bits)
-        return list(roots)

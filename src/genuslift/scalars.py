@@ -159,6 +159,7 @@ class ExactContext:
     ``ArithmeticError`` instead of being rounded."""
 
     tol = Rational(0)
+    prec_bits = None
 
     def guard(self) -> "ExactContext":
         """No precision to pin: the context is its own do-nothing guard."""

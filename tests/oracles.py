@@ -25,7 +25,11 @@ library produces by another route:
 * ``compute_V_series``: the edge coefficients V^{ij}_{kl} by building the
   numerator sum_s R(z)^i_s R(w)^j_s - delta_ij as a two-variable series and
   dividing it by z + w with ``singular_quotient``; its remainder is reported
-  as ``"divisibility"``.
+  as ``"divisibility"``;
+* ``frame_invariant_residuals``: the defining identities of a canonical
+  frame, checked as jets;
+* ``eigenvalues_float``: the eigenvalues of a scalar matrix, as roots of its
+  characteristic polynomial.
 
 Test modules import it from their own directory (``from oracles import
 ...``).
@@ -60,7 +64,7 @@ from genuslift.intersection import (
     psi_intersection,
     vertex_correlator,
 )
-from genuslift.linalg import identity, mat_mul, transpose
+from genuslift.linalg import charpoly, identity, mat_mul, transpose
 from genuslift.rmatrix import EdgeTailData, RSeries, unitarity_residual
 from genuslift.scalars import EXACT, Context, FloatContext
 from genuslift.series import Caps, TruncatedSeries, singular_quotient
@@ -827,3 +831,72 @@ def compute_V_series(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]
             residuals["cross_direction"] = r.cross_residual
         residuals["unitarity"] = unitarity_residual(r)
         return table, residuals
+
+
+def frame_invariant_residuals(frame: CanonicalFrame) -> dict:
+    """Numerical residuals of the defining identities of a canonical frame.
+
+    Checks, as jets to the frame order (derivative identities one lower):
+      * Psi g^{-1} Psi^T = 1
+      * sum_i (idempotent_i) = unit vector
+      * Psi C_a Psi^{-1} = diag(d_a u)
+      * W_a antisymmetric with zero diagonal
+    """
+    ctx = frame.ctx
+    model = frame.model
+    n = frame.dimension
+    with ctx.guard():
+        out = {}
+        psi_inv = frame.psi_inverse_jets()
+        prod = mat_mul(frame.psi, psi_inv)
+        eye = identity(
+            n,
+            TruncatedSeries.const(frame.psi[0][0].caps, ctx.num(1)),
+            TruncatedSeries.zero(frame.psi[0][0].caps),
+        )
+        out["orthonormality"] = max(
+            (prod[i][j] - eye[i][j]).max_abs(ctx) for i in range(n) for j in range(n)
+        )
+
+        unit_resid = ctx.num(0)
+        for a in range(n):
+            acc = frame.idempotents[0][a]
+            for i in range(1, n):
+                acc = acc + frame.idempotents[i][a]
+            target = 1 if a == model.unit_index else 0
+            unit_resid = max(unit_resid, (acc - target).max_abs(ctx))
+        out["unit_decomposition"] = unit_resid
+
+        cjets = model.structure_constant_jets(frame.point, frame.order, ctx)
+        diag_resid = ctx.num(0)
+        for a in range(n):
+            m = mat_mul(frame.psi, mat_mul(cjets[a], psi_inv))
+            for i in range(n):
+                for j in range(n):
+                    expect = frame.du[i][a] if i == j else None
+                    diff = m[i][j] - expect if expect is not None else m[i][j]
+                    diag_resid = max(diag_resid, diff.max_abs(ctx))
+        out["diagonalization"] = diag_resid
+
+        w = frame.rotation_jets()
+        w_resid = ctx.num(0)
+        for a in range(n):
+            for i in range(n):
+                for j in range(n):
+                    s = w[a][i][j] + w[a][j][i]
+                    for key, v in s.c.items():
+                        if sum(key) <= frame.order - 1:
+                            w_resid = max(w_resid, mpmath.fabs(v))
+        out["rotation_antisymmetry"] = w_resid
+        out["du_consistency"] = frame.residual
+        return out
+
+
+def eigenvalues_float(a, ctx: FloatContext) -> list:
+    """Roots of the characteristic polynomial, as mpc numbers."""
+    with ctx.guard():
+        num = [[ctx.num(x) for x in row] for row in a]
+        one = ctx.num(1)
+        coeffs = charpoly(num, one, lambda x, k: x / k)
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=ctx.prec_bits)
+        return list(roots)

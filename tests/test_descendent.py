@@ -48,11 +48,16 @@ from genuslift.descendent import (
     genus1_descendent_routes,
     point_descendent_resummed,
 )
-from genuslift.linalg import eigenvalues_float, mat_mul
+from genuslift.linalg import mat_mul
 from genuslift.rmatrix import compute_R, edge_tail_data
 from genuslift.scalars import EXACT, FloatContext
 from genuslift.series import TruncatedSeries
-from oracles import critical_point_formal, genus0_formal, point_descendent_reference
+from oracles import (
+    critical_point_formal,
+    eigenvalues_float,
+    genus0_formal,
+    point_descendent_reference,
+)
 
 CTX = FloatContext()
 TIGHT = mpmath.mpf("1e-60")

@@ -117,6 +117,52 @@ class TestJets:
             f.jet((1,), 2, EXACT)
 
 
+def evaluate_converting_every_call(f, point, ctx):
+    """The value of ``f`` with every coefficient and exponential rate passed
+    through ``ctx.num`` afresh, in the order Expression.evaluate sums."""
+    with ctx.guard():
+        pt = [ctx.num(x) for x in point]
+        total = ctx.num(0)
+        for (mono, expo), c in f.terms.items():
+            term = ctx.num(c)
+            for x, m in zip(pt, mono):
+                if m:
+                    term = term * x**m
+            arg = ctx.num(0)
+            for lam, x in zip(expo, pt):
+                if lam:
+                    arg = arg + ctx.num(lam) * x
+            if arg != 0:
+                term = term * ctx.exp(arg)
+            total = total + term
+        return total
+
+
+class TestEvaluate:
+    def test_terms_converted_once_per_precision_are_bit_identical(self):
+        f = cp1_like_potential() + Expression.term(
+            2, Fraction(-3, 7), mono=(1, -2), expo=(Fraction(2, 5), Fraction(-1, 3))
+        )
+        point = (Fraction(1, 3), Fraction(-5, 7))
+        # revisit each precision, so a conversion kept from another one shows
+        for bits in (256, 113, 256, 64, 113):
+            ctx = FloatContext(bits)
+            assert f.evaluate(point, ctx) == evaluate_converting_every_call(f, point, ctx)
+
+    def test_exact_and_float_evaluations_do_not_mix(self):
+        # 2/3 t0^2 t1 - 1/5 t1^3 at (1/3, -5/7)
+        f = Expression.term(2, Fraction(2, 3), mono=(2, 1)) + Expression.term(
+            2, Fraction(-1, 5), mono=(0, 3)
+        )
+        point = (Fraction(1, 3), Fraction(-5, 7))
+        exact = Fraction(2, 27) * Fraction(-5, 7) + Fraction(1, 5) * Fraction(125, 343)
+        ctx = FloatContext(256)
+        assert f.evaluate(point, ctx) == evaluate_converting_every_call(f, point, ctx)
+        value = f.evaluate(point, EXACT)
+        assert isinstance(value, Fraction) and value == exact
+        assert f.evaluate(point, ctx) == evaluate_converting_every_call(f, point, ctx)
+
+
 class TestSerialization:
     def test_roundtrip(self):
         f = cp1_like_potential() + Expression.term(2, Fraction(-7, 3), mono=(0, -2))

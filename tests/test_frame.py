@@ -1,17 +1,19 @@
 """Canonical frames: hand-checked values, invariants, jets, options."""
 
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genuslift.frame import (
-    NonSemisimpleError,
-    canonical_frame,
-    frame_invariant_residuals,
-)
+from genuslift.cli import run_command
+from genuslift.frame import NonSemisimpleError, canonical_frame
 from genuslift.frobenius import threefold_cusp_model, two_primary_model
 from genuslift.scalars import FloatContext
+from genuslift.series import TruncatedSeries
+from oracles import frame_invariant_residuals
 
 CTX = FloatContext(256)
 
@@ -168,3 +170,142 @@ class TestErrorPaths:
         # h''' = 60 c t1^2 vanishes at t1 = 0: the algebra degenerates
         with pytest.raises(NonSemisimpleError):
             canonical_frame(two_primary_model(Fraction(1, 2)), (Fraction(1, 3), 0), CTX, order=0)
+
+
+FRAME_FIELDS = ("u", "du", "delta", "sqrt_delta", "psi", "idempotents")
+
+
+def assert_same_values(values, jets, tol="1e-70"):
+    """Every field of the order-0 frame ``values`` equals the constant term
+    of the same field of ``jets``, relative to max(1, |entry|)."""
+    with CTX.guard():
+        for name in FRAME_FIELDS:
+            a, b = getattr(values, name), getattr(jets, name)
+            if name in ("u", "delta", "sqrt_delta"):
+                a, b = [a], [b]
+            for row_a, row_b in zip(a, b):
+                for x, y in zip(row_a, row_b):
+                    x, y = mpmath.mpc(x.constant_term()), mpmath.mpc(y.constant_term())
+                    scale = max(mpmath.mpf(1), mpmath.fabs(y))
+                    assert mpmath.fabs(x - y) <= mpmath.mpf(tol) * scale, (name, x, y)
+
+
+def odd_rationals(nonzero=False):
+    if nonzero:
+        num = st.integers(1, 9).flatmap(lambda k: st.sampled_from([k, -k]))
+    else:
+        num = st.integers(-9, 9)
+    return st.builds(Fraction, num, st.sampled_from([1, 3, 5, 7, 9]))
+
+
+class TestOrderZeroValues:
+    """The order-0 frame runs the frame steps on values at the point; they
+    must equal the constant terms of the jet frame."""
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        st.sampled_from([Fraction(d) for d in ("1/2", "1/3", "1", "3/2", "5/3")]),
+        odd_rationals(),
+        # t1 = 0 is on the discriminant (or the pole) for every d != 1
+        odd_rationals(nonzero=True),
+        st.permutations([0, 1]),
+        st.lists(st.sampled_from([1, -1]), min_size=2, max_size=2),
+    )
+    def test_two_primary(self, d, t0, t1, permutation, flips):
+        m = two_primary_model(d)
+        options = dict(permutation=permutation, sign_flips=flips)
+        values = canonical_frame(m, (t0, t1), CTX, order=0, **options)
+        jets = canonical_frame(m, (t0, t1), CTX, order=2, **options)
+        assert values.order == 0 and values.residual == 0
+        assert_same_values(values, jets)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (Fraction(11, 13), Fraction(-17, 19), Fraction(-20, 21)),
+            (Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)),
+            (Fraction(-1, 2), Fraction(1, 9), Fraction(3, 4)),
+        ],
+    )
+    def test_cusp(self, point):
+        m = threefold_cusp_model()
+        options = dict(permutation=(2, 0, 1), sign_flips=(1, -1, 1))
+        values = canonical_frame(m, point, CTX, order=0, **options)
+        jets = canonical_frame(m, point, CTX, order=2, **options)
+        assert_same_values(values, jets)
+
+    def test_no_series_arithmetic_at_order_zero(self, monkeypatch):
+        calls = Counter()
+
+        def count(name):
+            original = getattr(TruncatedSeries, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(TruncatedSeries, name, counted)
+
+        for name in ("__init__", "__mul__", "inverse", "sqrt"):
+            count(name)
+        cases = [
+            (threefold_cusp_model(), (Fraction(11, 13), Fraction(-17, 19), Fraction(-20, 21))),
+            (two_primary_model(Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 5))),
+        ]
+        for m, point in cases:
+            calls.clear()
+            canonical_frame(m, point, CTX, order=0)
+            n = m.dimension
+            assert calls["__mul__"] == calls["inverse"] == calls["sqrt"] == 0, calls
+            # one series per entry of the returned frame, made when it is built
+            assert calls["__init__"] == 3 * n + 3 * n * n, calls
+            calls.clear()
+            canonical_frame(m, point, CTX, order=1)
+            assert calls["__mul__"] > 0 and calls["inverse"] > 0, calls
+
+
+class TestDiscriminantWalk:
+    """Two-primary d = 1/2 at t0 = 1/3 has u = t0 +- O(t1^2): walking
+    t1 = 10^-k toward 0, the eigenvalues merge below the separation bound
+    at one step, for the order-0 and the jet route alike."""
+
+    MODEL = two_primary_model(Fraction(1, 2))
+
+    def first_stop(self, order):
+        for k in range(1, 31):
+            try:
+                canonical_frame(self.MODEL, (Fraction(1, 3), Fraction(1, 10**k)), CTX, order=order)
+            except NonSemisimpleError:
+                return k
+        return None
+
+    def frame_command(self, point, order):
+        return run_command(
+            ["frame", "--model", "two-primary:d=1/2", "--point", point, "--order", str(order)]
+        )
+
+    def test_routes_stop_at_the_same_step(self):
+        stop = self.first_stop(0)
+        assert stop is not None and stop == self.first_stop(2)
+        code, text = self.frame_command(f"1/3,1/{10**stop}", 0)
+        assert code == 2 and "coincide" in text
+
+    def test_command_stops_at_the_same_step_for_both_routes(self):
+        stops = {}
+        for order in (0, 2):
+            for k in range(1, 31):
+                code, text = self.frame_command(f"1/3,1/{10**k}", order)
+                if code != 0:
+                    assert code == 2 and "coincide" in text, text
+                    stops[order] = k
+                    break
+        assert len(stops) == 2 and stops[0] == stops[2], stops
+        for point in ("1/3,1/100000000000000000000", "1/3,0"):
+            code, text = self.frame_command(point, 0)
+            assert code == 2 and "coincide" in text, text
+
+    def test_cusp_origin_exits_numerical(self):
+        code, text = run_command(
+            ["frame", "--model", "threefold-cusp", "--point", "0,0,0", "--order", "0"]
+        )
+        assert code == 2 and "numerical failure" in text

@@ -71,10 +71,10 @@ class FrobeniusModel:
         self.metric = [[Fraction(x) for x in row] for row in self.metric]
         if len(self.metric) != n or any(len(r) != n for r in self.metric):
             raise ValueError("metric shape mismatch")
-        for i in range(n):
-            for j in range(i):
-                if self.metric[i][j] != self.metric[j][i]:
-                    raise ValueError("metric is not symmetric")
+        for a in range(n):
+            for b in range(a + 1, n):
+                if self.metric[a][b] != self.metric[b][a]:
+                    raise ValueError(f"metric is not symmetric at ({a},{b})")
         self.metric_inverse = ginv = mat_inv(self.metric, EXACT)
         self.third_derivatives: Dict[tuple, Expression] = {}
         for a in range(n):

@@ -44,6 +44,19 @@ The oracle shares with the graph sum the input tables and, when handed
 tables.  Graphs, edge weights and summation are its own, which makes the two
 mutual oracles; agreement is exact on rational synthetic data.
 
+Both run one generic code path over the *kernel scalars* of their context
+(``scalars``): :func:`graph_sum` and :func:`wick_oracle` convert their
+edge/tail data once on entry with ``EdgeTailData.in_kernel`` and every
+result once on exit with ``from_kernel``.  Under ``EXACT`` both are the
+identity and the sums stay exact.  Under a ``FloatContext`` the kernels
+(:func:`skeleton_values`, :func:`edge_weight_table`, ``vertex_correlator``,
+:func:`wick_moments`) multiply Gaussian fixed-point numbers on Python ints
+in place of mpmath ``mpc``; the skeleton values and the oracle's moments
+return to mpmath at working precision, and the logarithm of the oracle runs
+there.  A :class:`GenusReport` keeps the converted data and the vertex
+correlators on it, so a report's data and cache go to :func:`wick_oracle`
+together without another conversion.
+
 Genus 1 is exposed as the one-form
 
     dF^1 = sum_i [ V^{ii}_{00}/2 du^i + dDelta_i/(48 Delta_i) ]
@@ -81,7 +94,7 @@ from .rmatrix import (
     twist_R,
     uses_homogeneity,
 )
-from .scalars import EXACT, Context, FloatContext
+from .scalars import EXACT, Context, FloatContext, from_kernel
 from .series import Caps, TruncatedSeries
 
 
@@ -303,10 +316,12 @@ class GenusReport:
 
     ``contributions`` pairs every skeleton of genus ``genus`` with the sum
     of its decorated graphs; :meth:`contribution_map` keys them by
-    :meth:`Skeleton.describe`.  ``vertex_cache`` is the sum's table of
-    vertex correlators on ``data``: (g_v, i, sorted edge powers) maps to
-    the correlator, or to None where it vanishes.  :func:`wick_oracle`
-    reads and extends it."""
+    :meth:`Skeleton.describe`.  ``value`` and ``contributions`` are at
+    working precision (or exact).  ``data`` is the edge/tail data in the
+    context's kernel scalars, and ``vertex_cache`` the sum's table of
+    vertex correlators on it: (g_v, i, sorted edge powers) maps to the
+    correlator, or to None where it vanishes.  :func:`wick_oracle` reads
+    and extends it."""
 
     genus: int
     value: object
@@ -395,20 +410,37 @@ def graph_sum(
     labelings by ``data.dimension`` indices (:func:`skeleton_sum`), with one
     vertex cache and one edge weight table shared by the whole sum.  Exact
     when ``data`` is rational and ``ctx`` is ``EXACT`` (the default);
-    ``frame`` is only passed through to the report."""
+    ``frame`` is only passed through to the report.
+
+    The sum runs on ``data.in_kernel(ctx)``, which the report keeps as its
+    ``data`` beside the vertex cache on it; the contributions come back at
+    working precision and are summed there."""
+    data = data.in_kernel(ctx)
     vertex_cache: dict = {}
     with ctx.guard():
-        edge_weights = edge_weight_table(data)
+        contributions = [
+            (sk, from_kernel(val)) for sk, val in skeleton_values(data, g, table, vertex_cache)
+        ]
+        # the reported value is the sum of the reported contributions
         total = ctx.num(0)
-        contributions = []
-        for sk in skeletons(g):
-            val = skeleton_sum(sk, data, table, vertex_cache, edge_weights)
-            contributions.append((sk, val))
+        for _, val in contributions:
             total = total + val
     return GenusReport(
         genus=g, value=total, contributions=contributions, data=data, frame=frame,
         vertex_cache=vertex_cache,
     )
+
+
+def skeleton_values(
+    data: EdgeTailData,
+    g: int,
+    table: Optional[IntersectionTable],
+    vertex_cache: dict,
+) -> List[Tuple[Skeleton, object]]:
+    """Every skeleton of genus g with its :func:`skeleton_sum` on ``data``,
+    in the numbers ``data`` holds."""
+    edge_weights = edge_weight_table(data)
+    return [(sk, skeleton_sum(sk, data, table, vertex_cache, edge_weights)) for sk in skeletons(g)]
 
 
 # -- operator-exponential oracle ---------------------------------------------------
@@ -527,44 +559,61 @@ def wick_oracle(
 
     ``vertex_cache`` is a table of vertex correlators keyed like the graph
     sum's (:attr:`GenusReport.vertex_cache`); correlators missing from it
-    are computed and added."""
+    are computed and added.  The expansion runs on ``data.in_kernel(ctx)``;
+    its moments come back at working precision before the logarithm."""
     if g < 2:
         raise ValueError("the expansion is normalized for genus >= 2")
     if vertex_cache is None:
         vertex_cache = {}
+    data = data.in_kernel(ctx)
     with ctx.guard():
-        kq = 3 * g - 4
-        powers = _graded_exp(_log_tau_layers(data, g, table, vertex_cache))
-
-        # propagator weights C_uv = V^{ij}_{kl} sqrt(Delta_i Delta_j) for
-        # u = slot (i, k) <= v = slot (j, l); slot (i, k) is i(kq + 1) + k,
-        # as in the monomials of _log_tau_layers
-        slots = [(i, k) for i in range(data.dimension) for k in range(kq + 1)]
-        sd = data.sqrt_delta
-        cov: dict = {}
-        for u, (i, k) in enumerate(slots):
-            for v in range(u, len(slots)):
-                j, l = slots[v]
-                if k + l > data.v_cutoff:
-                    continue
-                w = data.v_entry(i, j, k, l) * sd[i] * sd[j]
-                if w != 0:
-                    cov.setdefault(u, {})[v] = w
-
-        # exp(P) hbar^a q^M at q = 0 is hbar^{a + m/2} <M>, and a degree-2b
-        # term has a + m/2 = b
-        memo: dict = {}
         connected = {(0,): 1}
-        for b in range(1, g):
-            z = 0
-            for mono, coef in powers[2 * b].items():
-                moment = gaussian_moment(mono, cov, memo)
-                if moment:
-                    z = z + coef * moment
-            if z:
-                connected[(b,)] = z
+        for b, z in wick_moments(data, g, table, vertex_cache).items():
+            connected[(b,)] = from_kernel(z)
         logged = TruncatedSeries(Caps.total(("h",), g - 1), connected).log(ctx)
         return logged.scalar_coeff((g - 1,))
+
+
+def wick_moments(
+    data: EdgeTailData,
+    g: int,
+    table: Optional[IntersectionTable],
+    vertex_cache: dict,
+) -> dict:
+    """The coefficients Z_b of hbar^b, 1 <= b < g, of exp(P) exp(log tau)
+    at q = 0, in the numbers ``data`` holds; vanishing ones are left out.
+    F^g is the hbar^{g-1} coefficient of log(1 + sum_b Z_b hbar^b)."""
+    kq = 3 * g - 4
+    powers = _graded_exp(_log_tau_layers(data, g, table, vertex_cache))
+
+    # propagator weights C_uv = V^{ij}_{kl} sqrt(Delta_i Delta_j) for
+    # u = slot (i, k) <= v = slot (j, l); slot (i, k) is i(kq + 1) + k,
+    # as in the monomials of _log_tau_layers
+    slots = [(i, k) for i in range(data.dimension) for k in range(kq + 1)]
+    sd = data.sqrt_delta
+    cov: dict = {}
+    for u, (i, k) in enumerate(slots):
+        for v in range(u, len(slots)):
+            j, l = slots[v]
+            if k + l > data.v_cutoff:
+                continue
+            w = data.v_entry(i, j, k, l) * sd[i] * sd[j]
+            if w != 0:
+                cov.setdefault(u, {})[v] = w
+
+    # exp(P) hbar^a q^M at q = 0 is hbar^{a + m/2} <M>, and a degree-2b
+    # term has a + m/2 = b
+    memo: dict = {}
+    moments = {}
+    for b in range(1, g):
+        z = 0
+        for mono, coef in powers[2 * b].items():
+            moment = gaussian_moment(mono, cov, memo)
+            if moment:
+                z = z + coef * moment
+        if z:
+            moments[b] = z
+    return moments
 
 
 # -- genus 1 ------------------------------------------------------------------------

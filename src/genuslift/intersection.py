@@ -162,9 +162,11 @@ def vertex_correlator(
 
     ``tails`` maps index a >= 2 to the tail value T_a (anything else is
     treated as zero).  Unstable or dimension-starved configurations return
-    0 rather than raising, so callers can sum blindly over graphs.  Float
-    tails are summed at the caller's working precision: call it inside the
-    context's guard.
+    0 rather than raising, so callers can sum blindly over graphs.  The
+    tails and ``hbar_delta`` may be any scalars that add and multiply with
+    Fractions: rationals, the kernel scalars of ``scalars``, or mpmath
+    numbers, which are summed at the caller's working precision (call it
+    inside the context's guard).
     """
     table = _DEFAULT_TABLE if table is None else table
     edge_ks = tuple(int(k) for k in edge_ks)

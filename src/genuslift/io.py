@@ -34,7 +34,6 @@ from .descendent import CurvePoint
 from .expressions import Expression, UnboundParameterError
 from .frame import CanonicalFrame
 from .frobenius import EulerData, FrobeniusModel
-from .linalg import mat_inv
 from .rmatrix import EdgeTailData, RSeries
 from .scalars import EXACT, Context, FloatContext, Rational, format_rational, parse_rational
 from .series import TruncatedSeries
@@ -228,11 +227,11 @@ def _rational_matrix(rows, n: int, what: str) -> list:
 def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> FrobeniusModel:
     """Validate a model document and build the FrobeniusModel.
 
-    Checks, in order: required keys and shapes; metric symmetry; metric
-    invertibility (exact); rational parameter values; potential AST parse,
-    with a bound value for every named parameter; unit index; Euler block
-    shapes and rational entries.  The model is built from the checked
-    pieces.  Finally the unit axiom
+    Checks, in order: required keys and shapes; rational parameter values;
+    potential AST parse, with a bound value for every named parameter; unit
+    index; Euler block shapes and rational entries.  The model is built
+    from the checked pieces, and building it checks metric symmetry and
+    invertibility (exact), once.  Finally the unit axiom
     F_{u,b,c}(0) = g_{bc} is spot-checked at the origin with exact
     arithmetic; a violation above ``tolerance`` emits a UnitAxiomWarning
     rather than an error, since the axiom is pointwise and the origin may
@@ -254,14 +253,6 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
         raise SchemaError("dimension must be positive")
 
     metric = _rational_matrix(doc["metric"], n, "metric")
-    for a in range(n):
-        for b in range(a + 1, n):
-            if metric[a][b] != metric[b][a]:
-                raise SchemaError(f"metric is not symmetric at ({a},{b})")
-    try:
-        mat_inv(metric, EXACT)
-    except (ZeroDivisionError, ArithmeticError):
-        raise SchemaError("metric is singular") from None
 
     params_doc = doc.get("parameters", {})
     if not isinstance(params_doc, dict):
@@ -297,15 +288,21 @@ def parse_model(document, *, tolerance: Rational = Rational(1, 10**30)) -> Frobe
             _rational(ed["conformal_dimension"], "euler conformal_dimension"),
         )
 
-    model = FrobeniusModel(
-        dimension=n,
-        metric=metric,
-        potential=potential,
-        unit_index=unit_index,
-        euler=euler,
-        parameters=params,
-        name=doc.get("name", ""),
-    )
+    # the model checks its metric once, while inverting it
+    try:
+        model = FrobeniusModel(
+            dimension=n,
+            metric=metric,
+            potential=potential,
+            unit_index=unit_index,
+            euler=euler,
+            parameters=params,
+            name=doc.get("name", ""),
+        )
+    except ZeroDivisionError:
+        raise SchemaError("metric is singular") from None
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
 
     origin = (Fraction(0),) * n
     try:

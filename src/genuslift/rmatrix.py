@@ -54,7 +54,7 @@ which is exactly the unitarity residual, so one table of N_pq feeds both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,6 +63,7 @@ import mpmath
 from .expressions import _multi_indices, t_names
 from .frame import CanonicalFrame, DegenerateFrameError
 from .linalg import mat_add, mat_mul, transpose
+from .scalars import Context
 from .series import Caps, TruncatedSeries
 
 
@@ -429,6 +430,26 @@ class EdgeTailData:
         if k < 2:
             return 0
         return self.t[i].get(k, 0)
+
+    def in_kernel(self, ctx: Context) -> "EdgeTailData":
+        """This data with every number as a kernel scalar of ``ctx``
+        (:meth:`FloatContext.to_kernel`), all at one scale; the residuals
+        stay as they are.  Data already in that form, and exact data, come
+        back as they are."""
+        flat = [*self.delta, *self.sqrt_delta, *self.v.values()]
+        for tails in self.t:
+            flat.extend(tails.values())
+        kernel = ctx.to_kernel(flat)
+        if kernel is flat:
+            return self
+        it = iter(kernel)
+        return replace(
+            self,
+            delta=[next(it) for _ in self.delta],
+            sqrt_delta=[next(it) for _ in self.sqrt_delta],
+            v={key: next(it) for key in self.v},
+            t=[{k: next(it) for k in tails} for tails in self.t],
+        )
 
 
 def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:

@@ -17,6 +17,10 @@ library produces by another route:
   each skeleton, and ``evaluate_graph`` sums one of them edge by edge with
   memoized suffix sums; ``decorated_sum`` gives every graph's contribution.
   The library sums each skeleton over all labelings at once instead;
+* ``reference_skeleton_values`` and ``reference_wick``: the graph sum's
+  and the Wick oracle's kernels run straight on mpmath data, without the
+  fixed-point conversion the library applies; ``mpmath_data`` takes kernel
+  data back to mpmath numbers;
 * ``evaluate_graph_ordered``: one decorated graph's contribution by a plain
   descent over its half-edge powers, with no sharing between assignments;
 * ``wick_oracle_layers``: the Wick expansion of F^g as a capped series
@@ -37,7 +41,7 @@ Test modules import it from their own directory (``from oracles import
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -56,7 +60,7 @@ from genuslift.descendent import (
 )
 from genuslift.frame import CanonicalFrame
 from genuslift.frobenius import FrobeniusModel
-from genuslift.genus import edge_weight_table, genus1_one_form
+from genuslift.genus import edge_weight_table, genus1_one_form, skeleton_values, wick_moments
 from genuslift.graphs import Skeleton, _cells, _least_form, _rows, skeletons
 from genuslift.intersection import (
     IntersectionTable,
@@ -66,7 +70,7 @@ from genuslift.intersection import (
 )
 from genuslift.linalg import charpoly, identity, mat_mul, transpose
 from genuslift.rmatrix import EdgeTailData, RSeries, unitarity_residual
-from genuslift.scalars import EXACT, Context, FloatContext
+from genuslift.scalars import EXACT, Context, FloatContext, from_kernel
 from genuslift.series import Caps, TruncatedSeries, singular_quotient
 
 _EPS = "e"
@@ -484,7 +488,9 @@ def evaluate_graph(
     correlator on ``data``, or to None where it vanishes; ``edge_weights``
     is :func:`edge_weight_table` of ``data``.  A sum over many graphs passes
     one of each to all of them, so each distinct vertex and edge weight is
-    evaluated once; either is built here when not given."""
+    evaluated once; either is built here when not given.  The sum runs on
+    the numbers ``data`` holds, so it shares a report's vertex cache with
+    the report's data; the result comes back through ``from_kernel``."""
     plan = edge_plan(graph)
     if plan.reach > data.v_cutoff:
         raise ValueError(
@@ -552,7 +558,7 @@ def evaluate_graph(
         total = rest(0) if n_edges else vertex_value(0, ())
         if total is None:
             return 0
-        return total / graph.aut if total else total
+        return from_kernel(total / graph.aut if total else total)
 
 
 def decorated_sum(
@@ -575,6 +581,43 @@ def decorated_sum(
             ))
             for graph in enumerate_graphs(g, data.dimension)
         ]
+
+
+# -- the kernels on mpmath numbers ---------------------------------------------
+
+
+def mpmath_data(data: EdgeTailData) -> EdgeTailData:
+    """``data`` with every kernel scalar taken back to working precision by
+    ``from_kernel``; mpmath and exact data come back unchanged in value."""
+    return replace(
+        data,
+        delta=[from_kernel(x) for x in data.delta],
+        sqrt_delta=[from_kernel(x) for x in data.sqrt_delta],
+        v={key: from_kernel(x) for key, x in data.v.items()},
+        t=[{k: from_kernel(x) for k, x in tails.items()} for tails in data.t],
+    )
+
+
+def reference_skeleton_values(
+    data: EdgeTailData, g: int, ctx: FloatContext, table: Optional[IntersectionTable] = None
+) -> List[Tuple[Skeleton, object]]:
+    """The graph sum's per-skeleton values from the library's own kernel,
+    run on ``data`` as given (mpmath numbers, no fixed-point conversion)."""
+    with ctx.guard():
+        return skeleton_values(data, g, table, {})
+
+
+def reference_wick(
+    data: EdgeTailData, g: int, ctx: FloatContext, table: Optional[IntersectionTable] = None
+):
+    """The Wick oracle's value from the library's own moment kernel, run on
+    ``data`` as given (mpmath numbers, no fixed-point conversion)."""
+    with ctx.guard():
+        connected = {(0,): 1}
+        for b, z in wick_moments(data, g, table, {}).items():
+            connected[(b,)] = z
+        logged = TruncatedSeries(Caps.total(("h",), g - 1), connected).log(ctx)
+        return logged.scalar_coeff((g - 1,))
 
 
 # -- one graph, leaf by leaf ------------------------------------------------------
@@ -654,7 +697,7 @@ def evaluate_graph_ordered(
         if edge_weights is None:
             edge_weights = edge_weight_table(data)
         descend(0, 1)
-        return total / graph.aut if total else total
+        return from_kernel(total / graph.aut if total else total)
 
 
 # -- the Wick expansion, layer by layer ---------------------------------------
@@ -671,9 +714,12 @@ def wick_oracle_layers(
     ctx: Context = EXACT,
 ):
     """F^g from the same edge/tail data by expanding the operator exponential
-    directly; graph-free, hence an independent check of the graph sum."""
+    directly; graph-free, hence an independent check of the graph sum.
+    Kernel data is taken back to working precision first
+    (:func:`mpmath_data`), so the series run on mpmath numbers."""
     if g < 2:
         raise ValueError("the expansion is normalized for genus >= 2")
+    data = mpmath_data(data)
     with ctx.guard():
         n = data.dimension
         kq = 3 * g - 4  # largest psi-power any vertex can absorb

@@ -1,5 +1,6 @@
 """Canonical frames: hand-checked values, invariants, jets, options."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from genuslift.frame import NonSemisimpleError, canonical_frame
 from genuslift.frobenius import threefold_cusp_model, two_primary_model
 from genuslift.scalars import FloatContext
 from genuslift.series import TruncatedSeries
-from oracles import frame_invariant_residuals
+from oracles import frame_invariant_residuals, two_primary_genus2_reference
 
 CTX = FloatContext(256)
 
@@ -303,6 +304,33 @@ class TestDiscriminantWalk:
         for point in ("1/3,1/100000000000000000000", "1/3,0"):
             code, text = self.frame_command(point, 0)
             assert code == 2 and "coincide" in text, text
+
+    def test_genus_stops_with_the_frame_and_prints_no_quiet_number(self):
+        # near the discriminant R_k grows like |u_1 - u_0|^-k, and with it
+        # the fixed-point integers of the graph sum; an F^2 printed with
+        # exit 0 must be the closed form to the command's tolerance 1e-30
+        stop = next(
+            k for k in range(1, 31) if self.frame_command(f"1/3,1/{10**k}", 0)[0] != 0
+        )
+        quiet = []
+        for k in range(1, stop + 1):
+            code, text = run_command([
+                "genus", "--model", "two-primary:d=1/2", "--point", f"1/3,1/{10**k}",
+                "--g", "2", "--format", "json",
+            ])
+            if k == stop:
+                assert code == 2 and "coincide" in text, text
+            elif code == 0:
+                quiet.append(k)
+                point = (Fraction(1, 3), Fraction(1, 10**k))
+                frame = canonical_frame(self.MODEL, point, CTX, order=0)
+                with CTX.guard():
+                    want = two_primary_genus2_reference(frame)
+                    got = CTX.parse(json.loads(text)["F_g"])
+                    assert mpmath.fabs(got - want) <= mpmath.mpf("1e-30") * mpmath.fabs(want), k
+            else:
+                assert code == 2, text
+        assert quiet[0] == 1
 
     def test_cusp_origin_exits_numerical(self):
         code, text = run_command(

@@ -57,7 +57,7 @@ from genuslift.genus import (
 from genuslift.graphs import skeletons
 from genuslift.intersection import vertex_correlator
 from genuslift.rmatrix import EdgeTailData, edge_tail_data
-from genuslift.scalars import FloatContext
+from genuslift.scalars import EXACT, FloatContext
 from genuslift.series import Caps, TruncatedSeries
 import oracles
 from oracles import (
@@ -68,6 +68,8 @@ from oracles import (
     evaluate_graph,
     evaluate_graph_ordered,
     genus1_difference_quadrature,
+    reference_skeleton_values,
+    reference_wick,
     two_primary_genus2_reference,
     wick_oracle_layers,
 )
@@ -442,6 +444,42 @@ class TestExactZeros:
     def wick_genus4(cls, d, point):
         with CTX.guard():
             return mpmath.fabs(wick_oracle(cls.data_genus4(d, point), 4, ctx=CTX))
+
+
+class TestKernelRepresentation:
+    """On a float context the graph sum and the Wick oracle run on Gaussian
+    fixed-point scalars; the same kernels run straight on the mpmath data
+    are the reference.  Each must agree with it to 2**-(prec - 16) of the
+    largest skeleton contribution."""
+
+    @pytest.mark.parametrize(
+        "model, point, g",
+        [
+            (two_primary_model(Fraction(1, 2)), (Fraction(2, 7), Fraction(3, 5)), 3),
+            (two_primary_model(Fraction(1, 2)), (Fraction(2, 7), Fraction(3, 5)), 4),
+            (threefold_cusp_model(), (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2)), 2),
+        ],
+    )
+    def test_fixed_point_matches_mpmath_kernels(self, model, point, g):
+        _, r = frame_and_R(model, point, CTX, 3 * g - 3)
+        data = edge_tail_data(r)
+        rep = graph_sum(data, g, ctx=CTX)
+        reference = reference_skeleton_values(data, g, CTX)
+        # the report keeps the converted data, and converting again is a no-op
+        assert rep.data is not data and rep.data.in_kernel(CTX) is rep.data
+        with CTX.guard():
+            gate = mpmath.ldexp(max(mpmath.fabs(v) for _, v in reference), 16 - CTX.prec_bits)
+            assert [sk for sk, _ in rep.contributions] == [sk for sk, _ in reference]
+            for (_, got), (_, want) in zip(rep.contributions, reference):
+                assert mpmath.fabs(got - want) < gate
+            assert mpmath.fabs(rep.value - sum(v for _, v in reference)) < gate
+            wick = wick_oracle(rep.data, g, ctx=CTX, vertex_cache=rep.vertex_cache)
+            assert mpmath.fabs(wick - reference_wick(data, g, CTX)) < gate
+
+    def test_exact_data_is_its_own_kernel_form(self):
+        data = synthetic_data(2, 3, seed=731)
+        assert data.in_kernel(EXACT) is data
+        assert graph_sum(data, 3).data is data
 
 
 class TestSharedVertexCache:

@@ -15,6 +15,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import genuslift.frobenius as frobenius_module
 from genuslift.descendent import CurvePoint
 from genuslift.frame import canonical_frame
 from genuslift.frobenius import point_model, two_primary_model
@@ -187,7 +188,7 @@ class TestModelDocuments:
     def test_non_symmetric_metric(self):
         doc = dict(QUINTIC_DOC)
         doc["metric"] = [["0", "1"], ["2", "0"]]
-        with pytest.raises(SchemaError, match="symmetric"):
+        with pytest.raises(SchemaError, match=r"metric is not symmetric at \(0,1\)"):
             parse_model(doc)
 
     def test_singular_metric(self):
@@ -195,6 +196,18 @@ class TestModelDocuments:
         doc["metric"] = [["1", "1"], ["1", "1"]]
         with pytest.raises(SchemaError, match="singular"):
             parse_model(doc)
+
+    def test_metric_checked_once(self, monkeypatch):
+        calls = []
+        original = frobenius_module.mat_inv
+
+        def counting(m, ctx):
+            calls.append(m)
+            return original(m, ctx)
+
+        monkeypatch.setattr(frobenius_module, "mat_inv", counting)
+        parse_model(QUINTIC_DOC)
+        assert len(calls) == 1
 
     def test_ragged_metric(self):
         doc = dict(QUINTIC_DOC)
@@ -319,6 +332,15 @@ class TestOutputDocuments:
         assert all(len(key.split(",")) == 4 for key in edoc["v"])
         assert all(len(key.split(",")) == 2 for key in edoc["t"])
         assert set(edoc["residuals"]) == set(data.residuals)
+        # a genus report keeps the data in fixed-point kernel scalars; it
+        # renders to the same tables
+        kdoc = edge_data_to_json(data.in_kernel(CTX), CTX)
+        assert kdoc.keys() == edoc.keys() and kdoc["v"].keys() == edoc["v"].keys()
+        with CTX.guard():
+            for key, text in edoc["v"].items():
+                assert mpmath.fabs(parse_value(kdoc["v"][key], CTX) - parse_value(text, CTX)) < (
+                    mpmath.mpf("1e-70")
+                )
 
     def test_render_json_sorted_and_stable(self):
         doc = {"b": [1, 2], "a": {"y": "2", "x": "1"}}

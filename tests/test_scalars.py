@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import genuslift
 from genuslift.frobenius import threefold_cusp_model, two_primary_model
 from genuslift.linalg import det, mat_inv
-from genuslift.scalars import EXACT, FloatContext
+from genuslift.scalars import EXACT, FloatContext, from_kernel
 
 CTX = FloatContext(256)
 AGREE = "1e-70"
@@ -137,6 +137,103 @@ class TestFloatConversion:
             third = mpmath.mpf(1) / 3
         assert x._mpf_ == third._mpf_
         assert x._mpf_[3] > 250
+
+
+PREC = CTX.prec_bits
+
+
+@st.composite
+def complexes(draw):
+    """An mpc of magnitude between 2**-60 and 2**60: one part has a
+    full-width mantissa, the other any mantissa up to that width, zero
+    included."""
+    e = draw(st.integers(-59, 60))
+    lead = draw(st.integers(2 ** (PREC - 1), 2 ** PREC - 1)) * draw(st.sampled_from((1, -1)))
+    other = draw(st.integers(-(2 ** PREC) + 1, 2 ** PREC - 1))
+    parts = (lead, other) if draw(st.booleans()) else (other, lead)
+    with CTX.guard():
+        return mpmath.mpc(*(mpmath.ldexp(mpmath.mpf(p), e - PREC) for p in parts))
+
+
+def slack(reference, shift, floors=8):
+    """Bound on |kernel - reference| for one operation on converted values.
+
+    Relative part, 2**(3 - PREC): the reference rounds each part once per
+    operation (at most 3 products for x**-3), the way back rounds to
+    nearest, and by the choice of the shift every converted operand is off
+    by less than 2**-(PREC + 30) of itself.  Absolute part: each result of
+    the kernel is floored, an error below sqrt(2) 2**-shift, and an
+    operation takes at most ``floors`` of them."""
+    return mpmath.ldexp(mpmath.fabs(reference), 3 - PREC) + floors * mpmath.ldexp(1, 1 - shift)
+
+
+class TestKernelScalars:
+    """The fixed-point kernel scalar against mpc arithmetic at PREC bits."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(complexes())
+    def test_round_trip(self, z):
+        (k,) = CTX.to_kernel([z])
+        with CTX.guard():
+            back = from_kernel(k)
+            assert mpmath.fabs(back - z) <= slack(z, k.shift, floors=1)
+        assert CTX.to_kernel([k])[0] is k
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        complexes(),
+        complexes(),
+        st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6).filter(bool),
+        st.integers(1, 3),
+    )
+    def test_operations(self, x, y, q, n):
+        kx, ky = CTX.to_kernel([x, y])
+        shift = kx.shift
+        assert PREC + 32 <= shift <= PREC + 32 + 61
+        with CTX.guard():
+            qf = CTX.num(q)
+            cases = [
+                (kx + ky, x + y),
+                (kx - ky, x - y),
+                (-kx, -x),
+                (kx * ky, x * y),
+                (kx * q, x * qf),
+                (q * kx, x * qf),
+                (kx / q, x / qf),
+                (kx * 3, x * 3),
+                (kx / 3, x / 3),
+                (kx ** n, x ** n),
+                (kx ** -n, x ** -n),
+                (kx + q, x + qf),
+            ]
+            for got, want in cases:
+                assert mpmath.fabs(from_kernel(got) - want) <= slack(want, shift)
+
+    def test_zero_stays_zero(self):
+        with CTX.guard():
+            zero, one, x = CTX.to_kernel([mpmath.mpc(0, 0), 1, mpmath.mpc("0.3", "-1e-11")])
+        assert zero == 0 and not zero and zero.re == zero.im == 0
+        for z in (zero * x, x * zero, zero * Fraction(7, 3), zero / 5, zero + zero, -zero,
+                  x - x, zero ** 2, Fraction(0) + zero, 0 * x):
+            assert z == 0 and not z
+            assert from_kernel(z) == 0
+        assert x != 0 and x and one == 1 and one ** -3 == 1 and x ** 0 == one
+        with pytest.raises(ZeroDivisionError):
+            zero ** -1
+
+    def test_one_representation_per_table(self):
+        a = CTX.to_kernel([Fraction(1, 3), mpmath.mpf(2)])
+        b = CTX.to_kernel([mpmath.mpf("1e-20")])
+        assert a[0].shift != b[0].shift
+        with pytest.raises(TypeError):
+            a[0] * b[0]
+        with pytest.raises(TypeError):
+            a[0] + mpmath.mpf(1)
+        values = [Fraction(1, 3), 2]
+        assert EXACT.to_kernel(values) is values
+        assert from_kernel(Fraction(1, 3)) == Fraction(1, 3)
+        with pytest.raises(ArithmeticError):
+            CTX.to_kernel([mpmath.mpf("inf")])
 
 
 def test_no_backend_branches_in_src():

@@ -270,8 +270,11 @@ def _cmd_genus(args):
     )
     # the graph sum's vertex correlators hold almost every one the oracle needs
     oracle = wick_oracle(report.data, args.g, ctx=ctx, vertex_cache=report.vertex_cache)
+    contributions = report.contribution_map()
     with ctx.guard():
         residual = ctx.abs(report.value - oracle)
+        # the sum and the oracle carry rounding relative to the largest term
+        size = max([ctx.num(1)] + [ctx.abs(v) for v in contributions.values()])
     doc = {
         "precision": precision_annotation(ctx),
         "genus": args.g,
@@ -280,7 +283,7 @@ def _cmd_genus(args):
         # one entry per skeleton, its decorated graphs summed
         "graphs": {
             k: format_value(ctx.chop(v), ctx)
-            for k, v in sorted(report.contribution_map().items())
+            for k, v in sorted(contributions.items())
         },
         "oracle": format_value(ctx.chop(oracle), ctx),
         "residual": format_value(residual, ctx),
@@ -288,7 +291,8 @@ def _cmd_genus(args):
             k: format_value(v, ctx) for k, v in sorted(report.data.residuals.items())
         },
     }
-    code = EXIT_NUMERICAL if _breach(ctx, residual, *report.data.residuals.values()) else EXIT_OK
+    gates = [residual / size, *report.data.residuals.values()]
+    code = EXIT_NUMERICAL if _breach(ctx, *gates) else EXIT_OK
     return code, render_report(doc, config.output)
 
 

@@ -11,14 +11,21 @@ coordinates, truncated at a requested order) of:
 * the rotation coefficients W_a = (d_a Psi) Psi^{-1}, antisymmetric with
   zero diagonal.
 
-The eigenvalue jets are obtained by Newton iteration on the characteristic
-polynomial of a multiplication operator (the Euler multiplication for
-conformal models, a fixed generic combination otherwise), starting from
-high-precision roots of the order-zero polynomial.  Projectors onto the
-eigenlines are Lagrange interpolation polynomials in the operator, so every
-step is a ring operation, an inverse or a square root.  The same steps run on
-jets for order >= 1 and, at order 0, on mpmath values at the point, which
-become one-term series only in the returned :class:`CanonicalFrame`.
+The eigenvalues at the point are the roots of chi_0, the order-zero
+characteristic polynomial of a multiplication operator A (the Euler
+multiplication for conformal models, a fixed generic combination otherwise).
+``mpmath.polyroots`` refines them at twice the working precision from seeds
+that Aberth's iteration finds in complex doubles; a separation test then
+refuses roots whose gaps the working precision cannot resolve to the
+tolerance.  For order >= 1, Newton iteration on the characteristic
+polynomial of the jets lifts them to eigenvalue jets.  The idempotent e_i is
+the Lagrange polynomial prod_{j != i} (A - u_j) / (u_i - u_j) applied to the
+unit vector, N - 1 matrix-vector products; since eta(d_a, e_i) =
+d_a u^i eta(e_i, e_i), the metric then gives d_a u^i = Delta_i eta(d_a, e_i)
+and Psi^i_a = Delta_i^{1/2} eta(d_a, e_i).  So every step is a ring
+operation, an inverse or a square root.  The same steps run on jets for
+order >= 1 and, at order 0, on mpmath values at the point, which become
+one-term series only in the returned :class:`CanonicalFrame`.
 
 Everything here is float-backend only: eigenvalues and square roots leave
 the rationals even for rational models.
@@ -26,6 +33,8 @@ the rationals even for rational models.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -34,7 +43,7 @@ import mpmath
 
 from .expressions import t_names
 from .frobenius import FrobeniusModel
-from .linalg import charpoly, identity, mat_add, mat_mul, mat_scale, poly_eval, sum_entries
+from .linalg import charpoly, mat_add, mat_mul, mat_scale, poly_eval, sum_entries
 from .scalars import FloatContext
 from .series import Caps, TruncatedSeries
 
@@ -247,10 +256,10 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, gene
             gen = term if gen is None else mat_add(gen, term)
 
     chi = charpoly(gen, ring.const(ctx.num(1)), lambda s, k: s * Fraction(1, k))
-    chi0 = [ring.value(c) for c in chi]
+    chi0 = [mpmath.mpc(ring.value(c)) for c in chi]
     try:
         roots = mpmath.polyroots(
-            [mpmath.mpc(c) for c in chi0], maxsteps=200, extraprec=ctx.prec_bits
+            chi0, maxsteps=200, extraprec=ctx.prec_bits, roots_init=_root_seeds(chi0)
         )
     except mpmath.libmp.NoConvergence as exc:
         # root refinement stalls exactly when roots collide
@@ -258,17 +267,7 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, gene
             "eigenvalue refinement did not converge; multiplication is likely non-semisimple here"
         ) from exc
     roots = [mpmath.mpc(r) for r in roots]
-
-    scale = max(mpmath.mpf(1), max(mpmath.fabs(r) for r in roots))
-    # root-finder jitter on a collided (double) root is ~2^(-prec/2), well
-    # above ctx.tol; the separation test must sit above that jitter
-    sep = max(ctx.tol, mpmath.mpf(2) ** (16 - ctx.prec_bits // 2))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mpmath.fabs(roots[i] - roots[j]) <= sep * scale:
-                raise NonSemisimpleError(
-                    f"multiplication eigenvalues {i} and {j} coincide within tolerance"
-                )
+    _check_separation(roots, ctx)
 
     roots.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
     if permutation is not None:
@@ -276,19 +275,30 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, gene
             raise ValueError("permutation must reorder 0..N-1")
         roots = [roots[p] for p in permutation]
 
-    lam = [_hensel_lift(chi, r0, ring, order) for r0 in roots]
+    # polyroots already refines at twice the working precision; only jets
+    # need the Newton lift
+    lam = [_hensel_lift(chi, r0, ring, order) for r0 in roots] if order else roots
+    idem = _idempotents(gen, lam, model.unit_index, ring, ctx)
 
-    projectors = _lagrange_projectors(gen, lam, ring, ctx)
-    idem = [[projectors[i][a][model.unit_index] for a in range(n)] for i in range(n)]
-
-    # du^i_a = trace(C_a P_i), from the diagonal of the product only
-    du = [
-        [
-            sum_entries([sum_entries([c[j][k] * p[k][j] for k in range(n)]) for j in range(n)])
-            for c in cmats
+    # eta(d_a, e_i) = du^i_a eta(e_i, e_i): with the lowered idempotent
+    # w_a = sum_b eta_ab e_i^b, du^i_a = Delta_i w_a and Psi^i_a = sqrt(Delta_i) w_a
+    g = [[ctx.num(x) if x else None for x in row] for row in model.metric]
+    flips = list(sign_flips) if sign_flips is not None else [1] * n
+    delta, sqrt_delta, du, psi = [], [], [], []
+    for i in range(n):
+        low = [
+            sum_entries([idem[i][b] * g[a][b] for b in range(n) if g[a][b] is not None])
+            for a in range(n)
         ]
-        for p in projectors
-    ]
+        eta = sum_entries([idem[i][a] * low[a] for a in range(n)])
+        if mpmath.fabs(ring.value(eta)) <= ctx.tol:
+            raise DegenerateFrameError(f"idempotent {i} has zero squared length")
+        dlt = ring.inverse(eta)
+        root = ring.sqrt(dlt) * ctx.num(flips[i])
+        delta.append(dlt)
+        sqrt_delta.append(root)
+        du.append([dlt * w for w in low])
+        psi.append([root * w for w in low])
 
     if conformal:
         u = lam
@@ -296,28 +306,6 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, gene
         anchors = anchors or [0] * n
         u = [ring.integrate(du[i], ctx.num(anchors[i])) for i in range(n)]
     resid = ring.du_consistency(u, du)
-
-    g = model.metric
-    delta, sqrt_delta = [], []
-    flips = list(sign_flips) if sign_flips is not None else [1] * n
-    for i in range(n):
-        eta = None
-        for a in range(n):
-            for b in range(n):
-                if g[a][b] == 0:
-                    continue
-                term = idem[i][a] * idem[i][b] * g[a][b]
-                eta = term if eta is None else eta + term
-        if mpmath.fabs(ring.value(eta)) <= ctx.tol:
-            raise DegenerateFrameError(f"idempotent {i} has zero squared length")
-        dlt = ring.inverse(eta)
-        delta.append(dlt)
-        sqrt_delta.append(ring.sqrt(dlt) * ctx.num(flips[i]))
-
-    psi = []
-    for i in range(n):
-        inv_sqrt = ring.inverse(sqrt_delta[i])
-        psi.append([inv_sqrt * du[i][a] for a in range(n)])
 
     def rows(table):
         return [[ring.series(x) for x in row] for row in table]
@@ -359,6 +347,76 @@ def _euler_multiplication(model, point, ctx, cmats, ring):
     return gen
 
 
+def _root_seeds(coeffs) -> list:
+    """Starting points for polyroots: Aberth's iteration (Math. Comp. 27,
+    1973) in complex doubles on the monic ``coeffs``, after the substitution
+    x = 2^s y that brings every coefficient to modulus <= 1, so none
+    overflows or loses its exponent in a double."""
+    n = len(coeffs) - 1
+    # |c_k| <= 2^(s k) bounds every root by 2 * 2^s (Fujiwara)
+    s = max((-(-mpmath.mag(c) // k) for k, c in enumerate(coeffs) if k and c), default=0)
+    a = [complex(c * mpmath.ldexp(1, -s * k)) for k, c in enumerate(coeffs)]
+    da = [c * (n - k) for k, c in enumerate(a[:-1])]
+    z = [cmath.rect(1, 0.4 + 2 * math.pi * k / n) - a[1] / n for k in range(n)]
+    for _ in range(50):
+        worst = 0.0
+        for i, zi in enumerate(z):
+            p = dp = 0j
+            for c in a:
+                p = p * zi + c
+            for c in da:
+                dp = dp * zi + c
+            if p == 0 or dp == 0:
+                continue
+            ratio = p / dp
+            pull = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i and zj != zi)
+            step = ratio / (1 - ratio * pull) if ratio * pull != 1 else ratio
+            z[i] = zi - step
+            worst = max(worst, abs(step))
+        if worst < 1e-14:
+            break
+    if not all(cmath.isfinite(x) for x in z):
+        return None
+    return [mpmath.mpc(x) * mpmath.ldexp(1, s) for x in z]
+
+
+def _check_separation(roots, ctx: FloatContext) -> None:
+    """Refuse eigenvalues whose separation the working precision cannot
+    resolve to ``ctx.tol``.
+
+    The coefficients c_k of chi_0 carry relative rounding errors eps =
+    2^-prec on terms of size up to binom(N, k) s^k, with s = max(1, |lam|).
+    To first order that moves the simple root lam_i by
+        err_i = eps ((s + |lam_i|)^N - |lam_i|^N) / |chi_0'(lam_i)|,
+    chi_0'(lam_i) = prod_{j != i} (lam_i - lam_j), and the separation
+    |lam_i - lam_j| by err_i + err_j.  polyroots works at twice the
+    precision and adds nothing comparable.  A collided root shows as a
+    separation of about 2^(-prec/2) s, where the relative error reaches 1."""
+    n = len(roots)
+    # the gaps at working precision, the error estimate in a few digits
+    gaps = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            gaps[i, j] = gaps[j, i] = mpmath.fabs(roots[i] - roots[j])
+    with mpmath.workprec(53):
+        mods = [mpmath.fabs(r) for r in roots]
+        size = max([mpmath.mpf(1)] + mods)
+        err = []
+        for i in range(n):
+            slope = mpmath.fprod(gaps[i, j] for j in range(n) if j != i)
+            growth = (size + mods[i]) ** n - mods[i] ** n
+            err.append(mpmath.ldexp(growth / slope, -ctx.prec_bits) if slope else mpmath.inf)
+        for (i, j), gap in gaps.items():
+            rel = (err[i] + err[j]) / gap if gap else mpmath.inf
+            if i < j and rel > ctx.tol:
+                raise NonSemisimpleError(
+                    f"multiplication eigenvalues {i} and {j} coincide within tolerance: "
+                    f"their separation {mpmath.nstr(gap, 3)} is known only to "
+                    f"{mpmath.nstr(rel, 3)} relative at {ctx.prec_bits} bits, above the "
+                    f"tolerance {mpmath.nstr(ctx.tol, 3)}"
+                )
+
+
 def _hensel_lift(chi, root0, ring, order):
     """Newton-lift a simple root of a polynomial with coefficients in the ring."""
     n = len(chi) - 1
@@ -372,22 +430,32 @@ def _hensel_lift(chi, root0, ring, order):
     return lam
 
 
-def _lagrange_projectors(gen, lam, ring, ctx):
+def _idempotents(gen, lam, unit, ring, ctx):
+    """e_i = prod_{j != i} (A - lam_j) / (lam_i - lam_j) applied to the unit
+    vector: N - 1 matrix-vector products and one inverse per idempotent."""
     n = len(lam)
     size = len(gen)
-    projectors = []
+    out = []
     for i in range(n):
-        mat = None
+        vec = denom = None
         for j in range(n):
             if j == i:
                 continue
-            denom_inv = ring.inverse(lam[i] - lam[j])
-            shifted = [
-                [(gen[r][c] - lam[j] if r == c else gen[r][c]) * denom_inv for c in range(size)]
+            if vec is None:
+                # (A - lam_j) times the unit vector is a column of A
+                vec = [gen[r][unit] for r in range(size)]
+                vec[unit] = vec[unit] - lam[j]
+                denom = lam[i] - lam[j]
+                continue
+            vec = [
+                sum_entries([gen[r][c] * vec[c] for c in range(size)]) - lam[j] * vec[r]
                 for r in range(size)
             ]
-            mat = shifted if mat is None else mat_mul(mat, shifted)
-        if mat is None:
-            mat = identity(size, ring.const(ctx.num(1)), ring.const(ctx.num(0)))
-        projectors.append(mat)
-    return projectors
+            denom = denom * (lam[i] - lam[j])
+        if vec is None:
+            vec = [ring.const(ctx.num(int(r == unit))) for r in range(size)]
+        else:
+            scale = ring.inverse(denom)
+            vec = [x * scale for x in vec]
+        out.append(vec)
+    return out

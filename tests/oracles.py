@@ -33,7 +33,11 @@ library produces by another route:
 * ``frame_invariant_residuals``: the defining identities of a canonical
   frame, checked as jets;
 * ``eigenvalues_float``: the eigenvalues of a scalar matrix, as roots of its
-  characteristic polynomial.
+  characteristic polynomial;
+* ``projector_frame``: the order-0 frame of a conformal model from unseeded
+  roots and full Lagrange projector matrices P_i, with du^i_a =
+  trace(C_a P_i); the library applies the projectors to the unit vector
+  only and reads du from the metric.
 
 Test modules import it from their own directory (``from oracles import
 ...``).
@@ -68,7 +72,7 @@ from genuslift.intersection import (
     psi_intersection,
     vertex_correlator,
 )
-from genuslift.linalg import charpoly, identity, mat_mul, transpose
+from genuslift.linalg import charpoly, identity, mat_mul, trace, transpose
 from genuslift.rmatrix import EdgeTailData, RSeries, unitarity_residual
 from genuslift.scalars import EXACT, Context, FloatContext, from_kernel
 from genuslift.series import Caps, TruncatedSeries, singular_quotient
@@ -946,3 +950,57 @@ def eigenvalues_float(a, ctx: FloatContext) -> list:
         coeffs = charpoly(num, one, lambda x, k: x / k)
         roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=ctx.prec_bits)
         return list(roots)
+
+
+def projector_frame(model: FrobeniusModel, point, ctx: FloatContext, permutation=None,
+                    sign_flips=None) -> dict:
+    """u, the idempotents, du, Delta, sqrt(Delta) and Psi at ``point`` from
+    the Lagrange projectors P_i = prod_{j != i} (A - u_j) / (u_i - u_j) of
+    the Euler multiplication A, as full matrices: e_i is the unit's column
+    of P_i and du^i_a = trace(C_a P_i).  Roots and branches are ordered as
+    :func:`canonical_frame` orders them."""
+    n = model.dimension
+    with ctx.guard():
+        point = [ctx.num(x) for x in point]
+        cmats = model.structure_constants(point, ctx)
+        euler = model.euler.components(point, ctx)
+        gen = [
+            [sum(euler[a] * cmats[a][r][c] for a in range(n)) for c in range(n)]
+            for r in range(n)
+        ]
+        coeffs = charpoly(gen, ctx.num(1), lambda x, k: x / k)
+        roots = [
+            mpmath.mpc(r)
+            for r in mpmath.polyroots(coeffs, maxsteps=200, extraprec=ctx.prec_bits)
+        ]
+        roots.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
+        if permutation is not None:
+            roots = [roots[p] for p in permutation]
+        one, zero = ctx.num(1), ctx.num(0)
+        projectors = []
+        for i in range(n):
+            proj = identity(n, one, zero)
+            for j in range(n):
+                if j != i:
+                    shifted = [
+                        [(gen[r][c] - (roots[j] if r == c else 0)) / (roots[i] - roots[j])
+                         for c in range(n)]
+                        for r in range(n)
+                    ]
+                    proj = mat_mul(proj, shifted)
+            projectors.append(proj)
+        idem = [[p[a][model.unit_index] for a in range(n)] for p in projectors]
+        du = [[trace(mat_mul(c, p)) for c in cmats] for p in projectors]
+        flips = sign_flips or [1] * n
+        delta, sqrt_delta, psi = [], [], []
+        for i in range(n):
+            eta = sum(
+                model.metric[a][b] * idem[i][a] * idem[i][b] for a in range(n) for b in range(n)
+            )
+            delta.append(1 / eta)
+            sqrt_delta.append(ctx.sqrt(delta[i]) * flips[i])
+            psi.append([x / sqrt_delta[i] for x in du[i]])
+        return {
+            "u": roots, "idempotents": idem, "du": du, "delta": delta,
+            "sqrt_delta": sqrt_delta, "psi": psi,
+        }

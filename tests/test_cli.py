@@ -137,6 +137,26 @@ class TestExitCodes:
         with CTX.guard():
             assert mpmath.mpf(doc["residual"]) > mpmath.mpf("0.5")
 
+    @pytest.mark.parametrize("point", ["0,1", "1/3,1/100000000000"])
+    def test_genus_oracle_mismatch_is_numerical(self, monkeypatch, point):
+        # the oracle gate is relative to the largest skeleton; at both points
+        # (F^2 about -3.8e-6 and -3.8e49) a relative mismatch of 1e-20 fails it
+        argv = ["genus", "--model", "two-primary:d=1/2", "--point", point, "--g", "2"]
+        code, _ = run_json(argv)
+        assert code == 0
+        oracle = cli.wick_oracle
+
+        def skewed(*args, **kwargs):
+            with CTX.guard():
+                return oracle(*args, **kwargs) * (1 + mpmath.mpf("1e-20"))
+
+        monkeypatch.setattr(cli, "wick_oracle", skewed)
+        code, doc = run_json(argv)
+        assert code == 2
+        with CTX.guard():
+            relative = mpmath.mpf(doc["residual"]) / mpmath.fabs(mpmath.mpf(doc["F_g"]))
+            assert mpmath.mpf("0.9e-20") < relative < mpmath.mpf("1.1e-20")
+
     @pytest.mark.parametrize("kmax", [[1], None, 1.5])
     def test_non_integer_kmax(self, kmax):
         tau = {"Kmax": kmax, "t": [["0"], ["1/8"]]}

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genuslift.cli import run_command
@@ -14,7 +14,7 @@ from genuslift.frame import NonSemisimpleError, canonical_frame
 from genuslift.frobenius import threefold_cusp_model, two_primary_model
 from genuslift.scalars import FloatContext
 from genuslift.series import TruncatedSeries
-from oracles import frame_invariant_residuals, two_primary_genus2_reference
+from oracles import frame_invariant_residuals, projector_frame, two_primary_genus2_reference
 
 CTX = FloatContext(256)
 
@@ -199,18 +199,29 @@ def odd_rationals(nonzero=False):
     return st.builds(Fraction, num, st.sampled_from([1, 3, 5, 7, 9]))
 
 
+TWO_PRIMARY_D = st.sampled_from([Fraction(d) for d in ("1/2", "1/3", "1", "3/2", "5/3")])
+# t1 = 0 is on the discriminant (or the pole) for every d != 1
+NONZERO_T1 = odd_rationals(nonzero=True)
+PERMUTATIONS_2 = st.permutations([0, 1])
+FLIPS_2 = st.lists(st.sampled_from([1, -1]), min_size=2, max_size=2)
+# the benchmark's cusp box: t0 in [-1, 1], |t1| in [1/4, 1], t2 in [-1, -1/3]
+CUSP_BOX = st.tuples(
+    st.integers(-9, 9).map(lambda k: Fraction(k, 9)),
+    st.integers(3, 9).flatmap(lambda k: st.sampled_from([Fraction(k, 9), Fraction(-k, 9)])),
+    st.integers(3, 9).map(lambda k: Fraction(-k, 9)),
+)
+
+
 class TestOrderZeroValues:
     """The order-0 frame runs the frame steps on values at the point; they
     must equal the constant terms of the jet frame."""
 
     @settings(max_examples=25, deadline=None, database=None)
-    @given(
-        st.sampled_from([Fraction(d) for d in ("1/2", "1/3", "1", "3/2", "5/3")]),
-        odd_rationals(),
-        # t1 = 0 is on the discriminant (or the pole) for every d != 1
-        odd_rationals(nonzero=True),
-        st.permutations([0, 1]),
-        st.lists(st.sampled_from([1, -1]), min_size=2, max_size=2),
+    @given(TWO_PRIMARY_D, odd_rationals(), NONZERO_T1, PERMUTATIONS_2, FLIPS_2)
+    # Delta_0 = -10.33 is real and negative here: sqrt(Delta_0) = +3.2137i
+    # only while both routes keep real roots exactly real
+    @example(
+        d=Fraction(1, 2), t0=Fraction(-3), t1=Fraction(2, 3), permutation=[0, 1], flips=[1, 1]
     )
     def test_two_primary(self, d, t0, t1, permutation, flips):
         m = two_primary_model(d)
@@ -265,12 +276,63 @@ class TestOrderZeroValues:
             assert calls["__mul__"] > 0 and calls["inverse"] > 0, calls
 
 
+class TestProjectorRoute:
+    """The frame applies the Lagrange projectors to the unit vector and reads
+    du from the metric, from roots that polyroots refines from seeds; the
+    oracle builds every projector matrix, takes du = trace(C_a P_i) and
+    starts polyroots from its generic points."""
+
+    def assert_matches(self, m, point, permutation, flips):
+        options = dict(permutation=permutation, sign_flips=flips)
+        frame = canonical_frame(m, point, CTX, order=0, **options)
+        want = projector_frame(m, point, CTX, **options)
+        with CTX.guard():
+            for name, rows in want.items():
+                got = getattr(frame, name)
+                if name in ("u", "delta", "sqrt_delta"):
+                    got, rows = [got], [rows]
+                for row_got, row_want in zip(got, rows):
+                    for x, y in zip(row_got, row_want):
+                        x, y = mpmath.mpc(x.constant_term()), mpmath.mpc(y)
+                        scale = max(mpmath.mpf(1), mpmath.fabs(y))
+                        assert mpmath.fabs(x - y) <= mpmath.mpf("1e-70") * scale, (name, x, y)
+        return frame, want
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(TWO_PRIMARY_D, odd_rationals(), NONZERO_T1, PERMUTATIONS_2, FLIPS_2)
+    def test_two_primary(self, d, t0, t1, permutation, flips):
+        self.assert_matches(two_primary_model(d), (t0, t1), permutation, flips)
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(CUSP_BOX, st.permutations([0, 1, 2]))
+    def test_cusp_box(self, point, permutation):
+        self.assert_matches(threefold_cusp_model(), point, permutation, [1, -1, 1])
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.one_of(
+        st.tuples(TWO_PRIMARY_D.map(two_primary_model), st.tuples(odd_rationals(), NONZERO_T1)),
+        st.tuples(st.just(threefold_cusp_model()), CUSP_BOX),
+    ))
+    def test_seeded_roots_equal_unseeded(self, case):
+        # u of a conformal model is the eigenvalues themselves; the two
+        # iterations end on different last steps, so the roots agree to a few
+        # units in the last place, far below the 1e-70 of the frame fields
+        frame, want = self.assert_matches(*case, None, None)
+        with CTX.guard():
+            ulp = mpmath.ldexp(1, -CTX.prec_bits)
+            for x, y in zip(frame.u_values(), want["u"]):
+                assert mpmath.fabs(x - y) <= 16 * ulp * max(1, mpmath.fabs(y)), (x, y)
+
+
 class TestDiscriminantWalk:
     """Two-primary d = 1/2 at t0 = 1/3 has u = t0 +- O(t1^2): walking
-    t1 = 10^-k toward 0, the eigenvalues merge below the separation bound
-    at one step, for the order-0 and the jet route alike."""
+    t1 = 10^-k toward 0, the separation of the eigenvalues loses relative
+    accuracy like 2^-prec / |u_1 - u_0|^2, and at one step its estimated
+    error passes the tolerance, for the order-0 and the jet route alike."""
 
     MODEL = two_primary_model(Fraction(1, 2))
+    # the closed form from a frame whose separation is exact to far below 1e-30
+    HIGH = FloatContext(1024)
 
     def first_stop(self, order):
         for k in range(1, 31):
@@ -280,16 +342,21 @@ class TestDiscriminantWalk:
                 return k
         return None
 
-    def frame_command(self, point, order):
+    def frame_command(self, point, order, *options):
         return run_command(
-            ["frame", "--model", "two-primary:d=1/2", "--point", point, "--order", str(order)]
+            ["frame", "--model", "two-primary:d=1/2", "--point", point, "--order", str(order),
+             *options]
         )
 
     def test_routes_stop_at_the_same_step(self):
         stop = self.first_stop(0)
         assert stop is not None and stop == self.first_stop(2)
-        code, text = self.frame_command(f"1/3,1/{10**stop}", 0)
+        # the command at the library context's tolerance stops there too
+        tol = ("--tolerance", "1e-40")
+        code, text = self.frame_command(f"1/3,1/{10**stop}", 0, *tol)
         assert code == 2 and "coincide" in text
+        code, text = self.frame_command(f"1/3,1/{10**(stop - 1)}", 0, *tol)
+        assert code == 0, text
 
     def test_command_stops_at_the_same_step_for_both_routes(self):
         stops = {}
@@ -305,32 +372,53 @@ class TestDiscriminantWalk:
             code, text = self.frame_command(point, 0)
             assert code == 2 and "coincide" in text, text
 
-    def test_genus_stops_with_the_frame_and_prints_no_quiet_number(self):
+    def assert_stops_with_the_frame(self, command):
+        """Every F^2 that ``command(k)`` prints with exit 0 is the closed form
+        to the command's tolerance 1e-30; where `frame` stops, it stops with
+        "coincide"."""
         # near the discriminant R_k grows like |u_1 - u_0|^-k, and with it
-        # the fixed-point integers of the graph sum; an F^2 printed with
-        # exit 0 must be the closed form to the command's tolerance 1e-30
+        # the fixed-point integers of the graph sum
         stop = next(
             k for k in range(1, 31) if self.frame_command(f"1/3,1/{10**k}", 0)[0] != 0
         )
         quiet = []
         for k in range(1, stop + 1):
-            code, text = run_command([
-                "genus", "--model", "two-primary:d=1/2", "--point", f"1/3,1/{10**k}",
-                "--g", "2", "--format", "json",
-            ])
+            code, text = command(k)
             if k == stop:
                 assert code == 2 and "coincide" in text, text
             elif code == 0:
                 quiet.append(k)
                 point = (Fraction(1, 3), Fraction(1, 10**k))
-                frame = canonical_frame(self.MODEL, point, CTX, order=0)
-                with CTX.guard():
+                frame = canonical_frame(self.MODEL, point, self.HIGH, order=0)
+                with self.HIGH.guard():
                     want = two_primary_genus2_reference(frame)
-                    got = CTX.parse(json.loads(text)["F_g"])
+                    got = self.HIGH.parse(json.loads(text)["F_g"])
                     assert mpmath.fabs(got - want) <= mpmath.mpf("1e-30") * mpmath.fabs(want), k
             else:
                 assert code == 2, text
-        assert quiet[0] == 1
+        return quiet, stop
+
+    def test_genus_stops_with_the_frame_and_prints_no_quiet_number(self):
+        quiet, stop = self.assert_stops_with_the_frame(
+            lambda k: run_command([
+                "genus", "--model", "two-primary:d=1/2", "--point", f"1/3,1/{10**k}",
+                "--g", "2", "--format", "json",
+            ])
+        )
+        # the oracle gate is relative to the largest skeleton, so a large
+        # F^2 that is right passes up to the step where the frame stops
+        assert quiet == list(range(1, stop)), quiet
+
+    def test_descendent_stops_with_the_frame_and_prints_no_quiet_number(self):
+        # with t_0 alone the descendent potential is the primary F^2 at t_0
+        quiet, stop = self.assert_stops_with_the_frame(
+            lambda k: run_command([
+                "descendent", "--model", "two-primary:d=1/2",
+                "--tau", json.dumps({"t": [["1/3", f"1/{10**k}"]]}),
+                "--g", "2", "--format", "json",
+            ])
+        )
+        assert quiet == list(range(1, stop)), quiet
 
     def test_cusp_origin_exits_numerical(self):
         code, text = run_command(

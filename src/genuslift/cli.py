@@ -183,12 +183,12 @@ def _config(args, genus: Optional[int] = None) -> RunConfig:
         raise SchemaError(str(exc)) from None
 
 
-def _breach(ctx: FloatContext, *residuals) -> bool:
+def _breach(ctx: FloatContext, *residuals, tol: str | None = None) -> bool:
+    """Whether some residual exceeds ``tol`` (rational text), by default the
+    context's tolerance; None residuals are skipped."""
     with ctx.guard():
-        for r in residuals:
-            if r is not None and ctx.abs(r) > ctx.tol:
-                return True
-    return False
+        bound = ctx.tol if tol is None else ctx.num(Fraction(tol))
+        return any(r is not None and ctx.abs(r) > bound for r in residuals)
 
 
 # -- subcommand handlers ----------------------------------------------------------
@@ -312,15 +312,9 @@ def _cmd_genus1_diff(args):
         residual = genus1_closedness_residual(model, point, ctx, step=Fraction(args.step))
         doc["closedness_residual"] = format_value(residual, ctx)
         doc["closedness_step"] = format_rational(Fraction(args.step))
-        if args.closedness_tol is not None and _breach_value(ctx, residual, args.closedness_tol):
+        if args.closedness_tol is not None and _breach(ctx, residual, tol=args.closedness_tol):
             code = EXIT_NUMERICAL
     return code, render_report(doc, config.output)
-
-
-def _breach_value(ctx: FloatContext, residual, tol_text: str) -> bool:
-    tol = Fraction(tol_text)
-    with ctx.guard():
-        return ctx.abs(residual) > ctx.num(tol)
 
 
 def _cmd_descendent(args):

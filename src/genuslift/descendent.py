@@ -494,7 +494,6 @@ def bold_quantities(
         bvecs = _brackets(model, calibration, t_star, tau, ctx)
         psi = frame.psi_values()
         cvecs = [mat_vec(psi, b) for b in bvecs]
-        consts = r.all_constants()
         t_cutoff = r.order + 1
         gvals = []
         for k in range(t_cutoff + 1):
@@ -504,7 +503,7 @@ def bold_quantities(
                 if q > r.order:
                     continue
                 sign = -1 if p % 2 else 1
-                rq = consts[q]
+                rq = r.mats[q]
                 for i in range(n):
                     acc = vec[i]
                     for j in range(n):

@@ -66,7 +66,9 @@ residual.
 
 :func:`frame_and_R` is where every pipeline that needs an R-matrix at a
 point (the genus potential, the descendent bold data and the CLI's R
-commands) builds its canonical frame and picks the R route.
+commands) builds its canonical frame and picks the R route.  Every route
+returns R in one form, its matrices R_0 .. R_order of scalars at the point,
+and that is all the edge and tail data read.
 """
 
 from __future__ import annotations
@@ -383,7 +385,8 @@ def frame_and_R(
     Models with Euler data in the conformal (or unset) mode get R from
     :func:`homogeneous_R` on an order-0 frame; the rest solve the jet
     recursion :func:`compute_R` on frame jets of order ``order``.  A
-    ``gauge`` then twists R by :func:`twist_R`."""
+    ``gauge`` then twists R by :func:`twist_R`.  Either way R comes back
+    as its matrices of scalars at the point."""
     homogeneous = uses_homogeneity(model, mode)
     frame = canonical_frame(
         model,

@@ -264,10 +264,11 @@ def _window(series: TruncatedSeries, s: HodgeParameters,
     return TruncatedSeries(caps, kept)
 
 
-def _lambda_window(s: HodgeParameters, truncation: HodgeTruncation,
-                   table: Optional[IntersectionTable],
-                   internal: Optional[HodgeTruncation],
-                   flow_order: Optional[Sequence[int]]) -> TruncatedSeries:
+def _internal_tau(s: HodgeParameters, truncation: HodgeTruncation,
+                  table: Optional[IntersectionTable],
+                  internal: Optional[HodgeTruncation] = None):
+    """The internal truncation (derived, or ``internal`` checked against it)
+    and tau = exp(log tau) over its ring."""
     need = _internal_truncation(s, truncation)
     if internal is None:
         internal = need
@@ -279,7 +280,7 @@ def _lambda_window(s: HodgeParameters, truncation: HodgeTruncation,
                  s.degrees, h_floor=-1 - s.total)
     tau = _log_tau(caps, internal.genus_max, internal.q_degree,
                    internal.resolved_index, table).exp()
-    return _window(_fold_flows(tau, s, flow_order), s, truncation)
+    return internal, tau
 
 
 def hodge_lambda(s: HodgeParameters, truncation: HodgeTruncation,
@@ -295,23 +296,59 @@ def hodge_lambda(s: HodgeParameters, truncation: HodgeTruncation,
     exponentials; the result is order-independent because the flow
     operators commute.
     """
-    return _lambda_window(s, truncation, table, internal, flow_order).log()
+    _, tau = _internal_tau(s, truncation, table, internal)
+    return _window(_fold_flows(tau, s, flow_order), s, truncation).log()
 
 
 # -- closed form -------------------------------------------------------------
 
 
-def _propagator_pieces(exponent_z: TruncatedSeries, exponent_w: TruncatedSeries,
-                       zname: str, wname: str):
-    """Quotient series behind v and the coupling-change coefficients.
+def _closed_form(terms, zcap: int, q_index: int, extra: Sequence[Tuple[str, int]] = ()):
+    """v and Qtilde for the exponent sum of c z^p x^key over ``terms``.
 
-    Returns (quotient, e) with quotient = (E(z)E(w) - 1)/(z + w) and
-    e the expansion of E(z) = exp(exponent_z).
+    The ring is (z, w) to degree ``zcap`` in each, plus the ``extra``
+    variables x (name, degree); ``key`` is a monomial in x.  The quotient
+    (E(z)E(w) - 1)/(z + w), E(z) = exp(exponent), gives v, and E(z) gives
+    the coupling change.  Entries come back as dicts over x-exponent keys:
+    v[(k, l)] is v_kl, and Qtilde_k = consts[k] + sum_j matrix[k][j] Q_j
+    for k <= q_index.
     """
-    e_z = exponent_z.exp()
-    e_w = exponent_w.exp()
-    quotient, _ = singular_quotient(e_z * e_w - 1, zname, wname)
-    return quotient, e_z
+    names = tuple(nm for nm, _ in extra)
+    ring = Caps.box(("z", "w") + names, maxs={"z": zcap, "w": zcap, **dict(extra)})
+    e_z = TruncatedSeries(ring, {(p, 0) + key: c for p, c, key in terms}).exp()
+    e_w = TruncatedSeries(ring, {(0, p) + key: c for p, c, key in terms}).exp()
+    quotient, _ = singular_quotient(e_z * e_w - 1, "z", "w")
+
+    v: Dict[Tuple[int, int], Dict[Tuple[int, ...], Fraction]] = {}
+    for key, val in quotient.c.items():
+        k, l = key[:2]
+        v.setdefault((k, l), {})[key[2:]] = val if (k + l) % 2 == 0 else -val
+
+    e: List[Dict[Tuple[int, ...], Fraction]] = [dict() for _ in range(zcap + 1)]
+    for key, val in e_z.c.items():
+        e[key[0]][key[2:]] = val
+
+    consts: List[Dict[Tuple[int, ...], Fraction]] = []
+    matrix: List[List[Dict[Tuple[int, ...], Fraction]]] = []
+    zero_x = (0,) * len(names)
+    for k in range(q_index + 1):
+        sk = 1 if k % 2 == 0 else -1
+        const = {}
+        if 1 <= k <= zcap + 1:
+            const = {sq: sk * val for sq, val in e[k - 1].items()}
+        if k == 1:
+            base = const.get(zero_x, Fraction(0)) - sk
+            if base:
+                const[zero_x] = base
+            else:
+                const.pop(zero_x, None)
+        row = []
+        for j in range(k + 1):
+            sj = sk * (1 if j % 2 == 0 else -1)
+            row.append({sq: sj * val for sq, val in e[k - j].items()} if k - j <= zcap else {})
+        consts.append(const)
+        matrix.append(row)
+    return v, consts, matrix
 
 
 def lemma_components(a: Sequence, *, q_index: int, v_total: int):
@@ -327,32 +364,15 @@ def lemma_components(a: Sequence, *, q_index: int, v_total: int):
     if q_index < 0 or v_total < 0:
         raise ValueError("truncation orders must be nonnegative")
     zcap = max(v_total + 1, q_index)
-    ring = Caps.box(("z", "w"), maxs={"z": zcap, "w": zcap})
-
-    def exponent(name: str) -> TruncatedSeries:
-        out = TruncatedSeries.zero(ring)
-        for k, ak in enumerate(a, start=1):
-            if 2 * k - 1 <= zcap and (ak or ak != 0):
-                out = out + TruncatedSeries.var(ring, name, exponent=2 * k - 1, coeff=ak)
-        return out
-
-    quotient, e_z = _propagator_pieces(exponent("z"), exponent("w"), "z", "w")
-    zi, wi = ring.index("z"), ring.index("w")
-    v = {}
-    for key, val in quotient.c.items():
-        k, l = key[zi], key[wi]
-        if k + l <= v_total:
-            v[(k, l)] = val if (k + l) % 2 == 0 else -val
-
-    e = [e_z.c.get(tuple(m if i == zi else 0 for i in range(2)), Fraction(0))
-         for m in range(q_index + 1)]
-    forms = []
-    for k in range(q_index + 1):
-        sk = 1 if k % 2 == 0 else -1
-        const = sk * ((e[k - 1] if k >= 1 else Fraction(0)) - (1 if k == 1 else 0))
-        coeffs = tuple(sk * (1 if j % 2 == 0 else -1) * e[k - j] for j in range(k + 1))
-        forms.append(LinearForm(const, coeffs))
-    return v, tuple(forms)
+    terms = [(2 * k - 1, ak, ()) for k, ak in enumerate(a, start=1)]
+    v, consts, matrix = _closed_form(terms, zcap, q_index)
+    table = {kl: entry[()] for kl, entry in v.items() if sum(kl) <= v_total}
+    forms = tuple(
+        LinearForm(consts[k].get((), Fraction(0)),
+                   tuple(entry.get((), Fraction(0)) for entry in matrix[k]))
+        for k in range(q_index + 1)
+    )
+    return table, forms
 
 
 def _symbolic_pieces(s: HodgeParameters, q_index: int):
@@ -362,57 +382,12 @@ def _symbolic_pieces(s: HodgeParameters, q_index: int):
     polynomial, so the propagator quotient divides with zero remainder.
     Entries come back as dicts over s-exponent keys.
     """
-    zcap = s.index_shift
-    sn = _s_names(s.count)
-    ring = Caps.box(("z", "w") + sn,
-                    maxs={"z": zcap, "w": zcap, **{nm: d for nm, d in zip(sn, s.degrees)}})
     factors = _coupling_factors(s.count)
-
-    def exponent(name: str) -> TruncatedSeries:
-        out = TruncatedSeries.zero(ring)
-        for m in range(1, s.count + 1):
-            if 2 * m - 1 > zcap:
-                continue
-            key = tuple(2 * m - 1 if nm == name else (1 if nm == f"s{m}" else 0)
-                        for nm in ring.names)
-            out = out + TruncatedSeries(ring, {key: factors[m - 1]})
-        return out
-
-    quotient, e_z = _propagator_pieces(exponent("z"), exponent("w"), "z", "w")
-    zi, wi = ring.index("z"), ring.index("w")
-
-    v: Dict[Tuple[int, int], Dict[Tuple[int, ...], Fraction]] = {}
-    for key, val in quotient.c.items():
-        k, l = key[zi], key[wi]
-        skey = key[2:]
-        v.setdefault((k, l), {})[skey] = val if (k + l) % 2 == 0 else -val
-
-    e: List[Dict[Tuple[int, ...], Fraction]] = [dict() for _ in range(zcap + 1)]
-    for key, val in e_z.c.items():
-        e[key[zi]][key[2:]] = val
-
-    consts: List[Dict[Tuple[int, ...], Fraction]] = []
-    matrix: List[List[Dict[Tuple[int, ...], Fraction]]] = []
-    zero_s = (0,) * s.count
-    for k in range(q_index + 1):
-        sk = 1 if k % 2 == 0 else -1
-        const = {}
-        if 1 <= k <= zcap + 1:
-            const = {sq: sk * val for sq, val in e[k - 1].items()}
-        if k == 1:
-            base = const.get(zero_s, Fraction(0)) - sk
-            const = dict(const)
-            if base:
-                const[zero_s] = base
-            else:
-                const.pop(zero_s, None)
-        row = []
-        for j in range(k + 1):
-            sj = sk * (1 if j % 2 == 0 else -1)
-            row.append({sq: sj * val for sq, val in e[k - j].items()} if k - j <= zcap else {})
-        consts.append(const)
-        matrix.append(row)
-    return v, consts, matrix
+    terms = [
+        (2 * m - 1, factors[m - 1], tuple(int(j == m - 1) for j in range(s.count)))
+        for m in range(1, s.count + 1)
+    ]
+    return _closed_form(terms, s.index_shift, q_index, tuple(zip(_s_names(s.count), s.degrees)))
 
 
 def _lift(caps: Caps, sdict: Dict[Tuple[int, ...], Fraction],
@@ -509,11 +484,7 @@ def hodge_lemma_residual(s: HodgeParameters, truncation: HodgeTruncation,
     the residual series has an empty coefficient dict when the identity
     holds.
     """
-    internal = _internal_truncation(s, truncation)
-    caps = _ring(internal.genus_max, internal.q_degree, internal.resolved_index,
-                 s.degrees, h_floor=-1 - s.total)
-    tau = _log_tau(caps, internal.genus_max, internal.q_degree,
-                   internal.resolved_index, table).exp()
+    internal, tau = _internal_tau(s, truncation, table)
     lhs = _window(_fold_flows(tau, s, None), s, truncation)
     rhs = _window(_product_side(tau, s, internal.resolved_index), s, truncation)
     return lhs - rhs

@@ -344,13 +344,12 @@ def frame_to_json(frame: CanonicalFrame) -> dict:
 
 
 def rseries_to_json(r: RSeries, ctx: FloatContext) -> dict:
-    """R-matrix constants keyed "k,i,j" for k = 1 .. order."""
+    """R-matrix entries keyed "k,i,j" for k = 1 .. order."""
     table = {}
     for k in range(1, r.order + 1):
-        const = r.constants(k)
         for i in range(r.dimension):
             for j in range(r.dimension):
-                table[_key_string((k, i, j))] = format_value(const[i][j], ctx)
+                table[_key_string((k, i, j))] = format_value(r.mats[k][i][j], ctx)
     doc = {
         "precision": precision_annotation(ctx),
         "order": r.order,

@@ -21,6 +21,11 @@ call.  Models with Euler data in the conformal (or unset) mode
 below on frame jets, which also stays as the independent check of the
 homogeneous route.  A gauge twist applies to either result.
 
+Every route hands R over in one format: ``RSeries.mats[k]`` is the matrix
+R_k of scalars at the point.  The graph sum reads R(z) only through these
+coefficients (V through R(z) R(w)^T / (z + w), T through R_m and Delta), so
+the jets of :func:`compute_R` stay inside its recursion.
+
 The jet recursion, :func:`compute_R`, works for any semisimple point.  In
 the canonical frame the flatness equations determine R recursively.
 Writing W_a = (d_a Psi) Psi^{-1} and D_a = diag(d_a u), the order-z^k part
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
@@ -69,9 +75,16 @@ from .series import Caps, TruncatedSeries
 
 @dataclass
 class RSeries:
+    """R(z) = sum_k mats[k] z^k at the frame's point, for k = 0 .. order.
+
+    Each ``mats[k]`` is an N x N matrix of scalars of the frame's context,
+    whatever route computed it; an entry that vanishes exactly is the int 0.
+    ``gauge`` is the twist applied by :func:`twist_R`, None when untwisted.
+    """
+
     frame: CanonicalFrame
     order: int
-    mats: List[List[List[TruncatedSeries]]]
+    mats: List[List[list]]
     mode: str
     cross_residual: object = None
     gauge: Optional[list] = None
@@ -80,15 +93,16 @@ class RSeries:
     def dimension(self):
         return len(self.mats[0])
 
-    def constants(self, k: int) -> list:
-        return [[e.constant_term() for e in row] for row in self.mats[k]]
 
-    def all_constants(self) -> list:
-        return [self.constants(k) for k in range(self.order + 1)]
+def _entry(x):
+    """``x`` as an entry of R: the int 0 when it vanishes, so an exact zero
+    reads and prints the same on every route."""
+    return x if x or x != 0 else 0
 
 
 def compute_R(frame: CanonicalFrame, order: int, mode: str | None = None) -> RSeries:
-    """Solve for R_1 .. R_order as jets at the frame's point.
+    """Solve for R_1 .. R_order by the jet recursion on the frame's jets
+    and return their values at the frame's point.
 
     ``mode`` is "conformal" (Euler-anchored diagonal constants; requires
     Euler data) or "constants" (unitarity normalization, odd diagonal
@@ -145,14 +159,14 @@ def _compute_r_impl(frame: CanonicalFrame, order: int, mode: str) -> RSeries:
 
     zero = TruncatedSeries.zero(caps)
     one = TruncatedSeries.const(caps, ctx.num(1))
-    mats = [[[one.copy() if i == j else zero.copy() for j in range(n)] for i in range(n)]]
+    jets = [[[one.copy() if i == j else zero.copy() for j in range(n)] for i in range(n)]]
     cross = ctx.num(0)
 
     for k in range(1, order + 1):
         content = order - k
         caps_k = ladder[content]
         zero_k = TruncatedSeries.zero(caps_k)
-        prev = mats[k - 1]
+        prev = jets[k - 1]
         prev_k = [[e.repruned(caps_k) for e in row] for row in prev]
         w_k = [[[e.repruned(caps_k) for e in row] for row in w[a]] for a in range(n)]
         sources = []
@@ -193,14 +207,15 @@ def _compute_r_impl(frame: CanonicalFrame, order: int, mode: str) -> RSeries:
                 v = src.scalar_coeff(down)
                 if v or v != 0:
                     diag = diag + TruncatedSeries(caps_k, {key: v / key[a]})
-            const = _diagonal_constant(mode, k, i, ddiag, evec, mats, ctx, n)
+            const = _diagonal_constant(mode, k, i, ddiag, evec, jets, ctx, n)
             rk[i][i] = diag + const
-        mats.append(rk)
+        jets.append(rk)
 
+    mats = [[[e.constant_term() for e in row] for row in rk] for rk in jets]
     return RSeries(frame=frame, order=order, mats=mats, mode=mode, cross_residual=cross)
 
 
-def _diagonal_constant(mode, k, i, ddiag, evec, mats, ctx, n):
+def _diagonal_constant(mode, k, i, ddiag, evec, jets, ctx, n):
     if mode == "conformal":
         acc = ctx.num(0)
         for a in range(n):
@@ -217,7 +232,7 @@ def _diagonal_constant(mode, k, i, ddiag, evec, mats, ctx, n):
         sign = (-1) ** q
         entry = ctx.num(0)
         for j in range(n):
-            entry = entry + mats[p][i][j].constant_term() * mats[q][i][j].constant_term()
+            entry = entry + jets[p][i][j].constant_term() * jets[q][i][j].constant_term()
         total = total + sign * entry
     return -total / 2
 
@@ -238,8 +253,7 @@ def homogeneous_R(frame: CanonicalFrame, order: int) -> RSeries:
         (R_{k+1})_{ij} = (R_k V - k R_k)_{ij} / (u_j - u_i)      (i != j),
         (R_{k+1})_{ii} = sum_{j != i} (R_{k+1})_{ij} V_{ji} / (k + 1).
 
-    No jets enter, so the frame may be built at order 0, and the entries of
-    the result are constants (order-0 jets).  They equal the constants of
+    No jets enter, so the frame may be built at order 0.  The result equals
     ``compute_R(frame, order, "conformal")`` on a frame with jets to
     ``order``; there is no cross-direction residual (``cross_residual`` is
     None).
@@ -268,31 +282,28 @@ def _homogeneous_impl(frame: CanonicalFrame, order: int) -> RSeries:
     v = mat_mul(psi, mat_mul(mu, psi_inv))
 
     one, zero = ctx.num(1), ctx.num(0)
-    consts = [[[one if i == j else zero for j in range(n)] for i in range(n)]]
+    mats = [[[one if i == j else 0 for j in range(n)] for i in range(n)]]
     for k in range(order):
-        rv = mat_mul(consts[k], v)
-        nxt = [[zero] * n for _ in range(n)]
+        rv = mat_mul(mats[k], v)
+        nxt = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    nxt[i][j] = (rv[i][j] - k * consts[k][i][j]) / (u[j] - u[i])
+                    nxt[i][j] = _entry((rv[i][j] - k * mats[k][i][j]) / (u[j] - u[i]))
         for i in range(n):
             acc = zero
             for j in range(n):
                 if j != i:
                     acc = acc + nxt[i][j] * v[j][i]
-            nxt[i][i] = acc / (k + 1)
-        consts.append(nxt)
-
-    caps = Caps.total(t_names(n), 0)
-    mats = [[[TruncatedSeries.const(caps, x) for x in row] for row in rk] for rk in consts]
+            nxt[i][i] = _entry(acc / (k + 1))
+        mats.append(nxt)
     return RSeries(frame=frame, order=order, mats=mats, mode="conformal")
 
 
 def unitarity_residual(r: RSeries, products: Dict | None = None) -> object:
-    """Max entry of sum_{p+q=m} (-1)^q R_p R_q^T - delta_{m,0} over m <= order,
-    evaluated on the constant terms.  ``products`` is the table of
-    :func:`_products` when the caller already holds it."""
+    """Max entry of sum_{p+q=m} (-1)^q R_p R_q^T - delta_{m,0} over m <= order.
+    ``products`` is the table of :func:`_products` when the caller already
+    holds it."""
     ctx = r.frame.ctx
     n = r.dimension
     with ctx.guard():
@@ -312,10 +323,9 @@ def unitarity_residual(r: RSeries, products: Dict | None = None) -> object:
 
 
 def _products(r: RSeries) -> Dict[Tuple[int, int], list]:
-    """The table N_pq = R_p R_q^T of constant terms for p + q <= order."""
-    consts = r.all_constants()
+    """The table N_pq = R_p R_q^T for p + q <= order."""
     return {
-        (p, q): mat_mul(consts[p], transpose(consts[q]))
+        (p, q): mat_mul(r.mats[p], transpose(r.mats[q]))
         for p in range(r.order + 1)
         for q in range(r.order + 1 - p)
     }
@@ -328,7 +338,9 @@ def twist_R(r: RSeries, gauge: Sequence[Sequence]) -> RSeries:
     index i; the exponential scales row i.  Left multiplication is the
     residual freedom of the recursion: for two solutions, C = R' R^{-1}
     satisfies dC = (1/z)[C, diag(du)], which forces C diagonal and constant.
-    Unitarity is preserved because the exponent is odd in z.
+    Unitarity is preserved because the exponent is odd in z.  The diagonal
+    exponentials commute, so twists compose by adding their coefficients,
+    and the result records that sum as its ``gauge``.
     """
     ctx = r.frame.ctx
     n = r.dimension
@@ -336,37 +348,33 @@ def twist_R(r: RSeries, gauge: Sequence[Sequence]) -> RSeries:
         raise ValueError(f"gauge needs {n} rows, one per canonical index, not {len(gauge)}")
     with ctx.guard():
         zcaps = Caps.total(("z",), r.order)
-        dseries = []
+        # dcoef[i][m]: the z^m coefficient of row i's exponential
+        dcoef = []
         for i in range(n):
             expo = TruncatedSeries.zero(zcaps)
             for m, am in enumerate(gauge[i], start=1):
                 if 2 * m - 1 > r.order:
                     break
                 expo = expo + TruncatedSeries.var(zcaps, "z", 2 * m - 1, ctx.num(am))
-            dseries.append(expo.exp(ctx))
-        caps = r.mats[0][0][0].caps
-        mats = []
-        for k in range(r.order + 1):
-            rk = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = TruncatedSeries.zero(caps)
-                    for p in range(k + 1):
-                        dcoef = dseries[i].scalar_coeff((k - p,))
-                        if dcoef or dcoef != 0:
-                            acc = acc + r.mats[p][i][j].scale(dcoef)
-                    row.append(acc)
-                rk.append(row)
-            mats.append(rk)
-        return RSeries(
-            frame=r.frame,
-            order=r.order,
-            mats=mats,
-            mode=r.mode,
-            cross_residual=r.cross_residual,
-            gauge=[list(g) for g in gauge],
-        )
+            exp = expo.exp(ctx)
+            dcoef.append([exp.scalar_coeff((m,)) for m in range(r.order + 1)])
+        mats = [
+            [
+                [
+                    _entry(sum(dcoef[i][k - p] * r.mats[p][i][j] for p in range(k + 1)))
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            for k in range(r.order + 1)
+        ]
+        total = [list(row) for row in gauge]
+        if r.gauge is not None:
+            total = [
+                [x + y for x, y in zip_longest(old, new, fillvalue=0)]
+                for old, new in zip(r.gauge, total)
+            ]
+        return replace(r, mats=mats, gauge=total)
 
 
 def bernoulli_numbers(nmax: int) -> List[Fraction]:
@@ -454,7 +462,7 @@ class EdgeTailData:
 
 def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
     """Edge coefficients V^{ij}_{kl} for k+l <= cutoff (default order-1),
-    from the constants of R.  Returns (table, residuals): the symmetry of
+    from the matrices of R.  Returns (table, residuals): the symmetry of
     V, the cross-direction residual of R when it has one, and the unitarity
     of R.
 
@@ -511,7 +519,7 @@ def compute_T(r: RSeries, cutoff: int | None = None) -> List[Dict[int, object]]:
         out = [dict() for _ in range(n)]
         for k in range(2, cutoff + 1):
             m = k - 1
-            rm = r.constants(m)
+            rm = r.mats[m]
             for i in range(n):
                 s = ctx.num(0)
                 for j in range(n):

@@ -839,7 +839,7 @@ def wick_oracle_layers(
 
 def compute_V_series(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
     """Edge coefficients V^{ij}_{kl} for k+l <= cutoff (default order-1),
-    from the constants of R.  Returns (table, residuals): the divisibility
+    from the matrices of R.  Returns (table, residuals): the divisibility
     of the numerator by z + w, the symmetry of V, the cross-direction
     residual of R when it has one, and the unitarity of R."""
     ctx = r.frame.ctx
@@ -849,9 +849,8 @@ def compute_V_series(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]
     if cutoff > r.order - 1:
         raise ValueError("V cutoff exceeds the trustworthy range of R")
     with ctx.guard():
-        consts = r.all_constants()
         products = {
-            (p, q): mat_mul(consts[p], transpose(consts[q]))
+            (p, q): mat_mul(r.mats[p], transpose(r.mats[q]))
             for p in range(r.order + 1)
             for q in range(r.order + 1 - p)
         }

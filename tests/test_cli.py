@@ -93,15 +93,13 @@ class TestExitCodes:
 
     def test_genus_wrong_r_matrix_is_numerical(self, monkeypatch):
         from genuslift import genus
-        from genuslift.series import TruncatedSeries
 
         solve = genus.homogeneous_R
 
         def wrong_r2(frame, order):
             r = solve(frame, order)
             with CTX.guard():
-                entry = r.mats[2][0][0]
-                r.mats[2][0][0] = entry + TruncatedSeries.const(entry.caps, CTX.num(1))
+                r.mats[2][0][0] = r.mats[2][0][0] + CTX.num(1)
             return r
 
         monkeypatch.setattr(genus, "homogeneous_R", wrong_r2)
@@ -341,6 +339,17 @@ class TestModelCommands:
         )
         assert code == 0 and doc["gauge"] == [["1/7", "0"], ["-1/5", "0"]]
 
+    def test_constants_mode_prints_exact_zeros(self):
+        # the odd diagonal constants vanish exactly: "0", never "0.0"
+        code, doc = run_json(
+            ["rmatrix", "--model", "two-primary:d=1/2", "--point", "2/7,3/5",
+             "--mode", "constants"]
+        )
+        assert code == 0
+        zeros = {key for key, value in doc["r"].items() if value in ("0", "0.0")}
+        assert zeros == {"1,0,0", "1,1,1", "3,0,0", "3,1,1"}
+        assert all(doc["r"][key] == "0" for key in zeros)
+
 
 class TestGenusCommands:
     def test_genus2_vanishing_exit0(self):
@@ -394,6 +403,13 @@ class TestGenusCommands:
         assert code == 0
         with CTX.guard():
             assert mpmath.mpf(doc["closedness_residual"]) < mpmath.mpf("1e-18")
+
+    def test_genus1_closedness_tol_breach_is_numerical(self):
+        argv = ["genus1-diff", "--model", "two-primary:d=1/2", "--point", "1/3,2/5",
+                "--closedness", "--closedness-tol"]
+        code, doc = run_json(argv + ["1e-80"])
+        assert code == cli.EXIT_NUMERICAL and "closedness_residual" in doc
+        assert run_json(argv + ["1e-10"])[0] == 0
 
     def test_zero_step_is_validation_error(self):
         code, text = run_command(

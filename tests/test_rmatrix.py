@@ -40,7 +40,6 @@ from genuslift.rmatrix import (
     unitarity_residual,
 )
 from genuslift.scalars import FloatContext
-from genuslift.series import TruncatedSeries
 from oracles import compute_V_series
 
 CTX = FloatContext()
@@ -77,21 +76,21 @@ def exp_edge(exp_r):
 
 class TestHandValues:
     def test_r0_is_identity(self, exp_r):
-        r0 = exp_r.constants(0)
+        r0 = exp_r.mats[0]
         for i in range(2):
             for j in range(2):
                 assert r0[i][j] == (1 if i == j else 0)
 
     def test_r1(self, exp_r):
         expected = [[rat(1, 16), imag(1, 8)], [imag(1, 8), rat(-1, 16)]]
-        r1 = exp_r.constants(1)
+        r1 = exp_r.mats[1]
         for i in range(2):
             for j in range(2):
                 assert_close(r1[i][j], expected[i][j])
 
     def test_r2(self, exp_r):
         expected = [[rat(-3, 512), imag(-3, 128)], [imag(3, 128), rat(-3, 512)]]
-        r2 = exp_r.constants(2)
+        r2 = exp_r.mats[2]
         for i in range(2):
             for j in range(2):
                 assert_close(r2[i][j], expected[i][j])
@@ -106,7 +105,7 @@ class TestHandValues:
         assert_close(exp_edge.t_entry(1, 3), rat(-9, 512))
 
     def test_v00_equals_r1(self, exp_r, exp_edge):
-        r1 = exp_r.constants(1)
+        r1 = exp_r.mats[1]
         for i in range(2):
             for j in range(2):
                 assert_close(exp_edge.v_entry(i, j, 0, 0), r1[i][j])
@@ -164,8 +163,8 @@ class TestStructure:
         assert not frame.conformal
         r = compute_R(frame, 4)
         assert r.mode == "constants"
-        r1 = r.constants(1)
-        r3 = r.constants(3)
+        r1 = r.mats[1]
+        r3 = r.mats[3]
         for i in range(3):
             assert r1[i][i] == 0
             assert r3[i][i] == 0
@@ -202,8 +201,9 @@ class TestTwist:
     def test_roundtrip(self, exp_r):
         gauge = [[Fraction(1, 3), Fraction(-2, 7)], [Fraction(1, 5), Fraction(4, 9)]]
         back = twist_R(twist_R(exp_r, gauge), [[-a for a in row] for row in gauge])
+        assert back.gauge == [[0, 0], [0, 0]]
         for k in range(exp_r.order + 1):
-            orig, again = exp_r.constants(k), back.constants(k)
+            orig, again = exp_r.mats[k], back.mats[k]
             for i in range(2):
                 for j in range(2):
                     assert_close(orig[i][j], again[i][j])
@@ -211,7 +211,7 @@ class TestTwist:
     def test_shifts_first_diagonal(self, exp_r):
         gauge = [[Fraction(1, 3)], [Fraction(1, 5)]]
         twisted = twist_R(exp_r, gauge)
-        r1, t1 = exp_r.constants(1), twisted.constants(1)
+        r1, t1 = exp_r.mats[1], twisted.mats[1]
         with CTX.guard():
             assert_close(t1[0][0], r1[0][0] + rat(1, 3))
             assert_close(t1[1][1], r1[1][1] + rat(1, 5))
@@ -227,11 +227,11 @@ class TestTwist:
             for m in (1, 2):
                 twisted = twist_R(rc, gauge)
                 for i in range(2):
-                    gap = exp_r.constants(2 * m - 1)[i][i] - twisted.constants(2 * m - 1)[i][i]
+                    gap = exp_r.mats[2 * m - 1][i][i] - twisted.mats[2 * m - 1][i][i]
                     gauge[i][m - 1] = gauge[i][m - 1] + gap
         final = twist_R(rc, gauge)
         for k in range(exp_r.order + 1):
-            a, b = exp_r.constants(k), final.constants(k)
+            a, b = exp_r.mats[k], final.mats[k]
             for i in range(2):
                 for j in range(2):
                     assert_close(a[i][j], b[i][j], tol=mpmath.mpf("1e-68"))
@@ -318,12 +318,34 @@ class TestBranchChoices:
                 ) <= TIGHT
 
 
+class TestFormat:
+    """Every route hands R over as matrices of scalars, never of series."""
+
+    def test_entries_are_scalars(self, exp_r):
+        model = two_primary_model(Fraction(1, 2))
+        point = (Fraction(2, 7), Fraction(3, 5))
+        jets = canonical_frame(model, point, CTX, order=3)
+        routes = {
+            "homogeneous": homogeneous_R(canonical_frame(model, point, CTX, order=0), 3),
+            "conformal": compute_R(jets, 3, mode="conformal"),
+            "constants": compute_R(jets, 3, mode="constants"),
+            "twisted": twist_R(exp_r, [[Fraction(1, 3)], [Fraction(1, 5)]]),
+        }
+        for name, r in routes.items():
+            assert len(r.mats) == r.order + 1
+            for mat in r.mats:
+                for x in (x for row in mat for x in row):
+                    assert isinstance(x, (int, mpmath.mpf, mpmath.mpc)), (name, type(x))
+        # an exact zero stays the int 0 on the jet route
+        assert all(type(routes["constants"].mats[1][i][i]) is int for i in range(2))
+
+
 def _max_gap(a, b):
     with CTX.guard():
         return max(
             mpmath.fabs(x - y)
             for k in range(a.order + 1)
-            for row_a, row_b in zip(a.constants(k), b.constants(k))
+            for row_a, row_b in zip(a.mats[k], b.mats[k])
             for x, y in zip(row_a, row_b)
         )
 
@@ -388,8 +410,7 @@ def _assert_same_edge_table(r, cutoff=None):
 def _wrong_r2(r):
     """``r`` with (R_2)_00 moved off its value by 1/10."""
     with CTX.guard():
-        entry = r.mats[2][0][0]
-        r.mats[2][0][0] = entry + TruncatedSeries.const(entry.caps, CTX.num(Fraction(1, 10)))
+        r.mats[2][0][0] = r.mats[2][0][0] + CTX.num(Fraction(1, 10))
     return r
 
 

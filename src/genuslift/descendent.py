@@ -481,7 +481,10 @@ def bold_quantities(
     criticality residual (raised above ``ctx.tol``), G_1 = D^{-1/2} (an
     exact zero raises ArithmeticError), and T_k = (-1)^k G_k / G_1 for
     k >= 2.  V is evaluated at the critical point, which is definition
-    (not extraction): the two-point functions factor through it."""
+    (not extraction): the two-point functions factor through it.  G, D,
+    T and V are kernel scalars: the brackets b_p enter at R's scale, and
+    ``EdgeTailData.in_kernel`` lifts the data to the scale its numbers
+    need, so the graph sum takes it as it is."""
     ctx = frame.ctx
     n = frame.dimension
     _require_origin(calibration)
@@ -489,53 +492,52 @@ def bold_quantities(
         raise ValueError(
             f"calibration order {calibration.order} too small for couplings up to c^{tau.kmax}"
         )
+    t_star = frame.point
     with ctx.guard():
-        t_star = frame.point
         bvecs = _brackets(model, calibration, t_star, tau, ctx)
-        psi = frame.psi_values()
-        cvecs = [mat_vec(psi, b) for b in bvecs]
-        t_cutoff = r.order + 1
-        gvals = []
-        for k in range(t_cutoff + 1):
-            vec = [ctx.num(0)] * n
-            for p in range(min(k, len(cvecs) - 1) + 1):
-                q = k - p
-                if q > r.order:
-                    continue
-                sign = -1 if p % 2 else 1
-                rq = r.mats[q]
-                for i in range(n):
-                    acc = vec[i]
-                    for j in range(n):
-                        acc = acc + sign * rq[i][j] * cvecs[p][j]
-                    vec[i] = acc
-            gvals.append(vec)
-        crit = ctx.max_abs(gvals[0])
-        if crit > ctx.tol:
-            raise ArithmeticError(
-                f"criticality residual {mpmath.nstr(crit, 8)} exceeds {mpmath.nstr(ctx.tol, 8)}"
-            )
-        for i in range(n):
-            if not gvals[1][i] and gvals[1][i] == 0:
-                raise ArithmeticError(f"G_1 = D^(-1/2) vanishes at canonical index {i}")
-        sqrt_d = [1 / gvals[1][i] for i in range(n)]
-        tails: List[Dict[int, object]] = [dict() for _ in range(n)]
-        for k in range(2, t_cutoff + 1):
-            sign = 1 if k % 2 == 0 else -1
+    cvecs = [mat_vec(r.kernel.psi, r.kernel.at_scale(b)) for b in bvecs]
+    t_cutoff = r.order + 1
+    gvals = []
+    for k in range(t_cutoff + 1):
+        vec = [0] * n
+        for p in range(min(k, len(cvecs) - 1) + 1):
+            q = k - p
+            if q > r.order:
+                continue
+            sign = -1 if p % 2 else 1
+            rq = r.mats[q]
             for i in range(n):
-                tails[i][k] = sign * gvals[k][i] * sqrt_d[i]
-        v, residuals = compute_V(r)
-        residuals["criticality"] = crit
-        data = EdgeTailData(
-            dimension=n,
-            delta=[x * x for x in sqrt_d],
-            sqrt_delta=sqrt_d,
-            v=v,
-            t=tails,
-            v_cutoff=r.order - 1,
-            t_cutoff=t_cutoff,
-            residuals=residuals,
+                acc = vec[i]
+                for j in range(n):
+                    acc = acc + sign * rq[i][j] * cvecs[p][j]
+                vec[i] = acc
+        gvals.append(vec)
+    crit = ctx.max_abs(gvals[0])
+    if crit > ctx.tol:
+        raise ArithmeticError(
+            f"criticality residual {mpmath.nstr(crit, 8)} exceeds {mpmath.nstr(ctx.tol, 8)}"
         )
+    for i in range(n):
+        if not gvals[1][i]:
+            raise ArithmeticError(f"G_1 = D^(-1/2) vanishes at canonical index {i}")
+    sqrt_d = [1 / gvals[1][i] for i in range(n)]
+    tails: List[Dict[int, object]] = [dict() for _ in range(n)]
+    for k in range(2, t_cutoff + 1):
+        sign = 1 if k % 2 == 0 else -1
+        for i in range(n):
+            tails[i][k] = sign * gvals[k][i] * sqrt_d[i]
+    v, residuals = compute_V(r)
+    residuals["criticality"] = crit
+    data = EdgeTailData(
+        dimension=n,
+        delta=[x * x for x in sqrt_d],
+        sqrt_delta=sqrt_d,
+        v=v,
+        t=tails,
+        v_cutoff=r.order - 1,
+        t_cutoff=t_cutoff,
+        residuals=residuals,
+    ).in_kernel(ctx)
     return DescendentFrame(critical=tuple(t_star), frame=frame, data=data)
 
 
@@ -685,7 +687,7 @@ def genus1_descendent_routes(
             )
             samples[shift] = (
                 bold.frame.u_values(),
-                bold.data.delta,
+                [ctx.num(x) for x in bold.data.delta],
                 mpmath.log(jacobian_det),
                 bold.critical,
             )
@@ -700,8 +702,9 @@ def genus1_descendent_routes(
         for i in range(n):
             du_i = fd(lambda s, i=i: s[0][i])
             dd_i = fd(lambda s, i=i: s[1][i])
-            v00 = center.data.v.get((i, i, 0, 0), ctx.num(0))
-            curve_form = curve_form + v00 * du_i / 2 + dd_i / (48 * center.data.delta[i])
+            v00 = ctx.num(center.data.v_entry(i, i, 0, 0))
+            delta_i = ctx.num(center.data.delta[i])
+            curve_form = curve_form + v00 * du_i / 2 + dd_i / (48 * delta_i)
 
         one_form = genus1_differential(center.frame, center.data)
         pullback = ctx.num(0)

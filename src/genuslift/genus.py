@@ -45,17 +45,19 @@ tables.  Graphs, edge weights and summation are its own, which makes the two
 mutual oracles; agreement is exact on rational synthetic data.
 
 Both run one generic code path over the *kernel scalars* of their context
-(``scalars``): :func:`graph_sum` and :func:`wick_oracle` convert their
-edge/tail data once on entry with ``EdgeTailData.in_kernel`` and every
-result once on exit with ``from_kernel``.  Under ``EXACT`` both are the
-identity and the sums stay exact.  Under a ``FloatContext`` the kernels
+(``scalars``).  The pipeline's edge/tail data already hold them:
+``rmatrix.edge_tail_data`` and ``descendent.bold_quantities`` compute R, V
+and T on the frame's values converted once, so ``EdgeTailData.in_kernel``,
+which :func:`graph_sum` and :func:`wick_oracle` call on entry, converts only
+data built elsewhere (mpmath or exact tables).  Every result goes back once
+on exit with ``from_kernel``.  Under ``EXACT`` both are the identity and
+the sums stay exact.  Under a ``FloatContext`` the kernels
 (:func:`skeleton_values`, :func:`edge_weight_table`, ``vertex_correlator``,
 :func:`wick_moments`) multiply Gaussian fixed-point numbers on Python ints
 in place of mpmath ``mpc``; the skeleton values and the oracle's moments
 return to mpmath at working precision, and the logarithm of the oracle runs
-there.  A :class:`GenusReport` keeps the converted data and the vertex
-correlators on it, so a report's data and cache go to :func:`wick_oracle`
-together without another conversion.
+there.  A :class:`GenusReport` keeps its data and the vertex correlators on
+it, so a report's data and cache go to :func:`wick_oracle` together.
 
 Genus 1 is exposed as the one-form
 
@@ -67,8 +69,8 @@ residual.
 :func:`frame_and_R` is where every pipeline that needs an R-matrix at a
 point (the genus potential, the descendent bold data and the CLI's R
 commands) builds its canonical frame and picks the R route.  Every route
-returns R in one form, its matrices R_0 .. R_order of scalars at the point,
-and that is all the edge and tail data read.
+returns R in one form, its matrices R_0 .. R_order of kernel scalars at
+the point, and that is all the edge and tail data read.
 """
 
 from __future__ import annotations
@@ -386,7 +388,7 @@ def frame_and_R(
     :func:`homogeneous_R` on an order-0 frame; the rest solve the jet
     recursion :func:`compute_R` on frame jets of order ``order``.  A
     ``gauge`` then twists R by :func:`twist_R`.  Either way R comes back
-    as its matrices of scalars at the point."""
+    as its matrices of kernel scalars at the point."""
     homogeneous = uses_homogeneity(model, mode)
     frame = canonical_frame(
         model,
@@ -415,9 +417,10 @@ def graph_sum(
     when ``data`` is rational and ``ctx`` is ``EXACT`` (the default);
     ``frame`` is only passed through to the report.
 
-    The sum runs on ``data.in_kernel(ctx)``, which the report keeps as its
-    ``data`` beside the vertex cache on it; the contributions come back at
-    working precision and are summed there."""
+    The sum runs on ``data.in_kernel(ctx)`` (``data`` itself when it comes
+    from the pipeline), which the report keeps as its ``data`` beside the
+    vertex cache on it; the contributions come back at working precision
+    and are summed there."""
     data = data.in_kernel(ctx)
     vertex_cache: dict = {}
     with ctx.guard():
@@ -635,7 +638,7 @@ def genus1_differential(frame: CanonicalFrame, data: EdgeTailData) -> list:
             acc = ctx.num(0)
             for i in range(n):
                 du_a = frame.du[i][a].constant_term()
-                v00 = data.v_entry(i, i, 0, 0)
+                v00 = ctx.num(data.v_entry(i, i, 0, 0))
                 delta_const = frame.delta[i].constant_term()
                 ddelta_a = frame.delta[i].partial(names[a]).constant_term()
                 acc = acc + v00 * du_a / 2 + ddelta_a / (48 * delta_const)

@@ -22,9 +22,16 @@ below on frame jets, which also stays as the independent check of the
 homogeneous route.  A gauge twist applies to either result.
 
 Every route hands R over in one format: ``RSeries.mats[k]`` is the matrix
-R_k of scalars at the point.  The graph sum reads R(z) only through these
-coefficients (V through R(z) R(w)^T / (z + w), T through R_m and Delta), so
-the jets of :func:`compute_R` stay inside its recursion.
+R_k of kernel scalars (``scalars.GaussianFixed``) at the point, all at the
+one scale of :func:`frame_kernel`, which converts the frame's values at the
+point once.  :func:`homogeneous_R` runs on those converted values; the jet
+recursion converts its values at the point when it is done, and
+:func:`twist_R` its gauge exponentials.  The graph sum reads R(z) only
+through these coefficients (V through R(z) R(w)^T / (z + w), T through R_m
+and Delta), so the jets of :func:`compute_R` stay inside its recursion, and
+:func:`compute_V`, :func:`compute_T` and ``descendent.bold_quantities``
+run on the kernel scalars as well: their tables reach the graph sum and
+the Wick oracle in the form those run on.
 
 The jet recursion, :func:`compute_R`, works for any semisimple point.  In
 the canonical frame the flatness equations determine R recursively.
@@ -62,42 +69,97 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 
 from .expressions import _multi_indices, t_names
 from .frame import CanonicalFrame, DegenerateFrameError
 from .linalg import mat_add, mat_mul, transpose
-from .scalars import Context
+from .scalars import Context, FloatContext
 from .series import Caps, TruncatedSeries
-
-
-@dataclass
-class RSeries:
-    """R(z) = sum_k mats[k] z^k at the frame's point, for k = 0 .. order.
-
-    Each ``mats[k]`` is an N x N matrix of scalars of the frame's context,
-    whatever route computed it; an entry that vanishes exactly is the int 0.
-    ``gauge`` is the twist applied by :func:`twist_R`, None when untwisted.
-    """
-
-    frame: CanonicalFrame
-    order: int
-    mats: List[List[list]]
-    mode: str
-    cross_residual: object = None
-    gauge: Optional[list] = None
-
-    @property
-    def dimension(self):
-        return len(self.mats[0])
 
 
 def _entry(x):
     """``x`` as an entry of R: the int 0 when it vanishes, so an exact zero
     reads and prints the same on every route."""
     return x if x or x != 0 else 0
+
+
+class FrameKernel(NamedTuple):
+    """The frame's values at the point as kernel scalars of one scale, the
+    scale of R (:func:`frame_kernel`).
+
+    ``kind`` is the :class:`scalars.GaussianFixed` type of that scale.
+    ``gaps`` maps (i, j), i < j, to u_j - u_i on a conformal frame and is
+    empty otherwise."""
+
+    ctx: FloatContext
+    kind: type
+    delta: list
+    sqrt_delta: list
+    psi: list
+    gaps: dict
+
+    def at_scale(self, values) -> list:
+        """``values`` (numbers of any backend) as kernel scalars of this
+        scale; an exact zero stays the int 0."""
+        return [_entry(x) for x in self.ctx.to_kernel(list(values), self.kind)]
+
+
+def frame_kernel(frame: CanonicalFrame) -> FrameKernel:
+    """Convert the frame's values at the point once, at one scale: the
+    :func:`scalars._kernel_shift` of Delta, sqrt(Delta), Psi and, on a
+    conformal frame, the gaps u_j - u_i, formed at working precision.  So
+    the reciprocals R and T take, 1/(u_j - u_i) and 1/sqrt(Delta_i), keep
+    the working precision, and the products of Psi that form
+    V = Psi mu Psi^{-1} stay exact to the scale of their largest factor.  A
+    frame that is not conformal has no gaps: its u are integrated from
+    anchors, not eigenvalues."""
+    ctx = frame.ctx
+    n = frame.dimension
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if frame.conformal else []
+    u = frame.u_values()
+    with ctx.guard():
+        gaps = [u[j] - u[i] for i, j in pairs]
+    psi = [x for row in frame.psi_values() for x in row]
+    flat = ctx.to_kernel([*gaps, *frame.delta_values(), *frame.sqrt_delta_values(), *psi])
+    it = iter(flat)
+    gaps = {pair: next(it) for pair in pairs}
+    delta = [next(it) for _ in range(n)]
+    sqrt_delta = [next(it) for _ in range(n)]
+    psi = [[next(it) for _ in range(n)] for _ in range(n)]
+    return FrameKernel(
+        ctx=ctx,
+        kind=flat[0].__class__,
+        delta=delta,
+        sqrt_delta=sqrt_delta,
+        psi=psi,
+        gaps=gaps,
+    )
+
+
+@dataclass
+class RSeries:
+    """R(z) = sum_k mats[k] z^k at the frame's point, for k = 0 .. order.
+
+    Each ``mats[k]`` is an N x N matrix of kernel scalars at the scale of
+    ``kernel``, the frame's values in that form, whatever route computed
+    it; an entry that vanishes exactly is the int 0.  ``gauge`` is the
+    twist applied by :func:`twist_R`, None when untwisted.
+    """
+
+    frame: CanonicalFrame
+    order: int
+    mats: List[List[list]]
+    mode: str
+    kernel: FrameKernel
+    cross_residual: object = None
+    gauge: Optional[list] = None
+
+    @property
+    def dimension(self):
+        return len(self.mats[0])
 
 
 def compute_R(frame: CanonicalFrame, order: int, mode: str | None = None) -> RSeries:
@@ -211,8 +273,11 @@ def _compute_r_impl(frame: CanonicalFrame, order: int, mode: str) -> RSeries:
             rk[i][i] = diag + const
         jets.append(rk)
 
-    mats = [[[e.constant_term() for e in row] for row in rk] for rk in jets]
-    return RSeries(frame=frame, order=order, mats=mats, mode=mode, cross_residual=cross)
+    kernel = frame_kernel(frame)
+    mats = [[kernel.at_scale(e.constant_term() for e in row) for row in rk] for rk in jets]
+    return RSeries(
+        frame=frame, order=order, mats=mats, mode=mode, kernel=kernel, cross_residual=cross
+    )
 
 
 def _diagonal_constant(mode, k, i, ddiag, evec, jets, ctx, n):
@@ -253,82 +318,78 @@ def homogeneous_R(frame: CanonicalFrame, order: int) -> RSeries:
         (R_{k+1})_{ij} = (R_k V - k R_k)_{ij} / (u_j - u_i)      (i != j),
         (R_{k+1})_{ii} = sum_{j != i} (R_{k+1})_{ij} V_{ji} / (k + 1).
 
-    No jets enter, so the frame may be built at order 0.  The result equals
-    ``compute_R(frame, order, "conformal")`` on a frame with jets to
-    ``order``; there is no cross-direction residual (``cross_residual`` is
-    None).
+    No jets enter, so the frame may be built at order 0.  The recursion
+    runs on the frame's kernel scalars (:func:`frame_kernel`), with
+    Psi^{-1} = g^{-1} Psi^T, so V = Psi (mu g^{-1}) Psi^T takes exact
+    rational factors.  The result equals ``compute_R(frame, order,
+    "conformal")`` on a frame with jets to ``order``; there is no
+    cross-direction residual (``cross_residual`` is None).
     """
     if frame.model.euler is None:
         raise ValueError("conformal normalization requires Euler data")
     if not frame.conformal:
         raise ValueError("homogeneity needs u from the Euler multiplication")
-    with frame.ctx.guard():
-        return _homogeneous_impl(frame, order)
-
-
-def _homogeneous_impl(frame: CanonicalFrame, order: int) -> RSeries:
-    ctx = frame.ctx
     n = frame.dimension
     euler = frame.model.euler
-    ginv = frame.model.metric_inverse
-    u = frame.u_values()
-    psi = frame.psi_values()
-    psi_inv = mat_mul([[ctx.num(x) for x in row] for row in ginv], transpose(psi))
+    kernel = frame_kernel(frame)
     shift = 1 - Fraction(euler.conformal_dimension) / 2
-    mu = [
-        [ctx.num((shift if a == b else 0) - euler.matrix[a][b]) for b in range(n)]
+    mu = [[(shift if a == b else 0) - euler.matrix[a][b] for b in range(n)] for a in range(n)]
+    ginv = frame.model.metric_inverse
+    # the rational factor mu g^{-1} is sparse: only its nonzero entries enter
+    m = [
+        [sum(mu[a][c] * ginv[c][b] for c in range(n) if mu[a][c] and ginv[c][b]) for b in range(n)]
         for a in range(n)
     ]
-    v = mat_mul(psi, mat_mul(mu, psi_inv))
+    psi = kernel.psi
+    w = [[sum(psi[j][b] * m[a][b] for b in range(n) if m[a][b]) for j in range(n)] for a in range(n)]
+    v = mat_mul(psi, w)
+    gap_inv = {}
+    for (i, j), gap in kernel.gaps.items():
+        gap_inv[i, j] = 1 / gap
+        gap_inv[j, i] = -gap_inv[i, j]
 
-    one, zero = ctx.num(1), ctx.num(0)
+    (one,) = kernel.at_scale([1])
     mats = [[[one if i == j else 0 for j in range(n)] for i in range(n)]]
     for k in range(order):
-        rv = mat_mul(mats[k], v)
+        rv = mat_mul(mats[k], v) if k else v
         nxt = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    nxt[i][j] = _entry((rv[i][j] - k * mats[k][i][j]) / (u[j] - u[i]))
+                    nxt[i][j] = _entry((rv[i][j] - k * mats[k][i][j]) * gap_inv[i, j])
         for i in range(n):
-            acc = zero
+            acc = 0
             for j in range(n):
                 if j != i:
                     acc = acc + nxt[i][j] * v[j][i]
             nxt[i][i] = _entry(acc / (k + 1))
         mats.append(nxt)
-    return RSeries(frame=frame, order=order, mats=mats, mode="conformal")
+    return RSeries(frame=frame, order=order, mats=mats, mode="conformal", kernel=kernel)
 
 
-def unitarity_residual(r: RSeries, products: Dict | None = None) -> object:
-    """Max entry of sum_{p+q=m} (-1)^q R_p R_q^T - delta_{m,0} over m <= order.
-    ``products`` is the table of :func:`_products` when the caller already
-    holds it."""
-    ctx = r.frame.ctx
-    n = r.dimension
-    with ctx.guard():
-        if products is None:
-            products = _products(r)
-        worst = ctx.num(0)
-        for m in range(r.order + 1):
-            for i in range(n):
-                for j in range(n):
-                    acc = ctx.num(0)
-                    for p in range(m + 1):
-                        x = products[(p, m - p)][i][j]
-                        acc = acc - x if (m - p) % 2 else acc + x
-                    target = 1 if (m == 0 and i == j) else 0
-                    worst = max(worst, mpmath.fabs(acc - target))
-        return worst
+def unitarity_residual(r: RSeries, remainders: list | None = None) -> object:
+    """Max |entry| of sum_{p+q=m} (-1)^q R_p R_q^T - delta_{m,0} over
+    m <= order: the remainder of the division of :func:`compute_V`, which
+    passes its ``remainders`` (:func:`_divide`)."""
+    if remainders is None:
+        remainders = _divide(r, _products(r), -1)[1]
+    return r.frame.ctx.max_abs(remainders)
 
 
 def _products(r: RSeries) -> Dict[Tuple[int, int], list]:
-    """The table N_pq = R_p R_q^T for p + q <= order."""
-    return {
-        (p, q): mat_mul(r.mats[p], transpose(r.mats[q]))
-        for p in range(r.order + 1)
-        for q in range(r.order + 1 - p)
-    }
+    """The table N_pq = R_p R_q^T for p + q <= order.  R_0 = 1, so N_p0 = R_p
+    and N_0q = R_q^T need no product."""
+    mats = r.mats
+    table = {}
+    for p in range(r.order + 1):
+        for q in range(r.order + 1 - p):
+            if q == 0:
+                table[p, q] = mats[p]
+            elif p == 0:
+                table[p, q] = transpose(mats[q])
+            else:
+                table[p, q] = mat_mul(mats[p], transpose(mats[q]))
+    return table
 
 
 def twist_R(r: RSeries, gauge: Sequence[Sequence]) -> RSeries:
@@ -348,7 +409,7 @@ def twist_R(r: RSeries, gauge: Sequence[Sequence]) -> RSeries:
         raise ValueError(f"gauge needs {n} rows, one per canonical index, not {len(gauge)}")
     with ctx.guard():
         zcaps = Caps.total(("z",), r.order)
-        # dcoef[i][m]: the z^m coefficient of row i's exponential
+        # dcoef[i][m]: the z^m coefficient of row i's exponential, at R's scale
         dcoef = []
         for i in range(n):
             expo = TruncatedSeries.zero(zcaps)
@@ -357,7 +418,7 @@ def twist_R(r: RSeries, gauge: Sequence[Sequence]) -> RSeries:
                     break
                 expo = expo + TruncatedSeries.var(zcaps, "z", 2 * m - 1, ctx.num(am))
             exp = expo.exp(ctx)
-            dcoef.append([exp.scalar_coeff((m,)) for m in range(r.order + 1)])
+            dcoef.append(r.kernel.at_scale(exp.scalar_coeff((m,)) for m in range(r.order + 1)))
         mats = [
             [
                 [
@@ -442,8 +503,9 @@ class EdgeTailData:
     def in_kernel(self, ctx: Context) -> "EdgeTailData":
         """This data with every number as a kernel scalar of ``ctx``
         (:meth:`FloatContext.to_kernel`), all at one scale; the residuals
-        stay as they are.  Data already in that form, and exact data, come
-        back as they are."""
+        stay as they are.  Data already in that form, which is what
+        :func:`edge_tail_data` and ``descendent.bold_quantities`` build, and
+        exact data come back as they are."""
         flat = [*self.delta, *self.sqrt_delta, *self.v.values()]
         for tails in self.t:
             flat.extend(tails.values())
@@ -475,70 +537,75 @@ def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
     division is N(z, -z) - delta, the unitarity residual, so one table of
     products feeds both.  Only nonzero entries are stored.
     """
-    ctx = r.frame.ctx
-    n = r.dimension
     if cutoff is None:
         cutoff = r.order - 1
     if cutoff > r.order - 1:
         raise ValueError("V cutoff exceeds the trustworthy range of R")
-    with ctx.guard():
-        products = _products(r)
-        table: Dict[Tuple[int, int, int, int], object] = {}
-        for i in range(n):
-            for j in range(n):
-                for m in range(1, cutoff + 2):
-                    quot = 0  # Q_{k-1,l+1}, zero at k = 0
-                    for k in range(m):
-                        entry = products[(k, m - k)][i][j]
-                        quot = entry - quot if quot or quot != 0 else entry
-                        if quot or quot != 0:
-                            table[(i, j, k, m - 1 - k)] = quot if m % 2 else -quot
-        sym_resid = ctx.num(0)
-        for (i, j, k, l), v in table.items():
-            mirror = table.get((j, i, l, k), 0)
-            sym_resid = max(sym_resid, mpmath.fabs(v - mirror))
-        residuals = {"v_symmetry": sym_resid}
-        if r.cross_residual is not None:
-            residuals["cross_direction"] = r.cross_residual
-        residuals["unitarity"] = unitarity_residual(r, products)
-        return table, residuals
+    table, remainders = _divide(r, _products(r), cutoff)
+    asymmetry = [v - table.get((j, i, l, k), 0) for (i, j, k, l), v in table.items()]
+    residuals = {"v_symmetry": r.frame.ctx.max_abs(asymmetry)}
+    if r.cross_residual is not None:
+        residuals["cross_direction"] = r.cross_residual
+    residuals["unitarity"] = unitarity_residual(r, remainders)
+    return table, residuals
+
+
+def _divide(r: RSeries, products: dict, cutoff: int) -> Tuple[Dict, list]:
+    """Divide sum N_pq z^p w^q - delta by z + w through total degree
+    ``r.order``: the quotient entries V^{ij}_{kl} with k + l <= ``cutoff``
+    (nonzero ones only) and every entry of the remainder, N(z, -z) - delta,
+    whose z^m coefficient is N_{m,0} - Q_{m-1,0}."""
+    n = r.dimension
+    table: Dict[Tuple[int, int, int, int], object] = {}
+    remainders = []
+    for i in range(n):
+        for j in range(n):
+            remainders.append(products[0, 0][i][j] - (1 if i == j else 0))
+            for m in range(1, r.order + 1):
+                quot = 0  # Q_{k-1,l+1}, zero at k = 0
+                for k in range(m):
+                    entry = products[(k, m - k)][i][j]
+                    quot = entry - quot if quot or quot != 0 else entry
+                    if m <= cutoff + 1 and (quot or quot != 0):
+                        table[(i, j, k, m - 1 - k)] = quot if m % 2 else -quot
+                remainders.append(products[m, 0][i][j] - quot)
+    return table, remainders
 
 
 def compute_T(r: RSeries, cutoff: int | None = None) -> List[Dict[int, object]]:
     """Tail values T^i_k for 2 <= k <= cutoff (default order+1)."""
-    ctx = r.frame.ctx
     n = r.dimension
-    frame = r.frame
     if cutoff is None:
         cutoff = r.order + 1
     if cutoff > r.order + 1:
         raise ValueError("T cutoff exceeds the trustworthy range of R")
-    with ctx.guard():
-        sd = frame.sqrt_delta_values()
-        inv_sd = [1 / x for x in sd]
-        out = [dict() for _ in range(n)]
-        for k in range(2, cutoff + 1):
-            m = k - 1
-            rm = r.mats[m]
-            for i in range(n):
-                s = ctx.num(0)
-                for j in range(n):
-                    s = s + inv_sd[j] * rm[i][j]
-                out[i][k] = (-1) ** k * sd[i] * s
-        return out
+    sd = r.kernel.sqrt_delta
+    inv_sd = [1 / x for x in sd]
+    out = [dict() for _ in range(n)]
+    for k in range(2, cutoff + 1):
+        rm = r.mats[k - 1]
+        for i in range(n):
+            s = 0
+            for j in range(n):
+                s = s + inv_sd[j] * rm[i][j]
+            out[i][k] = (-1) ** k * sd[i] * s
+    return out
 
 
 def edge_tail_data(r: RSeries, v_cutoff: int | None = None, t_cutoff: int | None = None) -> EdgeTailData:
-    frame = r.frame
+    """V, T, Delta and sqrt(Delta) of ``r``: kernel scalars computed at R's
+    scale and lifted to the scale their numbers need
+    (``EdgeTailData.in_kernel``), so the graph sum and the Wick oracle take
+    them as they are."""
     v, resid = compute_V(r, v_cutoff)
     t = compute_T(r, t_cutoff)
     return EdgeTailData(
         dimension=r.dimension,
-        delta=frame.delta_values(),
-        sqrt_delta=frame.sqrt_delta_values(),
+        delta=r.kernel.delta,
+        sqrt_delta=r.kernel.sqrt_delta,
         v=v,
         t=t,
         v_cutoff=v_cutoff if v_cutoff is not None else r.order - 1,
         t_cutoff=t_cutoff if t_cutoff is not None else r.order + 1,
         residuals=resid,
-    )
+    ).in_kernel(r.frame.ctx)

@@ -14,14 +14,17 @@ backends, each driven through a context object with the same methods:
   operation runs inside a ``workprec`` guard, and the context carries the
   default tolerance used by internal consistency checks.
 
-The graph sum and the Wick oracle only add, multiply and raise to integer
-powers, thousands of times per op.  They run on *kernel scalars*:
-``ctx.to_kernel(values)`` converts their input table once and
-:func:`from_kernel` converts each result back.  Under ``EXACT`` the kernel
-scalar is the ``Fraction`` itself and both conversions are the identity.
-Under a ``FloatContext`` it is a :class:`GaussianFixed`, a Gaussian
-fixed-point number (re + i im) / 2**shift on two Python ints, whose
-products cost a fifth of an ``mpc`` product at 256 bits.
+Everything between the order-0 canonical frame and F_g -- R, its edge and
+tail tables V and T, the graph sum and the Wick oracle -- only adds,
+multiplies, divides and raises to integer powers, thousands of times per
+op.  It runs on *kernel scalars*: ``ctx.to_kernel(values)`` converts the
+frame's values at the point once (``rmatrix.frame_kernel``), the tables
+built from them reach the graph sum in that form, and :func:`from_kernel`
+converts each result back.  Under ``EXACT`` the kernel scalar is the
+``Fraction`` itself and both conversions are the identity.  Under a
+``FloatContext`` it is a :class:`GaussianFixed`, a Gaussian fixed-point
+number (re + i im) / 2**shift on two Python ints, whose products cost a
+fifth of an ``mpc`` product at 256 bits.
 
 Arithmetic code takes a context and calls it; which backend runs is
 decided here alone.  ``EXACT`` is the default wherever a context is
@@ -158,23 +161,43 @@ class FloatContext:
             return d <= tol * s
 
     def max_abs(self, xs: Iterable) -> mpmath.mpf:
+        """The largest |x|.  Kernel scalars are compared by the integer norm
+        re^2 + im^2 within their scale, and only the largest of each scale is
+        converted."""
         with self.guard():
             m = mpmath.mpf(0)
+            tops = {}
             for x in xs:
+                if isinstance(x, GaussianFixed):
+                    norm = x.re * x.re + x.im * x.im
+                    if norm > tops.get(x.__class__, (0, None))[0]:
+                        tops[x.__class__] = (norm, x)
+                else:
+                    m = max(m, mpmath.fabs(self.num(x)))
+            for _, x in tops.values():
                 m = max(m, mpmath.fabs(self.num(x)))
             return m
 
-    def to_kernel(self, values: list) -> list:
+    def to_kernel(self, values: list, kind: type | None = None) -> list:
         """``values`` (numbers of any backend) as :class:`GaussianFixed`
-        scalars of one scale, the shift of :func:`_kernel_shift`; parts are
-        rounded toward -inf.  A list that already holds kernel scalars of one
-        scale at this precision is returned as it is, so converting twice
-        changes nothing.  Infinities and NaNs raise ``ArithmeticError``."""
+        scalars of one scale; parts are rounded toward -inf.
+
+        The scale is that of ``kind`` when it is given, a kernel type of this
+        precision.  Otherwise it is the shift of :func:`_kernel_shift` for
+        the table's numbers, except that a table whose kernel scalars share
+        one scale at this precision keeps a larger one: its kernel scalars
+        come back as the same objects (shifted left, exactly, when the table
+        needs a larger scale), and only its exact ints and Fractions are
+        converted.  So converting twice changes nothing.  Infinities and NaNs
+        raise ``ArithmeticError``."""
         kinds = {x.__class__ for x in values}
-        if len(kinds) == 1:
-            (kind,) = kinds
-            if issubclass(kind, GaussianFixed) and kind.prec == self.prec_bits:
-                return values
+        if kind is None:
+            fixed = [k for k in kinds if issubclass(k, GaussianFixed)]
+            if len(fixed) == 1 and fixed[0].prec == self.prec_bits:
+                if kinds <= {fixed[0], int, Rational}:
+                    return _lifted(values, fixed[0])
+        elif kinds <= {kind, int, Rational}:
+            return _lifted(values, kind, lift=False)
         with self.guard():
             parts = []
             for x in values:
@@ -182,8 +205,9 @@ class FloatContext:
                 if not mpmath.isfinite(z):
                     raise ArithmeticError(f"{self.format(z)} cannot enter a fixed-point kernel")
                 parts.append(z._mpc_ if isinstance(z, mpmath.mpc) else (z._mpf_, _ZERO_PART))
-        shift = _kernel_shift(self.prec_bits, parts)
-        kind = _fixed_type(shift, self.prec_bits)
+        if kind is None:
+            kind = _fixed_type(_kernel_shift(self.prec_bits, parts), self.prec_bits)
+        shift = kind.shift
         return [kind(_scaled(re, shift), _scaled(im, shift)) for re, im in parts]
 
 
@@ -266,14 +290,37 @@ def _kernel_shift(prec_bits: int, parts: list) -> int:
     GUARD_BITS`` plus the largest |e| over its nonzero numbers, where
     2**(e - 1) <= max(|re|, |im|) < 2**e.  Every nonzero number and its
     reciprocal then keep at least ``prec_bits`` significant bits.  On the
-    benchmark's workloads the numbers lie between 2**-38 and 2**9, so the
-    shift is at most prec_bits + 70."""
+    benchmark's workloads the frame's numbers, the gaps u_j - u_i
+    included, lie between 2**-4 and 2**9, and the edge and tail tables
+    built from them between 2**-39 and 2**9, so the shift is at most
+    prec_bits + 71."""
     reach = 0
     for pair in parts:
         tops = [exp + bc for _, man, exp, bc in pair if man]
         if tops:
             reach = max(reach, abs(max(tops)))
     return prec_bits + GUARD_BITS + reach
+
+
+def _lifted(values: list, kind: type, lift: bool = True) -> list:
+    """``values``, kernel scalars of ``kind`` and exact ints or Fractions, at
+    one scale: that of ``kind``, or with ``lift`` the larger shift of
+    :func:`_kernel_shift` when their numbers need it, reached by an exact
+    left shift.  The list itself comes back when nothing changes."""
+    if not all(x.__class__ is kind for x in values):
+        values = [x if x.__class__ is kind else kind._rational(x) for x in values]
+    if not lift:
+        return values
+    shift = kind.shift
+    # the bit length of |re| | |im| is that of max(|re|, |im|)
+    tops = [t for t in [(abs(x.re) | abs(x.im)).bit_length() for x in values] if t]
+    reach = max(0, max(tops) - shift, shift - min(tops)) if tops else 0
+    need = kind.prec + GUARD_BITS + reach
+    if need <= shift:
+        return values
+    up = need - shift
+    kind = _fixed_type(need, kind.prec)
+    return [kind(x.re << up, x.im << up) for x in values]
 
 
 def _scaled(part: tuple, shift: int) -> int:
@@ -292,15 +339,16 @@ class GaussianFixed:
     scale has its own subclass (:func:`_fixed_type`), and arithmetic takes
     operands of the same subclass, ints and Fractions, so numbers of two
     scales never meet unnoticed.  Supported: ``+``, ``-`` (binary and
-    unary), ``*`` by a kernel scalar, an int or a Fraction, ``/`` by an
-    int or a Fraction, ``**`` by any int (a negative power inverts first),
-    ``==`` against a kernel scalar or a rational, and truth, which is
-    False exactly for 0.
+    unary), ``*`` by a kernel scalar, an int or a Fraction, ``/`` by a
+    kernel scalar, an int or a Fraction, an int or a Fraction divided by a
+    kernel scalar (``1 / x``), ``**`` by any int (a negative power inverts
+    first), ``==`` against a kernel scalar or a rational, and truth, which
+    is False exactly for 0.  Dividing by 0 raises ``ZeroDivisionError``.
 
     Rounding: every result is floored, toward -inf in each part: the right
     shift after a product, the integer division by a Fraction's
-    denominator or a divisor, and the division of an inverse.  Sums and
-    products by ints are exact."""
+    denominator, a divisor or a squared modulus, and the division of an
+    inverse.  Sums and products by ints are exact."""
 
     __slots__ = ("re", "im")
     shift = 0
@@ -313,9 +361,10 @@ class GaussianFixed:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.re}, {self.im})"
 
-    def _rational(self, q) -> "GaussianFixed":
+    @classmethod
+    def _rational(cls, q) -> "GaussianFixed":
         q = Rational(q)
-        return self.__class__((q.numerator << self.shift) // q.denominator, 0)
+        return cls((q.numerator << cls.shift) // q.denominator, 0)
 
     def __add__(self, other):
         cls = self.__class__
@@ -357,11 +406,34 @@ class GaussianFixed:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        cls = self.__class__
+        if other.__class__ is cls:
+            # x / y = 2**shift x conj(y) / |y|^2 on the scaled parts
+            a, b, c, d = self.re, self.im, other.re, other.im
+            norm = c * c + d * d
+            if not norm:
+                raise ZeroDivisionError("division by the kernel scalar 0")
+            shift = cls.shift
+            return cls(((a * c + b * d) << shift) // norm, ((b * c - a * d) << shift) // norm)
         if isinstance(other, int):
-            return self.__class__(self.re // other, self.im // other)
+            return cls(self.re // other, self.im // other)
         if isinstance(other, Rational):
             return self * Rational(other.denominator, other.numerator)
         return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Rational)):
+            return self._reciprocal() * other
+        return NotImplemented
+
+    def _reciprocal(self) -> "GaussianFixed":
+        a, b = self.re, self.im
+        norm = a * a + b * b
+        if not norm:
+            raise ZeroDivisionError("the kernel scalar 0 has no inverse")
+        # 1/x = 2**shift (a - ib) / (a^2 + b^2), scaled by 2**shift
+        twice = 2 * self.shift
+        return self.__class__((a << twice) // norm, (-b << twice) // norm)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -369,13 +441,7 @@ class GaussianFixed:
         cls = self.__class__
         base = self
         if n < 0:
-            a, b = self.re, self.im
-            norm = a * a + b * b
-            if not norm:
-                raise ZeroDivisionError("kernel scalar 0 raised to a negative power")
-            # 1/x = 2**shift (a - ib) / (a^2 + b^2), scaled by 2**shift
-            twice = 2 * cls.shift
-            base, n = cls((a << twice) // norm, (-b << twice) // norm), -n
+            base, n = self._reciprocal(), -n
         out = cls(1 << cls.shift, 0)
         while n:
             if n & 1:

@@ -26,6 +26,10 @@ library produces by another route:
 * ``wick_oracle_layers``: the Wick expansion of F^g as a capped series
   exponential followed by one propagator layer per order, each scaled by
   1/n!;
+* ``mpc_homogeneous_R`` and ``mpc_edge_tail_data``: R of a conformal
+  model by Euler homogeneity, and V, T, Delta and sqrt(Delta) from it, on
+  mpmath numbers at working precision; the library runs the same steps on
+  fixed-point kernel scalars;
 * ``compute_V_series``: the edge coefficients V^{ij}_{kl} by building the
   numerator sum_s R(z)^i_s R(w)^j_s - delta_ij as a two-variable series and
   dividing it by z + w with ``singular_quotient``; its remainder is reported
@@ -834,6 +838,101 @@ def wick_oracle_layers(
         return logged.scalar_coeff((g - 1,))
 
 
+# -- the R-matrix route on mpmath numbers ------------------------------------------
+
+
+def mpc_homogeneous_R(frame: CanonicalFrame, order: int) -> list:
+    """R_0 .. R_order of a conformal model by the Euler homogeneity
+    recursion of ``rmatrix.homogeneous_R``, run on the frame's mpmath values
+    at working precision: V = Psi mu Psi^{-1} with Psi^{-1} = g^{-1} Psi^T,
+    then (R_{k+1})_ij = (R_k V - k R_k)_ij / (u_j - u_i) off the diagonal
+    and (R_{k+1})_ii = sum_{j != i} (R_{k+1})_ij V_ji / (k + 1)."""
+    ctx = frame.ctx
+    n = frame.dimension
+    euler = frame.model.euler
+    with ctx.guard():
+        u = frame.u_values()
+        psi = frame.psi_values()
+        ginv = [[ctx.num(x) for x in row] for row in frame.model.metric_inverse]
+        shift = 1 - Fraction(euler.conformal_dimension) / 2
+        mu = [
+            [ctx.num((shift if a == b else 0) - euler.matrix[a][b]) for b in range(n)]
+            for a in range(n)
+        ]
+        v = mat_mul(psi, mat_mul(mu, mat_mul(ginv, transpose(psi))))
+        mats = [[[ctx.num(int(i == j)) for j in range(n)] for i in range(n)]]
+        for k in range(order):
+            rv = mat_mul(mats[k], v)
+            nxt = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        nxt[i][j] = (rv[i][j] - k * mats[k][i][j]) / (u[j] - u[i])
+            for i in range(n):
+                acc = ctx.num(0)
+                for j in range(n):
+                    if j != i:
+                        acc = acc + nxt[i][j] * v[j][i]
+                nxt[i][i] = acc / (k + 1)
+            mats.append(nxt)
+        return mats
+
+
+def mpc_edge_tail_data(frame: CanonicalFrame, mats: list) -> EdgeTailData:
+    """V, T, Delta and sqrt(Delta) from the matrices ``mats`` of R (numbers
+    of any backend), by the closed-form z + w quotient and the tail formula
+    of ``rmatrix`` run on mpmath values at working precision, with the
+    default cutoffs.  The residuals are the V symmetry and the unitarity of
+    R, each the largest |entry|."""
+    ctx = frame.ctx
+    n = frame.dimension
+    order = len(mats) - 1
+    with ctx.guard():
+        mats = [[[ctx.num(x) for x in row] for row in mat] for mat in mats]
+        products = {
+            (p, q): mat_mul(mats[p], transpose(mats[q]))
+            for p in range(order + 1)
+            for q in range(order + 1 - p)
+        }
+        table = {}
+        for i in range(n):
+            for j in range(n):
+                for m in range(1, order + 1):
+                    quot = 0
+                    for k in range(m):
+                        entry = products[(k, m - k)][i][j]
+                        quot = entry - quot if quot else entry
+                        if quot:
+                            table[(i, j, k, m - 1 - k)] = quot if m % 2 else -quot
+        worst = {"v_symmetry": mpmath.mpf(0), "unitarity": mpmath.mpf(0)}
+        for (i, j, k, l), v in table.items():
+            gap = mpmath.fabs(v - table.get((j, i, l, k), 0))
+            worst["v_symmetry"] = max(worst["v_symmetry"], gap)
+        for m in range(order + 1):
+            for i in range(n):
+                for j in range(n):
+                    acc = -1 if (m == 0 and i == j) else 0
+                    for p in range(m + 1):
+                        acc = acc + (-1) ** (m - p) * products[(p, m - p)][i][j]
+                    worst["unitarity"] = max(worst["unitarity"], mpmath.fabs(acc))
+        sd = frame.sqrt_delta_values()
+        tails = [
+            {k: (-1) ** k * sd[i] * sum(mats[k - 1][i][j] / sd[j] for j in range(n))
+             for k in range(2, order + 2)}
+            for i in range(n)
+        ]
+    return EdgeTailData(
+        dimension=n,
+        delta=frame.delta_values(),
+        sqrt_delta=sd,
+        v=table,
+        t=tails,
+        v_cutoff=order - 1,
+        t_cutoff=order + 1,
+        residuals=worst,
+    )
+
+
 # -- edge coefficients by series division ----------------------------------------
 
 
@@ -857,7 +956,6 @@ def compute_V_series(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]
         caps = Caps.total(("z", "w"), r.order)
         table: Dict[Tuple[int, int, int, int], object] = {}
         div_resid = ctx.num(0)
-        sym_resid = ctx.num(0)
         for i in range(n):
             for j in range(n):
                 num = TruncatedSeries.zero(caps)
@@ -872,9 +970,7 @@ def compute_V_series(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]
                 for (k, l), v in quot.c.items():
                     if k + l <= cutoff:
                         table[(i, j, k, l)] = v * (-1) ** (k + l)
-        for (i, j, k, l), v in table.items():
-            mirror = table.get((j, i, l, k), 0)
-            sym_resid = max(sym_resid, mpmath.fabs(v - mirror))
+        sym_resid = ctx.max_abs(v - table.get((j, i, l, k), 0) for (i, j, k, l), v in table.items())
         residuals = {"divisibility": div_resid, "v_symmetry": sym_resid}
         if r.cross_residual is not None:
             residuals["cross_direction"] = r.cross_residual

@@ -68,6 +68,8 @@ from oracles import (
     evaluate_graph,
     evaluate_graph_ordered,
     genus1_difference_quadrature,
+    mpc_edge_tail_data,
+    mpc_homogeneous_R,
     reference_skeleton_values,
     reference_wick,
     two_primary_genus2_reference,
@@ -461,8 +463,12 @@ class TestKernelRepresentation:
         ],
     )
     def test_fixed_point_matches_mpmath_kernels(self, model, point, g):
-        _, r = frame_and_R(model, point, CTX, 3 * g - 3)
-        data = edge_tail_data(r)
+        frame, r = frame_and_R(model, point, CTX, 3 * g - 3)
+        # the pipeline hands its data over in kernel form already
+        pipeline = edge_tail_data(r)
+        assert pipeline.in_kernel(CTX) is pipeline
+        # R, V and T on mpmath numbers
+        data = mpc_edge_tail_data(frame, mpc_homogeneous_R(frame, 3 * g - 3))
         rep = graph_sum(data, g, ctx=CTX)
         reference = reference_skeleton_values(data, g, CTX)
         # the report keeps the converted data, and converting again is a no-op

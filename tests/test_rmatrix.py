@@ -39,8 +39,8 @@ from genuslift.rmatrix import (
     twist_R,
     unitarity_residual,
 )
-from genuslift.scalars import FloatContext
-from oracles import compute_V_series
+from genuslift.scalars import FloatContext, GaussianFixed, from_kernel
+from oracles import compute_V_series, mpc_edge_tail_data, mpc_homogeneous_R
 
 CTX = FloatContext()
 TIGHT = mpmath.mpf("1e-70")
@@ -59,7 +59,7 @@ def imag(p, q=1):
 
 def assert_close(a, b, tol=TIGHT):
     with CTX.guard():
-        assert mpmath.fabs(a - b) <= tol, f"{a} != {b}"
+        assert mpmath.fabs(CTX.num(a) - CTX.num(b)) <= tol, f"{a} != {b}"
 
 
 @pytest.fixture(scope="module")
@@ -212,9 +212,8 @@ class TestTwist:
         gauge = [[Fraction(1, 3)], [Fraction(1, 5)]]
         twisted = twist_R(exp_r, gauge)
         r1, t1 = exp_r.mats[1], twisted.mats[1]
-        with CTX.guard():
-            assert_close(t1[0][0], r1[0][0] + rat(1, 3))
-            assert_close(t1[1][1], r1[1][1] + rat(1, 5))
+        assert_close(t1[0][0], r1[0][0] + Fraction(1, 3))
+        assert_close(t1[1][1], r1[1][1] + Fraction(1, 5))
         assert_close(t1[0][1], r1[0][1])
 
     def test_modes_differ_by_diagonal_twist(self, exp_r):
@@ -227,7 +226,7 @@ class TestTwist:
             for m in (1, 2):
                 twisted = twist_R(rc, gauge)
                 for i in range(2):
-                    gap = exp_r.mats[2 * m - 1][i][i] - twisted.mats[2 * m - 1][i][i]
+                    gap = CTX.num(exp_r.mats[2 * m - 1][i][i] - twisted.mats[2 * m - 1][i][i])
                     gauge[i][m - 1] = gauge[i][m - 1] + gap
         final = twist_R(rc, gauge)
         for k in range(exp_r.order + 1):
@@ -294,10 +293,10 @@ class TestBranchChoices:
             for (i, j, k, l) in exp_edge.v:
                 a = exp_edge.v_entry(i, j, k, l) * exp_edge.sqrt_delta[i] * exp_edge.sqrt_delta[j]
                 b = flipped.v_entry(i, j, k, l) * flipped.sqrt_delta[i] * flipped.sqrt_delta[j]
-                assert mpmath.fabs(a - b) <= TIGHT
+                assert_close(a, b)
             for i in range(2):
                 for k in (2, 3, 4):
-                    assert mpmath.fabs(exp_edge.t_entry(i, k) - flipped.t_entry(i, k)) <= TIGHT
+                    assert_close(exp_edge.t_entry(i, k), flipped.t_entry(i, k))
 
     def test_permutation_relabels_everything(self, exp_edge):
         model = two_primary_model(Fraction(1))
@@ -305,21 +304,17 @@ class TestBranchChoices:
             model, (Fraction(0), Fraction(0)), CTX, order=4, permutation=(1, 0)
         )
         swapped = edge_tail_data(compute_R(swapped_frame, 4))
-        with CTX.guard():
-            for i in range(2):
-                assert mpmath.fabs(swapped.delta[i] - exp_edge.delta[1 - i]) <= TIGHT
-                for k in (2, 3, 4):
-                    assert mpmath.fabs(
-                        swapped.t_entry(i, k) - exp_edge.t_entry(1 - i, k)
-                    ) <= TIGHT
-            for (i, j, k, l) in exp_edge.v:
-                assert mpmath.fabs(
-                    swapped.v_entry(1 - i, 1 - j, k, l) - exp_edge.v_entry(i, j, k, l)
-                ) <= TIGHT
+        for i in range(2):
+            assert_close(swapped.delta[i], exp_edge.delta[1 - i])
+            for k in (2, 3, 4):
+                assert_close(swapped.t_entry(i, k), exp_edge.t_entry(1 - i, k))
+        for (i, j, k, l) in exp_edge.v:
+            assert_close(swapped.v_entry(1 - i, 1 - j, k, l), exp_edge.v_entry(i, j, k, l))
 
 
 class TestFormat:
-    """Every route hands R over as matrices of scalars, never of series."""
+    """Every route hands R over as matrices of kernel scalars of one scale,
+    never of series."""
 
     def test_entries_are_scalars(self, exp_r):
         model = two_primary_model(Fraction(1, 2))
@@ -333,9 +328,11 @@ class TestFormat:
         }
         for name, r in routes.items():
             assert len(r.mats) == r.order + 1
+            assert issubclass(r.kernel.kind, GaussianFixed)
             for mat in r.mats:
                 for x in (x for row in mat for x in row):
-                    assert isinstance(x, (int, mpmath.mpf, mpmath.mpc)), (name, type(x))
+                    # the int 0 or a kernel scalar of the one scale of this R
+                    assert type(x) is r.kernel.kind or (type(x) is int and x == 0), (name, x)
         # an exact zero stays the int 0 on the jet route
         assert all(type(routes["constants"].mats[1][i][i]) is int for i in range(2))
 
@@ -343,7 +340,7 @@ class TestFormat:
 def _max_gap(a, b):
     with CTX.guard():
         return max(
-            mpmath.fabs(x - y)
+            mpmath.fabs(from_kernel(x) - from_kernel(y))
             for k in range(a.order + 1)
             for row_a, row_b in zip(a.mats[k], b.mats[k])
             for x, y in zip(row_a, row_b)
@@ -409,8 +406,7 @@ def _assert_same_edge_table(r, cutoff=None):
 
 def _wrong_r2(r):
     """``r`` with (R_2)_00 moved off its value by 1/10."""
-    with CTX.guard():
-        r.mats[2][0][0] = r.mats[2][0][0] + CTX.num(Fraction(1, 10))
+    r.mats[2][0][0] = r.mats[2][0][0] + Fraction(1, 10)
     return r
 
 
@@ -460,3 +456,73 @@ class TestClosedFormQuotient:
             # the remainder of the series division is the unitarity residual
             _, division = compute_V_series(wrong)
             assert mpmath.fabs(division["divisibility"] - bad["unitarity"]) <= TIGHT
+
+
+@st.composite
+def conformal_cases(draw):
+    """A two-primary model at a point of the family's tests, or the cusp in
+    the box the benchmark draws from: |t0| <= 1, 1/4 <= |t1| <= 1 and
+    -1 <= t2 <= -1/3."""
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(3, 2),
+                                  Fraction(5, 3)]))
+        t0 = Fraction(draw(st.integers(-24, 24)), 24)
+        t1 = draw(st.sampled_from([1, -1])) * Fraction(draw(st.integers(8, 36)), 24)
+        return two_primary_model(d), (t0, t1)
+    t0 = Fraction(draw(st.integers(-21, 21)), 21)
+    t1 = draw(st.sampled_from([1, -1])) * Fraction(draw(st.integers(6, 24)), 24)
+    t2 = -Fraction(draw(st.integers(7, 21)), 21)
+    return threefold_cusp_model(), (t0, t1, t2)
+
+
+def _assert_matches(got, want, what):
+    """Every entry of ``got`` within 2**-(prec - 16) of the largest entry of
+    ``want``."""
+    with CTX.guard():
+        size = CTX.max_abs(want)
+        gap = max(mpmath.fabs(CTX.num(x) - CTX.num(y)) for x, y in zip(got, want))
+        assert gap <= mpmath.ldexp(size, 16 - CTX.prec_bits), (what, gap, size)
+
+
+class TestKernelRoute:
+    """R, V and T on kernel scalars against the same steps on mpmath
+    numbers (``oracles.mpc_homogeneous_R`` and ``mpc_edge_tail_data``)."""
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(case=conformal_cases(), order=st.integers(1, 6))
+    def test_matches_mpmath_route(self, case, order):
+        model, point = case
+        frame = canonical_frame(model, point, CTX)
+        r = homogeneous_R(frame, order)
+        data = edge_tail_data(r)
+        assert data.in_kernel(CTX) is data
+        reference = mpc_homogeneous_R(frame, order)
+        ref = mpc_edge_tail_data(frame, reference)
+        keys = sorted(set(data.v) | set(ref.v))
+        _assert_matches(
+            [x for mat in r.mats for row in mat for x in row],
+            [x for mat in reference for row in mat for x in row],
+            "R",
+        )
+        _assert_matches([data.v_entry(*key) for key in keys], [ref.v_entry(*key) for key in keys], "V")
+        _assert_matches(
+            [data.t_entry(i, k) for i in range(r.dimension) for k in range(2, order + 2)],
+            [ref.t_entry(i, k) for i in range(r.dimension) for k in range(2, order + 2)],
+            "T",
+        )
+        _assert_matches(data.delta, ref.delta, "Delta")
+        _assert_matches(data.sqrt_delta, ref.sqrt_delta, "sqrt(Delta)")
+        with CTX.guard():
+            for name in ("v_symmetry", "unitarity"):
+                assert data.residuals[name] <= TIGHT
+
+    def test_skewed_residuals_match_mpmath_route(self):
+        # the residuals report the largest |entry|, as the mpmath route does
+        frame = canonical_frame(threefold_cusp_model(), CUSP_POINT, CTX)
+        wrong = _wrong_r2(homogeneous_R(frame, 3))
+        _, bad = compute_V(wrong)
+        ref = mpc_edge_tail_data(frame, wrong.mats).residuals
+        with CTX.guard():
+            for name in ("v_symmetry", "unitarity"):
+                assert bad[name] > CTX.tol
+                assert mpmath.fabs(bad[name] - ref[name]) <= mpmath.ldexp(ref[name], 16 - CTX.prec_bits)

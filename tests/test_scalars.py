@@ -205,6 +205,8 @@ class TestKernelScalars:
                 (kx ** n, x ** n),
                 (kx ** -n, x ** -n),
                 (kx + q, x + qf),
+                (kx / ky, x / y),
+                (1 / kx, 1 / x),
             ]
             for got, want in cases:
                 assert mpmath.fabs(from_kernel(got) - want) <= slack(want, shift)
@@ -218,8 +220,39 @@ class TestKernelScalars:
             assert z == 0 and not z
             assert from_kernel(z) == 0
         assert x != 0 and x and one == 1 and one ** -3 == 1 and x ** 0 == one
-        with pytest.raises(ZeroDivisionError):
-            zero ** -1
+        assert zero / x == 0 and not zero / x
+        for divide in (lambda: zero ** -1, lambda: x / zero, lambda: 1 / zero):
+            with pytest.raises(ZeroDivisionError):
+                divide()
+
+    def test_table_of_one_scale_keeps_its_entries(self):
+        with CTX.guard():
+            kx, ky = CTX.to_kernel([mpmath.mpf(2) / 3, mpmath.mpc(-1, 5) / 7])
+        # exact ints and Fractions join the kernel scalars at their scale
+        table = [kx, 0, ky, Fraction(1, 2)]
+        out = CTX.to_kernel(table)
+        assert out[0] is kx and out[2] is ky
+        assert type(out[1]) is type(kx) and out[1] == 0
+        assert type(out[3]) is type(kx) and out[3] == Fraction(1, 2)
+        assert CTX.to_kernel(out) is out
+        # a scale too fine for the largest number is lifted exactly
+        big = kx * (1 << 80)
+        lifted = CTX.to_kernel([kx, big])
+        assert type(lifted[0]).shift == PREC + 32 + 80 > kx.shift
+        assert from_kernel(lifted[0]) == from_kernel(kx)
+        assert from_kernel(lifted[1]) == from_kernel(big)
+        # at a scale given, converted numbers take it as well
+        (z,) = CTX.to_kernel([mpmath.mpf(1) / 3], type(kx))
+        assert type(z) is type(kx)
+
+    def test_max_abs_picks_the_largest_norm(self):
+        with CTX.guard():
+            values = [mpmath.mpc(3, -4) / 11, mpmath.mpc("-0.45", "0.01"), mpmath.mpf(-5) / 11]
+            kernel = CTX.to_kernel(values)
+            want = max(mpmath.fabs(from_kernel(x)) for x in kernel)
+        assert CTX.max_abs(kernel) == want
+        assert CTX.max_abs(kernel + [mpmath.mpf(1)]) == 1
+        assert CTX.max_abs([0, kernel[0] - kernel[0]]) == 0
 
     def test_one_representation_per_table(self):
         a = CTX.to_kernel([Fraction(1, 3), mpmath.mpf(2)])

@@ -269,7 +269,7 @@ def _cmd_genus(args):
         model, point, args.g, ctx, order=config.r_order, mode=args.mode, gauge=config.gauge
     )
     # the graph sum's vertex correlators hold almost every one the oracle needs
-    oracle = wick_oracle(report.data, args.g, ctx=ctx, vertex_cache=report.vertex_cache)
+    oracle = wick_oracle(report.data, args.g, vertex_cache=report.vertex_cache)
     contributions = report.contribution_map()
     with ctx.guard():
         residual = ctx.abs(report.value - oracle)
@@ -443,7 +443,7 @@ def _selftest_checks(ctx: FloatContext):
     report = genus_potential(model, point, 2, ctx)
     with ctx.guard():
         yield ("genus2-vanishing-d-one-third", ctx.abs(report.value), "F^2 on the d=1/3 model")
-        oracle = wick_oracle(report.data, 2, table, ctx, vertex_cache=report.vertex_cache)
+        oracle = wick_oracle(report.data, 2, table, vertex_cache=report.vertex_cache)
         yield (
             "graph-sum-vs-operator-oracle",
             ctx.abs(report.value - oracle),

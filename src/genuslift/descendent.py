@@ -484,7 +484,7 @@ def bold_quantities(
     (not extraction): the two-point functions factor through it.  G, D,
     T and V are kernel scalars: the brackets b_p enter at R's scale, and
     ``EdgeTailData.in_kernel`` lifts the data to the scale its numbers
-    need, so the graph sum takes it as it is."""
+    need, the form the graph sum runs on."""
     ctx = frame.ctx
     n = frame.dimension
     _require_origin(calibration)
@@ -600,7 +600,7 @@ def descendent_potential(
             permutation=permutation,
             sign_flips=sign_flips,
         )
-    return graph_sum(frame_data.data, g, table, ctx, frame=frame_data.frame)
+    return graph_sum(frame_data.data, g, table, frame=frame_data.frame)
 
 
 # -- genus 1 -----------------------------------------------------------------------

@@ -44,20 +44,19 @@ The oracle shares with the graph sum the input tables and, when handed
 tables.  Graphs, edge weights and summation are its own, which makes the two
 mutual oracles; agreement is exact on rational synthetic data.
 
-Both run one generic code path over the *kernel scalars* of their context
-(``scalars``).  The pipeline's edge/tail data already hold them:
-``rmatrix.edge_tail_data`` and ``descendent.bold_quantities`` compute R, V
-and T on the frame's values converted once, so ``EdgeTailData.in_kernel``,
-which :func:`graph_sum` and :func:`wick_oracle` call on entry, converts only
-data built elsewhere (mpmath or exact tables).  Every result goes back once
-on exit with ``from_kernel``.  Under ``EXACT`` both are the identity and
-the sums stay exact.  Under a ``FloatContext`` the kernels
+Both run one generic code path over the numbers their data holds and
+convert nothing.  The pipeline's edge/tail data hold *kernel scalars*
+(``scalars``): ``rmatrix.edge_tail_data`` and ``descendent.bold_quantities``
+compute R, V and T on the frame's values converted once, so the kernels
 (:func:`skeleton_values`, :func:`edge_weight_table`, ``vertex_correlator``,
 :func:`wick_moments`) multiply Gaussian fixed-point numbers on Python ints
-in place of mpmath ``mpc``; the skeleton values and the oracle's moments
-return to mpmath at working precision, and the logarithm of the oracle runs
-there.  A :class:`GenusReport` keeps its data and the vertex correlators on
-it, so a report's data and cache go to :func:`wick_oracle` together.
+in place of mpmath ``mpc``.  The skeleton values and the oracle's moments
+go back once with ``from_kernel``, at the precision the data carries, and
+the final sum and the oracle's logarithm run at that precision.  Rational
+data stays exact throughout; mpmath data runs at the caller's working
+precision.  A :class:`GenusReport` keeps its data and the vertex
+correlators on it, so a report's data and cache go to :func:`wick_oracle`
+together.
 
 Genus 1 is exposed as the one-form
 
@@ -98,7 +97,7 @@ from .rmatrix import (
     twist_R,
     uses_homogeneity,
 )
-from .scalars import EXACT, Context, FloatContext, from_kernel
+from .scalars import FloatContext, _context_of, from_kernel
 from .series import Caps, TruncatedSeries
 
 
@@ -321,11 +320,10 @@ class GenusReport:
     ``contributions`` pairs every skeleton of genus ``genus`` with the sum
     of its decorated graphs; :meth:`contribution_map` keys them by
     :meth:`Skeleton.describe`.  ``value`` and ``contributions`` are at
-    working precision (or exact).  ``data`` is the edge/tail data in the
-    context's kernel scalars, and ``vertex_cache`` the sum's table of
-    vertex correlators on it: (g_v, i, sorted edge powers) maps to the
-    correlator, or to None where it vanishes.  :func:`wick_oracle` reads
-    and extends it."""
+    working precision (or exact).  ``data`` is the edge/tail data the sum
+    ran on, and ``vertex_cache`` the sum's table of vertex correlators on
+    it: (g_v, i, sorted edge powers) maps to the correlator, or to None
+    where it vanishes.  :func:`wick_oracle` reads and extends it."""
 
     genus: int
     value: object
@@ -369,7 +367,7 @@ def genus_potential(
         model, point, ctx, order, mode=mode, gauge=gauge,
         permutation=permutation, sign_flips=sign_flips,
     )
-    return graph_sum(edge_tail_data(r), g, table, ctx, frame=frame)
+    return graph_sum(edge_tail_data(r), g, table, frame=frame)
 
 
 def frame_and_R(
@@ -408,20 +406,18 @@ def graph_sum(
     data: EdgeTailData,
     g: int,
     table: Optional[IntersectionTable] = None,
-    ctx: Context = EXACT,
     frame=None,
 ) -> GenusReport:
     """F^g from edge/tail data: every skeleton of genus g summed over all
     labelings by ``data.dimension`` indices (:func:`skeleton_sum`), with one
-    vertex cache and one edge weight table shared by the whole sum.  Exact
-    when ``data`` is rational and ``ctx`` is ``EXACT`` (the default);
+    vertex cache and one edge weight table shared by the whole sum;
     ``frame`` is only passed through to the report.
 
-    The sum runs on ``data.in_kernel(ctx)`` (``data`` itself when it comes
-    from the pipeline), which the report keeps as its ``data`` beside the
-    vertex cache on it; the contributions come back at working precision
-    and are summed there."""
-    data = data.in_kernel(ctx)
+    The sum runs on the numbers ``data`` holds, and the report keeps them.
+    Kernel scalars run at their own precision, rational data stays exact,
+    and mpmath data runs at the caller's working precision, as in
+    ``vertex_correlator``."""
+    ctx = _context_of(data.delta[0])
     vertex_cache: dict = {}
     with ctx.guard():
         contributions = [
@@ -557,7 +553,6 @@ def wick_oracle(
     data: EdgeTailData,
     g: int,
     table: Optional[IntersectionTable] = None,
-    ctx: Context = EXACT,
     vertex_cache: Optional[dict] = None,
 ):
     """F^g from the same edge/tail data by expanding the operator exponential
@@ -565,13 +560,13 @@ def wick_oracle(
 
     ``vertex_cache`` is a table of vertex correlators keyed like the graph
     sum's (:attr:`GenusReport.vertex_cache`); correlators missing from it
-    are computed and added.  The expansion runs on ``data.in_kernel(ctx)``;
-    its moments come back at working precision before the logarithm."""
+    are computed and added.  The expansion and its logarithm run on the
+    numbers ``data`` holds, at the precision :func:`graph_sum` states."""
     if g < 2:
         raise ValueError("the expansion is normalized for genus >= 2")
     if vertex_cache is None:
         vertex_cache = {}
-    data = data.in_kernel(ctx)
+    ctx = _context_of(data.delta[0])
     with ctx.guard():
         connected = {(0,): 1}
         for b, z in wick_moments(data, g, table, vertex_cache).items():

@@ -13,13 +13,15 @@ and its diagonal one order up gives
 :func:`homogeneous_R` runs this from R_0 = 1 on the order-0 frame values,
 in O(order N^3) arithmetic and without jets.
 
-One function picks the route for every caller: ``genus.frame_and_R``,
-which ``genus_potential``, ``descendent_frame`` and the CLI's R commands
-call.  Models with Euler data in the conformal (or unset) mode
+``genus.frame_and_R`` picks the route for ``genus_potential``,
+``descendent_frame`` and the CLI's R commands.  Models with Euler data in
+the conformal (or unset) mode
 (:func:`uses_homogeneity`) take :func:`homogeneous_R` on an order-0 frame;
 ``mode="constants"`` and models without Euler data take the jet recursion
 below on frame jets, which also stays as the independent check of the
-homogeneous route.  A gauge twist applies to either result.
+homogeneous route.  A gauge twist applies to either result.  The genus-1
+one-forms (``genus.genus1_one_form``, ``descendent.genus1_descendent_routes``)
+and the CLI's self-test call :func:`compute_R` on order-1 and order-5 frames.
 
 Every route hands R over in one format: ``RSeries.mats[k]`` is the matrix
 R_k of kernel scalars (``scalars.GaussianFixed``) at the point, all at the
@@ -30,8 +32,10 @@ recursion converts its values at the point when it is done, and
 through these coefficients (V through R(z) R(w)^T / (z + w), T through R_m
 and Delta), so the jets of :func:`compute_R` stay inside its recursion, and
 :func:`compute_V`, :func:`compute_T` and ``descendent.bold_quantities``
-run on the kernel scalars as well: their tables reach the graph sum and
-the Wick oracle in the form those run on.
+run on the kernel scalars as well.  Their tables are lifted once to the
+scale their numbers need (:meth:`EdgeTailData.in_kernel`) and reach the
+graph sum and the Wick oracle in the form those run on: the consumers
+convert nothing.
 
 The jet recursion, :func:`compute_R`, works for any semisimple point.  In
 the canonical frame the flatness equations determine R recursively.
@@ -76,7 +80,7 @@ import mpmath
 from .expressions import _multi_indices, t_names
 from .frame import CanonicalFrame, DegenerateFrameError
 from .linalg import mat_add, mat_mul, transpose
-from .scalars import Context, FloatContext
+from .scalars import FloatContext
 from .series import Caps, TruncatedSeries
 
 
@@ -94,7 +98,6 @@ class FrameKernel(NamedTuple):
     ``gaps`` maps (i, j), i < j, to u_j - u_i on a conformal frame and is
     empty otherwise."""
 
-    ctx: FloatContext
     kind: type
     delta: list
     sqrt_delta: list
@@ -104,7 +107,7 @@ class FrameKernel(NamedTuple):
     def at_scale(self, values) -> list:
         """``values`` (numbers of any backend) as kernel scalars of this
         scale; an exact zero stays the int 0."""
-        return [_entry(x) for x in self.ctx.to_kernel(list(values), self.kind)]
+        return [_entry(self.kind.convert(x)) for x in values]
 
 
 def frame_kernel(frame: CanonicalFrame) -> FrameKernel:
@@ -130,7 +133,6 @@ def frame_kernel(frame: CanonicalFrame) -> FrameKernel:
     sqrt_delta = [next(it) for _ in range(n)]
     psi = [[next(it) for _ in range(n)] for _ in range(n)]
     return FrameKernel(
-        ctx=ctx,
         kind=flat[0].__class__,
         delta=delta,
         sqrt_delta=sqrt_delta,
@@ -500,12 +502,11 @@ class EdgeTailData:
             return 0
         return self.t[i].get(k, 0)
 
-    def in_kernel(self, ctx: Context) -> "EdgeTailData":
-        """This data with every number as a kernel scalar of ``ctx``
-        (:meth:`FloatContext.to_kernel`), all at one scale; the residuals
-        stay as they are.  Data already in that form, which is what
-        :func:`edge_tail_data` and ``descendent.bold_quantities`` build, and
-        exact data come back as they are."""
+    def in_kernel(self, ctx: FloatContext) -> "EdgeTailData":
+        """The producers' lift: this data as kernel scalars of ``ctx`` at the
+        one :meth:`FloatContext.to_kernel` scale of all its numbers, which
+        small entries of V and T need; the residuals stay as they are.  Data
+        already at that scale comes back as it is."""
         flat = [*self.delta, *self.sqrt_delta, *self.v.values()]
         for tails in self.t:
             flat.extend(tails.values())
@@ -595,8 +596,8 @@ def compute_T(r: RSeries, cutoff: int | None = None) -> List[Dict[int, object]]:
 def edge_tail_data(r: RSeries, v_cutoff: int | None = None, t_cutoff: int | None = None) -> EdgeTailData:
     """V, T, Delta and sqrt(Delta) of ``r``: kernel scalars computed at R's
     scale and lifted to the scale their numbers need
-    (``EdgeTailData.in_kernel``), so the graph sum and the Wick oracle take
-    them as they are."""
+    (:meth:`EdgeTailData.in_kernel`), the form the graph sum and the Wick
+    oracle run on."""
     v, resid = compute_V(r, v_cutoff)
     t = compute_T(r, t_cutoff)
     return EdgeTailData(

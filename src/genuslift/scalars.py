@@ -17,14 +17,17 @@ backends, each driven through a context object with the same methods:
 Everything between the order-0 canonical frame and F_g -- R, its edge and
 tail tables V and T, the graph sum and the Wick oracle -- only adds,
 multiplies, divides and raises to integer powers, thousands of times per
-op.  It runs on *kernel scalars*: ``ctx.to_kernel(values)`` converts the
-frame's values at the point once (``rmatrix.frame_kernel``), the tables
-built from them reach the graph sum in that form, and :func:`from_kernel`
-converts each result back.  Under ``EXACT`` the kernel scalar is the
-``Fraction`` itself and both conversions are the identity.  Under a
-``FloatContext`` it is a :class:`GaussianFixed`, a Gaussian fixed-point
-number (re + i im) / 2**shift on two Python ints, whose products cost a
-fifth of an ``mpc`` product at 256 bits.
+op.  It runs on *kernel scalars*: a :class:`GaussianFixed`, a Gaussian
+fixed-point number (re + i im) / 2**shift on two Python ints, whose
+products cost a fifth of an ``mpc`` product at 256 bits.  Data is
+converted where it is made and nowhere else: the producers
+(``rmatrix.frame_kernel`` and the lift of the edge/tail tables) call
+:meth:`FloatContext.to_kernel`, the one rule that picks a table's scale,
+and :meth:`GaussianFixed.convert` brings a number to a scale already
+picked.  The consumers run on the numbers the data holds, at the
+precision those carry (:func:`_context_of`), and :func:`from_kernel`
+converts each result back.  Rational data needs no conversion: a
+``Fraction`` is its own kernel scalar, and sums over it stay exact.
 
 Arithmetic code takes a context and calls it; which backend runs is
 decided here alone.  ``EXACT`` is the default wherever a context is
@@ -178,37 +181,19 @@ class FloatContext:
                 m = max(m, mpmath.fabs(self.num(x)))
             return m
 
-    def to_kernel(self, values: list, kind: type | None = None) -> list:
+    def to_kernel(self, values: list) -> list:
         """``values`` (numbers of any backend) as :class:`GaussianFixed`
-        scalars of one scale; parts are rounded toward -inf.
-
-        The scale is that of ``kind`` when it is given, a kernel type of this
-        precision.  Otherwise it is the shift of :func:`_kernel_shift` for
-        the table's numbers, except that a table whose kernel scalars share
-        one scale at this precision keeps a larger one: its kernel scalars
-        come back as the same objects (shifted left, exactly, when the table
-        needs a larger scale), and only its exact ints and Fractions are
-        converted.  So converting twice changes nothing.  Infinities and NaNs
-        raise ``ArithmeticError``."""
-        kinds = {x.__class__ for x in values}
-        if kind is None:
-            fixed = [k for k in kinds if issubclass(k, GaussianFixed)]
-            if len(fixed) == 1 and fixed[0].prec == self.prec_bits:
-                if kinds <= {fixed[0], int, Rational}:
-                    return _lifted(values, fixed[0])
-        elif kinds <= {kind, int, Rational}:
-            return _lifted(values, kind, lift=False)
-        with self.guard():
-            parts = []
-            for x in values:
-                z = self.num(from_kernel(x))
-                if not mpmath.isfinite(z):
-                    raise ArithmeticError(f"{self.format(z)} cannot enter a fixed-point kernel")
-                parts.append(z._mpc_ if isinstance(z, mpmath.mpc) else (z._mpf_, _ZERO_PART))
-        if kind is None:
-            kind = _fixed_type(_kernel_shift(self.prec_bits, parts), self.prec_bits)
-        shift = kind.shift
-        return [kind(_scaled(re, shift), _scaled(im, shift)) for re, im in parts]
+        scalars of this precision at one scale: the :func:`_kernel_shift` of
+        their numbers, but never below the largest scale among the kernel
+        scalars they hold, so none loses a bit.  Each converts by
+        :meth:`GaussianFixed.convert`; a list already at its scale comes
+        back as the same list, so converting twice changes nothing.
+        Infinities and NaNs raise ``ArithmeticError``."""
+        held = [x.shift for x in values if isinstance(x, GaussianFixed)]
+        kind = _fixed_type(max([_kernel_shift(self.prec_bits, values), *held]), self.prec_bits)
+        if all(x.__class__ is kind for x in values):
+            return values
+        return [kind.convert(x) for x in values]
 
 
 class ExactContext:
@@ -265,10 +250,6 @@ class ExactContext:
     def max_abs(self, xs: Iterable) -> Rational:
         return max((abs(self.num(x)) for x in xs), default=Rational(0))
 
-    def to_kernel(self, values: list) -> list:
-        """Fractions are their own kernel scalars: ``values`` as they are."""
-        return values
-
 
 EXACT = ExactContext()
 
@@ -284,43 +265,42 @@ rounding of the thousands of operations of one graph sum."""
 _ZERO_PART = mpmath.mpf(0)._mpf_
 
 
-def _kernel_shift(prec_bits: int, parts: list) -> int:
-    """The binary scale of a kernel table whose numbers have the raw mpmath
-    parts ``parts``, (re, im) pairs of ``_mpf_`` tuples: ``prec_bits +
-    GUARD_BITS`` plus the largest |e| over its nonzero numbers, where
-    2**(e - 1) <= max(|re|, |im|) < 2**e.  Every nonzero number and its
-    reciprocal then keep at least ``prec_bits`` significant bits.  On the
-    benchmark's workloads the frame's numbers, the gaps u_j - u_i
-    included, lie between 2**-4 and 2**9, and the edge and tail tables
-    built from them between 2**-39 and 2**9, so the shift is at most
-    prec_bits + 71."""
-    reach = 0
-    for pair in parts:
-        tops = [exp + bc for _, man, exp, bc in pair if man]
-        if tops:
-            reach = max(reach, abs(max(tops)))
+def _exponent(x) -> int | None:
+    """The e with 2**(e - 1) <= max(|re x|, |im x|) < 2**e for a nonzero
+    number ``x`` of any backend, None for 0.  Infinities and NaNs raise
+    ``ArithmeticError``."""
+    if isinstance(x, GaussianFixed):
+        # the bit length of |re| | |im| is that of max(|re|, |im|)
+        top = (abs(x.re) | abs(x.im)).bit_length()
+        return top - x.shift if top else None
+    if isinstance(x, (int, Rational)):
+        # at this scale floor(|x| 2**k) >= 1 keeps the top bit of |x|
+        k = x.denominator.bit_length()
+        top = ((abs(x.numerator) << k) // x.denominator).bit_length()
+        return top - k if top else None
+    tops = [exp + bc for _, man, exp, bc in _parts(x) if man]
+    return max(tops) if tops else None
+
+
+def _parts(x) -> tuple:
+    """The raw (re, im) ``_mpf_`` tuples of an mpmath number (or a float,
+    complex or string mpmath reads), checked finite."""
+    z = mpmath.mpmathify(x)
+    if not mpmath.isfinite(z):
+        raise ArithmeticError(f"{z} cannot enter a fixed-point kernel")
+    return z._mpc_ if isinstance(z, mpmath.mpc) else (z._mpf_, _ZERO_PART)
+
+
+def _kernel_shift(prec_bits: int, values: list) -> int:
+    """The binary scale of a kernel table of ``values``: ``prec_bits +
+    GUARD_BITS`` plus the largest |e| of :func:`_exponent` over its nonzero
+    numbers.  Every nonzero number and its reciprocal then keep at least
+    ``prec_bits`` significant bits.  On the benchmark's workloads the
+    frame's numbers, the gaps u_j - u_i included, lie between 2**-4 and
+    2**9, and the edge and tail tables built from them between 2**-39 and
+    2**9, so the shift is at most prec_bits + 71."""
+    reach = max((abs(e) for e in map(_exponent, values) if e is not None), default=0)
     return prec_bits + GUARD_BITS + reach
-
-
-def _lifted(values: list, kind: type, lift: bool = True) -> list:
-    """``values``, kernel scalars of ``kind`` and exact ints or Fractions, at
-    one scale: that of ``kind``, or with ``lift`` the larger shift of
-    :func:`_kernel_shift` when their numbers need it, reached by an exact
-    left shift.  The list itself comes back when nothing changes."""
-    if not all(x.__class__ is kind for x in values):
-        values = [x if x.__class__ is kind else kind._rational(x) for x in values]
-    if not lift:
-        return values
-    shift = kind.shift
-    # the bit length of |re| | |im| is that of max(|re|, |im|)
-    tops = [t for t in [(abs(x.re) | abs(x.im)).bit_length() for x in values] if t]
-    reach = max(0, max(tops) - shift, shift - min(tops)) if tops else 0
-    need = kind.prec + GUARD_BITS + reach
-    if need <= shift:
-        return values
-    up = need - shift
-    kind = _fixed_type(need, kind.prec)
-    return [kind(x.re << up, x.im << up) for x in values]
 
 
 def _scaled(part: tuple, shift: int) -> int:
@@ -362,16 +342,28 @@ class GaussianFixed:
         return f"{type(self).__name__}({self.re}, {self.im})"
 
     @classmethod
-    def _rational(cls, q) -> "GaussianFixed":
-        q = Rational(q)
-        return cls((q.numerator << cls.shift) // q.denominator, 0)
+    def convert(cls, x) -> "GaussianFixed":
+        """A number of any backend at this class's scale: a kernel scalar
+        of this class as it is, one of a coarser scale shifted left exactly,
+        an int or a Fraction floored exactly, an mpmath number floored from
+        its raw parts.  Infinities and NaNs raise ``ArithmeticError``."""
+        if x.__class__ is cls:
+            return x
+        shift = cls.shift
+        if isinstance(x, GaussianFixed):
+            up = shift - x.shift
+            return cls(x.re << up, x.im << up)
+        if isinstance(x, (int, Rational)):
+            return cls((x.numerator << shift) // x.denominator, 0)
+        re, im = _parts(x)
+        return cls(_scaled(re, shift), _scaled(im, shift))
 
     def __add__(self, other):
         cls = self.__class__
         if other.__class__ is cls:
             return cls(self.re + other.re, self.im + other.im)
         if isinstance(other, (int, Rational)):
-            return self + self._rational(other) if other else self
+            return self + self.convert(other) if other else self
         return NotImplemented
 
     __radd__ = __add__
@@ -488,3 +480,14 @@ def from_kernel(x):
         if not x.im:
             return re
         return mpmath.mpc(re, mpmath.ldexp(mpmath.mpf(x.im), -x.shift))
+
+
+_float_context = cache(FloatContext)
+
+
+def _context_of(x) -> Context:
+    """The context results made from the number ``x`` are formed in: a
+    :class:`FloatContext` at the precision of a kernel scalar, else
+    :data:`EXACT`, whose guard pins nothing, so rationals stay exact and
+    mpmath numbers run at the caller's precision."""
+    return _float_context(x.prec) if isinstance(x, GaussianFixed) else EXACT

@@ -17,10 +17,7 @@ library produces by another route:
   each skeleton, and ``evaluate_graph`` sums one of them edge by edge with
   memoized suffix sums; ``decorated_sum`` gives every graph's contribution.
   The library sums each skeleton over all labelings at once instead;
-* ``reference_skeleton_values`` and ``reference_wick``: the graph sum's
-  and the Wick oracle's kernels run straight on mpmath data, without the
-  fixed-point conversion the library applies; ``mpmath_data`` takes kernel
-  data back to mpmath numbers;
+* ``mpmath_data``: kernel data taken back to mpmath numbers;
 * ``evaluate_graph_ordered``: one decorated graph's contribution by a plain
   descent over its half-edge powers, with no sharing between assignments;
 * ``wick_oracle_layers``: the Wick expansion of F^g as a capped series
@@ -68,7 +65,7 @@ from genuslift.descendent import (
 )
 from genuslift.frame import CanonicalFrame
 from genuslift.frobenius import FrobeniusModel
-from genuslift.genus import edge_weight_table, genus1_one_form, skeleton_values, wick_moments
+from genuslift.genus import edge_weight_table, genus1_one_form
 from genuslift.graphs import Skeleton, _cells, _least_form, _rows, skeletons
 from genuslift.intersection import (
     IntersectionTable,
@@ -591,7 +588,7 @@ def decorated_sum(
         ]
 
 
-# -- the kernels on mpmath numbers ---------------------------------------------
+# -- kernel data on mpmath numbers ---------------------------------------------
 
 
 def mpmath_data(data: EdgeTailData) -> EdgeTailData:
@@ -604,28 +601,6 @@ def mpmath_data(data: EdgeTailData) -> EdgeTailData:
         v={key: from_kernel(x) for key, x in data.v.items()},
         t=[{k: from_kernel(x) for k, x in tails.items()} for tails in data.t],
     )
-
-
-def reference_skeleton_values(
-    data: EdgeTailData, g: int, ctx: FloatContext, table: Optional[IntersectionTable] = None
-) -> List[Tuple[Skeleton, object]]:
-    """The graph sum's per-skeleton values from the library's own kernel,
-    run on ``data`` as given (mpmath numbers, no fixed-point conversion)."""
-    with ctx.guard():
-        return skeleton_values(data, g, table, {})
-
-
-def reference_wick(
-    data: EdgeTailData, g: int, ctx: FloatContext, table: Optional[IntersectionTable] = None
-):
-    """The Wick oracle's value from the library's own moment kernel, run on
-    ``data`` as given (mpmath numbers, no fixed-point conversion)."""
-    with ctx.guard():
-        connected = {(0,): 1}
-        for b, z in wick_moments(data, g, table, {}).items():
-            connected[(b,)] = z
-        logged = TruncatedSeries(Caps.total(("h",), g - 1), connected).log(ctx)
-        return logged.scalar_coeff((g - 1,))
 
 
 # -- one graph, leaf by leaf ------------------------------------------------------

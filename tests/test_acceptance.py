@@ -259,15 +259,15 @@ def test_criterion_05_graph_sum_vs_wick_oracle():
             rep = genus_potential(
                 two_primary_model(Fraction(1, 2)), (Fraction(2, 7), Fraction(3, 5)), g, CTX
             )
-            worst = max(worst, rel_err(wick_oracle(rep.data, g, ctx=CTX), rep.value))
+            worst = max(worst, rel_err(wick_oracle(rep.data, g), rep.value))
             summed = genus_potential(
                 _direct_sum_model(), (Fraction(2, 7), Fraction(3, 5), Fraction(1, 3)), g, CTX
             )
-            worst = max(worst, rel_err(wick_oracle(summed.data, g, ctx=CTX), summed.value))
+            worst = max(worst, rel_err(wick_oracle(summed.data, g), summed.value))
         cusp = genus_potential(
             threefold_cusp_model(), (Fraction(1, 7), Fraction(2, 5), Fraction(1, 3)), 2, CTX
         )
-        worst = max(worst, mpmath.fabs(wick_oracle(cusp.data, 2, ctx=CTX) - cusp.value))
+        worst = max(worst, mpmath.fabs(wick_oracle(cusp.data, 2) - cusp.value))
     assert worst < TOL_ORACLE
     print(f"criterion 5: PASS - graph sum equals Wick oracle exactly on rational "
           f"tables (g=2,3, N<=3) and to {mpmath.nstr(worst, 3)} on the float pipeline")

@@ -57,7 +57,7 @@ from genuslift.genus import (
 from genuslift.graphs import skeletons
 from genuslift.intersection import vertex_correlator
 from genuslift.rmatrix import EdgeTailData, edge_tail_data
-from genuslift.scalars import EXACT, FloatContext
+from genuslift.scalars import FloatContext
 from genuslift.series import Caps, TruncatedSeries
 import oracles
 from oracles import (
@@ -70,8 +70,6 @@ from oracles import (
     genus1_difference_quadrature,
     mpc_edge_tail_data,
     mpc_homogeneous_R,
-    reference_skeleton_values,
-    reference_wick,
     two_primary_genus2_reference,
     wick_oracle_layers,
 )
@@ -201,7 +199,7 @@ class TestOracleAgreement:
     def test_float_two_primary(self, g):
         model = two_primary_model(Fraction(1, 2))
         rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), g, CTX)
-        w = wick_oracle(rep.data, g, ctx=CTX)
+        w = wick_oracle(rep.data, g)
         assert rel_err(w, rep.value) < TIGHT
 
     @pytest.mark.parametrize("g", [2, 3])
@@ -219,7 +217,7 @@ class TestOracleAgreement:
             mode="constants",
         )
         assert rel_err(summed.value, factor.value) < TIGHT
-        w = wick_oracle(summed.data, g, ctx=CTX)
+        w = wick_oracle(summed.data, g)
         assert rel_err(w, summed.value) < TIGHT
 
     def test_cusp_primary_selection_rule(self):
@@ -233,7 +231,7 @@ class TestOracleAgreement:
             largest = max(mpmath.fabs(v) for _, v in rep.contributions)
             assert largest > mpmath.mpf("0.1")
             assert mpmath.fabs(rep.value) < TIGHT
-            w = wick_oracle(rep.data, 2, ctx=CTX)
+            w = wick_oracle(rep.data, 2)
             assert mpmath.fabs(w - rep.value) < TIGHT
 
 
@@ -432,7 +430,7 @@ class TestExactZeros:
         # the whole chain through the graph sum, against the same gate
         with CTX.guard():
             control = self.wick_genus4(Fraction(1, 2), point)
-            value = mpmath.fabs(graph_sum(self.data_genus4(d, point), 4, ctx=CTX).value)
+            value = mpmath.fabs(graph_sum(self.data_genus4(d, point), 4).value)
             assert value < mpmath.mpf("1e-60") * control
 
     @staticmethod
@@ -445,14 +443,14 @@ class TestExactZeros:
     @cache
     def wick_genus4(cls, d, point):
         with CTX.guard():
-            return mpmath.fabs(wick_oracle(cls.data_genus4(d, point), 4, ctx=CTX))
+            return mpmath.fabs(wick_oracle(cls.data_genus4(d, point), 4))
 
 
 class TestKernelRepresentation:
-    """On a float context the graph sum and the Wick oracle run on Gaussian
-    fixed-point scalars; the same kernels run straight on the mpmath data
-    are the reference.  Each must agree with it to 2**-(prec - 16) of the
-    largest skeleton contribution."""
+    """On kernel data the graph sum and the Wick oracle run on Gaussian
+    fixed-point scalars; the same functions run straight on the mpmath data,
+    at the caller's precision, are the reference.  Each must agree with it
+    to 2**-(prec - 16) of the largest skeleton contribution."""
 
     @pytest.mark.parametrize(
         "model, point, g",
@@ -467,25 +465,41 @@ class TestKernelRepresentation:
         # the pipeline hands its data over in kernel form already
         pipeline = edge_tail_data(r)
         assert pipeline.in_kernel(CTX) is pipeline
-        # R, V and T on mpmath numbers
+        # R, V and T on mpmath numbers, and the same tables in kernel form
         data = mpc_edge_tail_data(frame, mpc_homogeneous_R(frame, 3 * g - 3))
-        rep = graph_sum(data, g, ctx=CTX)
-        reference = reference_skeleton_values(data, g, CTX)
-        # the report keeps the converted data, and converting again is a no-op
-        assert rep.data is not data and rep.data.in_kernel(CTX) is rep.data
+        kernel = data.in_kernel(CTX)
+        rep = graph_sum(kernel, g)
+        # the sums run on the data as they are given
+        assert rep.data is kernel
         with CTX.guard():
+            reference = graph_sum(data, g).contributions
             gate = mpmath.ldexp(max(mpmath.fabs(v) for _, v in reference), 16 - CTX.prec_bits)
             assert [sk for sk, _ in rep.contributions] == [sk for sk, _ in reference]
             for (_, got), (_, want) in zip(rep.contributions, reference):
                 assert mpmath.fabs(got - want) < gate
             assert mpmath.fabs(rep.value - sum(v for _, v in reference)) < gate
-            wick = wick_oracle(rep.data, g, ctx=CTX, vertex_cache=rep.vertex_cache)
-            assert mpmath.fabs(wick - reference_wick(data, g, CTX)) < gate
+            wick = wick_oracle(rep.data, g, vertex_cache=rep.vertex_cache)
+            assert mpmath.fabs(wick - wick_oracle(data, g)) < gate
+
+    def test_kernel_data_runs_at_its_own_precision(self):
+        # called outside any guard, at mpmath's 53 bits, the sum and the
+        # oracle still take their precision from the pipeline's data
+        model = two_primary_model(Fraction(1, 2))
+        rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
+        with mpmath.workprec(53):
+            summed = graph_sum(rep.data, 3).value
+            wick = wick_oracle(rep.data, 3)
+        with CTX.guard():
+            largest = max(mpmath.fabs(v) for _, v in rep.contributions)
+            gate = mpmath.ldexp(largest, 16 - CTX.prec_bits)
+            assert mpmath.fabs(summed - rep.value) < gate
+            assert mpmath.fabs(wick - rep.value) < gate
 
     def test_exact_data_is_its_own_kernel_form(self):
         data = synthetic_data(2, 3, seed=731)
-        assert data.in_kernel(EXACT) is data
-        assert graph_sum(data, 3).data is data
+        report = graph_sum(data, 3)
+        assert report.data is data
+        assert isinstance(report.value, Fraction)
 
 
 class TestSharedVertexCache:
@@ -512,7 +526,7 @@ class TestSharedVertexCache:
                 assert evaluate_graph(graph, rep.data) == val
         # a cache per graph evaluates the same vertices over and over
         assert len(calls) == 1206
-        w = wick_oracle(rep.data, 3, ctx=CTX)
+        w = wick_oracle(rep.data, 3)
         assert rel_err(w, rep.value) < TIGHT
 
     def test_each_edge_weight_evaluated_once(self, monkeypatch):
@@ -526,7 +540,7 @@ class TestSharedVertexCache:
             return original(self, i, j, k, l)
 
         monkeypatch.setattr(EdgeTailData, "v_entry", counting)
-        again = graph_sum(rep.data, 3, ctx=CTX)
+        again = graph_sum(rep.data, 3)
         # one table entry per (i, j) and k + l <= v_cutoff = 5, shared by
         # all 42 skeletons
         assert len(calls) == len(set(calls)) == 4 * 21
@@ -612,7 +626,7 @@ class TestWickExpansion:
     def test_matches_layered_expansion_two_primary(self, d, g):
         _, r = frame_and_R(two_primary_model(d), (Fraction(2, 7), Fraction(3, 5)), CTX, 3 * g - 3)
         data = edge_tail_data(r)
-        value = wick_oracle(data, g, ctx=CTX)
+        value = wick_oracle(data, g)
         assert rel_err(value, wick_oracle_layers(data, g, ctx=CTX)) < mpmath.mpf("1e-70")
 
     def test_counts_with_and_without_the_graph_sum_table(self, monkeypatch):
@@ -633,12 +647,12 @@ class TestWickExpansion:
         monkeypatch.setattr(genus_module, "vertex_correlator", counting)
         monkeypatch.setattr(genus_module, "gaussian_moment", spying)
         assert len(rep.vertex_cache) == 114
-        shared = wick_oracle(rep.data, 3, ctx=CTX, vertex_cache=rep.vertex_cache)
+        shared = wick_oracle(rep.data, 3, vertex_cache=rep.vertex_cache)
         # the graph sum already holds 114 of the oracle's 116 correlators
         assert len(calls) == 2
         assert len(rep.vertex_cache) == 116
         calls.clear()
-        alone = wick_oracle(rep.data, 3, ctx=CTX)
+        alone = wick_oracle(rep.data, 3)
         assert len(calls) == len(set(calls)) == 116
         # one memo per call, holding every even monomial reached
         assert [len(m) for m in memos] == [251, 251]

@@ -39,6 +39,7 @@ from genuslift.io import (
 from genuslift.rmatrix import compute_R, edge_tail_data
 from genuslift.scalars import EXACT, FloatContext
 from genuslift.series import Caps, TruncatedSeries
+from oracles import mpmath_data
 
 CTX = FloatContext(256)
 
@@ -332,13 +333,13 @@ class TestOutputDocuments:
         assert all(len(key.split(",")) == 4 for key in edoc["v"])
         assert all(len(key.split(",")) == 2 for key in edoc["t"])
         assert set(edoc["residuals"]) == set(data.residuals)
-        # a genus report keeps the data in fixed-point kernel scalars; it
-        # renders to the same tables
-        kdoc = edge_data_to_json(data.in_kernel(CTX), CTX)
-        assert kdoc.keys() == edoc.keys() and kdoc["v"].keys() == edoc["v"].keys()
+        # the data are fixed-point kernel scalars; their mpmath values
+        # render to the same tables
+        mdoc = edge_data_to_json(mpmath_data(data), CTX)
+        assert mdoc.keys() == edoc.keys() and mdoc["v"].keys() == edoc["v"].keys()
         with CTX.guard():
             for key, text in edoc["v"].items():
-                assert mpmath.fabs(parse_value(kdoc["v"][key], CTX) - parse_value(text, CTX)) < (
+                assert mpmath.fabs(parse_value(mdoc["v"][key], CTX) - parse_value(text, CTX)) < (
                     mpmath.mpf("1e-70")
                 )
 

@@ -12,14 +12,22 @@ rational combination of the V/T/Delta tables.
 
 No decorated graph is built.  By orbit-stabilizer the decorated graphs of
 one skeleton (``graphs.skeletons``) add up to the sum over all N^|V|
-labelings of its vertices, divided by |Aut(skeleton)|, and
-:func:`skeleton_sum` evaluates that in one walk over the skeleton's edges,
-in the order of its memoized :func:`walk_plan`.  A vertex gets its index
-when the walk first reaches it and is multiplied in once its last
-half-edge has a power.  The sum over the remaining edges is memoized on
-the edge reached and the (index, sorted powers) of every still-open
-vertex; a closed vertex drops out of that key, so labelings and power
-assignments that differ only at closed vertices share one suffix sum.
+labelings of its vertices, divided by |Aut(skeleton)|.  Which products and
+sums that takes depends on the skeleton and N alone, so
+:func:`skeleton_program` records it once per (skeleton, N) as a flat
+program on numbered registers, and :func:`skeleton_sum` replays it on the
+edge weights and vertex correlators of the data at hand.  The recording
+walks the skeleton's edges in the order of its memoized :func:`walk_plan`.
+A vertex is multiplied in once its last half-edge has a power, and the sum
+over the remaining edges is one register per edge reached and (index,
+sorted powers) of every still-open vertex; a closed vertex drops out of
+that key, so labelings and power assignments that differ only at closed
+vertices share one suffix sum.  The walk runs over a single index; the
+program over N indices relabels it, term for term in the walk's order.
+Only structure leaves a term out (the psi budgets, and a vertex whose
+``IntersectionTable.tail_terms`` are empty): a weight or correlator that
+vanishes on some data enters the replay as an exact 0, so every sum comes
+out as the numeric walk would make it, bit for bit.
 
 ``wick_oracle`` evaluates the same quantity without enumerating graphs: it
 truncates each vertex generating function log tau(hbar Delta_i; Q^i) around
@@ -74,11 +82,13 @@ the point, and that is all the edge and tail data read.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import accumulate, islice, product
 from math import factorial
+from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
@@ -87,7 +97,7 @@ from .expressions import t_names
 from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
 from .graphs import Skeleton, skeletons
-from .intersection import IntersectionTable, _ascending_tuples, vertex_correlator
+from .intersection import _DEFAULT_TABLE, IntersectionTable, _ascending_tuples, vertex_correlator
 from .rmatrix import (
     EdgeTailData,
     RSeries,
@@ -102,7 +112,7 @@ from .series import Caps, TruncatedSeries
 
 
 class WalkPlan(NamedTuple):
-    """The order in which :func:`skeleton_sum` walks a skeleton's edges.
+    """The order in which :func:`skeleton_program` walks a skeleton's edges.
 
     ``edges`` lists (v, w) once per parallel edge; ``opens[e]`` are the
     vertices that edge e reaches first, whose index the walk chooses there;
@@ -153,7 +163,7 @@ def _plan(sk: Skeleton, order: Sequence[int]) -> WalkPlan:
 
 def _plan_cost(plan: WalkPlan) -> int:
     """Sum over edges of prod over the still-open vertices of 2 (cap + 1):
-    an estimate of the states the walk memoizes, counting two indices and
+    an estimate of the states the walk records, counting two indices and
     cap + 1 power sums per still-open vertex."""
     total = 0
     for group in plan.still_open:
@@ -166,11 +176,14 @@ def _plan_cost(plan: WalkPlan) -> int:
 
 @cache
 def walk_plan(sk: Skeleton) -> WalkPlan:
-    """The :class:`WalkPlan` of ``sk``, built once per skeleton.
+    """The :class:`WalkPlan` of ``sk``, built once per skeleton: the order
+    in which :func:`skeleton_program` records the skeleton's sum, and so
+    the order of the products and sums every replay forms.
 
     From every start vertex a greedy order appends the unplaced vertex with
     the most edges into the placed ones (the lowest on ties); the order
-    whose plan has the least :func:`_plan_cost` is kept."""
+    whose plan has the least :func:`_plan_cost`, an estimate of the states
+    the recording creates, is kept."""
     adj = sk.adjacency
     n = len(sk.genera)
     best = None
@@ -187,6 +200,249 @@ def walk_plan(sk: Skeleton) -> WalkPlan:
     return best
 
 
+class SkeletonProgram(NamedTuple):
+    """The sum of one skeleton over all labelings by N indices, recorded
+    once as straight-line code on numbered registers.
+
+    Registers 0 .. len(weights) - 1 hold the edge weights of the slots
+    ``weights`` lists, (i, j, k, l) for V^{ij}_{kl} sqrt(Delta_i Delta_j);
+    the next len(vertices) registers hold the vertex correlators of the
+    slots ``vertices`` lists, (g_v, i, sorted edge powers).  Each entry of
+    ``levels`` is (arity, counts, operands) for one edge of the walk, the
+    last edge first (one entry, the vertex alone, for a skeleton without
+    edges).  A term is the left-to-right product of ``arity`` registers:
+    its weight, the vertices the edge closes and the state of the next
+    edge; ``counts[s]`` consecutive terms add up, left to right, into the
+    s-th new register; ``operands`` lists the registers of all the terms,
+    flat.  The last register written is the sum; no level means the sum
+    vanishes for all data."""
+
+    weights: Tuple[Tuple[int, int, int, int], ...]
+    vertices: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+    levels: Tuple[Tuple[int, array, array], ...]
+
+
+def _record(sk: Skeleton) -> Tuple[tuple, tuple, List[list]]:
+    """The sum of ``sk`` over a single index, by walking its edges in the
+    order of :func:`walk_plan`: its weight slots (k, l), its vertex slots
+    (g_v, sorted edge powers), and per edge the states the walk reaches
+    there, each as (term count, flat operands).  A term holds the number
+    of its weight, of each vertex the edge closes (in ``closes`` order)
+    and of a state of the next edge, each numbered from 0 within its kind.
+
+    A vertex is multiplied in once its last half-edge has a power.  The
+    sum over the later edges depends only on the edge reached and the
+    sorted powers of every still-open vertex; each such state is recorded
+    once, so power assignments that differ only at closed vertices share
+    it.  A term is left out only where it vanishes for all data: a psi
+    power beyond a vertex's budget, a vertex whose
+    :meth:`IntersectionTable.tail_terms` are empty, or a state with no term
+    left.  The slots are those of the terms kept and every vertex the walk
+    reaches that does not vanish for all data."""
+    plan = walk_plan(sk)
+    genera = sk.genera
+    edges, closes, still_open = plan.edges, plan.closes, plan.still_open
+    n_edges = len(edges)
+    ks_at: List[List[int]] = [[] for _ in genera]
+    budget = list(plan.caps)
+    weights: dict = {}
+    vertices: dict = {}
+    live: list = []
+
+    def vertex_slot(x):
+        # the number of vertex x at its powers so far; None where it
+        # vanishes for all data (the tail terms are the same on every table)
+        key = (genera[x], tuple(sorted(ks_at[x])))
+        if key not in vertices:
+            vertices[key] = None
+            if _DEFAULT_TABLE.tail_terms(*key):
+                vertices[key] = len(live)
+                live.append(key)
+        return vertices[key]
+
+    levels: List[list] = [[] for _ in range(max(n_edges, 1))]
+    # states[e] numbers the states of edge e by the powers of the vertices
+    # still open
+    states: List[dict] = [{} for _ in range(n_edges + 1)]
+
+    def rest(e):
+        # record the state reached at edge e: its number in levels[e], or
+        # None when no term survives
+        v, w = edges[e]
+        loop = v == w
+        later = still_open[e] if e + 1 < n_edges else ()
+        memo = states[e + 1]
+        # a vertex other than a loop's is complete once its power is set:
+        # v at k, w at l
+        closing = closes[e]
+        close_v = not loop and v in closing
+        close_w = w in closing
+        keep_v = not loop and v in later
+        keep_w = w in later
+        fixed = tuple(tuple(sorted(ks_at[x])) for x in later if x != v and x != w)
+        ks_v, ks_w = ks_at[v], ks_at[w]
+        ops: list = []
+        count = 0
+        slot_v = part_v = None
+        for k in range(budget[v] + 1):
+            budget[v] -= k
+            ks_v.append(k)
+            if close_v:
+                slot_v = vertex_slot(v)
+            elif keep_v:
+                part_v = tuple(sorted(ks_v))
+            # a vanishing v leaves no term for any l
+            top = -1 if close_v and slot_v is None else budget[w]
+            for l in range(top + 1):
+                ks_w.append(l)
+                slot_w = part_w = sub = None
+                if close_w:
+                    slot_w = vertex_slot(w)
+                elif keep_w:
+                    part_w = tuple(sorted(ks_w))
+                dead = close_w and slot_w is None
+                if later and not dead:
+                    key = (fixed, part_v, part_w)
+                    if key in memo:
+                        sub = memo[key]
+                    else:
+                        budget[w] -= l
+                        sub = memo[key] = rest(e + 1)
+                        budget[w] += l
+                    dead = sub is None
+                ks_w.pop()
+                if dead:
+                    continue
+                count += 1
+                ops.append(weights.setdefault((k, l), len(weights)))
+                ops += [slot_w if x == w else slot_v for x in closing]
+                if later:
+                    ops.append(sub)
+            ks_v.pop()
+            budget[v] += k
+        if not count:
+            return None
+        levels[e].append((count, ops))
+        return len(levels[e]) - 1
+
+    if n_edges:
+        rest(0)
+        # rest refers to itself: dropping the name frees it and its memo
+        # now, not at the next cyclic collection
+        del rest
+    else:
+        # a connected skeleton without edges is a single vertex: one term,
+        # the vertex alone
+        slot = vertex_slot(0)
+        if slot is not None:
+            levels[0].append((1, [slot]))
+    return tuple(weights), tuple(live), levels
+
+
+@cache
+def skeleton_program(sk: Skeleton, n: int) -> SkeletonProgram:
+    """The :class:`SkeletonProgram` of ``sk`` over ``n`` indices.
+
+    Which terms a labeling contributes does not depend on its indices, so
+    the walk (:func:`_record`) runs over a single index, and the program
+    over ``n`` indices labels it.  A state of edge e is a recorded state
+    together with the indices of the vertices placed before e and still
+    open.  Its terms are, for each choice of indices of the vertices edge e
+    reaches first (in ``itertools.product`` order), the recorded terms with
+    those indices filled in: the walk's order, so every sum adds the same
+    terms in the same order.  Weight (i, j, k, l) and vertex (g_v, i, ks)
+    are numbered affinely in their indices, and so is every operand: a
+    multiple of the recorded number plus an offset set by the indices."""
+    plan = walk_plan(sk)
+    edges, opens, closes, still_open = plan.edges, plan.opens, plan.closes, plan.still_open
+    n_edges = len(edges)
+    one_weights, one_vertices, recorded = _record(sk)
+    n_w1, n_v1 = len(one_weights), len(one_vertices)
+    n_weights = n * n * n_w1
+    levels = []
+    # the first state register of the level at hand and of the level
+    # before it (edge e + 1)
+    first, first_next = n_weights + n * n_v1, None
+    for e in reversed(range(len(recorded))):
+        states = recorded[e]
+        if not states:
+            # nothing recorded: the sum vanishes for all data
+            break
+        if n_edges:
+            (v, w), closing = edges[e], closes[e]
+            before = still_open[e - 1] if e else ()
+            placed = before + opens[e]
+        else:
+            # the one vertex of an edge-free skeleton
+            closing, before, placed = (0,), (), (0,)
+        # per operand position: the factor on the recorded number and the
+        # offset of each choice of indices
+        affine = []
+        if n_edges:
+            coefs = {v: n * n_w1}
+            coefs[w] = coefs.get(w, 0) + n_w1
+            affine.append((1, _offsets(n, placed, 0, coefs)))
+        for x in closing:
+            affine.append((1, _offsets(n, placed, n_weights, {x: n_v1})))
+        if n_edges and e + 1 < n_edges:
+            # a state of edge e + 1: its recorded number times the
+            # labelings of the vertices open after e, plus their rank
+            after = still_open[e]
+            stride = n ** len(after)
+            rank = {x: n ** p for p, x in enumerate(reversed(after))}
+            affine.append((stride, _offsets(n, placed, first_next, rank)))
+        arity = len(affine)
+        counts = [c for c, _ in states]
+        bounds = list(accumulate(counts, initial=0))
+        flat = [r for _, state in states for r in state]
+        ops = [0] * (len(flat) * n ** len(placed))
+        for q, (factor, offsets) in enumerate(affine):
+            col = [factor * r for r in flat[q::arity]]
+            segments = [col[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            ops[q::arity] = [off + r for seg in segments for off in offsets for r in seg]
+        fan = n ** (len(placed) - len(before))
+        copies = n ** len(before)
+        levels.append((
+            arity,
+            array("I", [c * fan for c in counts for _ in range(copies)]),
+            array("I", ops),
+        ))
+        first_next = first
+        first += len(counts) * copies
+    return SkeletonProgram(
+        weights=tuple((i, j, k, l) for i in range(n) for j in range(n) for k, l in one_weights),
+        vertices=tuple((g_v, i, ks) for i in range(n) for g_v, ks in one_vertices),
+        levels=tuple(levels),
+    )
+
+
+def _offsets(n: int, placed: Sequence[int], const: int, coefs: dict) -> List[int]:
+    """const + sum_x coefs[x] * i_x for every choice of indices i_x < n of
+    the vertices ``placed``, in ``itertools.product`` order."""
+    values = [const]
+    for x in placed:
+        coef = coefs.get(x, 0)
+        values = [y + coef * i for y in values for i in range(n)]
+    return values
+
+
+def _replay(levels, registers: list):
+    """Run the levels of a :class:`SkeletonProgram` on ``registers``, which
+    hold its inputs, and return the last register written.  Every term is
+    the left-to-right product of its operands and every sum adds its terms
+    left to right, on whatever numbers the registers hold."""
+    for arity, counts, operands in levels:
+        values = list(map(registers.__getitem__, operands))
+        terms = values[::arity]
+        for q in range(1, arity):
+            terms = map(mul, terms, values[q::arity])
+        terms = iter(terms)
+        for count in counts:
+            head = next(terms)
+            registers.append(sum(islice(terms, count - 1), head))
+    return registers[-1]
+
+
 def skeleton_sum(
     sk: Skeleton,
     data: EdgeTailData,
@@ -199,118 +455,55 @@ def skeleton_sum(
     power assignment, divided by |Aut(skeleton)|.
 
     By orbit-stabilizer this is the sum of the decorated graphs with this
-    skeleton, each over its own |Aut|.  The walk follows
-    :func:`walk_plan`: a vertex gets its index when the walk first reaches
-    it and is multiplied in once its last half-edge has a power, so a
-    vanishing vertex drops every later assignment.  The sum over the later
-    edges depends only on the edge reached and the (index, powers) of each
-    still-open vertex, and is computed once per such state; labelings that
-    differ only at closed vertices share it.
+    skeleton, each over its own |Aut|.  The sum replays
+    :func:`skeleton_program` on the numbers of ``data``: the program fixes
+    which products and sums to form, and only the weights and vertex
+    correlators it reads depend on the data.  A vertex or weight that
+    vanishes on this data enters as the exact 0 it is; where every edge
+    weight vanishes, a skeleton with edges is not replayed and contributes
+    0.
 
     ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
     correlator on ``data``, or to None where it vanishes, and is extended
-    here; ``edge_weights`` is :func:`edge_weight_table` of ``data``."""
+    here to every vertex slot of the program; ``edge_weights`` is
+    :func:`edge_weight_table` of ``data``."""
     plan = walk_plan(sk)
     if plan.reach > data.v_cutoff:
         raise ValueError(
             f"edge coefficients known to order {data.v_cutoff}, need {plan.reach}"
         )
-    genera = sk.genera
-    edges, opens, closes, still_open = plan.edges, plan.opens, plan.closes, plan.still_open
-    n_edges = len(edges)
-    labels = range(data.dimension)
-    index = [0] * len(genera)
-
-    def vertex_value(x, ks):
-        i_v = index[x]
-        key = (genera[x], i_v, tuple(sorted(ks)))
-        if key not in vertex_cache:
-            val = vertex_correlator(genera[x], key[2], data.t[i_v], data.delta[i_v], table=table)
-            vertex_cache[key] = None if val == 0 else val
-        return vertex_cache[key]
-
-    ks_at: List[List[int]] = [[] for _ in genera]
-    budget = list(plan.caps)
-    rests: dict = {}
-
-    def rest(e):
-        # sum over the indices first reached at edge e and the powers of
-        # edges e.. of their weights times the vertices they close; None
-        # when no term survives
-        v, w = edges[e]
-        fresh = opens[e]
-        closing = closes[e]
-        opened = still_open[e] if e + 1 < n_edges else None
-        acc = None
-        for chosen in product(labels, repeat=len(fresh)):
-            for x, i in zip(fresh, chosen):
-                index[x] = i
-            rows = edge_weights[index[v], index[w]]
-            for k in range(budget[v] + 1):
-                budget[v] -= k
-                ks_at[v].append(k)
-                for l, term in rows[k]:
-                    if l > budget[w]:
-                        break
-                    budget[w] -= l
-                    ks_at[w].append(l)
-                    for x in closing:
-                        val = vertex_value(x, ks_at[x])
-                        if val is None:
-                            term = None
-                            break
-                        term = term * val
-                    if term is not None and opened is not None:
-                        key = (e,) + tuple((index[x], tuple(sorted(ks_at[x]))) for x in opened)
-                        if key in rests:
-                            sub = rests[key]
-                        else:
-                            sub = rests[key] = rest(e + 1)
-                        term = None if sub is None else term * sub
-                    if term is not None:
-                        acc = term if acc is None else acc + term
-                    ks_at[w].pop()
-                    budget[w] += l
-                ks_at[v].pop()
-                budget[v] += k
-        return acc
-
-    if n_edges:
-        total = rest(0)
-    else:
-        # a connected skeleton without edges is a single vertex
-        total = None
-        for i in labels:
-            index[0] = i
-            val = vertex_value(0, ())
-            if val is not None:
-                total = val if total is None else total + val
-    # rest refers to itself: dropping the name frees its memo now, not at
-    # the next cyclic collection
-    del rest
-    if total is None:
+    # every term of a skeleton with edges has a weight: where all vanish,
+    # so does the sum, whatever the vertices (the point model's bold data
+    # has no V at all)
+    if plan.edges and not any(edge_weights.values()):
         return 0
+    program = skeleton_program(sk, data.dimension)
+    if not program.levels:
+        return 0
+    registers = list(map(edge_weights.__getitem__, program.weights))
+    for key in program.vertices:
+        if key not in vertex_cache:
+            g_v, i, ks = key
+            val = vertex_correlator(g_v, ks, data.t[i], data.delta[i], table=table)
+            vertex_cache[key] = None if val == 0 else val
+        val = vertex_cache[key]
+        registers.append(0 if val is None else val)
+    total = _replay(program.levels, registers)
     return total / sk.aut if total else total
 
 
 def edge_weight_table(data: EdgeTailData) -> dict:
     """Edge weights V^{ij}_{kl} sqrt(Delta_i) sqrt(Delta_j) for k + l <=
-    ``data.v_cutoff``: (i, j) maps to one row per k of (l, weight) pairs in
-    ascending l, with vanishing entries left out."""
+    ``data.v_cutoff``, keyed by (i, j, k, l); vanishing entries are kept
+    as the zeros they are."""
     n, cutoff, sd = data.dimension, data.v_cutoff, data.sqrt_delta
-    weights = {}
-    for i in range(n):
-        for j in range(n):
-            rows = []
-            for k in range(cutoff + 1):
-                row = []
-                for l in range(cutoff + 1 - k):
-                    v = data.v_entry(i, j, k, l)
-                    if v != 0:
-                        row.append((l, v * sd[i] * sd[j]))
-                rows.append(row)
-            weights[i, j] = rows
-    return weights
+    return {
+        (i, j, k, l): data.v_entry(i, j, k, l) * sd[i] * sd[j]
+        for i in range(n)
+        for j in range(n)
+        for k in range(cutoff + 1)
+        for l in range(cutoff + 1 - k)
+    }
 
 
 @dataclass

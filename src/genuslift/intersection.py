@@ -22,6 +22,12 @@ reduction lowers (g, n) lexicographically, so the recursion terminates.
 ``vertex_correlator`` dresses a correlator with tail insertions: the sum
 over extra tau_a legs, each weighted by a tail value T_a with T_0 = T_1 = 0,
 truncates because a_j >= 2 forces at most 3g - 3 + m - sum(edge ks) legs.
+Which legs can enter and with what rational weight depends only on the
+genus and the edge powers, never on the tail values: each table memoizes
+that list as :meth:`IntersectionTable.tail_terms`, and the correlator
+multiplies the tail values into it.  An empty list means the correlator
+vanishes for every choice of tails; the graph sum prunes such vertices
+before it sees any data.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ from math import factorial
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 IntersectionKey = Tuple[int, Tuple[int, ...]]
+TailTerms = Tuple[Tuple[Tuple[int, ...], Fraction], ...]
+
+# the value of every dimension-starved correlator, shared
+_ZERO = Fraction(0)
 
 
 def _odd_double_factorial(m: int) -> int:
@@ -55,6 +65,7 @@ class IntersectionTable:
             (0, (0, 0, 0)): Fraction(1),
             (1, (1,)): Fraction(1, 24),
         }
+        self._tails: Dict[IntersectionKey, TailTerms] = {}
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -68,7 +79,7 @@ class IntersectionTable:
         if not _stable(g, n):
             raise ValueError(f"unstable moduli space: genus {g} with {n} points")
         if sum(ks) != 3 * g - 3 + n:
-            return Fraction(0)
+            return _ZERO
         key = (g, ks)
         hit = self._cache.get(key)
         if hit is None:
@@ -110,9 +121,48 @@ class IntersectionTable:
                     s2 = tuple(x for t, x in enumerate(others) if not mask >> t & 1)
                     if not (_stable(g1, len(s1) + 1) and _stable(g2, len(s2) + 1)):
                         continue
-                    half += weight * self.value(g1, (a,) + s1) * self.value(g2, (b,) + s2)
+                    # both factors fill the table; a product with a
+                    # vanishing factor adds nothing
+                    left = self.value(g1, (a,) + s1)
+                    right = self.value(g2, (b,) + s2)
+                    if left and right:
+                        half += weight * left * right
         total += half / 2
         return total / _odd_double_factorial(2 * kmax + 1)
+
+    def tail_terms(self, g: int, edge_ks: Tuple[int, ...]) -> TailTerms:
+        """The tail sum of a genus-g vertex with edge powers ``edge_ks``,
+        before any tail value enters: one (assignment, weight) pair per
+        ascending tuple of tail legs a_j >= 2 whose correlator is nonzero,
+        with weight <tau_{edge_ks} tau_{assignment}>_g / prod(mult!), by
+        leg count and then ascending assignment.  Memoized per (g,
+        edge_ks); empty when no tail sum can make the vertex nonzero."""
+        key = (g, edge_ks)
+        if key in self._tails:
+            return self._tails[key]
+        terms = []
+        m = len(edge_ks)
+        budget = 3 * g - 3 + m - sum(edge_ks)
+        for n in range(0, max(budget, 0) + 1):
+            if not _stable(g, m + n):
+                continue
+            legs = 3 * g - 3 + m + n - sum(edge_ks)
+            if legs < 2 * n:
+                continue
+            for assignment in _ascending_tuples(n, legs, 2):
+                corr = self.value(g, edge_ks + assignment)
+                if corr == 0:
+                    continue
+                # ascending tuples stand for unordered leg sets: the 1/n! of
+                # the exponential collapses to 1/prod(multiplicities!)
+                seen = {}
+                for a in assignment:
+                    seen[a] = seen.get(a, 0) + 1
+                for c in seen.values():
+                    corr /= factorial(c)
+                terms.append((assignment, corr))
+        self._tails[key] = tuple(terms)
+        return self._tails[key]
 
     def identity_failures(self) -> list:
         """Check the string and dilaton equations against every cached entry;
@@ -162,41 +212,23 @@ def vertex_correlator(
 
     ``tails`` maps index a >= 2 to the tail value T_a (anything else is
     treated as zero).  Unstable or dimension-starved configurations return
-    0 rather than raising, so callers can sum blindly over graphs.  The
+    0 rather than raising, so callers can sum blindly over graphs.  The sum
+    runs over :meth:`IntersectionTable.tail_terms` of ``table`` in their
+    order, skipping a term with a vanishing tail value.  The
     tails and ``hbar_delta`` may be any scalars that add and multiply with
     Fractions: rationals, the kernel scalars of ``scalars``, or mpmath
     numbers, which are summed at the caller's working precision (call it
     inside the context's guard).
     """
     table = _DEFAULT_TABLE if table is None else table
-    edge_ks = tuple(int(k) for k in edge_ks)
-    m = len(edge_ks)
-    budget = 3 * g - 3 + m - sum(edge_ks)
     if isinstance(hbar_delta, int):
         hbar_delta = Fraction(hbar_delta)
     total = Fraction(0)
-    for n in range(0, max(budget, 0) + 1):
-        if not _stable(g, m + n):
+    for assignment, coeff in table.tail_terms(g, tuple(sorted(int(k) for k in edge_ks))):
+        tvals = [tails.get(a, 0) for a in assignment]
+        if any(v == 0 for v in tvals):
             continue
-        legs = 3 * g - 3 + m + n - sum(edge_ks)
-        if legs < 2 * n:
-            continue
-        for assignment in _ascending_tuples(n, legs, 2):
-            tvals = [tails.get(a, 0) for a in assignment]
-            if any(v == 0 for v in tvals):
-                continue
-            corr = table.value(g, edge_ks + assignment)
-            if corr == 0:
-                continue
-            # ascending tuples stand for unordered leg sets: the 1/n! of the
-            # exponential collapses to 1/prod(multiplicities!)
-            coeff = corr
-            seen = {}
-            for a in assignment:
-                seen[a] = seen.get(a, 0) + 1
-            for c in seen.values():
-                coeff /= factorial(c)
-            for v in tvals:
-                coeff = v * coeff
-            total = total + coeff
+        for v in tvals:
+            coeff = v * coeff
+        total = total + coeff
     return total * hbar_delta ** (g - 1)

@@ -17,6 +17,13 @@ library produces by another route:
   each skeleton, and ``evaluate_graph`` sums one of them edge by edge with
   memoized suffix sums; ``decorated_sum`` gives every graph's contribution.
   The library sums each skeleton over all labelings at once instead;
+* ``walk_skeleton_sum``: one skeleton summed over all labelings by a
+  numeric walk over its edges with memoized suffix sums, multiplying as it
+  goes; the library records that walk once per skeleton as a program and
+  replays it on the numbers;
+* ``direct_vertex_correlator``: a vertex correlator summed over its tail
+  legs straight from the intersection table; the library reads the legs
+  and their weights from the table's memoized tail terms;
 * ``mpmath_data``: kernel data taken back to mpmath numbers;
 * ``evaluate_graph_ordered``: one decorated graph's contribution by a plain
   descent over its half-edge powers, with no sharing between assignments;
@@ -51,7 +58,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import factorial
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -65,11 +72,13 @@ from genuslift.descendent import (
 )
 from genuslift.frame import CanonicalFrame
 from genuslift.frobenius import FrobeniusModel
-from genuslift.genus import edge_weight_table, genus1_one_form
+from genuslift.genus import genus1_one_form, walk_plan
 from genuslift.graphs import Skeleton, _cells, _least_form, _rows, skeletons
 from genuslift.intersection import (
+    _DEFAULT_TABLE,
     IntersectionTable,
     _ascending_tuples,
+    _stable,
     psi_intersection,
     vertex_correlator,
 )
@@ -491,7 +500,7 @@ def evaluate_graph(
 
     ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
     correlator on ``data``, or to None where it vanishes; ``edge_weights``
-    is :func:`edge_weight_table` of ``data``.  A sum over many graphs passes
+    is :func:`edge_weight_rows` of ``data``.  A sum over many graphs passes
     one of each to all of them, so each distinct vertex and edge weight is
     evaluated once; either is built here when not given.  The sum runs on
     the numbers ``data`` holds, so it shares a report's vertex cache with
@@ -558,7 +567,7 @@ def evaluate_graph(
 
     with ctx.guard():
         if edge_weights is None:
-            edge_weights = edge_weight_table(data)
+            edge_weights = edge_weight_rows(data)
         # a connected graph without edges is a single vertex
         total = rest(0) if n_edges else vertex_value(0, ())
         if total is None:
@@ -579,13 +588,215 @@ def decorated_sum(
     if vertex_cache is None:
         vertex_cache = {}
     with ctx.guard():
-        edge_weights = edge_weight_table(data)
+        edge_weights = edge_weight_rows(data)
         return [
             (graph, evaluate_graph(
                 graph, data, table, vertex_cache=vertex_cache, edge_weights=edge_weights
             ))
             for graph in enumerate_graphs(g, data.dimension)
         ]
+
+
+# -- one skeleton by the numeric walk ----------------------------------------------
+
+
+def walk_skeleton_sum(
+    sk: Skeleton,
+    data: EdgeTailData,
+    table: Optional[IntersectionTable],
+    vertex_cache: dict,
+    edge_weights: dict,
+):
+    """Contribution of one skeleton: the sum over every labeling of its
+    vertices by the ``data.dimension`` canonical indices and every half-edge
+    power assignment, divided by |Aut(skeleton)|.
+
+    By orbit-stabilizer this is the sum of the decorated graphs with this
+    skeleton, each over its own |Aut|.  The walk follows
+    :func:`walk_plan`: a vertex gets its index when the walk first reaches
+    it and is multiplied in once its last half-edge has a power, so a
+    vanishing vertex drops every later assignment.  The sum over the later
+    edges depends only on the edge reached and the (index, powers) of each
+    still-open vertex, and is computed once per such state; labelings that
+    differ only at closed vertices share it.
+
+    ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
+    correlator on ``data``, or to None where it vanishes, and is extended
+    here; ``edge_weights`` is :func:`edge_weight_rows` of ``data``."""
+    plan = walk_plan(sk)
+    if plan.reach > data.v_cutoff:
+        raise ValueError(
+            f"edge coefficients known to order {data.v_cutoff}, need {plan.reach}"
+        )
+    genera = sk.genera
+    edges, opens, closes, still_open = plan.edges, plan.opens, plan.closes, plan.still_open
+    n_edges = len(edges)
+    labels = range(data.dimension)
+    index = [0] * len(genera)
+
+    def vertex_value(x, ks):
+        i_v = index[x]
+        key = (genera[x], i_v, tuple(sorted(ks)))
+        if key not in vertex_cache:
+            val = vertex_correlator(genera[x], key[2], data.t[i_v], data.delta[i_v], table=table)
+            vertex_cache[key] = None if val == 0 else val
+        return vertex_cache[key]
+
+    ks_at: List[List[int]] = [[] for _ in genera]
+    budget = list(plan.caps)
+    rests: dict = {}
+
+    def rest(e):
+        # sum over the indices first reached at edge e and the powers of
+        # edges e.. of their weights times the vertices they close; None
+        # when no term survives
+        v, w = edges[e]
+        fresh = opens[e]
+        closing = closes[e]
+        opened = still_open[e] if e + 1 < n_edges else None
+        acc = None
+        for chosen in product(labels, repeat=len(fresh)):
+            for x, i in zip(fresh, chosen):
+                index[x] = i
+            rows = edge_weights[index[v], index[w]]
+            for k in range(budget[v] + 1):
+                budget[v] -= k
+                ks_at[v].append(k)
+                for l, term in rows[k]:
+                    if l > budget[w]:
+                        break
+                    budget[w] -= l
+                    ks_at[w].append(l)
+                    for x in closing:
+                        val = vertex_value(x, ks_at[x])
+                        if val is None:
+                            term = None
+                            break
+                        term = term * val
+                    if term is not None and opened is not None:
+                        key = (e,) + tuple((index[x], tuple(sorted(ks_at[x]))) for x in opened)
+                        if key in rests:
+                            sub = rests[key]
+                        else:
+                            sub = rests[key] = rest(e + 1)
+                        term = None if sub is None else term * sub
+                    if term is not None:
+                        acc = term if acc is None else acc + term
+                    ks_at[w].pop()
+                    budget[w] += l
+                ks_at[v].pop()
+                budget[v] += k
+        return acc
+
+    if n_edges:
+        total = rest(0)
+    else:
+        # a connected skeleton without edges is a single vertex
+        total = None
+        for i in labels:
+            index[0] = i
+            val = vertex_value(0, ())
+            if val is not None:
+                total = val if total is None else total + val
+    # rest refers to itself: dropping the name frees its memo now, not at
+    # the next cyclic collection
+    del rest
+    if total is None:
+        return 0
+    return total / sk.aut if total else total
+
+
+def edge_weight_rows(data: EdgeTailData) -> dict:
+    """Edge weights V^{ij}_{kl} sqrt(Delta_i) sqrt(Delta_j) for k + l <=
+    ``data.v_cutoff``: (i, j) maps to one row per k of (l, weight) pairs in
+    ascending l, with vanishing entries left out."""
+    n, cutoff, sd = data.dimension, data.v_cutoff, data.sqrt_delta
+    weights = {}
+    for i in range(n):
+        for j in range(n):
+            rows = []
+            for k in range(cutoff + 1):
+                row = []
+                for l in range(cutoff + 1 - k):
+                    v = data.v_entry(i, j, k, l)
+                    if v != 0:
+                        row.append((l, v * sd[i] * sd[j]))
+                rows.append(row)
+            weights[i, j] = rows
+    return weights
+
+
+def walk_skeleton_values(
+    data: EdgeTailData,
+    g: int,
+    table: Optional[IntersectionTable] = None,
+    vertex_cache: Optional[dict] = None,
+) -> List[Tuple[Skeleton, object]]:
+    """Every skeleton of genus g with its :func:`walk_skeleton_sum` on
+    ``data``, one vertex cache and one edge weight table shared by all of
+    them, in the numbers ``data`` holds."""
+    if vertex_cache is None:
+        vertex_cache = {}
+    edge_weights = edge_weight_rows(data)
+    return [
+        (sk, walk_skeleton_sum(sk, data, table, vertex_cache, edge_weights))
+        for sk in skeletons(g)
+    ]
+
+
+# -- the vertex correlator by its direct sum -------------------------------------
+
+
+def direct_vertex_correlator(
+    g: int,
+    edge_ks: Sequence[int],
+    tails,
+    hbar_delta,
+    table: Optional[IntersectionTable] = None,
+):
+    """Correlator of a single graph vertex: edge insertions tau_{k} plus the
+    tail sum, times (hbar*Delta)^(g-1).
+
+    ``tails`` maps index a >= 2 to the tail value T_a (anything else is
+    treated as zero).  Unstable or dimension-starved configurations return
+    0 rather than raising, so callers can sum blindly over graphs.  The
+    tails and ``hbar_delta`` may be any scalars that add and multiply with
+    Fractions: rationals, the kernel scalars of ``scalars``, or mpmath
+    numbers, which are summed at the caller's working precision (call it
+    inside the context's guard).
+    """
+    table = _DEFAULT_TABLE if table is None else table
+    edge_ks = tuple(int(k) for k in edge_ks)
+    m = len(edge_ks)
+    budget = 3 * g - 3 + m - sum(edge_ks)
+    if isinstance(hbar_delta, int):
+        hbar_delta = Fraction(hbar_delta)
+    total = Fraction(0)
+    for n in range(0, max(budget, 0) + 1):
+        if not _stable(g, m + n):
+            continue
+        legs = 3 * g - 3 + m + n - sum(edge_ks)
+        if legs < 2 * n:
+            continue
+        for assignment in _ascending_tuples(n, legs, 2):
+            tvals = [tails.get(a, 0) for a in assignment]
+            if any(v == 0 for v in tvals):
+                continue
+            corr = table.value(g, edge_ks + assignment)
+            if corr == 0:
+                continue
+            # ascending tuples stand for unordered leg sets: the 1/n! of the
+            # exponential collapses to 1/prod(multiplicities!)
+            coeff = corr
+            seen = {}
+            for a in assignment:
+                seen[a] = seen.get(a, 0) + 1
+            for c in seen.values():
+                coeff /= factorial(c)
+            for v in tvals:
+                coeff = v * coeff
+            total = total + coeff
+    return total * hbar_delta ** (g - 1)
 
 
 # -- kernel data on mpmath numbers ---------------------------------------------
@@ -619,7 +830,7 @@ def evaluate_graph_ordered(
 
     ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
     correlator on ``data``, or to None where it vanishes; ``edge_weights``
-    is :func:`edge_weight_table` of ``data``.  A sum over many graphs passes
+    is :func:`edge_weight_rows` of ``data``.  A sum over many graphs passes
     one of each to all of them, so each distinct vertex and edge weight is
     evaluated once; either is built here when not given."""
     nv = graph.num_vertices()
@@ -678,7 +889,7 @@ def evaluate_graph_ordered(
 
     with ctx.guard():
         if edge_weights is None:
-            edge_weights = edge_weight_table(data)
+            edge_weights = edge_weight_rows(data)
         descend(0, 1)
         return from_kernel(total / graph.aut if total else total)
 

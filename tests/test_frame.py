@@ -282,6 +282,8 @@ class TestProjectorRoute:
     oracle builds every projector matrix, takes du = trace(C_a P_i) and
     starts polyroots from its generic points."""
 
+    HIGH = FloatContext(1024)
+
     def assert_matches(self, m, point, permutation, flips):
         options = dict(permutation=permutation, sign_flips=flips)
         frame = canonical_frame(m, point, CTX, order=0, **options)
@@ -313,15 +315,30 @@ class TestProjectorRoute:
         st.tuples(TWO_PRIMARY_D.map(two_primary_model), st.tuples(odd_rationals(), NONZERO_T1)),
         st.tuples(st.just(threefold_cusp_model()), CUSP_BOX),
     ))
+    @example((threefold_cusp_model(), (Fraction(1), Fraction(1, 3), Fraction(-1, 3))))
     def test_seeded_roots_equal_unseeded(self, case):
-        # u of a conformal model is the eigenvalues themselves; the two
-        # iterations end on different last steps, so the roots agree to a few
-        # units in the last place, far below the 1e-70 of the frame fields
+        # u of a conformal model is the eigenvalues themselves.  Both routes
+        # are held to the roots at 1024 bits, within what each root's
+        # conditioning allows at the working precision: relative errors eps
+        # = 2^-prec on the terms of the characteristic polynomial, of size up
+        # to binom(N, k) s^k, move the simple root u_i by up to
+        #     eps ((s + |u_i|)^N - |u_i|^N) / prod_{j != i} |u_i - u_j|
+        # (the frame's separation test uses the same estimate), rounding u_i
+        # adds eps max(1, |u_i|), and the factor 4 allows a few roundings
+        # per coefficient; at the example point that is about 400 units in
+        # the last place
         frame, want = self.assert_matches(*case, None, None)
-        with CTX.guard():
-            ulp = mpmath.ldexp(1, -CTX.prec_bits)
-            for x, y in zip(frame.u_values(), want["u"]):
-                assert mpmath.fabs(x - y) <= 16 * ulp * max(1, mpmath.fabs(y)), (x, y)
+        exact = projector_frame(*case, self.HIGH)["u"]
+        with self.HIGH.guard():
+            eps = mpmath.ldexp(1, -CTX.prec_bits)
+            mods = [mpmath.fabs(u) for u in exact]
+            size = max([mpmath.mpf(1)] + mods)
+            n = len(exact)
+            for i, (u, mod) in enumerate(zip(exact, mods)):
+                slope = mpmath.fprod(mpmath.fabs(u - exact[j]) for j in range(n) if j != i)
+                bound = 4 * eps * (((size + mod) ** n - mod ** n) / slope + max(1, mod))
+                for got in (frame.u_values()[i], want["u"][i]):
+                    assert mpmath.fabs(got - u) <= bound, (i, got, u, bound)
 
 
 class TestDiscriminantWalk:

@@ -25,6 +25,7 @@ components are exactly (0, -1/24), which also pins the quadrature helper.
 
 import gc
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -33,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genuslift.descendent import CurvePoint, compute_calibration, descendent_frame
 from genuslift.expressions import Expression
 from genuslift.frame import canonical_frame
 from genuslift.frobenius import (
@@ -51,13 +53,16 @@ from genuslift.genus import (
     genus1_closedness_residual,
     genus1_one_form,
     graph_sum,
+    skeleton_program,
+    skeleton_values,
     walk_plan,
     wick_oracle,
 )
 from genuslift.graphs import skeletons
 from genuslift.intersection import vertex_correlator
+from genuslift.io import format_value
 from genuslift.rmatrix import EdgeTailData, edge_tail_data
-from genuslift.scalars import FloatContext
+from genuslift.scalars import FloatContext, GaussianFixed, from_kernel
 from genuslift.series import Caps, TruncatedSeries
 import oracles
 from oracles import (
@@ -76,6 +81,8 @@ from oracles import (
 
 CTX = FloatContext()
 TIGHT = mpmath.mpf("1e-60")
+POINT = point_model()
+POINT_CAL = compute_calibration(POINT, order=9)
 
 
 def synthetic_data(n, g, seed):
@@ -381,6 +388,126 @@ class TestSkeletonSum:
                 assert set(plan.opens[e]) == {v, w} - earlier
                 assert set(plan.closes[e]) == {v, w} - later
                 assert set(plan.still_open[e]) == (earlier | {v, w}) & later
+
+
+class TestSkeletonProgram:
+    """Each skeleton's recorded program replayed on the numbers, against
+    the numeric walk it was recorded from (``oracles.walk_skeleton_sum``):
+    the same products and sums in the same order, so the values agree bit
+    for bit on kernel data and exactly on rationals."""
+
+    @staticmethod
+    def bits(x):
+        """A number with everything that fixes it: a kernel scalar's scale
+        and parts, any other number's type and value."""
+        if isinstance(x, GaussianFixed):
+            return type(x).shift, type(x).prec, x.re, x.im
+        return type(x), x
+
+    def assert_replays_walk(self, data, g):
+        cache, walked = {}, {}
+        replayed = skeleton_values(data, g, None, cache)
+        reference = oracles.walk_skeleton_values(data, g, None, walked)
+        assert [sk for sk, _ in replayed] == [sk for sk, _ in reference] == list(skeletons(g))
+        for (_, got), (_, want) in zip(replayed, reference):
+            if want == 0:
+                # the walk drops a vanishing term, the replay multiplies it
+                # in as the exact 0 it is
+                assert got == 0
+            else:
+                assert self.bits(got) == self.bits(want)
+        return cache, walked
+
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("d", [Fraction(1, 2), Fraction(1, 3)])
+    def test_two_primary_kernel_data(self, d, g):
+        _, r = frame_and_R(two_primary_model(d), (Fraction(2, 7), Fraction(3, 5)), CTX, 3 * g - 3)
+        data = edge_tail_data(r)
+        # one sqrt(Delta_i) is imaginary here, so half of V is complex
+        assert any(x.im for x in data.v.values())
+        cache, walked = self.assert_replays_walk(data, g)
+        # the same vertex correlators, vanishing ones marked alike
+        assert cache.keys() == walked.keys()
+        for key, value in cache.items():
+            assert (value is None) == (walked[key] is None)
+
+    def test_cusp_kernel_data(self):
+        # F^2 of the cusp vanishes, so a wrong N = 3 sum would hide in the
+        # total; compare every skeleton instead
+        _, r = frame_and_R(
+            threefold_cusp_model(), (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2)), CTX, 3
+        )
+        self.assert_replays_walk(edge_tail_data(r), 2)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_point_model_bold_data(self, g):
+        tau = CurvePoint(((Fraction(1, 50),), (Fraction(1, 40),), (Fraction(1, 30),)))
+        bold = descendent_frame(POINT, POINT_CAL, tau, CTX, order=3 * g - 3)
+        self.assert_replays_walk(bold.data, g)
+
+    @pytest.mark.parametrize("g, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+    def test_exact_on_rationals(self, g, n):
+        data = synthetic_data(n, g, seed=900 + 10 * g + n)
+        for (_, got), (_, want) in zip(
+            skeleton_values(data, g, None, {}), oracles.walk_skeleton_values(data, g)
+        ):
+            assert isinstance(got, (int, Fraction))
+            assert got == want
+
+    @staticmethod
+    def with_zeros(data, zero):
+        """``data`` with exact zeros planted: V^{ij}_{00} for all i, j, and
+        T_2 and T_4 at index 0."""
+        v = {key: zero if key[2] == key[3] == 0 else x for key, x in data.v.items()}
+        t = [dict(tails) for tails in data.t]
+        t[0][2] = t[0][4] = zero
+        return replace(data, v=v, t=t)
+
+    @pytest.mark.parametrize("zeros_first", [False, True])
+    def test_programs_do_not_depend_on_data_zeros(self, zeros_first):
+        # the program records only structure: recorded on generic data it
+        # replays data with planted zeros exactly, and the reverse
+        rational = synthetic_data(2, 3, seed=17)
+        point = (Fraction(2, 7), Fraction(3, 5))
+        _, r = frame_and_R(two_primary_model(Fraction(1, 2)), point, CTX, 6)
+        kernel = edge_tail_data(r)
+        zero = type(kernel.delta[0])(0, 0)
+        for generic, planted in ((rational, self.with_zeros(rational, Fraction(0))),
+                                 (kernel, self.with_zeros(kernel, zero))):
+            skeleton_program.cache_clear()
+            for data in (planted, generic) if zeros_first else (generic, planted):
+                self.assert_replays_walk(data, 3)
+            # the planted zeros vanish some skeletons, not all
+            vanished = [val == 0 for _, val in oracles.walk_skeleton_values(planted, 3)]
+            assert any(vanished) and not all(vanished)
+
+    def test_vanishing_skeleton_renders_zero(self):
+        point = (Fraction(2, 7), Fraction(3, 5))
+        _, r = frame_and_R(two_primary_model(Fraction(1, 2)), point, CTX, 3)
+        data = edge_tail_data(r)
+        # without edge coefficients only the edge-free skeleton survives
+        data = replace(data, v={key: type(x)(0, 0) for key, x in data.v.items()})
+        report = graph_sum(data, 2)
+        cache = {}
+        walked = oracles.walk_skeleton_values(data, 2, None, cache)
+        # like the walk, the sum reads no vertex of a skeleton with edges
+        assert report.vertex_cache.keys() == cache.keys()
+        for (sk, got), (_, want) in zip(report.contributions, walked):
+            rendered = format_value(CTX.chop(got), CTX)
+            assert rendered == format_value(CTX.chop(from_kernel(want)), CTX)
+            assert (rendered == "0.0") == (sk.adjacency != ((0,),))
+
+    @pytest.mark.parametrize("g, n", [(2, 3), (3, 2)])
+    def test_program_is_recorded_once(self, g, n):
+        for sk in skeletons(g):
+            program = skeleton_program(sk, n)
+            assert skeleton_program(sk, n) is program
+            # every register an operand reads exists before it is read
+            inputs = len(program.weights) + len(program.vertices)
+            for arity, counts, operands in program.levels:
+                assert len(operands) == arity * sum(counts)
+                assert max(operands) < inputs
+                inputs += len(counts)
 
 
 class TestExactZeros:

@@ -3,7 +3,8 @@
 Low cases are checked against hand derivations (string/dilaton chains from
 the two seeds) and against three independent closed forms: the genus-0
 multinomial (n-3)!/prod(d_i!), the one-point tower <tau_{3g-2}>_g =
-1/(24^g g!), and the published two-point genus-3 values.
+1/(24^g g!), and the published two-point genus-3 values.  The correlator's
+memoized tail terms are checked against the direct sum over tail legs.
 """
 
 import math
@@ -15,10 +16,12 @@ import pytest
 
 from genuslift.intersection import (
     IntersectionTable,
+    _ascending_tuples,
     psi_intersection,
     vertex_correlator,
 )
 from genuslift.scalars import FloatContext
+from oracles import direct_vertex_correlator
 
 CTX = FloatContext()
 
@@ -145,3 +148,69 @@ class TestVertexCorrelator:
         got = vertex_correlator(0, (0, 0, 0, 0), {2: Fraction(3)}, Fraction(1), table=table)
         assert got == Fraction(3) * table.value(0, (0, 0, 0, 0, 2))
         assert table.value(0, (0, 0, 0, 0, 2)) == Fraction(1)
+
+
+def _tail_cases(rng):
+    """(g, sorted edge powers) for every vertex a genus <= 4 graph can
+    carry, with tails T_2 .. T_10 of which some are missing and some 0."""
+    for g in range(5):
+        for m in range(7):
+            if 2 * g - 2 + m <= 0:
+                continue
+            cap = 3 * g - 3 + m
+            for ks in _ascending_tuples(m, rng.randint(0, max(cap, 0)), 0):
+                keep = rng.sample(range(2, 11), rng.randint(0, 9))
+                tails = {
+                    a: rng.choice([Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 7))])
+                    for a in keep
+                }
+                yield g, ks, tails
+
+
+class TestTailTerms:
+    """The correlator over a table's memoized tail terms, against the
+    direct sum over tail legs it replaced (``oracles.direct_vertex_correlator``)."""
+
+    def test_exact_on_rationals(self):
+        rng = random.Random(20261019)
+        # the terms fill a table of their own, the direct sum reads another
+        fresh, reference = IntersectionTable(), IntersectionTable()
+        cases = list(_tail_cases(rng))
+        assert len(cases) > 100
+        for g, ks, tails in cases:
+            hbar_delta = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            got = vertex_correlator(g, ks, tails, hbar_delta, table=fresh)
+            want = direct_vertex_correlator(g, ks, tails, hbar_delta, table=reference)
+            assert got == want
+        assert fresh.identity_failures() == []
+
+    def test_bit_identical_on_kernel_scalars(self):
+        rng = random.Random(1019)
+        for g, ks, tails in _tail_cases(rng):
+            with CTX.guard():
+                # rotate each tail by a random eighth of a turn
+                values = [
+                    CTX.num(x) * mpmath.expjpi(mpmath.mpf(rng.randint(0, 7)) / 4)
+                    for x in tails.values()
+                ]
+            hbar_delta, *scalars = CTX.to_kernel([mpmath.mpc(3, -1) / 7, *values])
+            kernel = dict(zip(tails, scalars))
+            got = vertex_correlator(g, ks, kernel, hbar_delta)
+            want = direct_vertex_correlator(g, ks, kernel, hbar_delta)
+            assert type(got) is type(want)
+            assert (got.re, got.im) == (want.re, want.im)
+
+    def test_fresh_table_fills_its_own_terms(self):
+        table = IntersectionTable()
+        # powers past 3g - 3 + m, or an unstable vertex, leave no leg
+        assert table.tail_terms(2, (5,)) == table.tail_terms(0, (0, 0)) == ()
+        terms = table.tail_terms(2, ())
+        assert table.tail_terms(2, ()) is terms
+        assert [legs for legs, _ in terms] == [(4,), (2, 3), (2, 2, 2)]
+        assert [weight for _, weight in terms] == [
+            table.value(2, (4,)), table.value(2, (2, 3)), table.value(2, (2, 2, 2)) / 6
+        ]
+        # each table keeps its own terms
+        other = IntersectionTable()
+        assert other.tail_terms(2, ()) == terms and other.tail_terms(2, ()) is not terms
+        assert table.identity_failures() == []

@@ -16,9 +16,12 @@ one-point descendent correlators, and the two-point functions come from the
 
     g/(z+w) + sum W_{ml} z^{-m-1} w^{-l-1}  "="  S^T(1/z) g S(1/w) / (z+w),
 
-which in coefficients reads W_{ml} = sum_{i=0..l} (-1)^i N_{m+1+i, l-i} with
-N_{ab} = S_a^T g S_b.  Unitarity S*(-1/z) S(1/z) = 1 makes the division
-exact.
+Write N_{ab} = S_a^T g S_b.  In x = 1/z and y = 1/w the sum over W is
+x y [N(x, y) - g]/(x + y), so W_{ml} is the quotient entry Q_{ml} of the
+division ``rmatrix._divide`` that also gives V:
+W_{ml} = sum_{i=0..m} (-1)^i N_{m-i, l+1+i}.  Unitarity
+S*(-1/z) S(1/z) = 1 makes the division exact; its remainder is the
+unitarity residual of :meth:`Calibration.unitarity_residual`.
 
 A curve-space point tau = t_0 + t_1 c + ... + t_K c^K maps to the manifold
 through the critical point t(tau) of (t_0, t) + <tau(c) - c, 1>', solved
@@ -67,8 +70,8 @@ from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
 from .genus import _STENCIL, GenusReport, frame_and_R, genus1_differential, graph_sum
 from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
-from .linalg import det, identity, mat_add, mat_inv, mat_mul, mat_scale, mat_vec, transpose
-from .rmatrix import EdgeTailData, RSeries, compute_R, compute_V
+from .linalg import det, identity, mat_inv, mat_mul, mat_scale, mat_vec, transpose
+from .rmatrix import EdgeTailData, RSeries, _divide, compute_R, compute_V
 from .scalars import EXACT, Context, FloatContext
 
 
@@ -132,23 +135,15 @@ class Calibration:
         return out
 
     def unitarity_residual(self, point, ctx: FloatContext):
-        """max_k |coefficient of z^{-k} in S*(-1/z) S(1/z) - 1| at a point."""
-        n = self.dimension
+        """max_k |coefficient of z^{-k} in S*(-1/z) S(1/z) - 1| at a point,
+        S* = g^{-1} S^T g.  That coefficient is (-1)^k g^{-1} times the z^k
+        remainder of the division of :func:`_two_point_tables`."""
         with ctx.guard():
             svals = self.s_values(point, ctx)
             g = [[ctx.num(x) for x in row] for row in self.model.metric]
             ginv = [[ctx.num(x) for x in row] for row in self.model.metric_inverse]
-            adj = [mat_mul(ginv, mat_mul(transpose(s), g)) for s in svals]
-            worst = ctx.num(0)
-            for k in range(1, self.order + 1):
-                acc = mat_mul(adj[0], svals[k])
-                for a in range(1, k + 1):
-                    term = mat_mul(adj[a], svals[k - a])
-                    acc = mat_add(acc, mat_scale(term, -1) if a % 2 else term)
-                for row in acc:
-                    for x in row:
-                        worst = max(worst, mpmath.fabs(x))
-            return worst
+            _, remainders = _divide(_pairings(svals, g, self.order), self.order, -1, g)
+            return ctx.max_abs(x for rem in remainders for row in mat_mul(ginv, rem) for x in row)
 
 
 def compute_calibration(model: FrobeniusModel, base=None, order: int = 6) -> Calibration:
@@ -340,22 +335,32 @@ def critical_point(
 # -- genus 0 ----------------------------------------------------------------------
 
 
+def _pairings(svals, gmat, order: int) -> Dict[Tuple[int, int], list]:
+    """The table N_ab = S_a^T g S_b for a + b <= ``order``."""
+    gs = [mat_mul(gmat, s) for s in svals[: order + 1]]
+    return {
+        (a, b): mat_mul(transpose(svals[a]), gs[b])
+        for a in range(order + 1)
+        for b in range(order + 1 - a)
+    }
+
+
 def _two_point_tables(svals, gmat, kmax: int) -> Dict[Tuple[int, int], list]:
-    """W_{ml} = sum_{i<=l} (-1)^i N_{m+1+i, l-i}, N_{ab} = S_a^T g S_b.
+    """W_{ml} for m, l <= ``kmax``: the coefficient of z^{-m-1} w^{-l-1} in
+    [S^T(1/z) g S(1/w) - g]/(z + w).  In x = 1/z, y = 1/w that is
+    x y [N(x, y) - g]/(x + y) with N_ab = S_a^T g S_b, so W_{ml} is the
+    quotient entry Q_{ml} of :func:`rmatrix._divide`, which returns it
+    times (-1)^{m+l}.
 
     Ring-generic: entries may be floats or truncated series."""
-    nmats = {}
-    for a in range(1, 2 * kmax + 2):
-        for b in range(0, min(kmax, 2 * kmax + 1 - a) + 1):
-            nmats[(a, b)] = mat_mul(transpose(svals[a]), mat_mul(gmat, svals[b]))
+    order = 2 * kmax + 1
+    quotient, _ = _divide(_pairings(svals, gmat, order), order, 2 * kmax, gmat)
+    n = len(gmat)
     tables = {}
     for m in range(kmax + 1):
         for l in range(kmax + 1):
-            acc = nmats[(m + 1, l)]
-            for i in range(1, l + 1):
-                term = nmats[(m + 1 + i, l - i)]
-                acc = mat_add(acc, mat_scale(term, -1) if i % 2 else term)
-            tables[(m, l)] = acc
+            mat = [[quotient.get((i, j, m, l), 0) for j in range(n)] for i in range(n)]
+            tables[(m, l)] = mat if (m + l) % 2 == 0 else mat_scale(mat, -1)
     return tables
 
 

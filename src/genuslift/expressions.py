@@ -23,6 +23,7 @@ import json
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
+from .graphs import _bounded
 from .scalars import Context, format_rational, parse_rational
 from .series import Caps, TruncatedSeries
 
@@ -388,17 +389,6 @@ def _power(p, k: int, ctx: Context):
 
 
 def _multi_indices(n: int, order: int):
-    if n == 0:
-        yield ()
-        return
+    """Exponent tuples of length n by total degree up to ``order``."""
     for total in range(order + 1):
-        yield from _fixed_total(n, total)
-
-
-def _fixed_total(n: int, total: int):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _fixed_total(n - 1, total - first):
-            yield (first,) + rest
+        yield from _bounded(total, (total,) * n)

@@ -482,14 +482,21 @@ def skeleton_sum(
         return 0
     registers = list(map(edge_weights.__getitem__, program.weights))
     for key in program.vertices:
-        if key not in vertex_cache:
-            g_v, i, ks = key
-            val = vertex_correlator(g_v, ks, data.t[i], data.delta[i], table=table)
-            vertex_cache[key] = None if val == 0 else val
-        val = vertex_cache[key]
+        val = _cached_vertex(key, data, table, vertex_cache)
         registers.append(0 if val is None else val)
     total = _replay(program.levels, registers)
     return total / sk.aut if total else total
+
+
+def _cached_vertex(key, data: EdgeTailData, table: Optional[IntersectionTable], vertex_cache: dict):
+    """The vertex correlator of slot ``key`` = (g_v, i_v, sorted edge
+    powers) on ``data`` from ``vertex_cache``, None where it vanishes; a
+    missing slot is computed and added."""
+    if key not in vertex_cache:
+        g_v, i, ks = key
+        val = vertex_correlator(g_v, ks, data.t[i], data.delta[i], table=table)
+        vertex_cache[key] = None if val == 0 else val
+    return vertex_cache[key]
 
 
 def edge_weight_table(data: EdgeTailData) -> dict:
@@ -703,11 +710,7 @@ def _log_tau_layers(
                     for ks in _ascending_tuples(m, s, 0):
                         if ks and ks[-1] > kq:
                             continue
-                        key = (g_v, i, ks)
-                        if key not in vertex_cache:
-                            val = vertex_correlator(g_v, ks, data.t[i], data.delta[i], table=table)
-                            vertex_cache[key] = None if val == 0 else val
-                        coeff = vertex_cache[key]
+                        coeff = _cached_vertex((g_v, i, ks), data, table, vertex_cache)
                         if coeff is None:
                             continue
                         denom = 1

@@ -34,6 +34,13 @@ Then with P = (1/2) sum v_kl d_{Q_k} d_{Q_l},
 ``lemma_components`` computes (v, Qtilde) for numeric a, and
 ``hodge_lemma_residual`` checks the identity coefficient by coefficient
 as an equality of truncated series.
+
+The quotient is the division of ``rmatrix._divide`` on the 1 x 1 table
+N_pq = e_p e_q of the coefficients of E(z) = exp{sum a_k z^{2k-1}}, which
+returns (-1)^{k+l} Q_kl, the sign v carries.  So v and Qtilde are the edge
+and tail data of the one-dimensional R(z) = E(z): on the point model,
+``twist_R`` of R = 1 by a gives V^{00}_{kl} = v_kl, and its tails
+T_k = (-1)^k e_{k-1} are the constants of Qtilde_k for k >= 2.
 """
 
 from __future__ import annotations
@@ -44,8 +51,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
-from .rmatrix import bernoulli_numbers
-from .series import Caps, TruncatedSeries, singular_quotient
+from .rmatrix import _divide, bernoulli_numbers
+from .series import Caps, TruncatedSeries
 
 __all__ = [
     "HodgeParameters",
@@ -306,27 +313,26 @@ def hodge_lambda(s: HodgeParameters, truncation: HodgeTruncation,
 def _closed_form(terms, zcap: int, q_index: int, extra: Sequence[Tuple[str, int]] = ()):
     """v and Qtilde for the exponent sum of c z^p x^key over ``terms``.
 
-    The ring is (z, w) to degree ``zcap`` in each, plus the ``extra``
-    variables x (name, degree); ``key`` is a monomial in x.  The quotient
-    (E(z)E(w) - 1)/(z + w), E(z) = exp(exponent), gives v, and E(z) gives
-    the coupling change.  Entries come back as dicts over x-exponent keys:
-    v[(k, l)] is v_kl, and Qtilde_k = consts[k] + sum_j matrix[k][j] Q_j
-    for k <= q_index.
+    E(z) = exp(exponent) is expanded to z^zcap over the ``extra`` variables
+    x (name, degree); ``key`` is a monomial in x.  Its coefficients e_p,
+    series in x, give the coupling change, and the products
+    N_pq = e_p e_q (zero past z^zcap or w^zcap) give v through the 1 x 1
+    division (E(z)E(w) - 1)/(z + w) of ``rmatrix._divide``.  Entries come
+    back as dicts over x-exponent keys: v[(k, l)] is v_kl, and
+    Qtilde_k = consts[k] + sum_j matrix[k][j] Q_j for k <= q_index.
     """
     names = tuple(nm for nm, _ in extra)
-    ring = Caps.box(("z", "w") + names, maxs={"z": zcap, "w": zcap, **dict(extra)})
-    e_z = TruncatedSeries(ring, {(p, 0) + key: c for p, c, key in terms}).exp()
-    e_w = TruncatedSeries(ring, {(0, p) + key: c for p, c, key in terms}).exp()
-    quotient, _ = singular_quotient(e_z * e_w - 1, "z", "w")
-
-    v: Dict[Tuple[int, int], Dict[Tuple[int, ...], Fraction]] = {}
-    for key, val in quotient.c.items():
-        k, l = key[:2]
-        v.setdefault((k, l), {})[key[2:]] = val if (k + l) % 2 == 0 else -val
-
-    e: List[Dict[Tuple[int, ...], Fraction]] = [dict() for _ in range(zcap + 1)]
+    ring = Caps.box(("z",) + names, maxs={"z": zcap, **dict(extra)})
+    e_z = TruncatedSeries(ring, {(p,) + key: c for p, c, key in terms}).exp()
+    order = 2 * zcap
+    xring = Caps.box(names, maxs=dict(extra))
+    e = [TruncatedSeries(xring) for _ in range(order + 1)]
     for key, val in e_z.c.items():
-        e[key[0]][key[2:]] = val
+        e[key[0]].c[key[1:]] = val
+    products = {(p, q): [[e[p] * e[q]]] for p in range(order + 1) for q in range(order + 1 - p)}
+    quotient, _ = _divide(products, order, order - 1, [[1]])
+    # the quotient already carries the sign of v: (-1)^{k+l} Q_kl
+    v = {(k, l): entry.c for (_, _, k, l), entry in quotient.items() if entry.c}
 
     consts: List[Dict[Tuple[int, ...], Fraction]] = []
     matrix: List[List[Dict[Tuple[int, ...], Fraction]]] = []
@@ -335,7 +341,7 @@ def _closed_form(terms, zcap: int, q_index: int, extra: Sequence[Tuple[str, int]
         sk = 1 if k % 2 == 0 else -1
         const = {}
         if 1 <= k <= zcap + 1:
-            const = {sq: sk * val for sq, val in e[k - 1].items()}
+            const = {sq: sk * val for sq, val in e[k - 1].c.items()}
         if k == 1:
             base = const.get(zero_x, Fraction(0)) - sk
             if base:
@@ -345,7 +351,7 @@ def _closed_form(terms, zcap: int, q_index: int, extra: Sequence[Tuple[str, int]
         row = []
         for j in range(k + 1):
             sj = sk * (1 if j % 2 == 0 else -1)
-            row.append({sq: sj * val for sq, val in e[k - j].items()} if k - j <= zcap else {})
+            row.append({sq: sj * val for sq, val in e[k - j].c.items()} if k - j <= zcap else {})
         consts.append(const)
         matrix.append(row)
     return v, consts, matrix

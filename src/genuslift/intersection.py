@@ -108,6 +108,15 @@ class IntersectionTable:
             for t in range(d, d + nop + 1):
                 coeff *= 2 * t + 1
             total += coeff * self.value(g, others[:j] + (d + nop,) + others[j + 1:])
+        # the ordered splits S_1 + S_2 of the other insertions, shared by
+        # every (a, g1) below
+        splits = [
+            (
+                tuple(x for t, x in enumerate(others) if mask >> t & 1),
+                tuple(x for t, x in enumerate(others) if not mask >> t & 1),
+            )
+            for mask in range(1 << len(others))
+        ]
         half = Fraction(0)
         for a in range(nop):
             b = nop - 1 - a
@@ -116,9 +125,7 @@ class IntersectionTable:
                 half += weight * self.value(g - 1, others + (a, b))
             for g1 in range(g + 1):
                 g2 = g - g1
-                for mask in range(1 << len(others)):
-                    s1 = tuple(x for t, x in enumerate(others) if mask >> t & 1)
-                    s2 = tuple(x for t, x in enumerate(others) if not mask >> t & 1)
+                for s1, s2 in splits:
                     if not (_stable(g1, len(s1) + 1) and _stable(g2, len(s2) + 1)):
                         continue
                     # both factors fill the table; a product with a

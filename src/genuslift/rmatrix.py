@@ -66,6 +66,18 @@ Q_{k,l} = N_{k,l+1} - Q_{k-1,l+1} (Q_{-1,.} = 0) and V^{ij}_{kl} =
 (-1)^{k+l} Q^{ij}_{kl}.  The remainder of the division is
 N(z, -z) - delta = sum_m z^m (sum_{p+q=m} (-1)^q N_pq - delta_{m,0}),
 which is exactly the unitarity residual, so one table of N_pq feeds both.
+
+That division, :func:`_divide`, is the package's one division by z + w.
+It takes any table of matrices N_pq over any ring and the unit to
+subtract, and serves:
+
+* V and the unitarity of R (N_pq = R_p R_q^T, unit 1);
+* the genus-0 two-point descendents W and the unitarity of the
+  calibration S (``descendent``: N_pq = S_p^T g S_q in 1/z and 1/w,
+  unit g);
+* the propagator v of the Hodge-twisted point (``hodge``: the 1 x 1
+  N_pq = e_p e_q of E(z) = exp sum a_k z^{2k-1}, unit 1).  That is V of
+  R(z) = E(z), and its tails T are the constants of Qtilde.
 """
 
 from __future__ import annotations
@@ -79,7 +91,7 @@ import mpmath
 
 from .expressions import _multi_indices, t_names
 from .frame import CanonicalFrame, DegenerateFrameError
-from .linalg import mat_add, mat_mul, transpose
+from .linalg import identity, mat_add, mat_mul, transpose
 from .scalars import FloatContext
 from .series import Caps, TruncatedSeries
 
@@ -374,8 +386,8 @@ def unitarity_residual(r: RSeries, remainders: list | None = None) -> object:
     m <= order: the remainder of the division of :func:`compute_V`, which
     passes its ``remainders`` (:func:`_divide`)."""
     if remainders is None:
-        remainders = _divide(r, _products(r), -1)[1]
-    return r.frame.ctx.max_abs(remainders)
+        remainders = _divide(_products(r), r.order, -1, identity(r.dimension, 1, 0))[1]
+    return r.frame.ctx.max_abs([x for mat in remainders for row in mat for x in row])
 
 
 def _products(r: RSeries) -> Dict[Tuple[int, int], list]:
@@ -542,7 +554,7 @@ def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
         cutoff = r.order - 1
     if cutoff > r.order - 1:
         raise ValueError("V cutoff exceeds the trustworthy range of R")
-    table, remainders = _divide(r, _products(r), cutoff)
+    table, remainders = _divide(_products(r), r.order, cutoff, identity(r.dimension, 1, 0))
     asymmetry = [v - table.get((j, i, l, k), 0) for (i, j, k, l), v in table.items()]
     residuals = {"v_symmetry": r.frame.ctx.max_abs(asymmetry)}
     if r.cross_residual is not None:
@@ -551,25 +563,28 @@ def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
     return table, residuals
 
 
-def _divide(r: RSeries, products: dict, cutoff: int) -> Tuple[Dict, list]:
-    """Divide sum N_pq z^p w^q - delta by z + w through total degree
-    ``r.order``: the quotient entries V^{ij}_{kl} with k + l <= ``cutoff``
-    (nonzero ones only) and every entry of the remainder, N(z, -z) - delta,
-    whose z^m coefficient is N_{m,0} - Q_{m-1,0}."""
-    n = r.dimension
+def _divide(products: dict, order: int, cutoff: int, unit) -> Tuple[Dict, list]:
+    """Divide sum N_pq z^p w^q - ``unit`` by z + w through total degree
+    ``order``, for a table ``products`` of matrices N_pq (p + q <= order)
+    over any ring.  Returns the entries (-1)^{k+l} Q^{ij}_{kl} of the
+    quotient with k + l <= ``cutoff`` (the nonzero ones, keyed (i, j, k,
+    l)), from Q_{k,l} = N_{k,l+1} - Q_{k-1,l+1}, and the remainder
+    N(z, -z) - ``unit`` as one matrix per power of z, whose z^m entry is
+    N_{m,0} - Q_{m-1,0}."""
+    n = len(unit)
     table: Dict[Tuple[int, int, int, int], object] = {}
-    remainders = []
+    remainders = [[[None] * n for _ in range(n)] for _ in range(order + 1)]
     for i in range(n):
         for j in range(n):
-            remainders.append(products[0, 0][i][j] - (1 if i == j else 0))
-            for m in range(1, r.order + 1):
+            remainders[0][i][j] = products[0, 0][i][j] - unit[i][j]
+            for m in range(1, order + 1):
                 quot = 0  # Q_{k-1,l+1}, zero at k = 0
                 for k in range(m):
                     entry = products[(k, m - k)][i][j]
                     quot = entry - quot if quot or quot != 0 else entry
                     if m <= cutoff + 1 and (quot or quot != 0):
                         table[(i, j, k, m - 1 - k)] = quot if m % 2 else -quot
-                remainders.append(products[m, 0][i][j] - quot)
+                remainders[m][i][j] = products[m, 0][i][j] - quot
     return table, remainders
 
 

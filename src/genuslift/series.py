@@ -17,6 +17,9 @@ bounds ``sum(w_i * k_i) <= b``.  Weighted bounds with mixed-sign weights are
 what make exponentials of Laurent series terminate (e.g. a grading in which
 every retained monomial has positive weight).
 
+Division by z + w is not a series operation here: ``rmatrix._divide``
+divides tables of coefficients, whose entries may be truncated series.
+
 Products prune pairs before forming them: a weighted degree is linear, so
 the degree of a product key is the sum of its factors' degrees, and
 :meth:`TruncatedSeries.__mul__` walks the inner operand in ascending degree
@@ -359,54 +362,3 @@ class TruncatedSeries:
                     term = term * ctx.num(x) ** k
             total = total + term
         return total
-
-
-def singular_quotient(
-    num: TruncatedSeries, zname: str, wname: str
-) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """Divide ``num`` by ``(z + w)``, treating it as a polynomial in ``w``.
-
-    Returns ``(quotient, remainder)`` with ``num = (z+w) * quotient +
-    remainder`` and the remainder independent of ``w``.  The remainder is
-    the numerator on the antidiagonal ``w = -z``; when the numerator
-    vanishes there it is zero up to the working truncation.
-
-    If the numerator is trusted to total degree ``K`` in ``(z, w)``, the
-    quotient's coefficients are trustworthy to total degree ``K - 1``.
-    """
-    zi = num.caps.index(zname)
-    wi = num.caps.index(wname)
-    if not num.c:
-        return TruncatedSeries.zero(num.caps), TruncatedSeries.zero(num.caps)
-    wmax = max(k[wi] for k in num.c)
-    if min(k[wi] for k in num.c) < 0 or min((k[zi] for k in num.c), default=0) < 0:
-        raise ValueError("singular_quotient needs nonnegative exponents in z and w")
-
-    def wslice(m: int) -> Dict[Key, object]:
-        return {k[:wi] + (0,) + k[wi + 1 :]: v for k, v in num.c.items() if k[wi] == m}
-
-    def zshift(d: Dict[Key, object]) -> Dict[Key, object]:
-        return {k[:zi] + (k[zi] + 1,) + k[zi + 1 :]: v for k, v in d.items()}
-
-    def wlift(d: Dict[Key, object], m: int) -> Dict[Key, object]:
-        return {k[:wi] + (m,) + k[wi + 1 :]: v for k, v in d.items()}
-
-    def dsub(a: Dict[Key, object], b: Dict[Key, object]) -> Dict[Key, object]:
-        out = dict(a)
-        for k, v in b.items():
-            w = out.get(k, 0) - v
-            if w or w != 0:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        return out
-
-    q_parts: Dict[Key, object] = {}
-    qm: Dict[Key, object] = {}
-    for m in range(wmax, 0, -1):
-        qm = dsub(wslice(m), zshift(qm)) if m < wmax else wslice(m)
-        q_parts.update(wlift(qm, m - 1))
-    remainder_terms = dsub(wslice(0), zshift(qm))
-    quotient = TruncatedSeries(num.caps, q_parts)
-    remainder = TruncatedSeries(num.caps, remainder_terms)
-    return quotient, remainder

@@ -34,6 +34,9 @@ library produces by another route:
   model by Euler homogeneity, and V, T, Delta and sqrt(Delta) from it, on
   mpmath numbers at working precision; the library runs the same steps on
   fixed-point kernel scalars;
+* ``singular_quotient``: a two-variable series divided by z + w as a
+  polynomial in w; the library divides by z + w only on tables of
+  coefficients (``rmatrix._divide``);
 * ``compute_V_series``: the edge coefficients V^{ij}_{kl} by building the
   numerator sum_s R(z)^i_s R(w)^j_s - delta_ij as a two-variable series and
   dividing it by z + w with ``singular_quotient``; its remainder is reported
@@ -85,7 +88,7 @@ from genuslift.intersection import (
 from genuslift.linalg import charpoly, identity, mat_mul, trace, transpose
 from genuslift.rmatrix import EdgeTailData, RSeries, unitarity_residual
 from genuslift.scalars import EXACT, Context, FloatContext, from_kernel
-from genuslift.series import Caps, TruncatedSeries, singular_quotient
+from genuslift.series import Caps, Key, TruncatedSeries
 
 _EPS = "e"
 
@@ -1120,6 +1123,57 @@ def mpc_edge_tail_data(frame: CanonicalFrame, mats: list) -> EdgeTailData:
 
 
 # -- edge coefficients by series division ----------------------------------------
+
+
+def singular_quotient(
+    num: TruncatedSeries, zname: str, wname: str
+) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Divide ``num`` by ``(z + w)``, treating it as a polynomial in ``w``.
+
+    Returns ``(quotient, remainder)`` with ``num = (z+w) * quotient +
+    remainder`` and the remainder independent of ``w``.  The remainder is
+    the numerator on the antidiagonal ``w = -z``; when the numerator
+    vanishes there it is zero up to the working truncation.
+
+    If the numerator is trusted to total degree ``K`` in ``(z, w)``, the
+    quotient's coefficients are trustworthy to total degree ``K - 1``.
+    """
+    zi = num.caps.index(zname)
+    wi = num.caps.index(wname)
+    if not num.c:
+        return TruncatedSeries.zero(num.caps), TruncatedSeries.zero(num.caps)
+    wmax = max(k[wi] for k in num.c)
+    if min(k[wi] for k in num.c) < 0 or min((k[zi] for k in num.c), default=0) < 0:
+        raise ValueError("singular_quotient needs nonnegative exponents in z and w")
+
+    def wslice(m: int) -> Dict[Key, object]:
+        return {k[:wi] + (0,) + k[wi + 1 :]: v for k, v in num.c.items() if k[wi] == m}
+
+    def zshift(d: Dict[Key, object]) -> Dict[Key, object]:
+        return {k[:zi] + (k[zi] + 1,) + k[zi + 1 :]: v for k, v in d.items()}
+
+    def wlift(d: Dict[Key, object], m: int) -> Dict[Key, object]:
+        return {k[:wi] + (m,) + k[wi + 1 :]: v for k, v in d.items()}
+
+    def dsub(a: Dict[Key, object], b: Dict[Key, object]) -> Dict[Key, object]:
+        out = dict(a)
+        for k, v in b.items():
+            w = out.get(k, 0) - v
+            if w or w != 0:
+                out[k] = w
+            elif k in out:
+                del out[k]
+        return out
+
+    q_parts: Dict[Key, object] = {}
+    qm: Dict[Key, object] = {}
+    for m in range(wmax, 0, -1):
+        qm = dsub(wslice(m), zshift(qm)) if m < wmax else wslice(m)
+        q_parts.update(wlift(qm, m - 1))
+    remainder_terms = dsub(wslice(0), zshift(qm))
+    quotient = TruncatedSeries(num.caps, q_parts)
+    remainder = TruncatedSeries(num.caps, remainder_terms)
+    return quotient, remainder
 
 
 def compute_V_series(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:

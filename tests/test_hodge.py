@@ -9,13 +9,18 @@ term by term from the tau function, and by the product formula
 [exp(hbar P) tau](Qtilde) with the propagator v and coupling change
 Qtilde generated by exp{sum a_k z^{2k-1}}.  Everything is exact
 rational arithmetic, so the two routes must agree coefficient by
-coefficient, not merely to tolerance.
+coefficient, not merely to tolerance.  The closed form also meets the
+R-matrix pipeline: on the point model twisted by a, the edge coefficients
+V and tails T are v and the constants of Qtilde.
 """
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from genuslift.frame import canonical_frame
+from genuslift.frobenius import point_model
 from genuslift.hodge import (
     HodgeParameters,
     HodgeTruncation,
@@ -25,6 +30,8 @@ from genuslift.hodge import (
     tau_series,
 )
 from genuslift.intersection import IntersectionTable
+from genuslift.rmatrix import compute_T, compute_V, homogeneous_R, twist_R
+from genuslift.scalars import FloatContext, from_kernel
 
 
 def _tau_key(truncation, h, qexp):
@@ -152,6 +159,35 @@ class TestLemmaComponents:
         v, _ = lemma_components([Fraction(1, 2), Fraction(2, 5)], q_index=0, v_total=6)
         for (k, l), val in v.items():
             assert v[(l, k)] == val
+
+
+class TestRMatrixConventions:
+    """The closed form against the R-matrix pipeline on the point model:
+    ``twist_R`` of R = 1 by a is the 1 x 1 R(z) = E(z), so V of
+    ``compute_V`` is the propagator v and the tails T_k of ``compute_T``
+    are the constants of Qtilde_k for k >= 2, with the same signs."""
+
+    def test_v_and_tails_match_twisted_point(self):
+        ctx = FloatContext()
+        a = [Fraction(1, 12), Fraction(-1, 360), Fraction(1, 1260)]
+        order = 7
+        frame = canonical_frame(point_model(), (Fraction(1, 3),), ctx, order=0)
+        r = twist_R(homogeneous_R(frame, order), [a])
+        table, _ = compute_V(r)
+        tails = compute_T(r)[0]
+        v, forms = lemma_components(a, q_index=order + 1, v_total=order - 1)
+        pairs = [
+            (table.get((0, 0, k, l), 0), v.get((k, l), 0))
+            for k in range(order)
+            for l in range(order - k)
+        ]
+        assert len(v) == sum(1 for x, _ in pairs if x)
+        tail_pairs = [(tails[k], forms[k].constant) for k in range(2, order + 2)]
+        with ctx.guard():
+            for name, rows in (("V", pairs), ("T", tail_pairs)):
+                size = max(mpmath.fabs(ctx.num(want)) for _, want in rows)
+                gap = max(mpmath.fabs(from_kernel(got) - ctx.num(want)) for got, want in rows)
+                assert gap <= mpmath.ldexp(size, 16 - ctx.prec_bits), (name, gap, size)
 
 
 class TestLemmaIdentity:

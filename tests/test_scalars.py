@@ -6,6 +6,7 @@ models the two must agree to the float precision; where the exact result
 is not rational, ``EXACT`` raises instead of rounding.
 """
 
+import ast
 from fractions import Fraction
 from pathlib import Path
 
@@ -301,4 +302,25 @@ def test_no_backend_branches_in_src():
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             if any(word in line for word in words):
                 offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert offenders == []
+
+
+def test_one_division_by_z_plus_w_in_src():
+    """V, the genus-0 two-point tables, the unitarity of R and S and the
+    Hodge propagator all divide by z + w through ``rmatrix._divide``: no
+    other module defines a quotient routine or builds the two-variable
+    (z, w) series such a division would run on."""
+    offenders = []
+    for path in sorted(Path(genuslift.__file__).parent.glob("*.py")):
+        if path.name == "rmatrix.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name.lower()
+                if "quotient" in name or "divid" in name:
+                    offenders.append(f"{path.name}:{node.lineno}: def {node.name}")
+            elif isinstance(node, ast.Tuple):
+                words = {elt.value for elt in node.elts if isinstance(elt, ast.Constant)}
+                if {"z", "w"} <= words:
+                    offenders.append(f"{path.name}:{node.lineno}: a (z, w) ring")
     assert offenders == []

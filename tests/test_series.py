@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genuslift.scalars import FloatContext
-from genuslift.series import Caps, TruncatedSeries, singular_quotient
+from genuslift.series import Caps, TruncatedSeries
+from oracles import singular_quotient
 
 
 def geom(caps, name, order):

@@ -194,6 +194,11 @@ class Expression:
             self._merged(key, c * factor, acc)
         return out
 
+    def is_laurent(self) -> bool:
+        """Whether no term carries an exponential, so the value at a
+        rational point is rational."""
+        return not any(any(expo) for _, expo in self.terms)
+
     def coeff_norm(self) -> Fraction:
         """Largest |coefficient|; zero exactly when the expression is."""
         m = Fraction(0)

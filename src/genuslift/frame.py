@@ -14,21 +14,27 @@ coordinates, truncated at a requested order) of:
 The eigenvalues at the point are the roots of chi_0, the order-zero
 characteristic polynomial of a multiplication operator A (the Euler
 multiplication for conformal models, a fixed generic combination otherwise).
-``mpmath.polyroots`` refines them at twice the working precision from seeds
-that Aberth's iteration finds in complex doubles; a separation test then
-refuses roots whose gaps the working precision cannot resolve to the
-tolerance.  For order >= 1, Newton iteration on the characteristic
-polynomial of the jets lifts them to eigenvalue jets.  The idempotent e_i is
-the Lagrange polynomial prod_{j != i} (A - u_j) / (u_i - u_j) applied to the
-unit vector, N - 1 matrix-vector products; since eta(d_a, e_i) =
-d_a u^i eta(e_i, e_i), the metric then gives d_a u^i = Delta_i eta(d_a, e_i)
-and Psi^i_a = Delta_i^{1/2} eta(d_a, e_i).  So every step is a ring
-operation, an inverse or a square root.  The same steps run on jets for
-order >= 1 and, at order 0, on mpmath values at the point, which become
-one-term series only in the returned :class:`CanonicalFrame`.
+Aberth's iteration in complex doubles seeds them on chi_0 shifted to the
+mean of its roots, and Newton's iteration refines the seeds on kernel
+scalars (``scalars.GaussianFixed``), with a step count fixed by the
+precision.  An exact chi_0 with a repeated root is refused before any step,
+and a separation test refuses roots whose gaps the working precision cannot
+resolve to the tolerance.  For order >= 1, Newton iteration on the
+characteristic polynomial of the jets lifts them to eigenvalue jets.  The
+idempotent e_i is the Lagrange polynomial prod_{j != i} (A - u_j) / (u_i -
+u_j) applied to the unit vector, N - 1 matrix-vector products; since
+eta(d_a, e_i) = d_a u^i eta(e_i, e_i), the metric then gives d_a u^i =
+Delta_i eta(d_a, e_i) and Psi^i_a = Delta_i^{1/2} eta(d_a, e_i).  So every
+step is a ring operation, an inverse or a square root.
 
-Everything here is float-backend only: eigenvalues and square roots leave
-the rationals even for rational models.
+The same steps run on jets for order >= 1 and, at order 0, on kernel
+scalars at the point.  There C_a and the Euler field are evaluated once:
+exactly when the potential has no exponential and the point is rational, at
+working precision otherwise, and converted to kernel scalars at once.  No
+mpmath arithmetic follows.  The returned :class:`CanonicalFrame` holds the
+values at working precision as one-term series, and u, Delta, sqrt(Delta)
+and Psi also as :class:`KernelValues` at the scale ``rmatrix.frame_kernel``
+takes for them, so R, V and T start from them without a conversion.
 """
 
 from __future__ import annotations
@@ -37,14 +43,22 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import mpmath
 
 from .expressions import t_names
 from .frobenius import FrobeniusModel
 from .linalg import charpoly, mat_add, mat_mul, mat_scale, poly_eval, sum_entries
-from .scalars import FloatContext
+from .scalars import (
+    EXACT,
+    FloatContext,
+    GaussianFixed,
+    _exponent,
+    _fixed_type,
+    _kernel_shift,
+    from_kernel,
+)
 from .series import Caps, TruncatedSeries
 
 
@@ -54,6 +68,16 @@ class NonSemisimpleError(ArithmeticError):
 
 class DegenerateFrameError(ArithmeticError):
     """An idempotent has (numerically) zero squared length."""
+
+
+class KernelValues(NamedTuple):
+    """The order-0 frame's u, Delta, sqrt(Delta) and Psi as kernel scalars
+    of one scale, the scale ``rmatrix.frame_kernel`` takes for them."""
+
+    u: list
+    delta: list
+    sqrt_delta: list
+    psi: list
 
 
 @dataclass
@@ -70,6 +94,7 @@ class CanonicalFrame:
     idempotents: List[List[TruncatedSeries]]
     conformal: bool
     residual: object = None
+    kernel: Optional[KernelValues] = None
 
     @property
     def dimension(self) -> int:
@@ -143,8 +168,12 @@ def canonical_frame(
         raise ValueError(f"sign flips must be {n} entries, each 1 or -1")
     if anchors is not None and len(anchors) != n:
         raise ValueError(f"anchors must have {n} entries")
+    if permutation is not None and sorted(permutation) != list(range(n)):
+        raise ValueError("permutation must reorder 0..N-1")
     with ctx.guard():
-        return _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, generator_weights)
+        return _frame_impl(
+            model, point, ctx, order, permutation, sign_flips, anchors, generator_weights
+        )
 
 
 class _Jets:
@@ -155,8 +184,16 @@ class _Jets:
         self.names, self.order, self.ctx = names, order, ctx
         self.caps = Caps.total(names, order)
 
-    def multiplication(self, model: FrobeniusModel, point):
-        return model.structure_constant_jets(point, self.order, self.ctx)
+    def point_data(self, model: FrobeniusModel, point, where):
+        """The C_a and the Euler field's components (None without Euler
+        data) as jets and values at the point ``where`` (working
+        precision; ``point`` as given)."""
+        evals = model.euler.components(where, self.ctx) if model.euler is not None else None
+        return model.structure_constant_jets(where, self.order, self.ctx), evals
+
+    def number(self, x):
+        """The rational constant ``x`` as a coefficient."""
+        return self.ctx.num(x)
 
     def const(self, x):
         return TruncatedSeries.const(self.caps, x)
@@ -164,6 +201,12 @@ class _Jets:
     def var(self, name: str, coeff):
         """``coeff`` times the displacement of coordinate ``name``."""
         return TruncatedSeries.var(self.caps, name, 1, coeff)
+
+    def eigenvalues(self, gen, chi, roots):
+        """The generator and the eigenvalue jets, Newton-lifted from the
+        roots at the point."""
+        lam = [_hensel_lift(chi, mpmath.mpc(self.ctx.num(r)), self, self.order) for r in roots]
+        return gen, lam
 
     def inverse(self, x):
         return x.inverse()
@@ -174,6 +217,13 @@ class _Jets:
     def value(self, x):
         """The value at the point (the constant term)."""
         return x.constant_term()
+
+    least_shift = 0
+
+    def settle(self, u, delta, sqrt_delta, psi, conformal) -> None:
+        """Jets carry mpmath numbers, which ``rmatrix.frame_kernel``
+        converts itself."""
+        return None
 
     def series(self, x) -> TruncatedSeries:
         return x
@@ -187,7 +237,7 @@ class _Jets:
                 if nk not in seen:
                     seen[nk] = v / nk[a]
         # the caps drop the keys above the order
-        return self.const(anchor) + TruncatedSeries(self.caps, seen)
+        return self.const(self.ctx.num(anchor)) + TruncatedSeries(self.caps, seen)
 
     def du_consistency(self, u, du):
         """Max mismatch between the stored du jets and derivatives of u."""
@@ -202,16 +252,38 @@ class _Jets:
         return worst
 
 
-class _Values:
-    """The same methods on values at the point (order 0), where every
-    displacement is zero and no derivative is left to integrate or check."""
+class _Kernel:
+    """The same methods on kernel scalars at the point (order 0), where
+    every displacement is zero and no derivative is left to integrate or
+    check.  C_a, E and chi_0 are exact rationals or kernel scalars; from
+    the roots on, every value is a kernel scalar at the roots' scale."""
 
-    def __init__(self, names, ctx: FloatContext):
+    def __init__(self, names, ctx: FloatContext, least_shift: int):
         self.ctx = ctx
         self.caps = Caps.total(names, 0)
+        self.least_shift = least_shift
+        self.kind = None
 
-    def multiplication(self, model: FrobeniusModel, point):
-        return model.structure_constants(point, self.ctx)
+    def point_data(self, model: FrobeniusModel, point, where):
+        """C_a and E at the point: exact when the potential has no
+        exponential and ``point`` is rational, else at ``where`` at working
+        precision and converted to kernel scalars of one scale."""
+        rational = all(isinstance(x, (int, Fraction)) for x in point)
+        exact = rational and model.potential.is_laurent()
+        ctx, point = (EXACT, point) if exact else (self.ctx, where)
+        cmats = model.structure_constants(point, ctx)
+        evals = model.euler.components(point, ctx) if model.euler is not None else None
+        if exact:
+            return cmats, evals
+        n = model.dimension
+        flat = [x for mat in cmats for row in mat for x in row] + (evals or [])
+        flat = iter(self.ctx.to_kernel(flat))
+        cmats = [[[next(flat) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        return cmats, evals and list(flat)
+
+    def number(self, x):
+        """Exact before the roots, a kernel scalar at their scale after."""
+        return self.kind.convert(x) if self.kind else Fraction(x)
 
     def const(self, x):
         return x
@@ -219,70 +291,81 @@ class _Values:
     def var(self, name: str, coeff):
         return 0
 
+    def eigenvalues(self, gen, chi, roots):
+        """The generator at the roots' scale, and the roots."""
+        self.kind = roots[0].__class__
+        return [[self.kind.convert(x) for x in row] for row in gen], roots
+
     def inverse(self, x):
         return 1 / x
 
     def sqrt(self, x):
-        return self.ctx.sqrt(x)
+        return x.sqrt()
 
     def value(self, x):
         return x
 
+    def settle(self, u, delta, sqrt_delta, psi, conformal) -> Optional[KernelValues]:
+        """The values at the scale ``rmatrix.frame_kernel`` takes for them:
+        the ``_kernel_shift`` of the gaps u_j - u_i (conformal frames),
+        Delta, sqrt(Delta) and Psi.  When that scale is finer than the one
+        they were computed at, and they were not computed at a least scale
+        already, it becomes ``least_shift``, the least scale of one rerun,
+        and nothing is returned."""
+        n = len(u)
+        gaps = [u[j] - u[i] for i in range(n) for j in range(i + 1, n)] if conformal else []
+        values = [*gaps, *delta, *sqrt_delta, *(x for row in psi for x in row)]
+        shift = _kernel_shift(self.ctx.prec_bits, values)
+        if shift > self.kind.shift and not self.least_shift:
+            self.least_shift = shift
+            return None
+        out = _fixed_type(shift, self.ctx.prec_bits).convert
+        return KernelValues(
+            u=[out(x) for x in u],
+            delta=[out(x) for x in delta],
+            sqrt_delta=[out(x) for x in sqrt_delta],
+            psi=[[out(x) for x in row] for row in psi],
+        )
+
     def series(self, x) -> TruncatedSeries:
-        return TruncatedSeries.const(self.caps, x)
+        return TruncatedSeries.const(self.caps, from_kernel(x))
 
     def integrate(self, grad, anchor):
-        return anchor
+        return self.kind.convert(anchor)
 
     def du_consistency(self, u, du):
         return self.ctx.num(0)
 
 
-def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, generator_weights):
+def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, generator_weights,
+                least_shift=0):
     n = model.dimension
-    point = tuple(ctx.num(x) for x in point)
     names = t_names(n)
-    ring = _Jets(names, order, ctx) if order else _Values(names, ctx)
-    cmats = ring.multiplication(model, point)
+    where = tuple(ctx.num(x) for x in point)
+    ring = _Jets(names, order, ctx) if order else _Kernel(names, ctx, least_shift)
+    cmats, evals = ring.point_data(model, point, where)
 
     conformal = model.euler is not None and generator_weights is None
     if conformal:
-        gen = _euler_multiplication(model, point, ctx, cmats, ring)
+        gen = _euler_multiplication(model, cmats, evals, ring)
     else:
         weights = generator_weights or _default_weights(n)
         gen = None
         for a in range(n):
-            term = mat_scale(cmats[a], ctx.num(weights[a]))
+            term = mat_scale(cmats[a], ring.number(weights[a]))
             gen = term if gen is None else mat_add(gen, term)
 
-    chi = charpoly(gen, ring.const(ctx.num(1)), lambda s, k: s * Fraction(1, k))
-    chi0 = [mpmath.mpc(ring.value(c)) for c in chi]
-    try:
-        roots = mpmath.polyroots(
-            chi0, maxsteps=200, extraprec=ctx.prec_bits, roots_init=_root_seeds(chi0)
-        )
-    except mpmath.libmp.NoConvergence as exc:
-        # root refinement stalls exactly when roots collide
-        raise NonSemisimpleError(
-            "eigenvalue refinement did not converge; multiplication is likely non-semisimple here"
-        ) from exc
-    roots = [mpmath.mpc(r) for r in roots]
-    _check_separation(roots, ctx)
-
-    roots.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
+    chi = charpoly(gen, ring.const(ring.number(1)), lambda s, k: s * Fraction(1, k))
+    roots = _roots([ring.value(c) for c in chi], ctx, least_shift)
+    roots.sort(key=lambda z: (z.re, z.im))
     if permutation is not None:
-        if sorted(permutation) != list(range(n)):
-            raise ValueError("permutation must reorder 0..N-1")
         roots = [roots[p] for p in permutation]
-
-    # polyroots already refines at twice the working precision; only jets
-    # need the Newton lift
-    lam = [_hensel_lift(chi, r0, ring, order) for r0 in roots] if order else roots
-    idem = _idempotents(gen, lam, model.unit_index, ring, ctx)
+    gen, lam = ring.eigenvalues(gen, chi, roots)
+    idem = _idempotents(gen, lam, model.unit_index, ring)
 
     # eta(d_a, e_i) = du^i_a eta(e_i, e_i): with the lowered idempotent
     # w_a = sum_b eta_ab e_i^b, du^i_a = Delta_i w_a and Psi^i_a = sqrt(Delta_i) w_a
-    g = [[ctx.num(x) if x else None for x in row] for row in model.metric]
+    g = [[ring.number(x) if x else None for x in row] for row in model.metric]
     flips = list(sign_flips) if sign_flips is not None else [1] * n
     delta, sqrt_delta, du, psi = [], [], [], []
     for i in range(n):
@@ -291,10 +374,10 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, gene
             for a in range(n)
         ]
         eta = sum_entries([idem[i][a] * low[a] for a in range(n)])
-        if mpmath.fabs(ring.value(eta)) <= ctx.tol:
+        if _negligible(ring.value(eta), ctx):
             raise DegenerateFrameError(f"idempotent {i} has zero squared length")
         dlt = ring.inverse(eta)
-        root = ring.sqrt(dlt) * ctx.num(flips[i])
+        root = ring.sqrt(dlt) * flips[i]
         delta.append(dlt)
         sqrt_delta.append(root)
         du.append([dlt * w for w in low])
@@ -304,15 +387,19 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, gene
         u = lam
     else:
         anchors = anchors or [0] * n
-        u = [ring.integrate(du[i], ctx.num(anchors[i])) for i in range(n)]
+        u = [ring.integrate(du[i], anchors[i]) for i in range(n)]
     resid = ring.du_consistency(u, du)
+    kernel = ring.settle(u, delta, sqrt_delta, psi, conformal)
+    if ring.least_shift > least_shift:
+        return _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors,
+                           generator_weights, ring.least_shift)
 
     def rows(table):
         return [[ring.series(x) for x in row] for row in table]
 
     return CanonicalFrame(
         model=model,
-        point=point,
+        point=where,
         ctx=ctx,
         order=order,
         u=[ring.series(x) for x in u],
@@ -323,6 +410,7 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, gene
         idempotents=rows(idem),
         conformal=conformal,
         residual=resid,
+        kernel=kernel,
     )
 
 
@@ -331,31 +419,170 @@ def _default_weights(n: int) -> list:
     return [Fraction(2 * a + 1, 1) for a in range(n)]
 
 
-def _euler_multiplication(model, point, ctx, cmats, ring):
+def _euler_multiplication(model, cmats, evals, ring):
     """sum_a E^a C_a, with E^a an element of the ring."""
     n = model.dimension
     e = model.euler
-    evals = e.components(point, ctx)
     gen = None
     for a in range(n):
         ejet = ring.const(evals[a])
         for b in range(n):
             if e.matrix[a][b]:
-                ejet = ejet + ring.var(f"t{b}", ctx.num(e.matrix[a][b]))
+                ejet = ejet + ring.var(f"t{b}", ring.number(e.matrix[a][b]))
         term = mat_scale(cmats[a], ejet)
         gen = term if gen is None else mat_add(gen, term)
     return gen
 
 
+def _negligible(x, ctx: FloatContext) -> bool:
+    """|x| <= ctx.tol, for a kernel scalar by its integer norm."""
+    if isinstance(x, GaussianFixed):
+        tol = x.convert(ctx.tol).re
+        return x.re * x.re + x.im * x.im <= tol * tol
+    return mpmath.fabs(x) <= ctx.tol
+
+
+SEED_BITS = 24
+"""Correct bits a seed is taken to carry; Newton's iteration doubles them."""
+
+HEADROOM_BITS = 8
+"""Bits the roots' scale carries beyond the ``_kernel_shift`` of chi_0, the
+seeds and their gaps, for Delta and Psi, whose exponents reach a few bits
+further; a frame whose values need more runs again at their scale."""
+
+
+def _roots(chi0, ctx: FloatContext, least_shift: int = 0) -> list:
+    """The roots of the monic chi_0 (exact, mpmath or kernel-scalar
+    coefficients, leading first) as kernel scalars of one scale.
+
+    Exact coefficients with a repeated root raise NonSemisimpleError first.
+    Aberth's iteration seeds the roots in complex doubles on chi_0 shifted
+    to their mean, so a close pair shows its gap to double precision.
+    Newton's iteration refines each seed at the ``_kernel_shift`` of chi_0,
+    the seeds and their gaps, plus HEADROOM_BITS (at least
+    ``least_shift``).  Each step doubles the SEED_BITS of a seed, which
+    fixes the step count by the scale, and one step more gives the size
+    that certifies convergence to :func:`_check_separation`.  A real chi_0 gets real roots exactly real
+    and complex roots in exactly conjugate pairs, so their order and the
+    branch of sqrt(Delta) do not hang on rounding."""
+    n = len(chi0) - 1
+    if all(isinstance(c, (int, Fraction)) for c in chi0) and _repeated_root(chi0):
+        raise NonSemisimpleError(
+            "multiplication eigenvalues coincide: the characteristic polynomial has a "
+            "repeated root (its discriminant is exactly 0)"
+        )
+    coeffs = ctx.to_kernel(list(chi0))
+    center = coeffs[1] * Fraction(-1, n)
+    seeds = _root_seeds(_taylor_shift(coeffs, center))
+    mid = complex(_double(center.re, -center.shift), _double(center.im, -center.shift))
+    spots = [mid + y for y in seeds]
+    spots += [y - z for k, y in enumerate(seeds) for z in seeds[k + 1 :]]
+    reach = _kernel_shift(ctx.prec_bits, spots) + HEADROOM_BITS
+    shift = max(coeffs[0].shift, least_shift, reach)
+    kind = _fixed_type(shift, ctx.prec_bits)
+    coeffs = [kind.convert(c) for c in coeffs]
+    center = kind.convert(center)
+    dcoeffs = [c * (n - k) for k, c in enumerate(coeffs[:-1])]
+    # SEED_BITS 2^(count - 1) >= shift: the last step is at the noise
+    count = (-(-shift // SEED_BITS) - 1).bit_length() + 1
+
+    def refine(y):
+        z = center + kind.convert(y)
+        try:
+            for _ in range(count):
+                step = poly_eval(coeffs, z) / poly_eval(dcoeffs, z)
+                z = z - step
+        except ZeroDivisionError:
+            raise NonSemisimpleError(
+                "eigenvalue refinement met a critical point; multiplication is likely "
+                "non-semisimple here"
+            ) from None
+        return z, step
+
+    split = _conjugate_split(seeds) if not any(c.im for c in coeffs) else None
+    if split is None:
+        refined = [refine(y) for y in seeds]
+    else:
+        reals, uppers = split
+        refined = [refine(y) for y in reals]
+        for z, step in map(refine, uppers):
+            refined += [(z, step), (kind(z.re, -z.im), kind(step.re, -step.im))]
+    roots = [z for z, _ in refined]
+    _check_separation(roots, ctx, [step for _, step in refined])
+    return roots
+
+
+def _repeated_root(coeffs) -> bool:
+    """Whether the exact monic polynomial ``coeffs`` has a repeated root:
+    its gcd with its derivative, by Euclid's algorithm, is not constant."""
+    n = len(coeffs) - 1
+    a, b = list(coeffs), _stripped([c * (n - k) for k, c in enumerate(coeffs[:-1])])
+    while b:
+        while len(a) >= len(b):
+            f = a[0] / b[0]
+            pad = b[1:] + [0] * (len(a) - len(b))
+            a = _stripped([x - f * y for x, y in zip(a[1:], pad)])
+        a, b = b, a
+    return len(a) > 1
+
+
+def _stripped(p: list) -> list:
+    """``p`` without its leading zero coefficients."""
+    k = 0
+    while k < len(p) and p[k] == 0:
+        k += 1
+    return p[k:]
+
+
+def _taylor_shift(coeffs, c) -> list:
+    """The coefficients of p(y + c) for p = ``coeffs`` (leading first), by
+    repeated synthetic division."""
+    out = list(coeffs)
+    n = len(out) - 1
+    for i in range(n):
+        for j in range(1, n + 1 - i):
+            out[j] = out[j] + c * out[j - 1]
+    return out
+
+
+def _double(m: int, e: int) -> float:
+    """m 2**e as a double, from the top bits of m (0.0 below the range)."""
+    drop = max(m.bit_length() - 64, 0)
+    return math.ldexp(m >> drop, e + drop)
+
+
+def _conjugate_split(seeds) -> Optional[tuple]:
+    """The seeds of a real polynomial as (real parts of the real roots,
+    roots in the upper half plane): a seed is real when no other seed lies
+    nearer to its mirror image than itself.  None when the others do not
+    pair up across the real axis."""
+    reals, uppers, lowers = [], [], 0
+    for i, y in enumerate(seeds):
+        mirror = y.conjugate()
+        if min(range(len(seeds)), key=lambda j: abs(seeds[j] - mirror)) == i:
+            reals.append(y.real)
+        elif y.imag > 0:
+            uppers.append(y)
+        else:
+            lowers += 1
+    return (reals, uppers) if lowers == len(uppers) else None
+
+
 def _root_seeds(coeffs) -> list:
-    """Starting points for polyroots: Aberth's iteration (Math. Comp. 27,
-    1973) in complex doubles on the monic ``coeffs``, after the substitution
-    x = 2^s y that brings every coefficient to modulus <= 1, so none
-    overflows or loses its exponent in a double."""
+    """Starting points for Newton's iteration: Aberth's iteration (Math.
+    Comp. 27, 1973) in complex doubles on the monic kernel-scalar
+    ``coeffs``, after the substitution x = 2^s y that brings every
+    coefficient to modulus <= 1, so none overflows or loses its exponent in
+    a double.  A seed that leaves the doubles raises ``ArithmeticError``
+    where it enters the kernel scale."""
     n = len(coeffs) - 1
     # |c_k| <= 2^(s k) bounds every root by 2 * 2^s (Fujiwara)
-    s = max((-(-mpmath.mag(c) // k) for k, c in enumerate(coeffs) if k and c), default=0)
-    a = [complex(c * mpmath.ldexp(1, -s * k)) for k, c in enumerate(coeffs)]
+    tops = [(k, _exponent(c)) for k, c in enumerate(coeffs)]
+    s = max((-(-e // k) for k, e in tops if k and e is not None), default=0)
+    a = [
+        complex(_double(c.re, -c.shift - s * k), _double(c.im, -c.shift - s * k))
+        for k, c in enumerate(coeffs)
+    ]
     da = [c * (n - k) for k, c in enumerate(a[:-1])]
     z = [cmath.rect(1, 0.4 + 2 * math.pi * k / n) - a[1] / n for k in range(n)]
     for _ in range(50):
@@ -375,46 +602,67 @@ def _root_seeds(coeffs) -> list:
             worst = max(worst, abs(step))
         if worst < 1e-14:
             break
-    if not all(cmath.isfinite(x) for x in z):
-        return None
-    return [mpmath.mpc(x) * mpmath.ldexp(1, s) for x in z]
+    return [complex(math.ldexp(x.real, s), math.ldexp(x.imag, s)) for x in z]
 
 
-def _check_separation(roots, ctx: FloatContext) -> None:
+def _log2_abs(x: GaussianFixed) -> float:
+    """log2 |x| from the integer norm, -inf for 0."""
+    norm = x.re * x.re + x.im * x.im
+    return math.log2(norm) / 2 - x.shift if norm else -math.inf
+
+
+def _check_separation(roots, ctx: FloatContext, steps) -> None:
     """Refuse eigenvalues whose separation the working precision cannot
-    resolve to ``ctx.tol``.
+    resolve to ``ctx.tol``, and roots whose last Newton step ``steps``
+    exceeds that error.
 
     The coefficients c_k of chi_0 carry relative rounding errors eps =
     2^-prec on terms of size up to binom(N, k) s^k, with s = max(1, |lam|).
     To first order that moves the simple root lam_i by
         err_i = eps ((s + |lam_i|)^N - |lam_i|^N) / |chi_0'(lam_i)|,
     chi_0'(lam_i) = prod_{j != i} (lam_i - lam_j), and the separation
-    |lam_i - lam_j| by err_i + err_j.  polyroots works at twice the
-    precision and adds nothing comparable.  A collided root shows as a
-    separation of about 2^(-prec/2) s, where the relative error reaches 1."""
+    |lam_i - lam_j| by err_i + err_j.  Newton's iteration runs at least
+    ``scalars.GUARD_BITS`` finer than eps and adds nothing comparable.  A collided root shows as
+    a separation of about 2^(-prec/2) s, where the relative error reaches
+    1.  The estimate is formed on log2 of the sizes, in doubles."""
     n = len(roots)
-    # the gaps at working precision, the error estimate in a few digits
     gaps = {}
     for i in range(n):
         for j in range(i + 1, n):
-            gaps[i, j] = gaps[j, i] = mpmath.fabs(roots[i] - roots[j])
-    with mpmath.workprec(53):
-        mods = [mpmath.fabs(r) for r in roots]
-        size = max([mpmath.mpf(1)] + mods)
-        err = []
-        for i in range(n):
-            slope = mpmath.fprod(gaps[i, j] for j in range(n) if j != i)
-            growth = (size + mods[i]) ** n - mods[i] ** n
-            err.append(mpmath.ldexp(growth / slope, -ctx.prec_bits) if slope else mpmath.inf)
-        for (i, j), gap in gaps.items():
-            rel = (err[i] + err[j]) / gap if gap else mpmath.inf
-            if i < j and rel > ctx.tol:
-                raise NonSemisimpleError(
-                    f"multiplication eigenvalues {i} and {j} coincide within tolerance: "
-                    f"their separation {mpmath.nstr(gap, 3)} is known only to "
-                    f"{mpmath.nstr(rel, 3)} relative at {ctx.prec_bits} bits, above the "
-                    f"tolerance {mpmath.nstr(ctx.tol, 3)}"
-                )
+            gaps[i, j] = gaps[j, i] = _log2_abs(roots[i] - roots[j])
+    mods = [_log2_abs(r) for r in roots]
+    size = max([0.0] + mods)
+    err = []
+    for i in range(n):
+        slope = sum(gaps[i, j] for j in range(n) if j != i)
+        # log2 of (s + |lam_i|)^N - |lam_i|^N, with |lam_i| / s in [0, 1]
+        ratio = 2.0 ** (mods[i] - size)
+        growth = n * size + math.log2((1 + ratio) ** n - ratio**n)
+        err.append(math.inf if slope == -math.inf else growth - slope - ctx.prec_bits)
+    _, man, exp, _ = ctx.tol._mpf_
+    tol = math.log2(man) + exp if man else -math.inf
+    for i in range(n):
+        for j in range(i + 1, n):
+            hi, lo = max(err[i], err[j]), min(err[i], err[j])
+            gap = gaps[i, j]
+            if hi == math.inf or gap == -math.inf:
+                rel = math.inf
+            else:
+                rel = hi + math.log2(1 + 2.0 ** (lo - hi)) - gap
+            if rel > tol:
+                with mpmath.workprec(53):
+                    gap = mpmath.fabs(from_kernel(roots[i] - roots[j]))
+                    raise NonSemisimpleError(
+                        f"multiplication eigenvalues {i} and {j} coincide within tolerance: "
+                        f"their separation {mpmath.nstr(gap, 3)} is "
+                        f"known only to {mpmath.nstr(mpmath.mpf(2) ** rel, 3)} relative at "
+                        f"{ctx.prec_bits} bits, above the tolerance {mpmath.nstr(ctx.tol, 3)}"
+                    )
+    for i, step in enumerate(steps):
+        if _log2_abs(step) > err[i]:
+            raise NonSemisimpleError(
+                "eigenvalue refinement did not converge; multiplication is likely non-semisimple here"
+            )
 
 
 def _hensel_lift(chi, root0, ring, order):
@@ -430,7 +678,7 @@ def _hensel_lift(chi, root0, ring, order):
     return lam
 
 
-def _idempotents(gen, lam, unit, ring, ctx):
+def _idempotents(gen, lam, unit, ring):
     """e_i = prod_{j != i} (A - lam_j) / (lam_i - lam_j) applied to the unit
     vector: N - 1 matrix-vector products and one inverse per idempotent."""
     n = len(lam)
@@ -453,7 +701,7 @@ def _idempotents(gen, lam, unit, ring, ctx):
             ]
             denom = denom * (lam[i] - lam[j])
         if vec is None:
-            vec = [ring.const(ctx.num(int(r == unit))) for r in range(size)]
+            vec = [ring.const(ring.number(int(r == unit))) for r in range(size)]
         else:
             scale = ring.inverse(denom)
             vec = [x * scale for x in vec]

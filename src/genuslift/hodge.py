@@ -332,7 +332,7 @@ def _closed_form(terms, zcap: int, q_index: int, extra: Sequence[Tuple[str, int]
     products = {(p, q): [[e[p] * e[q]]] for p in range(order + 1) for q in range(order + 1 - p)}
     quotient, _ = _divide(products, order, order - 1, [[1]])
     # the quotient already carries the sign of v: (-1)^{k+l} Q_kl
-    v = {(k, l): entry.c for (_, _, k, l), entry in quotient.items() if entry.c}
+    v = {(k, l): entry.c for (_, _, k, l), entry in quotient.items()}
 
     consts: List[Dict[Tuple[int, ...], Fraction]] = []
     matrix: List[List[Dict[Tuple[int, ...], Fraction]]] = []

@@ -76,14 +76,14 @@ def charpoly(a: Matrix, one, divk: Callable[[object, int], object]) -> list:
     n = len(a)
     zero = one - one
     coeffs = [one]
-    m = identity(n, one, zero)
+    m = a
     for k in range(1, n + 1):
         if k > 1:
-            m = mat_mul(a, mat_add(m, mat_scale(identity(n, one, zero), coeffs[-1])))
-        else:
-            m = [row[:] for row in a]
-        ck = divk(trace(m), k)
-        coeffs.append(zero - ck)
+            # M_k = A (M_{k-1} + c_{k-1} I)
+            c = coeffs[-1]
+            m = mat_mul(a, [[x + c if i == j else x for j, x in enumerate(row)]
+                            for i, row in enumerate(m)])
+        coeffs.append(zero - divk(trace(m), k))
     return coeffs
 
 

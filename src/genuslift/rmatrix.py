@@ -123,22 +123,29 @@ class FrameKernel(NamedTuple):
 
 
 def frame_kernel(frame: CanonicalFrame) -> FrameKernel:
-    """Convert the frame's values at the point once, at one scale: the
+    """The frame's values at the point at one scale: the
     :func:`scalars._kernel_shift` of Delta, sqrt(Delta), Psi and, on a
-    conformal frame, the gaps u_j - u_i, formed at working precision.  So
-    the reciprocals R and T take, 1/(u_j - u_i) and 1/sqrt(Delta_i), keep
-    the working precision, and the products of Psi that form
-    V = Psi mu Psi^{-1} stay exact to the scale of their largest factor.  A
-    frame that is not conformal has no gaps: its u are integrated from
-    anchors, not eigenvalues."""
+    conformal frame, the gaps u_j - u_i.  So the reciprocals R and T take,
+    1/(u_j - u_i) and 1/sqrt(Delta_i), keep the working precision, and the
+    products of Psi that form V = Psi mu Psi^{-1} stay exact to the scale
+    of their largest factor.  An order-0 frame already holds these values
+    as kernel scalars at that scale (``frame.kernel``, gaps formed exactly
+    from u), so they pass through, or shift left exactly where rounding
+    moved a value across a power of two; the mpmath values of a jet frame
+    are converted here, gaps formed at working precision.  A frame that is
+    not conformal has no gaps: its u are integrated from anchors, not
+    eigenvalues."""
     ctx = frame.ctx
     n = frame.dimension
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if frame.conformal else []
-    u = frame.u_values()
+    held = frame.kernel or (
+        frame.u_values(), frame.delta_values(), frame.sqrt_delta_values(), frame.psi_values()
+    )
+    u, delta, sqrt_delta, psi = held
     with ctx.guard():
         gaps = [u[j] - u[i] for i, j in pairs]
-    psi = [x for row in frame.psi_values() for x in row]
-    flat = ctx.to_kernel([*gaps, *frame.delta_values(), *frame.sqrt_delta_values(), *psi])
+    psi = [x for row in psi for x in row]
+    flat = ctx.to_kernel([*gaps, *delta, *sqrt_delta, *psi])
     it = iter(flat)
     gaps = {pair: next(it) for pair in pairs}
     delta = [next(it) for _ in range(n)]

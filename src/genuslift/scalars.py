@@ -9,24 +9,27 @@ backends, each driven through a context object with the same methods:
   squares, exp(0) and log(1) stay rational; any other square root,
   exponential or logarithm raises ``ArithmeticError``.
 * :class:`FloatContext` -- mpmath ``mpf``/``mpc`` at a fixed binary
-  precision; used for canonical frames, which involve eigenvalues and
-  square roots.  mpmath's global precision is mutable state, so every
-  operation runs inside a ``workprec`` guard, and the context carries the
-  default tolerance used by internal consistency checks.
+  precision; used where values leave the rationals (exponentials in the
+  potential, irrational points such as descendent critical points, frame
+  jets), and to pick the scale of kernel scalars and convert to and from
+  them.  mpmath's global precision is mutable state, so every operation
+  runs inside a ``workprec`` guard, and the context carries the default
+  tolerance used by internal consistency checks.
 
-Everything between the order-0 canonical frame and F_g -- R, its edge and
-tail tables V and T, the graph sum and the Wick oracle -- only adds,
-multiplies, divides and raises to integer powers, thousands of times per
-op.  It runs on *kernel scalars*: a :class:`GaussianFixed`, a Gaussian
-fixed-point number (re + i im) / 2**shift on two Python ints, whose
-products cost a fifth of an ``mpc`` product at 256 bits.  Data is
-converted where it is made and nowhere else: the producers
-(``rmatrix.frame_kernel`` and the lift of the edge/tail tables) call
-:meth:`FloatContext.to_kernel`, the one rule that picks a table's scale,
-and :meth:`GaussianFixed.convert` brings a number to a scale already
-picked.  The consumers run on the numbers the data holds, at the
-precision those carry (:func:`_context_of`), and :func:`from_kernel`
-converts each result back.  Rational data needs no conversion: a
+Everything from the eigenvalues of the order-0 canonical frame to F_g --
+the frame's roots, idempotents, Delta and Psi, R, its edge and tail tables
+V and T, the graph sum and the Wick oracle -- only adds, multiplies,
+divides, raises to integer powers and takes square roots.  It runs on
+*kernel scalars*: a :class:`GaussianFixed`, a Gaussian fixed-point number
+(re + i im) / 2**shift on two Python ints, whose products cost a fifth of
+an ``mpc`` product at 256 bits.  Data is converted where it is made and
+nowhere else: the producers (the order-0 frame, ``rmatrix.frame_kernel``
+and the lift of the edge/tail tables) call :meth:`FloatContext.to_kernel`
+or :func:`_kernel_shift`, the one rule that picks a table's scale, and
+:meth:`GaussianFixed.convert` brings a number to a scale already picked.
+The consumers run on the numbers the data holds, at the precision those
+carry (:func:`_context_of`), and :func:`from_kernel` converts each result
+back.  Rational data needs no conversion: a
 ``Fraction`` is its own kernel scalar, and sums over it stay exact.
 
 Arithmetic code takes a context and calls it; which backend runs is
@@ -37,11 +40,13 @@ optional.
 from __future__ import annotations
 
 import fractions
+import math
 from functools import cache
 from math import isqrt
 from typing import Iterable, Union
 
 import mpmath
+from mpmath.libmp import from_man_exp, round_nearest
 
 Rational = fractions.Fraction
 
@@ -215,7 +220,7 @@ class ExactContext:
         return None
 
     def num(self, x) -> Rational:
-        return Rational(x)
+        return x if x.__class__ is Rational else Rational(x)
 
     def parse(self, text: str) -> Rational:
         return parse_rational(text)
@@ -263,6 +268,7 @@ GUARD_BITS = 32
 rounding of the thousands of operations of one graph sum."""
 
 _ZERO_PART = mpmath.mpf(0)._mpf_
+_make_mpf, _make_mpc = mpmath.mp.make_mpf, mpmath.mp.make_mpc
 
 
 def _exponent(x) -> int | None:
@@ -278,8 +284,17 @@ def _exponent(x) -> int | None:
         k = x.denominator.bit_length()
         top = ((abs(x.numerator) << k) // x.denominator).bit_length()
         return top - k if top else None
+    if isinstance(x, (float, complex)):
+        parts = [_finite(p) for p in (x.real, x.imag) if p]
+        return max(math.frexp(p)[1] for p in parts) if parts else None
     tops = [exp + bc for _, man, exp, bc in _parts(x) if man]
     return max(tops) if tops else None
+
+
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise ArithmeticError(f"{x} cannot enter a fixed-point kernel")
+    return x
 
 
 def _parts(x) -> tuple:
@@ -322,13 +337,15 @@ class GaussianFixed:
     unary), ``*`` by a kernel scalar, an int or a Fraction, ``/`` by a
     kernel scalar, an int or a Fraction, an int or a Fraction divided by a
     kernel scalar (``1 / x``), ``**`` by any int (a negative power inverts
-    first), ``==`` against a kernel scalar or a rational, and truth, which
-    is False exactly for 0.  Dividing by 0 raises ``ZeroDivisionError``.
+    first), the principal :meth:`sqrt`, ``==`` against a kernel scalar or
+    a rational, and truth, which is False exactly for 0.  Dividing by 0
+    raises ``ZeroDivisionError``.
 
     Rounding: every result is floored, toward -inf in each part: the right
     shift after a product, the integer division by a Fraction's
-    denominator, a divisor or a squared modulus, and the division of an
-    inverse.  Sums and products by ints are exact."""
+    denominator, a divisor or a squared modulus, the division of an
+    inverse, and both parts of a square root.  Sums and products by ints
+    are exact."""
 
     __slots__ = ("re", "im")
     shift = 0
@@ -344,17 +361,23 @@ class GaussianFixed:
     @classmethod
     def convert(cls, x) -> "GaussianFixed":
         """A number of any backend at this class's scale: a kernel scalar
-        of this class as it is, one of a coarser scale shifted left exactly,
-        an int or a Fraction floored exactly, an mpmath number floored from
-        its raw parts.  Infinities and NaNs raise ``ArithmeticError``."""
+        of this class as it is, one of a coarser scale shifted left exactly
+        and one of a finer scale floored, an int, a Fraction or a double
+        floored exactly, an mpmath number floored from its raw parts.
+        Infinities and NaNs raise ``ArithmeticError``."""
         if x.__class__ is cls:
             return x
         shift = cls.shift
         if isinstance(x, GaussianFixed):
             up = shift - x.shift
+            if up < 0:
+                return cls(x.re >> -up, x.im >> -up)
             return cls(x.re << up, x.im << up)
         if isinstance(x, (int, Rational)):
             return cls((x.numerator << shift) // x.denominator, 0)
+        if isinstance(x, (float, complex)):
+            re, im = (_finite(p).as_integer_ratio() for p in (x.real, x.imag))
+            return cls((re[0] << shift) // re[1], (im[0] << shift) // im[1])
         re, im = _parts(x)
         return cls(_scaled(re, shift), _scaled(im, shift))
 
@@ -427,6 +450,24 @@ class GaussianFixed:
         twice = 2 * self.shift
         return self.__class__((a << twice) // norm, (-b << twice) // norm)
 
+    def sqrt(self) -> "GaussianFixed":
+        """The principal square root, as ``mpmath.sqrt`` takes it: the real
+        part is nonnegative, and on the negative real axis (imaginary part
+        exactly 0) the imaginary part is positive.  The larger part is an
+        integer square root of the scaled parts, the other one follows as
+        im / (2 re); both are floored."""
+        a, b, shift = self.re, self.im, self.shift
+        # |x| 2**shift, then sqrt((|x| +- re x) / 2) 2**shift without cancellation
+        mod = isqrt(a * a + b * b)
+        if a >= 0:
+            re = isqrt((mod + a) << (shift - 1))
+            im = (b << shift) // (2 * re) if re else 0
+        else:
+            root = isqrt((mod - a) << (shift - 1))
+            im = root if b >= 0 else -root
+            re = (abs(b) << shift) // (2 * root)
+        return self.__class__(re, im)
+
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
@@ -475,11 +516,10 @@ def from_kernel(x):
     other number is returned as it is."""
     if not isinstance(x, GaussianFixed):
         return x
-    with mpmath.workprec(x.prec):
-        re = mpmath.ldexp(mpmath.mpf(x.re), -x.shift)
-        if not x.im:
-            return re
-        return mpmath.mpc(re, mpmath.ldexp(mpmath.mpf(x.im), -x.shift))
+    re = from_man_exp(x.re, -x.shift, x.prec, round_nearest)
+    if not x.im:
+        return _make_mpf(re)
+    return _make_mpc((re, from_man_exp(x.im, -x.shift, x.prec, round_nearest)))
 
 
 _float_context = cache(FloatContext)

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Number
 from operator import add, itemgetter, mul
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import mpmath
 
-from .scalars import EXACT, Context
+from .scalars import EXACT, Context, GaussianFixed
 
 Key = Tuple[int, ...]
 
@@ -135,6 +136,16 @@ class TruncatedSeries:
 
     def __bool__(self) -> bool:
         return bool(self.c)
+
+    def __eq__(self, other):
+        """Equal to a series with the same terms, and to a number as the
+        constant series.  So an empty series == 0, and the zero test
+        ``x or x != 0`` that numbers answer drops exact-zero series too."""
+        if isinstance(other, (TruncatedSeries, Number, GaussianFixed)):
+            return not (self - other).c
+        return NotImplemented
+
+    __hash__ = None
 
     def terms(self):
         return self.c.items()

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import genuslift.frame as frame_module
 from genuslift.cli import run_command
 from genuslift.frame import NonSemisimpleError, canonical_frame
 from genuslift.frobenius import threefold_cusp_model, two_primary_model
+from genuslift.rmatrix import frame_kernel
 from genuslift.scalars import FloatContext
 from genuslift.series import TruncatedSeries
 from oracles import frame_invariant_residuals, projector_frame, two_primary_genus2_reference
@@ -278,9 +280,9 @@ class TestOrderZeroValues:
 
 class TestProjectorRoute:
     """The frame applies the Lagrange projectors to the unit vector and reads
-    du from the metric, from roots that polyroots refines from seeds; the
-    oracle builds every projector matrix, takes du = trace(C_a P_i) and
-    starts polyroots from its generic points."""
+    du from the metric, from roots that Newton's iteration refines from
+    seeds; the oracle builds every projector matrix, takes du =
+    trace(C_a P_i) and starts polyroots from its generic points."""
 
     HIGH = FloatContext(1024)
 
@@ -339,6 +341,91 @@ class TestProjectorRoute:
                 bound = 4 * eps * (((size + mod) ** n - mod ** n) / slope + max(1, mod))
                 for got in (frame.u_values()[i], want["u"][i]):
                     assert mpmath.fabs(got - u) <= bound, (i, got, u, bound)
+
+
+class TestKernelFrame:
+    """The order-0 frame runs on kernel scalars from the roots on; its
+    values match the mpmath projector oracle to 2^-(prec - 16) of the
+    largest entry of each field, on either evaluation of C_a: exact
+    rationals (cusp, two-primary d != 1) or working precision (d = 1)."""
+
+    FIELDS = ("u", "delta", "sqrt_delta", "psi", "idempotents")
+
+    def assert_matches(self, m, point, permutation, flips):
+        options = dict(permutation=permutation, sign_flips=flips)
+        frame = canonical_frame(m, point, CTX, order=0, **options)
+        want = projector_frame(m, point, CTX, **options)
+        with CTX.guard():
+            bound = mpmath.ldexp(1, 16 - CTX.prec_bits)
+            for name in self.FIELDS:
+                got, rows = getattr(frame, name), want[name]
+                if name in ("u", "delta", "sqrt_delta"):
+                    got, rows = [got], [rows]
+                pairs = [
+                    (mpmath.mpc(x.constant_term()), mpmath.mpc(y))
+                    for row_got, row_want in zip(got, rows)
+                    for x, y in zip(row_got, row_want, strict=True)
+                ]
+                top = max(mpmath.fabs(y) for _, y in pairs)
+                worst = max(mpmath.fabs(x - y) for x, y in pairs)
+                assert worst <= bound * top, (name, worst, top)
+        # R starts from the frame's kernel values: frame_kernel passes them
+        # through, or shifts them left exactly, and never rounds them
+        held, kernel = frame.kernel, frame_kernel(frame)
+        assert kernel.kind.shift >= type(held.delta[0]).shift
+        for x, y in zip([*held.delta, *held.sqrt_delta, *sum(held.psi, [])],
+                        [*kernel.delta, *kernel.sqrt_delta, *sum(kernel.psi, [])]):
+            assert kernel.kind.convert(x) == y
+        return frame
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(TWO_PRIMARY_D, odd_rationals(), NONZERO_T1, PERMUTATIONS_2, FLIPS_2)
+    @example(
+        d=Fraction(1, 2), t0=Fraction(-3), t1=Fraction(2, 3), permutation=[0, 1], flips=[1, 1]
+    )
+    @example(d=Fraction(1), t0=Fraction(1, 3), t1=Fraction(-7, 9), permutation=[1, 0], flips=[-1, 1])
+    def test_two_primary(self, d, t0, t1, permutation, flips):
+        self.assert_matches(two_primary_model(d), (t0, t1), permutation, flips)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(CUSP_BOX, st.permutations([0, 1, 2]), st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3))
+    def test_cusp_box(self, point, permutation, flips):
+        self.assert_matches(threefold_cusp_model(), point, permutation, flips)
+
+    def test_values_finer_than_the_roots_run_once_more(self, monkeypatch):
+        # Psi^1_2 vanishes here, and its rounding noise (2^-280 at the roots'
+        # scale) needs a finer scale than the roots ran at: the frame runs
+        # once more at that scale
+        calls = []
+        impl = frame_module._frame_impl
+
+        def counted(*args):
+            calls.append(args[8:])
+            return impl(*args)
+
+        monkeypatch.setattr(frame_module, "_frame_impl", counted)
+        point = (Fraction(-7, 9), Fraction(-1), Fraction(1))
+        frame = self.assert_matches(threefold_cusp_model(), point, None, None)
+        assert len(calls) == 2 and calls[1][0] > 0
+        assert type(frame.kernel.delta[0]).shift == calls[1][0]
+
+    @pytest.mark.parametrize(
+        "model, point",
+        [
+            (two_primary_model(Fraction(1, 2)), (Fraction(1, 3), 0)),
+            (two_primary_model(Fraction(1, 3)), (Fraction(-2, 5), 0)),
+            (threefold_cusp_model(), (0, 0, 0)),
+        ],
+    )
+    def test_exact_guard_refuses_the_discriminant(self, model, point, monkeypatch):
+        # a rational point on the discriminant: chi_0 on exact rationals has
+        # a repeated root, refused before any seed or Newton step
+        def no_seeds(coeffs):
+            raise AssertionError("seeded a characteristic polynomial with a repeated root")
+
+        monkeypatch.setattr(frame_module, "_root_seeds", no_seeds)
+        with pytest.raises(NonSemisimpleError, match="discriminant is exactly 0"):
+            canonical_frame(model, point, CTX, order=0)
 
 
 class TestDiscriminantWalk:

@@ -7,6 +7,7 @@ is not rational, ``EXACT`` raises instead of rounding.
 """
 
 import ast
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import genuslift
-from genuslift.frobenius import threefold_cusp_model, two_primary_model
+from genuslift.frame import canonical_frame
+from genuslift.frobenius import EulerData, FrobeniusModel, threefold_cusp_model, two_primary_model
 from genuslift.linalg import det, mat_inv
 from genuslift.scalars import EXACT, FloatContext, from_kernel
 
@@ -212,6 +214,28 @@ class TestKernelScalars:
             for got, want in cases:
                 assert mpmath.fabs(from_kernel(got) - want) <= slack(want, shift)
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(complexes())
+    def test_square_root(self, x):
+        (k,) = CTX.to_kernel([x])
+        with CTX.guard():
+            want = mpmath.sqrt(x)
+            assert mpmath.fabs(from_kernel(k.sqrt()) - want) <= slack(want, k.shift)
+
+    def test_square_root_on_the_negative_real_axis(self):
+        # flooring can leave the imaginary part of a negative real number at
+        # 0 or push it to -1 unit: the root follows mpmath's principal branch
+        # for the number the kernel scalar holds, +i sqrt(10.33) on the axis
+        # and -i sqrt(10.33) just below it
+        with CTX.guard():
+            (k,) = CTX.to_kernel([mpmath.mpf("-10.33")])
+            for im, sign in ((0, 1), (-1, -1), (1, 1)):
+                x = type(k)(k.re, im)
+                got, want = from_kernel(x.sqrt()), mpmath.sqrt(mpmath.mpc(from_kernel(x)))
+                assert mpmath.fabs(got - want) <= slack(want, k.shift)
+                assert mpmath.re(got) >= 0 and mpmath.sign(mpmath.im(got)) == sign
+            assert x.sqrt().re >= 0 and type(k)(k.re, 0).sqrt().re == 0
+
     def test_zero_stays_zero(self):
         with CTX.guard():
             zero, one, x = CTX.to_kernel([mpmath.mpc(0, 0), 1, mpmath.mpc("0.3", "-1e-11")])
@@ -293,7 +317,7 @@ class TestKernelScalars:
 def test_no_backend_branches_in_src():
     """The choice between the backends lives in the context objects, and
     only the modules that make kernel data convert to it."""
-    producers = {"scalars.py", "rmatrix.py", "descendent.py"}
+    producers = {"scalars.py", "frame.py", "rmatrix.py", "descendent.py"}
     offenders = []
     for path in sorted(Path(genuslift.__file__).parent.glob("*.py")):
         words = ["ctx is None", "ctx is not None", "nullcontext"]
@@ -324,3 +348,58 @@ def test_one_division_by_z_plus_w_in_src():
                 if {"z", "w"} <= words:
                     offenders.append(f"{path.name}:{node.lineno}: a (z, w) ring")
     assert offenders == []
+
+
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__", "__abs__")
+
+
+def test_order_zero_frame_runs_no_mpmath_arithmetic(monkeypatch):
+    """The order-0 frame takes its roots by Newton's iteration on kernel
+    scalars: ``polyroots`` appears nowhere in ``src/``, and once C_a and
+    the Euler field are evaluated, no mpmath number is added, multiplied,
+    divided, raised, negated or taken in modulus, on either route to C_a
+    (exact rationals, or working precision for an exponential potential or
+    an irrational point)."""
+    offenders = []
+    for path in sorted(Path(genuslift.__file__).parent.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if "polyroots" in line:
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert offenders == []
+
+    calls = Counter()
+    for cls in (mpmath.mpf, mpmath.mpc):
+        for name in ARITHMETIC:
+            original = getattr(cls, name)
+
+            def counted(*args, _original=original, _name=f"{cls.__name__}.{name}"):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+    def resetting(original):
+        def evaluate(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.clear()
+            return out
+
+        return evaluate
+
+    for cls, name in ((FrobeniusModel, "structure_constants"), (EulerData, "components")):
+        monkeypatch.setattr(cls, name, resetting(getattr(cls, name)))
+    with CTX.guard():
+        irrational = (CTX.num(Fraction(1, 3)), mpmath.sqrt(2) / 5)
+    cases = [
+        (threefold_cusp_model(), (Fraction(11, 13), Fraction(-17, 19), Fraction(-20, 21))),
+        (two_primary_model(Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 5))),
+        (two_primary_model(Fraction(1)), (Fraction(1, 3), Fraction(-2, 7))),
+        (two_primary_model(Fraction(1, 2)), irrational),
+    ]
+    for model, point in cases:
+        canonical_frame(model, point, CTX, order=0)
+        assert sum(calls.values()) == 0, (model.name, dict(calls))
+    # the counter sees the jets' mpmath arithmetic
+    canonical_frame(two_primary_model(Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 5)), CTX, order=1)
+    assert sum(calls.values()) > 0

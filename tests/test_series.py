@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genuslift.rmatrix import _divide, _entry
 from genuslift.scalars import FloatContext
 from genuslift.series import Caps, TruncatedSeries
 from oracles import singular_quotient
@@ -19,6 +20,34 @@ def geom(caps, name, order):
     for k in range(order + 1):
         s = s + TruncatedSeries.var(caps, name, k, Fraction((-1) ** k))
     return s
+
+
+class TestZeroTest:
+    """Numbers and series answer one zero test, ``x or x != 0``: an empty
+    series equals 0, so the division by z + w and R's entries drop exact
+    zeros whichever ring they run on."""
+
+    def test_empty_series_equals_zero(self):
+        caps = Caps.total(("x",), 2)
+        empty, x = TruncatedSeries(caps), TruncatedSeries.var(caps, "x")
+        assert empty == 0 and not (empty or empty != 0)
+        assert x != 0 and x == x and x - x == 0
+        assert TruncatedSeries.const(caps, Fraction(3)) == 3 != x
+        assert _entry(empty) == 0 and type(_entry(empty)) is int
+
+    def test_divide_drops_exact_zero_series(self):
+        # (E(z) E(w) - 1) / (z + w) for E = 1 + x z: N_pq = e_p e_q with
+        # e = (1, x, 0), so Q_00 = N_01 = x, Q_01 = N_02 = 0 and
+        # Q_10 = N_11 - Q_01 = x^2 (entered with the sign (-1)^(k+l))
+        caps = Caps.total(("x",), 4)
+        e = [TruncatedSeries.const(caps, Fraction(1)), TruncatedSeries.var(caps, "x"),
+             TruncatedSeries(caps)]
+        products = {(p, q): [[e[p] * e[q]]] for p in range(3) for q in range(3 - p)}
+        table, remainders = _divide(products, 2, 1, [[1]])
+        assert sorted(table) == [(0, 0, 0, 0), (0, 0, 1, 0)]
+        assert table[0, 0, 0, 0] == e[1] and table[0, 0, 1, 0] == -(e[1] * e[1])
+        # the remainder E(z) E(-z) - 1 = -x^2 z^2
+        assert remainders[1][0][0] == 0 and remainders[2][0][0] == -(e[1] * e[1])
 
 
 class TestArithmetic:

@@ -199,18 +199,22 @@ def _cmd_validate(args):
     config = _config(args)
     model = _load_model(args.model, config.tolerance)
     origin = (Fraction(0),) * model.dimension
-    try:
-        residual = format_rational(model.unit_residual(origin, EXACT))
-    except (ArithmeticError, ValueError):
-        residual = "skipped: origin outside the domain"
     doc = {
         "name": model.name,
         "dimension": model.dimension,
         "unit_index": model.unit_index,
         "conformal": model.euler is not None,
         "parameters": {k: format_rational(v) for k, v in sorted(model.parameters.items())},
-        "unit_residual": residual,
     }
+    # the axiom residuals at the origin, exact
+    checks = [("unit_residual", model.unit_residual), ("wdvv_residual", model.wdvv_residual)]
+    if model.euler is not None:
+        checks.append(("euler_residual", model.euler_residual))
+    for name, residual in checks:
+        try:
+            doc[name] = format_rational(residual(origin, EXACT))
+        except (ArithmeticError, ValueError):
+            doc[name] = "skipped: origin outside the domain"
     return EXIT_OK, render_report(doc, config.output)
 
 

@@ -500,7 +500,8 @@ def bold_quantities(
     t_star = frame.point
     with ctx.guard():
         bvecs = _brackets(model, calibration, t_star, tau, ctx)
-    cvecs = [mat_vec(r.kernel.psi, r.kernel.at_scale(b)) for b in bvecs]
+    kernel = r.frame.kernel
+    cvecs = [mat_vec(kernel.psi, kernel.at_scale(b)) for b in bvecs]
     t_cutoff = r.order + 1
     gvals = []
     for k in range(t_cutoff + 1):

@@ -32,9 +32,12 @@ scalars at the point.  There C_a and the Euler field are evaluated once:
 exactly when the potential has no exponential and the point is rational, at
 working precision otherwise, and converted to kernel scalars at once.  No
 mpmath arithmetic follows.  The returned :class:`CanonicalFrame` holds the
-values at working precision as one-term series, and u, Delta, sqrt(Delta)
-and Psi also as :class:`KernelValues` at the scale ``rmatrix.frame_kernel``
-takes for them, so R, V and T start from them without a conversion.
+values at working precision as series (of one term at order 0).
+
+On either ring the frame is the one producer of R's starting data: its
+``kernel`` (:class:`FrameKernel`) holds Delta, sqrt(Delta), Psi and, on a
+conformal frame, the gaps u_j - u_i at the point as kernel scalars of one
+scale, the scale of R.  R, V and T start from it and convert none of it.
 """
 
 from __future__ import annotations
@@ -70,14 +73,56 @@ class DegenerateFrameError(ArithmeticError):
     """An idempotent has (numerically) zero squared length."""
 
 
-class KernelValues(NamedTuple):
-    """The order-0 frame's u, Delta, sqrt(Delta) and Psi as kernel scalars
-    of one scale, the scale ``rmatrix.frame_kernel`` takes for them."""
+def _entry(x):
+    """``x`` as an entry of R: the int 0 when it vanishes, so an exact zero
+    reads and prints the same on every route."""
+    return x if x or x != 0 else 0
 
-    u: list
+
+class FrameKernel(NamedTuple):
+    """The frame's values at the point as kernel scalars of one scale, the
+    scale of R (:func:`_one_scale`).
+
+    ``kind`` is the :class:`scalars.GaussianFixed` type of that scale.
+    ``gaps`` maps (i, j), i < j, to u_j - u_i on a conformal frame and is
+    empty otherwise."""
+
+    kind: type
     delta: list
     sqrt_delta: list
     psi: list
+    gaps: dict
+
+    def at_scale(self, values) -> list:
+        """``values`` (numbers of any backend) as kernel scalars of this
+        scale; an exact zero stays the int 0."""
+        return [_entry(self.kind.convert(x)) for x in values]
+
+
+def _one_scale(ctx: FloatContext, u, delta, sqrt_delta, psi, conformal: bool) -> FrameKernel:
+    """The values at the point at one scale: the
+    :func:`scalars._kernel_shift` of Delta, sqrt(Delta), Psi and, on a
+    conformal frame, the gaps u_j - u_i.  So the reciprocals R and T take,
+    1/(u_j - u_i) and 1/sqrt(Delta_i), keep the working precision, and the
+    products of Psi that form V = Psi mu Psi^{-1} stay exact to the scale
+    of their largest factor.  Jets hand in their constant terms, whose gaps
+    are formed at working precision; the order-0 ring hands in kernel
+    scalars at the scale it settled, whose gaps are exact, and they pass
+    through, or shift left exactly where rounding moved a value across a
+    power of two.  A frame that is not conformal has no gaps: its u are
+    integrated from anchors, not eigenvalues."""
+    n = len(u)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if conformal else []
+    gaps = [u[j] - u[i] for i, j in pairs]
+    flat = ctx.to_kernel([*gaps, *delta, *sqrt_delta, *(x for row in psi for x in row)])
+    it = iter(flat)
+    return FrameKernel(
+        kind=flat[0].__class__,
+        gaps={pair: next(it) for pair in pairs},
+        delta=[next(it) for _ in range(n)],
+        sqrt_delta=[next(it) for _ in range(n)],
+        psi=[[next(it) for _ in range(n)] for _ in range(n)],
+    )
 
 
 @dataclass
@@ -93,8 +138,8 @@ class CanonicalFrame:
     psi: List[List[TruncatedSeries]]
     idempotents: List[List[TruncatedSeries]]
     conformal: bool
+    kernel: FrameKernel
     residual: object = None
-    kernel: Optional[KernelValues] = None
 
     @property
     def dimension(self) -> int:
@@ -220,10 +265,16 @@ class _Jets:
 
     least_shift = 0
 
-    def settle(self, u, delta, sqrt_delta, psi, conformal) -> None:
-        """Jets carry mpmath numbers, which ``rmatrix.frame_kernel``
-        converts itself."""
-        return None
+    def settle(self, u, delta, sqrt_delta, psi, conformal) -> FrameKernel:
+        """The constant terms at one scale (:func:`_one_scale`)."""
+        return _one_scale(
+            self.ctx,
+            [x.constant_term() for x in u],
+            [x.constant_term() for x in delta],
+            [x.constant_term() for x in sqrt_delta],
+            [[x.constant_term() for x in row] for row in psi],
+            conformal,
+        )
 
     def series(self, x) -> TruncatedSeries:
         return x
@@ -305,10 +356,10 @@ class _Kernel:
     def value(self, x):
         return x
 
-    def settle(self, u, delta, sqrt_delta, psi, conformal) -> Optional[KernelValues]:
-        """The values at the scale ``rmatrix.frame_kernel`` takes for them:
-        the ``_kernel_shift`` of the gaps u_j - u_i (conformal frames),
-        Delta, sqrt(Delta) and Psi.  When that scale is finer than the one
+    def settle(self, u, delta, sqrt_delta, psi, conformal) -> Optional[FrameKernel]:
+        """The values converted to the ``_kernel_shift`` of the gaps u_j -
+        u_i (conformal frames), Delta, sqrt(Delta) and Psi, then at one
+        scale (:func:`_one_scale`).  When that scale is finer than the one
         they were computed at, and they were not computed at a least scale
         already, it becomes ``least_shift``, the least scale of one rerun,
         and nothing is returned."""
@@ -320,11 +371,13 @@ class _Kernel:
             self.least_shift = shift
             return None
         out = _fixed_type(shift, self.ctx.prec_bits).convert
-        return KernelValues(
-            u=[out(x) for x in u],
-            delta=[out(x) for x in delta],
-            sqrt_delta=[out(x) for x in sqrt_delta],
-            psi=[[out(x) for x in row] for row in psi],
+        return _one_scale(
+            self.ctx,
+            [out(x) for x in u],
+            [out(x) for x in delta],
+            [out(x) for x in sqrt_delta],
+            [[out(x) for x in row] for row in psi],
+            conformal,
         )
 
     def series(self, x) -> TruncatedSeries:

@@ -182,21 +182,6 @@ class FrobeniusModel:
                 worst = max(worst, ctx.abs(e.matrix[m][self.unit_index] - expect))
             return worst
 
-    def euler_multiplication(self, point: Sequence, ctx: Context):
-        """Matrix of multiplication by the Euler field, E dot."""
-        n = self.dimension
-        out = [[None] * n for _ in range(n)]
-        with ctx.guard():
-            cs = self.structure_constants(point, ctx)
-            evec = self.euler.components(point, ctx)
-            for i in range(n):
-                for j in range(n):
-                    acc = evec[0] * cs[0][i][j]
-                    for a in range(1, n):
-                        acc = acc + evec[a] * cs[a][i][j]
-                    out[i][j] = acc
-        return out
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:

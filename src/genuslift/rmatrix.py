@@ -25,17 +25,19 @@ and the CLI's self-test call :func:`compute_R` on order-1 and order-5 frames.
 
 Every route hands R over in one format: ``RSeries.mats[k]`` is the matrix
 R_k of kernel scalars (``scalars.GaussianFixed``) at the point, all at the
-one scale of :func:`frame_kernel`, which converts the frame's values at the
-point once.  :func:`homogeneous_R` runs on those converted values; the jet
-recursion converts its values at the point when it is done, and
-:func:`twist_R` its gauge exponentials.  The graph sum reads R(z) only
-through these coefficients (V through R(z) R(w)^T / (z + w), T through R_m
-and Delta), so the jets of :func:`compute_R` stay inside its recursion, and
-:func:`compute_V`, :func:`compute_T` and ``descendent.bold_quantities``
-run on the kernel scalars as well.  Their tables are lifted once to the
-scale their numbers need (:meth:`EdgeTailData.in_kernel`) and reach the
-graph sum and the Wick oracle in the form those run on: the consumers
-convert nothing.
+one scale of ``frame.kernel`` (``frame.FrameKernel``), the frame's values
+at the point as kernel scalars.  The frame is their one producer, on either
+of its rings; nothing here converts them.  :func:`homogeneous_R` runs on
+them; the jet recursion converts its values at the point to their scale
+when it is done, and :func:`twist_R` its gauge exponentials.  The graph sum
+reads R(z) only through these coefficients (V through R(z) R(w)^T / (z +
+w), T through R_m and Delta), so the jets of :func:`compute_R` stay inside
+its recursion, and :func:`compute_V`, :func:`compute_T` and
+``descendent.bold_quantities`` run on the kernel scalars as well.  Their
+tables are lifted once to the scale their numbers need
+(:meth:`EdgeTailData.in_kernel`, the one scale this module picks) and
+reach the graph sum and the Wick oracle in the form those run on: the
+consumers convert nothing.
 
 The jet recursion, :func:`compute_R`, works for any semisimple point.  In
 the canonical frame the flatness equations determine R recursively.
@@ -85,79 +87,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 
 from .expressions import _multi_indices, t_names
-from .frame import CanonicalFrame, DegenerateFrameError
+from .frame import CanonicalFrame, DegenerateFrameError, _entry
 from .linalg import identity, mat_add, mat_mul, transpose
 from .scalars import FloatContext
 from .series import Caps, TruncatedSeries
-
-
-def _entry(x):
-    """``x`` as an entry of R: the int 0 when it vanishes, so an exact zero
-    reads and prints the same on every route."""
-    return x if x or x != 0 else 0
-
-
-class FrameKernel(NamedTuple):
-    """The frame's values at the point as kernel scalars of one scale, the
-    scale of R (:func:`frame_kernel`).
-
-    ``kind`` is the :class:`scalars.GaussianFixed` type of that scale.
-    ``gaps`` maps (i, j), i < j, to u_j - u_i on a conformal frame and is
-    empty otherwise."""
-
-    kind: type
-    delta: list
-    sqrt_delta: list
-    psi: list
-    gaps: dict
-
-    def at_scale(self, values) -> list:
-        """``values`` (numbers of any backend) as kernel scalars of this
-        scale; an exact zero stays the int 0."""
-        return [_entry(self.kind.convert(x)) for x in values]
-
-
-def frame_kernel(frame: CanonicalFrame) -> FrameKernel:
-    """The frame's values at the point at one scale: the
-    :func:`scalars._kernel_shift` of Delta, sqrt(Delta), Psi and, on a
-    conformal frame, the gaps u_j - u_i.  So the reciprocals R and T take,
-    1/(u_j - u_i) and 1/sqrt(Delta_i), keep the working precision, and the
-    products of Psi that form V = Psi mu Psi^{-1} stay exact to the scale
-    of their largest factor.  An order-0 frame already holds these values
-    as kernel scalars at that scale (``frame.kernel``, gaps formed exactly
-    from u), so they pass through, or shift left exactly where rounding
-    moved a value across a power of two; the mpmath values of a jet frame
-    are converted here, gaps formed at working precision.  A frame that is
-    not conformal has no gaps: its u are integrated from anchors, not
-    eigenvalues."""
-    ctx = frame.ctx
-    n = frame.dimension
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if frame.conformal else []
-    held = frame.kernel or (
-        frame.u_values(), frame.delta_values(), frame.sqrt_delta_values(), frame.psi_values()
-    )
-    u, delta, sqrt_delta, psi = held
-    with ctx.guard():
-        gaps = [u[j] - u[i] for i, j in pairs]
-    psi = [x for row in psi for x in row]
-    flat = ctx.to_kernel([*gaps, *delta, *sqrt_delta, *psi])
-    it = iter(flat)
-    gaps = {pair: next(it) for pair in pairs}
-    delta = [next(it) for _ in range(n)]
-    sqrt_delta = [next(it) for _ in range(n)]
-    psi = [[next(it) for _ in range(n)] for _ in range(n)]
-    return FrameKernel(
-        kind=flat[0].__class__,
-        delta=delta,
-        sqrt_delta=sqrt_delta,
-        psi=psi,
-        gaps=gaps,
-    )
 
 
 @dataclass
@@ -165,16 +103,15 @@ class RSeries:
     """R(z) = sum_k mats[k] z^k at the frame's point, for k = 0 .. order.
 
     Each ``mats[k]`` is an N x N matrix of kernel scalars at the scale of
-    ``kernel``, the frame's values in that form, whatever route computed
-    it; an entry that vanishes exactly is the int 0.  ``gauge`` is the
-    twist applied by :func:`twist_R`, None when untwisted.
+    ``frame.kernel``, whatever route computed it; an entry that vanishes
+    exactly is the int 0.  ``gauge`` is the twist applied by
+    :func:`twist_R`, None when untwisted.
     """
 
     frame: CanonicalFrame
     order: int
     mats: List[List[list]]
     mode: str
-    kernel: FrameKernel
     cross_residual: object = None
     gauge: Optional[list] = None
 
@@ -294,11 +231,9 @@ def _compute_r_impl(frame: CanonicalFrame, order: int, mode: str) -> RSeries:
             rk[i][i] = diag + const
         jets.append(rk)
 
-    kernel = frame_kernel(frame)
+    kernel = frame.kernel
     mats = [[kernel.at_scale(e.constant_term() for e in row) for row in rk] for rk in jets]
-    return RSeries(
-        frame=frame, order=order, mats=mats, mode=mode, kernel=kernel, cross_residual=cross
-    )
+    return RSeries(frame=frame, order=order, mats=mats, mode=mode, cross_residual=cross)
 
 
 def _diagonal_constant(mode, k, i, ddiag, evec, jets, ctx, n):
@@ -340,7 +275,7 @@ def homogeneous_R(frame: CanonicalFrame, order: int) -> RSeries:
         (R_{k+1})_{ii} = sum_{j != i} (R_{k+1})_{ij} V_{ji} / (k + 1).
 
     No jets enter, so the frame may be built at order 0.  The recursion
-    runs on the frame's kernel scalars (:func:`frame_kernel`), with
+    runs on the frame's kernel scalars (``frame.kernel``), with
     Psi^{-1} = g^{-1} Psi^T, so V = Psi (mu g^{-1}) Psi^T takes exact
     rational factors.  The result equals ``compute_R(frame, order,
     "conformal")`` on a frame with jets to ``order``; there is no
@@ -352,7 +287,7 @@ def homogeneous_R(frame: CanonicalFrame, order: int) -> RSeries:
         raise ValueError("homogeneity needs u from the Euler multiplication")
     n = frame.dimension
     euler = frame.model.euler
-    kernel = frame_kernel(frame)
+    kernel = frame.kernel
     shift = 1 - Fraction(euler.conformal_dimension) / 2
     mu = [[(shift if a == b else 0) - euler.matrix[a][b] for b in range(n)] for a in range(n)]
     ginv = frame.model.metric_inverse
@@ -385,7 +320,7 @@ def homogeneous_R(frame: CanonicalFrame, order: int) -> RSeries:
                     acc = acc + nxt[i][j] * v[j][i]
             nxt[i][i] = _entry(acc / (k + 1))
         mats.append(nxt)
-    return RSeries(frame=frame, order=order, mats=mats, mode="conformal", kernel=kernel)
+    return RSeries(frame=frame, order=order, mats=mats, mode="conformal")
 
 
 def unitarity_residual(r: RSeries, remainders: list | None = None) -> object:
@@ -428,6 +363,7 @@ def twist_R(r: RSeries, gauge: Sequence[Sequence]) -> RSeries:
     n = r.dimension
     if len(gauge) != n:
         raise ValueError(f"gauge needs {n} rows, one per canonical index, not {len(gauge)}")
+    kernel = r.frame.kernel
     with ctx.guard():
         zcaps = Caps.total(("z",), r.order)
         # dcoef[i][m]: the z^m coefficient of row i's exponential, at R's scale
@@ -439,7 +375,7 @@ def twist_R(r: RSeries, gauge: Sequence[Sequence]) -> RSeries:
                     break
                 expo = expo + TruncatedSeries.var(zcaps, "z", 2 * m - 1, ctx.num(am))
             exp = expo.exp(ctx)
-            dcoef.append(r.kernel.at_scale(exp.scalar_coeff((m,)) for m in range(r.order + 1)))
+            dcoef.append(kernel.at_scale(exp.scalar_coeff((m,)) for m in range(r.order + 1)))
         mats = [
             [
                 [
@@ -602,7 +538,7 @@ def compute_T(r: RSeries, cutoff: int | None = None) -> List[Dict[int, object]]:
         cutoff = r.order + 1
     if cutoff > r.order + 1:
         raise ValueError("T cutoff exceeds the trustworthy range of R")
-    sd = r.kernel.sqrt_delta
+    sd = r.frame.kernel.sqrt_delta
     inv_sd = [1 / x for x in sd]
     out = [dict() for _ in range(n)]
     for k in range(2, cutoff + 1):
@@ -624,8 +560,8 @@ def edge_tail_data(r: RSeries, v_cutoff: int | None = None, t_cutoff: int | None
     t = compute_T(r, t_cutoff)
     return EdgeTailData(
         dimension=r.dimension,
-        delta=r.kernel.delta,
-        sqrt_delta=r.kernel.sqrt_delta,
+        delta=r.frame.kernel.delta,
+        sqrt_delta=r.frame.kernel.sqrt_delta,
         v=v,
         t=t,
         v_cutoff=v_cutoff if v_cutoff is not None else r.order - 1,

@@ -23,14 +23,15 @@ divides, raises to integer powers and takes square roots.  It runs on
 *kernel scalars*: a :class:`GaussianFixed`, a Gaussian fixed-point number
 (re + i im) / 2**shift on two Python ints, whose products cost a fifth of
 an ``mpc`` product at 256 bits.  Data is converted where it is made and
-nowhere else: the producers (the order-0 frame, ``rmatrix.frame_kernel``
-and the lift of the edge/tail tables) call :meth:`FloatContext.to_kernel`
-or :func:`_kernel_shift`, the one rule that picks a table's scale, and
-:meth:`GaussianFixed.convert` brings a number to a scale already picked.
-The consumers run on the numbers the data holds, at the precision those
-carry (:func:`_context_of`), and :func:`from_kernel` converts each result
-back.  Rational data needs no conversion: a
-``Fraction`` is its own kernel scalar, and sums over it stay exact.
+nowhere else: the producers (the canonical frame, the one producer of R's
+starting data ``frame.kernel``, and the lift of the edge/tail tables) call
+:meth:`FloatContext.to_kernel` or :func:`_kernel_shift`, the one rule that
+picks a table's scale, and :meth:`GaussianFixed.convert` brings a number
+to a scale already picked.  The consumers run on the numbers the data
+holds, at the precision those carry (:func:`_context_of`), and
+:func:`from_kernel` converts each result back.  Rational data needs no
+conversion: a ``Fraction`` is its own kernel scalar, and sums over it stay
+exact.
 
 Arithmetic code takes a context and calls it; which backend runs is
 decided here alone.  ``EXACT`` is the default wherever a context is

@@ -258,7 +258,33 @@ class TestModelCommands:
         code, doc = run_json(["validate", "--model", "two-primary:d=1/3"])
         assert code == 0
         assert doc["dimension"] == 2 and doc["conformal"] is True
-        assert doc["unit_residual"] == "0"
+        assert doc["unit_residual"] == doc["wdvv_residual"] == doc["euler_residual"] == "0"
+
+    def test_validate_reports_the_euler_residual(self, tmp_path):
+        # E = t0 d_0 + t1/2 d_1 at d = 1/2; weight 1/3 on t1 misses the
+        # weight 3 - d = 5/2 of F_{001} = 1 by 1 + 1 + 1/3 - 5/2 = -1/6, and
+        # the weight 2 - d of the metric g_{01} = 1 by 1 + 1/3 - 3/2 = -1/6
+        doc = two_primary_model(Fraction(1, 2)).to_json()
+        doc["euler"]["matrix"][1][1] = "1/3"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, report = run_json(["validate", "--model", str(path)])
+        assert code == 0
+        assert report["unit_residual"] == report["wdvv_residual"] == "0"
+        assert report["euler_residual"] == "1/6"
+
+    def test_validate_skips_the_residuals_off_the_domain(self, tmp_path):
+        # d = 3/2: F = t0^2 t1 / 2 + t1^-3 has its pole at the origin
+        code, doc = run_json(["validate", "--model", "two-primary:d=3/2"])
+        assert code == 0
+        for name in ("unit_residual", "wdvv_residual", "euler_residual"):
+            assert doc[name] == "skipped: origin outside the domain"
+        plain = two_primary_model(Fraction(1, 2)).to_json()
+        del plain["euler"]
+        path = tmp_path / "plain.json"
+        path.write_text(json.dumps(plain))
+        code, doc = run_json(["validate", "--model", str(path)])
+        assert code == 0 and "euler_residual" not in doc and doc["wdvv_residual"] == "0"
 
     def test_validate_document(self, tmp_path):
         path = tmp_path / "model.json"

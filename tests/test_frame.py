@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 import genuslift.frame as frame_module
 from genuslift.cli import run_command
-from genuslift.frame import NonSemisimpleError, canonical_frame
+from genuslift.frame import FrameKernel, NonSemisimpleError, canonical_frame
 from genuslift.frobenius import threefold_cusp_model, two_primary_model
-from genuslift.rmatrix import frame_kernel
 from genuslift.scalars import FloatContext
 from genuslift.series import TruncatedSeries
 from oracles import frame_invariant_residuals, projector_frame, two_primary_genus2_reference
@@ -372,13 +371,7 @@ class TestKernelFrame:
                 top = max(mpmath.fabs(y) for _, y in pairs)
                 worst = max(mpmath.fabs(x - y) for x, y in pairs)
                 assert worst <= bound * top, (name, worst, top)
-        # R starts from the frame's kernel values: frame_kernel passes them
-        # through, or shifts them left exactly, and never rounds them
-        held, kernel = frame.kernel, frame_kernel(frame)
-        assert kernel.kind.shift >= type(held.delta[0]).shift
-        for x, y in zip([*held.delta, *held.sqrt_delta, *sum(held.psi, [])],
-                        [*kernel.delta, *kernel.sqrt_delta, *sum(kernel.psi, [])]):
-            assert kernel.kind.convert(x) == y
+        assert isinstance(frame.kernel, FrameKernel)
         return frame
 
     @settings(max_examples=30, deadline=None, database=None)
@@ -429,6 +422,36 @@ class TestKernelFrame:
         monkeypatch.setattr(frame_module, "_root_seeds", no_seeds)
         with pytest.raises(NonSemisimpleError, match="discriminant is exactly 0"):
             canonical_frame(model, point, CTX, order=0)
+
+
+class TestJetFrameKernel:
+    """A frame with jets hands R its constant terms as kernel scalars: the
+    gaps u_j - u_i formed at working precision, Delta, sqrt(Delta) and Psi,
+    at one ``FloatContext.to_kernel`` scale.  A frame not built from the
+    Euler multiplication has no gaps."""
+
+    @pytest.mark.parametrize(
+        "model, point, weights",
+        [
+            (two_primary_model(Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 5)), None),
+            (threefold_cusp_model(), (Fraction(1, 3), Fraction(-2, 5), Fraction(-3, 7)), None),
+            (two_primary_model(Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 5)), [1, 3]),
+        ],
+    )
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_constant_terms_at_one_scale(self, model, point, weights, order):
+        frame = canonical_frame(model, point, CTX, order=order, generator_weights=weights)
+        n, u = frame.dimension, frame.u_values()
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if weights is None else []
+        with CTX.guard():
+            gaps = [u[j] - u[i] for i, j in pairs]
+        psi = sum(frame.psi_values(), [])
+        want = CTX.to_kernel([*gaps, *frame.delta_values(), *frame.sqrt_delta_values(), *psi])
+        kernel = frame.kernel
+        assert isinstance(kernel, FrameKernel) and kernel.kind is type(want[0])
+        assert list(kernel.gaps) == pairs
+        got = [*kernel.gaps.values(), *kernel.delta, *kernel.sqrt_delta, *sum(kernel.psi, [])]
+        assert got == want
 
 
 class TestDiscriminantWalk:

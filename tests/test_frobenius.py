@@ -84,18 +84,6 @@ class TestAxioms:
         )
         assert bad.unit_residual((Fraction(1), Fraction(1)), EXACT) != 0
 
-    def test_euler_multiplication_matches_field(self):
-        m = two_primary_model(Fraction(1, 2))
-        pt = (Fraction(1, 5), Fraction(3, 7))
-        emat = m.euler_multiplication(pt, EXACT)
-        evec = m.euler.components(pt, EXACT)
-        # E acts as E^0 I + E^1 C_1
-        cs = m.structure_constants(pt, EXACT)
-        for i in range(2):
-            for j in range(2):
-                expect = evec[0] * cs[0][i][j] + evec[1] * cs[1][i][j]
-                assert emat[i][j] == expect
-
 
 class TestWorkingPrecision:
     """Float residuals and structure constants called outside any precision
@@ -131,16 +119,6 @@ class TestWorkingPrecision:
                     for fm, em in zip(floats, exact)
                     for fr, er in zip(fm, em)
                     for x, y in zip(fr, er)
-                )
-            assert gap < self.BOUND
-
-    def test_euler_multiplication_matches_exact(self):
-        for m, pt in self.cases():
-            floats = m.euler_multiplication(pt, self.CTX)
-            exact = m.euler_multiplication(pt, EXACT)
-            with self.CTX.guard():
-                gap = max(
-                    abs(x - self.CTX.num(y)) for fr, er in zip(floats, exact) for x, y in zip(fr, er)
                 )
             assert gap < self.BOUND
 

@@ -328,11 +328,11 @@ class TestFormat:
         }
         for name, r in routes.items():
             assert len(r.mats) == r.order + 1
-            assert issubclass(r.kernel.kind, GaussianFixed)
+            assert issubclass(r.frame.kernel.kind, GaussianFixed)
             for mat in r.mats:
                 for x in (x for row in mat for x in row):
                     # the int 0 or a kernel scalar of the one scale of this R
-                    assert type(x) is r.kernel.kind or (type(x) is int and x == 0), (name, x)
+                    assert type(x) is r.frame.kernel.kind or (type(x) is int and x == 0), (name, x)
         # an exact zero stays the int 0 on the jet route
         assert all(type(routes["constants"].mats[1][i][i]) is int for i in range(2))
 

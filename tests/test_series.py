@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genuslift.rmatrix import _divide, _entry
+from genuslift.frame import _entry
+from genuslift.rmatrix import _divide
 from genuslift.scalars import FloatContext
 from genuslift.series import Caps, TruncatedSeries
 from oracles import singular_quotient

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .descendent import (
+    Calibration,
     CurvePoint,
     compute_calibration,
     descendent_frame,
@@ -108,33 +109,52 @@ def _parse_gauge(text: str) -> tuple:
         raise SchemaError(f"gauge must be a JSON array of arrays of rationals: {text!r}")
 
 
+def _builtin(spec: str) -> bool:
+    return spec in ("point", "threefold-cusp") or spec.startswith("two-primary")
+
+
 def _load_model(spec: str, tolerance: Rational) -> FrobeniusModel:
     """A built-in name ("point", "two-primary:d=1/3[:c=1]", "threefold-cusp")
-    or a path to a model document."""
-    if spec == "point":
-        return point_model()
-    if spec == "threefold-cusp":
-        return threefold_cusp_model()
-    if spec.startswith("two-primary"):
-        d, c = None, Fraction(1)
-        for part in spec.split(":")[1:]:
-            key, _, value = part.partition("=")
-            if key == "d":
-                d = Fraction(value)
-            elif key == "c":
-                c = Fraction(value)
-            else:
-                raise SchemaError(f"unknown two-primary option {key!r}")
-        if d is None:
-            raise SchemaError("two-primary needs d, e.g. two-primary:d=1/3")
-        try:
-            return two_primary_model(d, c)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+    or a path to a model document.  Built-ins are built once per process;
+    a document is read again on every call, so an edit between two
+    commands shows."""
+    if _builtin(spec):
+        return _builtin_model(spec)
     path = Path(spec)
     if not path.exists():
         raise SchemaError(f"model {spec!r} is neither a built-in name nor a file")
     return parse_model(path.read_text(), tolerance=tolerance)
+
+
+@functools.cache
+def _builtin_model(spec: str) -> FrobeniusModel:
+    """The built-in model ``spec`` names, built once per process."""
+    if spec == "point":
+        return point_model()
+    if spec == "threefold-cusp":
+        return threefold_cusp_model()
+    d, c = None, Fraction(1)
+    for part in spec.split(":")[1:]:
+        key, _, value = part.partition("=")
+        if key == "d":
+            d = Fraction(value)
+        elif key == "c":
+            c = Fraction(value)
+        else:
+            raise SchemaError(f"unknown two-primary option {key!r}")
+    if d is None:
+        raise SchemaError("two-primary needs d, e.g. two-primary:d=1/3")
+    try:
+        return two_primary_model(d, c)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+
+@functools.cache
+def _builtin_calibration(spec: str, order: int) -> Calibration:
+    """The calibration of a built-in model through S_order, built once per
+    process."""
+    return compute_calibration(_builtin_model(spec), order=order)
 
 
 def _load_tau(spec: str):
@@ -272,8 +292,11 @@ def _cmd_genus(args):
     report = genus_potential(
         model, point, args.g, ctx, order=config.r_order, mode=args.mode, gauge=config.gauge
     )
-    # the graph sum's vertex correlators hold almost every one the oracle needs
-    oracle = wick_oracle(report.data, args.g, vertex_cache=report.vertex_cache)
+    # the graph sum's vertex correlators hold almost every one the oracle
+    # needs, and its edge weights all of them
+    oracle = wick_oracle(
+        report.data, args.g, vertex_cache=report.vertex_cache, edge_weights=report.edge_weights
+    )
     contributions = report.contribution_map()
     with ctx.guard():
         residual = ctx.abs(report.value - oracle)
@@ -333,7 +356,11 @@ def _cmd_descendent(args):
             f"curve point has dimension {tau.dimension}, model has {model.dimension}"
         )
     # the bold data read S_0 .. S_K only
-    calibration = compute_calibration(model, order=max(tau.kmax, 1))
+    order = max(tau.kmax, 1)
+    if _builtin(args.model):
+        calibration = _builtin_calibration(args.model, order)
+    else:
+        calibration = compute_calibration(model, order=order)
     frame_data = descendent_frame(
         model, calibration, tau, ctx, order=config.r_order, gauge=config.gauge
     )
@@ -447,7 +474,10 @@ def _selftest_checks(ctx: FloatContext):
     report = genus_potential(model, point, 2, ctx)
     with ctx.guard():
         yield ("genus2-vanishing-d-one-third", ctx.abs(report.value), "F^2 on the d=1/3 model")
-        oracle = wick_oracle(report.data, 2, table, vertex_cache=report.vertex_cache)
+        oracle = wick_oracle(
+            report.data, 2, table,
+            vertex_cache=report.vertex_cache, edge_weights=report.edge_weights,
+        )
         yield (
             "graph-sum-vs-operator-oracle",
             ctx.abs(report.value - oracle),

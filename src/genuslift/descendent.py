@@ -29,7 +29,10 @@ here from the fixed-point form
 
     t = t_0 + sum_{m>=1} S_m(t) t_m
 
-by Newton iteration.  The genus-0 potential is then
+by Newton iteration on kernel scalars (``scalars.GaussianFixed``) of one
+scale: S_m and C_a are evaluated at the kernel point, each step is solved
+by ``linalg.mat_inv`` in the kernel, and t(tau) goes back to working
+precision once.  The genus-0 potential is then
 
     F0(tau) = (1/2) <tau(c) - c, tau(c) - c>'(t(tau)),
 
@@ -72,7 +75,7 @@ from .genus import _STENCIL, GenusReport, frame_and_R, genus1_differential, grap
 from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
 from .linalg import det, identity, mat_inv, mat_mul, mat_scale, mat_vec, transpose
 from .rmatrix import EdgeTailData, RSeries, _divide, compute_R, compute_V
-from .scalars import EXACT, Context, FloatContext
+from .scalars import EXACT, Context, FloatContext, from_kernel
 
 
 # -- expression plumbing ---------------------------------------------------------
@@ -271,12 +274,19 @@ def critical_point(
     tau: CurvePoint,
     ctx: FloatContext,
 ) -> tuple:
-    """Newton solve of t = t_0 + sum_{m>=1} S_m(t) t_m, seeded at t_0, until
-    the residual is at most 2^(40 - bits).
+    """t* at working precision: the Newton solve of t = t_0 + sum_{m>=1}
+    S_m(t) t_m, seeded at t_0, until the residual is at most 2^(40 - bits),
+    and one more step with the last Jacobian, which takes t to working
+    precision.
 
     The Jacobian is 1 - (quantum multiplication by sum_m S_{m-1}(t) t_m), so
-    each step costs one calibration evaluation and one N x N solve.  With
-    all higher couplings zero the seed is already exact."""
+    each step costs one calibration evaluation and one N x N solve.  Both
+    run on kernel scalars of one scale, picked by ``ctx.to_kernel`` from the
+    seed, the couplings and S_m at the seed: S_m and C_a are evaluated at
+    the kernel point, the solve is :func:`linalg.mat_inv` in the kernel, and
+    t* is converted back once.  With all higher couplings zero the seed is
+    already exact.  After 60 steps, or once an iterate's exponential
+    outgrows the kernel, the solve stops as stalled."""
     n = model.dimension
     _require_origin(calibration)
     if tau.dimension != n:
@@ -286,50 +296,67 @@ def critical_point(
         raise ValueError(
             f"calibration order {calibration.order} too small for couplings up to c^{kmax}"
         )
-    with ctx.guard():
-        tol = ctx.noise_floor(40)
-        t0 = [ctx.num(x) for x in tau.coupling(0)]
-        couplings = [[ctx.num(x) for x in tau.coupling(m)] for m in range(kmax + 1)]
-        live = [m for m in range(1, kmax + 1) if any(x != 0 for x in couplings[m])]
-        t = list(t0)
-        rmax = None
-        for _ in range(_NEWTON_STEPS):
-            svals = calibration.s_values(t, ctx, order=kmax) if live else None
-            res = list(t)
+    seed = tau.coupling(0)
+    live = [m for m in range(1, kmax + 1) if any(x != 0 for x in tau.coupling(m))]
+    if not live:
+        return tuple(ctx.num(x) for x in seed)
+    s_seed = calibration.s_values(seed, EXACT if model.rational_at(seed) else ctx, order=kmax)
+    flat = ctx.to_kernel([
+        *seed,
+        *(x for m in live for x in tau.coupling(m)),
+        *(x for m in live for row in s_seed[m] for x in row),
+    ])
+    t0 = t = flat[:n]
+    couplings = {m: flat[n * (k + 1) : n * (k + 2)] for k, m in enumerate(live)}
+    bound = t0[0].convert(ctx.noise_floor(40)).norm()
+    inverse = None
+    for steps in range(_NEWTON_STEPS):
+        try:
+            # EXACT keeps S_0 = 1 and the coefficients rational at a kernel point
+            svals = calibration.s_values(t, EXACT, order=kmax)
+        except OverflowError:
+            # an exponential outgrew the kernel: the iterates ran away
+            if not steps:
+                raise
+            break
+        res = [t[a] - t0[a] for a in range(n)]
+        for m in live:
+            sm = svals[m]
             for a in range(n):
-                res[a] = res[a] - t0[a]
-            for m in live:
-                sm = svals[m]
-                for a in range(n):
-                    acc = res[a]
-                    for b in range(n):
-                        acc = acc - sm[a][b] * couplings[m][b]
-                    res[a] = acc
-            rmax = ctx.max_abs(res)
-            if rmax <= tol:
-                return tuple(t)
-            w = [ctx.num(0)] * n
-            for m in live:
-                sm = svals[m - 1]
-                for a in range(n):
-                    acc = w[a]
-                    for b in range(n):
-                        acc = acc + sm[a][b] * couplings[m][b]
-                    w[a] = acc
-            cmats = model.structure_constants(t, ctx)
-            jac = [
-                [
-                    (1 if i == j else 0) - sum(w[mu] * cmats[mu][i][j] for mu in range(n))
-                    for j in range(n)
-                ]
-                for i in range(n)
+                acc = res[a]
+                for b in range(n):
+                    acc = acc - sm[a][b] * couplings[m][b]
+                res[a] = acc
+        if max(x.norm() for x in res) <= bound:
+            if inverse is not None:
+                # one more step with the last Jacobian polishes t
+                t = [x - y for x, y in zip(t, mat_vec(inverse, res))]
+            return tuple(from_kernel(x) for x in t)
+        w = [0] * n
+        for m in live:
+            sm = svals[m - 1]
+            for a in range(n):
+                acc = w[a]
+                for b in range(n):
+                    acc = acc + couplings[m][b] * sm[a][b]
+                w[a] = acc
+        cmats = model.structure_constants(t, EXACT)
+        jac = [
+            [
+                (1 if i == j else 0) - sum(w[mu] * cmats[mu][i][j] for mu in range(n))
+                for j in range(n)
             ]
-            step = mat_vec(mat_inv(jac, ctx), res)
-            t = [t[a] - step[a] for a in range(n)]
-        raise ArithmeticError(
-            f"critical point Newton stalled after {_NEWTON_STEPS} iterations; "
-            f"residual {mpmath.nstr(rmax, 8)}"
-        )
+            for i in range(n)
+        ]
+        inverse = mat_inv(jac, ctx)
+        step = mat_vec(inverse, res)
+        t = [t[a] - step[a] for a in range(n)]
+    else:
+        steps = _NEWTON_STEPS
+    raise ArithmeticError(
+        f"critical point Newton stalled after {steps} iterations; "
+        f"residual {mpmath.nstr(ctx.max_abs(res), 8)}"
+    )
 
 
 # -- genus 0 ----------------------------------------------------------------------

@@ -24,7 +24,16 @@ from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .graphs import _bounded
-from .scalars import Context, format_rational, parse_rational
+from .scalars import (
+    EXACT,
+    Context,
+    GaussianFixed,
+    _context_of,
+    _exponent,
+    format_rational,
+    from_kernel,
+    parse_rational,
+)
 from .series import Caps, TruncatedSeries
 
 TermKey = Tuple[Tuple[int, ...], Tuple[Fraction, ...]]
@@ -209,28 +218,41 @@ class Expression:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point: Sequence, ctx: Context):
+        """The value at ``point`` in the context's arithmetic.
+
+        At a point of kernel scalars (:class:`scalars.GaussianFixed`, one
+        scale) the value is a kernel scalar of that scale, whatever ``ctx``:
+        the rational coefficients and rates multiply in as Fractions, and
+        an exponential factor is formed at the precision the scalars carry
+        and converted, as the order-0 frame converts C_a."""
         if len(point) != self.nvars:
             raise ValueError("point dimension mismatch")
+        kernel = isinstance(point[0], GaussianFixed) if point else False
+        ring = EXACT if kernel else ctx
         with ctx.guard():
-            pt = [ctx.num(x) for x in point]
-            total = zero = ctx.num(0)
-            # coefficients and rates go through ctx.num once per precision
-            terms = self._numeric.get(ctx.prec_bits)
+            if kernel:
+                pt, exp, zero = point, _kernel_exp, point[0].convert(0)
+            else:
+                pt, exp, zero = [ctx.num(x) for x in point], ctx.exp, ctx.num(0)
+            total = zero
+            # coefficients and rates go through ring.num once per precision
+            terms = self._numeric.get(ring.prec_bits)
             if terms is None:
-                terms = self._numeric[ctx.prec_bits] = [
-                    (ctx.num(c), mono, [(a, ctx.num(lam)) for a, lam in enumerate(expo) if lam])
+                terms = self._numeric[ring.prec_bits] = [
+                    (ring.num(c), mono, [(a, ring.num(lam)) for a, lam in enumerate(expo) if lam])
                     for (mono, expo), c in self.terms.items()
                 ]
             for c, mono, rates in terms:
                 term = c
                 for x, m in zip(pt, mono):
                     if m:
-                        term = term * x**m
-                arg = zero
-                for a, lam in rates:
-                    arg = arg + lam * pt[a]
-                if arg != 0:
-                    term = term * ctx.exp(arg)
+                        term = (x if m == 1 else x**m) * term
+                if rates:
+                    arg = zero
+                    for a, lam in rates:
+                        arg = arg + lam * pt[a]
+                    if arg != 0:
+                        term = term * exp(arg)
                 total = total + term
             return total
 
@@ -342,6 +364,18 @@ class Expression:
                 factors.append(f"exp({lin})")
             bits.append("*".join(factors) if factors else "1")
         return " + ".join(bits) if bits else "0"
+
+
+def _kernel_exp(x):
+    """exp of a kernel scalar, formed at the precision it carries and
+    converted to its scale.  A value of 2**shift or more raises
+    ``OverflowError``: its fixed-point form would outgrow every other
+    number of the scale by more bits than the scale carries."""
+    value = _context_of(x).exp(x)
+    top = _exponent(value)
+    if top is not None and top > x.shift:
+        raise OverflowError(f"exp of {from_kernel(x)} is too large for a fixed-point kernel")
+    return x.convert(value)
 
 
 def _onevar_jet(caps: Caps, name: str, p, m: int, lam: Fraction, order: int, ctx) -> TruncatedSeries:

@@ -319,8 +319,7 @@ class _Kernel:
         """C_a and E at the point: exact when the potential has no
         exponential and ``point`` is rational, else at ``where`` at working
         precision and converted to kernel scalars of one scale."""
-        rational = all(isinstance(x, (int, Fraction)) for x in point)
-        exact = rational and model.potential.is_laurent()
+        exact = model.rational_at(point)
         ctx, point = (EXACT, point) if exact else (self.ctx, where)
         cmats = model.structure_constants(point, ctx)
         evals = model.euler.components(point, ctx) if model.euler is not None else None

@@ -106,6 +106,11 @@ class FrobeniusModel:
             [[e.jet(point, order, ctx) for e in row] for row in mat] for mat in self.multiplication
         ]
 
+    def rational_at(self, point: Sequence) -> bool:
+        """Whether values at ``point`` are rational: the potential has no
+        exponential and every coordinate is an int or a Fraction."""
+        return self.potential.is_laurent() and all(isinstance(x, (int, Fraction)) for x in point)
+
     def structure_constants(self, point: Sequence, ctx: Context):
         """Scalar matrices C_a at the point."""
         return [

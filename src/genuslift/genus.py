@@ -48,9 +48,11 @@ covariance holds the propagator weights (Isserlis's theorem,
 :func:`gaussian_moment`, memoized per monomial); odd degrees give nothing.
 
 The oracle shares with the graph sum the input tables and, when handed
-:attr:`GenusReport.vertex_cache`, the memo of ``vertex_correlator`` on those
-tables.  Graphs, edge weights and summation are its own, which makes the two
-mutual oracles; agreement is exact on rational synthetic data.
+:attr:`GenusReport.vertex_cache` and :attr:`GenusReport.edge_weights`, the
+memo of ``vertex_correlator`` on those tables and the edge weights
+V^{ij}_{kl} sqrt(Delta_i) sqrt(Delta_j) formed from them, the same products
+either side would form.  Graphs and summation are its own, which makes the
+two mutual oracles; agreement is exact on rational synthetic data.
 
 Both run one generic code path over the numbers their data holds and
 convert nothing.  The pipeline's edge/tail data hold *kernel scalars*
@@ -62,9 +64,9 @@ in place of mpmath ``mpc``.  The skeleton values and the oracle's moments
 go back once with ``from_kernel``, at the precision the data carries, and
 the final sum and the oracle's logarithm run at that precision.  Rational
 data stays exact throughout; mpmath data runs at the caller's working
-precision.  A :class:`GenusReport` keeps its data and the vertex
-correlators on it, so a report's data and cache go to :func:`wick_oracle`
-together.
+precision.  A :class:`GenusReport` keeps its data, the vertex correlators
+and the edge weights on it, so a report's data and tables go to
+:func:`wick_oracle` together.
 
 Genus 1 is exposed as the one-form
 
@@ -523,7 +525,8 @@ class GenusReport:
     working precision (or exact).  ``data`` is the edge/tail data the sum
     ran on, and ``vertex_cache`` the sum's table of vertex correlators on
     it: (g_v, i, sorted edge powers) maps to the correlator, or to None
-    where it vanishes.  :func:`wick_oracle` reads and extends it."""
+    where it vanishes.  :func:`wick_oracle` reads and extends it, and reads
+    ``edge_weights``, the sum's :func:`edge_weight_table` of ``data``."""
 
     genus: int
     value: object
@@ -531,6 +534,7 @@ class GenusReport:
     data: EdgeTailData
     frame: Optional[CanonicalFrame] = None
     vertex_cache: dict = field(default_factory=dict)
+    edge_weights: dict = field(default_factory=dict)
 
     def contribution_map(self):
         return {sk.describe(): v for sk, v in self.contributions}
@@ -619,9 +623,11 @@ def graph_sum(
     ``vertex_correlator``."""
     ctx = _context_of(data.delta[0])
     vertex_cache: dict = {}
+    edge_weights = edge_weight_table(data)
     with ctx.guard():
         contributions = [
-            (sk, from_kernel(val)) for sk, val in skeleton_values(data, g, table, vertex_cache)
+            (sk, from_kernel(val))
+            for sk, val in skeleton_values(data, g, table, vertex_cache, edge_weights)
         ]
         # the reported value is the sum of the reported contributions
         total = ctx.num(0)
@@ -629,7 +635,7 @@ def graph_sum(
             total = total + val
     return GenusReport(
         genus=g, value=total, contributions=contributions, data=data, frame=frame,
-        vertex_cache=vertex_cache,
+        vertex_cache=vertex_cache, edge_weights=edge_weights,
     )
 
 
@@ -638,10 +644,13 @@ def skeleton_values(
     g: int,
     table: Optional[IntersectionTable],
     vertex_cache: dict,
+    edge_weights: Optional[dict] = None,
 ) -> List[Tuple[Skeleton, object]]:
     """Every skeleton of genus g with its :func:`skeleton_sum` on ``data``,
-    in the numbers ``data`` holds."""
-    edge_weights = edge_weight_table(data)
+    in the numbers ``data`` holds; ``edge_weights`` is
+    :func:`edge_weight_table` of ``data``, formed here when not passed."""
+    if edge_weights is None:
+        edge_weights = edge_weight_table(data)
     return [(sk, skeleton_sum(sk, data, table, vertex_cache, edge_weights)) for sk in skeletons(g)]
 
 
@@ -750,22 +759,27 @@ def wick_oracle(
     g: int,
     table: Optional[IntersectionTable] = None,
     vertex_cache: Optional[dict] = None,
+    edge_weights: Optional[dict] = None,
 ):
     """F^g from the same edge/tail data by expanding the operator exponential
     directly; graph-free, hence an independent check of the graph sum.
 
     ``vertex_cache`` is a table of vertex correlators keyed like the graph
     sum's (:attr:`GenusReport.vertex_cache`); correlators missing from it
-    are computed and added.  The expansion and its logarithm run on the
-    numbers ``data`` holds, at the precision :func:`graph_sum` states."""
+    are computed and added.  ``edge_weights`` is :func:`edge_weight_table`
+    of ``data`` (:attr:`GenusReport.edge_weights`), formed here when not
+    passed.  The expansion and its logarithm run on the numbers ``data``
+    holds, at the precision :func:`graph_sum` states."""
     if g < 2:
         raise ValueError("the expansion is normalized for genus >= 2")
     if vertex_cache is None:
         vertex_cache = {}
+    if edge_weights is None:
+        edge_weights = edge_weight_table(data)
     ctx = _context_of(data.delta[0])
     with ctx.guard():
         connected = {(0,): 1}
-        for b, z in wick_moments(data, g, table, vertex_cache).items():
+        for b, z in wick_moments(data, g, table, vertex_cache, edge_weights).items():
             connected[(b,)] = from_kernel(z)
         logged = TruncatedSeries(Caps.total(("h",), g - 1), connected).log(ctx)
         return logged.scalar_coeff((g - 1,))
@@ -776,10 +790,13 @@ def wick_moments(
     g: int,
     table: Optional[IntersectionTable],
     vertex_cache: dict,
+    edge_weights: dict,
 ) -> dict:
     """The coefficients Z_b of hbar^b, 1 <= b < g, of exp(P) exp(log tau)
     at q = 0, in the numbers ``data`` holds; vanishing ones are left out.
-    F^g is the hbar^{g-1} coefficient of log(1 + sum_b Z_b hbar^b)."""
+    F^g is the hbar^{g-1} coefficient of log(1 + sum_b Z_b hbar^b).  The
+    propagator weights are read from ``edge_weights``, the
+    :func:`edge_weight_table` of ``data``."""
     kq = 3 * g - 4
     powers = _graded_exp(_log_tau_layers(data, g, table, vertex_cache))
 
@@ -787,14 +804,13 @@ def wick_moments(
     # u = slot (i, k) <= v = slot (j, l); slot (i, k) is i(kq + 1) + k,
     # as in the monomials of _log_tau_layers
     slots = [(i, k) for i in range(data.dimension) for k in range(kq + 1)]
-    sd = data.sqrt_delta
     cov: dict = {}
     for u, (i, k) in enumerate(slots):
         for v in range(u, len(slots)):
             j, l = slots[v]
             if k + l > data.v_cutoff:
                 continue
-            w = data.v_entry(i, j, k, l) * sd[i] * sd[j]
+            w = edge_weights[(i, j, k, l)]
             if w != 0:
                 cov.setdefault(u, {})[v] = w
 

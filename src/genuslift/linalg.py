@@ -1,9 +1,9 @@
 """Dense matrix helpers over generic coefficient rings.
 
 Matrices are plain lists of row lists.  Entries may be exact scalars, mpmath
-numbers, or :class:`TruncatedSeries` jets; the helpers only use ring
-operations (+, -, *), plus explicit division hooks where inversion is
-required.  Dimensions here are tiny (the Frobenius manifolds of interest
+numbers, kernel scalars, or :class:`TruncatedSeries` jets; the helpers only
+use ring operations (+, -, *), plus explicit division hooks where inversion
+is required.  Dimensions here are tiny (the Frobenius manifolds of interest
 have N <= 4), so everything is straightforward O(N^3).
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, List, Sequence
 
-from .scalars import Context
+from .scalars import Context, GaussianFixed
 
 Matrix = List[list]
 
@@ -111,13 +111,19 @@ def det(a: Matrix):
 
 
 def mat_inv(a: Matrix, ctx: Context) -> Matrix:
-    """Gauss-Jordan with partial pivoting, in the context's arithmetic."""
+    """Gauss-Jordan with partial pivoting, in the context's arithmetic.
+
+    A matrix of kernel scalars (:class:`scalars.GaussianFixed`, one scale)
+    stays in the kernel, at that scale, and pivots by the integer norm
+    re^2 + im^2, as :meth:`FloatContext.max_abs` compares kernel scalars."""
+    kind = next((x.__class__ for row in a for x in row if isinstance(x, GaussianFixed)), None)
+    num, size = (kind.convert, kind.norm) if kind else (ctx.num, ctx.abs)
     with ctx.guard():
         n = len(a)
-        m = [[ctx.num(x) for x in row] + [ctx.num(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+        m = [[num(x) for x in row] + [num(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
         for col in range(n):
-            piv = max(range(col, n), key=lambda r: ctx.abs(m[r][col]))
-            if ctx.abs(m[piv][col]) == 0:
+            piv = max(range(col, n), key=lambda r: size(m[r][col]))
+            if size(m[piv][col]) == 0:
                 raise ZeroDivisionError("singular matrix")
             m[col], m[piv] = m[piv], m[col]
             pv = m[col][col]

@@ -10,28 +10,29 @@ backends, each driven through a context object with the same methods:
   exponential or logarithm raises ``ArithmeticError``.
 * :class:`FloatContext` -- mpmath ``mpf``/``mpc`` at a fixed binary
   precision; used where values leave the rationals (exponentials in the
-  potential, irrational points such as descendent critical points, frame
-  jets), and to pick the scale of kernel scalars and convert to and from
-  them.  mpmath's global precision is mutable state, so every operation
-  runs inside a ``workprec`` guard, and the context carries the default
-  tolerance used by internal consistency checks.
+  potential, frame jets, the frame at an irrational point such as a
+  descendent critical point), and to pick the scale of kernel scalars and
+  convert to and from them.  mpmath's global precision is mutable state,
+  so every operation runs inside a ``workprec`` guard, and the context
+  carries the default tolerance used by internal consistency checks.
 
 Everything from the eigenvalues of the order-0 canonical frame to F_g --
 the frame's roots, idempotents, Delta and Psi, R, its edge and tail tables
 V and T, the graph sum and the Wick oracle -- only adds, multiplies,
-divides, raises to integer powers and takes square roots.  It runs on
-*kernel scalars*: a :class:`GaussianFixed`, a Gaussian fixed-point number
+divides, raises to integer powers and takes square roots, and so does the
+Newton solve for a descendent critical point.  They run on *kernel
+scalars*: a :class:`GaussianFixed`, a Gaussian fixed-point number
 (re + i im) / 2**shift on two Python ints, whose products cost a fifth of
 an ``mpc`` product at 256 bits.  Data is converted where it is made and
 nowhere else: the producers (the canonical frame, the one producer of R's
-starting data ``frame.kernel``, and the lift of the edge/tail tables) call
-:meth:`FloatContext.to_kernel` or :func:`_kernel_shift`, the one rule that
-picks a table's scale, and :meth:`GaussianFixed.convert` brings a number
-to a scale already picked.  The consumers run on the numbers the data
-holds, at the precision those carry (:func:`_context_of`), and
-:func:`from_kernel` converts each result back.  Rational data needs no
-conversion: a ``Fraction`` is its own kernel scalar, and sums over it stay
-exact.
+starting data ``frame.kernel``, the lift of the edge/tail tables, and the
+critical point's Newton solve) call :meth:`FloatContext.to_kernel` or
+:func:`_kernel_shift`, the one rule that picks a table's scale, and
+:meth:`GaussianFixed.convert` brings a number to a scale already picked.
+The consumers run on the numbers the data holds, at the precision those
+carry (:func:`_context_of`), and :func:`from_kernel` converts each result
+back.  Rational data needs no conversion: a ``Fraction`` is its own kernel
+scalar, and sums over it stay exact.
 
 Arithmetic code takes a context and calls it; which backend runs is
 decided here alone.  ``EXACT`` is the default wherever a context is
@@ -137,7 +138,7 @@ class FloatContext:
     def noise_floor(self, headroom_bits: int):
         """2**headroom_bits units in the last place: a residual at or below
         it is rounding noise."""
-        return mpmath.mpf(2) ** (headroom_bits - self.prec_bits)
+        return mpmath.ldexp(1, headroom_bits - self.prec_bits)
 
     def abs(self, x):
         with self.guard():
@@ -178,7 +179,7 @@ class FloatContext:
             tops = {}
             for x in xs:
                 if isinstance(x, GaussianFixed):
-                    norm = x.re * x.re + x.im * x.im
+                    norm = x.norm()
                     if norm > tops.get(x.__class__, (0, None))[0]:
                         tops[x.__class__] = (norm, x)
                 else:
@@ -472,18 +473,17 @@ class GaussianFixed:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        cls = self.__class__
         base = self
         if n < 0:
             base, n = self._reciprocal(), -n
-        out = cls(1 << cls.shift, 0)
+        out = None
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
-        return out
+        return self.convert(1) if out is None else out
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -498,6 +498,11 @@ class GaussianFixed:
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
+
+    def norm(self) -> int:
+        """re^2 + im^2: |x|^2 times 4**shift, the integer that orders
+        kernel scalars of one scale by modulus."""
+        return self.re * self.re + self.im * self.im
 
 
 @cache

@@ -66,6 +66,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import mpmath
 
 from genuslift.descendent import (
+    _NEWTON_STEPS,
     Calibration,
     CurvePoint,
     Genus0Descendents,
@@ -85,7 +86,7 @@ from genuslift.intersection import (
     psi_intersection,
     vertex_correlator,
 )
-from genuslift.linalg import charpoly, identity, mat_mul, trace, transpose
+from genuslift.linalg import charpoly, identity, mat_inv, mat_mul, mat_vec, trace, transpose
 from genuslift.rmatrix import EdgeTailData, RSeries, unitarity_residual
 from genuslift.scalars import EXACT, Context, FloatContext, from_kernel
 from genuslift.series import Caps, Key, TruncatedSeries
@@ -199,6 +200,74 @@ def critical_point_formal(
             if check.c:
                 raise ArithmeticError("formal fixed point failed to stabilize")
     return tuple(t)
+
+
+def critical_point_reference(
+    model: FrobeniusModel,
+    calibration: Calibration,
+    tau: CurvePoint,
+    ctx: FloatContext,
+) -> tuple:
+    """Newton solve of t = t_0 + sum_{m>=1} S_m(t) t_m, seeded at t_0, until
+    the residual is at most 2^(40 - bits), on mpmath numbers at working
+    precision; it returns the iterate whose residual passed the test.
+
+    The Jacobian is 1 - (quantum multiplication by sum_m S_{m-1}(t) t_m), so
+    each step costs one calibration evaluation and one N x N solve.  With
+    all higher couplings zero the seed is already exact."""
+    n = model.dimension
+    _require_origin(calibration)
+    if tau.dimension != n:
+        raise ValueError("curve-space point dimension mismatch")
+    kmax = tau.kmax
+    if kmax > calibration.order:
+        raise ValueError(
+            f"calibration order {calibration.order} too small for couplings up to c^{kmax}"
+        )
+    with ctx.guard():
+        tol = ctx.noise_floor(40)
+        t0 = [ctx.num(x) for x in tau.coupling(0)]
+        couplings = [[ctx.num(x) for x in tau.coupling(m)] for m in range(kmax + 1)]
+        live = [m for m in range(1, kmax + 1) if any(x != 0 for x in couplings[m])]
+        t = list(t0)
+        rmax = None
+        for _ in range(_NEWTON_STEPS):
+            svals = calibration.s_values(t, ctx, order=kmax) if live else None
+            res = list(t)
+            for a in range(n):
+                res[a] = res[a] - t0[a]
+            for m in live:
+                sm = svals[m]
+                for a in range(n):
+                    acc = res[a]
+                    for b in range(n):
+                        acc = acc - sm[a][b] * couplings[m][b]
+                    res[a] = acc
+            rmax = ctx.max_abs(res)
+            if rmax <= tol:
+                return tuple(t)
+            w = [ctx.num(0)] * n
+            for m in live:
+                sm = svals[m - 1]
+                for a in range(n):
+                    acc = w[a]
+                    for b in range(n):
+                        acc = acc + sm[a][b] * couplings[m][b]
+                    w[a] = acc
+            cmats = model.structure_constants(t, ctx)
+            jac = [
+                [
+                    (1 if i == j else 0) - sum(w[mu] * cmats[mu][i][j] for mu in range(n))
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            step = mat_vec(mat_inv(jac, ctx), res)
+            t = [t[a] - step[a] for a in range(n)]
+        raise ArithmeticError(
+            f"critical point Newton stalled after {_NEWTON_STEPS} iterations; "
+            f"residual {mpmath.nstr(rmax, 8)}"
+        )
 
 
 def genus0_formal(

@@ -376,6 +376,53 @@ class TestModelCommands:
         assert all(doc["r"][key] == "0" for key in zeros)
 
 
+class TestModelCache:
+    """Built-in models and their calibrations are built once per process;
+    a model document is read again on every command."""
+
+    def test_builtin_spec_gives_one_model(self):
+        tol = Fraction(1, 10**30)
+        first = cli._load_model("two-primary:d=1/2", tol)
+        assert cli._load_model("two-primary:d=1/2", tol) is first
+        assert cli._load_model("point", tol) is cli._load_model("point", tol)
+        distinct = [
+            cli._load_model(spec, tol)
+            for spec in ("point", "threefold-cusp", "two-primary:d=1/2", "two-primary:d=1/3",
+                         "two-primary:d=1/2:c=3")
+        ]
+        assert len({id(model) for model in distinct}) == len(distinct)
+
+    def test_one_calibration_per_order(self, monkeypatch):
+        orders = []
+
+        def counting(model, order=6, **kwargs):
+            orders.append(order)
+            return calibrate(model, order=order, **kwargs)
+
+        calibrate = cli.compute_calibration
+        monkeypatch.setattr(cli, "compute_calibration", counting)
+        cli._builtin_calibration.cache_clear()
+        argv = ["descendent", "--model", "point", "--g", "2", "--tau"]
+        for tau in (POINT_TAU, POINT_TAU, {"t": [["1/9"], ["1/7"]]}, {"t": [["1/5"], ["-1/7"]]}):
+            code, _ = run_command(argv + [json.dumps(tau)])
+            assert code == 0
+        assert orders == [2, 1]
+
+    def test_edited_document_is_read_again(self, tmp_path):
+        path = tmp_path / "model.json"
+        doc = two_primary_model(Fraction(1, 2)).to_json()
+        path.write_text(json.dumps(doc))
+        code, first = run_json(["validate", "--model", str(path)])
+        assert code == 0 and first["name"] == "two-primary d=1/2"
+        doc["name"] = "edited"
+        doc["euler"]["matrix"][1][1] = "1/3"
+        path.write_text(json.dumps(doc))
+        code, second = run_json(["validate", "--model", str(path)])
+        assert code == 0
+        assert second["name"] == "edited" and second["euler_residual"] == "1/6"
+        assert first["euler_residual"] == "0"
+
+
 class TestGenusCommands:
     def test_genus2_vanishing_exit0(self):
         code, doc = run_json(

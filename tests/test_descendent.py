@@ -30,6 +30,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genuslift.expressions import Expression
 from genuslift.frame import canonical_frame
@@ -54,6 +56,7 @@ from genuslift.scalars import EXACT, FloatContext, from_kernel
 from genuslift.series import TruncatedSeries
 from oracles import (
     critical_point_formal,
+    critical_point_reference,
     eigenvalues_float,
     genus0_formal,
     mpmath_data,
@@ -249,6 +252,84 @@ class TestCriticalPoint:
         cal = compute_calibration(QUINTIC, order=1)
         with pytest.raises(ValueError):
             critical_point(QUINTIC, cal, QUINTIC_TAU, CTX)
+
+
+REFERENCE = FloatContext(2 * CTX.prec_bits)
+# two-primary models with a calibration at the origin; at d = 3/2 and 5/3
+# the potential has its pole there (see test_laurent_models_have_no_origin_calibration)
+TWO_PRIMARY_CALS = {
+    d: (QUINTIC, QUINTIC_CAL) if d == Fraction(1, 2)
+    else (two_primary_model(d), compute_calibration(two_primary_model(d), order=2))
+    for d in (Fraction(1, 2), Fraction(1, 3), Fraction(1))
+}
+
+
+def couplings(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=63)
+
+
+@st.composite
+def point_cases(draw):
+    """t_0 .. t_5 in [-1/10, 1/10], as in the benchmark's point ops."""
+    rows = [(draw(couplings(Fraction(-1, 10), Fraction(1, 10))),) for _ in range(6)]
+    return POINT, POINT_CAL, CurvePoint(tuple(rows))
+
+
+@st.composite
+def two_primary_cases(draw):
+    """t_0 at a semisimple point, t_1 and t_2 small, as in the benchmark's
+    two-primary ops."""
+    model, cal = TWO_PRIMARY_CALS[draw(st.sampled_from(sorted(TWO_PRIMARY_CALS)))]
+    small = couplings(Fraction(-1, 16), Fraction(1, 16))
+    rows = [(draw(couplings(Fraction(-1, 8), Fraction(1, 8))),
+             draw(couplings(Fraction(1, 8), Fraction(1, 4))))]
+    rows += [(draw(small), draw(small)) for _ in range(2)]
+    return model, cal, CurvePoint(tuple(rows))
+
+
+class TestKernelCriticalPoint:
+    """The Newton solve on kernel scalars lands within 2^(16 - bits) of the
+    mpmath route run at twice the precision, relative to max(1, |t*|)."""
+
+    @staticmethod
+    def assert_near_reference(model, cal, tau):
+        t = critical_point(model, cal, tau, CTX)
+        ref = critical_point_reference(model, cal, tau, REFERENCE)
+        with REFERENCE.guard():
+            bound = mpmath.ldexp(1, 16 - CTX.prec_bits) * max(1, max(abs(x) for x in ref))
+            assert all(isinstance(x, mpmath.mpf) for x in t)
+            assert max(abs(REFERENCE.num(a) - b) for a, b in zip(t, ref)) <= bound
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(point_cases())
+    def test_point_model(self, case):
+        self.assert_near_reference(*case)
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(two_primary_cases())
+    def test_two_primary(self, case):
+        # d = 1 evaluates its exponential at working precision and converts it
+        self.assert_near_reference(*case)
+
+    def test_runaway_exponential_reports_a_stall(self):
+        # on d = 1 these couplings send t^1 to where e^{t^1} outgrows the
+        # kernel scale; the solve stops there with the stall message
+        model = TWO_PRIMARY_CALS[Fraction(1)][0]
+        cal = compute_calibration(model, order=3)
+        rows = ((-272, 508), (229, -45), (-213, 71), (75, -275))
+        tau = CurvePoint(tuple(tuple(Fraction(x, 997) for x in row) for row in rows))
+        with pytest.raises(ArithmeticError, match="stalled after") as stall:
+            critical_point(model, cal, tau, CTX)
+        assert not isinstance(stall.value, OverflowError)
+        steps = int(str(stall.value).split("after ")[1].split()[0])
+        assert steps < 60 and "; residual " in str(stall.value)
+        with pytest.raises(ArithmeticError, match="stalled after 60 iterations; residual"):
+            critical_point_reference(model, cal, tau, CTX)
+
+    def test_laurent_models_have_no_origin_calibration(self):
+        for d in (Fraction(3, 2), Fraction(5, 3)):
+            with pytest.raises(ZeroDivisionError):
+                compute_calibration(two_primary_model(d), order=1)
 
 
 class TestGenus0:

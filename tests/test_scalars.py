@@ -17,10 +17,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import genuslift
+from genuslift.descendent import CurvePoint, compute_calibration, critical_point
 from genuslift.frame import canonical_frame
-from genuslift.frobenius import EulerData, FrobeniusModel, threefold_cusp_model, two_primary_model
+from genuslift.frobenius import (
+    EulerData,
+    FrobeniusModel,
+    point_model,
+    threefold_cusp_model,
+    two_primary_model,
+)
 from genuslift.linalg import det, mat_inv
 from genuslift.scalars import EXACT, FloatContext, from_kernel
+from oracles import critical_point_reference
 
 CTX = FloatContext(256)
 AGREE = "1e-70"
@@ -199,6 +207,9 @@ class TestKernelScalars:
         assert PREC + 32 <= shift <= PREC + 32 + 61
         with CTX.guard():
             qf = CTX.num(q)
+            # x + q can cancel: the reference adds q itself, not its rounding qf
+            with mpmath.workprec(4 * PREC):
+                x_plus_q = x + mpmath.mpf(q.numerator) / q.denominator
             cases = [
                 (kx + ky, x + y),
                 (kx - ky, x - y),
@@ -211,7 +222,7 @@ class TestKernelScalars:
                 (kx / 3, x / 3),
                 (kx ** n, x ** n),
                 (kx ** -n, x ** -n),
-                (kx + q, x + qf),
+                (kx + q, x_plus_q),
                 (kx / ky, x / y),
                 (1 / kx, 1 / x),
             ]
@@ -371,7 +382,23 @@ ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__
               "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__", "__abs__")
 
 
-def test_order_zero_frame_runs_no_mpmath_arithmetic(monkeypatch):
+@pytest.fixture
+def mpmath_calls(monkeypatch):
+    """A Counter of the mpf and mpc arithmetic dunders run from here on."""
+    calls = Counter()
+    for cls in (mpmath.mpf, mpmath.mpc):
+        for name in ARITHMETIC:
+            original = getattr(cls, name)
+
+            def counted(*args, _original=original, _name=f"{cls.__name__}.{name}"):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_order_zero_frame_runs_no_mpmath_arithmetic(monkeypatch, mpmath_calls):
     """The order-0 frame takes its roots by Newton's iteration on kernel
     scalars: ``polyroots`` appears nowhere in ``src/``, and once C_a and
     the Euler field are evaluated, no mpmath number is added, multiplied,
@@ -385,16 +412,7 @@ def test_order_zero_frame_runs_no_mpmath_arithmetic(monkeypatch):
                 offenders.append(f"{path.name}:{lineno}: {line.strip()}")
     assert offenders == []
 
-    calls = Counter()
-    for cls in (mpmath.mpf, mpmath.mpc):
-        for name in ARITHMETIC:
-            original = getattr(cls, name)
-
-            def counted(*args, _original=original, _name=f"{cls.__name__}.{name}"):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(cls, name, counted)
+    calls = mpmath_calls
 
     def resetting(original):
         def evaluate(*args, **kwargs):
@@ -420,3 +438,28 @@ def test_order_zero_frame_runs_no_mpmath_arithmetic(monkeypatch):
     # the counter sees the jets' mpmath arithmetic
     canonical_frame(two_primary_model(Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 5)), CTX, order=1)
     assert sum(calls.values()) > 0
+
+
+def test_critical_point_runs_no_mpmath_arithmetic(mpmath_calls):
+    """The descendent critical point is solved on kernel scalars: with
+    rational couplings on the point model and on two-primary d = 1/2, no
+    mpmath number is added, multiplied, divided, raised, negated or taken
+    in modulus inside ``critical_point``, which converts t* back once.  The
+    mpmath route it replaced is seen by the counter."""
+    point = point_model()
+    quintic = two_primary_model(Fraction(1, 2))
+    cases = [
+        (point, ((Fraction(3, 37),), (Fraction(-2, 29),), (Fraction(1, 8),), (Fraction(-1, 19),))),
+        (point, tuple((Fraction((-1) ** m * (m + 2), 71),) for m in range(6))),
+        (quintic, ((Fraction(1, 9), Fraction(3, 16)), (Fraction(1, 33), Fraction(-1, 17)),
+                   (Fraction(-1, 23), Fraction(1, 41)))),
+    ]
+    for model, rows in cases:
+        tau = CurvePoint(rows)
+        calibration = compute_calibration(model, order=tau.kmax)
+        mpmath_calls.clear()
+        t = critical_point(model, calibration, tau, CTX)
+        assert sum(mpmath_calls.values()) == 0, (model.name, dict(mpmath_calls))
+        assert all(isinstance(x, mpmath.mpf) for x in t)
+    critical_point_reference(model, calibration, tau, CTX)
+    assert sum(mpmath_calls.values()) > 0

@@ -154,7 +154,21 @@ def _builtin_model(spec: str) -> FrobeniusModel:
 def _builtin_calibration(spec: str, order: int) -> Calibration:
     """The calibration of a built-in model through S_order, built once per
     process."""
-    return compute_calibration(_builtin_model(spec), order=order)
+    return _origin_calibration(_builtin_model(spec), order)
+
+
+def _origin_calibration(model: FrobeniusModel, order: int) -> Calibration:
+    """The calibration through S_order with S_k(0) = 0, the only base the
+    critical point accepts.  A potential with its pole at the origin (a
+    Laurent potential) has none, which is an out-of-domain request."""
+    try:
+        model.potential.evaluate((Fraction(0),) * model.dimension, EXACT)
+    except ZeroDivisionError:
+        raise SchemaError(
+            f"the potential of {model.name} has a pole at the origin t = 0, where the "
+            "descendent calibration S_k(0) = 0 is based"
+        ) from None
+    return compute_calibration(model, order=order)
 
 
 def _load_tau(spec: str):
@@ -360,7 +374,7 @@ def _cmd_descendent(args):
     if _builtin(args.model):
         calibration = _builtin_calibration(args.model, order)
     else:
-        calibration = compute_calibration(model, order=order)
+        calibration = _origin_calibration(model, order)
     frame_data = descendent_frame(
         model, calibration, tau, ctx, order=config.r_order, gauge=config.gauge
     )
@@ -533,9 +547,81 @@ def _cmd_selftest(args):
 # -- parser -------------------------------------------------------------------------
 
 
+_MODEL = (("--model",), {"required": True})
+_POINT = (("--point",), {"required": True})
+_G = (("--g",), {"type": int, "required": True})
+_MODE = (("--mode",), {"choices": ("conformal", "constants"), "default": None})
+_R_OPTIONS = [
+    _MODEL,
+    _POINT,
+    (("--truncation",), {"type": int, "default": None,
+                         "help": "deepest tail index K; R is solved through z^(K-1)"}),
+    _MODE,
+    (("--gauge",), {"default": None, "help": "JSON rows of odd twist exponents"}),
+]
+
+# name: (handler, help, arguments as (flags, keywords)), in the order the
+# top-level help lists them
+_COMMANDS = {
+    "validate": (_cmd_validate, "validate a model document", [_MODEL]),
+    "frame": (_cmd_frame, "canonical coordinates and frame at a point", [
+        _MODEL,
+        _POINT,
+        (("--order",), {"type": int, "default": 0, "help": "jet order"}),
+        (("--permutation",), {"default": None, "help": "branch relabeling, e.g. 1,0"}),
+        (("--sign-flips",), {"dest": "sign_flips", "default": None,
+                             "help": "sqrt(Delta) branch signs, e.g. -1,1"}),
+        (("--anchors",), {"default": None,
+                          "help": "integration constants for u on non-conformal models"}),
+    ]),
+    "rmatrix": (_cmd_rmatrix, "R-matrix constants at a point", _R_OPTIONS),
+    "edges": (_cmd_edges, "edge coefficients V and tail values T", _R_OPTIONS),
+    "genus": (_cmd_genus, "higher-genus potential by the stable-graph sum", [
+        _MODEL,
+        _POINT,
+        _G,
+        (("--truncation",), {"type": int, "default": None}),
+        _MODE,
+        (("--gauge",), {"default": None}),
+    ]),
+    "genus1-diff": (_cmd_genus1_diff, "genus-1 one-form dF^1 at a point", [
+        _MODEL,
+        _POINT,
+        (("--closedness",), {"action": "store_true",
+                             "help": "also estimate the curl by central differences"}),
+        (("--step",), {"default": "1/1000000", "help": "finite-difference step"}),
+        (("--closedness-tol",), {"dest": "closedness_tol", "default": None,
+                                 "help": "fail (exit 2) when the curl exceeds this bound"}),
+    ]),
+    "descendent": (_cmd_descendent, "descendent potential at a curve-space point", [
+        _MODEL,
+        (("--tau",), {"required": True, "help": "curve point document (file or inline JSON)"}),
+        _G,
+        (("--truncation",), {"type": int, "default": None}),
+        (("--gauge",), {"default": None}),
+    ]),
+    "wk": (_cmd_wk, "psi-class intersection numbers", [
+        _G,
+        (("--indices",), {"default": None, "help": "psi exponents, e.g. 0,0,1"}),
+        (("--n",), {"type": int, "default": None,
+                    "help": "dump the full n-insertion slice on the dimension constraint"}),
+    ]),
+    "hodge-lemma": (_cmd_hodge_lemma, "flow vs closed-form residual window", [
+        (("--degrees",), {"required": True, "help": "retained coupling degrees, e.g. 1,1"}),
+        (("--genus-max",), {"dest": "genus_max", "type": int, "required": True}),
+        (("--q-degree",), {"dest": "q_degree", "type": int, "required": True}),
+        (("--q-index",), {"dest": "q_index", "type": int, "default": None}),
+    ]),
+    "selftest": (_cmd_selftest, "run the built-in cross-check battery", []),
+}
+
+
 @functools.cache
-def _build_parser() -> _Parser:
-    # built once per process; parse_args returns a fresh namespace per call
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser with the subcommand ``command`` only, or with every
+    subcommand for None; built once per argument per process, and
+    parse_args returns a fresh namespace per call.  A command's own
+    messages and help read the same from either."""
     parser = _Parser(prog="genuslift", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=None,
@@ -545,74 +631,12 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=("json", "text"), default="text",
                         help="report format")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text, parents=(common,)):
-        p = sub.add_parser(name, parents=list(parents), help=help_text)
+    for name in _COMMANDS if command is None else (command,):
+        handler, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("validate", _cmd_validate, "validate a model document")
-    p.add_argument("--model", required=True)
-
-    p = add("frame", _cmd_frame, "canonical coordinates and frame at a point")
-    p.add_argument("--model", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--order", type=int, default=0, help="jet order")
-    p.add_argument("--permutation", default=None, help="branch relabeling, e.g. 1,0")
-    p.add_argument("--sign-flips", dest="sign_flips", default=None,
-                   help="sqrt(Delta) branch signs, e.g. -1,1")
-    p.add_argument("--anchors", default=None,
-                   help="integration constants for u on non-conformal models")
-
-    for name, handler, help_text in (
-        ("rmatrix", _cmd_rmatrix, "R-matrix constants at a point"),
-        ("edges", _cmd_edges, "edge coefficients V and tail values T"),
-    ):
-        p = add(name, handler, help_text)
-        p.add_argument("--model", required=True)
-        p.add_argument("--point", required=True)
-        p.add_argument("--truncation", type=int, default=None,
-                       help="deepest tail index K; R is solved through z^(K-1)")
-        p.add_argument("--mode", choices=("conformal", "constants"), default=None)
-        p.add_argument("--gauge", default=None, help="JSON rows of odd twist exponents")
-
-    p = add("genus", _cmd_genus, "higher-genus potential by the stable-graph sum")
-    p.add_argument("--model", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--mode", choices=("conformal", "constants"), default=None)
-    p.add_argument("--gauge", default=None)
-
-    p = add("genus1-diff", _cmd_genus1_diff, "genus-1 one-form dF^1 at a point")
-    p.add_argument("--model", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--closedness", action="store_true",
-                   help="also estimate the curl by central differences")
-    p.add_argument("--step", default="1/1000000", help="finite-difference step")
-    p.add_argument("--closedness-tol", dest="closedness_tol", default=None,
-                   help="fail (exit 2) when the curl exceeds this bound")
-
-    p = add("descendent", _cmd_descendent, "descendent potential at a curve-space point")
-    p.add_argument("--model", required=True)
-    p.add_argument("--tau", required=True, help="curve point document (file or inline JSON)")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--gauge", default=None)
-
-    p = add("wk", _cmd_wk, "psi-class intersection numbers")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--indices", default=None, help="psi exponents, e.g. 0,0,1")
-    p.add_argument("--n", type=int, default=None,
-                   help="dump the full n-insertion slice on the dimension constraint")
-
-    p = add("hodge-lemma", _cmd_hodge_lemma, "flow vs closed-form residual window")
-    p.add_argument("--degrees", required=True, help="retained coupling degrees, e.g. 1,1")
-    p.add_argument("--genus-max", dest="genus_max", type=int, required=True)
-    p.add_argument("--q-degree", dest="q_degree", type=int, required=True)
-    p.add_argument("--q-index", dest="q_index", type=int, default=None)
-
-    add("selftest", _cmd_selftest, "run the built-in cross-check battery")
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
     return parser
 
 
@@ -637,8 +661,13 @@ def _attach_negative_values(argv: Sequence[str]) -> list:
 
 def run_command(argv: Sequence[str]) -> tuple:
     """Parse and execute one command; returns (exit code, report text)."""
+    argv = _attach_negative_values(argv)
+    # a known command needs its own parser only; anything else (no
+    # command, an option first, an unknown name) goes to the full one,
+    # whose help and errors list every command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(_attach_negative_values(argv))
+        args = _build_parser(command).parse_args(argv)
     except _UsageError as exc:
         return EXIT_VALIDATION, f"error: {exc}\n"
     try:

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
-from .graphs import _bounded
 from .scalars import (
     EXACT,
     Context,
@@ -425,6 +424,18 @@ def _power(p, k: int, ctx: Context):
         return ctx.num(1)
     with ctx.guard():
         return ctx.num(p) ** k
+
+
+def _bounded(total: int, caps: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Tuples with entries 0 <= x_k <= caps[k] that add up to total."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    rest = sum(caps[1:])
+    for first in range(max(0, total - rest), min(total, caps[0]) + 1):
+        for tail in _bounded(total - first, caps[1:]):
+            yield (first,) + tail
 
 
 def _multi_indices(n: int, order: int):

@@ -17,14 +17,17 @@ sums that takes depends on the skeleton and N alone, so
 :func:`skeleton_program` records it once per (skeleton, N) as a flat
 program on numbered registers, and :func:`skeleton_sum` replays it on the
 edge weights and vertex correlators of the data at hand.  The recording
-walks the skeleton's edges in the order of its memoized :func:`walk_plan`.
-A vertex is multiplied in once its last half-edge has a power, and the sum
-over the remaining edges is one register per edge reached and (index,
-sorted powers) of every still-open vertex; a closed vertex drops out of
-that key, so labelings and power assignments that differ only at closed
-vertices share one suffix sum.  The walk runs over a single index; the
-program over N indices relabels it, term for term in the walk's order.
-Only structure leaves a term out (the psi budgets, and a vertex whose
+walks the skeleton's edges in the order of its memoized :func:`walk_plan`,
+which places the vertices greedily from each start vertex, scores each such
+order straight from the order by the states the recording would create,
+and builds the plan of the cheapest order only.  A vertex is multiplied in
+once its last half-edge has a power, and the sum over the remaining edges
+is one register per edge reached and (index, sorted powers) of every
+still-open vertex; a closed vertex drops out of that key, so labelings and
+power assignments that differ only at closed vertices share one suffix
+sum.  The walk runs over a single index; the program over N indices
+relabels it, term for term in the walk's order.  Only structure leaves a
+term out (the psi budgets, and a vertex whose
 ``IntersectionTable.tail_terms`` are empty): a weight or correlator that
 vanishes on some data enters the replay as an exact 0, so every sum comes
 out as the numeric walk would make it, bit for bit.
@@ -88,9 +91,9 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, islice, product
+from itertools import cycle, islice
 from math import factorial
-from operator import mul
+from operator import add, mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
@@ -131,15 +134,21 @@ class WalkPlan(NamedTuple):
     reach: int
 
 
-def _plan(sk: Skeleton, order: Sequence[int]) -> WalkPlan:
-    """The walk that places the vertices in ``order``: each vertex brings
-    its edges to the vertices placed before it, then its loops."""
-    adj = sk.adjacency
+def _walk_edges(adj, order: Sequence[int]) -> List[Tuple[int, int]]:
+    """The edges of the walk that places the vertices in ``order``: each
+    vertex brings its edges to the vertices placed before it, then its
+    loops; (v, w) once per parallel edge."""
     edges: List[Tuple[int, int]] = []
     for pos, x in enumerate(order):
         for y in order[:pos]:
             edges.extend([(y, x)] * adj[y][x])
         edges.extend([(x, x)] * adj[x][x])
+    return edges
+
+
+def _plan(sk: Skeleton, order: Sequence[int]) -> WalkPlan:
+    """The walk that places the vertices in ``order``."""
+    edges = _walk_edges(sk.adjacency, order)
     first, last = {}, {}
     for e, (v, w) in enumerate(edges):
         for x in (v, w):
@@ -163,15 +172,39 @@ def _plan(sk: Skeleton, order: Sequence[int]) -> WalkPlan:
     )
 
 
-def _plan_cost(plan: WalkPlan) -> int:
-    """Sum over edges of prod over the still-open vertices of 2 (cap + 1):
-    an estimate of the states the walk records, counting two indices and
-    cap + 1 power sums per still-open vertex."""
-    total = 0
-    for group in plan.still_open:
-        states = 1
-        for x in group:
-            states *= 2 * (plan.caps[x] + 1)
+def _greedy_order(adj, start: int) -> List[int]:
+    """From ``start``, append the unplaced vertex with the most edges into
+    the placed ones, the lowest on ties."""
+    order = [start]
+    links = list(adj[start])
+    left = [y for y in range(len(adj)) if y != start]
+    while left:
+        y = max(left, key=lambda y: (links[y], -y))
+        left.remove(y)
+        order.append(y)
+        links = [a + b for a, b in zip(links, adj[y])]
+    return order
+
+
+def _order_cost(adj, order: Sequence[int], weights: Sequence[int]) -> int:
+    """The cost of the walk that places the vertices in ``order``: the sum
+    over its edges of the product of ``weights`` over the vertices still
+    open there (a half-edge at or before the edge and one after it), kept
+    as a running product while the edges are read once."""
+    edges = _walk_edges(adj, order)
+    last = {}
+    for e, (v, w) in enumerate(edges):
+        last[v] = last[w] = e
+    seen = set()
+    states, total = 1, 0
+    for e, (v, w) in enumerate(edges):
+        for x in (v,) if v == w else (v, w):
+            if x not in seen:
+                seen.add(x)
+                if last[x] > e:
+                    states *= weights[x]
+            elif last[x] == e:
+                states //= weights[x]
         total += states
     return total
 
@@ -183,23 +216,21 @@ def walk_plan(sk: Skeleton) -> WalkPlan:
     the order of the products and sums every replay forms.
 
     From every start vertex a greedy order appends the unplaced vertex with
-    the most edges into the placed ones (the lowest on ties); the order
-    whose plan has the least :func:`_plan_cost`, an estimate of the states
-    the recording creates, is kept."""
+    the most edges into the placed ones (the lowest on ties).  Each order is
+    scored straight from the order by the sum over its edges of the product
+    over the still-open vertices of 2 (cap + 1), an estimate of the states
+    the recording creates (two indices and cap + 1 power sums per
+    still-open vertex); the plan is built for the least-scored order only,
+    the earliest start on ties."""
     adj = sk.adjacency
-    n = len(sk.genera)
-    best = None
-    for start in range(n):
-        order = [start]
-        while len(order) < n:
-            order.append(max(
-                (y for y in range(n) if y not in order),
-                key=lambda y: (sum(adj[x][y] for x in order), -y),
-            ))
-        plan = _plan(sk, order)
-        if best is None or _plan_cost(plan) < _plan_cost(best):
-            best = plan
-    return best
+    weights = [2 * (sk.psi_cap(v) + 1) for v in range(len(sk.genera))]
+    best = best_cost = None
+    for start in range(len(adj)):
+        order = _greedy_order(adj, start)
+        cost = _order_cost(adj, order, weights)
+        if best is None or cost < best_cost:
+            best, best_cost = order, cost
+    return _plan(sk, best)
 
 
 class SkeletonProgram(NamedTuple):
@@ -377,31 +408,34 @@ def skeleton_program(sk: Skeleton, n: int) -> SkeletonProgram:
         else:
             # the one vertex of an edge-free skeleton
             closing, before, placed = (0,), (), (0,)
-        # per operand position: the factor on the recorded number and the
-        # offset of each choice of indices
-        affine = []
+        # per operand position, the offset of each choice of indices
+        offsets = []
         if n_edges:
             coefs = {v: n * n_w1}
             coefs[w] = coefs.get(w, 0) + n_w1
-            affine.append((1, _offsets(n, placed, 0, coefs)))
+            offsets.append(_offsets(n, placed, 0, coefs))
         for x in closing:
-            affine.append((1, _offsets(n, placed, n_weights, {x: n_v1})))
+            offsets.append(_offsets(n, placed, n_weights, {x: n_v1}))
+        stride = 1
         if n_edges and e + 1 < n_edges:
-            # a state of edge e + 1: its recorded number times the
-            # labelings of the vertices open after e, plus their rank
+            # a state of edge e + 1, the last operand of a term: its
+            # recorded number times the labelings of the vertices open
+            # after e, plus their rank
             after = still_open[e]
             stride = n ** len(after)
             rank = {x: n ** p for p, x in enumerate(reversed(after))}
-            affine.append((stride, _offsets(n, placed, first_next, rank)))
-        arity = len(affine)
+            offsets.append(_offsets(n, placed, first_next, rank))
+        arity = len(offsets)
         counts = [c for c, _ in states]
-        bounds = list(accumulate(counts, initial=0))
-        flat = [r for _, state in states for r in state]
-        ops = [0] * (len(flat) * n ** len(placed))
-        for q, (factor, offsets) in enumerate(affine):
-            col = [factor * r for r in flat[q::arity]]
-            segments = [col[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-            ops[q::arity] = [off + r for seg in segments for off in offsets for r in seg]
+        choices = list(zip(*offsets))
+        ops: list = []
+        for _, state in states:
+            if stride != 1:
+                state = state[:]
+                state[arity - 1::arity] = [stride * r for r in state[arity - 1::arity]]
+            # every operand of every term, offset by one choice at a time
+            for offset in choices:
+                ops += map(add, state, cycle(offset))
         fan = n ** (len(placed) - len(before))
         copies = n ** len(before)
         levels.append((

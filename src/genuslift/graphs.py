@@ -8,14 +8,22 @@ The total genus is sum(g_v) + b1.
 
 *Skeletons* (``skeletons(g)``) are these graphs without canonical indices,
 one per isomorphism class, memoized for the life of the process and built
-on first use.  Summing 2 g_v - 2 + valence(v) over vertices gives 2g - 2,
-so a genus-g skeleton has at most 2g - 2 vertices, and its vertex types
-(g_v, valence) are the ways of splitting 2g - 2 into per-vertex excesses
->= 1.  For each sorted type sequence the adjacency matrices with exactly
-those valences are filled row by row, the connected ones kept, and
-duplicates removed by a canonical form that only permutes vertices of equal
-(genus, valence, loops) after colour refinement.  There are 7, 42 and 379
-skeletons of genus 2, 3 and 4.
+on first use.  They are generated by one-edge degenerations, starting from
+the single vertex of genus g: a degeneration either adds a loop at a vertex
+of positive genus, lowering its genus by one, or splits a vertex into two
+joined by a new edge, sharing its genus, its loops (a shared loop becomes
+one more joining edge) and its edges to each neighbour between the two
+parts.  This reaches every skeleton because stable graphs are closed under
+contraction: contracting any edge of a genus-g stable graph gives a
+genus-g stable graph with one edge fewer (a loop at v gives g_v + 1; an
+edge v-w merges v and w into a vertex of genus g_v + g_w, whose other
+joining edges become loops), and a degeneration undoes exactly one such
+contraction.  So the graphs with e + 1 edges are the degenerations of those
+with e edges, found level by level; degenerating one vertex per
+automorphism orbit suffices.  Each result is put in a canonical form that
+only permutes vertices of equal colour after colour refinement of
+(genus, valence, loops), which removes duplicates.  There are 7, 42, 379
+and 4,555 skeletons of genus 2, 3, 4 and 5.
 
 The graph sum puts a canonical index from {0..N-1} on every vertex.  Its
 terms are indexed by the isomorphism classes of such decorated graphs, each
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations_with_replacement, groupby, permutations, product
+from itertools import groupby, product
 from math import factorial
 from typing import Iterator, List, Sequence, Tuple
 
@@ -89,81 +97,10 @@ def skeletons(g: int) -> Tuple[Skeleton, ...]:
 # -- skeletons ---------------------------------------------------------------------
 
 
-def _vertex_types(g: int, nv: int) -> List[Tuple[Tuple[int, int], ...]]:
-    """Sorted (genus, valence) sequences whose excesses 2 g_v - 2 + val_v
-    are >= 1 and add up to 2g - 2."""
-    types = sorted(
-        (gv, e + 2 - 2 * gv)
-        for e in range(1, 2 * g - 1)
-        for gv in range(e // 2 + 2)
-        if e + 2 - 2 * gv >= (1 if nv > 1 else 0)
-    )
-    return [
-        seq
-        for seq in combinations_with_replacement(types, nv)
-        if sum(2 * gv - 2 + val for gv, val in seq) == 2 * g - 2
-    ]
-
-
-def _bounded(total: int, caps: Sequence[int]) -> Iterator[Tuple[int, ...]]:
-    """Tuples with entries 0 <= x_k <= caps[k] that add up to total."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    rest = sum(caps[1:])
-    for first in range(max(0, total - rest), min(total, caps[0]) + 1):
-        for tail in _bounded(total - first, caps[1:]):
-            yield (first,) + tail
-
-
-def _fillings(valences: Sequence[int]) -> Iterator[List[List[int]]]:
-    """Symmetric multiplicity matrices with the given valences (a loop
-    counts twice); every yielded matrix is the same live object."""
-    n = len(valences)
-    rem = list(valences)
-    adj = [[0] * n for _ in range(n)]
-
-    def row(v):
-        if v == n:
-            yield adj
-            return
-        for loops in range(rem[v] // 2 + 1):
-            left = rem[v] - 2 * loops
-            adj[v][v] = loops
-            for part in _bounded(left, rem[v + 1:]):
-                for w, m in enumerate(part, v + 1):
-                    adj[v][w] = adj[w][v] = m
-                    rem[w] -= m
-                yield from row(v + 1)
-                for w, m in enumerate(part, v + 1):
-                    rem[w] += m
-
-    yield from row(0)
-
-
-def _connected(adj, n: int) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in range(n):
-            if adj[v][w] and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
 def _cells(colors: Sequence) -> List[List[int]]:
     """Vertices grouped by colour, groups in ascending colour order."""
     order = sorted(range(len(colors)), key=colors.__getitem__)
     return [list(cell) for _, cell in groupby(order, key=colors.__getitem__)]
-
-
-def _orders(cells) -> Iterator[Tuple[int, ...]]:
-    """Every vertex order that keeps the cells in place."""
-    for parts in product(*(permutations(c) for c in cells)):
-        yield sum(parts, ())
 
 
 def _refined_colors(colors, adj, n: int) -> List[int]:
@@ -187,12 +124,48 @@ def _refined_colors(colors, adj, n: int) -> List[int]:
         current = refined
 
 
-def _least_form(adj, cells):
+def _least_form(adj, cells) -> Tuple[Tuple[int, ...], List[Tuple[int, ...]]]:
     """Row-major least adjacency over the vertex orders that keep cells,
-    flattened."""
-    return min(
-        tuple([adj[a][b] for a in order for b in order]) for order in _orders(cells)
-    )
+    flattened, and every order that gives it.
+
+    The orders are searched row by row.  Once the vertices of the first d
+    positions are chosen, the rows before d are fixed whichever way the
+    rest is ordered, provided every cell holds vertices that agree on their
+    multiplicity to each chosen vertex; so the cells split by that
+    multiplicity as each vertex is chosen.  Row d is then least when
+    position d holds a vertex x of the cell that starts there and every
+    split cell lists its vertices by ascending multiplicity to x.  Only the
+    choices that give the least row go on to the next position."""
+    n = sum(map(len, cells))
+    if len(cells) == n:
+        order = tuple(cell[0] for cell in cells)
+        return tuple([adj[a][b] for a in order for b in order]), [order]
+    form: List[int] = []
+    # (chosen vertices, cells of the others in position order)
+    nodes = [((), [list(cell) for cell in cells])]
+    for _ in range(n):
+        best, kept = None, []
+        for chosen, rest in nodes:
+            head = rest[0]
+            for x in head:
+                ax = adj[x]
+                split = []
+                for cell in ([y for y in head if y != x], *rest[1:]):
+                    if len(cell) > 1:
+                        cell = sorted(cell, key=ax.__getitem__)
+                        split += (list(part) for _, part in groupby(cell, key=ax.__getitem__))
+                    elif cell:
+                        split.append(cell)
+                row = [ax[y] for y in chosen]
+                row.append(ax[x])
+                row += (ax[y] for cell in split for y in cell)
+                if best is None or row < best:
+                    best, kept = row, []
+                if row == best:
+                    kept.append((chosen + (x,), split))
+        form += best
+        nodes = kept
+    return tuple(form), [chosen for chosen, _ in nodes]
 
 
 def _rows(form, n: int) -> Tuple[Tuple[int, ...], ...]:
@@ -210,32 +183,98 @@ def _edge_aut(adj, n: int) -> int:
 
 @cache
 def _skeletons(g: int) -> Tuple[Skeleton, ...]:
-    found = {}
-    for nv in range(1, 2 * g - 1):
-        for types in _vertex_types(g, nv):
-            genera = [gv for gv, _ in types]
-            for adj in _fillings([val for _, val in types]):
-                if not _connected(adj, nv):
-                    continue
-                colors = _refined_colors(
-                    [(genera[v], types[v][1], adj[v][v]) for v in range(nv)], adj, nv
-                )
-                cells = _cells(colors)
-                key = (tuple(genera[v] for v in sum(cells, [])), _least_form(adj, cells))
-                if key not in found:
-                    found[key] = _skeleton(*key, sorted(colors))
+    # one level per edge count: every skeleton with e + 1 edges is a
+    # degeneration of one with e edges
+    found: dict = {}
+    level: dict = {}
+    _add(level, [g], [[0]])
+    while level:
+        found.update(level)
+        following: dict = {}
+        for sk in level.values():
+            for genera, adj in _degenerations(sk):
+                _add(following, genera, adj)
+        level = following
     return tuple(found[k] for k in sorted(found, key=lambda k: (len(k[0]), k)))
 
 
-def _skeleton(genera: Tuple[int, ...], form: Tuple[int, ...], colors) -> Skeleton:
-    """The skeleton in canonical vertex order.  ``colors`` are its refined
-    vertex colours in that order: ascending, so every cell is a run of
-    consecutive vertices, and every automorphism maps each cell to itself."""
+def _add(level: dict, genera: Sequence[int], adj) -> None:
+    """Put the graph (genera, adj) into ``level`` under its canonical key,
+    unless an isomorphic one is there: its vertex genera and adjacency in
+    the least order that keeps the refined colours of (genus, valence,
+    loops) in place."""
+    n = len(genera)
+    colors = _refined_colors(
+        [(genera[v], sum(adj[v]) + adj[v][v], adj[v][v]) for v in range(n)], adj, n
+    )
+    cells = _cells(colors)
+    form, orders = _least_form(adj, cells)
+    key = (tuple(genera[v] for v in sum(cells, [])), form)
+    if key not in level:
+        level[key] = _skeleton(key, orders)
+
+
+def _skeleton(key, orders) -> Skeleton:
+    """The skeleton in canonical vertex order from its key (genera, form)
+    and the vertex orders that give the form.  Any two such orders differ
+    by an automorphism of the canonical graph, and every cell-preserving
+    automorphism arises so."""
+    genera, form = key
     n = len(genera)
     adj = _rows(form, n)
-    autos = tuple(
-        p
-        for p in _orders(_cells(colors))
-        if all(adj[p[a]][p[b]] == adj[a][b] for a in range(n) for b in range(a, n))
-    )
+    position = {v: a for a, v in enumerate(orders[0])}
+    autos = tuple(sorted(tuple(position[v] for v in order) for order in orders))
     return Skeleton(genera=genera, adjacency=adj, automorphisms=autos, edge_aut=_edge_aut(adj, n))
+
+
+def _degenerations(sk: Skeleton) -> Iterator[Tuple[List[int], List[List[int]]]]:
+    """Every graph that contracts to ``sk`` along one edge, each
+    isomorphism class at least once, as (genera, adjacency) in fresh lists.
+
+    At one vertex v of each automorphism orbit: a new loop where g_v > 0,
+    which lowers g_v by one; and every split of v into v and a new last
+    vertex, joined by a new edge, with the genus, the loops and the edges
+    to each neighbour shared between the two.  A loop shared between them
+    becomes one more edge joining them.  A split that leaves either part
+    unstable is skipped, and so is one of each mirror pair of an
+    equal-genus split."""
+    genera, adj = sk.genera, sk.adjacency
+    n = len(genera)
+    for v in sorted({min(p[v] for p in sk.automorphisms) for v in range(n)}):
+        g_v, row = genera[v], adj[v]
+        if g_v:
+            looped = [list(r) for r in adj]
+            looped[v][v] += 1
+            lower = list(genera)
+            lower[v] -= 1
+            yield lower, looped
+        loops = row[v]
+        others = [w for w in range(n) if w != v and row[w]]
+        out = sum(row) - loops
+        for g1 in range(g_v // 2 + 1):
+            g2 = g_v - g1
+            for l1 in range(loops + 1):
+                for l2 in range(loops - l1 + 1):
+                    # the rest of v's loops join the two parts
+                    bridge = 1 + loops - l1 - l2
+                    for share in product(*(range(row[w] + 1) for w in others)):
+                        kept = sum(share)
+                        # 2 g - 2 + valence > 0 on both parts
+                        if 2 * g1 + kept + 2 * l1 + bridge <= 2:
+                            continue
+                        if 2 * g2 + out - kept + 2 * l2 + bridge <= 2:
+                            continue
+                        rest = tuple(row[w] - m for w, m in zip(others, share))
+                        if g1 == g2 and (l1, share) > (l2, rest):
+                            continue
+                        split = [list(r) + [0] for r in adj]
+                        split.append([0] * (n + 1))
+                        split[v][v], split[n][n] = l1, l2
+                        split[v][n] = split[n][v] = bridge
+                        for w, m, m2 in zip(others, share, rest):
+                            split[v][w] = split[w][v] = m
+                            split[n][w] = split[w][n] = m2
+                        parts = list(genera)
+                        parts[v] = g1
+                        parts.append(g2)
+                        yield parts, split

@@ -56,6 +56,11 @@ def _stable(g: int, n: int) -> bool:
     return 2 * g - 2 + n > 0
 
 
+def _check(g: int, ks: Tuple[int, ...]) -> None:
+    if g < 0 or (ks and min(ks) < 0):
+        raise ValueError("psi powers and genus must be nonnegative")
+
+
 class IntersectionTable:
     """Shared memo table.  Fill it single-threaded before any parallel use;
     lookups never mutate existing entries."""
@@ -72,19 +77,26 @@ class IntersectionTable:
 
     def value(self, g: int, ks: Sequence[int]) -> Fraction:
         g = int(g)
-        ks = tuple(sorted(int(k) for k in ks))
-        if g < 0 or (ks and ks[0] < 0):
-            raise ValueError("psi powers and genus must be nonnegative")
-        n = len(ks)
-        if not _stable(g, n):
-            raise ValueError(f"unstable moduli space: genus {g} with {n} points")
-        if sum(ks) != 3 * g - 3 + n:
+        ks = tuple(int(k) for k in ks)
+        _check(g, ks)
+        if not _stable(g, len(ks)):
+            raise ValueError(f"unstable moduli space: genus {g} with {len(ks)} points")
+        return self._value(g, ks)
+
+    def _value(self, g: int, ks: Tuple[int, ...]) -> Fraction:
+        """:meth:`value` of a stable key of nonnegative ints, the only
+        kind the recursion builds: zero when dimension-starved, before any
+        sorting; then the tuple as it stands, which hits whenever it is
+        already sorted; then its sorted form, computed on a miss."""
+        if sum(ks) != 3 * g - 3 + len(ks):
             return _ZERO
-        key = (g, ks)
-        hit = self._cache.get(key)
+        hit = self._cache.get((g, ks))
         if hit is None:
-            hit = self._compute(g, ks)
-            self._cache[key] = hit
+            key = (g, tuple(sorted(ks)))
+            hit = self._cache.get(key)
+            if hit is None:
+                hit = self._compute(*key)
+                self._cache[key] = hit
         return hit
 
     def _compute(self, g: int, ks: Tuple[int, ...]) -> Fraction:
@@ -94,10 +106,10 @@ class IntersectionTable:
             for j, d in enumerate(rest):
                 if d == 0:
                     continue
-                total += self.value(g, rest[:j] + (d - 1,) + rest[j + 1:])
+                total += self._value(g, rest[:j] + (d - 1,) + rest[j + 1:])
             return total
         if ks[0] == 1:
-            return (2 * g - 2 + len(ks) - 1) * self.value(g, ks[1:])
+            return (2 * g - 2 + len(ks) - 1) * self._value(g, ks[1:])
 
         kmax = ks[-1]
         others = ks[:-1]
@@ -107,7 +119,7 @@ class IntersectionTable:
             coeff = 1
             for t in range(d, d + nop + 1):
                 coeff *= 2 * t + 1
-            total += coeff * self.value(g, others[:j] + (d + nop,) + others[j + 1:])
+            total += coeff * self._value(g, others[:j] + (d + nop,) + others[j + 1:])
         # the ordered splits S_1 + S_2 of the other insertions, shared by
         # every (a, g1) below
         splits = [
@@ -122,7 +134,7 @@ class IntersectionTable:
             b = nop - 1 - a
             weight = _odd_double_factorial(2 * a + 1) * _odd_double_factorial(2 * b + 1)
             if g >= 1 and _stable(g - 1, len(others) + 2):
-                half += weight * self.value(g - 1, others + (a, b))
+                half += weight * self._value(g - 1, others + (a, b))
             for g1 in range(g + 1):
                 g2 = g - g1
                 for s1, s2 in splits:
@@ -130,8 +142,8 @@ class IntersectionTable:
                         continue
                     # both factors fill the table; a product with a
                     # vanishing factor adds nothing
-                    left = self.value(g1, (a,) + s1)
-                    right = self.value(g2, (b,) + s2)
+                    left = self._value(g1, (a,) + s1)
+                    right = self._value(g2, (b,) + s2)
                     if left and right:
                         half += weight * left * right
         total += half / 2
@@ -147,6 +159,7 @@ class IntersectionTable:
         key = (g, edge_ks)
         if key in self._tails:
             return self._tails[key]
+        _check(g, edge_ks)
         terms = []
         m = len(edge_ks)
         budget = 3 * g - 3 + m - sum(edge_ks)
@@ -157,7 +170,7 @@ class IntersectionTable:
             if legs < 2 * n:
                 continue
             for assignment in _ascending_tuples(n, legs, 2):
-                corr = self.value(g, edge_ks + assignment)
+                corr = self._value(g, edge_ks + assignment)
                 if corr == 0:
                     continue
                 # ascending tuples stand for unordered leg sets: the 1/n! of

@@ -12,6 +12,14 @@ library produces by another route:
   genus-1 one-form;
 * ``two_primary_genus2_reference``: the closed form of F^2 on the
   two-primary conformal family;
+* ``skeletons_by_fillings``: the skeletons of genus g by filling every
+  labeled adjacency matrix of every vertex-type sequence, with a canonical
+  form and automorphisms found by trying every vertex order that keeps the
+  colour cells (``least_form_by_orders``); the library generates them by
+  one-edge degenerations and searches the orders row by row;
+* ``walk_plan_by_plans``: a skeleton's walk plan by building the plan of
+  every greedy start order and scoring it; the library scores the orders
+  and builds the winner's plan only;
 * decorated graphs: ``enumerate_graphs`` lists the stable graphs with a
   canonical index on every vertex, one labeling per automorphism orbit of
   each skeleton, and ``evaluate_graph`` sums one of them edge by edge with
@@ -59,9 +67,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 
@@ -76,8 +84,9 @@ from genuslift.descendent import (
 )
 from genuslift.frame import CanonicalFrame
 from genuslift.frobenius import FrobeniusModel
-from genuslift.genus import genus1_one_form, walk_plan
-from genuslift.graphs import Skeleton, _cells, _least_form, _rows, skeletons
+from genuslift.expressions import _bounded
+from genuslift.genus import WalkPlan, _plan, genus1_one_form, walk_plan
+from genuslift.graphs import Skeleton, _cells, _edge_aut, _refined_colors, _rows, skeletons
 from genuslift.intersection import (
     _DEFAULT_TABLE,
     IntersectionTable,
@@ -414,6 +423,151 @@ def two_primary_genus2_reference(frame: CanonicalFrame):
 # -- decorated graphs -----------------------------------------------------------
 
 
+# -- skeletons by fillings ----------------------------------------------------
+#
+# The skeleton enumerator the library used before it generated skeletons by
+# degeneration: for every sorted sequence of vertex types it fills every
+# labeled adjacency matrix with those valences and keeps one per canonical
+# form, searched over every vertex order that keeps the colour cells.  It
+# shares only the colour refinement with the library.
+
+
+def _vertex_types(g: int, nv: int) -> List[Tuple[Tuple[int, int], ...]]:
+    """Sorted (genus, valence) sequences whose excesses 2 g_v - 2 + val_v
+    are >= 1 and add up to 2g - 2."""
+    types = sorted(
+        (gv, e + 2 - 2 * gv)
+        for e in range(1, 2 * g - 1)
+        for gv in range(e // 2 + 2)
+        if e + 2 - 2 * gv >= (1 if nv > 1 else 0)
+    )
+    return [
+        seq
+        for seq in combinations_with_replacement(types, nv)
+        if sum(2 * gv - 2 + val for gv, val in seq) == 2 * g - 2
+    ]
+
+
+def _fillings(valences: Sequence[int]) -> Iterator[List[List[int]]]:
+    """Symmetric multiplicity matrices with the given valences (a loop
+    counts twice); every yielded matrix is the same live object."""
+    n = len(valences)
+    rem = list(valences)
+    adj = [[0] * n for _ in range(n)]
+
+    def row(v):
+        if v == n:
+            yield adj
+            return
+        for loops in range(rem[v] // 2 + 1):
+            left = rem[v] - 2 * loops
+            adj[v][v] = loops
+            for part in _bounded(left, rem[v + 1:]):
+                for w, m in enumerate(part, v + 1):
+                    adj[v][w] = adj[w][v] = m
+                    rem[w] -= m
+                yield from row(v + 1)
+                for w, m in enumerate(part, v + 1):
+                    rem[w] += m
+
+    yield from row(0)
+
+
+def _connected(adj, n: int) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in range(n):
+            if adj[v][w] and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+def _orders(cells) -> Iterator[Tuple[int, ...]]:
+    """Every vertex order that keeps the cells in place."""
+    for parts in product(*(permutations(c) for c in cells)):
+        yield sum(parts, ())
+
+
+def least_form_by_orders(adj, cells):
+    """Row-major least adjacency over the vertex orders that keep cells,
+    flattened, by trying every such order."""
+    return min(
+        tuple([adj[a][b] for a in order for b in order]) for order in _orders(cells)
+    )
+
+
+@cache
+def skeletons_by_fillings(g: int) -> Tuple[Skeleton, ...]:
+    found = {}
+    for nv in range(1, 2 * g - 1):
+        for types in _vertex_types(g, nv):
+            genera = [gv for gv, _ in types]
+            for adj in _fillings([val for _, val in types]):
+                if not _connected(adj, nv):
+                    continue
+                colors = _refined_colors(
+                    [(genera[v], types[v][1], adj[v][v]) for v in range(nv)], adj, nv
+                )
+                cells = _cells(colors)
+                key = (tuple(genera[v] for v in sum(cells, [])), least_form_by_orders(adj, cells))
+                if key not in found:
+                    found[key] = _skeleton_by_orders(*key, sorted(colors))
+    return tuple(found[k] for k in sorted(found, key=lambda k: (len(k[0]), k)))
+
+
+def _skeleton_by_orders(genera: Tuple[int, ...], form: Tuple[int, ...], colors) -> Skeleton:
+    """The skeleton in canonical vertex order.  ``colors`` are its refined
+    vertex colours in that order: ascending, so every cell is a run of
+    consecutive vertices, and every automorphism maps each cell to itself."""
+    n = len(genera)
+    adj = _rows(form, n)
+    autos = tuple(
+        p
+        for p in _orders(_cells(colors))
+        if all(adj[p[a]][p[b]] == adj[a][b] for a in range(n) for b in range(a, n))
+    )
+    return Skeleton(genera=genera, adjacency=adj, automorphisms=autos, edge_aut=_edge_aut(adj, n))
+
+
+# -- walk plans by building every plan -------------------------------------------
+
+
+def _plan_cost(plan: WalkPlan) -> int:
+    """Sum over edges of prod over the still-open vertices of 2 (cap + 1):
+    an estimate of the states the walk records, counting two indices and
+    cap + 1 power sums per still-open vertex."""
+    total = 0
+    for group in plan.still_open:
+        states = 1
+        for x in group:
+            states *= 2 * (plan.caps[x] + 1)
+        total += states
+    return total
+
+
+def walk_plan_by_plans(sk: Skeleton) -> WalkPlan:
+    """The walk plan the library picks, found by building the plan of the
+    greedy order from every start vertex and keeping the first of least
+    :func:`_plan_cost`."""
+    adj = sk.adjacency
+    n = len(sk.genera)
+    best = None
+    for start in range(n):
+        order = [start]
+        while len(order) < n:
+            order.append(max(
+                (y for y in range(n) if y not in order),
+                key=lambda y: (sum(adj[x][y] for x in order), -y),
+            ))
+        plan = _plan(sk, order)
+        if best is None or _plan_cost(plan) < _plan_cost(best):
+            best = plan
+    return best
+
+
 Vertex = Tuple[int, int]  # (genus, canonical index)
 
 
@@ -498,7 +652,7 @@ def decorations(sk: Skeleton, n_indices: int) -> List[StableGraph]:
             StableGraph(
                 genus=sum(sk.genera) + b1,
                 vertices=tuple(verts[v] for v in sum(cells, [])),
-                adjacency=_rows(_least_form(adj, cells), n),
+                adjacency=_rows(least_form_by_orders(adj, cells), n),
                 aut=stab * sk.edge_aut,
                 b1=b1,
             )

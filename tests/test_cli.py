@@ -209,6 +209,20 @@ class TestExitCodes:
         )
         assert code == 1 and text.startswith("error:") and "gauge" in text
 
+    @pytest.mark.parametrize("d", ["3/2", "5/3"])
+    def test_laurent_descendent_is_out_of_domain(self, d):
+        # the calibration is based at the origin, where these potentials
+        # have their pole: an out-of-domain request, not a numerical failure
+        tau = json.dumps({"t": [["1/3", "1/2"], ["0", "1/16"]]})
+        code, text = run_command(
+            ["descendent", "--model", f"two-primary:d={d}", "--tau", tau, "--g", "2"]
+        )
+        assert code == 1
+        assert text == (
+            f"error: the potential of two-primary d={d} has a pole at the origin t = 0, "
+            "where the descendent calibration S_k(0) = 0 is based\n"
+        )
+
     def test_bad_precision_env(self, monkeypatch):
         monkeypatch.setenv("GENUSLIFT_PRECISION", "lots")
         code, text = run_command(["wk", "--g", "0", "--indices", "0,0,0"])
@@ -226,6 +240,41 @@ class TestParser:
         assert code == 1 and text.startswith("error:")
         assert run_command(["wk", "--g", "1", "--indices", "1"]) == (0, "1/24\n")
         assert cli._build_parser.cache_info().misses == 1
+        # another command builds its own parser once, and only its own
+        for _ in range(2):
+            assert run_command(["selftest"])[0] == 0
+        assert cli._build_parser.cache_info().misses == 2
+        assert cli._build_parser("selftest").format_usage() == (
+            "usage: genuslift [-h] {selftest} ...\n"
+        )
+
+    @staticmethod
+    def parse(parser, argv, capsys):
+        """(exit status or None, printed help, error message) of one parse."""
+        try:
+            parser.parse_args(cli._attach_negative_values(argv))
+            status, error = None, None
+        except SystemExit as exc:
+            status, error = exc.code, None
+        except cli._UsageError as exc:
+            status, error = 1, str(exc)
+        return status, capsys.readouterr().out, error
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_one_command_parser_reads_like_the_full_one(self, name, capsys):
+        full, own = cli._build_parser(None), cli._build_parser(name)
+        for tail in (["--help"], [], ["--no-such-flag"], ["--format", "yaml"], ["--g", "x"],
+                     ["extra", "--precision", "7"]):
+            want = self.parse(full, [name] + tail, capsys)
+            assert self.parse(own, [name] + tail, capsys) == want
+
+    def test_help_and_unknown_commands_list_every_command(self, capsys):
+        names = ",".join(cli._COMMANDS)
+        assert cli.main(["--help"]) == 0
+        assert "{" + names + "}" in capsys.readouterr().out
+        code, text = run_command(["frobnicate"])
+        assert code == 1 and "'frobnicate'" in text and "'hodge-lemma'" in text
+        assert run_command([]) == (1, "error: the following arguments are required: command\n")
 
 
 class TestWk:
@@ -599,6 +648,22 @@ class TestDeterminism:
 
 
 class TestPublicApi:
+    def test_import_builds_no_structure(self):
+        # skeletons, plans, programs, table entries and parsers are built
+        # on first use, never at import
+        code = (
+            "import genuslift, genuslift.cli\n"
+            "from genuslift import cli, genus, graphs, intersection\n"
+            "table = intersection._DEFAULT_TABLE\n"
+            "print(graphs._skeletons.cache_info().currsize, genus.walk_plan.cache_info().currsize,"
+            " genus.skeleton_program.cache_info().currsize, len(table), len(table._tails),"
+            " cli._build_parser.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        # the table holds its two seeds only
+        assert proc.stdout.split() == ["0", "0", "0", "2", "0", "0"]
+
     def test_all_is_the_user_facing_pipeline(self):
         import genuslift
 

@@ -390,6 +390,13 @@ class TestSkeletonSum:
                 assert set(plan.still_open[e]) == (earlier | {v, w}) & later
 
 
+class TestWalkPlan:
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_same_plan_as_building_every_plan(self, g):
+        for sk in skeletons(g):
+            assert walk_plan(sk) == oracles.walk_plan_by_plans(sk)
+
+
 class TestSkeletonProgram:
     """Each skeleton's recorded program replayed on the numbers, against
     the numeric walk it was recorded from (``oracles.walk_skeleton_sum``):

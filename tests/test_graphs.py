@@ -4,16 +4,22 @@ vertex by vertex against a hand enumeration; structural invariants are
 swept over larger (g, N); the skeleton-based lists are compared graph by
 graph, in order, with a direct index-aware enumeration kept here as an
 oracle; and the orbit-stabilizer identity ties every decorated list to its
-skeletons.  The evaluation-side cross-check that certifies these lists
+skeletons.  The skeletons, which the library generates by one-edge
+degenerations, equal the fillings enumerator of tests/oracles.py tuple for
+tuple; relabeling and contraction keep them within the list.  The evaluation-side cross-check that certifies these lists
 (graph sum == operator-exponential oracle) lives in test_genus.py."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from genuslift import graphs as graphs_module
 from genuslift.graphs import skeletons
 from oracles import StableGraph, enumerate_graphs
 
@@ -288,3 +294,125 @@ class TestMemoSafety:
             graph.aut = 1
         with pytest.raises(AttributeError):
             skeletons(2)[0].genera = (0,)
+
+
+# -- generation by degeneration --------------------------------------------------
+
+
+def canonical(genera, adj):
+    """The skeleton of the graph (genera, adj), put in canonical form by
+    the library's generator."""
+    level = {}
+    graphs_module._add(level, genera, adj)
+    (sk,) = level.values()
+    return sk
+
+
+@cache
+def skeleton_set(g):
+    return frozenset(skeletons(g))
+
+
+def contract(sk, v, w):
+    """(genera, adjacency) of ``sk`` with one edge v-w contracted: a loop
+    raises g_v by one; an edge merges w into v, whose other joining edges
+    become loops."""
+    n = len(sk.genera)
+    genera = list(sk.genera)
+    adj = [list(row) for row in sk.adjacency]
+    if v == w:
+        genera[v] += 1
+        adj[v][v] -= 1
+        return genera, adj
+    genera[v] += genera[w]
+    adj[v][v] += adj[w][w] + adj[v][w] - 1
+    for x in range(n):
+        if x not in (v, w):
+            adj[v][x] = adj[x][v] = adj[v][x] + adj[w][x]
+    keep = [x for x in range(n) if x != w]
+    return [genera[x] for x in keep], [[adj[a][b] for b in keep] for a in keep]
+
+
+@st.composite
+def relabelings(draw):
+    """A skeleton of genus 2..4 and its genera and adjacency under a random
+    vertex permutation."""
+    sk = draw(st.sampled_from(skeletons(draw(st.sampled_from([2, 3, 4])))))
+    n = len(sk.genera)
+    p = draw(st.permutations(range(n)))
+    return sk, [sk.genera[p[v]] for v in range(n)], [
+        [sk.adjacency[p[v]][p[w]] for w in range(n)] for v in range(n)
+    ]
+
+
+@st.composite
+def contractions(draw):
+    """A genus, a skeleton of it with an edge, and one of its edges."""
+    g = draw(st.sampled_from([2, 3, 4, 5]))
+    sk = draw(st.sampled_from([sk for sk in skeletons(g) if sk.edge_list()]))
+    v, w, _ = draw(st.sampled_from(sk.edge_list()))
+    return g, sk, v, w
+
+
+@st.composite
+def coloured_graphs(draw):
+    """A multigraph on up to 6 vertices with loops, and vertex colours."""
+    n = draw(st.integers(1, 6))
+    adj = [[0] * n for _ in range(n)]
+    for v in range(n):
+        for w in range(v, n):
+            adj[v][w] = adj[w][v] = draw(st.integers(0, 2))
+    return adj, draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+
+
+class TestDegenerationGenerator:
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_same_tuple_as_the_fillings_enumerator(self, g):
+        got, want = skeletons(g), oracles.skeletons_by_fillings(g)
+        assert [sk.genera for sk in got] == [sk.genera for sk in want]
+        assert [sk.adjacency for sk in got] == [sk.adjacency for sk in want]
+        assert [sk.automorphisms for sk in got] == [sk.automorphisms for sk in want]
+        assert [sk.edge_aut for sk in got] == [sk.edge_aut for sk in want]
+        assert got == want
+
+    def test_genus_five_finishes(self):
+        sks = skeletons(5)
+        assert len({sk.describe() for sk in sks}) == len(sks)
+        for sk in sks:
+            n = len(sk.genera)
+            assert sum(m for _, _, m in sk.edge_list()) - n + 1 + sum(sk.genera) == 5
+            assert all(sk.psi_cap(v) >= 0 for v in range(n))
+            assert all(
+                sk.adjacency[p[v]][p[w]] == sk.adjacency[v][w]
+                for p in sk.automorphisms
+                for v in range(n)
+                for w in range(n)
+            )
+        assert [len(sk.genera) for sk in sks] == sorted(len(sk.genera) for sk in sks)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(relabelings())
+    def test_relabeling_gives_the_same_skeleton(self, case):
+        sk, genera, adj = case
+        assert canonical(genera, adj) == sk
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(contractions())
+    def test_contracting_an_edge_stays_in_the_list(self, case):
+        # the fact the generator rests on: every skeleton with an edge is a
+        # degeneration of one with an edge fewer
+        g, sk, v, w = case
+        assert canonical(*contract(sk, v, w)) in skeleton_set(g)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(coloured_graphs())
+    def test_least_form_search_matches_every_order(self, case):
+        adj, colors = case
+        cells = graphs_module._cells(colors)
+        form, orders = graphs_module._least_form(adj, cells)
+        assert form == oracles.least_form_by_orders(adj, cells)
+        assert sorted(orders) == [
+            order
+            for order in sorted(oracles._orders(cells))
+            if tuple(adj[a][b] for a in order for b in order) == form
+        ]

@@ -81,6 +81,18 @@ class TestKnownValues:
 
     def test_order_invariance(self, table):
         assert table.value(3, (2, 6)) == table.value(3, (6, 2))
+        assert table.value(2, [4, 0, 1]) == table.value(2, (4, 1, 0)) == table.value(2, (0, 1, 4))
+        # only sorted keys are stored, so an unsorted one never hits wrongly
+        assert all(ks == tuple(sorted(ks)) for _, ks in table._cache)
+
+    def test_starved_keys_still_checked(self, table):
+        # dimension-starved, but negative or unstable: an error, not 0
+        with pytest.raises(ValueError):
+            table.value(1, (-1, 5))
+        with pytest.raises(ValueError):
+            table.value(0, (1, 1))
+        with pytest.raises(ValueError):
+            table.tail_terms(2, (-1,))
 
     def test_unstable_raises(self, table):
         with pytest.raises(ValueError):

@@ -62,7 +62,7 @@ from .io import (
     render_report,
     rseries_to_json,
 )
-from .rmatrix import compute_R, edge_tail_data, unitarity_residual
+from .rmatrix import edge_tail_data, unitarity_residual
 from .scalars import EXACT, FloatContext, Rational, format_rational
 
 PRECISION_ENV = "GENUSLIFT_PRECISION"
@@ -497,7 +497,7 @@ def _selftest_checks(ctx: FloatContext):
             ctx.abs(report.value - oracle),
             "genus 2, two-primary d=1/3",
         )
-        unit = unitarity_residual(compute_R(canonical_frame(model, point, ctx, order=5), 5))
+        unit = unitarity_residual(frame_and_R(model, point, ctx, 5)[1])
     yield ("r-matrix-unitarity", unit, "two-primary d=1/3, order 5")
 
     tau = CurvePoint(((Fraction(0),), (Fraction(0),), (Fraction(1, 8),)))

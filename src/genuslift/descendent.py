@@ -68,13 +68,14 @@ from typing import Dict, List, Optional, Tuple
 
 import mpmath
 
+from . import rmatrix
 from .expressions import Expression
 from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
 from .genus import _STENCIL, GenusReport, frame_and_R, genus1_differential, graph_sum
 from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
 from .linalg import det, identity, mat_inv, mat_mul, mat_scale, mat_vec, transpose
-from .rmatrix import EdgeTailData, RSeries, _divide, compute_R, compute_V
+from .rmatrix import EdgeTailData, RSeries, _divide, compute_V
 from .scalars import EXACT, Context, FloatContext, from_kernel
 
 
@@ -581,7 +582,6 @@ def descendent_frame(
     ctx: FloatContext,
     *,
     order: int,
-    mode: Optional[str] = None,
     gauge=None,
     permutation=None,
     sign_flips=None,
@@ -591,7 +591,7 @@ def descendent_frame(
     primary genus pipeline."""
     t_star = critical_point(model, calibration, tau, ctx)
     frame, r = frame_and_R(
-        model, t_star, ctx, order, mode=mode, gauge=gauge,
+        model, t_star, ctx, order, gauge=gauge,
         permutation=permutation, sign_flips=sign_flips,
     )
     return bold_quantities(model, calibration, frame, r, tau)
@@ -605,7 +605,6 @@ def descendent_potential(
     ctx: FloatContext,
     *,
     order: Optional[int] = None,
-    mode: Optional[str] = None,
     gauge=None,
     table: Optional[IntersectionTable] = None,
     permutation=None,
@@ -628,7 +627,6 @@ def descendent_potential(
             tau,
             ctx,
             order=order,
-            mode=mode,
             gauge=gauge,
             permutation=permutation,
             sign_flips=sign_flips,
@@ -703,7 +701,7 @@ def genus1_descendent_routes(
     def frame_at(curve: CurvePoint):
         t_star = critical_point(model, calibration, curve, ctx)
         frame = canonical_frame(model, t_star, ctx, order=1)
-        r = compute_R(frame, 1)
+        r = rmatrix.compute_R(frame, 1)
         return bold_quantities(model, calibration, frame, r, curve)
 
     center = frame_at(tau)

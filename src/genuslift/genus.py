@@ -80,9 +80,11 @@ residual.
 
 :func:`frame_and_R` is where every pipeline that needs an R-matrix at a
 point (the genus potential, the descendent bold data and the CLI's R
-commands) builds its canonical frame and picks the R route.  Every route
-returns R in one form, its matrices R_0 .. R_order of kernel scalars at
-the point, and that is all the edge and tail data read.
+commands) builds its canonical frame, of order 0 in the conformal
+normalization and with jets otherwise.  Their R, and the genus-1
+one-form's, comes from the one solver ``rmatrix.compute_R`` in one form,
+its matrices R_0 .. R_order of kernel scalars at the point, and that is
+all the edge and tail data read.
 """
 
 from __future__ import annotations
@@ -98,20 +100,13 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 
+from . import rmatrix
 from .expressions import t_names
 from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
 from .graphs import Skeleton, skeletons
 from .intersection import _DEFAULT_TABLE, IntersectionTable, _ascending_tuples, vertex_correlator
-from .rmatrix import (
-    EdgeTailData,
-    RSeries,
-    compute_R,
-    edge_tail_data,
-    homogeneous_R,
-    twist_R,
-    uses_homogeneity,
-)
+from .rmatrix import EdgeTailData, RSeries, edge_tail_data, twist_R
 from .scalars import FloatContext, _context_of, from_kernel
 from .series import Caps, TruncatedSeries
 
@@ -591,8 +586,9 @@ def genus_potential(
     ``order`` is the z-order of the R-matrix.  The default 3g - 3 is exactly
     sufficient: tails reach T_{3g-2} (one R order less), and any edge budget
     tops out at k + l = 3g - 4 once a single edge exists.  ``gauge`` applies
-    a diagonal twist to R before the edge/tail extraction (only meaningful in
-    constants mode: the conformal normalization already fixes R).
+    a diagonal twist to R before the edge/tail extraction: it moves the
+    unitarity-normalized R of ``mode="constants"`` within its gauge freedom,
+    while the conformal normalization already fixes R.
     ``permutation`` and ``sign_flips`` select the frame labeling and
     square-root branches; the value of F^g does not depend on them.
     The frame and R come from :func:`frame_and_R`.
@@ -618,23 +614,24 @@ def frame_and_R(
     permutation=None,
     sign_flips=None,
 ) -> Tuple[CanonicalFrame, RSeries]:
-    """The canonical frame at ``point`` and R_1 .. R_order on it.
+    """The canonical frame at ``point`` and R_1 .. R_order on it, from
+    ``rmatrix.compute_R`` in the normalization ``mode``.
 
-    Models with Euler data in the conformal (or unset) mode get R from
-    :func:`homogeneous_R` on an order-0 frame; the rest solve the jet
-    recursion :func:`compute_R` on frame jets of order ``order``.  A
-    ``gauge`` then twists R by :func:`twist_R`.  Either way R comes back
-    as its matrices of kernel scalars at the point."""
-    homogeneous = uses_homogeneity(model, mode)
+    Models with Euler data in the conformal (or unset) normalization get an
+    order-0 frame, which is all homogeneity reads; the rest get frame jets
+    of order ``order`` for the jet recursion.  A ``gauge`` then twists R by
+    :func:`twist_R`.  Either way R comes back as its matrices of kernel
+    scalars at the point."""
+    jets = model.euler is None or mode == "constants"
     frame = canonical_frame(
         model,
         point,
         ctx,
-        order=0 if homogeneous else order,
+        order=order if jets else 0,
         permutation=permutation,
         sign_flips=sign_flips,
     )
-    r = homogeneous_R(frame, order) if homogeneous else compute_R(frame, order, mode=mode)
+    r = rmatrix.compute_R(frame, order, mode)
     if gauge is not None:
         r = twist_R(r, gauge)
     return frame, r
@@ -890,7 +887,7 @@ def genus1_differential(frame: CanonicalFrame, data: EdgeTailData) -> list:
 def genus1_one_form(model: FrobeniusModel, point, ctx: FloatContext) -> list:
     """dF^1 at a point, building the minimal frame and R-matrix on the fly."""
     frame = canonical_frame(model, point, ctx, order=1)
-    r = compute_R(frame, 1)
+    r = rmatrix.compute_R(frame, 1)
     data = edge_tail_data(r, v_cutoff=0)
     return genus1_differential(frame, data)
 

@@ -102,7 +102,8 @@ class RunConfig:
                     f"truncation {self.truncation} raised to {floor_k}: "
                     f"a genus-{self.genus} sum consumes tails through T_{floor_k}",
                     TruncationWarning,
-                    stacklevel=2,
+                    # past __post_init__ and the generated __init__ to the caller
+                    stacklevel=3,
                 )
                 self.truncation = floor_k
 

@@ -13,15 +13,16 @@ and its diagonal one order up gives
 :func:`homogeneous_R` runs this from R_0 = 1 on the order-0 frame values,
 in O(order N^3) arithmetic and without jets.
 
-``genus.frame_and_R`` picks the route for ``genus_potential``,
-``descendent_frame`` and the CLI's R commands.  Models with Euler data in
-the conformal (or unset) mode
-(:func:`uses_homogeneity`) take :func:`homogeneous_R` on an order-0 frame;
-``mode="constants"`` and models without Euler data take the jet recursion
-below on frame jets, which also stays as the independent check of the
-homogeneous route.  A gauge twist applies to either result.  The genus-1
-one-forms (``genus.genus1_one_form``, ``descendent.genus1_descendent_routes``)
-and the CLI's self-test call :func:`compute_R` on order-1 and order-5 frames.
+There is one solver per normalization, :func:`compute_R`.  The conformal
+normalization, the default on a frame built from the Euler multiplication,
+runs :func:`homogeneous_R`, which needs no jets at any frame order.  The
+unitarity ("constants") normalization runs the jet recursion below.
+``genus.frame_and_R`` builds the frame for ``genus_potential``,
+``descendent_frame`` and the CLI's R commands: order 0 in the conformal
+normalization, jets to the R order otherwise.  The genus-1 one-forms
+(``genus.genus1_one_form``, ``descendent.genus1_descendent_routes``) call
+:func:`compute_R` on order-1 frames, whose jets they read themselves.  A
+gauge twist applies to either result.
 
 Every route hands R over in one format: ``RSeries.mats[k]`` is the matrix
 R_k of kernel scalars (``scalars.GaussianFixed``) at the point, all at the
@@ -31,30 +32,31 @@ of its rings; nothing here converts them.  :func:`homogeneous_R` runs on
 them; the jet recursion converts its values at the point to their scale
 when it is done, and :func:`twist_R` its gauge exponentials.  The graph sum
 reads R(z) only through these coefficients (V through R(z) R(w)^T / (z +
-w), T through R_m and Delta), so the jets of :func:`compute_R` stay inside
-its recursion, and :func:`compute_V`, :func:`compute_T` and
+w), T through R_m and Delta), so the jet recursion keeps its jets to
+itself, and :func:`compute_V`, :func:`compute_T` and
 ``descendent.bold_quantities`` run on the kernel scalars as well.  Their
 tables are lifted once to the scale their numbers need
 (:meth:`EdgeTailData.in_kernel`, the one scale this module picks) and
 reach the graph sum and the Wick oracle in the form those run on: the
 consumers convert nothing.
 
-The jet recursion, :func:`compute_R`, works for any semisimple point.  In
-the canonical frame the flatness equations determine R recursively.
-Writing W_a = (d_a Psi) Psi^{-1} and D_a = diag(d_a u), the order-z^k part
-of the horizontality condition reads
+The jet recursion works for any semisimple point.  In the canonical frame
+the flatness equations determine R recursively.  Writing
+W_a = (d_a Psi) Psi^{-1} and D_a = diag(d_a u), the order-z^k part of the
+horizontality condition reads
 
     R_k D_a - D_a R_k = d_a R_{k-1} + R_{k-1} W_a,
 
 which fixes the off-diagonal entries of R_k ((d_a u^j - d_a u^i) is
-invertible for some direction a whenever the point is semisimple).  The same
-equation one order up forces the diagonal derivative rule
-d_a (R_k)_{ii} = -(R_k^{off} W_a)_{ii}, leaving only integration constants.
-Those are fixed either by Euler homogeneity (conformal models: the k-th
-coefficient scales with weight -k along E) or, for "constants" mode, by the
-unitarity normalization R(z) R(-z)^T = 1 with vanishing odd diagonal
-constants; remaining gauge freedom is an exponential of odd powers of z
-acting diagonally, applied via :func:`twist_R`.
+invertible for some direction a whenever the point is semisimple); where
+several directions separate a pair, their disagreement is the
+cross-direction residual.  The same equation one order up forces the
+diagonal derivative rule d_a (R_k)_{ii} = -(R_k^{off} W_a)_{ii}, leaving
+only integration constants.  The unitarity normalization fixes them by
+R(z) R(-z)^T = 1 with vanishing odd diagonal constants; remaining gauge
+freedom is an exponential of odd powers of z acting diagonally, applied via
+:func:`twist_R`.  That is how the conformal R and the unitarity-normalized
+one differ.
 
 Edge coefficients V and tail values T come from R by
 
@@ -121,26 +123,29 @@ class RSeries:
 
 
 def compute_R(frame: CanonicalFrame, order: int, mode: str | None = None) -> RSeries:
-    """Solve for R_1 .. R_order by the jet recursion on the frame's jets
-    and return their values at the frame's point.
+    """R_1 .. R_order at the frame's point, one route per normalization.
 
-    ``mode`` is "conformal" (Euler-anchored diagonal constants; requires
-    Euler data) or "constants" (unitarity normalization, odd diagonal
-    constants zero).  Default: conformal when the frame was built from the
-    Euler multiplication, else constants.
+    ``mode`` "conformal" fixes R by Euler homogeneity (:func:`homogeneous_R`
+    on the frame's order-0 values; the frame must be built from the Euler
+    multiplication, at any order).  "constants" runs the jet recursion with
+    the unitarity normalization (odd diagonal constants zero), which needs
+    frame jets of order ``order`` and reports the cross-direction residual.
+    Default: conformal when the frame was built from the Euler
+    multiplication, else constants.
     """
-    ctx = frame.ctx
     if mode is None:
         mode = "conformal" if frame.conformal else "constants"
-    if mode == "conformal" and frame.model.euler is None:
-        raise ValueError("conformal normalization requires Euler data")
+    if mode == "conformal":
+        return homogeneous_R(frame, order)
+    if mode != "constants":
+        raise ValueError(f"normalization must be conformal or constants, not {mode!r}")
     if frame.order < order:
         raise ValueError(f"frame jets of order {frame.order} cannot support R through z^{order}")
-    with ctx.guard():
-        return _compute_r_impl(frame, order, mode)
+    with frame.ctx.guard():
+        return _compute_r_impl(frame, order)
 
 
-def _compute_r_impl(frame: CanonicalFrame, order: int, mode: str) -> RSeries:
+def _compute_r_impl(frame: CanonicalFrame, order: int) -> RSeries:
     ctx = frame.ctx
     n = frame.dimension
     names = t_names(n)
@@ -172,10 +177,6 @@ def _compute_r_impl(frame: CanonicalFrame, order: int, mode: str) -> RSeries:
                     f"no coordinate direction separates branches {i} and {j}"
                 )
             denom_inv[(i, j)] = usable
-
-    evec = None
-    if mode == "conformal":
-        evec = frame.model.euler.components(frame.point, ctx)
 
     zero = TruncatedSeries.zero(caps)
     one = TruncatedSeries.const(caps, ctx.num(1))
@@ -227,24 +228,18 @@ def _compute_r_impl(frame: CanonicalFrame, order: int, mode: str) -> RSeries:
                 v = src.scalar_coeff(down)
                 if v or v != 0:
                     diag = diag + TruncatedSeries(caps_k, {key: v / key[a]})
-            const = _diagonal_constant(mode, k, i, ddiag, evec, jets, ctx, n)
-            rk[i][i] = diag + const
+            rk[i][i] = diag + _unitarity_constant(k, i, jets, ctx, n)
         jets.append(rk)
 
     kernel = frame.kernel
     mats = [[kernel.at_scale(e.constant_term() for e in row) for row in rk] for rk in jets]
-    return RSeries(frame=frame, order=order, mats=mats, mode=mode, cross_residual=cross)
+    return RSeries(frame=frame, order=order, mats=mats, mode="constants", cross_residual=cross)
 
 
-def _diagonal_constant(mode, k, i, ddiag, evec, jets, ctx, n):
-    if mode == "conformal":
-        acc = ctx.num(0)
-        for a in range(n):
-            acc = acc - evec[a] * ddiag[a][i].constant_term()
-        return acc / k
-    # constants mode: odd coefficients vanish, even ones come from unitarity
-    # (diagonal of sum_{p+q=k} (-1)^q R_p R_q^T with the p,q in {0,k} terms
-    # isolated: 2 (R_k)_{ii} = -sum_{p,q>=1})
+def _unitarity_constant(k, i, jets, ctx, n):
+    # odd coefficients vanish, even ones come from unitarity (diagonal of
+    # sum_{p+q=k} (-1)^q R_p R_q^T with the p,q in {0,k} terms isolated:
+    # 2 (R_k)_{ii} = -sum_{p,q>=1})
     if k % 2 == 1:
         return ctx.num(0)
     total = ctx.num(0)
@@ -256,13 +251,6 @@ def _diagonal_constant(mode, k, i, ddiag, evec, jets, ctx, n):
             entry = entry + jets[p][i][j].constant_term() * jets[q][i][j].constant_term()
         total = total + sign * entry
     return -total / 2
-
-
-def uses_homogeneity(model, mode: str | None) -> bool:
-    """Whether R comes from :func:`homogeneous_R` on an order-0 frame: the
-    model has Euler data and the normalization is conformal, which is the
-    default for such models."""
-    return model.euler is not None and mode in (None, "conformal")
 
 
 def homogeneous_R(frame: CanonicalFrame, order: int) -> RSeries:
@@ -277,8 +265,9 @@ def homogeneous_R(frame: CanonicalFrame, order: int) -> RSeries:
     No jets enter, so the frame may be built at order 0.  The recursion
     runs on the frame's kernel scalars (``frame.kernel``), with
     Psi^{-1} = g^{-1} Psi^T, so V = Psi (mu g^{-1}) Psi^T takes exact
-    rational factors.  The result equals ``compute_R(frame, order,
-    "conformal")`` on a frame with jets to ``order``; there is no
+    rational factors.  This is :func:`compute_R`'s conformal normalization;
+    on a frame with jets it gives what the jet recursion gives with the
+    diagonal constants fixed by homogeneity along E.  There is no
     cross-direction residual (``cross_residual`` is None).
     """
     if frame.model.euler is None:

@@ -38,6 +38,9 @@ library produces by another route:
 * ``wick_oracle_layers``: the Wick expansion of F^g as a capped series
   exponential followed by one propagator layer per order, each scaled by
   1/n!;
+* ``jet_R_conformal``: R of a conformal model by the jet recursion on
+  frame jets, its diagonal constants fixed by Euler homogeneity; the
+  library solves the conformal R from the order-0 frame alone;
 * ``mpc_homogeneous_R`` and ``mpc_edge_tail_data``: R of a conformal
   model by Euler homogeneity, and V, T, Delta and sqrt(Delta) from it, on
   mpmath numbers at working precision; the library runs the same steps on
@@ -84,7 +87,7 @@ from genuslift.descendent import (
 )
 from genuslift.frame import CanonicalFrame
 from genuslift.frobenius import FrobeniusModel
-from genuslift.expressions import _bounded
+from genuslift.expressions import _bounded, _multi_indices, t_names
 from genuslift.genus import WalkPlan, _plan, genus1_one_form, walk_plan
 from genuslift.graphs import Skeleton, _cells, _edge_aut, _refined_colors, _rows, skeletons
 from genuslift.intersection import (
@@ -1288,6 +1291,65 @@ def mpc_homogeneous_R(frame: CanonicalFrame, order: int) -> list:
                 nxt[i][i] = acc / (k + 1)
             mats.append(nxt)
         return mats
+
+
+def jet_R_conformal(frame: CanonicalFrame, order: int) -> RSeries:
+    """R_1 .. R_order of a conformal model by the jet recursion on the
+    frame's jets, with the diagonal constants fixed by Euler homogeneity.
+
+    With W_a = (d_a Psi) Psi^{-1} and D_a = diag(d_a u), the off-diagonal
+    (R_k)_ij solve R_k D_a - D_a R_k = d_a R_{k-1} + R_{k-1} W_a along the
+    direction a that separates u^i and u^j most; the jets of (R_k)_ii
+    integrate d_a (R_k)_ii = -(R_k^{off} W_a)_ii, and their constants are
+    (R_k)_ii = -(1/k) sum_a E^a d_a (R_k)_ii at the point.  R_k is kept to
+    t-order order - k.  The library solves the conformal R from the order-0
+    frame alone (``rmatrix.homogeneous_R``)."""
+    if frame.order < order:
+        raise ValueError(f"frame jets of order {frame.order} cannot support R through z^{order}")
+    ctx = frame.ctx
+    n = frame.dimension
+    names = t_names(n)
+    with ctx.guard():
+        evec = frame.model.euler.components(frame.point, ctx)
+        w = frame.rotation_jets()
+        du = frame.du
+        solve = {}
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    gaps = [du[j][a] - du[i][a] for a in range(n)]
+                    a = max(range(n), key=lambda b: mpmath.fabs(gaps[b].constant_term()))
+                    solve[i, j] = (a, gaps[a].inverse())
+        caps = frame.u[0].caps
+        one = TruncatedSeries.const(caps, ctx.num(1))
+        zero = TruncatedSeries.zero(caps)
+        jets = [[[one if i == j else zero for j in range(n)] for i in range(n)]]
+        for k in range(1, order + 1):
+            content = order - k
+            caps_k = Caps.total(names, content)
+            prev = jets[-1]
+            prev_k = [[e.repruned(caps_k) for e in row] for row in prev]
+            w_k = [[[e.repruned(caps_k) for e in row] for row in w[a]] for a in range(n)]
+            rk = [[TruncatedSeries.zero(caps_k) for _ in range(n)] for _ in range(n)]
+            for (i, j), (a, inv) in solve.items():
+                source = prev[i][j].partial(names[a]).repruned(caps_k)
+                for m in range(n):
+                    source = source + prev_k[i][m] * w_k[a][m][j]
+                rk[i][j] = source * inv.repruned(caps_k)
+            ddiag = [[-mat_mul(rk, w_k[a])[i][i] for i in range(n)] for a in range(n)]
+            for i in range(n):
+                coeffs = {}
+                for key in _multi_indices(n, content):
+                    if sum(key):
+                        a = next(b for b, e in enumerate(key) if e)
+                        down = key[:a] + (key[a] - 1,) + key[a + 1:]
+                        coeffs[key] = ddiag[a][i].scalar_coeff(down) / key[a]
+                const = -sum(evec[a] * ddiag[a][i].constant_term() for a in range(n)) / k
+                coeffs[(0,) * n] = const
+                rk[i][i] = TruncatedSeries(caps_k, coeffs)
+            jets.append(rk)
+        mats = [[frame.kernel.at_scale(e.constant_term() for e in row) for row in rk] for rk in jets]
+    return RSeries(frame=frame, order=order, mats=mats, mode="conformal")
 
 
 def mpc_edge_tail_data(frame: CanonicalFrame, mats: list) -> EdgeTailData:

@@ -92,16 +92,14 @@ class TestExitCodes:
             assert mpmath.mpf(doc["residuals"]["unitarity"]) == 1
 
     def test_genus_wrong_r_matrix_is_numerical(self, monkeypatch):
-        from genuslift import genus
+        solve = rmatrix.compute_R
 
-        solve = genus.homogeneous_R
-
-        def wrong_r2(frame, order):
-            r = solve(frame, order)
+        def wrong_r2(frame, order, mode=None):
+            r = solve(frame, order, mode)
             r.mats[2][0][0] = r.mats[2][0][0] + 1
             return r
 
-        monkeypatch.setattr(genus, "homogeneous_R", wrong_r2)
+        monkeypatch.setattr(rmatrix, "compute_R", wrong_r2)
         code, doc = run_json(
             ["genus", "--model", "two-primary:d=1/2", "--point", "0,1", "--g", "2"]
         )

@@ -44,6 +44,7 @@ from genuslift.frobenius import (
     two_primary_model,
 )
 from genuslift import genus as genus_module
+from genuslift import rmatrix
 from genuslift.genus import (
     _graded_exp,
     _log_tau_layers,
@@ -51,6 +52,7 @@ from genuslift.genus import (
     gaussian_moment,
     genus_potential,
     genus1_closedness_residual,
+    genus1_differential,
     genus1_one_form,
     graph_sum,
     skeleton_program,
@@ -876,31 +878,31 @@ class TestGenusReport:
 class TestRRoute:
     def test_frame_and_R_takes_each_route(self, monkeypatch):
         calls = []
-        homogeneous, jets = genus_module.homogeneous_R, genus_module.compute_R
+        solve, homogeneous = rmatrix.compute_R, rmatrix.homogeneous_R
+
+        def spy_solve(frame, order, mode=None):
+            calls.append(("compute_R", frame.order, mode))
+            return solve(frame, order, mode)
 
         def spy_homogeneous(frame, order):
             calls.append(("homogeneous", frame.order))
             return homogeneous(frame, order)
 
-        def spy_jets(frame, order, mode=None):
-            calls.append(("jets", frame.order, mode))
-            return jets(frame, order, mode=mode)
-
-        monkeypatch.setattr(genus_module, "homogeneous_R", spy_homogeneous)
-        monkeypatch.setattr(genus_module, "compute_R", spy_jets)
+        monkeypatch.setattr(rmatrix, "compute_R", spy_solve)
+        monkeypatch.setattr(rmatrix, "homogeneous_R", spy_homogeneous)
         quintic = two_primary_model(Fraction(1, 2))
         pt = (Fraction(1, 5), Fraction(2, 3))
         cases = (
             (threefold_cusp_model(), (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2)),
-             None, ("homogeneous", 0)),
-            (quintic, pt, "constants", ("jets", 3, "constants")),
+             None, [("compute_R", 0, None), ("homogeneous", 0)]),
+            (quintic, pt, "constants", [("compute_R", 3, "constants")]),
             (FrobeniusModel(dimension=2, metric=quintic.metric, potential=quintic.potential),
-             pt, None, ("jets", 3, None)),
+             pt, None, [("compute_R", 3, None)]),
         )
         for model, point, mode, route in cases:
             calls.clear()
             frame, r = frame_and_R(model, point, CTX, 3, mode=mode)
-            assert calls == [route]
+            assert calls == route
             assert r.order == 3 and r.frame is frame and r.gauge is None
         gauge = [[Fraction(1, 3)], [Fraction(1, 5)]]
         _, twisted = frame_and_R(quintic, pt, CTX, 3, mode="constants", gauge=gauge)
@@ -941,6 +943,30 @@ class TestGenusOne:
         with CTX.guard():
             assert mpmath.fabs(comps[0]) < TIGHT
             assert mpmath.fabs(comps[1] + CTX.num(Fraction(1, 24))) < TIGHT
+
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(
+        d=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(3, 2),
+                           Fraction(5, 3), None]),
+        t0=st.integers(-21, 21),
+        t1=st.integers(8, 24),
+        sign=st.sampled_from([1, -1]),
+        t2=st.integers(7, 21),
+    )
+    def test_one_form_matches_jet_recursion(self, d, t0, t1, sign, t2):
+        # d = None draws the cusp, in the box the benchmark draws from
+        point = (Fraction(t0, 21), sign * Fraction(t1, 24))
+        if d is None:
+            model, point = threefold_cusp_model(), point + (-Fraction(t2, 21),)
+        else:
+            model = two_primary_model(d)
+        comps = genus1_one_form(model, point, CTX)
+        frame = canonical_frame(model, point, CTX, order=1)
+        data = edge_tail_data(oracles.jet_R_conformal(frame, 1), v_cutoff=0)
+        reference = genus1_differential(frame, data)
+        with CTX.guard():
+            for got, want in zip(comps, reference):
+                assert mpmath.fabs(got - want) <= mpmath.mpf("1e-70") * max(1, mpmath.fabs(want))
 
     def test_point_model_vanishes(self):
         comps = genus1_one_form(point_model(), (Fraction(1, 5),), CTX)

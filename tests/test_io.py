@@ -87,6 +87,11 @@ class TestRunConfig:
         assert config.truncation == 4
         assert config.r_order == 3
 
+    def test_truncation_warning_names_the_caller(self):
+        with pytest.warns(TruncationWarning) as record:
+            RunConfig(genus=3, truncation=2)
+        assert [w.filename for w in record] == [__file__]
+
     def test_truncation_defaulted_for_genus(self):
         config = RunConfig(genus=3)
         assert config.truncation == 7

@@ -13,8 +13,11 @@ the low V-table.  The remaining tests are structural: unitarity of R(z),
 agreement of the off-diagonal solve across coordinate directions, the
 diagonal-twist relation between the two normalization modes, Bernoulli
 gauge constants, and accessor semantics of the edge/tail container.  The
-jet-free homogeneity route is checked against the jet recursion, and the
-closed-form z + w quotient of ``compute_V`` against series division.
+conformal R, which ``compute_R`` solves by homogeneity without jets, is
+checked against the jet recursion anchored by homogeneity
+(``oracles.jet_R_conformal``); the cross-direction residual is read from the
+jet recursion of the unitarity normalization.  The closed-form z + w
+quotient of ``compute_V`` is checked against series division.
 """
 
 import dataclasses
@@ -27,6 +30,7 @@ from hypothesis import strategies as st
 
 from genuslift.frame import DegenerateFrameError, canonical_frame
 from genuslift.frobenius import threefold_cusp_model, two_primary_model
+from genuslift.genus import frame_and_R
 from genuslift.rmatrix import (
     EdgeTailData,
     bernoulli_constants,
@@ -40,7 +44,7 @@ from genuslift.rmatrix import (
     unitarity_residual,
 )
 from genuslift.scalars import FloatContext, GaussianFixed, from_kernel
-from oracles import compute_V_series, mpc_edge_tail_data, mpc_homogeneous_R
+from oracles import compute_V_series, jet_R_conformal, mpc_edge_tail_data, mpc_homogeneous_R
 
 CTX = FloatContext()
 TIGHT = mpmath.mpf("1e-70")
@@ -118,11 +122,53 @@ class TestHandValues:
         assert_close(exp_edge.v_entry(0, 0, 0, 1), rat(3, 512))
         assert_close(exp_edge.v_entry(0, 1, 0, 1), imag(-3, 128))
 
-    def test_residuals(self, exp_edge):
-        assert set(exp_edge.residuals) == {"v_symmetry", "cross_direction", "unitarity"}
-        for name in exp_edge.residuals:
-            with CTX.guard():
-                assert mpmath.fabs(exp_edge.residuals[name]) <= TIGHT
+    def test_residuals(self, exp_r, exp_edge):
+        jets = edge_tail_data(compute_R(exp_r.frame, exp_r.order, mode="constants"))
+        assert set(jets.residuals) == {"v_symmetry", "cross_direction", "unitarity"}
+        assert set(exp_edge.residuals) == {"v_symmetry", "unitarity"}
+        for data in (jets, exp_edge):
+            for name in data.residuals:
+                with CTX.guard():
+                    assert mpmath.fabs(data.residuals[name]) <= TIGHT
+
+
+def _hankel(k, nu):
+    """a_k(nu) = prod_{j=1..k} (4 nu^2 - (2j - 1)^2) / (k! 8^k), the k-th
+    coefficient of the asymptotic expansion of the Bessel function K_nu."""
+    out = Fraction(1)
+    for j in range(1, k + 1):
+        out *= Fraction(4 * nu * nu - (2 * j - 1) ** 2, 8 * j)
+    return out
+
+
+class TestQuantumCohomologyP1:
+    """R of QH(P^1) (``two_primary_model(1)``, q = e^{t1}) in closed form:
+    with c_k = a_k(0) / ((2k - 1) (2 sqrt q)^k) and
+    e_k = 2k a_k(1) / ((2k + 1) (2 sqrt q)^k),
+
+        (R_k)_00 = -c_k,    (R_k)_11 = (-1)^{k+1} c_k,
+        (R_k)_01 = i e_k,   (R_k)_10 = (-1)^{k+1} i e_k,
+
+    the stationary-phase expansion of the mirror integrals of
+    W = x + q/x, whose Hankel coefficients are those of K_0 and K_1.  At
+    k = 1, q = 1 this is the hand value R_1 of ``TestHandValues``."""
+
+    @pytest.mark.parametrize("t1", [Fraction(0), Fraction(1, 3), Fraction(-2)], ids=str)
+    def test_closed_form_through_order_12(self, t1):
+        _, r = frame_and_R(two_primary_model(Fraction(1)), (Fraction(1, 5), t1), CTX, 12)
+        with CTX.guard():
+            two_root_q = 2 * mpmath.exp(CTX.num(t1) / 2)
+            for k in range(1, 13):
+                scale = two_root_q ** k
+                c = CTX.num(_hankel(k, 0) / (2 * k - 1)) / scale
+                e = CTX.num(2 * k * _hankel(k, 1) / (2 * k + 1)) / scale
+                sign = (-1) ** (k + 1)
+                expected = [[-c, 1j * e], [sign * 1j * e, sign * c]]
+                for i in range(2):
+                    for j in range(2):
+                        got = from_kernel(r.mats[k][i][j])
+                        want = expected[i][j]
+                        assert mpmath.fabs(got - want) <= TIGHT * mpmath.fabs(want), (k, i, j)
 
 
 class TestStructure:
@@ -130,10 +176,11 @@ class TestStructure:
         model = two_primary_model(Fraction(1, 2))
         frame = canonical_frame(model, (Fraction(2, 7), Fraction(3, 5)), CTX, order=7)
         r = compute_R(frame, 7)
+        jets = compute_R(frame, 7, mode="constants")
         loose = mpmath.mpf("1e-60")
         with CTX.guard():
             assert unitarity_residual(r) <= loose
-            assert mpmath.fabs(r.cross_residual) <= loose
+            assert mpmath.fabs(jets.cross_residual) <= loose
 
     def test_laurent_family(self):
         model = two_primary_model(Fraction(3, 2))
@@ -147,9 +194,10 @@ class TestStructure:
         # the off-diagonal solve is genuinely overdetermined here.
         frame = canonical_frame(threefold_cusp_model(), CUSP_POINT, CTX, order=4)
         r = compute_R(frame, 4)
+        jets = compute_R(frame, 4, mode="constants")
         loose = mpmath.mpf("1e-55")
         with CTX.guard():
-            assert mpmath.fabs(r.cross_residual) <= loose
+            assert mpmath.fabs(jets.cross_residual) <= loose
             assert unitarity_residual(r) <= loose
 
     def test_constants_mode_without_euler_frame(self):
@@ -181,11 +229,22 @@ class TestStructure:
         with pytest.raises(ValueError):
             compute_R(frame, 2, mode="conformal")
 
+    def test_conformal_mode_requires_euler_frame(self):
+        # Euler data, but u from a generic combination: homogeneity has no U
+        frame = canonical_frame(
+            threefold_cusp_model(), CUSP_POINT, CTX, order=2,
+            generator_weights=(Fraction(1), Fraction(2, 3), Fraction(4, 7)),
+        )
+        with pytest.raises(ValueError, match="Euler multiplication"):
+            compute_R(frame, 2, mode="conformal")
+        with pytest.raises(ValueError, match="normalization"):
+            compute_R(frame, 2, mode="unitary")
+
     def test_frame_order_too_small(self):
         model = two_primary_model(Fraction(1))
         frame = canonical_frame(model, (Fraction(0), Fraction(0)), CTX, order=2)
         with pytest.raises(ValueError):
-            compute_R(frame, 3)
+            compute_R(frame, 3, mode="constants")
 
 
 class TestTwist:
@@ -322,7 +381,7 @@ class TestFormat:
         jets = canonical_frame(model, point, CTX, order=3)
         routes = {
             "homogeneous": homogeneous_R(canonical_frame(model, point, CTX, order=0), 3),
-            "conformal": compute_R(jets, 3, mode="conformal"),
+            "conformal": jet_R_conformal(jets, 3),
             "constants": compute_R(jets, 3, mode="constants"),
             "twisted": twist_R(exp_r, [[Fraction(1, 3)], [Fraction(1, 5)]]),
         }
@@ -348,7 +407,8 @@ def _max_gap(a, b):
 
 
 class TestHomogeneous:
-    """The jet-free route against the jet recursion on the same point."""
+    """The jet-free route against the jet recursion anchored by homogeneity
+    (``oracles.jet_R_conformal``) on the same point."""
 
     @settings(max_examples=6, deadline=None, database=None)
     @given(
@@ -361,7 +421,7 @@ class TestHomogeneous:
     def test_matches_jet_recursion_two_primary(self, d, t0, t1, sign):
         model = two_primary_model(d)
         point = (Fraction(t0, 24), sign * Fraction(t1, 24))
-        jets = compute_R(canonical_frame(model, point, CTX, order=4), 4)
+        jets = jet_R_conformal(canonical_frame(model, point, CTX, order=4), 4)
         frame = canonical_frame(model, point, CTX, order=0)
         r = homogeneous_R(frame, 4)
         assert r.mode == "conformal" and r.cross_residual is None
@@ -371,7 +431,7 @@ class TestHomogeneous:
 
     def test_matches_jet_recursion_cusp(self):
         model = threefold_cusp_model()
-        jets = compute_R(canonical_frame(model, CUSP_POINT, CTX, order=4), 4)
+        jets = jet_R_conformal(canonical_frame(model, CUSP_POINT, CTX, order=4), 4)
         r = homogeneous_R(canonical_frame(model, CUSP_POINT, CTX, order=0), 4)
         assert _max_gap(r, jets) < mpmath.mpf("1e-60")
         with CTX.guard():
@@ -433,7 +493,9 @@ class TestClosedFormQuotient:
     def test_matches_series_division_cusp(self):
         model = threefold_cusp_model()
         _assert_same_edge_table(homogeneous_R(canonical_frame(model, CUSP_POINT, CTX), 5))
-        _assert_same_edge_table(compute_R(canonical_frame(model, CUSP_POINT, CTX, order=4), 4))
+        _assert_same_edge_table(
+            compute_R(canonical_frame(model, CUSP_POINT, CTX, order=4), 4, mode="constants")
+        )
 
     def test_matches_series_division_twisted_constants_mode(self):
         model = two_primary_model(Fraction(1, 2))

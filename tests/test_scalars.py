@@ -357,6 +357,21 @@ def test_no_backend_branches_in_src():
     assert offenders == []
 
 
+def test_euler_field_read_at_a_point_only_by_frame_and_model():
+    """The Euler field at a point (``EulerData.components``) is read by the
+    frame, which anchors u by the Euler multiplication, and by the model
+    itself, nowhere else: the conformal R comes from homogeneity on the
+    order-0 frame, with no Euler vector taken at the point."""
+    offenders = []
+    for path in sorted(Path(genuslift.__file__).parent.glob("*.py")):
+        if path.name in ("frame.py", "frobenius.py"):
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if ".components(" in line:
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert offenders == []
+
+
 def test_one_division_by_z_plus_w_in_src():
     """V, the genus-0 two-point tables, the unitarity of R and S and the
     Hodge propagator all divide by z + w through ``rmatrix._divide``: no

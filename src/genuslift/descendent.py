@@ -68,9 +68,8 @@ from typing import Dict, List, Optional, Tuple
 
 import mpmath
 
-from . import rmatrix
 from .expressions import Expression
-from .frame import CanonicalFrame, canonical_frame
+from .frame import CanonicalFrame
 from .frobenius import FrobeniusModel
 from .genus import _STENCIL, GenusReport, frame_and_R, genus1_differential, graph_sum
 from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
@@ -698,23 +697,15 @@ def genus1_descendent_routes(
     if step == 0:
         raise ValueError(f"finite-difference step must be nonzero, not {step}")
 
-    def frame_at(curve: CurvePoint):
-        t_star = critical_point(model, calibration, curve, ctx)
-        frame = canonical_frame(model, t_star, ctx, order=1)
-        r = rmatrix.compute_R(frame, 1)
-        return bold_quantities(model, calibration, frame, r, curve)
-
-    center = frame_at(tau)
+    center = descendent_frame(model, calibration, tau, ctx, order=1)
     with ctx.guard():
         denom = 60 * ctx.num(step)
         samples = {}
         for shift, _ in _STENCIL:
-            bold = frame_at(tau.shifted(direction, shift * step))
+            curve = tau.shifted(direction, shift * step)
+            bold = descendent_frame(model, calibration, curve, ctx, order=1)
             jacobian_det = det(
-                critical_inverse_jacobian(
-                    model, calibration, tau.shifted(direction, shift * step), ctx,
-                    critical=bold.critical,
-                )
+                critical_inverse_jacobian(model, calibration, curve, ctx, critical=bold.critical)
             )
             samples[shift] = (
                 bold.frame.u_values(),

@@ -76,15 +76,16 @@ Genus 1 is exposed as the one-form
     dF^1 = sum_i [ V^{ii}_{00}/2 du^i + dDelta_i/(48 Delta_i) ]
 
 pulled back to flat coordinates, plus a finite-difference closedness
-residual.
+residual.  It reads R_1 and the frame's values at the point, no jets
+(:func:`genus1_differential`).
 
 :func:`frame_and_R` is where every pipeline that needs an R-matrix at a
-point (the genus potential, the descendent bold data and the CLI's R
-commands) builds its canonical frame, of order 0 in the conformal
-normalization and with jets otherwise.  Their R, and the genus-1
-one-form's, comes from the one solver ``rmatrix.compute_R`` in one form,
-its matrices R_0 .. R_order of kernel scalars at the point, and that is
-all the edge and tail data read.
+point (the genus potential, the genus-1 one-forms, the descendent bold data
+and the CLI's R commands) builds its canonical frame, of order 0 in the
+conformal normalization and with jets otherwise.  Their R comes from the
+one solver ``rmatrix.compute_R`` in one form, its matrices R_0 .. R_order
+of kernel scalars at the point, and that is all the edge and tail data
+read.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import mpmath
 
 from . import rmatrix
-from .expressions import t_names
 from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
 from .graphs import Skeleton, skeletons
@@ -864,32 +864,40 @@ def wick_moments(
 
 
 def genus1_differential(frame: CanonicalFrame, data: EdgeTailData) -> list:
-    """Components of dF^1 along the flat coordinates dt^alpha."""
-    if frame.order < 1:
-        raise ValueError("genus-1 one-form needs frame jets of order >= 1")
+    """Components of dF^1 along the flat coordinates dt^alpha, from values
+    at the point alone: with (R_1)_ij = V^{ji}_{00} from ``data``, du from
+    ``frame.du`` and sqrt(Delta) from ``frame.kernel`` (the frame's, also on
+    bold data),
+
+        dF^1 = sum_i [ (R_1)_ii du^i / 2 + d log Delta_i / 48 ],
+        d log Delta_i = -2 sum_{j != i} (R_1)_ij sqrt(Delta_i)/sqrt(Delta_j) (du^j - du^i).
+
+    The second line holds because the flatness equation at z^1 gives the
+    rotation coefficients (W_a)_ij = (R_1)_ij (d_a u^j - d_a u^i), and the
+    metric is Egoroff.  Kernel values go to working precision before they
+    mix."""
     ctx = frame.ctx
     n = frame.dimension
-    names = t_names(n)
     with ctx.guard():
+        du = [[ctx.num(x.constant_term()) for x in row] for row in frame.du]
+        root = [ctx.num(x) for x in frame.kernel.sqrt_delta]
+        r1 = [[ctx.num(data.v_entry(j, i, 0, 0)) for j in range(n)] for i in range(n)]
         comps = []
         for a in range(n):
             acc = ctx.num(0)
             for i in range(n):
-                du_a = frame.du[i][a].constant_term()
-                v00 = ctx.num(data.v_entry(i, i, 0, 0))
-                delta_const = frame.delta[i].constant_term()
-                ddelta_a = frame.delta[i].partial(names[a]).constant_term()
-                acc = acc + v00 * du_a / 2 + ddelta_a / (48 * delta_const)
+                acc = acc + r1[i][i] * du[i][a] / 2
+                for j in range(n):
+                    if j != i:
+                        acc = acc - r1[i][j] * root[i] / root[j] * (du[j][a] - du[i][a]) / 24
             comps.append(acc)
         return comps
 
 
 def genus1_one_form(model: FrobeniusModel, point, ctx: FloatContext) -> list:
-    """dF^1 at a point, building the minimal frame and R-matrix on the fly."""
-    frame = canonical_frame(model, point, ctx, order=1)
-    r = rmatrix.compute_R(frame, 1)
-    data = edge_tail_data(r, v_cutoff=0)
-    return genus1_differential(frame, data)
+    """dF^1 at a point, on the frame and R_1 of :func:`frame_and_R`."""
+    frame, r = frame_and_R(model, point, ctx, 1)
+    return genus1_differential(frame, edge_tail_data(r, v_cutoff=0))
 
 
 _STENCIL = ((1, Fraction(45)), (-1, Fraction(-45)), (2, Fraction(-9)),

@@ -17,11 +17,10 @@ There is one solver per normalization, :func:`compute_R`.  The conformal
 normalization, the default on a frame built from the Euler multiplication,
 runs :func:`homogeneous_R`, which needs no jets at any frame order.  The
 unitarity ("constants") normalization runs the jet recursion below.
-``genus.frame_and_R`` builds the frame for ``genus_potential``,
-``descendent_frame`` and the CLI's R commands: order 0 in the conformal
-normalization, jets to the R order otherwise.  The genus-1 one-forms
-(``genus.genus1_one_form``, ``descendent.genus1_descendent_routes``) call
-:func:`compute_R` on order-1 frames, whose jets they read themselves.  A
+``genus.frame_and_R`` builds the frame for ``genus_potential``, the
+genus-1 one-forms, ``descendent_frame`` and the CLI's R commands: order 0
+in the conformal normalization, jets to the R order otherwise.  The
+genus-1 one-forms read R_1 and the frame's values at the point only.  A
 gauge twist applies to either result.
 
 Every route hands R over in one format: ``RSeries.mats[k]`` is the matrix

@@ -8,6 +8,9 @@ library produces by another route:
   nilpotent iteration, which is exact on polynomial potentials;
 * ``point_descendent_reference``: F^g of the one-dimensional model summed
   straight from the intersection table;
+* ``genus1_differential_jets``: the genus-1 one-form with dDelta_i read
+  off the frame's order-1 jets; the library forms dDelta_i/Delta_i from R_1
+  and the frame's values at the point;
 * ``genus1_difference_quadrature``: F^1(b) - F^1(a) by quadrature of the
   genus-1 one-form;
 * ``two_primary_genus2_reference``: the closed form of F^2 on the
@@ -378,6 +381,28 @@ def point_descendent_reference(
 
 
 # -- genus 1 and genus 2 ------------------------------------------------------------
+
+
+def genus1_differential_jets(frame: CanonicalFrame, data: EdgeTailData) -> list:
+    """Components of dF^1 along the flat coordinates dt^alpha, with
+    dDelta_i differentiated on the frame's order-1 jets."""
+    if frame.order < 1:
+        raise ValueError("genus-1 one-form needs frame jets of order >= 1")
+    ctx = frame.ctx
+    n = frame.dimension
+    names = t_names(n)
+    with ctx.guard():
+        comps = []
+        for a in range(n):
+            acc = ctx.num(0)
+            for i in range(n):
+                du_a = frame.du[i][a].constant_term()
+                v00 = ctx.num(data.v_entry(i, i, 0, 0))
+                delta_const = frame.delta[i].constant_term()
+                ddelta_a = frame.delta[i].partial(names[a]).constant_term()
+                acc = acc + v00 * du_a / 2 + ddelta_a / (48 * delta_const)
+            comps.append(acc)
+        return comps
 
 
 def genus1_difference_quadrature(

@@ -20,7 +20,8 @@ on two-primary + point in shared-unit flat coordinates.
 
 Genus 1 enters as a one-form: d F^1 = sum_i [V^{ii}_{00}/2 du^i +
 dDelta_i/(48 Delta_i)].  For the exponential two-primary model (d = 1) the
-components are exactly (0, -1/24), which also pins the quadrature helper.
+components are exactly (0, -1/24), which also pins the quadrature helper;
+on QH(P^2) and QH(P^3) at t0 1 + t1 H they are -dt1/8 and -dt1/4.
 """
 
 import gc
@@ -28,16 +29,23 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genuslift.descendent import CurvePoint, compute_calibration, descendent_frame
+from genuslift.descendent import (
+    CurvePoint,
+    compute_calibration,
+    descendent_frame,
+    genus1_descendent_routes,
+)
 from genuslift.expressions import Expression
 from genuslift.frame import canonical_frame
 from genuslift.frobenius import (
+    EulerData,
     FrobeniusModel,
     point_model,
     threefold_cusp_model,
@@ -52,7 +60,6 @@ from genuslift.genus import (
     gaussian_moment,
     genus_potential,
     genus1_closedness_residual,
-    genus1_differential,
     genus1_one_form,
     graph_sum,
     skeleton_program,
@@ -136,6 +143,40 @@ def direct_sum_model():
         dimension=3, metric=metric, potential=pot, euler=None,
         name="two-primary + point",
     )
+
+
+def projective_space(n):
+    """QH(P^n) for n = 2 or 3, truncated at degree 1, in the basis 1, H, ..,
+    H^n with eta_ab = delta_{a+b,n} and q = e^{t1}:
+
+        P^2: F = t0^2 t2/2 + t0 t1^2/2 + q t2^2/2,
+        P^3: F = t0^2 t3/2 + t0 t1 t2 + t1^3/6 + q (t2^4/12 + t2^2 t3/2 + t3^2/2),
+
+    with E = t0 d0 + (n+1) d1 + sum_{a>=2} (1-a) t_a d_a and D = n.  The
+    degree-1 terms are N_1 = 1 line through two points of P^2 and the lines
+    of P^3 through <H^2, H^2, H^2, H^2> = 2, <pt, H^2, H^2> = 1 and <pt, pt> = 1.
+    At t_a = 0 for a >= 2 the degree-d terms, t2^{3d-1} q^d on P^2 and
+    t2^i t3^j q^d with i + 2j = 4d on P^3, vanish to third order for d >= 2,
+    so the structure constants, the order-0 frame and R_1 there are those of
+    the untruncated potential."""
+    def term(coeff, mono, expo=0):
+        return Expression.term(n + 1, Fraction(coeff), mono=mono, expo=(0, expo) + (0,) * (n - 1))
+
+    if n == 2:
+        pot = (term(Fraction(1, 2), (2, 0, 1)) + term(Fraction(1, 2), (1, 2, 0))
+               + term(Fraction(1, 2), (0, 0, 2), 1))
+    else:
+        pot = (term(Fraction(1, 2), (2, 0, 0, 1)) + term(1, (1, 1, 1, 0))
+               + term(Fraction(1, 6), (0, 3, 0, 0)) + term(Fraction(1, 12), (0, 0, 4, 0), 1)
+               + term(Fraction(1, 2), (0, 0, 2, 1), 1) + term(Fraction(1, 2), (0, 0, 0, 2), 1))
+    metric = [[Fraction(int(a + b == n)) for b in range(n + 1)] for a in range(n + 1)]
+    euler = EulerData(
+        [[Fraction(int(a == b) * (1 - a)) for b in range(n + 1)] for a in range(n + 1)],
+        [Fraction(n + 1 if a == 1 else 0) for a in range(n + 1)],
+        Fraction(n),
+    )
+    return FrobeniusModel(dimension=n + 1, metric=metric, potential=pot, euler=euler,
+                          name=f"QH(P^{n}) degree <= 1")
 
 
 def rel_err(value, reference):
@@ -944,26 +985,37 @@ class TestGenusOne:
             assert mpmath.fabs(comps[0]) < TIGHT
             assert mpmath.fabs(comps[1] + CTX.num(Fraction(1, 24))) < TIGHT
 
-    @settings(max_examples=8, deadline=None, database=None)
+    @settings(max_examples=12, deadline=None, database=None)
     @given(
         d=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(3, 2),
-                           Fraction(5, 3), None]),
+                           Fraction(5, 3), None, "sum"]),
         t0=st.integers(-21, 21),
         t1=st.integers(8, 24),
         sign=st.sampled_from([1, -1]),
         t2=st.integers(7, 21),
+        draw=st.data(),
     )
-    def test_one_form_matches_jet_recursion(self, d, t0, t1, sign, t2):
-        # d = None draws the cusp, in the box the benchmark draws from
+    def test_one_form_matches_jet_recursion(self, d, t0, t1, sign, t2, draw):
+        # d = None draws the cusp, in the box the benchmark draws from, and
+        # "sum" the direct sum, whose R_1 comes from the jet recursion on
+        # both sides; the oracle differentiates Delta on the jets of a frame
+        # with its branches drawn in another order and with other signs
         point = (Fraction(t0, 21), sign * Fraction(t1, 24))
         if d is None:
             model, point = threefold_cusp_model(), point + (-Fraction(t2, 21),)
+        elif d == "sum":
+            model, point = direct_sum_model(), point + (Fraction(t2, 21),)
         else:
             model = two_primary_model(d)
+        n = model.dimension
+        frame = canonical_frame(
+            model, point, CTX, order=1,
+            permutation=draw.draw(st.permutations(range(n))),
+            sign_flips=draw.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)),
+        )
+        r = rmatrix.compute_R(frame, 1) if d == "sum" else oracles.jet_R_conformal(frame, 1)
+        reference = oracles.genus1_differential_jets(frame, edge_tail_data(r, v_cutoff=0))
         comps = genus1_one_form(model, point, CTX)
-        frame = canonical_frame(model, point, CTX, order=1)
-        data = edge_tail_data(oracles.jet_R_conformal(frame, 1), v_cutoff=0)
-        reference = genus1_differential(frame, data)
         with CTX.guard():
             for got, want in zip(comps, reference):
                 assert mpmath.fabs(got - want) <= mpmath.mpf("1e-70") * max(1, mpmath.fabs(want))
@@ -992,6 +1044,69 @@ class TestGenusOne:
             expect = -(CTX.num(b[1]) - CTX.num(a[1])) / 24
             assert mpmath.fabs(q - expect) < mpmath.mpf("1e-12")
 
+
+class TestProjectiveSpaceGenusOne:
+    """dF^1 of QH(P^2) and QH(P^3) at t = t0 1 + t1 H, exactly: the first
+    checks of the off-diagonal R_1 sum at N >= 3 with a nonzero answer."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("t0, t1", [(Fraction(1, 3), Fraction(-2, 5)), (0, Fraction(1, 7))])
+    def test_degree_zero_value(self, n, t0, t1):
+        # dF^1/dt_a = sum_d q^d <H^a, H, .., H>_{1,d}.  With m insertions of
+        # H the virtual dimension of M_{1,m+1}(P^n, d) is (n+1)d + m + 1 and
+        # the insertions have degree a + m, so only d = 0 with a = 1
+        # survives.  There the divisor equation removes the H's, and
+        # <H>_{1,0} = -(1/24) int H c_{n-1}(P^n), where c(P^n) = (1 + H)^{n+1}
+        # gives c_{n-1} = binom(n+1, n-1) H^{n-1}: -3/24 on P^2, -6/24 on P^3.
+        want = [0] * (n + 1)
+        want[1] = -Fraction(comb(n + 1, n - 1), 24)
+        comps = genus1_one_form(projective_space(n), (t0, t1) + (0,) * (n - 1), CTX)
+        with CTX.guard():
+            for got, value in zip(comps, want):
+                assert mpmath.fabs(got - CTX.num(value)) <= mpmath.mpf("1e-70")
+
+class TestGenusOneFrames:
+    """Genus 1 builds its frames through ``frame_and_R`` (the
+    ``genus.canonical_frame`` binding), which decides the frame order R
+    needs: order 0 on conformal models, jets only where R_1 comes from the
+    jet recursion."""
+
+    @pytest.fixture
+    def orders(self, monkeypatch):
+        seen = []
+        build = genus_module.canonical_frame
+
+        def spy(model, point, ctx, order=0, **options):
+            seen.append(order)
+            return build(model, point, ctx, order=order, **options)
+
+        monkeypatch.setattr(genus_module, "canonical_frame", spy)
+        return seen
+
+    @pytest.mark.parametrize("model, point, tau, direction", [
+        (two_primary_model(Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 5)),
+         ((Fraction(1, 8), Fraction(3, 16)), (Fraction(1, 32), Fraction(1, 16))),
+         ((Fraction(1, 16), Fraction(-1, 8)), (Fraction(1, 64), Fraction(1, 32)))),
+        (threefold_cusp_model(), (Fraction(1, 7), Fraction(2, 5), Fraction(1, 3)),
+         ((Fraction(1, 7), Fraction(2, 5), Fraction(1, 3)), (Fraction(1, 16), 0, Fraction(1, 32))),
+         ((1, Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 8), 0))),
+    ])
+    def test_conformal_models_build_order_zero_frames(self, orders, model, point, tau, direction):
+        calibration = compute_calibration(model, order=3)
+        for run in (
+            lambda: genus1_one_form(model, point, CTX),
+            lambda: genus1_closedness_residual(model, point, CTX),
+            lambda: genus1_descendent_routes(
+                model, calibration, CurvePoint(tau), CurvePoint(direction), CTX
+            ),
+        ):
+            orders.clear()
+            run()
+            assert orders and set(orders) == {0}
+
+    def test_direct_sum_builds_jets(self, orders):
+        genus1_one_form(direct_sum_model(), (Fraction(2, 7), Fraction(3, 5), Fraction(1, 3)), CTX)
+        assert orders == [1]
 
 class TestFrameChoiceInvariance:
     @pytest.mark.parametrize("permutation", [(1, 0)])

@@ -372,6 +372,26 @@ def test_euler_field_read_at_a_point_only_by_frame_and_model():
     assert offenders == []
 
 
+
+def test_canonical_frame_built_only_by_frame_and_R_and_the_frame_command():
+    """Every pipeline that needs R at a point, genus 1 included, builds its
+    canonical frame through ``genus.frame_and_R``, which picks the frame
+    order R needs; only the CLI's ``frame`` command builds one of its own."""
+    calls = []
+    for path in sorted(Path(genuslift.__file__).parent.glob("*.py")):
+        scope = {}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # breadth first: an inner definition overrides its outer one
+                scope.update({id(inner): node.name for inner in ast.walk(node)})
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "canonical_frame":
+                    calls.append(f"{path.name}:{scope.get(id(node), '<module>')}")
+    assert sorted(calls) == ["cli.py:_cmd_frame", "genus.py:frame_and_R"]
+
+
 def test_one_division_by_z_plus_w_in_src():
     """V, the genus-0 two-point tables, the unitarity of R and S and the
     Hodge propagator all divide by z + w through ``rmatrix._divide``: no

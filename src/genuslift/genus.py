@@ -13,21 +13,25 @@ rational combination of the V/T/Delta tables.
 No decorated graph is built.  By orbit-stabilizer the decorated graphs of
 one skeleton (``graphs.skeletons``) add up to the sum over all N^|V|
 labelings of its vertices, divided by |Aut(skeleton)|.  Which products and
-sums that takes depends on the skeleton and N alone, so
-:func:`skeleton_program` records it once per (skeleton, N) as a flat
-program on numbered registers, and :func:`skeleton_sum` replays it on the
-edge weights and vertex correlators of the data at hand.  The recording
-walks the skeleton's edges in the order of its memoized :func:`walk_plan`,
+sums that takes depends on the genus and N alone, so
+:func:`graph_sum_program` records it once per (g, N) as one flat program on
+numbered registers for all skeletons of genus g, and
+:func:`skeleton_values` replays it on the edge weights and vertex
+correlators of the data at hand and reads each skeleton's sum from its own
+register.  Each skeleton is walked along its memoized :func:`walk_plan`,
 which places the vertices greedily from each start vertex, scores each such
-order straight from the order by the states the recording would create,
-and builds the plan of the cheapest order only.  A vertex is multiplied in
+order straight from the order by the states the walk would create, and
+builds the plan of the cheapest order only.  A vertex is multiplied in
 once its last half-edge has a power, and the sum over the remaining edges
 is one register per edge reached and (index, sorted powers) of every
 still-open vertex; a closed vertex drops out of that key, so labelings and
 power assignments that differ only at closed vertices share one suffix
-sum.  The walk runs over a single index; the program over N indices
-relabels it, term for term in the walk's order.  Only structure leaves a
-term out (the psi budgets, and a vertex whose
+sum.  The walk runs over a single index; labeling it by N indices gives
+the skeleton's terms in the walk's order, and as they are labeled each
+product of two registers (left to right) and each sum of terms (in order)
+enters the program once: a skeleton reads a product or sum that another
+skeleton, or another state of its own, formed already.  Only structure
+leaves a term out (the psi budgets, and a vertex whose
 ``IntersectionTable.tail_terms`` are empty): a weight or correlator that
 vanishes on some data enters the replay as an exact 0, so every sum comes
 out as the numeric walk would make it, bit for bit.
@@ -43,12 +47,20 @@ sets q = 0 and reads the hbar^{g-1} coefficient of the logarithm.
 The oracle grades by deg(hbar) = 2, deg(q) = 1.  A stable vertex term has
 degree d = 2(g_v - 1) + m >= 1 (a genus-0 vertex carries hbar^{-1} q^{>=3}),
 and only degrees up to 2g - 2 reach F^g.  So log tau is collected into one
-homogeneous part L_d per degree, and exp(L) is built degree by degree from
-E_0 = 1, d E_d = sum_j j L_j E_{d-j}; the truncation holds by construction.
-P is neutral for the grading, so at q = 0 it sends a term c hbar^a q^M of
-E_d to c hbar^{d/2} <M>, the moment of a centred Gaussian vector whose
-covariance holds the propagator weights (Isserlis's theorem,
+homogeneous part L_d per degree and per canonical index i, which holds the
+terms of the vertices of index i only (a vertex without edges too), and
+exp(L) = prod_i exp(L^(i)).  Each factor is built degree by degree from
+E_0 = 1, d E_d = sum_j j L_j E_{d-j}, so the truncation holds by
+construction, and the factors multiply degree by degree: the slots of
+index i precede those of index i + 1, so a product of monomials joins
+their slot tuples without sorting, and the last product forms only the
+even degrees.  P is neutral for the grading, so at q = 0 it sends a term
+c hbar^a q^M of E_d to c hbar^{d/2} <M>, the moment of a centred Gaussian
+vector whose covariance holds the propagator weights (Isserlis's theorem,
 :func:`gaussian_moment`, memoized per monomial); odd degrees give nothing.
+
+Both routes need V to joint order 3g - 4 and T to order 3g - 2, and both
+refuse shorter data with a ValueError.
 
 The oracle shares with the graph sum the input tables and, when handed
 :attr:`GenusReport.vertex_cache` and :attr:`GenusReport.edge_weights`, the
@@ -94,9 +106,9 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import cycle, islice
+from itertools import accumulate, chain, count, cycle, islice, repeat
 from math import factorial
-from operator import add, mul
+from operator import add, and_, lshift, mul, or_, rshift
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
@@ -112,7 +124,7 @@ from .series import Caps, TruncatedSeries
 
 
 class WalkPlan(NamedTuple):
-    """The order in which :func:`skeleton_program` walks a skeleton's edges.
+    """The order in which :func:`_record` walks a skeleton's edges.
 
     ``edges`` lists (v, w) once per parallel edge; ``opens[e]`` are the
     vertices that edge e reaches first, whose index the walk chooses there;
@@ -207,8 +219,8 @@ def _order_cost(adj, order: Sequence[int], weights: Sequence[int]) -> int:
 @cache
 def walk_plan(sk: Skeleton) -> WalkPlan:
     """The :class:`WalkPlan` of ``sk``, built once per skeleton: the order
-    in which :func:`skeleton_program` records the skeleton's sum, and so
-    the order of the products and sums every replay forms.
+    in which :func:`_record` walks the skeleton's sum, and so the order of
+    the products and sums every replay forms.
 
     From every start vertex a greedy order appends the unplaced vertex with
     the most edges into the placed ones (the lowest on ties).  Each order is
@@ -228,35 +240,42 @@ def walk_plan(sk: Skeleton) -> WalkPlan:
     return _plan(sk, best)
 
 
-class SkeletonProgram(NamedTuple):
-    """The sum of one skeleton over all labelings by N indices, recorded
-    once as straight-line code on numbered registers.
+class GraphSumProgram(NamedTuple):
+    """The sums of all skeletons of one genus over all labelings by N
+    indices, recorded once as straight-line code on numbered registers.
 
     Registers 0 .. len(weights) - 1 hold the edge weights of the slots
     ``weights`` lists, (i, j, k, l) for V^{ij}_{kl} sqrt(Delta_i Delta_j);
     the next len(vertices) registers hold the vertex correlators of the
     slots ``vertices`` lists, (g_v, i, sorted edge powers).  Each entry of
-    ``levels`` is (arity, counts, operands) for one edge of the walk, the
-    last edge first (one entry, the vertex alone, for a skeleton without
-    edges).  A term is the left-to-right product of ``arity`` registers:
-    its weight, the vertices the edge closes and the state of the next
-    edge; ``counts[s]`` consecutive terms add up, left to right, into the
-    s-th new register; ``operands`` lists the registers of all the terms,
-    flat.  The last register written is the sum; no level means the sum
-    vanishes for all data."""
+    ``steps`` appends registers: (None, operands) appends the products of
+    the first half of the operands, in order, by the second half; (counts,
+    operands) appends, for each count c, the sum of the next c operands,
+    left to right.  A step reads only registers written before it.
+    ``outputs`` holds, per skeleton of ``graphs.skeletons(g)`` in order,
+    the register of its sum, or None where the sum vanishes for all data
+    (or the program leaves the skeleton out)."""
 
     weights: Tuple[Tuple[int, int, int, int], ...]
     vertices: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
-    levels: Tuple[Tuple[int, array, array], ...]
+    steps: Tuple[Tuple[Optional[array], array], ...]
+    outputs: Tuple[Optional[int], ...]
 
 
-def _record(sk: Skeleton) -> Tuple[tuple, tuple, List[list]]:
+# the low half of a pair of registers a * 2^32 + b
+_LOW = (1 << 32) - 1
+
+
+def _record(sk: Skeleton, weights: dict, vertices: dict, live: list) -> List[list]:
     """The sum of ``sk`` over a single index, by walking its edges in the
-    order of :func:`walk_plan`: its weight slots (k, l), its vertex slots
-    (g_v, sorted edge powers), and per edge the states the walk reaches
-    there, each as (term count, flat operands).  A term holds the number
-    of its weight, of each vertex the edge closes (in ``closes`` order)
-    and of a state of the next edge, each numbered from 0 within its kind.
+    order of :func:`walk_plan`: per edge the states the walk reaches there,
+    each as (term count, flat operands).  A term holds the number of its
+    weight slot (k, l), of each vertex slot (g_v, sorted edge powers) the
+    edge closes (in ``closes`` order) and of a state of the next edge,
+    each numbered from 0 within its kind.  ``weights`` numbers the weight
+    slots, ``vertices`` maps a vertex slot to its place in ``live`` or to
+    None where it vanishes for all data; all three may hold the slots of
+    other walks already, and every slot this walk meets is added.
 
     A vertex is multiplied in once its last half-edge has a power.  The
     sum over the later edges depends only on the edge reached and the
@@ -265,17 +284,14 @@ def _record(sk: Skeleton) -> Tuple[tuple, tuple, List[list]]:
     it.  A term is left out only where it vanishes for all data: a psi
     power beyond a vertex's budget, a vertex whose
     :meth:`IntersectionTable.tail_terms` are empty, or a state with no term
-    left.  The slots are those of the terms kept and every vertex the walk
-    reaches that does not vanish for all data."""
+    left.  The slots added are those of the terms kept and every vertex
+    the walk reaches that does not vanish for all data."""
     plan = walk_plan(sk)
     genera = sk.genera
     edges, closes, still_open = plan.edges, plan.closes, plan.still_open
     n_edges = len(edges)
     ks_at: List[List[int]] = [[] for _ in genera]
     budget = list(plan.caps)
-    weights: dict = {}
-    vertices: dict = {}
-    live: list = []
 
     def vertex_slot(x):
         # the number of vertex x at its powers so far; None where it
@@ -364,87 +380,169 @@ def _record(sk: Skeleton) -> Tuple[tuple, tuple, List[list]]:
         slot = vertex_slot(0)
         if slot is not None:
             levels[0].append((1, [slot]))
-    return tuple(weights), tuple(live), levels
+    return levels
 
 
 @cache
-def skeleton_program(sk: Skeleton, n: int) -> SkeletonProgram:
-    """The :class:`SkeletonProgram` of ``sk`` over ``n`` indices.
+def graph_sum_program(g: int, n: int, edges: bool = True) -> GraphSumProgram:
+    """The :class:`GraphSumProgram` of the skeletons of genus ``g`` over
+    ``n`` indices; with ``edges`` false, of the skeleton without edges
+    alone.
 
     Which terms a labeling contributes does not depend on its indices, so
-    the walk (:func:`_record`) runs over a single index, and the program
-    over ``n`` indices labels it.  A state of edge e is a recorded state
-    together with the indices of the vertices placed before e and still
-    open.  Its terms are, for each choice of indices of the vertices edge e
-    reaches first (in ``itertools.product`` order), the recorded terms with
-    those indices filled in: the walk's order, so every sum adds the same
-    terms in the same order.  Weight (i, j, k, l) and vertex (g_v, i, ks)
-    are numbered affinely in their indices, and so is every operand: a
-    multiple of the recorded number plus an offset set by the indices."""
-    plan = walk_plan(sk)
-    edges, opens, closes, still_open = plan.edges, plan.opens, plan.closes, plan.still_open
-    n_edges = len(edges)
-    one_weights, one_vertices, recorded = _record(sk)
-    n_w1, n_v1 = len(one_weights), len(one_vertices)
-    n_weights = n * n * n_w1
-    levels = []
-    # the first state register of the level at hand and of the level
-    # before it (edge e + 1)
-    first, first_next = n_weights + n * n_v1, None
-    for e in reversed(range(len(recorded))):
-        states = recorded[e]
-        if not states:
-            # nothing recorded: the sum vanishes for all data
+    each skeleton's walk (:func:`_record`) runs over a single index, and the
+    program over ``n`` indices labels it (:func:`_label_level`).  A state of
+    edge e is a recorded state together with the indices of the vertices
+    placed before e and still open.  Its terms are, for each choice of
+    indices of the vertices edge e reaches first (in ``itertools.product``
+    order), the recorded terms with those indices filled in: the walk's
+    order, so every sum adds the same terms in the same order.
+
+    The walks are labeled together, one height at a time (the last edge of
+    every walk first), and each product and sum enters the program as it is
+    labeled.  A product of two registers, left to right, or a sum of term
+    registers in order that the program already holds is read from its
+    register, not formed again, and a sum of one term is that term.  So
+    each skeleton's value comes from the products and sums of its own walk,
+    in the walk's order, and the skeletons share every one they have in
+    common.  The products of a height are entered by their place in the
+    term, the sums after them, so each step reads earlier steps only."""
+    weights: dict = {}
+    vertices: dict = {}
+    shapes: list = []
+    walks: list = []
+    for sk in skeletons(g):
+        plan = walk_plan(sk)
+        recorded = _record(sk, weights, vertices, shapes) if edges or not plan.edges else None
+        # a level without states leaves none at any level: the sum
+        # vanishes for all data
+        walks.append((plan, recorded) if recorded and recorded[0] else None)
+    numbering = (n, len(weights), n * n * len(weights), len(shapes))
+    size = numbering[2] + n * len(shapes)
+    steps: list = []
+    # the products of inputs alone, kept for every height; a product or a
+    # sum that reads a state (or such a product) recurs only at the height
+    # that reads that state, so those go to tables kept for one height
+    products: dict = {}
+    # per skeleton, the registers of the states of the edge labeled last
+    below: list = [None] * len(walks)
+    outputs: list = [None] * len(walks)
+    for height in count():
+        # the longest terms first: the terms with a q-th product are a
+        # prefix of the height's terms
+        batch = sorted(
+            (
+                (*_label_level(*walk, len(walk[1]) - 1 - height, numbering, below[s]), s)
+                for s, walk in enumerate(walks)
+                if walk is not None and height < len(walk[1])
+            ),
+            key=lambda level: -level[0],
+        )
+        if not batch:
             break
-        if n_edges:
-            (v, w), closing = edges[e], closes[e]
-            before = still_open[e - 1] if e else ()
-            placed = before + opens[e]
-        else:
-            # the one vertex of an edge-free skeleton
-            closing, before, placed = (0,), (), (0,)
-        # per operand position, the offset of each choice of indices
-        offsets = []
-        if n_edges:
-            coefs = {v: n * n_w1}
-            coefs[w] = coefs.get(w, 0) + n_w1
-            offsets.append(_offsets(n, placed, 0, coefs))
-        for x in closing:
-            offsets.append(_offsets(n, placed, n_weights, {x: n_v1}))
-        stride = 1
-        if n_edges and e + 1 < n_edges:
-            # a state of edge e + 1, the last operand of a term: its
-            # recorded number times the labelings of the vertices open
-            # after e, plus their rank
-            after = still_open[e]
-            stride = n ** len(after)
-            rank = {x: n ** p for p, x in enumerate(reversed(after))}
-            offsets.append(_offsets(n, placed, first_next, rank))
-        arity = len(offsets)
-        counts = [c for c, _ in states]
-        choices = list(zip(*offsets))
-        ops: list = []
-        for _, state in states:
-            if stride != 1:
-                state = state[:]
-                state[arity - 1::arity] = [stride * r for r in state[arity - 1::arity]]
-            # every operand of every term, offset by one choice at a time
-            for offset in choices:
-                ops += map(add, state, cycle(offset))
-        fan = n ** (len(placed) - len(before))
-        copies = n ** len(before)
-        levels.append((
-            arity,
-            array("I", [c * fan for c in counts for _ in range(copies)]),
-            array("I", ops),
-        ))
-        first_next = first
-        first += len(counts) * copies
-    return SkeletonProgram(
-        weights=tuple((i, j, k, l) for i in range(n) for j in range(n) for k, l in one_weights),
-        vertices=tuple((g_v, i, ks) for i in range(n) for g_v, ks in one_vertices),
-        levels=tuple(levels),
+        # a term is the product of its operands, left to right; above the
+        # last edges its last operand is a state
+        terms = list(chain.from_iterable(ops[::arity] for arity, _, ops, _ in batch))
+        with_state: dict = {}
+        for q in range(1, batch[0][0]):
+            right = chain.from_iterable(ops[q::arity] for arity, _, ops, _ in batch if arity > q)
+            # the pair (a, b) as the one int a * 2^32 + b
+            pairs = list(map(or_, map(lshift, terms, repeat(32)), right))
+            # the q-th product reads the state in terms of arity q + 1
+            cut = len(pairs) if not height else sum(
+                len(ops) // arity for arity, _, ops, _ in batch if arity > q + 1
+            )
+            inputs_only, last = pairs[:cut], pairs[cut:]
+            fresh = _enter(products, inputs_only, size)
+            fresh += _enter(with_state, last, size + len(fresh))
+            if fresh:
+                size += len(fresh)
+                steps.append((None, array("I", chain(
+                    map(rshift, fresh, repeat(32)), map(and_, fresh, repeat(_LOW))
+                ))))
+            terms[:len(pairs)] = chain(
+                map(products.__getitem__, inputs_only), map(with_state.__getitem__, last)
+            )
+        ends = list(accumulate(chain.from_iterable(counts for _, counts, _, _ in batch)))
+        groups = list(map(tuple, map(terms.__getitem__, map(slice, [0] + ends, ends))))
+        sums: dict = {}
+        fresh = _enter(sums, [grp for grp in groups if len(grp) > 1], size)
+        if fresh:
+            size += len(fresh)
+            steps.append((array("I", map(len, fresh)), array("I", chain.from_iterable(fresh))))
+        regs = iter([sums[grp] if len(grp) > 1 else grp[0] for grp in groups])
+        for _, counts, _, s in batch:
+            below[s] = list(islice(regs, len(counts)))
+            if height == len(walks[s][1]) - 1:
+                # the first edge has one state: the skeleton's sum
+                outputs[s] = below[s][0]
+    return GraphSumProgram(
+        weights=tuple((i, j, k, l) for i in range(n) for j in range(n) for k, l in weights),
+        vertices=tuple((g_v, i, ks) for i in range(n) for g_v, ks in shapes),
+        steps=tuple(steps),
+        outputs=tuple(outputs),
     )
+
+
+def _enter(table: dict, keys: list, size: int) -> list:
+    """Number the distinct ``keys`` missing from ``table`` from ``size`` on
+    and return them in the order numbered."""
+    fresh = list(set(keys).difference(table))
+    table.update(zip(fresh, count(size)))
+    return fresh
+
+
+def _label_level(plan: WalkPlan, recorded: List[list], e: int, numbering, below):
+    """Edge e of a walk recorded by :func:`_record` on ``plan``, labeled by
+    ``n`` indices, as (arity, counts, flat operands) in the numbering of
+    :func:`graph_sum_program`.
+
+    ``numbering`` is (n, number of (k, l) slots, number of weight
+    registers, number of (g_v, powers) slots), and ``below`` the registers
+    of the states of edge e + 1 in the order they were labeled.  Weight
+    (i, j, k, l) and vertex (g_v, i, ks) are numbered affinely in their
+    indices, and so is every state operand before ``below`` maps it: its
+    recorded number times the labelings of the vertices open after e, plus
+    their rank."""
+    n, n_kl, n_weights, n_shapes = numbering
+    states = recorded[e]
+    n_edges = len(plan.edges)
+    if n_edges:
+        (v, w), closing = plan.edges[e], plan.closes[e]
+        before = plan.still_open[e - 1] if e else ()
+        placed = before + plan.opens[e]
+    else:
+        # the one vertex of an edge-free skeleton
+        closing, before, placed = (0,), (), (0,)
+    # per operand position, the offset of each choice of indices
+    offsets = []
+    if n_edges:
+        coefs = {v: n * n_kl}
+        coefs[w] = coefs.get(w, 0) + n_kl
+        offsets.append(_offsets(n, placed, 0, coefs))
+    for x in closing:
+        offsets.append(_offsets(n, placed, n_weights, {x: n_shapes}))
+    stride = 1
+    if n_edges and e + 1 < n_edges:
+        after = plan.still_open[e]
+        stride = n ** len(after)
+        rank = {x: n ** p for p, x in enumerate(reversed(after))}
+        offsets.append(_offsets(n, placed, 0, rank))
+    arity = len(offsets)
+    choices = list(zip(*offsets))
+    ops: list = []
+    for _, state in states:
+        if stride != 1:
+            state = state[:]
+            state[arity - 1::arity] = [stride * r for r in state[arity - 1::arity]]
+        # every operand of every term, offset by one choice at a time
+        for offset in choices:
+            ops += map(add, state, cycle(offset))
+    if n_edges and e + 1 < n_edges:
+        ops[arity - 1::arity] = map(below.__getitem__, ops[arity - 1::arity])
+    fan = n ** (len(placed) - len(before))
+    copies = n ** len(before)
+    return arity, [c * fan for c, _ in states for _ in range(copies)], ops
 
 
 def _offsets(n: int, placed: Sequence[int], const: int, coefs: dict) -> List[int]:
@@ -457,66 +555,32 @@ def _offsets(n: int, placed: Sequence[int], const: int, coefs: dict) -> List[int
     return values
 
 
-def _replay(levels, registers: list):
-    """Run the levels of a :class:`SkeletonProgram` on ``registers``, which
-    hold its inputs, and return the last register written.  Every term is
-    the left-to-right product of its operands and every sum adds its terms
+def _replay(steps, registers: list) -> list:
+    """Run the steps of a :class:`GraphSumProgram` on ``registers``, which
+    hold its inputs, and return them with every register the steps wrote.
+    Every product multiplies left by right and every sum adds its terms
     left to right, on whatever numbers the registers hold."""
-    for arity, counts, operands in levels:
+    for counts, operands in steps:
         values = list(map(registers.__getitem__, operands))
-        terms = values[::arity]
-        for q in range(1, arity):
-            terms = map(mul, terms, values[q::arity])
-        terms = iter(terms)
-        for count in counts:
+        if counts is None:
+            half = len(values) // 2
+            registers += map(mul, values[:half], values[half:])
+            continue
+        terms = iter(values)
+        for c in counts:
             head = next(terms)
-            registers.append(sum(islice(terms, count - 1), head))
-    return registers[-1]
+            registers.append(sum(islice(terms, c - 1), head))
+    return registers
 
 
-def skeleton_sum(
-    sk: Skeleton,
-    data: EdgeTailData,
-    table: Optional[IntersectionTable],
-    vertex_cache: dict,
-    edge_weights: dict,
-):
-    """Contribution of one skeleton: the sum over every labeling of its
-    vertices by the ``data.dimension`` canonical indices and every half-edge
-    power assignment, divided by |Aut(skeleton)|.
-
-    By orbit-stabilizer this is the sum of the decorated graphs with this
-    skeleton, each over its own |Aut|.  The sum replays
-    :func:`skeleton_program` on the numbers of ``data``: the program fixes
-    which products and sums to form, and only the weights and vertex
-    correlators it reads depend on the data.  A vertex or weight that
-    vanishes on this data enters as the exact 0 it is; where every edge
-    weight vanishes, a skeleton with edges is not replayed and contributes
-    0.
-
-    ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
-    correlator on ``data``, or to None where it vanishes, and is extended
-    here to every vertex slot of the program; ``edge_weights`` is
-    :func:`edge_weight_table` of ``data``."""
-    plan = walk_plan(sk)
-    if plan.reach > data.v_cutoff:
-        raise ValueError(
-            f"edge coefficients known to order {data.v_cutoff}, need {plan.reach}"
-        )
-    # every term of a skeleton with edges has a weight: where all vanish,
-    # so does the sum, whatever the vertices (the point model's bold data
-    # has no V at all)
-    if plan.edges and not any(edge_weights.values()):
-        return 0
-    program = skeleton_program(sk, data.dimension)
-    if not program.levels:
-        return 0
-    registers = list(map(edge_weights.__getitem__, program.weights))
-    for key in program.vertices:
-        val = _cached_vertex(key, data, table, vertex_cache)
-        registers.append(0 if val is None else val)
-    total = _replay(program.levels, registers)
-    return total / sk.aut if total else total
+def _require_orders(data: EdgeTailData, g: int) -> None:
+    """Raise ValueError unless ``data`` knows V to joint order 3g - 4 and T
+    to order 3g - 2, the most an edge or a vertex of genus g reads: a loop
+    at a vertex of genus g - 1, and the one vertex of genus g."""
+    if data.v_cutoff < 3 * g - 4:
+        raise ValueError(f"edge coefficients known to order {data.v_cutoff}, need {3 * g - 4}")
+    if data.t_cutoff < 3 * g - 2:
+        raise ValueError(f"tail coefficients known to order {data.t_cutoff}, need {3 * g - 2}")
 
 
 def _cached_vertex(key, data: EdgeTailData, table: Optional[IntersectionTable], vertex_cache: dict):
@@ -644,8 +708,8 @@ def graph_sum(
     frame=None,
 ) -> GenusReport:
     """F^g from edge/tail data: every skeleton of genus g summed over all
-    labelings by ``data.dimension`` indices (:func:`skeleton_sum`), with one
-    vertex cache and one edge weight table shared by the whole sum;
+    labelings by ``data.dimension`` indices (:func:`skeleton_values`), with
+    one vertex cache and one edge weight table shared by the whole sum;
     ``frame`` is only passed through to the report.
 
     The sum runs on the numbers ``data`` holds, and the report keeps them.
@@ -677,12 +741,41 @@ def skeleton_values(
     vertex_cache: dict,
     edge_weights: Optional[dict] = None,
 ) -> List[Tuple[Skeleton, object]]:
-    """Every skeleton of genus g with its :func:`skeleton_sum` on ``data``,
-    in the numbers ``data`` holds; ``edge_weights`` is
+    """Every skeleton of genus g with its contribution on ``data``: the sum
+    over every labeling of its vertices by the ``data.dimension`` canonical
+    indices and every half-edge power assignment, divided by
+    |Aut(skeleton)|, in the numbers ``data`` holds.
+
+    By orbit-stabilizer this is the sum of the decorated graphs with this
+    skeleton, each over its own |Aut|.  The sums replay
+    :func:`graph_sum_program` on the numbers of ``data``: the program fixes
+    which products and sums to form, and only the weights and vertex
+    correlators it reads depend on the data.  A vertex or weight that
+    vanishes on this data enters as the exact 0 it is; where every edge
+    weight vanishes, only the skeleton without edges is replayed and every
+    other contributes 0.
+
+    ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
+    correlator on ``data``, or to None where it vanishes, and is extended
+    here to every vertex slot of the program; ``edge_weights`` is
     :func:`edge_weight_table` of ``data``, formed here when not passed."""
+    _require_orders(data, g)
     if edge_weights is None:
         edge_weights = edge_weight_table(data)
-    return [(sk, skeleton_sum(sk, data, table, vertex_cache, edge_weights)) for sk in skeletons(g)]
+    # every term of a skeleton with edges has a weight: where all vanish,
+    # so does its sum, whatever the vertices (the point model's bold data
+    # has no V at all)
+    program = graph_sum_program(g, data.dimension, any(edge_weights.values()))
+    registers = list(map(edge_weights.__getitem__, program.weights))
+    for key in program.vertices:
+        val = _cached_vertex(key, data, table, vertex_cache)
+        registers.append(0 if val is None else val)
+    _replay(program.steps, registers)
+    values = []
+    for sk, out in zip(skeletons(g), program.outputs):
+        total = 0 if out is None else registers[out]
+        values.append((sk, total / sk.aut if total else total))
+    return values
 
 
 # -- operator-exponential oracle ---------------------------------------------------
@@ -727,25 +820,30 @@ def _log_tau_layers(
     g: int,
     table: Optional[IntersectionTable],
     vertex_cache: dict,
-) -> List[dict]:
+) -> List[List[dict]]:
     """The vertex generating functions log tau(hbar Delta_i; Q^i) around
-    Q = T, truncated at weighted degree 2g - 2 and split by degree.
+    Q = T, truncated at weighted degree 2g - 2 and split by degree: one
+    list of layers per canonical index i.
 
-    Entry d maps a sorted tuple of slots i(3g - 3) + k, one per factor
-    q^i_k, to the coefficient of hbar^{(d - m)/2} times their product, with
-    m the length of the tuple; the coefficient includes 1/c! for a factor
-    repeated c times.  Correlators come from ``vertex_cache`` when it holds
-    them; the ones computed here are added to it."""
+    Entry d of index i maps a sorted tuple of slots i(3g - 3) + k, one per
+    factor q^i_k, to the coefficient of hbar^{(d - m)/2} times their
+    product, with m the length of the tuple; the coefficient includes 1/c!
+    for a factor repeated c times.  A vertex without edges has the empty
+    tuple in its own index's layers.  Correlators come from
+    ``vertex_cache`` when it holds them; the ones computed here are added
+    to it."""
     kq = 3 * g - 4  # largest psi-power any vertex can absorb
     top = 2 * g - 2
-    layers: List[dict] = [{} for _ in range(top + 1)]
+    per_index: List[List[dict]] = []
     for i in range(data.dimension):
+        layers: List[dict] = [{} for _ in range(top + 1)]
         for g_v in range(g + 1):
             for m in range(top - 2 * (g_v - 1) + 1):
                 d = 2 * (g_v - 1) + m
                 # stable vertices are exactly those of positive degree
                 if d < 1:
                     continue
+                layer = layers[d]
                 for s in range(3 * g_v - 3 + m + 1):
                     for ks in _ascending_tuples(m, s, 0):
                         if ks and ks[-1] > kq:
@@ -758,11 +856,9 @@ def _log_tau_layers(
                             denom *= factorial(ks.count(k))
                         if denom != 1:
                             coeff = coeff / denom
-                        # vertices without edges share the empty monomial
-                        mono = tuple(i * (kq + 1) + k for k in ks)
-                        layer = layers[d]
-                        layer[mono] = layer[mono] + coeff if mono in layer else coeff
-    return layers
+                        layer[tuple(i * (kq + 1) + k for k in ks)] = coeff
+        per_index.append(layers)
+    return per_index
 
 
 def _graded_exp(layers: List[dict]) -> List[dict]:
@@ -785,6 +881,36 @@ def _graded_exp(layers: List[dict]) -> List[dict]:
     return out
 
 
+def _exp_by_index(per_index: List[List[dict]]) -> dict:
+    """exp of the sum of the layers of every index (``per_index`` as
+    :func:`_log_tau_layers` returns it) at the even degrees 2b > 0, keyed
+    by 2b: the product over the indices of :func:`_graded_exp` of each.
+
+    The slots of index i all precede those of index i + 1, so a product of
+    monomials of different indices is the concatenation of their tuples,
+    already sorted.  Two splits of one degree can reach the same tuple with
+    their hbar powers split differently, so terms on one tuple add up.
+    Only the last product is cut to the even degrees."""
+    top = len(per_index[0]) - 1
+    acc = _graded_exp(per_index[0])
+    for pos in range(1, len(per_index)):
+        factor = _graded_exp(per_index[pos])
+        last = pos == len(per_index) - 1
+        parts: List[dict] = [{} for _ in range(top + 1)]
+        for d in range(2, top + 1, 2) if last else range(top + 1):
+            part: dict = {}
+            for j in range(d + 1):
+                right = factor[j]
+                for m1, c1 in acc[d - j].items():
+                    for m2, c2 in right.items():
+                        mono = m1 + m2
+                        term = c1 * c2
+                        part[mono] = part[mono] + term if mono in part else term
+            parts[d] = {mono: c for mono, c in part.items() if c}
+        acc = parts
+    return {d: acc[d] for d in range(2, top + 1, 2)}
+
+
 def wick_oracle(
     data: EdgeTailData,
     g: int,
@@ -803,6 +929,7 @@ def wick_oracle(
     holds, at the precision :func:`graph_sum` states."""
     if g < 2:
         raise ValueError("the expansion is normalized for genus >= 2")
+    _require_orders(data, g)
     if vertex_cache is None:
         vertex_cache = {}
     if edge_weights is None:
@@ -829,7 +956,7 @@ def wick_moments(
     propagator weights are read from ``edge_weights``, the
     :func:`edge_weight_table` of ``data``."""
     kq = 3 * g - 4
-    powers = _graded_exp(_log_tau_layers(data, g, table, vertex_cache))
+    powers = _exp_by_index(_log_tau_layers(data, g, table, vertex_cache))
 
     # propagator weights C_uv = V^{ij}_{kl} sqrt(Delta_i Delta_j) for
     # u = slot (i, k) <= v = slot (j, l); slot (i, k) is i(kq + 1) + k,

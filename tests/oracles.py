@@ -30,8 +30,9 @@ library produces by another route:
   The library sums each skeleton over all labelings at once instead;
 * ``walk_skeleton_sum``: one skeleton summed over all labelings by a
   numeric walk over its edges with memoized suffix sums, multiplying as it
-  goes; the library records that walk once per skeleton as a program and
-  replays it on the numbers;
+  goes; the library records the walks of all skeletons of one genus once
+  as one program, each product and sum formed once, and replays it on the
+  numbers;
 * ``direct_vertex_correlator``: a vertex correlator summed over its tail
   legs straight from the intersection table; the library reads the legs
   and their weights from the table's memoized tail terms;

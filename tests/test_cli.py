@@ -656,7 +656,7 @@ class TestPublicApi:
             "from genuslift import cli, genus, graphs, intersection\n"
             "table = intersection._DEFAULT_TABLE\n"
             "print(graphs._skeletons.cache_info().currsize, genus.walk_plan.cache_info().currsize,"
-            " genus.skeleton_program.cache_info().currsize, len(table), len(table._tails),"
+            " genus.graph_sum_program.cache_info().currsize, len(table), len(table._tails),"
             " cli._build_parser.cache_info().currsize)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -29,6 +29,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import comb
 
 import mpmath
@@ -54,6 +55,7 @@ from genuslift.frobenius import (
 from genuslift import genus as genus_module
 from genuslift import rmatrix
 from genuslift.genus import (
+    _exp_by_index,
     _graded_exp,
     _log_tau_layers,
     frame_and_R,
@@ -62,7 +64,7 @@ from genuslift.genus import (
     genus1_closedness_residual,
     genus1_one_form,
     graph_sum,
-    skeleton_program,
+    graph_sum_program,
     skeleton_values,
     walk_plan,
     wick_oracle,
@@ -184,6 +186,17 @@ def rel_err(value, reference):
         return mpmath.fabs(value - reference) / mpmath.fabs(reference)
 
 
+def summed_layers(per_index):
+    """The layers of every index of ``_log_tau_layers`` added into one
+    list: the degree parts of the whole log tau."""
+    layers = [{} for _ in per_index[0]]
+    for own in per_index:
+        for layer, part in zip(layers, own):
+            for mono, c in part.items():
+                layer[mono] = layer[mono] + c if mono in layer else c
+    return layers
+
+
 class TestTwoPrimaryClosedForm:
     def test_quintic_frozen_value(self):
         # F^2(0, t1) = -7/(1843200 t1^5) for d = 1/2, c = 1
@@ -224,6 +237,23 @@ class TestTwoPrimaryClosedForm:
         )
         with pytest.raises(ValueError):
             two_primary_genus2_reference(frame)
+
+
+class TestHomogeneityScaling:
+    """On two-primary d = 1/2, F_g depends on t1 alone (string equation)
+    and is homogeneous of degree (3 - d)(1 - g) with t1 of weight 1/2, so
+    F_g = c_g t1^{-5(g-1)}: moving t1 from 3/5 to 2/5 scales F_g by
+    (3/2)^{5(g-1)}, whatever t0.  No oracle enters."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_ratio_is_a_power_of_t1(self, g):
+        model = two_primary_model(Fraction(1, 2))
+        near = genus_potential(model, (Fraction(1, 3), Fraction(2, 5)), g, CTX).value
+        far = genus_potential(model, (Fraction(-2, 7), Fraction(3, 5)), g, CTX).value
+        with CTX.guard():
+            expect = CTX.num(Fraction(3, 2) ** (5 * (g - 1)))
+            assert mpmath.fabs(far) > mpmath.mpf("1e-8")
+            assert rel_err(near / far, expect) < mpmath.mpf("1e-70")
 
 
 class TestOracleAgreement:
@@ -409,6 +439,11 @@ class TestSkeletonSum:
         assert other.value == base.value
         assert other.contributions == base.contributions
 
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_largest_reach_is_a_loop_at_genus_g_minus_one(self, g):
+        # the order both routes demand of V
+        assert max(walk_plan(sk).reach for sk in skeletons(g)) == 3 * g - 4
+
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_walk_opens_and_closes_every_vertex_once(self, g):
         for sk in skeletons(g):
@@ -441,10 +476,11 @@ class TestWalkPlan:
 
 
 class TestSkeletonProgram:
-    """Each skeleton's recorded program replayed on the numbers, against
-    the numeric walk it was recorded from (``oracles.walk_skeleton_sum``):
-    the same products and sums in the same order, so the values agree bit
-    for bit on kernel data and exactly on rationals."""
+    """The shared program of one genus replayed on the numbers, against the
+    numeric walk of each skeleton it was recorded from
+    (``oracles.walk_skeleton_sum``): the same products and sums in the
+    same order, so the values agree bit for bit on kernel data and exactly
+    on rationals."""
 
     @staticmethod
     def bits(x):
@@ -524,7 +560,7 @@ class TestSkeletonProgram:
         zero = type(kernel.delta[0])(0, 0)
         for generic, planted in ((rational, self.with_zeros(rational, Fraction(0))),
                                  (kernel, self.with_zeros(kernel, zero))):
-            skeleton_program.cache_clear()
+            graph_sum_program.cache_clear()
             for data in (planted, generic) if zeros_first else (generic, planted):
                 self.assert_replays_walk(data, 3)
             # the planted zeros vanish some skeletons, not all
@@ -549,15 +585,48 @@ class TestSkeletonProgram:
 
     @pytest.mark.parametrize("g, n", [(2, 3), (3, 2)])
     def test_program_is_recorded_once(self, g, n):
-        for sk in skeletons(g):
-            program = skeleton_program(sk, n)
-            assert skeleton_program(sk, n) is program
-            # every register an operand reads exists before it is read
-            inputs = len(program.weights) + len(program.vertices)
-            for arity, counts, operands in program.levels:
-                assert len(operands) == arity * sum(counts)
-                assert max(operands) < inputs
+        program = graph_sum_program(g, n)
+        assert graph_sum_program(g, n) is program
+        # every register an operand reads exists before it is read
+        inputs = len(program.weights) + len(program.vertices)
+        for counts, operands in program.steps:
+            assert max(operands) < inputs
+            if counts is None:
+                assert len(operands) % 2 == 0
+                inputs += len(operands) // 2
+            else:
+                assert len(operands) == sum(counts)
                 inputs += len(counts)
+        assert len(program.outputs) == len(skeletons(g))
+        assert all(out is None or out < inputs for out in program.outputs)
+
+    @pytest.mark.parametrize(
+        "g, n, products, sums", [(2, 3, 189, 40), (3, 2, 2236, 616)]
+    )
+    def test_each_product_and_sum_is_formed_once(self, g, n, products, sums):
+        # one skeleton at a time formed 210 products at (2, 3), and 3,592
+        # products and 722 sums at (3, 2)
+        steps = graph_sum_program(g, n).steps
+        assert sum(len(ops) // 2 for counts, ops in steps if counts is None) <= products
+        assert sum(len(counts) for counts, _ in steps if counts is not None) <= sums
+        pairs = [pair for counts, ops in steps if counts is None
+                 for pair in zip(ops[:len(ops) // 2], ops[len(ops) // 2:])]
+        assert len(pairs) == len(set(pairs))
+        terms = []
+        for counts, ops in steps:
+            if counts is not None:
+                it = iter(ops)
+                terms += [tuple(islice(it, c)) for c in counts]
+        assert len(terms) == len(set(terms)) and all(len(t) > 1 for t in terms)
+
+    def test_vanishing_weights_build_no_edge_program(self):
+        program = graph_sum_program(3, 2, False)
+        skeleton_list = skeletons(3)
+        assert [out is not None for out in program.outputs] == [
+            not walk_plan(sk).edges for sk in skeleton_list
+        ]
+        assert program.weights == ()
+        assert program.vertices == ((3, 0, ()), (3, 1, ()))
 
 
 class TestExactZeros:
@@ -857,7 +926,7 @@ class TestWickExpansion:
     )
     def test_graded_exp_is_the_series_exp(self, shape, seed):
         g, n = shape
-        layers = _log_tau_layers(synthetic_data(n, g, seed), g, None, {})
+        layers = summed_layers(_log_tau_layers(synthetic_data(n, g, seed), g, None, {}))
         slots = n * (3 * g - 3)
         names = ("h",) + tuple(f"q{s}" for s in range(slots))
         grading = dict.fromkeys(names, 1)
@@ -878,6 +947,35 @@ class TestWickExpansion:
         log_tau = TruncatedSeries(caps, as_series(layers))
         assert len(log_tau.c) == sum(1 for part in layers for c in part.values() if c)
         assert as_series(_graded_exp(layers)) == log_tau.exp().c
+
+    @pytest.mark.parametrize("g, n", [(2, 1), (2, 3), (3, 2)])
+    def test_exp_by_index_is_the_exp_of_the_sum(self, g, n):
+        per_index = _log_tau_layers(synthetic_data(n, g, seed=700 + 10 * g + n), g, None, {})
+        # every index has a genus-2 vertex without edges on the empty tuple:
+        # from two indices on, two degree splits meet on that tuple
+        assert all(layers[2].get(()) for layers in per_index)
+        full = _graded_exp(summed_layers(per_index))
+        product = _exp_by_index(per_index)
+        assert sorted(product) == list(range(2, 2 * g - 1, 2))
+        for d, part in product.items():
+            assert all(isinstance(c, Fraction) for c in part.values())
+            assert part == full[d]
+
+    def test_routes_share_no_engine(self, monkeypatch):
+        data = synthetic_data(2, 3, seed=321)
+        calls = []
+        for name in ("_replay", "graph_sum_program", "_graded_exp", "gaussian_moment"):
+            def spy(*args, _name=name, _real=getattr(genus_module, name)):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(genus_module, name, spy)
+        wick_oracle(data, 3)
+        assert {"_graded_exp", "gaussian_moment"} <= set(calls)
+        assert not {"_replay", "graph_sum_program"} & set(calls)
+        calls.clear()
+        graph_sum(data, 3)
+        assert set(calls) == {"_replay", "graph_sum_program"}
 
     def test_shared_table_is_sound(self):
         data = synthetic_data(2, 3, seed=321)
@@ -974,6 +1072,24 @@ class TestValidation:
         # the genus-1 loop skeleton stops the sum
         with pytest.raises(ValueError, match="known to order 1, need 2"):
             graph_sum(starved, 2)
+
+    @pytest.mark.parametrize("route", [graph_sum, wick_oracle])
+    def test_short_data_rejected_by_both_routes(self, route):
+        # R of order 3 serves genus 2; at genus 3 its V and T stop short,
+        # and read as zeros they give F^3 = -0.0169 where it is 0.000825
+        model = two_primary_model(Fraction(1, 2))
+        point = (Fraction(1, 3), Fraction(2, 5))
+        _, r = frame_and_R(model, point, CTX, 3)
+        with pytest.raises(ValueError, match="edge coefficients known to order 2, need 5"):
+            route(edge_tail_data(r, v_cutoff=2), 3)
+        # V in full, T one order short
+        _, r = frame_and_R(model, point, CTX, 6)
+        data = edge_tail_data(r)
+        short = replace(data, t=[{k: x for k, x in t.items() if k < 7} for t in data.t], t_cutoff=6)
+        with pytest.raises(ValueError, match="tail coefficients known to order 6, need 7"):
+            route(short, 3)
+        # the data in full passes
+        assert route(data, 3)
 
 
 class TestGenusOne:

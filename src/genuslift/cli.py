@@ -411,12 +411,11 @@ def _cmd_descendent(args):
 
 def _cmd_wk(args):
     config = _config(args)
-    table = IntersectionTable()
     if args.indices is not None:
         ks = _parse_ints(args.indices, "indices")
         if any(k < 0 for k in ks):
             raise SchemaError("psi exponents must be nonnegative")
-        value = psi_intersection(args.g, ks, table)
+        value = psi_intersection(args.g, ks)
         if config.output == "text":
             return EXIT_OK, format_rational(value) + "\n"
         doc = {
@@ -434,7 +433,7 @@ def _cmd_wk(args):
         raise SchemaError(f"genus {args.g} with {args.n} insertions has no stable moduli")
     values = {}
     for ks in _ascending_tuples(args.n, total, 0):
-        values[",".join(str(k) for k in ks)] = format_rational(psi_intersection(args.g, ks, table))
+        values[",".join(str(k) for k in ks)] = format_rational(psi_intersection(args.g, ks))
     doc = {"genus": args.g, "insertions": args.n, "dimension": total, "values": values}
     return EXIT_OK, render_report(doc, config.output)
 
@@ -466,16 +465,18 @@ def _selftest_checks(ctx: FloatContext):
 
     A check passes when its residual is at most ctx.tol (None means the
     check is exact and already verified)."""
+    # a table of its own: the entry count it reports must not depend on
+    # what ran earlier in the process
     table = IntersectionTable()
 
-    value = psi_intersection(1, (1,), table)
+    value = table.value(1, (1,))
     yield (
         "psi-intersection-anchor",
         None if value == Fraction(1, 24) else Fraction(1),
         f"<tau_1>_1 = {format_rational(value)}",
     )
 
-    psi_intersection(3, (1, 1, 7), table)  # populate through genus 3
+    table.value(3, (1, 1, 7))  # populate through genus 3
     failures = table.identity_failures()
     yield (
         "string-dilaton-identities",
@@ -489,8 +490,7 @@ def _selftest_checks(ctx: FloatContext):
     with ctx.guard():
         yield ("genus2-vanishing-d-one-third", ctx.abs(report.value), "F^2 on the d=1/3 model")
         oracle = wick_oracle(
-            report.data, 2, table,
-            vertex_cache=report.vertex_cache, edge_weights=report.edge_weights,
+            report.data, 2, vertex_cache=report.vertex_cache, edge_weights=report.edge_weights
         )
         yield (
             "graph-sum-vs-operator-oracle",

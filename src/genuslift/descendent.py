@@ -11,17 +11,12 @@ is path-independent and the construction double-checks itself by
 re-integrating along a permuted coordinate order.  The C_a come from
 ``FrobeniusModel.multiplication``, and the path integrals run on
 ``Expression.restrict`` and ``antidiff``.  The entries of S_k are
-one-point descendent correlators, and the two-point functions come from the
-1/(z+w) expansion
-
-    g/(z+w) + sum W_{ml} z^{-m-1} w^{-l-1}  "="  S^T(1/z) g S(1/w) / (z+w),
-
-Write N_{ab} = S_a^T g S_b.  In x = 1/z and y = 1/w the sum over W is
-x y [N(x, y) - g]/(x + y), so W_{ml} is the quotient entry Q_{ml} of the
-division ``rmatrix._divide`` that also gives V:
-W_{ml} = sum_{i=0..m} (-1)^i N_{m-i, l+1+i}.  Unitarity
-S*(-1/z) S(1/z) = 1 makes the division exact; its remainder is the
-unitarity residual of :meth:`Calibration.unitarity_residual`.
+one-point descendent correlators.  With N_{ab} = S_a^T g S_b, the division
+of N(x, y) - g by x + y (``rmatrix._divide``, which also gives V) is exact
+by unitarity S*(-1/z) S(1/z) = 1, and its remainder is the unitarity
+residual of :meth:`Calibration.unitarity_residual`.  Its quotient gives the
+genus-0 two-point functions W_{ml}, which only the tests' reference for the
+genus-0 descendent potential reads (``tests/oracles.py``).
 
 A curve-space point tau = t_0 + t_1 c + ... + t_K c^K maps to the manifold
 through the critical point t(tau) of (t_0, t) + <tau(c) - c, 1>', solved
@@ -32,11 +27,7 @@ here from the fixed-point form
 by Newton iteration on kernel scalars (``scalars.GaussianFixed``) of one
 scale: S_m and C_a are evaluated at the kernel point, each step is solved
 by ``linalg.mat_inv`` in the kernel, and t(tau) goes back to working
-precision once.  The genus-0 potential is then
-
-    F0(tau) = (1/2) <tau(c) - c, tau(c) - c>'(t(tau)),
-
-whose first and second t_m-derivatives are the one- and two-point tables.
+precision once.
 
 Higher genus reuses the stable-graph sum with bold edge and tail data: V is
 simply evaluated at t(tau), while D_i and T^i_k are extracted by matching
@@ -50,13 +41,10 @@ where the brackets are unit-direction derivatives of the criticality
 residual: the z^0 coefficient vanishes at the critical point (a checked
 invariant), z^1 gives D_i^{-1/2}, and z^k for k >= 2 give the tails.  At
 t_1 = t_2 = ... = 0 the data degenerates to (Delta, T, V) and the
-descendent potential to F^g(t_0).
-
-Genus one has two independent differentials: the curve-space one-form
-sum_i (V^{ii}_{00}/2 du^i + dD_i/(48 D_i)) and the pullback
-d{F^1(t(tau)) + (1/24) ln det[dt/dt_0]}, where [dt/dt_0]^{-1} is quantum
-multiplication by the second bracket vector, with eigenvalues
-sqrt(Delta_i / D_i).  Both are computed and compared.
+descendent potential to F^g(t_0).  The graph sum starts at genus 2.  The
+genus-0 potential with its one- and two-point tables, and the two genus-1
+differentials on the curve space, are references in ``tests/oracles.py``
+built on the critical point and the calibration here.
 """
 
 from __future__ import annotations
@@ -71,9 +59,9 @@ import mpmath
 from .expressions import Expression
 from .frame import CanonicalFrame
 from .frobenius import FrobeniusModel
-from .genus import _STENCIL, GenusReport, frame_and_R, genus1_differential, graph_sum
-from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
-from .linalg import det, identity, mat_inv, mat_mul, mat_scale, mat_vec, transpose
+from .genus import GenusReport, frame_and_R, graph_sum
+from .intersection import _ascending_tuples, psi_intersection
+from .linalg import identity, mat_inv, mat_mul, mat_vec, transpose
 from .rmatrix import EdgeTailData, RSeries, _divide, compute_V
 from .scalars import EXACT, Context, FloatContext, from_kernel
 
@@ -140,7 +128,8 @@ class Calibration:
     def unitarity_residual(self, point, ctx: FloatContext):
         """max_k |coefficient of z^{-k} in S*(-1/z) S(1/z) - 1| at a point,
         S* = g^{-1} S^T g.  That coefficient is (-1)^k g^{-1} times the z^k
-        remainder of the division of :func:`_two_point_tables`."""
+        remainder of the division of N(x, y) - g by x + y, N_ab = S_a^T g S_b
+        (:func:`_pairings`), in x = 1/z and y = 1/w."""
         with ctx.guard():
             svals = self.s_values(point, ctx)
             g = [[ctx.num(x) for x in row] for row in self.model.metric]
@@ -230,18 +219,6 @@ class CurvePoint:
             rows.append([0] * self.dimension)
         rows[m][alpha] = rows[m][alpha] + h
         return CurvePoint(tuple(tuple(r) for r in rows))
-
-    def shifted(self, direction: "CurvePoint", h) -> "CurvePoint":
-        """tau + h * direction, padding the shorter coupling list with zeros."""
-        if direction.dimension != self.dimension:
-            raise ValueError("direction dimension mismatch")
-        kmax = max(self.kmax, direction.kmax)
-        rows = []
-        for m in range(kmax + 1):
-            rows.append(
-                tuple(a + h * b for a, b in zip(self.coupling(m), direction.coupling(m)))
-            )
-        return CurvePoint(tuple(rows))
 
 
 def _x_vectors(tau: CurvePoint, unit: int, num) -> list:
@@ -359,7 +336,7 @@ def critical_point(
     )
 
 
-# -- genus 0 ----------------------------------------------------------------------
+# -- pairings ---------------------------------------------------------------------
 
 
 def _pairings(svals, gmat, order: int) -> Dict[Tuple[int, int], list]:
@@ -370,95 +347,6 @@ def _pairings(svals, gmat, order: int) -> Dict[Tuple[int, int], list]:
         for a in range(order + 1)
         for b in range(order + 1 - a)
     }
-
-
-def _two_point_tables(svals, gmat, kmax: int) -> Dict[Tuple[int, int], list]:
-    """W_{ml} for m, l <= ``kmax``: the coefficient of z^{-m-1} w^{-l-1} in
-    [S^T(1/z) g S(1/w) - g]/(z + w).  In x = 1/z, y = 1/w that is
-    x y [N(x, y) - g]/(x + y) with N_ab = S_a^T g S_b, so W_{ml} is the
-    quotient entry Q_{ml} of :func:`rmatrix._divide`, which returns it
-    times (-1)^{m+l}.
-
-    Ring-generic: entries may be floats or truncated series."""
-    order = 2 * kmax + 1
-    quotient, _ = _divide(_pairings(svals, gmat, order), order, 2 * kmax, gmat)
-    n = len(gmat)
-    tables = {}
-    for m in range(kmax + 1):
-        for l in range(kmax + 1):
-            mat = [[quotient.get((i, j, m, l), 0) for j in range(n)] for i in range(n)]
-            tables[(m, l)] = mat if (m + l) % 2 == 0 else mat_scale(mat, -1)
-    return tables
-
-
-def _genus0_assembly(tables, xvecs, kmax: int, half):
-    """(value, one-point list) from the two-point tables; ``half`` is 1/2 in
-    the working ring."""
-    n = len(xvecs[0])
-    one_point = []
-    for m in range(kmax + 1):
-        comp = []
-        for alpha in range(n):
-            acc = None
-            for l in range(kmax + 1):
-                row = tables[(m, l)][alpha]
-                for beta in range(n):
-                    term = row[beta] * xvecs[l][beta]
-                    acc = term if acc is None else acc + term
-            comp.append(acc)
-        one_point.append(comp)
-    value = None
-    for m in range(kmax + 1):
-        for alpha in range(n):
-            term = xvecs[m][alpha] * one_point[m][alpha]
-            value = term if value is None else value + term
-    return value * half, one_point
-
-
-@dataclass
-class Genus0Descendents:
-    """F0 with its derivative tables at the critical point.
-
-    ``one_point[m][alpha]`` is dF0/dt_m^alpha and ``two_point[(m, l)]`` the
-    matrix of second derivatives; per the two-point reconstruction both
-    depend on tau only through the critical point."""
-
-    critical: tuple
-    value: object
-    one_point: List[list]
-    two_point: Dict[Tuple[int, int], list]
-
-
-def genus0_descendents(
-    model: FrobeniusModel,
-    calibration: Calibration,
-    tau: CurvePoint,
-    ctx: FloatContext,
-    *,
-    critical=None,
-) -> Genus0Descendents:
-    """Genus-0 descendent potential and correlator tables at t(tau).
-
-    Needs the calibration through order 2 max(Kmax, 1) + 1: the two-point
-    expansion pairs z- and w-coefficients across the full coupling window,
-    and the -c of tau(c) - c occupies level 1 even with no couplings."""
-    _require_origin(calibration)
-    kk = max(tau.kmax, 1)
-    if calibration.order < 2 * kk + 1:
-        raise ValueError(
-            f"two-point tables need calibration order {2 * kk + 1}, have {calibration.order}"
-        )
-    if critical is None:
-        critical = critical_point(model, calibration, tau, ctx)
-    with ctx.guard():
-        svals = calibration.s_values(critical, ctx, order=2 * kk + 1)
-        gmat = [[ctx.num(x) for x in row] for row in model.metric]
-        xvecs = _x_vectors(tau, model.unit_index, ctx.num)
-        tables = _two_point_tables(svals, gmat, kk)
-        value, one_point = _genus0_assembly(tables, xvecs, kk, ctx.num(Fraction(1, 2)))
-    return Genus0Descendents(
-        critical=tuple(critical), value=value, one_point=one_point, two_point=tables
-    )
 
 
 # -- bold quantities ---------------------------------------------------------------
@@ -605,7 +493,6 @@ def descendent_potential(
     *,
     order: Optional[int] = None,
     gauge=None,
-    table: Optional[IntersectionTable] = None,
     permutation=None,
     sign_flips=None,
     frame_data: Optional[DescendentFrame] = None,
@@ -630,112 +517,7 @@ def descendent_potential(
             permutation=permutation,
             sign_flips=sign_flips,
         )
-    return graph_sum(frame_data.data, g, table, frame=frame_data.frame)
-
-
-# -- genus 1 -----------------------------------------------------------------------
-
-
-def critical_inverse_jacobian(
-    model: FrobeniusModel,
-    calibration: Calibration,
-    tau: CurvePoint,
-    ctx: FloatContext,
-    *,
-    critical=None,
-) -> list:
-    """[dt/dt_0]^{-1} at the critical point.
-
-    Differentiating the criticality condition shows this is quantum
-    multiplication by -b_1, so its eigenvalues in the idempotent frame are
-    sqrt(Delta_i / D_i) and its determinant is their product."""
-    n = model.dimension
-    if critical is None:
-        critical = critical_point(model, calibration, tau, ctx)
-    with ctx.guard():
-        b1 = _brackets(model, calibration, critical, tau, ctx)[1]
-        cmats = model.structure_constants(critical, ctx)
-        return [
-            [-sum(b1[mu] * cmats[mu][i][j] for mu in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-
-@dataclass
-class Genus1Routes:
-    """The two faces of dF^1 on the curve space, as directional derivatives.
-
-    ``curve`` sums V^{ii}_{00}/2 du^i + dD_i/(48 D_i) over the idempotent
-    directions; ``pullback`` differentiates F^1(t(tau)) + (1/24) ln det
-    [dt/dt_0] through the critical point.  Agreement is the genus-1 content
-    of the descendent proposal."""
-
-    curve: object
-    pullback: object
-
-    @property
-    def difference(self):
-        return self.curve - self.pullback
-
-
-def genus1_descendent_routes(
-    model: FrobeniusModel,
-    calibration: Calibration,
-    tau: CurvePoint,
-    direction: CurvePoint,
-    ctx: FloatContext,
-    *,
-    step: Fraction = Fraction(1, 10**6),
-) -> Genus1Routes:
-    """Both genus-1 differentials along ``direction``, by sixth-order
-    central differences in the curve-space parameter.
-
-    Rational tau, direction, and step keep every sample's inputs exact; the
-    stencil error is O(step^6) against values computed at working
-    precision."""
-    n = model.dimension
-    if step == 0:
-        raise ValueError(f"finite-difference step must be nonzero, not {step}")
-
-    center = descendent_frame(model, calibration, tau, ctx, order=1)
-    with ctx.guard():
-        denom = 60 * ctx.num(step)
-        samples = {}
-        for shift, _ in _STENCIL:
-            curve = tau.shifted(direction, shift * step)
-            bold = descendent_frame(model, calibration, curve, ctx, order=1)
-            jacobian_det = det(
-                critical_inverse_jacobian(model, calibration, curve, ctx, critical=bold.critical)
-            )
-            samples[shift] = (
-                bold.frame.u_values(),
-                [ctx.num(x) for x in bold.data.delta],
-                mpmath.log(jacobian_det),
-                bold.critical,
-            )
-
-        def fd(pick):
-            acc = ctx.num(0)
-            for shift, coeff in _STENCIL:
-                acc = acc + ctx.num(coeff) * pick(samples[shift])
-            return acc / denom
-
-        curve_form = ctx.num(0)
-        for i in range(n):
-            du_i = fd(lambda s, i=i: s[0][i])
-            dd_i = fd(lambda s, i=i: s[1][i])
-            v00 = ctx.num(center.data.v_entry(i, i, 0, 0))
-            delta_i = ctx.num(center.data.delta[i])
-            curve_form = curve_form + v00 * du_i / 2 + dd_i / (48 * delta_i)
-
-        one_form = genus1_differential(center.frame, center.data)
-        pullback = ctx.num(0)
-        for a in range(n):
-            dt_a = fd(lambda s, a=a: s[3][a])
-            pullback = pullback + one_form[a] * dt_a
-        # ln det[dt/dt_0] = -ln det of the inverse Jacobian
-        pullback = pullback - fd(lambda s: s[2]) / 24
-    return Genus1Routes(curve=curve_form, pullback=pullback)
+    return graph_sum(frame_data.data, g, frame=frame_data.frame)
 
 
 # -- one-dimensional reference ------------------------------------------------------
@@ -756,8 +538,6 @@ def point_descendent_resummed(
     tau: CurvePoint,
     g: int,
     ctx: Context,
-    *,
-    table: Optional[IntersectionTable] = None,
 ):
     """F^g(tau) for the one-dimensional model in the Itzykson-Zuber form
 
@@ -791,7 +571,7 @@ def point_descendent_resummed(
                 # once converged, this step polishes u_0 to working precision
                 u = u + res / slope
             if converged:
-                return _resummed_sum(times, g, u, table, tol)
+                return _resummed_sum(times, g, u, tol)
             if slope == 0:
                 break
         raise ArithmeticError(
@@ -799,7 +579,7 @@ def point_descendent_resummed(
         )
 
 
-def _resummed_sum(times, g: int, u, table, tol):
+def _resummed_sum(times, g: int, u, tol):
     couplings = [_coupling_series(times, k, u) for k in range(len(times))]
     couplings += [couplings[0] * 0] * (3 * g - 1 - len(couplings))
     denominator = 1 - couplings[1]
@@ -810,7 +590,7 @@ def _resummed_sum(times, g: int, u, table, tol):
     for n in range(1, top + 1):
         for parts in _ascending_tuples(n, top, 1):
             ks = tuple(p + 1 for p in parts)
-            weight = psi_intersection(g, ks, table=table)
+            weight = psi_intersection(g, ks)
             for k in ks:
                 weight = weight * couplings[k]
             for k in set(ks):

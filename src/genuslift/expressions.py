@@ -11,7 +11,8 @@ parameter; :meth:`Expression.from_json` substitutes the document's value, so
 no parameter outlives the read.  This class is closed under differentiation,
 and under antidifferentiation except for the genuinely non-elementary cases
 (``1/t`` without an exponential, or a negative power against a nonzero
-exponential), which raise.  Only this module reads the term table.
+exponential), which raise.  Outside this module only the term-list writer
+of the tests (``tests/oracles.py``) reads the term table.
 
 Jets evaluate each term as a product of one-variable Taylor expansions, so a
 full order-``J`` jet costs about ``terms * N * J`` coefficient operations.
@@ -278,33 +279,7 @@ class Expression:
             out = out + term
         return out
 
-    def derivatives(self, point: Sequence, order: int, ctx: Context):
-        """Dict of all partial derivatives up to total order: {multi-index: value}."""
-        jet = self.jet(point, order, ctx)
-        out = {}
-        import math
-
-        for key in _multi_indices(self.nvars, order):
-            c = jet.scalar_coeff(key)
-            fact = 1
-            for m in key:
-                fact *= math.factorial(m)
-            out[key] = c * fact
-        return out
-
     # -- serialization --------------------------------------------------------
-
-    def to_json(self) -> list:
-        items = []
-        for (mono, expo), c in sorted(self.terms.items()):
-            items.append(
-                {
-                    "coeff": format_rational(c),
-                    "mono": list(mono),
-                    "exp": [format_rational(e) for e in expo],
-                }
-            )
-        return items
 
     @staticmethod
     def from_json(

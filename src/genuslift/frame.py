@@ -446,8 +446,8 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, gene
         return _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors,
                            generator_weights, ring.least_shift)
 
-    def rows(table):
-        return [[ring.series(x) for x in row] for row in table]
+    def rows(matrix):
+        return [[ring.series(x) for x in row] for row in matrix]
 
     return CanonicalFrame(
         model=model,

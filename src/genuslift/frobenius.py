@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .expressions import Expression, t_names
 from .linalg import mat_inv, mat_mul, mat_sub
-from .scalars import EXACT, Context, format_rational
+from .scalars import EXACT, Context
 
 
 @dataclass
@@ -186,27 +186,6 @@ class FrobeniusModel:
                 expect = Fraction(1) if m == self.unit_index else Fraction(0)
                 worst = max(worst, ctx.abs(e.matrix[m][self.unit_index] - expect))
             return worst
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        doc = {
-            "dimension": self.dimension,
-            "metric": [[format_rational(x) for x in row] for row in self.metric],
-            "potential": self.potential.to_json(),
-            "unit_index": self.unit_index,
-        }
-        if self.euler is not None:
-            doc["euler"] = {
-                "matrix": [[format_rational(x) for x in row] for row in self.euler.matrix],
-                "shift": [format_rational(x) for x in self.euler.shift],
-                "conformal_dimension": format_rational(self.euler.conformal_dimension),
-            }
-        if self.parameters:
-            doc["parameters"] = {k: format_rational(v) for k, v in self.parameters.items()}
-        if self.name:
-            doc["name"] = self.name
-        return doc
 
 
 # -- built-in models ------------------------------------------------------------

@@ -117,7 +117,7 @@ from . import rmatrix
 from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
 from .graphs import Skeleton, skeletons
-from .intersection import _DEFAULT_TABLE, IntersectionTable, _ascending_tuples, vertex_correlator
+from .intersection import _DEFAULT_TABLE, _ascending_tuples, vertex_correlator
 from .rmatrix import EdgeTailData, RSeries, edge_tail_data, twist_R
 from .scalars import FloatContext, _context_of, from_kernel
 from .series import Caps, TruncatedSeries
@@ -295,7 +295,7 @@ def _record(sk: Skeleton, weights: dict, vertices: dict, live: list) -> List[lis
 
     def vertex_slot(x):
         # the number of vertex x at its powers so far; None where it
-        # vanishes for all data (the tail terms are the same on every table)
+        # vanishes for all data (the tail terms depend on the key alone)
         key = (genera[x], tuple(sorted(ks_at[x])))
         if key not in vertices:
             vertices[key] = None
@@ -583,13 +583,13 @@ def _require_orders(data: EdgeTailData, g: int) -> None:
         raise ValueError(f"tail coefficients known to order {data.t_cutoff}, need {3 * g - 2}")
 
 
-def _cached_vertex(key, data: EdgeTailData, table: Optional[IntersectionTable], vertex_cache: dict):
+def _cached_vertex(key, data: EdgeTailData, vertex_cache: dict):
     """The vertex correlator of slot ``key`` = (g_v, i_v, sorted edge
     powers) on ``data`` from ``vertex_cache``, None where it vanishes; a
     missing slot is computed and added."""
     if key not in vertex_cache:
         g_v, i, ks = key
-        val = vertex_correlator(g_v, ks, data.t[i], data.delta[i], table=table)
+        val = vertex_correlator(g_v, ks, data.t[i], data.delta[i])
         vertex_cache[key] = None if val == 0 else val
     return vertex_cache[key]
 
@@ -641,7 +641,6 @@ def genus_potential(
     order: Optional[int] = None,
     mode: Optional[str] = None,
     gauge=None,
-    table: Optional[IntersectionTable] = None,
     permutation=None,
     sign_flips=None,
 ) -> GenusReport:
@@ -665,7 +664,7 @@ def genus_potential(
         model, point, ctx, order, mode=mode, gauge=gauge,
         permutation=permutation, sign_flips=sign_flips,
     )
-    return graph_sum(edge_tail_data(r), g, table, frame=frame)
+    return graph_sum(edge_tail_data(r), g, frame=frame)
 
 
 def frame_and_R(
@@ -701,16 +700,12 @@ def frame_and_R(
     return frame, r
 
 
-def graph_sum(
-    data: EdgeTailData,
-    g: int,
-    table: Optional[IntersectionTable] = None,
-    frame=None,
-) -> GenusReport:
+def graph_sum(data: EdgeTailData, g: int, frame=None) -> GenusReport:
     """F^g from edge/tail data: every skeleton of genus g summed over all
     labelings by ``data.dimension`` indices (:func:`skeleton_values`), with
     one vertex cache and one edge weight table shared by the whole sum;
-    ``frame`` is only passed through to the report.
+    ``frame`` is only passed through to the report.  The vertex correlators
+    read the one process intersection table.
 
     The sum runs on the numbers ``data`` holds, and the report keeps them.
     Kernel scalars run at their own precision, rational data stays exact,
@@ -722,7 +717,7 @@ def graph_sum(
     with ctx.guard():
         contributions = [
             (sk, from_kernel(val))
-            for sk, val in skeleton_values(data, g, table, vertex_cache, edge_weights)
+            for sk, val in skeleton_values(data, g, vertex_cache, edge_weights)
         ]
         # the reported value is the sum of the reported contributions
         total = ctx.num(0)
@@ -737,7 +732,6 @@ def graph_sum(
 def skeleton_values(
     data: EdgeTailData,
     g: int,
-    table: Optional[IntersectionTable],
     vertex_cache: dict,
     edge_weights: Optional[dict] = None,
 ) -> List[Tuple[Skeleton, object]]:
@@ -768,7 +762,7 @@ def skeleton_values(
     program = graph_sum_program(g, data.dimension, any(edge_weights.values()))
     registers = list(map(edge_weights.__getitem__, program.weights))
     for key in program.vertices:
-        val = _cached_vertex(key, data, table, vertex_cache)
+        val = _cached_vertex(key, data, vertex_cache)
         registers.append(0 if val is None else val)
     _replay(program.steps, registers)
     values = []
@@ -815,12 +809,7 @@ def gaussian_moment(mono: Tuple[int, ...], cov: dict, memo: dict):
     return total
 
 
-def _log_tau_layers(
-    data: EdgeTailData,
-    g: int,
-    table: Optional[IntersectionTable],
-    vertex_cache: dict,
-) -> List[List[dict]]:
+def _log_tau_layers(data: EdgeTailData, g: int, vertex_cache: dict) -> List[List[dict]]:
     """The vertex generating functions log tau(hbar Delta_i; Q^i) around
     Q = T, truncated at weighted degree 2g - 2 and split by degree: one
     list of layers per canonical index i.
@@ -848,7 +837,7 @@ def _log_tau_layers(
                     for ks in _ascending_tuples(m, s, 0):
                         if ks and ks[-1] > kq:
                             continue
-                        coeff = _cached_vertex((g_v, i, ks), data, table, vertex_cache)
+                        coeff = _cached_vertex((g_v, i, ks), data, vertex_cache)
                         if coeff is None:
                             continue
                         denom = 1
@@ -914,7 +903,6 @@ def _exp_by_index(per_index: List[List[dict]]) -> dict:
 def wick_oracle(
     data: EdgeTailData,
     g: int,
-    table: Optional[IntersectionTable] = None,
     vertex_cache: Optional[dict] = None,
     edge_weights: Optional[dict] = None,
 ):
@@ -923,7 +911,8 @@ def wick_oracle(
 
     ``vertex_cache`` is a table of vertex correlators keyed like the graph
     sum's (:attr:`GenusReport.vertex_cache`); correlators missing from it
-    are computed and added.  ``edge_weights`` is :func:`edge_weight_table`
+    are computed on the process intersection table, as the graph sum's
+    are, and added.  ``edge_weights`` is :func:`edge_weight_table`
     of ``data`` (:attr:`GenusReport.edge_weights`), formed here when not
     passed.  The expansion and its logarithm run on the numbers ``data``
     holds, at the precision :func:`graph_sum` states."""
@@ -937,7 +926,7 @@ def wick_oracle(
     ctx = _context_of(data.delta[0])
     with ctx.guard():
         connected = {(0,): 1}
-        for b, z in wick_moments(data, g, table, vertex_cache, edge_weights).items():
+        for b, z in wick_moments(data, g, vertex_cache, edge_weights).items():
             connected[(b,)] = from_kernel(z)
         logged = TruncatedSeries(Caps.total(("h",), g - 1), connected).log(ctx)
         return logged.scalar_coeff((g - 1,))
@@ -946,7 +935,6 @@ def wick_oracle(
 def wick_moments(
     data: EdgeTailData,
     g: int,
-    table: Optional[IntersectionTable],
     vertex_cache: dict,
     edge_weights: dict,
 ) -> dict:
@@ -956,7 +944,7 @@ def wick_moments(
     propagator weights are read from ``edge_weights``, the
     :func:`edge_weight_table` of ``data``."""
     kq = 3 * g - 4
-    powers = _exp_by_index(_log_tau_layers(data, g, table, vertex_cache))
+    powers = _exp_by_index(_log_tau_layers(data, g, vertex_cache))
 
     # propagator weights C_uv = V^{ij}_{kl} sqrt(Delta_i Delta_j) for
     # u = slot (i, k) <= v = slot (j, l); slot (i, k) is i(kq + 1) + k,

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .intersection import IntersectionTable, _ascending_tuples, psi_intersection
+from .intersection import _ascending_tuples, psi_intersection
 from .rmatrix import _divide, bernoulli_numbers
 from .series import Caps, TruncatedSeries
 
@@ -165,8 +165,7 @@ def _coupling_factors(count: int) -> List[Fraction]:
 # -- tau --------------------------------------------------------------------
 
 
-def _log_tau(caps: Caps, genus_max: int, q_degree: int, q_index: int,
-             table: Optional[IntersectionTable]) -> TruncatedSeries:
+def _log_tau(caps: Caps, genus_max: int, q_degree: int, q_index: int) -> TruncatedSeries:
     n_s = len(caps.names) - q_index - 2
     coeffs: Dict[Tuple[int, ...], Fraction] = {}
     for g in range(genus_max + 1):
@@ -177,7 +176,7 @@ def _log_tau(caps: Caps, genus_max: int, q_degree: int, q_index: int,
             for ks in _ascending_tuples(n, total, 0):
                 if ks[-1] > q_index:
                     continue
-                val = psi_intersection(g, ks, table)
+                val = psi_intersection(g, ks)
                 if not val:
                     continue
                 # an ascending tuple stands for n!/prod(mult!) orderings
@@ -193,15 +192,13 @@ def _log_tau(caps: Caps, genus_max: int, q_degree: int, q_index: int,
     return TruncatedSeries(caps, coeffs)
 
 
-def tau_series(truncation: HodgeTruncation,
-               table: Optional[IntersectionTable] = None) -> TruncatedSeries:
+def tau_series(truncation: HodgeTruncation) -> TruncatedSeries:
     """log tau over the variables ("h", "Q0", .., "QK").
 
     Genus g enters as h^(g-1); the genus-zero part is the h^(-1) band.
     """
     caps = _ring(truncation.genus_max, truncation.q_degree, truncation.resolved_index, ())
-    return _log_tau(caps, truncation.genus_max, truncation.q_degree,
-                    truncation.resolved_index, table)
+    return _log_tau(caps, truncation.genus_max, truncation.q_degree, truncation.resolved_index)
 
 
 # -- the flows ---------------------------------------------------------------
@@ -272,7 +269,6 @@ def _window(series: TruncatedSeries, s: HodgeParameters,
 
 
 def _internal_tau(s: HodgeParameters, truncation: HodgeTruncation,
-                  table: Optional[IntersectionTable],
                   internal: Optional[HodgeTruncation] = None):
     """The internal truncation (derived, or ``internal`` checked against it)
     and tau = exp(log tau) over its ring."""
@@ -285,13 +281,11 @@ def _internal_tau(s: HodgeParameters, truncation: HodgeTruncation,
         raise ValueError(_TOO_SMALL)
     caps = _ring(internal.genus_max, internal.q_degree, internal.resolved_index,
                  s.degrees, h_floor=-1 - s.total)
-    tau = _log_tau(caps, internal.genus_max, internal.q_degree,
-                   internal.resolved_index, table).exp()
+    tau = _log_tau(caps, internal.genus_max, internal.q_degree, internal.resolved_index).exp()
     return internal, tau
 
 
-def hodge_lambda(s: HodgeParameters, truncation: HodgeTruncation,
-                 table: Optional[IntersectionTable] = None, *,
+def hodge_lambda(s: HodgeParameters, truncation: HodgeTruncation, *,
                  internal: Optional[HodgeTruncation] = None,
                  flow_order: Optional[Sequence[int]] = None) -> TruncatedSeries:
     """log lambda over ("h", "Q0", .., "QK", "s1", .., "sM").
@@ -303,7 +297,7 @@ def hodge_lambda(s: HodgeParameters, truncation: HodgeTruncation,
     exponentials; the result is order-independent because the flow
     operators commute.
     """
-    _, tau = _internal_tau(s, truncation, table, internal)
+    _, tau = _internal_tau(s, truncation, internal)
     return _window(_fold_flows(tau, s, flow_order), s, truncation).log()
 
 
@@ -481,8 +475,7 @@ def _substitute_q(series: TruncatedSeries, forms: List[TruncatedSeries],
     return TruncatedSeries(caps, out)
 
 
-def hodge_lemma_residual(s: HodgeParameters, truncation: HodgeTruncation,
-                         table: Optional[IntersectionTable] = None) -> TruncatedSeries:
+def hodge_lemma_residual(s: HodgeParameters, truncation: HodgeTruncation) -> TruncatedSeries:
     """Flowed lambda minus its closed-form reconstruction, on the window.
 
     Identically zero: both sides solve the same flow equations with the
@@ -490,7 +483,7 @@ def hodge_lemma_residual(s: HodgeParameters, truncation: HodgeTruncation,
     the residual series has an empty coefficient dict when the identity
     holds.
     """
-    internal, tau = _internal_tau(s, truncation, table)
+    internal, tau = _internal_tau(s, truncation)
     lhs = _window(_fold_flows(tau, s, None), s, truncation)
     rhs = _window(_product_side(tau, s, internal.resolved_index), s, truncation)
     return lhs - rhs

@@ -23,18 +23,25 @@ reduction lowers (g, n) lexicographically, so the recursion terminates.
 over extra tau_a legs, each weighted by a tail value T_a with T_0 = T_1 = 0,
 truncates because a_j >= 2 forces at most 3g - 3 + m - sum(edge ks) legs.
 Which legs can enter and with what rational weight depends only on the
-genus and the edge powers, never on the tail values: each table memoizes
-that list as :meth:`IntersectionTable.tail_terms`, and the correlator
-multiplies the tail values into it.  An empty list means the correlator
-vanishes for every choice of tails; the graph sum prunes such vertices
-before it sees any data.
+genus and the edge powers, never on the tail values: the process table
+memoizes that list as :meth:`IntersectionTable.tail_terms`, and the
+correlator multiplies the tail values into it.  An empty list means the
+correlator vanishes for every choice of tails; the graph sum prunes such
+vertices before it sees any data.
+
+The numbers are exact constants, so one table serves the whole process:
+``psi_intersection`` and ``vertex_correlator`` read it, and so does the
+graph sum's pruning.  Code that wants a table of its own (an entry count
+that must not depend on what ran before) builds an ``IntersectionTable``
+and calls its :meth:`~IntersectionTable.value` and
+:meth:`~IntersectionTable.tail_terms`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 IntersectionKey = Tuple[int, Tuple[int, ...]]
 TailTerms = Tuple[Tuple[Tuple[int, ...], Fraction], ...]
@@ -205,8 +212,8 @@ class IntersectionTable:
 _DEFAULT_TABLE = IntersectionTable()
 
 
-def psi_intersection(g: int, ks: Sequence[int], table: Optional[IntersectionTable] = None) -> Fraction:
-    return (_DEFAULT_TABLE if table is None else table).value(g, ks)
+def psi_intersection(g: int, ks: Sequence[int]) -> Fraction:
+    return _DEFAULT_TABLE.value(g, ks)
 
 
 def _ascending_tuples(count: int, total: int, minimum: int) -> Iterator[Tuple[int, ...]]:
@@ -220,31 +227,24 @@ def _ascending_tuples(count: int, total: int, minimum: int) -> Iterator[Tuple[in
             yield (first,) + rest
 
 
-def vertex_correlator(
-    g: int,
-    edge_ks: Sequence[int],
-    tails,
-    hbar_delta,
-    table: Optional[IntersectionTable] = None,
-):
+def vertex_correlator(g: int, edge_ks: Sequence[int], tails, hbar_delta):
     """Correlator of a single graph vertex: edge insertions tau_{k} plus the
     tail sum, times (hbar*Delta)^(g-1).
 
     ``tails`` maps index a >= 2 to the tail value T_a (anything else is
     treated as zero).  Unstable or dimension-starved configurations return
     0 rather than raising, so callers can sum blindly over graphs.  The sum
-    runs over :meth:`IntersectionTable.tail_terms` of ``table`` in their
-    order, skipping a term with a vanishing tail value.  The
+    runs over :meth:`IntersectionTable.tail_terms` of the process table in
+    their order, skipping a term with a vanishing tail value.  The
     tails and ``hbar_delta`` may be any scalars that add and multiply with
     Fractions: rationals, the kernel scalars of ``scalars``, or mpmath
     numbers, which are summed at the caller's working precision (call it
     inside the context's guard).
     """
-    table = _DEFAULT_TABLE if table is None else table
     if isinstance(hbar_delta, int):
         hbar_delta = Fraction(hbar_delta)
     total = Fraction(0)
-    for assignment, coeff in table.tail_terms(g, tuple(sorted(int(k) for k in edge_ks))):
+    for assignment, coeff in _DEFAULT_TABLE.tail_terms(g, tuple(sorted(int(k) for k in edge_ks))):
         tvals = [tails.get(a, 0) for a in assignment]
         if any(v == 0 for v in tvals):
             continue

@@ -197,13 +197,6 @@ def parse_tau(document) -> CurvePoint:
         raise SchemaError(str(exc)) from None
 
 
-def tau_to_json(tau: CurvePoint) -> dict:
-    return {
-        "Kmax": tau.kmax,
-        "t": [[format_rational(x) for x in row] for row in tau.times],
-    }
-
-
 # -- model documents ------------------------------------------------------------
 
 

@@ -95,21 +95,6 @@ def poly_eval(coeffs: Sequence, x):
     return acc
 
 
-def det(a: Matrix):
-    """Determinant by cofactor expansion along the first row."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
-        term = a[0][j] * det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def mat_inv(a: Matrix, ctx: Context) -> Matrix:
     """Gauss-Jordan with partial pivoting, in the context's arithmetic.
 

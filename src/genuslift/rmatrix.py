@@ -75,9 +75,9 @@ It takes any table of matrices N_pq over any ring and the unit to
 subtract, and serves:
 
 * V and the unitarity of R (N_pq = R_p R_q^T, unit 1);
-* the genus-0 two-point descendents W and the unitarity of the
-  calibration S (``descendent``: N_pq = S_p^T g S_q in 1/z and 1/w,
-  unit g);
+* the unitarity of the calibration S (``descendent``: N_pq = S_p^T g S_q
+  in 1/z and 1/w, unit g), whose quotient the genus-0 two-point
+  descendents W of the tests' reference read (``tests/oracles.py``);
 * the propagator v of the Hodge-twisted point (``hodge``: the 1 x 1
   N_pq = e_p e_q of E(z) = exp sum a_k z^{2k-1}, unit 1).  That is V of
   R(z) = E(z), and its tails T are the constants of Qtilde.
@@ -439,11 +439,6 @@ class EdgeTailData:
         if key in self.v:
             return self.v[key]
         return self.v.get((j, i, l, k), 0)
-
-    def t_entry(self, i, k):
-        if k < 2:
-            return 0
-        return self.t[i].get(k, 0)
 
     def in_kernel(self, ctx: FloatContext) -> "EdgeTailData":
         """The producers' lift: this data as kernel scalars of ``ctx`` at the

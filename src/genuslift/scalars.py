@@ -70,10 +70,10 @@ def format_rational(x: Rational) -> str:
 class FloatContext:
     """Fixed-precision mpmath arithmetic with a default comparison tolerance.
 
-    ``prec_bits`` is the binary mantissa size.  ``tol`` is the tolerance used
-    by :meth:`close` and internal residual checks (relative to the ``scale``
-    argument); the default pairs 256-bit arithmetic with 1e-40, leaving wide
-    headroom between rounding noise and genuine signal.
+    ``prec_bits`` is the binary mantissa size.  ``tol`` is the tolerance of
+    the residual checks and of :meth:`chop`; the default pairs 256-bit
+    arithmetic with 1e-40, leaving wide headroom between rounding noise and
+    genuine signal.
     """
 
     def __init__(self, prec_bits: int = 256, tol=None):
@@ -162,13 +162,6 @@ class FloatContext:
                 if mpmath.fabs(mpmath.im(x)) <= tol * scale:
                     return mpmath.re(x)
             return x
-
-    def close(self, a, b, tol=None, scale=1) -> bool:
-        tol = self.tol if tol is None else self.num(tol)
-        with self.guard():
-            d = mpmath.fabs(self.num(a) - self.num(b))
-            s = max(mpmath.mpf(1), mpmath.fabs(self.num(scale)))
-            return d <= tol * s
 
     def max_abs(self, xs: Iterable) -> mpmath.mpf:
         """The largest |x|.  Kernel scalars are compared by the integer norm

@@ -3,11 +3,26 @@
 None of these is on the pipeline's path; each recomputes a quantity the
 library produces by another route:
 
+* ``genus0_descendents``: the genus-0 descendent potential
+  F0(tau) = (1/2) <tau(c) - c, tau(c) - c>'(t(tau)) with its one- and
+  two-point tables at the library's critical point; the two-point
+  functions W_{ml} are the quotient of ``rmatrix._divide`` on
+  N_ab = S_a^T g S_b, whose remainder is all the library keeps (the
+  unitarity residual of the calibration).  The library's descendent
+  potential starts at genus 2;
 * the formal regime: the critical point and genus-0 descendents with the
   couplings t_m (m >= 1) graded by a nilpotent bookkeeping variable, by
   nilpotent iteration, which is exact on polynomial potentials;
 * ``point_descendent_reference``: F^g of the one-dimensional model summed
   straight from the intersection table;
+* ``genus1_descendent_routes``: the two genus-1 differentials on the
+  curve space along a direction, by sixth-order central differences over
+  the library's bold data: the one-form sum_i (V^{ii}_{00}/2 du^i +
+  dD_i/(48 D_i)) and the pullback d{F^1(t(tau)) + (1/24) ln det
+  [dt/dt_0]}, where [dt/dt_0]^{-1} (``critical_inverse_jacobian``) is
+  quantum multiplication by minus the second bracket vector, with
+  eigenvalues sqrt(Delta_i / D_i).  The Jacobian evaluates the brackets
+  again rather than reading the bold data, so the two routes share no D_i;
 * ``genus1_differential_jets``: the genus-1 one-form with dDelta_i read
   off the frame's order-1 jets; the library forms dDelta_i/Delta_i from R_1
   and the frame's values at the point;
@@ -64,6 +79,13 @@ library produces by another route:
   roots and full Lagrange projector matrices P_i, with du^i_a =
   trace(C_a P_i); the library applies the projectors to the unit vector
   only and reads du from the metric.
+* helpers the tests call and the library does not: ``shifted`` (a
+  curve-space point moved along a direction), ``t_entry`` (a tail value,
+  zero below k = 2), ``derivatives`` (an expression's partial derivatives
+  from its jet), ``close`` (a comparison at a context's tolerance),
+  ``det`` (a cofactor determinant), and the writers of the documents the
+  library reads (``tau_to_json``, ``expression_to_json``,
+  ``model_to_json``).
 
 Test modules import it from their own directory (``from oracles import
 ...``).
@@ -84,15 +106,24 @@ from genuslift.descendent import (
     _NEWTON_STEPS,
     Calibration,
     CurvePoint,
-    Genus0Descendents,
-    _genus0_assembly,
+    _brackets,
+    _pairings,
     _require_origin,
-    _two_point_tables,
+    _x_vectors,
+    critical_point,
+    descendent_frame,
 )
 from genuslift.frame import CanonicalFrame
 from genuslift.frobenius import FrobeniusModel
-from genuslift.expressions import _bounded, _multi_indices, t_names
-from genuslift.genus import WalkPlan, _plan, genus1_one_form, walk_plan
+from genuslift.expressions import Expression, _bounded, _multi_indices, t_names
+from genuslift.genus import (
+    _STENCIL,
+    WalkPlan,
+    _plan,
+    genus1_differential,
+    genus1_one_form,
+    walk_plan,
+)
 from genuslift.graphs import Skeleton, _cells, _edge_aut, _refined_colors, _rows, skeletons
 from genuslift.intersection import (
     _DEFAULT_TABLE,
@@ -102,12 +133,114 @@ from genuslift.intersection import (
     psi_intersection,
     vertex_correlator,
 )
-from genuslift.linalg import charpoly, identity, mat_inv, mat_mul, mat_vec, trace, transpose
-from genuslift.rmatrix import EdgeTailData, RSeries, unitarity_residual
-from genuslift.scalars import EXACT, Context, FloatContext, from_kernel
+from genuslift.linalg import (
+    Matrix,
+    charpoly,
+    identity,
+    mat_inv,
+    mat_mul,
+    mat_scale,
+    mat_vec,
+    trace,
+    transpose,
+)
+from genuslift.rmatrix import EdgeTailData, RSeries, _divide, unitarity_residual
+from genuslift.scalars import EXACT, Context, FloatContext, format_rational, from_kernel
 from genuslift.series import Caps, Key, TruncatedSeries
 
 _EPS = "e"
+
+
+# -- genus-0 descendents -------------------------------------------------------
+
+
+def _two_point_tables(svals, gmat, kmax: int) -> Dict[Tuple[int, int], list]:
+    """W_{ml} for m, l <= ``kmax``: the coefficient of z^{-m-1} w^{-l-1} in
+    [S^T(1/z) g S(1/w) - g]/(z + w).  In x = 1/z, y = 1/w that is
+    x y [N(x, y) - g]/(x + y) with N_ab = S_a^T g S_b, so W_{ml} is the
+    quotient entry Q_{ml} of :func:`rmatrix._divide`, which returns it
+    times (-1)^{m+l}.
+
+    Ring-generic: entries may be floats or truncated series."""
+    order = 2 * kmax + 1
+    quotient, _ = _divide(_pairings(svals, gmat, order), order, 2 * kmax, gmat)
+    n = len(gmat)
+    tables = {}
+    for m in range(kmax + 1):
+        for l in range(kmax + 1):
+            mat = [[quotient.get((i, j, m, l), 0) for j in range(n)] for i in range(n)]
+            tables[(m, l)] = mat if (m + l) % 2 == 0 else mat_scale(mat, -1)
+    return tables
+
+
+def _genus0_assembly(tables, xvecs, kmax: int, half):
+    """(value, one-point list) from the two-point tables; ``half`` is 1/2 in
+    the working ring."""
+    n = len(xvecs[0])
+    one_point = []
+    for m in range(kmax + 1):
+        comp = []
+        for alpha in range(n):
+            acc = None
+            for l in range(kmax + 1):
+                row = tables[(m, l)][alpha]
+                for beta in range(n):
+                    term = row[beta] * xvecs[l][beta]
+                    acc = term if acc is None else acc + term
+            comp.append(acc)
+        one_point.append(comp)
+    value = None
+    for m in range(kmax + 1):
+        for alpha in range(n):
+            term = xvecs[m][alpha] * one_point[m][alpha]
+            value = term if value is None else value + term
+    return value * half, one_point
+
+
+@dataclass
+class Genus0Descendents:
+    """F0 with its derivative tables at the critical point.
+
+    ``one_point[m][alpha]`` is dF0/dt_m^alpha and ``two_point[(m, l)]`` the
+    matrix of second derivatives; per the two-point reconstruction both
+    depend on tau only through the critical point."""
+
+    critical: tuple
+    value: object
+    one_point: List[list]
+    two_point: Dict[Tuple[int, int], list]
+
+
+def genus0_descendents(
+    model: FrobeniusModel,
+    calibration: Calibration,
+    tau: CurvePoint,
+    ctx: FloatContext,
+    *,
+    critical=None,
+) -> Genus0Descendents:
+    """Genus-0 descendent potential and correlator tables at t(tau).
+
+    Needs the calibration through order 2 max(Kmax, 1) + 1: the two-point
+    expansion pairs z- and w-coefficients across the full coupling window,
+    and the -c of tau(c) - c occupies level 1 even with no couplings."""
+    _require_origin(calibration)
+    kk = max(tau.kmax, 1)
+    if calibration.order < 2 * kk + 1:
+        raise ValueError(
+            f"two-point tables need calibration order {2 * kk + 1}, have {calibration.order}"
+        )
+    if critical is None:
+        critical = critical_point(model, calibration, tau, ctx)
+    with ctx.guard():
+        svals = calibration.s_values(critical, ctx, order=2 * kk + 1)
+        gmat = [[ctx.num(x) for x in row] for row in model.metric]
+        xvecs = _x_vectors(tau, model.unit_index, ctx.num)
+        tables = _two_point_tables(svals, gmat, kk)
+        value, one_point = _genus0_assembly(tables, xvecs, kk, ctx.num(Fraction(1, 2)))
+    return Genus0Descendents(
+        critical=tuple(critical), value=value, one_point=one_point, two_point=tables
+    )
 
 
 # -- the formal regime ---------------------------------------------------------
@@ -360,13 +493,15 @@ def point_descendent_reference(
     if not live:
         return total
     top = max(live)
+    # a table of the caller's own, or the process table
+    value = psi_intersection if table is None else table.value
     ks: list = []
 
     def descend(pos, remaining, minimum, weight):
         nonlocal total
         if pos == 0:
             if remaining == 0:
-                total = total + weight * psi_intersection(g, tuple(ks), table=table)
+                total = total + weight * value(g, tuple(ks))
             return
         for k in live:
             if k < minimum or k > remaining or remaining - k > (pos - 1) * top:
@@ -379,6 +514,126 @@ def point_descendent_reference(
         for n in range(1, max_points + 1):
             descend(n, 3 * g - 3 + n, 0, one)
     return total
+
+
+# -- the genus-1 descendent routes --------------------------------------------------
+
+
+def det(a: Matrix):
+    """Determinant by cofactor expansion along the first row."""
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    total = None
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
+        term = a[0][j] * det(minor)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def critical_inverse_jacobian(
+    model: FrobeniusModel,
+    calibration: Calibration,
+    tau: CurvePoint,
+    ctx: FloatContext,
+    *,
+    critical=None,
+) -> list:
+    """[dt/dt_0]^{-1} at the critical point.
+
+    Differentiating the criticality condition shows this is quantum
+    multiplication by -b_1, so its eigenvalues in the idempotent frame are
+    sqrt(Delta_i / D_i) and its determinant is their product."""
+    n = model.dimension
+    if critical is None:
+        critical = critical_point(model, calibration, tau, ctx)
+    with ctx.guard():
+        b1 = _brackets(model, calibration, critical, tau, ctx)[1]
+        cmats = model.structure_constants(critical, ctx)
+        return [
+            [-sum(b1[mu] * cmats[mu][i][j] for mu in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+
+
+@dataclass
+class Genus1Routes:
+    """The two faces of dF^1 on the curve space, as directional derivatives.
+
+    ``curve`` sums V^{ii}_{00}/2 du^i + dD_i/(48 D_i) over the idempotent
+    directions; ``pullback`` differentiates F^1(t(tau)) + (1/24) ln det
+    [dt/dt_0] through the critical point.  Agreement is the genus-1 content
+    of the descendent proposal."""
+
+    curve: object
+    pullback: object
+
+    @property
+    def difference(self):
+        return self.curve - self.pullback
+
+
+def genus1_descendent_routes(
+    model: FrobeniusModel,
+    calibration: Calibration,
+    tau: CurvePoint,
+    direction: CurvePoint,
+    ctx: FloatContext,
+    *,
+    step: Fraction = Fraction(1, 10**6),
+) -> Genus1Routes:
+    """Both genus-1 differentials along ``direction``, by sixth-order
+    central differences in the curve-space parameter.
+
+    Rational tau, direction, and step keep every sample's inputs exact; the
+    stencil error is O(step^6) against values computed at working
+    precision."""
+    n = model.dimension
+    if step == 0:
+        raise ValueError(f"finite-difference step must be nonzero, not {step}")
+
+    center = descendent_frame(model, calibration, tau, ctx, order=1)
+    with ctx.guard():
+        denom = 60 * ctx.num(step)
+        samples = {}
+        for shift, _ in _STENCIL:
+            curve = shifted(tau, direction, shift * step)
+            bold = descendent_frame(model, calibration, curve, ctx, order=1)
+            jacobian_det = det(
+                critical_inverse_jacobian(model, calibration, curve, ctx, critical=bold.critical)
+            )
+            samples[shift] = (
+                bold.frame.u_values(),
+                [ctx.num(x) for x in bold.data.delta],
+                mpmath.log(jacobian_det),
+                bold.critical,
+            )
+
+        def fd(pick):
+            acc = ctx.num(0)
+            for shift, coeff in _STENCIL:
+                acc = acc + ctx.num(coeff) * pick(samples[shift])
+            return acc / denom
+
+        curve_form = ctx.num(0)
+        for i in range(n):
+            du_i = fd(lambda s, i=i: s[0][i])
+            dd_i = fd(lambda s, i=i: s[1][i])
+            v00 = ctx.num(center.data.v_entry(i, i, 0, 0))
+            delta_i = ctx.num(center.data.delta[i])
+            curve_form = curve_form + v00 * du_i / 2 + dd_i / (48 * delta_i)
+
+        one_form = genus1_differential(center.frame, center.data)
+        pullback = ctx.num(0)
+        for a in range(n):
+            dt_a = fd(lambda s, a=a: s[3][a])
+            pullback = pullback + one_form[a] * dt_a
+        # ln det[dt/dt_0] = -ln det of the inverse Jacobian
+        pullback = pullback - fd(lambda s: s[2]) / 24
+    return Genus1Routes(curve=curve_form, pullback=pullback)
 
 
 # -- genus 1 and genus 2 ------------------------------------------------------------
@@ -739,7 +994,6 @@ def edge_plan(graph: StableGraph) -> EdgePlan:
 def evaluate_graph(
     graph: StableGraph,
     data: EdgeTailData,
-    table: Optional[IntersectionTable] = None,
     ctx: Context = EXACT,
     vertex_cache: Optional[dict] = None,
     edge_weights: Optional[dict] = None,
@@ -775,7 +1029,7 @@ def evaluate_graph(
         g_v, i_v = graph.vertices[v]
         key = (g_v, i_v, tuple(sorted(ks)))
         if key not in vertex_cache:
-            val = vertex_correlator(g_v, key[2], data.t[i_v], data.delta[i_v], table=table)
+            val = vertex_correlator(g_v, key[2], data.t[i_v], data.delta[i_v])
             vertex_cache[key] = None if val == 0 else val
         return vertex_cache[key]
 
@@ -833,7 +1087,6 @@ def evaluate_graph(
 def decorated_sum(
     data: EdgeTailData,
     g: int,
-    table: Optional[IntersectionTable] = None,
     ctx: Context = EXACT,
     vertex_cache: Optional[dict] = None,
 ) -> List[Tuple[StableGraph, object]]:
@@ -846,7 +1099,7 @@ def decorated_sum(
         edge_weights = edge_weight_rows(data)
         return [
             (graph, evaluate_graph(
-                graph, data, table, vertex_cache=vertex_cache, edge_weights=edge_weights
+                graph, data, vertex_cache=vertex_cache, edge_weights=edge_weights
             ))
             for graph in enumerate_graphs(g, data.dimension)
         ]
@@ -858,7 +1111,6 @@ def decorated_sum(
 def walk_skeleton_sum(
     sk: Skeleton,
     data: EdgeTailData,
-    table: Optional[IntersectionTable],
     vertex_cache: dict,
     edge_weights: dict,
 ):
@@ -893,7 +1145,7 @@ def walk_skeleton_sum(
         i_v = index[x]
         key = (genera[x], i_v, tuple(sorted(ks)))
         if key not in vertex_cache:
-            val = vertex_correlator(genera[x], key[2], data.t[i_v], data.delta[i_v], table=table)
+            val = vertex_correlator(genera[x], key[2], data.t[i_v], data.delta[i_v])
             vertex_cache[key] = None if val == 0 else val
         return vertex_cache[key]
 
@@ -984,7 +1236,6 @@ def edge_weight_rows(data: EdgeTailData) -> dict:
 def walk_skeleton_values(
     data: EdgeTailData,
     g: int,
-    table: Optional[IntersectionTable] = None,
     vertex_cache: Optional[dict] = None,
 ) -> List[Tuple[Skeleton, object]]:
     """Every skeleton of genus g with its :func:`walk_skeleton_sum` on
@@ -994,7 +1245,7 @@ def walk_skeleton_values(
         vertex_cache = {}
     edge_weights = edge_weight_rows(data)
     return [
-        (sk, walk_skeleton_sum(sk, data, table, vertex_cache, edge_weights))
+        (sk, walk_skeleton_sum(sk, data, vertex_cache, edge_weights))
         for sk in skeletons(g)
     ]
 
@@ -1075,7 +1326,6 @@ def mpmath_data(data: EdgeTailData) -> EdgeTailData:
 def evaluate_graph_ordered(
     graph: StableGraph,
     data: EdgeTailData,
-    table: Optional[IntersectionTable] = None,
     ctx: Context = EXACT,
     vertex_cache: Optional[dict] = None,
     edge_weights: Optional[dict] = None,
@@ -1108,7 +1358,7 @@ def evaluate_graph_ordered(
         g_v, i_v = graph.vertices[v]
         key = (g_v, i_v, tuple(sorted(ks)))
         if key not in vertex_cache:
-            val = vertex_correlator(g_v, key[2], data.t[i_v], data.delta[i_v], table=table)
+            val = vertex_correlator(g_v, key[2], data.t[i_v], data.delta[i_v])
             vertex_cache[key] = None if val == 0 else val
         return vertex_cache[key]
 
@@ -1159,7 +1409,6 @@ def _qname(i: int, k: int) -> str:
 def wick_oracle_layers(
     data: EdgeTailData,
     g: int,
-    table: Optional[IntersectionTable] = None,
     ctx: Context = EXACT,
 ):
     """F^g from the same edge/tail data by expanding the operator exponential
@@ -1201,7 +1450,7 @@ def wick_oracle_layers(
                         for ks in _ascending_tuples(m, s, 0):
                             if ks and ks[-1] > kq:
                                 continue
-                            coeff = vertex_correlator(g_v, ks, tails, delta, table=table)
+                            coeff = vertex_correlator(g_v, ks, tails, delta)
                             if coeff == 0:
                                 continue
                             mult = Fraction(1)
@@ -1650,3 +1899,88 @@ def projector_frame(model: FrobeniusModel, point, ctx: FloatContext, permutation
             "u": roots, "idempotents": idem, "du": du, "delta": delta,
             "sqrt_delta": sqrt_delta, "psi": psi,
         }
+
+
+# -- helpers of the tests ------------------------------------------------------------
+
+
+def shifted(tau: CurvePoint, direction: CurvePoint, h) -> CurvePoint:
+    """tau + h * direction, padding the shorter coupling list with zeros."""
+    if direction.dimension != tau.dimension:
+        raise ValueError("direction dimension mismatch")
+    kmax = max(tau.kmax, direction.kmax)
+    rows = []
+    for m in range(kmax + 1):
+        rows.append(
+            tuple(a + h * b for a, b in zip(tau.coupling(m), direction.coupling(m)))
+        )
+    return CurvePoint(tuple(rows))
+
+
+def t_entry(data: EdgeTailData, i, k):
+    if k < 2:
+        return 0
+    return data.t[i].get(k, 0)
+
+
+def derivatives(expr: Expression, point: Sequence, order: int, ctx: Context):
+    """Dict of all partial derivatives up to total order: {multi-index: value}."""
+    jet = expr.jet(point, order, ctx)
+    out = {}
+    import math
+
+    for key in _multi_indices(expr.nvars, order):
+        c = jet.scalar_coeff(key)
+        fact = 1
+        for m in key:
+            fact *= math.factorial(m)
+        out[key] = c * fact
+    return out
+
+
+def close(ctx: FloatContext, a, b, tol=None, scale=1) -> bool:
+    tol = ctx.tol if tol is None else ctx.num(tol)
+    with ctx.guard():
+        d = mpmath.fabs(ctx.num(a) - ctx.num(b))
+        s = max(mpmath.mpf(1), mpmath.fabs(ctx.num(scale)))
+        return d <= tol * s
+
+
+def tau_to_json(tau: CurvePoint) -> dict:
+    return {
+        "Kmax": tau.kmax,
+        "t": [[format_rational(x) for x in row] for row in tau.times],
+    }
+
+
+def expression_to_json(expr: Expression) -> list:
+    items = []
+    for (mono, expo), c in sorted(expr.terms.items()):
+        items.append(
+            {
+                "coeff": format_rational(c),
+                "mono": list(mono),
+                "exp": [format_rational(e) for e in expo],
+            }
+        )
+    return items
+
+
+def model_to_json(model: FrobeniusModel) -> dict:
+    doc = {
+        "dimension": model.dimension,
+        "metric": [[format_rational(x) for x in row] for row in model.metric],
+        "potential": expression_to_json(model.potential),
+        "unit_index": model.unit_index,
+    }
+    if model.euler is not None:
+        doc["euler"] = {
+            "matrix": [[format_rational(x) for x in row] for row in model.euler.matrix],
+            "shift": [format_rational(x) for x in model.euler.shift],
+            "conformal_dimension": format_rational(model.euler.conformal_dimension),
+        }
+    if model.parameters:
+        doc["parameters"] = {k: format_rational(v) for k, v in model.parameters.items()}
+    if model.name:
+        doc["name"] = model.name
+    return doc

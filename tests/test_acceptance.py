@@ -35,8 +35,6 @@ from genuslift.descendent import (
     CurvePoint,
     compute_calibration,
     descendent_potential,
-    genus0_descendents,
-    genus1_descendent_routes,
     point_descendent_resummed,
 )
 from genuslift.expressions import Expression
@@ -55,6 +53,8 @@ from genuslift.scalars import EXACT, FloatContext, from_kernel
 from oracles import (
     enumerate_graphs,
     evaluate_graph,
+    genus0_descendents,
+    genus1_descendent_routes,
     point_descendent_reference,
     two_primary_genus2_reference,
 )
@@ -136,10 +136,9 @@ def _stable(g, n):
 
 
 def test_criterion_03_intersection_table_identities():
-    table = IntersectionTable()
-    assert psi_intersection(0, (0, 0, 0), table) == 1
-    assert psi_intersection(1, (1,), table) == Fraction(1, 24)
-    assert psi_intersection(2, (4,), table) == Fraction(1, 1152)
+    assert psi_intersection(0, (0, 0, 0)) == 1
+    assert psi_intersection(1, (1,)) == Fraction(1, 24)
+    assert psi_intersection(2, (4,)) == Fraction(1, 1152)
 
     def ascending(count, total, minimum=0):
         if count == 0:
@@ -161,11 +160,11 @@ def test_criterion_03_intersection_table_identities():
             if total < 0:
                 continue
             for ks in ascending(n, total):
-                value = psi_intersection(g, ks, table)
+                value = psi_intersection(g, ks)
                 if ks[0] == 0 and _stable(g, n - 1):
                     rest = ks[1:]
                     expect = sum(
-                        (psi_intersection(g, tuple(sorted(rest[:j] + (rest[j] - 1,) + rest[j + 1:])), table)
+                        (psi_intersection(g, tuple(sorted(rest[:j] + (rest[j] - 1,) + rest[j + 1:])))
                          for j in range(len(rest)) if rest[j] >= 1),
                         Fraction(0),
                     )
@@ -174,7 +173,7 @@ def test_criterion_03_intersection_table_identities():
                 if 1 in ks and _stable(g, n - 1):
                     rest = list(ks)
                     rest.remove(1)
-                    expect = (2 * g - 2 + len(rest)) * psi_intersection(g, tuple(rest), table)
+                    expect = (2 * g - 2 + len(rest)) * psi_intersection(g, tuple(rest))
                     assert value == expect, f"dilaton fails at g={g}, {ks}"
                     dilaton_checks += 1
     assert string_checks > 200 and dilaton_checks > 200
@@ -319,7 +318,7 @@ def test_criterion_08_descendents():
     exact = point_descendent_reference(exact_tau, 2, EXACT, table=table)
     with CTX.guard():
         exact_gap = mpmath.fabs(
-            point_descendent_resummed(exact_tau, 2, CTX, table=table) - CTX.num(exact)
+            point_descendent_resummed(exact_tau, 2, CTX) - CTX.num(exact)
         )
     assert exact_gap < mpmath.mpf("1e-70")
     model = point_model()
@@ -329,8 +328,8 @@ def test_criterion_08_descendents():
         tau = CurvePoint(
             tuple((Fraction(rng.randint(-102, 102), 1024),) for _ in range(6))
         )
-        rep = descendent_potential(model, calibration, tau, 2, CTX, table=table)
-        resummed = point_descendent_resummed(tau, 2, CTX, table=table)
+        rep = descendent_potential(model, calibration, tau, 2, CTX)
+        resummed = point_descendent_resummed(tau, 2, CTX)
         with CTX.guard():
             gap = mpmath.fabs(rep.value - resummed)
             worst_a = max(worst_a, gap)

@@ -14,10 +14,21 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from genuslift import FloatContext, point_model, two_primary_model
+from genuslift import (
+    FloatContext,
+    RunConfig,
+    compute_calibration,
+    descendent_potential,
+    genus_potential,
+    parse_tau,
+    point_model,
+    two_primary_model,
+)
 from genuslift import cli, rmatrix
 from genuslift.cli import run_command
 from genuslift.graphs import skeletons
+from genuslift.io import format_value
+from oracles import model_to_json
 
 CTX = FloatContext(256)
 
@@ -162,7 +173,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value", [("unit_index", [0]), ("dimension", 1.5)])
     def test_non_integer_model_field(self, tmp_path, key, value):
-        doc = point_model().to_json()
+        doc = model_to_json(point_model())
         doc[key] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
@@ -183,7 +194,7 @@ class TestExitCodes:
              "--sign-flips=1"]
         )
         assert code == 1 and text.startswith("error:") and "sign flips" in text
-        doc = two_primary_model(Fraction(1, 2)).to_json()
+        doc = model_to_json(two_primary_model(Fraction(1, 2)))
         del doc["euler"]
         path = tmp_path / "plain.json"
         path.write_text(json.dumps(doc))
@@ -193,7 +204,7 @@ class TestExitCodes:
         assert code == 1 and text.startswith("error:") and "anchors" in text
 
     def test_non_rational_euler_entry_names_the_field(self, tmp_path):
-        doc = two_primary_model(Fraction(1, 2)).to_json()
+        doc = model_to_json(two_primary_model(Fraction(1, 2)))
         doc["euler"]["conformal_dimension"] = "x"
         path = tmp_path / "bad-euler.json"
         path.write_text(json.dumps(doc))
@@ -311,7 +322,7 @@ class TestModelCommands:
         # E = t0 d_0 + t1/2 d_1 at d = 1/2; weight 1/3 on t1 misses the
         # weight 3 - d = 5/2 of F_{001} = 1 by 1 + 1 + 1/3 - 5/2 = -1/6, and
         # the weight 2 - d of the metric g_{01} = 1 by 1 + 1/3 - 3/2 = -1/6
-        doc = two_primary_model(Fraction(1, 2)).to_json()
+        doc = model_to_json(two_primary_model(Fraction(1, 2)))
         doc["euler"]["matrix"][1][1] = "1/3"
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
@@ -326,7 +337,7 @@ class TestModelCommands:
         assert code == 0
         for name in ("unit_residual", "wdvv_residual", "euler_residual"):
             assert doc[name] == "skipped: origin outside the domain"
-        plain = two_primary_model(Fraction(1, 2)).to_json()
+        plain = model_to_json(two_primary_model(Fraction(1, 2)))
         del plain["euler"]
         path = tmp_path / "plain.json"
         path.write_text(json.dumps(plain))
@@ -335,12 +346,12 @@ class TestModelCommands:
 
     def test_validate_document(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(point_model().to_json()))
+        path.write_text(json.dumps(model_to_json(point_model())))
         code, doc = run_json(["validate", "--model", str(path)])
         assert code == 0 and doc["dimension"] == 1
 
     def test_validate_rejects_malformed(self, tmp_path):
-        doc = two_primary_model(Fraction(1, 3)).to_json()
+        doc = model_to_json(two_primary_model(Fraction(1, 3)))
         doc["metric"] = [["0", "1"], ["2", "0"]]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -457,7 +468,7 @@ class TestModelCache:
 
     def test_edited_document_is_read_again(self, tmp_path):
         path = tmp_path / "model.json"
-        doc = two_primary_model(Fraction(1, 2)).to_json()
+        doc = model_to_json(two_primary_model(Fraction(1, 2)))
         path.write_text(json.dumps(doc))
         code, first = run_json(["validate", "--model", str(path)])
         assert code == 0 and first["name"] == "two-primary d=1/2"
@@ -645,6 +656,47 @@ class TestDeterminism:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert "error" in proc.stderr
+
+
+class TestOnePath:
+    """The CLI prints what the library computes with its defaults, and the
+    selftest's intersection table stays its own."""
+
+    def test_reports_are_the_library_values(self, monkeypatch):
+        monkeypatch.delenv("GENUSLIFT_PRECISION", raising=False)
+        ctx = RunConfig().context()
+
+        def printed(report):
+            return format_value(ctx.chop(report.value), ctx), {
+                k: format_value(ctx.chop(v), ctx) for k, v in report.contribution_map().items()
+            }
+
+        code, doc = run_json(
+            ["genus", "--model", "two-primary:d=1/2", "--point", "2/7,3/5", "--g", "3"]
+        )
+        assert code == 0
+        point = (Fraction(2, 7), Fraction(3, 5))
+        report = genus_potential(two_primary_model(Fraction(1, 2)), point, 3, ctx)
+        assert (doc["F_g"], doc["graphs"]) == printed(report)
+
+        code, doc = run_json(
+            ["descendent", "--model", "point", "--tau", json.dumps(SHIFTED_POINT_TAU), "--g", "2"]
+        )
+        assert code == 0
+        tau = parse_tau(json.dumps(SHIFTED_POINT_TAU))
+        calibration = compute_calibration(point_model())
+        report = descendent_potential(point_model(), calibration, tau, 2, ctx)
+        assert (doc["F_g"], doc["graphs"]) == printed(report)
+
+    def test_selftest_table_is_its_own(self):
+        code, _ = run_command(
+            ["genus", "--model", "two-primary:d=1/2", "--point", "2/7,3/5", "--g", "3"]
+        )
+        assert code == 0
+        code, text = run_command(["selftest"])
+        assert code == 0
+        (line,) = [x for x in text.splitlines() if "string-dilaton-identities" in x]
+        assert line.endswith("0 failures over 19 entries")
 
 
 class TestPublicApi:

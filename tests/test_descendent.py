@@ -42,12 +42,9 @@ from genuslift.descendent import (
     CurvePoint,
     bold_quantities,
     compute_calibration,
-    critical_inverse_jacobian,
     critical_point,
     descendent_frame,
     descendent_potential,
-    genus0_descendents,
-    genus1_descendent_routes,
     point_descendent_resummed,
 )
 from genuslift.linalg import mat_mul
@@ -55,12 +52,17 @@ from genuslift.rmatrix import compute_R, edge_tail_data
 from genuslift.scalars import EXACT, FloatContext, from_kernel
 from genuslift.series import TruncatedSeries
 from oracles import (
+    critical_inverse_jacobian,
     critical_point_formal,
     critical_point_reference,
     eigenvalues_float,
+    genus0_descendents,
     genus0_formal,
+    genus1_descendent_routes,
     mpmath_data,
     point_descendent_reference,
+    shifted,
+    t_entry,
 )
 
 CTX = FloatContext()
@@ -177,7 +179,7 @@ class TestCurvePoint:
 
     def test_shifted(self):
         direction = CurvePoint(((1, 0), (0, Fraction(1, 2))))
-        out = QUINTIC_TAU.shifted(direction, Fraction(1, 4))
+        out = shifted(QUINTIC_TAU, direction, Fraction(1, 4))
         assert out.coupling(0) == (Fraction(3, 8), Fraction(3, 16))
         assert out.coupling(1)[1] == Fraction(1, 16) + Fraction(1, 8)
         assert out.coupling(2) == QUINTIC_TAU.coupling(2)
@@ -188,7 +190,7 @@ class TestCurvePoint:
         with pytest.raises(ValueError):
             CurvePoint(((1, 2), (1,)))
         with pytest.raises(ValueError):
-            QUINTIC_TAU.shifted(CurvePoint(((1,),)), 1)
+            shifted(QUINTIC_TAU, CurvePoint(((1,),)), 1)
 
 
 class TestCriticalPoint:
@@ -607,7 +609,7 @@ class TestBoldQuantities:
         assert data.dimension == 2
         assert data.t_cutoff == 4 and data.v_cutoff == 2
         assert "criticality" in data.residuals
-        assert data.t_entry(0, 1) == 0 and data.t_entry(0, 2) == bold.data.t[0][2]
+        assert t_entry(data, 0, 1) == 0 and t_entry(data, 0, 2) == bold.data.t[0][2]
 
 
 class TestJacobianIdentity:

@@ -7,6 +7,7 @@ import pytest
 
 from genuslift.expressions import Expression, UnboundParameterError
 from genuslift.scalars import EXACT, FloatContext
+from oracles import derivatives, expression_to_json
 
 
 def cp1_like_potential():
@@ -19,7 +20,7 @@ def cp1_like_potential():
 class TestDerivativesAtPoint:
     def test_third_derivatives_exponential_model(self):
         f = cp1_like_potential()
-        d = f.derivatives((0, 0), 3, EXACT)
+        d = derivatives(f, (0, 0), 3, EXACT)
         assert d[(2, 1)] == 1  # F_001 with two 0-legs and one 1-leg
         assert d[(0, 3)] == 1  # F_111
         assert d[(3, 0)] == 0  # F_000
@@ -28,7 +29,7 @@ class TestDerivativesAtPoint:
     def test_cubic_second_and_third(self):
         f = Expression.term(1, Fraction(1, 6), mono=(3,))
         a = Fraction(5, 7)
-        d = f.derivatives((a,), 3, EXACT)
+        d = derivatives(f, (a,), 3, EXACT)
         assert d[(3,)] == 1
         assert d[(2,)] == a
 
@@ -36,7 +37,7 @@ class TestDerivativesAtPoint:
         f = Expression.from_json(
             [{"coeff": {"param": "q"}, "mono": [0], "exp": ["1"]}], 1, {"q": Fraction(1, 4)}
         )
-        d = f.derivatives((0,), 2, EXACT)
+        d = derivatives(f, (0,), 2, EXACT)
         assert d[(0,)] == Fraction(1, 4)
         assert d[(1,)] == Fraction(1, 4)
         assert d[(2,)] == Fraction(1, 4)
@@ -166,13 +167,13 @@ class TestEvaluate:
 class TestSerialization:
     def test_roundtrip(self):
         f = cp1_like_potential() + Expression.term(2, Fraction(-7, 3), mono=(0, -2))
-        data = f.to_json()
+        data = expression_to_json(f)
         g = Expression.from_json(data)
         assert g.terms == f.terms
 
     def test_schema_shape(self):
         f = Expression.term(2, Fraction(1, 2), mono=(2, 1))
-        item = f.to_json()[0]
+        item = expression_to_json(f)[0]
         assert item["coeff"] == "1/2"
         assert item["mono"] == [2, 1]
         assert item["exp"] == ["0", "0"]
@@ -180,5 +181,5 @@ class TestSerialization:
     def test_param_coeff_shape(self):
         # a parameter coefficient is bound on read and written as its value
         data = [{"coeff": {"param": "q", "times": "2/3"}, "mono": [0], "exp": ["1"]}]
-        item = Expression.from_json(data, 1, {"q": Fraction(9, 2)}).to_json()[0]
+        item = expression_to_json(Expression.from_json(data, 1, {"q": Fraction(9, 2)}))[0]
         assert item["coeff"] == "3"

@@ -37,12 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genuslift.descendent import (
-    CurvePoint,
-    compute_calibration,
-    descendent_frame,
-    genus1_descendent_routes,
-)
+from genuslift.descendent import CurvePoint, compute_calibration, descendent_frame
 from genuslift.expressions import Expression
 from genuslift.frame import canonical_frame
 from genuslift.frobenius import (
@@ -83,6 +78,7 @@ from oracles import (
     enumerate_graphs,
     evaluate_graph,
     evaluate_graph_ordered,
+    genus1_descendent_routes,
     genus1_difference_quadrature,
     mpc_edge_tail_data,
     mpc_homogeneous_R,
@@ -492,8 +488,8 @@ class TestSkeletonProgram:
 
     def assert_replays_walk(self, data, g):
         cache, walked = {}, {}
-        replayed = skeleton_values(data, g, None, cache)
-        reference = oracles.walk_skeleton_values(data, g, None, walked)
+        replayed = skeleton_values(data, g, cache)
+        reference = oracles.walk_skeleton_values(data, g, walked)
         assert [sk for sk, _ in replayed] == [sk for sk, _ in reference] == list(skeletons(g))
         for (_, got), (_, want) in zip(replayed, reference):
             if want == 0:
@@ -535,7 +531,7 @@ class TestSkeletonProgram:
     def test_exact_on_rationals(self, g, n):
         data = synthetic_data(n, g, seed=900 + 10 * g + n)
         for (_, got), (_, want) in zip(
-            skeleton_values(data, g, None, {}), oracles.walk_skeleton_values(data, g)
+            skeleton_values(data, g, {}), oracles.walk_skeleton_values(data, g)
         ):
             assert isinstance(got, (int, Fraction))
             assert got == want
@@ -575,7 +571,7 @@ class TestSkeletonProgram:
         data = replace(data, v={key: type(x)(0, 0) for key, x in data.v.items()})
         report = graph_sum(data, 2)
         cache = {}
-        walked = oracles.walk_skeleton_values(data, 2, None, cache)
+        walked = oracles.walk_skeleton_values(data, 2, cache)
         # like the walk, the sum reads no vertex of a skeleton with edges
         assert report.vertex_cache.keys() == cache.keys()
         for (sk, got), (_, want) in zip(report.contributions, walked):
@@ -753,9 +749,9 @@ class TestSharedVertexCache:
         calls = []
         original = genus_module.vertex_correlator
 
-        def counting(g_v, ks, tails, delta, table=None):
+        def counting(g_v, ks, tails, delta):
             calls.append((g_v, tuple(ks), id(tails)))
-            return original(g_v, ks, tails, delta, table=table)
+            return original(g_v, ks, tails, delta)
 
         monkeypatch.setattr(genus_module, "vertex_correlator", counting)
         monkeypatch.setattr(oracles, "vertex_correlator", counting)
@@ -881,9 +877,9 @@ class TestWickExpansion:
         calls, memos = [], []
         correlator, moment = genus_module.vertex_correlator, genus_module.gaussian_moment
 
-        def counting(g_v, ks, tails, delta, table=None):
+        def counting(g_v, ks, tails, delta):
             calls.append((g_v, tuple(ks), id(tails)))
-            return correlator(g_v, ks, tails, delta, table=table)
+            return correlator(g_v, ks, tails, delta)
 
         def spying(mono, cov, memo):
             if not any(m is memo for m in memos):
@@ -926,7 +922,7 @@ class TestWickExpansion:
     )
     def test_graded_exp_is_the_series_exp(self, shape, seed):
         g, n = shape
-        layers = summed_layers(_log_tau_layers(synthetic_data(n, g, seed), g, None, {}))
+        layers = summed_layers(_log_tau_layers(synthetic_data(n, g, seed), g, {}))
         slots = n * (3 * g - 3)
         names = ("h",) + tuple(f"q{s}" for s in range(slots))
         grading = dict.fromkeys(names, 1)
@@ -950,7 +946,7 @@ class TestWickExpansion:
 
     @pytest.mark.parametrize("g, n", [(2, 1), (2, 3), (3, 2)])
     def test_exp_by_index_is_the_exp_of_the_sum(self, g, n):
-        per_index = _log_tau_layers(synthetic_data(n, g, seed=700 + 10 * g + n), g, None, {})
+        per_index = _log_tau_layers(synthetic_data(n, g, seed=700 + 10 * g + n), g, {})
         # every index has a genus-2 vertex without edges on the empty tuple:
         # from two indices on, two degree splits meet on that tuple
         assert all(layers[2].get(()) for layers in per_index)

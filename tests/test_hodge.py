@@ -29,7 +29,6 @@ from genuslift.hodge import (
     lemma_components,
     tau_series,
 )
-from genuslift.intersection import IntersectionTable
 from genuslift.rmatrix import compute_T, compute_V, homogeneous_R, twist_R
 from genuslift.scalars import FloatContext, from_kernel
 
@@ -67,12 +66,6 @@ class TestTauSeries:
         assert HodgeTruncation(2, 4).resolved_index == 7
         assert HodgeTruncation(0, 3).resolved_index == 0
         assert HodgeTruncation(2, 4, q_index=5).resolved_index == 5
-
-    def test_shared_table_reuse(self):
-        table = IntersectionTable()
-        tr = HodgeTruncation(genus_max=2, q_degree=3)
-        assert tau_series(tr, table).c == tau_series(tr).c
-        assert len(table) > 0
 
 
 class TestHodgeLambda:

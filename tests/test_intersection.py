@@ -15,6 +15,7 @@ import mpmath
 import pytest
 
 from genuslift.intersection import (
+    _DEFAULT_TABLE,
     IntersectionTable,
     _ascending_tuples,
     psi_intersection,
@@ -133,7 +134,7 @@ class TestVertexCorrelator:
 
     def test_tail_multiplicities(self, table):
         t2, t3, t4 = Fraction(2), Fraction(5), Fraction(7)
-        got = vertex_correlator(2, (), {2: t2, 3: t3, 4: t4}, Fraction(1), table=table)
+        got = vertex_correlator(2, (), {2: t2, 3: t3, 4: t4}, Fraction(1))
         want = (
             t4 * table.value(2, (4,))
             + t2 * t3 * table.value(2, (2, 3))
@@ -145,7 +146,7 @@ class TestVertexCorrelator:
         # genus 1, one edge with psi^1: budget allows no tails at all
         assert vertex_correlator(1, (1,), {2: Fraction(1)}, Fraction(2)) == Fraction(1, 24) * 2 ** 0
         # genus 1, edge psi^0 and tails up to one leg
-        got = vertex_correlator(1, (0,), {2: Fraction(1, 2), 3: Fraction(9)}, Fraction(4), table=table)
+        got = vertex_correlator(1, (0,), {2: Fraction(1, 2), 3: Fraction(9)}, Fraction(4))
         assert got == Fraction(1, 2) * table.value(1, (0, 2))
 
     def test_float_backend(self):
@@ -157,7 +158,7 @@ class TestVertexCorrelator:
 
     def test_genus_zero_with_tails(self, table):
         # four psi^0 edge ends, one tail leg of weight 2
-        got = vertex_correlator(0, (0, 0, 0, 0), {2: Fraction(3)}, Fraction(1), table=table)
+        got = vertex_correlator(0, (0, 0, 0, 0), {2: Fraction(3)}, Fraction(1))
         assert got == Fraction(3) * table.value(0, (0, 0, 0, 0, 2))
         assert table.value(0, (0, 0, 0, 0, 2)) == Fraction(1)
 
@@ -185,13 +186,13 @@ class TestTailTerms:
 
     def test_exact_on_rationals(self):
         rng = random.Random(20261019)
-        # the terms fill a table of their own, the direct sum reads another
-        fresh, reference = IntersectionTable(), IntersectionTable()
+        # the terms fill the process table, the direct sum reads its own
+        fresh, reference = _DEFAULT_TABLE, IntersectionTable()
         cases = list(_tail_cases(rng))
         assert len(cases) > 100
         for g, ks, tails in cases:
             hbar_delta = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            got = vertex_correlator(g, ks, tails, hbar_delta, table=fresh)
+            got = vertex_correlator(g, ks, tails, hbar_delta)
             want = direct_vertex_correlator(g, ks, tails, hbar_delta, table=reference)
             assert got == want
         assert fresh.identity_failures() == []

@@ -34,12 +34,11 @@ from genuslift.io import (
     render_report,
     rseries_to_json,
     series_to_json,
-    tau_to_json,
 )
 from genuslift.rmatrix import compute_R, edge_tail_data
 from genuslift.scalars import EXACT, FloatContext
 from genuslift.series import Caps, TruncatedSeries
-from oracles import mpmath_data
+from oracles import model_to_json, mpmath_data, tau_to_json
 
 CTX = FloatContext(256)
 
@@ -150,7 +149,7 @@ class TestScalarFormatting:
 
 class TestModelDocuments:
     def test_point_document(self):
-        model = parse_model(point_model().to_json())
+        model = parse_model(model_to_json(point_model()))
         assert model.dimension == 1
         assert model.euler is not None
 
@@ -173,7 +172,7 @@ class TestModelDocuments:
 
     def test_round_trip(self):
         model = two_primary_model(Fraction(1, 3), Fraction(2, 7))
-        again = parse_model(model.to_json())
+        again = parse_model(model_to_json(model))
         assert again.metric == model.metric
         assert again.euler.conformal_dimension == model.euler.conformal_dimension
         pt = (Fraction(1, 5), Fraction(3, 2))
@@ -270,7 +269,7 @@ class TestModelDocuments:
         model = two_primary_model(Fraction(3, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            again = parse_model(model.to_json())
+            again = parse_model(model_to_json(model))
         assert again.dimension == 2
 
 

@@ -44,7 +44,13 @@ from genuslift.rmatrix import (
     unitarity_residual,
 )
 from genuslift.scalars import FloatContext, GaussianFixed, from_kernel
-from oracles import compute_V_series, jet_R_conformal, mpc_edge_tail_data, mpc_homogeneous_R
+from oracles import (
+    compute_V_series,
+    jet_R_conformal,
+    mpc_edge_tail_data,
+    mpc_homogeneous_R,
+    t_entry,
+)
 
 CTX = FloatContext()
 TIGHT = mpmath.mpf("1e-70")
@@ -101,12 +107,12 @@ class TestHandValues:
 
     def test_tails(self, exp_edge):
         for i in range(2):
-            assert exp_edge.t_entry(i, 0) == 0
-            assert exp_edge.t_entry(i, 1) == 0
-        assert_close(exp_edge.t_entry(0, 2), rat(-1, 16))
-        assert_close(exp_edge.t_entry(1, 2), rat(1, 16))
-        assert_close(exp_edge.t_entry(0, 3), rat(-9, 512))
-        assert_close(exp_edge.t_entry(1, 3), rat(-9, 512))
+            assert t_entry(exp_edge, i, 0) == 0
+            assert t_entry(exp_edge, i, 1) == 0
+        assert_close(t_entry(exp_edge, 0, 2), rat(-1, 16))
+        assert_close(t_entry(exp_edge, 1, 2), rat(1, 16))
+        assert_close(t_entry(exp_edge, 0, 3), rat(-9, 512))
+        assert_close(t_entry(exp_edge, 1, 3), rat(-9, 512))
 
     def test_v00_equals_r1(self, exp_r, exp_edge):
         r1 = exp_r.mats[1]
@@ -328,9 +334,9 @@ class TestEdgeData:
         assert data.v_entry(0, 1, 1, 0) == 5
         assert data.v_entry(1, 0, 0, 1) == 5  # mirror of the stored key
         assert data.v_entry(0, 1, 0, 1) == 0
-        assert data.t_entry(0, 2) == 7
-        assert data.t_entry(0, 1) == 0
-        assert data.t_entry(1, 5) == 0
+        assert t_entry(data, 0, 2) == 7
+        assert t_entry(data, 0, 1) == 0
+        assert t_entry(data, 1, 5) == 0
 
     def test_cutoff_limits(self, exp_r):
         with pytest.raises(ValueError):
@@ -355,7 +361,7 @@ class TestBranchChoices:
                 assert_close(a, b)
             for i in range(2):
                 for k in (2, 3, 4):
-                    assert_close(exp_edge.t_entry(i, k), flipped.t_entry(i, k))
+                    assert_close(t_entry(exp_edge, i, k), t_entry(flipped, i, k))
 
     def test_permutation_relabels_everything(self, exp_edge):
         model = two_primary_model(Fraction(1))
@@ -366,7 +372,7 @@ class TestBranchChoices:
         for i in range(2):
             assert_close(swapped.delta[i], exp_edge.delta[1 - i])
             for k in (2, 3, 4):
-                assert_close(swapped.t_entry(i, k), exp_edge.t_entry(1 - i, k))
+                assert_close(t_entry(swapped, i, k), t_entry(exp_edge, 1 - i, k))
         for (i, j, k, l) in exp_edge.v:
             assert_close(swapped.v_entry(1 - i, 1 - j, k, l), exp_edge.v_entry(i, j, k, l))
 
@@ -568,8 +574,8 @@ class TestKernelRoute:
         )
         _assert_matches([data.v_entry(*key) for key in keys], [ref.v_entry(*key) for key in keys], "V")
         _assert_matches(
-            [data.t_entry(i, k) for i in range(r.dimension) for k in range(2, order + 2)],
-            [ref.t_entry(i, k) for i in range(r.dimension) for k in range(2, order + 2)],
+            [t_entry(data, i, k) for i in range(r.dimension) for k in range(2, order + 2)],
+            [t_entry(ref, i, k) for i in range(r.dimension) for k in range(2, order + 2)],
             "T",
         )
         _assert_matches(data.delta, ref.delta, "Delta")

@@ -26,9 +26,9 @@ from genuslift.frobenius import (
     threefold_cusp_model,
     two_primary_model,
 )
-from genuslift.linalg import det, mat_inv
+from genuslift.linalg import mat_inv
 from genuslift.scalars import EXACT, FloatContext, from_kernel
-from oracles import critical_point_reference
+from oracles import close, critical_point_reference, det
 
 CTX = FloatContext(256)
 AGREE = "1e-70"
@@ -45,7 +45,7 @@ def model_points(draw):
 
 
 def agree(exact, approx) -> bool:
-    return CTX.close(exact, approx, tol=AGREE, scale=exact)
+    return close(CTX, exact, approx, tol=AGREE, scale=exact)
 
 
 def agree_all(exact, approx) -> bool:
@@ -498,3 +498,84 @@ def test_critical_point_runs_no_mpmath_arithmetic(mpmath_calls):
         assert all(isinstance(x, mpmath.mpf) for x in t)
     critical_point_reference(model, calibration, tau, CTX)
     assert sum(mpmath_calls.values()) > 0
+
+
+# every definition in src/ that nothing in src/ reaches, with the reason it stays
+UNREFERENCED_ALLOWED = {
+    "io.parse_value": "the benchmark's report checker reads every number through it",
+    "descendent.CurvePoint.bumped": "the planned N > 1 descendent string, dilaton and "
+    "homogeneity gates step the couplings with it (ROADMAP item 3)",
+    "rmatrix.bernoulli_constants": "the planned twisted point theories and equivariant "
+    "QH(P^1) read it (ROADMAP items 4 and 20)",
+    "cli._Parser.error": "argparse calls it on a usage mistake",
+}
+
+
+def _definitions(tree, prefix):
+    """(qualified name, node) of every function, class and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{node.name}"
+            yield name, node
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node, name)
+
+
+def test_src_defines_only_what_src_reaches():
+    """Every function, class and method in ``src/`` is referenced in
+    ``src/`` outside its own definition, exported by ``genuslift.__all__``
+    or ``genuslift.hodge.__all__``, or allowed above with its reason.  An
+    import is not a reference, and dunder methods are called by Python.
+    Routes only tests call live in ``tests/oracles.py``."""
+    import genuslift.hodge
+
+    exported = set(genuslift.__all__) | set(genuslift.hodge.__all__)
+    references = []
+    definitions = []
+    for path in sorted(Path(genuslift.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((node.id, path.name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((node.attr, path.name, node.lineno))
+        definitions += [(name, node, path.name) for name, node in _definitions(tree, path.stem)]
+    unreached = []
+    for qualified, node, filename in definitions:
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if name in exported or qualified in UNREFERENCED_ALLOWED:
+            continue
+        if not any(
+            ref == name and not (where == filename and node.lineno <= line <= node.end_lineno)
+            for ref, where, line in references
+        ):
+            unreached.append(qualified)
+    assert unreached == []
+
+
+def test_one_intersection_table_in_src():
+    """Intersection numbers are exact constants: no function in ``src/``
+    takes an ``IntersectionTable``, and only ``intersection`` (the process
+    table) and the selftest, whose entry count is part of its report,
+    construct one."""
+    takers, builders = [], []
+    for path in sorted(Path(genuslift.__file__).parent.glob("*.py")):
+        scope = {}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # breadth first: an inner definition overrides its outer one
+                scope.update({id(inner): node.name for inner in ast.walk(node)})
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    hint = "" if arg.annotation is None else ast.unparse(arg.annotation)
+                    if "IntersectionTable" in hint or (arg.arg == "table" and not hint):
+                        takers.append(f"{path.name}:{node.name}({arg.arg})")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "IntersectionTable":
+                    builders.append(f"{path.name}:{scope.get(id(node), '<module>')}")
+    assert takers == []
+    assert sorted(builders) == ["cli.py:_selftest_checks", "intersection.py:<module>"]

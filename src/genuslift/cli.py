@@ -35,7 +35,6 @@ from .descendent import (
     Calibration,
     CurvePoint,
     compute_calibration,
-    descendent_frame,
     descendent_potential,
     point_descendent_resummed,
 )
@@ -306,11 +305,9 @@ def _cmd_genus(args):
     report = genus_potential(
         model, point, args.g, ctx, order=config.r_order, mode=args.mode, gauge=config.gauge
     )
-    # the graph sum's vertex correlators hold almost every one the oracle
-    # needs, and its edge weights all of them
-    oracle = wick_oracle(
-        report.data, args.g, vertex_cache=report.vertex_cache, edge_weights=report.edge_weights
-    )
+    # the data keep the graph sum's vertex correlators, almost every one
+    # the oracle needs, and its edge weights, all of them
+    oracle = wick_oracle(report.data, args.g)
     contributions = report.contribution_map()
     with ctx.guard():
         residual = ctx.abs(report.value - oracle)
@@ -375,29 +372,27 @@ def _cmd_descendent(args):
         calibration = _builtin_calibration(args.model, order)
     else:
         calibration = _origin_calibration(model, order)
-    frame_data = descendent_frame(
-        model, calibration, tau, ctx, order=config.r_order, gauge=config.gauge
-    )
     report = descendent_potential(
-        model, calibration, tau, args.g, ctx, order=config.r_order, frame_data=frame_data
+        model, calibration, tau, args.g, ctx, order=config.r_order, gauge=config.gauge
     )
+    # the report's frame sits at the critical point, and its bold data
+    # carry the residuals
+    residuals = report.data.residuals
     doc = {
         "precision": precision_annotation(ctx),
         "genus": args.g,
         "Kmax": tau.kmax,
-        "critical_point": [format_value(ctx.chop(x), ctx) for x in frame_data.critical],
-        "criticality_residual": format_value(frame_data.data.residuals["criticality"], ctx),
+        "critical_point": [format_value(ctx.chop(x), ctx) for x in report.frame.point],
+        "criticality_residual": format_value(residuals["criticality"], ctx),
         "F_g": format_value(ctx.chop(report.value), ctx),
         # one entry per skeleton, its decorated graphs summed
         "graphs": {
             k: format_value(ctx.chop(v), ctx)
             for k, v in sorted(report.contribution_map().items())
         },
-        "residuals": {
-            k: format_value(v, ctx) for k, v in sorted(frame_data.data.residuals.items())
-        },
+        "residuals": {k: format_value(v, ctx) for k, v in sorted(residuals.items())},
     }
-    gates = list(frame_data.data.residuals.values())
+    gates = list(residuals.values())
     if model.dimension == 1:
         oracle = point_descendent_resummed(tau, args.g, ctx)
         with ctx.guard():
@@ -489,9 +484,7 @@ def _selftest_checks(ctx: FloatContext):
     report = genus_potential(model, point, 2, ctx)
     with ctx.guard():
         yield ("genus2-vanishing-d-one-third", ctx.abs(report.value), "F^2 on the d=1/3 model")
-        oracle = wick_oracle(
-            report.data, 2, vertex_cache=report.vertex_cache, edge_weights=report.edge_weights
-        )
+        oracle = wick_oracle(report.data, 2)
         yield (
             "graph-sum-vs-operator-oracle",
             ctx.abs(report.value - oracle),

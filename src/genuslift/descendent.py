@@ -41,10 +41,14 @@ where the brackets are unit-direction derivatives of the criticality
 residual: the z^0 coefficient vanishes at the critical point (a checked
 invariant), z^1 gives D_i^{-1/2}, and z^k for k >= 2 give the tails.  At
 t_1 = t_2 = ... = 0 the data degenerates to (Delta, T, V) and the
-descendent potential to F^g(t_0).  The graph sum starts at genus 2.  The
-genus-0 potential with its one- and two-point tables, and the two genus-1
-differentials on the curve space, are references in ``tests/oracles.py``
-built on the critical point and the calibration here.
+descendent potential to F^g(t_0).  The bold data are an ``EdgeTailData``
+like the primary data: :func:`descendent_frame` returns them with the
+canonical frame at t(tau), whose ``point`` is the critical point, and the
+report of :func:`descendent_potential` keeps both.  The graph sum starts
+at genus 2.  The genus-0 potential with its one- and two-point tables,
+and the two genus-1 differentials on the curve space, are references in
+``tests/oracles.py`` built on the critical point and the calibration
+here.
 """
 
 from __future__ import annotations
@@ -129,12 +133,14 @@ class Calibration:
         """max_k |coefficient of z^{-k} in S*(-1/z) S(1/z) - 1| at a point,
         S* = g^{-1} S^T g.  That coefficient is (-1)^k g^{-1} times the z^k
         remainder of the division of N(x, y) - g by x + y, N_ab = S_a^T g S_b
-        (:func:`_pairings`), in x = 1/z and y = 1/w."""
+        = S_a^T (S_b^T g)^T (``rmatrix._divide``), in x = 1/z and y = 1/w."""
         with ctx.guard():
             svals = self.s_values(point, ctx)
             g = [[ctx.num(x) for x in row] for row in self.model.metric]
             ginv = [[ctx.num(x) for x in row] for row in self.model.metric_inverse]
-            _, remainders = _divide(_pairings(svals, g, self.order), self.order, -1, g)
+            left = [transpose(s) for s in svals]
+            right = [transpose(mat_mul(g, s)) for s in svals]
+            _, remainders = _divide(left, right, self.order, -1, g)
             return ctx.max_abs(x for rem in remainders for row in mat_mul(ginv, rem) for x in row)
 
 
@@ -336,19 +342,6 @@ def critical_point(
     )
 
 
-# -- pairings ---------------------------------------------------------------------
-
-
-def _pairings(svals, gmat, order: int) -> Dict[Tuple[int, int], list]:
-    """The table N_ab = S_a^T g S_b for a + b <= ``order``."""
-    gs = [mat_mul(gmat, s) for s in svals[: order + 1]]
-    return {
-        (a, b): mat_mul(transpose(svals[a]), gs[b])
-        for a in range(order + 1)
-        for b in range(order + 1 - a)
-    }
-
-
 # -- bold quantities ---------------------------------------------------------------
 
 
@@ -372,35 +365,27 @@ def _brackets(model, calibration, t_star, tau, ctx) -> list:
     return out
 
 
-@dataclass
-class DescendentFrame:
-    """Bold edge and tail data at the critical point of a curve-space point.
-
-    ``data`` drops into the stable-graph sum exactly where the primary
-    (Delta, T, V) data goes, with D in place of Delta; its ``sqrt_delta``
-    follows the square-root branches of ``frame``, and flipping one flips
-    the matching V rows, so the graph sum is branch-invariant.  Its
-    residuals include the criticality residual."""
-
-    critical: tuple
-    frame: CanonicalFrame
-    data: EdgeTailData
-
-
 def bold_quantities(
     model: FrobeniusModel,
     calibration: Calibration,
     frame: CanonicalFrame,
     r: RSeries,
     tau: CurvePoint,
-) -> DescendentFrame:
-    """Extract (D, T, V) from the z-expansion of the one-point correlator.
+) -> EdgeTailData:
+    """Extract the bold data (D, T, V) from the z-expansion of the
+    one-point correlator.
 
-    ``frame`` and ``r`` must live at the critical point of ``tau``.  With
-    G_k the z^k coefficient of sum (-z)^p R_q Psi b_p: G_0 is the
-    criticality residual (raised above ``ctx.tol``), G_1 = D^{-1/2} (an
-    exact zero raises ArithmeticError), and T_k = (-1)^k G_k / G_1 for
-    k >= 2.  V is evaluated at the critical point, which is definition
+    The data drop into the stable-graph sum exactly where the primary
+    (Delta, T, V) data go, with D in place of Delta; their ``sqrt_delta``
+    follows the square-root branches of ``frame``, and flipping one flips
+    the matching V rows, so the graph sum is branch-invariant.  Their
+    residuals include the criticality residual.
+
+    ``frame`` and ``r`` must live at the critical point of ``tau``, which
+    is ``frame.point``.  With G_k the z^k coefficient of sum (-z)^p R_q
+    Psi b_p: G_0 is the criticality residual (raised above ``ctx.tol``),
+    G_1 = D^{-1/2} (an exact zero raises ArithmeticError), and T_k =
+    (-1)^k G_k / G_1 for k >= 2.  V is evaluated at the critical point, which is definition
     (not extraction): the two-point functions factor through it.  G, D,
     T and V are kernel scalars: the brackets b_p enter at R's scale, and
     ``EdgeTailData.in_kernel`` lifts the data to the scale its numbers
@@ -412,9 +397,8 @@ def bold_quantities(
         raise ValueError(
             f"calibration order {calibration.order} too small for couplings up to c^{tau.kmax}"
         )
-    t_star = frame.point
     with ctx.guard():
-        bvecs = _brackets(model, calibration, t_star, tau, ctx)
+        bvecs = _brackets(model, calibration, frame.point, tau, ctx)
     kernel = r.frame.kernel
     cvecs = [mat_vec(kernel.psi, kernel.at_scale(b)) for b in bvecs]
     t_cutoff = r.order + 1
@@ -449,7 +433,7 @@ def bold_quantities(
             tails[i][k] = sign * gvals[k][i] * sqrt_d[i]
     v, residuals = compute_V(r)
     residuals["criticality"] = crit
-    data = EdgeTailData(
+    return EdgeTailData(
         dimension=n,
         delta=[x * x for x in sqrt_d],
         sqrt_delta=sqrt_d,
@@ -459,7 +443,6 @@ def bold_quantities(
         t_cutoff=t_cutoff,
         residuals=residuals,
     ).in_kernel(ctx)
-    return DescendentFrame(critical=tuple(t_star), frame=frame, data=data)
 
 
 def descendent_frame(
@@ -472,16 +455,17 @@ def descendent_frame(
     gauge=None,
     permutation=None,
     sign_flips=None,
-) -> DescendentFrame:
+) -> Tuple[CanonicalFrame, EdgeTailData]:
     """Critical point, canonical frame, R-matrix, and bold extraction in one
-    call; the frame and R come from :func:`genus.frame_and_R`, as in the
-    primary genus pipeline."""
+    call: the frame at the critical point (its ``point``) and the bold data
+    of :func:`bold_quantities`.  The frame and R come from
+    :func:`genus.frame_and_R`, as in the primary genus pipeline."""
     t_star = critical_point(model, calibration, tau, ctx)
     frame, r = frame_and_R(
         model, t_star, ctx, order, gauge=gauge,
         permutation=permutation, sign_flips=sign_flips,
     )
-    return bold_quantities(model, calibration, frame, r, tau)
+    return frame, bold_quantities(model, calibration, frame, r, tau)
 
 
 def descendent_potential(
@@ -495,29 +479,23 @@ def descendent_potential(
     gauge=None,
     permutation=None,
     sign_flips=None,
-    frame_data: Optional[DescendentFrame] = None,
 ) -> GenusReport:
     """F^g(tau) by the stable-graph sum over the bold data.
 
     Same combinatorics and default orders as the primary potential; at
     t_1 = t_2 = ... = 0 the bold data degenerates to the primary data and
-    this reproduces F^g(t_0) through the identical code path."""
+    this reproduces F^g(t_0) through the identical code path.  The report's
+    ``frame`` sits at the critical point t(tau) (``frame.point``), and its
+    ``data`` are the bold data with their residuals."""
     if g < 2:
         raise ValueError("the graph sum starts at genus 2; genus 1 is a one-form")
     if order is None:
         order = 3 * g - 3
-    if frame_data is None:
-        frame_data = descendent_frame(
-            model,
-            calibration,
-            tau,
-            ctx,
-            order=order,
-            gauge=gauge,
-            permutation=permutation,
-            sign_flips=sign_flips,
-        )
-    return graph_sum(frame_data.data, g, frame=frame_data.frame)
+    frame, data = descendent_frame(
+        model, calibration, tau, ctx, order=order, gauge=gauge,
+        permutation=permutation, sign_flips=sign_flips,
+    )
+    return graph_sum(data, g, frame=frame)
 
 
 # -- one-dimensional reference ------------------------------------------------------

@@ -62,26 +62,26 @@ vector whose covariance holds the propagator weights (Isserlis's theorem,
 Both routes need V to joint order 3g - 4 and T to order 3g - 2, and both
 refuse shorter data with a ValueError.
 
-The oracle shares with the graph sum the input tables and, when handed
-:attr:`GenusReport.vertex_cache` and :attr:`GenusReport.edge_weights`, the
-memo of ``vertex_correlator`` on those tables and the edge weights
-V^{ij}_{kl} sqrt(Delta_i) sqrt(Delta_j) formed from them, the same products
-either side would form.  Graphs and summation are its own, which makes the
-two mutual oracles; agreement is exact on rational synthetic data.
+The oracle shares with the graph sum the input tables and what the data
+derives from them: the memo of ``vertex_correlator`` (``data.vertices``)
+and the edge weights V^{ij}_{kl} sqrt(Delta_i) sqrt(Delta_j)
+(``data.edge_weights``), the same products either side would form.  Graphs
+and summation are its own, which makes the two mutual oracles; agreement
+is exact on rational synthetic data.
 
 Both run one generic code path over the numbers their data holds and
 convert nothing.  The pipeline's edge/tail data hold *kernel scalars*
 (``scalars``): ``rmatrix.edge_tail_data`` and ``descendent.bold_quantities``
 compute R, V and T on the frame's values converted once, so the kernels
-(:func:`skeleton_values`, :func:`edge_weight_table`, ``vertex_correlator``,
-:func:`wick_moments`) multiply Gaussian fixed-point numbers on Python ints
-in place of mpmath ``mpc``.  The skeleton values and the oracle's moments
-go back once with ``from_kernel``, at the precision the data carries, and
-the final sum and the oracle's logarithm run at that precision.  Rational
-data stays exact throughout; mpmath data runs at the caller's working
-precision.  A :class:`GenusReport` keeps its data, the vertex correlators
-and the edge weights on it, so a report's data and tables go to
-:func:`wick_oracle` together.
+(:func:`skeleton_values`, ``EdgeTailData.edge_weights``,
+``vertex_correlator``, :func:`wick_moments`) multiply Gaussian fixed-point
+numbers on Python ints in place of mpmath ``mpc``.  The skeleton values
+and the oracle's moments go back once with ``from_kernel``, at the
+precision the data carries, and the final sum and the oracle's logarithm
+run at that precision.  Rational data stays exact throughout; mpmath data
+runs at the caller's working precision.  A :class:`GenusReport` keeps its
+data, and with it the vertex correlators and edge weights the sum formed,
+so ``wick_oracle(report.data, g)`` reads them again.
 
 Genus 1 is exposed as the one-form
 
@@ -103,7 +103,7 @@ read.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, count, cycle, islice, repeat
@@ -583,29 +583,16 @@ def _require_orders(data: EdgeTailData, g: int) -> None:
         raise ValueError(f"tail coefficients known to order {data.t_cutoff}, need {3 * g - 2}")
 
 
-def _cached_vertex(key, data: EdgeTailData, vertex_cache: dict):
+def _cached_vertex(key, data: EdgeTailData):
     """The vertex correlator of slot ``key`` = (g_v, i_v, sorted edge
-    powers) on ``data`` from ``vertex_cache``, None where it vanishes; a
-    missing slot is computed and added."""
-    if key not in vertex_cache:
+    powers) on ``data`` from its memo ``data.vertices``, None where it
+    vanishes; a missing slot is computed and added."""
+    memo = data.vertices
+    if key not in memo:
         g_v, i, ks = key
         val = vertex_correlator(g_v, ks, data.t[i], data.delta[i])
-        vertex_cache[key] = None if val == 0 else val
-    return vertex_cache[key]
-
-
-def edge_weight_table(data: EdgeTailData) -> dict:
-    """Edge weights V^{ij}_{kl} sqrt(Delta_i) sqrt(Delta_j) for k + l <=
-    ``data.v_cutoff``, keyed by (i, j, k, l); vanishing entries are kept
-    as the zeros they are."""
-    n, cutoff, sd = data.dimension, data.v_cutoff, data.sqrt_delta
-    return {
-        (i, j, k, l): data.v_entry(i, j, k, l) * sd[i] * sd[j]
-        for i in range(n)
-        for j in range(n)
-        for k in range(cutoff + 1)
-        for l in range(cutoff + 1 - k)
-    }
+        memo[key] = None if val == 0 else val
+    return memo[key]
 
 
 @dataclass
@@ -616,18 +603,15 @@ class GenusReport:
     of its decorated graphs; :meth:`contribution_map` keys them by
     :meth:`Skeleton.describe`.  ``value`` and ``contributions`` are at
     working precision (or exact).  ``data`` is the edge/tail data the sum
-    ran on, and ``vertex_cache`` the sum's table of vertex correlators on
-    it: (g_v, i, sorted edge powers) maps to the correlator, or to None
-    where it vanishes.  :func:`wick_oracle` reads and extends it, and reads
-    ``edge_weights``, the sum's :func:`edge_weight_table` of ``data``."""
+    ran on, with the vertex correlators and edge weights the sum formed on
+    it, which :func:`wick_oracle` on ``data`` reads.  ``frame`` is the
+    canonical frame of the data's point, where the pipeline built one."""
 
     genus: int
     value: object
     contributions: List[Tuple[Skeleton, object]]
     data: EdgeTailData
     frame: Optional[CanonicalFrame] = None
-    vertex_cache: dict = field(default_factory=dict)
-    edge_weights: dict = field(default_factory=dict)
 
     def contribution_map(self):
         return {sk.describe(): v for sk, v in self.contributions}
@@ -702,39 +686,26 @@ def frame_and_R(
 
 def graph_sum(data: EdgeTailData, g: int, frame=None) -> GenusReport:
     """F^g from edge/tail data: every skeleton of genus g summed over all
-    labelings by ``data.dimension`` indices (:func:`skeleton_values`), with
-    one vertex cache and one edge weight table shared by the whole sum;
-    ``frame`` is only passed through to the report.  The vertex correlators
-    read the one process intersection table.
+    labelings by ``data.dimension`` indices (:func:`skeleton_values`), on
+    the vertex correlators and edge weights ``data`` keeps; ``frame`` is
+    only passed through to the report.  The vertex correlators read the one
+    process intersection table.
 
     The sum runs on the numbers ``data`` holds, and the report keeps them.
     Kernel scalars run at their own precision, rational data stays exact,
     and mpmath data runs at the caller's working precision, as in
     ``vertex_correlator``."""
     ctx = _context_of(data.delta[0])
-    vertex_cache: dict = {}
-    edge_weights = edge_weight_table(data)
     with ctx.guard():
-        contributions = [
-            (sk, from_kernel(val))
-            for sk, val in skeleton_values(data, g, vertex_cache, edge_weights)
-        ]
+        contributions = [(sk, from_kernel(val)) for sk, val in skeleton_values(data, g)]
         # the reported value is the sum of the reported contributions
         total = ctx.num(0)
         for _, val in contributions:
             total = total + val
-    return GenusReport(
-        genus=g, value=total, contributions=contributions, data=data, frame=frame,
-        vertex_cache=vertex_cache, edge_weights=edge_weights,
-    )
+    return GenusReport(genus=g, value=total, contributions=contributions, data=data, frame=frame)
 
 
-def skeleton_values(
-    data: EdgeTailData,
-    g: int,
-    vertex_cache: dict,
-    edge_weights: Optional[dict] = None,
-) -> List[Tuple[Skeleton, object]]:
+def skeleton_values(data: EdgeTailData, g: int) -> List[Tuple[Skeleton, object]]:
     """Every skeleton of genus g with its contribution on ``data``: the sum
     over every labeling of its vertices by the ``data.dimension`` canonical
     indices and every half-edge power assignment, divided by
@@ -749,20 +720,18 @@ def skeleton_values(
     weight vanishes, only the skeleton without edges is replayed and every
     other contributes 0.
 
-    ``vertex_cache`` maps (g_v, i_v, sorted edge powers) to the vertex
-    correlator on ``data``, or to None where it vanishes, and is extended
-    here to every vertex slot of the program; ``edge_weights`` is
-    :func:`edge_weight_table` of ``data``, formed here when not passed."""
+    The weights are ``data.edge_weights``, and the correlators come from
+    the memo ``data.vertices``, which is extended here to every vertex slot
+    of the program."""
     _require_orders(data, g)
-    if edge_weights is None:
-        edge_weights = edge_weight_table(data)
+    edge_weights = data.edge_weights
     # every term of a skeleton with edges has a weight: where all vanish,
     # so does its sum, whatever the vertices (the point model's bold data
     # has no V at all)
     program = graph_sum_program(g, data.dimension, any(edge_weights.values()))
     registers = list(map(edge_weights.__getitem__, program.weights))
     for key in program.vertices:
-        val = _cached_vertex(key, data, vertex_cache)
+        val = _cached_vertex(key, data)
         registers.append(0 if val is None else val)
     _replay(program.steps, registers)
     values = []
@@ -809,7 +778,7 @@ def gaussian_moment(mono: Tuple[int, ...], cov: dict, memo: dict):
     return total
 
 
-def _log_tau_layers(data: EdgeTailData, g: int, vertex_cache: dict) -> List[List[dict]]:
+def _log_tau_layers(data: EdgeTailData, g: int) -> List[List[dict]]:
     """The vertex generating functions log tau(hbar Delta_i; Q^i) around
     Q = T, truncated at weighted degree 2g - 2 and split by degree: one
     list of layers per canonical index i.
@@ -818,8 +787,8 @@ def _log_tau_layers(data: EdgeTailData, g: int, vertex_cache: dict) -> List[List
     factor q^i_k, to the coefficient of hbar^{(d - m)/2} times their
     product, with m the length of the tuple; the coefficient includes 1/c!
     for a factor repeated c times.  A vertex without edges has the empty
-    tuple in its own index's layers.  Correlators come from
-    ``vertex_cache`` when it holds them; the ones computed here are added
+    tuple in its own index's layers.  Correlators come from the memo
+    ``data.vertices`` when it holds them; the ones computed here are added
     to it."""
     kq = 3 * g - 4  # largest psi-power any vertex can absorb
     top = 2 * g - 2
@@ -837,7 +806,7 @@ def _log_tau_layers(data: EdgeTailData, g: int, vertex_cache: dict) -> List[List
                     for ks in _ascending_tuples(m, s, 0):
                         if ks and ks[-1] > kq:
                             continue
-                        coeff = _cached_vertex((g_v, i, ks), data, vertex_cache)
+                        coeff = _cached_vertex((g_v, i, ks), data)
                         if coeff is None:
                             continue
                         denom = 1
@@ -900,51 +869,35 @@ def _exp_by_index(per_index: List[List[dict]]) -> dict:
     return {d: acc[d] for d in range(2, top + 1, 2)}
 
 
-def wick_oracle(
-    data: EdgeTailData,
-    g: int,
-    vertex_cache: Optional[dict] = None,
-    edge_weights: Optional[dict] = None,
-):
+def wick_oracle(data: EdgeTailData, g: int):
     """F^g from the same edge/tail data by expanding the operator exponential
     directly; graph-free, hence an independent check of the graph sum.
 
-    ``vertex_cache`` is a table of vertex correlators keyed like the graph
-    sum's (:attr:`GenusReport.vertex_cache`); correlators missing from it
-    are computed on the process intersection table, as the graph sum's
-    are, and added.  ``edge_weights`` is :func:`edge_weight_table`
-    of ``data`` (:attr:`GenusReport.edge_weights`), formed here when not
-    passed.  The expansion and its logarithm run on the numbers ``data``
-    holds, at the precision :func:`graph_sum` states."""
+    It reads the vertex correlators and edge weights ``data`` keeps, as the
+    graph sum does: correlators missing from the memo ``data.vertices`` are
+    computed on the process intersection table and added.  The expansion
+    and its logarithm run on the numbers ``data`` holds, at the precision
+    :func:`graph_sum` states."""
     if g < 2:
         raise ValueError("the expansion is normalized for genus >= 2")
     _require_orders(data, g)
-    if vertex_cache is None:
-        vertex_cache = {}
-    if edge_weights is None:
-        edge_weights = edge_weight_table(data)
     ctx = _context_of(data.delta[0])
     with ctx.guard():
         connected = {(0,): 1}
-        for b, z in wick_moments(data, g, vertex_cache, edge_weights).items():
+        for b, z in wick_moments(data, g).items():
             connected[(b,)] = from_kernel(z)
         logged = TruncatedSeries(Caps.total(("h",), g - 1), connected).log(ctx)
         return logged.scalar_coeff((g - 1,))
 
 
-def wick_moments(
-    data: EdgeTailData,
-    g: int,
-    vertex_cache: dict,
-    edge_weights: dict,
-) -> dict:
+def wick_moments(data: EdgeTailData, g: int) -> dict:
     """The coefficients Z_b of hbar^b, 1 <= b < g, of exp(P) exp(log tau)
     at q = 0, in the numbers ``data`` holds; vanishing ones are left out.
     F^g is the hbar^{g-1} coefficient of log(1 + sum_b Z_b hbar^b).  The
-    propagator weights are read from ``edge_weights``, the
-    :func:`edge_weight_table` of ``data``."""
+    propagator weights are read from ``data.edge_weights``."""
     kq = 3 * g - 4
-    powers = _exp_by_index(_log_tau_layers(data, g, vertex_cache))
+    powers = _exp_by_index(_log_tau_layers(data, g))
+    edge_weights = data.edge_weights
 
     # propagator weights C_uv = V^{ij}_{kl} sqrt(Delta_i Delta_j) for
     # u = slot (i, k) <= v = slot (j, l); slot (i, k) is i(kq + 1) + k,

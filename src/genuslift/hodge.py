@@ -35,12 +35,13 @@ Then with P = (1/2) sum v_kl d_{Q_k} d_{Q_l},
 ``hodge_lemma_residual`` checks the identity coefficient by coefficient
 as an equality of truncated series.
 
-The quotient is the division of ``rmatrix._divide`` on the 1 x 1 table
-N_pq = e_p e_q of the coefficients of E(z) = exp{sum a_k z^{2k-1}}, which
-returns (-1)^{k+l} Q_kl, the sign v carries.  So v and Qtilde are the edge
-and tail data of the one-dimensional R(z) = E(z): on the point model,
-``twist_R`` of R = 1 by a gives V^{00}_{kl} = v_kl, and its tails
-T_k = (-1)^k e_{k-1} are the constants of Qtilde_k for k >= 2.
+The quotient is the division of ``rmatrix._divide`` on the coefficients
+e_p of E(z) = exp{sum a_k z^{2k-1}} as 1 x 1 matrices, whose products
+N_pq = e_p e_q it forms; it returns (-1)^{k+l} Q_kl, the sign v carries.
+So v and Qtilde are the edge and tail data of the one-dimensional
+R(z) = E(z): on the point model, ``twist_R`` of R = 1 by a gives
+V^{00}_{kl} = v_kl, and its tails T_k = (-1)^k e_{k-1} are the constants
+of Qtilde_k for k >= 2.
 """
 
 from __future__ import annotations
@@ -309,10 +310,10 @@ def _closed_form(terms, zcap: int, q_index: int, extra: Sequence[Tuple[str, int]
 
     E(z) = exp(exponent) is expanded to z^zcap over the ``extra`` variables
     x (name, degree); ``key`` is a monomial in x.  Its coefficients e_p,
-    series in x, give the coupling change, and the products
-    N_pq = e_p e_q (zero past z^zcap or w^zcap) give v through the 1 x 1
-    division (E(z)E(w) - 1)/(z + w) of ``rmatrix._divide``.  Entries come
-    back as dicts over x-exponent keys: v[(k, l)] is v_kl, and
+    series in x, give the coupling change, and as 1 x 1 matrices (zero past
+    z^zcap) they give v through the division (E(z)E(w) - 1)/(z + w) of
+    ``rmatrix._divide``, which forms the products N_pq = e_p e_q.  Entries
+    come back as dicts over x-exponent keys: v[(k, l)] is v_kl, and
     Qtilde_k = consts[k] + sum_j matrix[k][j] Q_j for k <= q_index.
     """
     names = tuple(nm for nm, _ in extra)
@@ -323,8 +324,8 @@ def _closed_form(terms, zcap: int, q_index: int, extra: Sequence[Tuple[str, int]
     e = [TruncatedSeries(xring) for _ in range(order + 1)]
     for key, val in e_z.c.items():
         e[key[0]].c[key[1:]] = val
-    products = {(p, q): [[e[p] * e[q]]] for p in range(order + 1) for q in range(order + 1 - p)}
-    quotient, _ = _divide(products, order, order - 1, [[1]])
+    coefficients = [[[x]] for x in e]
+    quotient, _ = _divide(coefficients, coefficients, order, order - 1, [[1]])
     # the quotient already carries the sign of v: (-1)^{k+l} Q_kl
     v = {(k, l): entry.c for (_, _, k, l), entry in quotient.items()}
 

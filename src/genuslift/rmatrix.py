@@ -37,7 +37,9 @@ itself, and :func:`compute_V`, :func:`compute_T` and
 tables are lifted once to the scale their numbers need
 (:meth:`EdgeTailData.in_kernel`, the one scale this module picks) and
 reach the graph sum and the Wick oracle in the form those run on: the
-consumers convert nothing.
+consumers convert nothing.  The tables derived from them, the edge weights
+and the memo of vertex correlators, live on the same :class:`EdgeTailData`,
+so every sum over one point's data shares them.
 
 The jet recursion works for any semisimple point.  In the canonical frame
 the flatness equations determine R recursively.  Writing
@@ -70,23 +72,28 @@ Q_{k,l} = N_{k,l+1} - Q_{k-1,l+1} (Q_{-1,.} = 0) and V^{ij}_{kl} =
 N(z, -z) - delta = sum_m z^m (sum_{p+q=m} (-1)^q N_pq - delta_{m,0}),
 which is exactly the unitarity residual, so one table of N_pq feeds both.
 
-That division, :func:`_divide`, is the package's one division by z + w.
-It takes any table of matrices N_pq over any ring and the unit to
-subtract, and serves:
+That division, :func:`_divide`, is the package's one division by z + w,
+and the one place its table is formed.  It takes two sequences of
+matrices over any ring, forms N_pq = left[p] right[q]^T (a factor that is
+the identity, such as R_0 = 1, enters no product), subtracts the unit, and
+serves:
 
-* V and the unitarity of R (N_pq = R_p R_q^T, unit 1);
+* V and the unitarity of R (left = right = R_k, unit 1);
 * the unitarity of the calibration S (``descendent``: N_pq = S_p^T g S_q
-  in 1/z and 1/w, unit g), whose quotient the genus-0 two-point
-  descendents W of the tests' reference read (``tests/oracles.py``);
-* the propagator v of the Hodge-twisted point (``hodge``: the 1 x 1
-  N_pq = e_p e_q of E(z) = exp sum a_k z^{2k-1}, unit 1).  That is V of
-  R(z) = E(z), and its tails T are the constants of Qtilde.
+  in 1/z and 1/w, from left = S_p^T and right = S_q^T g, unit g), whose
+  quotient the genus-0 two-point descendents W of the tests' reference
+  read (``tests/oracles.py``);
+* the propagator v of the Hodge-twisted point (``hodge``: left = right =
+  the coefficients e_p of E(z) = exp sum a_k z^{2k-1} as 1 x 1 matrices,
+  unit 1).  That is V of R(z) = E(z), and its tails T are the constants of
+  Qtilde.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -316,24 +323,8 @@ def unitarity_residual(r: RSeries, remainders: list | None = None) -> object:
     m <= order: the remainder of the division of :func:`compute_V`, which
     passes its ``remainders`` (:func:`_divide`)."""
     if remainders is None:
-        remainders = _divide(_products(r), r.order, -1, identity(r.dimension, 1, 0))[1]
+        remainders = _divide(r.mats, r.mats, r.order, -1, identity(r.dimension, 1, 0))[1]
     return r.frame.ctx.max_abs([x for mat in remainders for row in mat for x in row])
-
-
-def _products(r: RSeries) -> Dict[Tuple[int, int], list]:
-    """The table N_pq = R_p R_q^T for p + q <= order.  R_0 = 1, so N_p0 = R_p
-    and N_0q = R_q^T need no product."""
-    mats = r.mats
-    table = {}
-    for p in range(r.order + 1):
-        for q in range(r.order + 1 - p):
-            if q == 0:
-                table[p, q] = mats[p]
-            elif p == 0:
-                table[p, q] = transpose(mats[q])
-            else:
-                table[p, q] = mat_mul(mats[p], transpose(mats[q]))
-    return table
 
 
 def twist_R(r: RSeries, gauge: Sequence[Sequence]) -> RSeries:
@@ -423,7 +414,15 @@ def bernoulli_constants(chars: Sequence[Sequence], kmax: int) -> List[List[Fract
 class EdgeTailData:
     """Everything a graph sum needs: per-index normalizations and the V/T
     tables.  Decoupled from frames so synthetic rational instances can drive
-    the exact pipeline."""
+    the exact pipeline.
+
+    The tables derived from them live here too, so every graph sum and Wick
+    oracle on this data shares them: ``vertices`` memoizes the vertex
+    correlators, (g_v, i, sorted edge powers) mapping to the correlator of
+    (T^i, Delta_i), or to None where it vanishes (``genus._cached_vertex``
+    fills it), and :attr:`edge_weights` is formed on first use.  New data,
+    from ``dataclasses.replace`` or :meth:`in_kernel`, starts without
+    either."""
 
     dimension: int
     delta: list
@@ -433,12 +432,27 @@ class EdgeTailData:
     v_cutoff: int
     t_cutoff: int
     residuals: dict = field(default_factory=dict)
+    vertices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def v_entry(self, i, j, k, l):
         key = (i, j, k, l)
         if key in self.v:
             return self.v[key]
         return self.v.get((j, i, l, k), 0)
+
+    @cached_property
+    def edge_weights(self) -> dict:
+        """Edge weights V^{ij}_{kl} sqrt(Delta_i) sqrt(Delta_j) for k + l <=
+        ``v_cutoff``, keyed by (i, j, k, l); vanishing entries are kept as
+        the zeros they are."""
+        n, sd = self.dimension, self.sqrt_delta
+        return {
+            (i, j, k, l): self.v_entry(i, j, k, l) * sd[i] * sd[j]
+            for i in range(n)
+            for j in range(n)
+            for k in range(self.v_cutoff + 1)
+            for l in range(self.v_cutoff + 1 - k)
+        }
 
     def in_kernel(self, ctx: FloatContext) -> "EdgeTailData":
         """The producers' lift: this data as kernel scalars of ``ctx`` at the
@@ -480,7 +494,7 @@ def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
         cutoff = r.order - 1
     if cutoff > r.order - 1:
         raise ValueError("V cutoff exceeds the trustworthy range of R")
-    table, remainders = _divide(_products(r), r.order, cutoff, identity(r.dimension, 1, 0))
+    table, remainders = _divide(r.mats, r.mats, r.order, cutoff, identity(r.dimension, 1, 0))
     asymmetry = [v - table.get((j, i, l, k), 0) for (i, j, k, l), v in table.items()]
     residuals = {"v_symmetry": r.frame.ctx.max_abs(asymmetry)}
     if r.cross_residual is not None:
@@ -489,15 +503,31 @@ def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
     return table, residuals
 
 
-def _divide(products: dict, order: int, cutoff: int, unit) -> Tuple[Dict, list]:
+def _divide(
+    left: Sequence, right: Sequence, order: int, cutoff: int, unit
+) -> Tuple[Dict, list]:
     """Divide sum N_pq z^p w^q - ``unit`` by z + w through total degree
-    ``order``, for a table ``products`` of matrices N_pq (p + q <= order)
-    over any ring.  Returns the entries (-1)^{k+l} Q^{ij}_{kl} of the
-    quotient with k + l <= ``cutoff`` (the nonzero ones, keyed (i, j, k,
-    l)), from Q_{k,l} = N_{k,l+1} - Q_{k-1,l+1}, and the remainder
-    N(z, -z) - ``unit`` as one matrix per power of z, whose z^m entry is
-    N_{m,0} - Q_{m-1,0}."""
+    ``order``, where N_pq = left[p] right[q]^T (p + q <= order) for
+    matrices over any ring.  A factor ``left[0]`` or ``right[0]`` that is
+    the identity (R_0 = 1, S_0 = 1) enters no product.  Returns the entries
+    (-1)^{k+l} Q^{ij}_{kl} of the quotient with k + l <= ``cutoff`` (the
+    nonzero ones, keyed (i, j, k, l)), from Q_{k,l} = N_{k,l+1} -
+    Q_{k-1,l+1}, and the remainder N(z, -z) - ``unit`` as one matrix per
+    power of z, whose z^m entry is N_{m,0} - Q_{m-1,0}."""
     n = len(unit)
+    left_one, right_one = (
+        all(x == (1 if i == j else 0) for i, row in enumerate(m) for j, x in enumerate(row))
+        for m in (left[0], right[0])
+    )
+    products = {}
+    for p in range(order + 1):
+        for q in range(order + 1 - p):
+            if q == 0 and right_one:
+                products[p, q] = left[p]
+            elif p == 0 and left_one:
+                products[p, q] = transpose(right[q])
+            else:
+                products[p, q] = mat_mul(left[p], transpose(right[q]))
     table: Dict[Tuple[int, int, int, int], object] = {}
     remainders = [[[None] * n for _ in range(n)] for _ in range(order + 1)]
     for i in range(n):

@@ -107,7 +107,6 @@ from genuslift.descendent import (
     Calibration,
     CurvePoint,
     _brackets,
-    _pairings,
     _require_origin,
     _x_vectors,
     critical_point,
@@ -163,7 +162,10 @@ def _two_point_tables(svals, gmat, kmax: int) -> Dict[Tuple[int, int], list]:
 
     Ring-generic: entries may be floats or truncated series."""
     order = 2 * kmax + 1
-    quotient, _ = _divide(_pairings(svals, gmat, order), order, 2 * kmax, gmat)
+    # N_ab = S_a^T g S_b = S_a^T (S_b^T g)^T
+    left = [transpose(s) for s in svals[: order + 1]]
+    right = [transpose(mat_mul(gmat, s)) for s in svals[: order + 1]]
+    quotient, _ = _divide(left, right, order, 2 * kmax, gmat)
     n = len(gmat)
     tables = {}
     for m in range(kmax + 1):
@@ -595,21 +597,21 @@ def genus1_descendent_routes(
     if step == 0:
         raise ValueError(f"finite-difference step must be nonzero, not {step}")
 
-    center = descendent_frame(model, calibration, tau, ctx, order=1)
+    center_frame, center = descendent_frame(model, calibration, tau, ctx, order=1)
     with ctx.guard():
         denom = 60 * ctx.num(step)
         samples = {}
         for shift, _ in _STENCIL:
             curve = shifted(tau, direction, shift * step)
-            bold = descendent_frame(model, calibration, curve, ctx, order=1)
+            frame, bold = descendent_frame(model, calibration, curve, ctx, order=1)
             jacobian_det = det(
-                critical_inverse_jacobian(model, calibration, curve, ctx, critical=bold.critical)
+                critical_inverse_jacobian(model, calibration, curve, ctx, critical=frame.point)
             )
             samples[shift] = (
-                bold.frame.u_values(),
-                [ctx.num(x) for x in bold.data.delta],
+                frame.u_values(),
+                [ctx.num(x) for x in bold.delta],
                 mpmath.log(jacobian_det),
-                bold.critical,
+                frame.point,
             )
 
         def fd(pick):
@@ -622,11 +624,11 @@ def genus1_descendent_routes(
         for i in range(n):
             du_i = fd(lambda s, i=i: s[0][i])
             dd_i = fd(lambda s, i=i: s[1][i])
-            v00 = ctx.num(center.data.v_entry(i, i, 0, 0))
-            delta_i = ctx.num(center.data.delta[i])
+            v00 = ctx.num(center.v_entry(i, i, 0, 0))
+            delta_i = ctx.num(center.delta[i])
             curve_form = curve_form + v00 * du_i / 2 + dd_i / (48 * delta_i)
 
-        one_form = genus1_differential(center.frame, center.data)
+        one_form = genus1_differential(center_frame, center)
         pullback = ctx.num(0)
         for a in range(n):
             dt_a = fd(lambda s, a=a: s[3][a])

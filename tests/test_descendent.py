@@ -545,9 +545,9 @@ class TestBoldQuantities:
         # D^{-1/2} = -f'(t*), T_k = f^(k)(t*) sqrt(D) for f = tau(t) - t
         tau = CurvePoint(((Fraction(1, 5),), (Fraction(1, 7),), (Fraction(1, 11),),
                           (Fraction(1, 13),), (Fraction(1, 17),)))
-        bold = descendent_frame(POINT, POINT_CAL, tau, CTX, order=4)
+        frame, bold = descendent_frame(POINT, POINT_CAL, tau, CTX, order=4)
         with CTX.guard():
-            ts = bold.critical[0]
+            ts = frame.point[0]
 
             def fder(p):
                 acc = -CTX.num(1) if p == 1 else CTX.num(0)
@@ -555,10 +555,10 @@ class TestBoldQuantities:
                     acc += CTX.num(tau.coupling(k)[0]) * ts ** (k - p) / math.factorial(k - p)
                 return acc
 
-            sqrt_d = CTX.num(bold.data.sqrt_delta[0])
+            sqrt_d = CTX.num(bold.sqrt_delta[0])
             assert mpmath.fabs(1 / sqrt_d + fder(1)) < TIGHT
             for k in range(2, 6):
-                assert mpmath.fabs(CTX.num(bold.data.t[0][k]) - fder(k) * sqrt_d) < TIGHT
+                assert mpmath.fabs(CTX.num(bold.t[0][k]) - fder(k) * sqrt_d) < TIGHT
 
     def test_reduction_to_primary_data(self):
         tau = CurvePoint(((Fraction(1, 8), Fraction(3, 16)),))
@@ -569,17 +569,17 @@ class TestBoldQuantities:
         primary = edge_tail_data(r)
         with CTX.guard():
             for i in range(2):
-                assert mpmath.fabs(CTX.num(bold.data.delta[i]) - CTX.num(primary.delta[i])) < REDUCE
+                assert mpmath.fabs(CTX.num(bold.delta[i]) - CTX.num(primary.delta[i])) < REDUCE
                 assert mpmath.fabs(
-                    CTX.num(bold.data.sqrt_delta[i]) - CTX.num(primary.sqrt_delta[i])
+                    CTX.num(bold.sqrt_delta[i]) - CTX.num(primary.sqrt_delta[i])
                 ) < REDUCE
                 for k, v in primary.t[i].items():
-                    assert mpmath.fabs(CTX.num(bold.data.t[i][k]) - CTX.num(v)) < REDUCE
+                    assert mpmath.fabs(CTX.num(bold.t[i][k]) - CTX.num(v)) < REDUCE
             # one V table for both, each at the scale of its own data
             for key, v in primary.v.items():
-                assert from_kernel(bold.data.v[key]) == from_kernel(v)
-        assert bold.data.t_cutoff == primary.t_cutoff
-        assert bold.data.v_cutoff == primary.v_cutoff
+                assert from_kernel(bold.v[key]) == from_kernel(v)
+        assert bold.t_cutoff == primary.t_cutoff
+        assert bold.v_cutoff == primary.v_cutoff
 
     def test_criticality_residual_enforced(self):
         # a frame at the wrong point leaves a visible z^0 coefficient
@@ -591,11 +591,11 @@ class TestBoldQuantities:
 
     def test_branch_consistency(self):
         # flipping a sqrt branch flips sqrt(D) with the frame; D is invariant
-        a = descendent_frame(QUINTIC, QUINTIC_CAL, QUINTIC_TAU, CTX, order=2)
-        b = descendent_frame(
+        _, a = descendent_frame(QUINTIC, QUINTIC_CAL, QUINTIC_TAU, CTX, order=2)
+        _, b = descendent_frame(
             QUINTIC, QUINTIC_CAL, QUINTIC_TAU, CTX, order=2, sign_flips=(-1, 1)
         )
-        a, b = mpmath_data(a.data), mpmath_data(b.data)
+        a, b = mpmath_data(a), mpmath_data(b)
         with CTX.guard():
             assert mpmath.fabs(a.delta[0] - b.delta[0]) < TIGHT
             assert mpmath.fabs(a.sqrt_delta[0] + b.sqrt_delta[0]) < TIGHT
@@ -604,12 +604,11 @@ class TestBoldQuantities:
                 assert mpmath.fabs(b.t[0][k] - v) < TIGHT
 
     def test_edge_data_shape(self):
-        bold = descendent_frame(QUINTIC, QUINTIC_CAL, QUINTIC_TAU, CTX, order=3)
-        data = bold.data
+        _, data = descendent_frame(QUINTIC, QUINTIC_CAL, QUINTIC_TAU, CTX, order=3)
         assert data.dimension == 2
         assert data.t_cutoff == 4 and data.v_cutoff == 2
         assert "criticality" in data.residuals
-        assert t_entry(data, 0, 1) == 0 and t_entry(data, 0, 2) == bold.data.t[0][2]
+        assert t_entry(data, 0, 1) == 0 and t_entry(data, 0, 2) == data.t[0][2]
 
 
 class TestJacobianIdentity:
@@ -634,14 +633,14 @@ class TestJacobianIdentity:
                     assert mpmath.fabs(prod[i][j] - target) < mpmath.mpf("1e-25")
 
     def test_eigenvalues_are_delta_ratios(self):
-        bold = descendent_frame(QUINTIC, QUINTIC_CAL, QUINTIC_TAU, CTX, order=1)
+        frame, bold = descendent_frame(QUINTIC, QUINTIC_CAL, QUINTIC_TAU, CTX, order=1)
         A = critical_inverse_jacobian(
-            QUINTIC, QUINTIC_CAL, QUINTIC_TAU, CTX, critical=bold.critical
+            QUINTIC, QUINTIC_CAL, QUINTIC_TAU, CTX, critical=frame.point
         )
         with CTX.guard():
             eig = sorted(eigenvalues_float(A, CTX), key=lambda z: (mpmath.re(z), mpmath.im(z)))
             targets = sorted(
-                (mpmath.sqrt(bold.frame.delta_values()[i] / CTX.num(bold.data.delta[i]))
+                (mpmath.sqrt(frame.delta_values()[i] / CTX.num(bold.delta[i]))
                  for i in range(2)),
                 key=lambda z: (mpmath.re(z), mpmath.im(z)),
             )

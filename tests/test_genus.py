@@ -239,17 +239,28 @@ class TestHomogeneityScaling:
     """On two-primary d = 1/2, F_g depends on t1 alone (string equation)
     and is homogeneous of degree (3 - d)(1 - g) with t1 of weight 1/2, so
     F_g = c_g t1^{-5(g-1)}: moving t1 from 3/5 to 2/5 scales F_g by
-    (3/2)^{5(g-1)}, whatever t0.  No oracle enters."""
+    (3/2)^{5(g-1)}, whatever t0.  No oracle enters below genus 5; genus 5
+    is read through the Wick oracle, whose expansion needs no (5, 2)
+    graph-sum program."""
 
-    @pytest.mark.parametrize("g", [2, 3, 4])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_ratio_is_a_power_of_t1(self, g):
         model = two_primary_model(Fraction(1, 2))
-        near = genus_potential(model, (Fraction(1, 3), Fraction(2, 5)), g, CTX).value
-        far = genus_potential(model, (Fraction(-2, 7), Fraction(3, 5)), g, CTX).value
+        near, far = (
+            self.f_g(model, point, g)
+            for point in ((Fraction(1, 3), Fraction(2, 5)), (Fraction(-2, 7), Fraction(3, 5)))
+        )
         with CTX.guard():
             expect = CTX.num(Fraction(3, 2) ** (5 * (g - 1)))
             assert mpmath.fabs(far) > mpmath.mpf("1e-8")
             assert rel_err(near / far, expect) < mpmath.mpf("1e-70")
+
+    @staticmethod
+    def f_g(model, point, g):
+        if g < 5:
+            return genus_potential(model, point, g, CTX).value
+        _, r = frame_and_R(model, point, CTX, 3 * g - 3)
+        return wick_oracle(edge_tail_data(r), g)
 
 
 class TestOracleAgreement:
@@ -487,8 +498,8 @@ class TestSkeletonProgram:
         return type(x), x
 
     def assert_replays_walk(self, data, g):
-        cache, walked = {}, {}
-        replayed = skeleton_values(data, g, cache)
+        walked = {}
+        replayed = skeleton_values(data, g)
         reference = oracles.walk_skeleton_values(data, g, walked)
         assert [sk for sk, _ in replayed] == [sk for sk, _ in reference] == list(skeletons(g))
         for (_, got), (_, want) in zip(replayed, reference):
@@ -498,7 +509,7 @@ class TestSkeletonProgram:
                 assert got == 0
             else:
                 assert self.bits(got) == self.bits(want)
-        return cache, walked
+        return data.vertices, walked
 
     @pytest.mark.parametrize("g", [2, 3])
     @pytest.mark.parametrize("d", [Fraction(1, 2), Fraction(1, 3)])
@@ -524,14 +535,14 @@ class TestSkeletonProgram:
     @pytest.mark.parametrize("g", [2, 3])
     def test_point_model_bold_data(self, g):
         tau = CurvePoint(((Fraction(1, 50),), (Fraction(1, 40),), (Fraction(1, 30),)))
-        bold = descendent_frame(POINT, POINT_CAL, tau, CTX, order=3 * g - 3)
-        self.assert_replays_walk(bold.data, g)
+        _, bold = descendent_frame(POINT, POINT_CAL, tau, CTX, order=3 * g - 3)
+        self.assert_replays_walk(bold, g)
 
     @pytest.mark.parametrize("g, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
     def test_exact_on_rationals(self, g, n):
         data = synthetic_data(n, g, seed=900 + 10 * g + n)
         for (_, got), (_, want) in zip(
-            skeleton_values(data, g, {}), oracles.walk_skeleton_values(data, g)
+            skeleton_values(data, g), oracles.walk_skeleton_values(data, g)
         ):
             assert isinstance(got, (int, Fraction))
             assert got == want
@@ -573,7 +584,7 @@ class TestSkeletonProgram:
         cache = {}
         walked = oracles.walk_skeleton_values(data, 2, cache)
         # like the walk, the sum reads no vertex of a skeleton with edges
-        assert report.vertex_cache.keys() == cache.keys()
+        assert report.data.vertices.keys() == cache.keys()
         for (sk, got), (_, want) in zip(report.contributions, walked):
             rendered = format_value(CTX.chop(got), CTX)
             assert rendered == format_value(CTX.chop(from_kernel(want)), CTX)
@@ -597,14 +608,14 @@ class TestSkeletonProgram:
         assert all(out is None or out < inputs for out in program.outputs)
 
     @pytest.mark.parametrize(
-        "g, n, products, sums", [(2, 3, 189, 40), (3, 2, 2236, 616)]
+        "g, n, products, sums", [(2, 3, 189, 16), (3, 2, 2236, 428)]
     )
     def test_each_product_and_sum_is_formed_once(self, g, n, products, sums):
         # one skeleton at a time formed 210 products at (2, 3), and 3,592
         # products and 722 sums at (3, 2)
         steps = graph_sum_program(g, n).steps
-        assert sum(len(ops) // 2 for counts, ops in steps if counts is None) <= products
-        assert sum(len(counts) for counts, _ in steps if counts is not None) <= sums
+        assert sum(len(ops) // 2 for counts, ops in steps if counts is None) == products
+        assert sum(len(counts) for counts, _ in steps if counts is not None) == sums
         pairs = [pair for counts, ops in steps if counts is None
                  for pair in zip(ops[:len(ops) // 2], ops[len(ops) // 2:])]
         assert len(pairs) == len(set(pairs))
@@ -647,7 +658,7 @@ class TestExactZeros:
     def ratio(d, point):
         rep = genus_potential(two_primary_model(d), point, 3, CTX)
         # the scale is the largest decorated graph, not the largest skeleton
-        decorated = decorated_sum(rep.data, 3, ctx=CTX, vertex_cache=rep.vertex_cache)
+        decorated = decorated_sum(rep.data, 3, ctx=CTX, vertex_cache=rep.data.vertices)
         with CTX.guard():
             largest = max(mpmath.fabs(v) for _, v in decorated)
             return mpmath.fabs(rep.value) / largest
@@ -720,7 +731,7 @@ class TestKernelRepresentation:
             for (_, got), (_, want) in zip(rep.contributions, reference):
                 assert mpmath.fabs(got - want) < gate
             assert mpmath.fabs(rep.value - sum(v for _, v in reference)) < gate
-            wick = wick_oracle(rep.data, g, vertex_cache=rep.vertex_cache)
+            wick = wick_oracle(rep.data, g)
             assert mpmath.fabs(wick - wick_oracle(data, g)) < gate
 
     def test_kernel_data_runs_at_its_own_precision(self):
@@ -759,7 +770,7 @@ class TestSharedVertexCache:
         rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
         # one call per distinct (g_v, i_v, edge powers) over all 42 skeletons
         assert len(calls) == len(set(calls)) == 114
-        decorated = decorated_sum(rep.data, 3, ctx=CTX, vertex_cache=dict(rep.vertex_cache))
+        decorated = decorated_sum(rep.data, 3, ctx=CTX, vertex_cache=dict(rep.data.vertices))
         # the 271 decorated graphs reach no vertex the skeletons did not
         assert len(calls) == 114
         calls.clear()
@@ -782,11 +793,34 @@ class TestSharedVertexCache:
             return original(self, i, j, k, l)
 
         monkeypatch.setattr(EdgeTailData, "v_entry", counting)
-        again = graph_sum(rep.data, 3)
+        again = graph_sum(replace(rep.data), 3)
         # one table entry per (i, j) and k + l <= v_cutoff = 5, shared by
         # all 42 skeletons
         assert len(calls) == len(set(calls)) == 4 * 21
         assert again.value == rep.value
+
+    def test_data_keep_their_tables(self, monkeypatch):
+        # the vertex memo and the edge weights live on the data: a second
+        # graph sum and a second Wick oracle on it form neither again
+        model = two_primary_model(Fraction(1, 2))
+        _, r = frame_and_R(model, (Fraction(2, 7), Fraction(3, 5)), CTX, 6)
+        data = edge_tail_data(r)
+        first = graph_sum(data, 3)
+        wick = wick_oracle(data, 3)
+        assert len(data.vertices) == 116
+
+        def forbidden(*args):
+            raise AssertionError("formed again")
+
+        monkeypatch.setattr(genus_module, "vertex_correlator", forbidden)
+        monkeypatch.setattr(EdgeTailData, "v_entry", forbidden)
+        assert graph_sum(data, 3).value == first.value
+        assert wick_oracle(data, 3) == wick
+        # new data start without either table
+        fresh = replace(data)
+        assert fresh.vertices == {} and "edge_weights" not in vars(fresh)
+        with pytest.raises(AssertionError, match="formed again"):
+            graph_sum(fresh, 3)
 
 
 class TestSeriesProductPruning:
@@ -888,13 +922,13 @@ class TestWickExpansion:
 
         monkeypatch.setattr(genus_module, "vertex_correlator", counting)
         monkeypatch.setattr(genus_module, "gaussian_moment", spying)
-        assert len(rep.vertex_cache) == 114
-        shared = wick_oracle(rep.data, 3, vertex_cache=rep.vertex_cache)
+        assert len(rep.data.vertices) == 114
+        shared = wick_oracle(rep.data, 3)
         # the graph sum already holds 114 of the oracle's 116 correlators
         assert len(calls) == 2
-        assert len(rep.vertex_cache) == 116
+        assert len(rep.data.vertices) == 116
         calls.clear()
-        alone = wick_oracle(rep.data, 3)
+        alone = wick_oracle(replace(rep.data), 3)
         assert len(calls) == len(set(calls)) == 116
         # one memo per call, holding every even monomial reached
         assert [len(m) for m in memos] == [251, 251]
@@ -922,7 +956,7 @@ class TestWickExpansion:
     )
     def test_graded_exp_is_the_series_exp(self, shape, seed):
         g, n = shape
-        layers = summed_layers(_log_tau_layers(synthetic_data(n, g, seed), g, {}))
+        layers = summed_layers(_log_tau_layers(synthetic_data(n, g, seed), g))
         slots = n * (3 * g - 3)
         names = ("h",) + tuple(f"q{s}" for s in range(slots))
         grading = dict.fromkeys(names, 1)
@@ -946,7 +980,7 @@ class TestWickExpansion:
 
     @pytest.mark.parametrize("g, n", [(2, 1), (2, 3), (3, 2)])
     def test_exp_by_index_is_the_exp_of_the_sum(self, g, n):
-        per_index = _log_tau_layers(synthetic_data(n, g, seed=700 + 10 * g + n), g, {})
+        per_index = _log_tau_layers(synthetic_data(n, g, seed=700 + 10 * g + n), g)
         # every index has a genus-2 vertex without edges on the empty tuple:
         # from two indices on, two degree splits meet on that tuple
         assert all(layers[2].get(()) for layers in per_index)
@@ -976,10 +1010,10 @@ class TestWickExpansion:
     def test_shared_table_is_sound(self):
         data = synthetic_data(2, 3, seed=321)
         report = graph_sum(data, 3)
-        shared = wick_oracle(data, 3, vertex_cache=report.vertex_cache)
-        assert shared == wick_oracle(data, 3)
+        shared = wick_oracle(data, 3)
+        assert shared == wick_oracle(replace(data), 3)
         assert shared == report.value
-        for (g_v, i, ks), value in report.vertex_cache.items():
+        for (g_v, i, ks), value in data.vertices.items():
             fresh = vertex_correlator(g_v, ks, data.t[i], data.delta[i])
             assert (0 if value is None else value) == fresh
             assert (value is None) == (fresh == 0)

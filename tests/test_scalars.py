@@ -579,3 +579,50 @@ def test_one_intersection_table_in_src():
                     builders.append(f"{path.name}:{scope.get(id(node), '<module>')}")
     assert takers == []
     assert sorted(builders) == ["cli.py:_selftest_checks", "intersection.py:<module>"]
+
+
+def _forms_products(node) -> bool:
+    """Whether ``node`` multiplies: a ``*`` or a ``mat_mul`` call."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult):
+            return True
+        if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "mat_mul":
+            return True
+    return False
+
+
+def test_derived_tables_live_with_their_data():
+    """The vertex correlators and edge weights of a graph sum live on its
+    ``EdgeTailData``, and the bold data and their frame travel as a pair:
+    no function in ``src/`` takes a ``vertex_cache``, ``edge_weights`` or
+    ``frame_data``.  The table N_pq = left[p] right[q]^T that a division by
+    z + w divides is formed by ``rmatrix._divide`` alone: no other function
+    multiplies by a transpose or fills a table keyed by pairs (p, q) with
+    products."""
+    takers, builders = [], set()
+    for path in sorted(Path(genuslift.__file__).parent.glob("*.py")):
+        scope = {}
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{scope.get(id(node), '<module>')}"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # breadth first: an inner definition overrides its outer one
+                scope.update({id(inner): node.name for inner in ast.walk(node)})
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if arg.arg in ("vertex_cache", "edge_weights", "frame_data"):
+                        takers.append(f"{path.name}:{node.name}({arg.arg})")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "mat_mul":
+                if any(getattr(arg, "func", None) is not None
+                       and getattr(arg.func, "id", None) == "transpose" for arg in node.args):
+                    builders.add(where)
+            elif isinstance(node, ast.DictComp):
+                if (isinstance(node.key, ast.Tuple) and len(node.key.elts) == 2
+                        and _forms_products(node.value)):
+                    builders.add(where)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Tuple)
+                            and len(target.slice.elts) == 2 and _forms_products(node.value)):
+                        builders.add(where)
+    assert takers == []
+    assert sorted(builders) == ["rmatrix.py:_divide"]

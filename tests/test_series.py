@@ -43,8 +43,8 @@ class TestZeroTest:
         caps = Caps.total(("x",), 4)
         e = [TruncatedSeries.const(caps, Fraction(1)), TruncatedSeries.var(caps, "x"),
              TruncatedSeries(caps)]
-        products = {(p, q): [[e[p] * e[q]]] for p in range(3) for q in range(3 - p)}
-        table, remainders = _divide(products, 2, 1, [[1]])
+        coefficients = [[[x]] for x in e]
+        table, remainders = _divide(coefficients, coefficients, 2, 1, [[1]])
         assert sorted(table) == [(0, 0, 0, 0), (0, 0, 1, 0)]
         assert table[0, 0, 0, 0] == e[1] and table[0, 0, 1, 0] == -(e[1] * e[1])
         # the remainder E(z) E(-z) - 1 = -x^2 z^2

@@ -106,11 +106,9 @@ def _one_scale(ctx: FloatContext, u, delta, sqrt_delta, psi, conformal: bool) ->
     1/(u_j - u_i) and 1/sqrt(Delta_i), keep the working precision, and the
     products of Psi that form V = Psi mu Psi^{-1} stay exact to the scale
     of their largest factor.  Jets hand in their constant terms, whose gaps
-    are formed at working precision; the order-0 ring hands in kernel
-    scalars at the scale it settled, whose gaps are exact, and they pass
-    through, or shift left exactly where rounding moved a value across a
-    power of two.  A frame that is not conformal has no gaps: its u are
-    integrated from anchors, not eigenvalues."""
+    are formed at working precision (the order-0 ring settles its kernel
+    scalars itself, ``_Kernel.settle``).  A frame that is not conformal has
+    no gaps: its u are integrated from anchors, not eigenvalues."""
     n = len(u)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if conformal else []
     gaps = [u[j] - u[i] for i, j in pairs]
@@ -356,27 +354,30 @@ class _Kernel:
         return x
 
     def settle(self, u, delta, sqrt_delta, psi, conformal) -> Optional[FrameKernel]:
-        """The values converted to the ``_kernel_shift`` of the gaps u_j -
-        u_i (conformal frames), Delta, sqrt(Delta) and Psi, then at one
-        scale (:func:`_one_scale`).  When that scale is finer than the one
+        """The values at one scale, the ``_kernel_shift`` of the gaps u_j -
+        u_i (conformal frames), Delta, sqrt(Delta) and Psi, as
+        :func:`_one_scale` picks it for jets; the gaps are formed again from
+        the converted u, exactly.  When that scale is finer than the one
         they were computed at, and they were not computed at a least scale
         already, it becomes ``least_shift``, the least scale of one rerun,
         and nothing is returned."""
         n = len(u)
-        gaps = [u[j] - u[i] for i in range(n) for j in range(i + 1, n)] if conformal else []
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if conformal else []
+        gaps = [u[j] - u[i] for i, j in pairs]
         values = [*gaps, *delta, *sqrt_delta, *(x for row in psi for x in row)]
         shift = _kernel_shift(self.ctx.prec_bits, values)
         if shift > self.kind.shift and not self.least_shift:
             self.least_shift = shift
             return None
-        out = _fixed_type(shift, self.ctx.prec_bits).convert
-        return _one_scale(
-            self.ctx,
-            [out(x) for x in u],
-            [out(x) for x in delta],
-            [out(x) for x in sqrt_delta],
-            [[out(x) for x in row] for row in psi],
-            conformal,
+        kind = _fixed_type(shift, self.ctx.prec_bits)
+        out = kind.convert
+        u = [out(x) for x in u]
+        return FrameKernel(
+            kind=kind,
+            gaps={(i, j): u[j] - u[i] for i, j in pairs},
+            delta=[out(x) for x in delta],
+            sqrt_delta=[out(x) for x in sqrt_delta],
+            psi=[[out(x) for x in row] for row in psi],
         )
 
     def series(self, x) -> TruncatedSeries:

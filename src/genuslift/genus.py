@@ -19,14 +19,13 @@ numbered registers for all skeletons of genus g, and
 :func:`skeleton_values` replays it on the edge weights and vertex
 correlators of the data at hand and reads each skeleton's sum from its own
 register.  Each skeleton is walked along its memoized :func:`walk_plan`,
-which places the vertices greedily from each start vertex, scores each such
-order straight from the order by the states the walk would create, and
-builds the plan of the cheapest order only.  A vertex is multiplied in
-once its last half-edge has a power, and the sum over the remaining edges
-is one register per edge reached and (index, sorted powers) of every
-still-open vertex; a closed vertex drops out of that key, so labelings and
-power assignments that differ only at closed vertices share one suffix
-sum.  The walk runs over a single index; labeling it by N indices gives
+which places the vertices by one sort key: ascending psi cap, then number
+of edges, then vertex number.  A vertex is multiplied in once its last
+half-edge has a power, and the sum over the remaining edges is one register
+per edge reached and (index, sorted powers) of every still-open vertex; a
+closed vertex drops out of that key, so labelings and power assignments
+that differ only at closed vertices share one suffix sum.  The walk runs
+over a single index; labeling it by N indices gives
 the skeleton's terms in the walk's order, and as they are labeled each
 product of two registers (left to right) and each sum of terms (in order)
 enters the program once: a skeleton reads a product or sum that another
@@ -130,38 +129,30 @@ class WalkPlan(NamedTuple):
     vertices that edge e reaches first, whose index the walk chooses there;
     ``closes[e]`` are the vertices whose last half-edge is edge e and
     ``still_open[e]`` those with a half-edge at or before e and one after
-    it.  ``caps`` are the psi caps and ``reach`` the largest joint budget
-    k + l any edge can ask of V."""
+    it.  ``caps`` are the psi caps."""
 
     edges: Tuple[Tuple[int, int], ...]
     opens: Tuple[Tuple[int, ...], ...]
     closes: Tuple[Tuple[int, ...], ...]
     still_open: Tuple[Tuple[int, ...], ...]
     caps: Tuple[int, ...]
-    reach: int
 
 
-def _walk_edges(adj, order: Sequence[int]) -> List[Tuple[int, int]]:
-    """The edges of the walk that places the vertices in ``order``: each
-    vertex brings its edges to the vertices placed before it, then its
-    loops; (v, w) once per parallel edge."""
+def _plan(sk: Skeleton, order: Sequence[int]) -> WalkPlan:
+    """The walk that places the vertices in ``order``: each vertex brings
+    its edges to the vertices placed before it, then its loops; (v, w) once
+    per parallel edge."""
+    adj = sk.adjacency
     edges: List[Tuple[int, int]] = []
     for pos, x in enumerate(order):
         for y in order[:pos]:
             edges.extend([(y, x)] * adj[y][x])
         edges.extend([(x, x)] * adj[x][x])
-    return edges
-
-
-def _plan(sk: Skeleton, order: Sequence[int]) -> WalkPlan:
-    """The walk that places the vertices in ``order``."""
-    edges = _walk_edges(sk.adjacency, order)
     first, last = {}, {}
     for e, (v, w) in enumerate(edges):
         for x in (v, w):
             first.setdefault(x, e)
             last[x] = e
-    caps = tuple(sk.psi_cap(v) for v in range(len(sk.genera)))
     return WalkPlan(
         edges=tuple(edges),
         opens=tuple(
@@ -173,47 +164,8 @@ def _plan(sk: Skeleton, order: Sequence[int]) -> WalkPlan:
         still_open=tuple(
             tuple(x for x in sorted(last) if first[x] <= e < last[x]) for e in range(len(edges))
         ),
-        caps=caps,
-        # a loop draws both half-edges from one shared budget
-        reach=max((caps[v] if v == w else caps[v] + caps[w] for v, w in edges), default=0),
+        caps=tuple(sk.psi_cap(v) for v in range(len(sk.genera))),
     )
-
-
-def _greedy_order(adj, start: int) -> List[int]:
-    """From ``start``, append the unplaced vertex with the most edges into
-    the placed ones, the lowest on ties."""
-    order = [start]
-    links = list(adj[start])
-    left = [y for y in range(len(adj)) if y != start]
-    while left:
-        y = max(left, key=lambda y: (links[y], -y))
-        left.remove(y)
-        order.append(y)
-        links = [a + b for a, b in zip(links, adj[y])]
-    return order
-
-
-def _order_cost(adj, order: Sequence[int], weights: Sequence[int]) -> int:
-    """The cost of the walk that places the vertices in ``order``: the sum
-    over its edges of the product of ``weights`` over the vertices still
-    open there (a half-edge at or before the edge and one after it), kept
-    as a running product while the edges are read once."""
-    edges = _walk_edges(adj, order)
-    last = {}
-    for e, (v, w) in enumerate(edges):
-        last[v] = last[w] = e
-    seen = set()
-    states, total = 1, 0
-    for e, (v, w) in enumerate(edges):
-        for x in (v,) if v == w else (v, w):
-            if x not in seen:
-                seen.add(x)
-                if last[x] > e:
-                    states *= weights[x]
-            elif last[x] == e:
-                states //= weights[x]
-        total += states
-    return total
 
 
 @cache
@@ -222,22 +174,13 @@ def walk_plan(sk: Skeleton) -> WalkPlan:
     in which :func:`_record` walks the skeleton's sum, and so the order of
     the products and sums every replay forms.
 
-    From every start vertex a greedy order appends the unplaced vertex with
-    the most edges into the placed ones (the lowest on ties).  Each order is
-    scored straight from the order by the sum over its edges of the product
-    over the still-open vertices of 2 (cap + 1), an estimate of the states
-    the recording creates (two indices and cap + 1 power sums per
-    still-open vertex); the plan is built for the least-scored order only,
-    the earliest start on ties."""
-    adj = sk.adjacency
-    weights = [2 * (sk.psi_cap(v) + 1) for v in range(len(sk.genera))]
-    best = best_cost = None
-    for start in range(len(adj)):
-        order = _greedy_order(adj, start)
-        cost = _order_cost(adj, order, weights)
-        if best is None or cost < best_cost:
-            best, best_cost = order, cost
-    return _plan(sk, best)
+    The vertices are placed by one sort key, ascending psi cap, then number
+    of edges (a loop once), then vertex number; no order is searched.  A
+    still-open vertex multiplies the states of every edge it stays open
+    across by its power choices, so the vertices with the largest caps and
+    the most edges are opened last, where few edges remain."""
+    n = len(sk.genera)
+    return _plan(sk, sorted(range(n), key=lambda v: (sk.psi_cap(v), sum(sk.adjacency[v]), v)))
 
 
 class GraphSumProgram(NamedTuple):

@@ -35,9 +35,6 @@ library produces by another route:
   form and automorphisms found by trying every vertex order that keeps the
   colour cells (``least_form_by_orders``); the library generates them by
   one-edge degenerations and searches the orders row by row;
-* ``walk_plan_by_plans``: a skeleton's walk plan by building the plan of
-  every greedy start order and scoring it; the library scores the orders
-  and builds the winner's plan only;
 * decorated graphs: ``enumerate_graphs`` lists the stable graphs with a
   canonical index on every vertex, one labeling per automorphism orbit of
   each skeleton, and ``evaluate_graph`` sums one of them edge by edge with
@@ -117,8 +114,6 @@ from genuslift.frobenius import FrobeniusModel
 from genuslift.expressions import Expression, _bounded, _multi_indices, t_names
 from genuslift.genus import (
     _STENCIL,
-    WalkPlan,
-    _plan,
     genus1_differential,
     genus1_one_form,
     walk_plan,
@@ -818,42 +813,6 @@ def _skeleton_by_orders(genera: Tuple[int, ...], form: Tuple[int, ...], colors) 
     return Skeleton(genera=genera, adjacency=adj, automorphisms=autos, edge_aut=_edge_aut(adj, n))
 
 
-# -- walk plans by building every plan -------------------------------------------
-
-
-def _plan_cost(plan: WalkPlan) -> int:
-    """Sum over edges of prod over the still-open vertices of 2 (cap + 1):
-    an estimate of the states the walk records, counting two indices and
-    cap + 1 power sums per still-open vertex."""
-    total = 0
-    for group in plan.still_open:
-        states = 1
-        for x in group:
-            states *= 2 * (plan.caps[x] + 1)
-        total += states
-    return total
-
-
-def walk_plan_by_plans(sk: Skeleton) -> WalkPlan:
-    """The walk plan the library picks, found by building the plan of the
-    greedy order from every start vertex and keeping the first of least
-    :func:`_plan_cost`."""
-    adj = sk.adjacency
-    n = len(sk.genera)
-    best = None
-    for start in range(n):
-        order = [start]
-        while len(order) < n:
-            order.append(max(
-                (y for y in range(n) if y not in order),
-                key=lambda y: (sum(adj[x][y] for x in order), -y),
-            ))
-        plan = _plan(sk, order)
-        if best is None or _plan_cost(plan) < _plan_cost(best):
-            best = plan
-    return best
-
-
 Vertex = Tuple[int, int]  # (genus, canonical index)
 
 
@@ -1133,10 +1092,11 @@ def walk_skeleton_sum(
     correlator on ``data``, or to None where it vanishes, and is extended
     here; ``edge_weights`` is :func:`edge_weight_rows` of ``data``."""
     plan = walk_plan(sk)
-    if plan.reach > data.v_cutoff:
-        raise ValueError(
-            f"edge coefficients known to order {data.v_cutoff}, need {plan.reach}"
-        )
+    caps = plan.caps
+    # a loop draws both half-edges from one shared budget
+    reach = max((caps[v] if v == w else caps[v] + caps[w] for v, w in plan.edges), default=0)
+    if reach > data.v_cutoff:
+        raise ValueError(f"edge coefficients known to order {data.v_cutoff}, need {reach}")
     genera = sk.genera
     edges, opens, closes, still_open = plan.edges, plan.opens, plan.closes, plan.still_open
     n_edges = len(edges)

@@ -38,7 +38,6 @@ from genuslift.frame import canonical_frame
 from genuslift.frobenius import FrobeniusModel, point_model, two_primary_model
 from genuslift.genus import genus_potential
 from genuslift.descendent import (
-    Calibration,
     CurvePoint,
     bold_quantities,
     compute_calibration,

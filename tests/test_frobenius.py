@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genuslift.frobenius import (
-    EulerData,
     FrobeniusModel,
     point_model,
     threefold_cusp_model,

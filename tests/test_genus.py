@@ -53,6 +53,7 @@ from genuslift.genus import (
     _exp_by_index,
     _graded_exp,
     _log_tau_layers,
+    _plan,
     frame_and_R,
     gaussian_moment,
     genus_potential,
@@ -448,8 +449,14 @@ class TestSkeletonSum:
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_largest_reach_is_a_loop_at_genus_g_minus_one(self, g):
-        # the order both routes demand of V
-        assert max(walk_plan(sk).reach for sk in skeletons(g)) == 3 * g - 4
+        # the order both routes demand of V: the largest joint budget k + l
+        # of an edge, where a loop draws both from one shared budget
+        reaches = []
+        for sk in skeletons(g):
+            plan = walk_plan(sk)
+            caps = plan.caps
+            reaches += [caps[v] if v == w else caps[v] + caps[w] for v, w in plan.edges]
+        assert max(reaches) == 3 * g - 4
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_walk_opens_and_closes_every_vertex_once(self, g):
@@ -477,9 +484,13 @@ class TestSkeletonSum:
 
 class TestWalkPlan:
     @pytest.mark.parametrize("g", [2, 3, 4])
-    def test_same_plan_as_building_every_plan(self, g):
+    def test_vertices_placed_by_cap_then_edges_then_number(self, g):
         for sk in skeletons(g):
-            assert walk_plan(sk) == oracles.walk_plan_by_plans(sk)
+            order = sorted(
+                range(len(sk.genera)),
+                key=lambda v: (sk.psi_cap(v), sum(sk.adjacency[v]), v),
+            )
+            assert walk_plan(sk) == _plan(sk, order)
 
 
 class TestSkeletonProgram:
@@ -608,11 +619,10 @@ class TestSkeletonProgram:
         assert all(out is None or out < inputs for out in program.outputs)
 
     @pytest.mark.parametrize(
-        "g, n, products, sums", [(2, 3, 189, 16), (3, 2, 2236, 428)]
+        "g, n, products, sums",
+        [(2, 3, 189, 16), (3, 1, 571, 110), (3, 2, 2040, 400), (4, 1, 7387, 1424)],
     )
     def test_each_product_and_sum_is_formed_once(self, g, n, products, sums):
-        # one skeleton at a time formed 210 products at (2, 3), and 3,592
-        # products and 722 sums at (3, 2)
         steps = graph_sum_program(g, n).steps
         assert sum(len(ops) // 2 for counts, ops in steps if counts is None) == products
         assert sum(len(counts) for counts, _ in steps if counts is not None) == sums

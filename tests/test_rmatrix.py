@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genuslift.frame import DegenerateFrameError, canonical_frame
+from genuslift.frame import canonical_frame
 from genuslift.frobenius import threefold_cusp_model, two_primary_model
 from genuslift.genus import frame_and_R
 from genuslift.rmatrix import (

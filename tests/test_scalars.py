@@ -555,6 +555,33 @@ def test_src_defines_only_what_src_reaches():
     assert unreached == []
 
 
+def test_every_import_is_read():
+    """Every name a top-level import binds in ``src/`` or ``tests/`` is
+    read in its module, or exported through that module's ``__all__``:
+    an unread import misleads a reader about what the module uses."""
+    tests = Path(__file__).parent
+    paths = [*sorted(Path(genuslift.__file__).parent.glob("*.py")), *sorted(tests.glob("*.py"))]
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets
+            ):
+                read |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # ``import a.b`` binds ``a``
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{name}")
+    assert unread == []
+
+
 def test_one_intersection_table_in_src():
     """Intersection numbers are exact constants: no function in ``src/``
     takes an ``IntersectionTable``, and only ``intersection`` (the process

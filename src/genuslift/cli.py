@@ -157,9 +157,9 @@ def _builtin_calibration(spec: str, order: int) -> Calibration:
 
 
 def _origin_calibration(model: FrobeniusModel, order: int) -> Calibration:
-    """The calibration through S_order with S_k(0) = 0, the only base the
-    critical point accepts.  A potential with its pole at the origin (a
-    Laurent potential) has none, which is an out-of-domain request."""
+    """The calibration through S_order, normalized by S_k(0) = 0.  A
+    potential with its pole at the origin (a Laurent potential) has none,
+    which is an out-of-domain request."""
     try:
         model.potential.evaluate((Fraction(0),) * model.dimension, EXACT)
     except ZeroDivisionError:

@@ -3,20 +3,21 @@
 The calibration is the 1/z fundamental solution S(z) = 1 + S_1/z + S_2/z^2
 + ... of the flat pencil, built order by order from
 
-    d_a S_k = C_a S_{k-1},        S_k(base) = 0  (k >= 1),
+    d_a S_k = C_a S_{k-1},        S_k(0) = 0  (k >= 1),
 
-by symbolic antidifferentiation along coordinate paths; closedness of each
-step's gradient is exactly the flatness of the pencil (WDVV), so the result
-is path-independent and the construction double-checks itself by
-re-integrating along a permuted coordinate order.  The C_a come from
-``FrobeniusModel.multiplication``, and the path integrals run on
-``Expression.restrict`` and ``antidiff``.  The entries of S_k are
-one-point descendent correlators.  With N_{ab} = S_a^T g S_b, the division
-of N(x, y) - g by x + y (``rmatrix._divide``, which also gives V) is exact
-by unitarity S*(-1/z) S(1/z) = 1, and its remainder is the unitarity
-residual of :meth:`Calibration.unitarity_residual`.  Its quotient gives the
-genus-0 two-point functions W_{ml}, which only the tests' reference for the
-genus-0 descendent potential reads (``tests/oracles.py``).
+by symbolic antidifferentiation along coordinate paths from the origin;
+closedness of each step's gradient is exactly the flatness of the pencil
+(WDVV), so the result is path-independent and the construction
+double-checks itself by re-integrating along a permuted coordinate order.
+The C_a come from ``FrobeniusModel.multiplication``, and the path
+integrals run on ``Expression.restrict`` and ``antidiff``.  The entries of
+S_k are one-point descendent correlators.  The normalization at the origin
+is the one the criticality condition below assumes: its unit brackets are
+normalized at t = 0, so there is no other base to choose.  The unitarity
+S*(-1/z) S(1/z) = 1 and the genus-0 two-point functions W_{ml} both come
+from dividing N(x, y) - g by x + y, N_{ab} = S_a^T g S_b
+(``rmatrix._divide``); only the tests' references compute them
+(``tests/oracles.py``).
 
 A curve-space point tau = t_0 + t_1 c + ... + t_K c^K maps to the manifold
 through the critical point t(tau) of (t_0, t) + <tau(c) - c, 1>', solved
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import mpmath
@@ -65,26 +65,26 @@ from .frame import CanonicalFrame
 from .frobenius import FrobeniusModel
 from .genus import GenusReport, frame_and_R, graph_sum
 from .intersection import _ascending_tuples, psi_intersection
-from .linalg import identity, mat_inv, mat_mul, mat_vec, transpose
-from .rmatrix import EdgeTailData, RSeries, _divide, compute_V
+from .linalg import identity, mat_inv, mat_mul, mat_vec
+from .rmatrix import EdgeTailData, RSeries, compute_V
 from .scalars import EXACT, Context, FloatContext, from_kernel
 
 
 # -- expression plumbing ---------------------------------------------------------
 
 
-def _path_integral(grad: List[Expression], base: Tuple[Fraction, ...], path) -> Expression:
-    """Integrate the closed form sum_a grad[a] dt^a from base along the
-    coordinate staircase visiting directions in ``path`` order."""
+def _path_integral(grad: List[Expression], path) -> Expression:
+    """Integrate the closed form sum_a grad[a] dt^a from the origin along
+    the coordinate staircase visiting directions in ``path`` order."""
     n = grad[0].nvars
     total = Expression.zero(n)
     path = list(path)
     for pos, a in enumerate(path):
         piece = grad[a]
         for later in path[pos + 1 :]:
-            piece = piece.restrict(later, base[later])
+            piece = piece.restrict(later)
         anti = piece.antidiff(a)
-        total = total + anti - anti.restrict(a, base[a])
+        total = total + anti - anti.restrict(a)
     return total
 
 
@@ -93,24 +93,18 @@ def _path_integral(grad: List[Expression], base: Tuple[Fraction, ...], path) -> 
 
 @dataclass
 class Calibration:
-    """1/z fundamental solution with the gauge S_k(base) = 0.
+    """1/z fundamental solution with the gauge S_k(0) = 0.
 
     ``s[k-1]`` holds S_k as an N x N matrix of expressions; S_0 is the
     identity and is supplied on the fly by :meth:`s_values`."""
 
     model: FrobeniusModel
-    base: Tuple[Fraction, ...]
     order: int
     s: List[List[List[Expression]]]
 
     @property
     def dimension(self) -> int:
         return self.model.dimension
-
-    def matrix(self, k: int) -> List[List[Expression]]:
-        if not 1 <= k <= self.order:
-            raise ValueError(f"S_{k} not stored; calibration order is {self.order}")
-        return self.s[k - 1]
 
     def s_values(self, point, ctx: Context, order: Optional[int] = None) -> list:
         """[S_0, S_1(point), ..., S_order(point)] as scalar matrices.
@@ -129,24 +123,10 @@ class Calibration:
             out.append([[mat[i][j].evaluate(pt, ctx) for j in range(n)] for i in range(n)])
         return out
 
-    def unitarity_residual(self, point, ctx: FloatContext):
-        """max_k |coefficient of z^{-k} in S*(-1/z) S(1/z) - 1| at a point,
-        S* = g^{-1} S^T g.  That coefficient is (-1)^k g^{-1} times the z^k
-        remainder of the division of N(x, y) - g by x + y, N_ab = S_a^T g S_b
-        = S_a^T (S_b^T g)^T (``rmatrix._divide``), in x = 1/z and y = 1/w."""
-        with ctx.guard():
-            svals = self.s_values(point, ctx)
-            g = [[ctx.num(x) for x in row] for row in self.model.metric]
-            ginv = [[ctx.num(x) for x in row] for row in self.model.metric_inverse]
-            left = [transpose(s) for s in svals]
-            right = [transpose(mat_mul(g, s)) for s in svals]
-            _, remainders = _divide(left, right, self.order, -1, g)
-            return ctx.max_abs(x for rem in remainders for row in mat_mul(ginv, rem) for x in row)
 
-
-def compute_calibration(model: FrobeniusModel, base=None, order: int = 6) -> Calibration:
+def compute_calibration(model: FrobeniusModel, order: int = 6) -> Calibration:
     """Solve d_a S_k = C_a S_{k-1} by antidifferentiation, fixing constants
-    by S_k(base) = 0.
+    by S_k(0) = 0.
 
     Each S_k is integrated twice, along the coordinate staircase and along
     the reversed one; any discrepancy means the step's gradient was not
@@ -154,11 +134,6 @@ def compute_calibration(model: FrobeniusModel, base=None, order: int = 6) -> Cal
     n = model.dimension
     if order < 1:
         raise ValueError("calibration order must be at least 1")
-    if base is None:
-        base = (Fraction(0),) * n
-    base = tuple(Fraction(x) for x in base)
-    if len(base) != n:
-        raise ValueError("base point dimension mismatch")
     ops = model.multiplication
     forward = list(range(n))
     backward = forward[::-1]
@@ -174,8 +149,8 @@ def compute_calibration(model: FrobeniusModel, base=None, order: int = 6) -> Cal
             row = []
             for j in range(n):
                 grad_ij = [grads[a][i][j] for a in range(n)]
-                entry = _path_integral(grad_ij, base, forward)
-                check = _path_integral(grad_ij, base, backward)
+                entry = _path_integral(grad_ij, forward)
+                check = _path_integral(grad_ij, backward)
                 resid = (entry - check).coeff_norm()
                 if resid != 0:
                     raise ArithmeticError(
@@ -185,7 +160,7 @@ def compute_calibration(model: FrobeniusModel, base=None, order: int = 6) -> Cal
             cur.append(row)
         mats.append(cur)
         prev = cur
-    return Calibration(model=model, base=base, order=order, s=mats)
+    return Calibration(model=model, order=order, s=mats)
 
 
 # -- curve-space points ----------------------------------------------------------
@@ -239,13 +214,6 @@ def _x_vectors(tau: CurvePoint, unit: int, num) -> list:
     return out
 
 
-def _require_origin(calibration: Calibration):
-    # the honest unit brackets behind criticality are normalized at t = 0;
-    # a shifted gauge would offset the z^0 coefficient by g * base
-    if any(calibration.base):
-        raise ValueError("criticality needs the calibration based at the origin")
-
-
 # -- the critical point ----------------------------------------------------------
 
 _NEWTON_STEPS = 60
@@ -265,13 +233,13 @@ def critical_point(
     The Jacobian is 1 - (quantum multiplication by sum_m S_{m-1}(t) t_m), so
     each step costs one calibration evaluation and one N x N solve.  Both
     run on kernel scalars of one scale, picked by ``ctx.to_kernel`` from the
-    seed, the couplings and S_m at the seed: S_m and C_a are evaluated at
-    the kernel point, the solve is :func:`linalg.mat_inv` in the kernel, and
-    t* is converted back once.  With all higher couplings zero the seed is
-    already exact.  After 60 steps, or once an iterate's exponential
-    outgrows the kernel, the solve stops as stalled."""
+    seed, the couplings and S_0 .. S_K at the seed, which the first step
+    reads; every step ends by evaluating S_0 .. S_K at the new kernel point.
+    C_a are evaluated there too, the solve is :func:`linalg.mat_inv` in the
+    kernel, and t* is converted back once.  With all higher couplings zero
+    the seed is already exact.  After 60 steps, or once an iterate's
+    exponential outgrows the kernel, the solve stops as stalled."""
     n = model.dimension
-    _require_origin(calibration)
     if tau.dimension != n:
         raise ValueError("curve-space point dimension mismatch")
     kmax = tau.kmax
@@ -287,21 +255,16 @@ def critical_point(
     flat = ctx.to_kernel([
         *seed,
         *(x for m in live for x in tau.coupling(m)),
-        *(x for m in live for row in s_seed[m] for x in row),
+        *(x for mat in s_seed for row in mat for x in row),
     ])
-    t0 = t = flat[:n]
-    couplings = {m: flat[n * (k + 1) : n * (k + 2)] for k, m in enumerate(live)}
+    it = iter(flat)
+    t0 = t = [next(it) for _ in range(n)]
+    couplings = {m: [next(it) for _ in range(n)] for m in live}
+    # S_0 .. S_kmax at the current iterate, the seed's for the first step
+    svals = [[[next(it) for _ in range(n)] for _ in range(n)] for _ in range(kmax + 1)]
     bound = t0[0].convert(ctx.noise_floor(40)).norm()
     inverse = None
-    for steps in range(_NEWTON_STEPS):
-        try:
-            # EXACT keeps S_0 = 1 and the coefficients rational at a kernel point
-            svals = calibration.s_values(t, EXACT, order=kmax)
-        except OverflowError:
-            # an exponential outgrew the kernel: the iterates ran away
-            if not steps:
-                raise
-            break
+    for steps in range(1, _NEWTON_STEPS + 1):
         res = [t[a] - t0[a] for a in range(n)]
         for m in live:
             sm = svals[m]
@@ -334,8 +297,12 @@ def critical_point(
         inverse = mat_inv(jac, ctx)
         step = mat_vec(inverse, res)
         t = [t[a] - step[a] for a in range(n)]
-    else:
-        steps = _NEWTON_STEPS
+        try:
+            # EXACT keeps S_0 = 1 and the coefficients rational at a kernel point
+            svals = calibration.s_values(t, EXACT, order=kmax)
+        except OverflowError:
+            # an exponential outgrew the kernel: the iterates ran away
+            break
     raise ArithmeticError(
         f"critical point Newton stalled after {steps} iterations; "
         f"residual {mpmath.nstr(ctx.max_abs(res), 8)}"
@@ -392,7 +359,6 @@ def bold_quantities(
     need, the form the graph sum runs on."""
     ctx = frame.ctx
     n = frame.dimension
-    _require_origin(calibration)
     if tau.kmax > calibration.order:
         raise ValueError(
             f"calibration order {calibration.order} too small for couplings up to c^{tau.kmax}"

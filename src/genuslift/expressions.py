@@ -173,34 +173,20 @@ class Expression:
                         coef = -coef * j / lam
         return out
 
-    def restrict(self, i: int, value) -> "Expression":
-        """Substitute the rational constant ``value`` for coordinate ``i``.
-
-        Exponentials in the restricted direction force value = 0: e^{lam v}
-        with lam, v rational and nonzero leaves the coefficient field."""
-        value = Fraction(value)
+    def restrict(self, i: int) -> "Expression":
+        """Set coordinate ``i`` to zero: an exponential in that direction
+        becomes 1, and a positive power drops its term."""
         out = Expression(self.nvars)
         acc: Dict[TermKey, Fraction] = {}
         out.terms = acc
         for (mono, expo), c in self.terms.items():
-            m, lam = mono[i], expo[i]
-            if lam != 0 and value != 0:
-                raise ArithmeticError(
-                    "restriction of an exponential direction to a nonzero base is not rational"
-                )
-            if value == 0:
-                if m < 0:
-                    raise ZeroDivisionError("negative power restricted to zero")
-                if m > 0:
-                    continue
-                factor = Fraction(1)
-            else:
-                factor = value**m
-            key = (
-                mono[:i] + (0,) + mono[i + 1 :],
-                expo[:i] + (Fraction(0),) + expo[i + 1 :],
-            )
-            self._merged(key, c * factor, acc)
+            m = mono[i]
+            if m < 0:
+                raise ZeroDivisionError("negative power restricted to zero")
+            if m > 0:
+                continue
+            key = (mono, expo[:i] + (Fraction(0),) + expo[i + 1 :])
+            self._merged(key, c, acc)
         return out
 
     def is_laurent(self) -> bool:

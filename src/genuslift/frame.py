@@ -12,8 +12,9 @@ coordinates, truncated at a requested order) of:
   zero diagonal.
 
 The eigenvalues at the point are the roots of chi_0, the order-zero
-characteristic polynomial of a multiplication operator A (the Euler
-multiplication for conformal models, a fixed generic combination otherwise).
+characteristic polynomial of a multiplication operator A: the Euler
+multiplication when the model has Euler data (a conformal frame), else the
+fixed combination sum_a (2a + 1) C_a, whose u are integrated from anchors.
 Aberth's iteration in complex doubles seeds them on chi_0 shifted to the
 mean of its roots, and Newton's iteration refines the seeds on kernel
 scalars (``scalars.GaussianFixed``), with a step count fixed by the
@@ -193,7 +194,6 @@ def canonical_frame(
     permutation: Optional[Sequence[int]] = None,
     sign_flips: Optional[Sequence[int]] = None,
     anchors: Optional[Sequence] = None,
-    generator_weights: Optional[Sequence] = None,
 ) -> CanonicalFrame:
     """Build the canonical frame jets at ``point`` to the given order.
 
@@ -214,9 +214,7 @@ def canonical_frame(
     if permutation is not None and sorted(permutation) != list(range(n)):
         raise ValueError("permutation must reorder 0..N-1")
     with ctx.guard():
-        return _frame_impl(
-            model, point, ctx, order, permutation, sign_flips, anchors, generator_weights
-        )
+        return _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors)
 
 
 class _Jets:
@@ -390,19 +388,18 @@ class _Kernel:
         return self.ctx.num(0)
 
 
-def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, generator_weights,
-                least_shift=0):
+def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, least_shift=0):
     n = model.dimension
     names = t_names(n)
     where = tuple(ctx.num(x) for x in point)
     ring = _Jets(names, order, ctx) if order else _Kernel(names, ctx, least_shift)
     cmats, evals = ring.point_data(model, point, where)
 
-    conformal = model.euler is not None and generator_weights is None
+    conformal = model.euler is not None
     if conformal:
         gen = _euler_multiplication(model, cmats, evals, ring)
     else:
-        weights = generator_weights or _default_weights(n)
+        weights = _default_weights(n)
         gen = None
         for a in range(n):
             term = mat_scale(cmats[a], ring.number(weights[a]))
@@ -445,7 +442,7 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, gene
     kernel = ring.settle(u, delta, sqrt_delta, psi, conformal)
     if ring.least_shift > least_shift:
         return _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors,
-                           generator_weights, ring.least_shift)
+                           ring.least_shift)
 
     def rows(matrix):
         return [[ring.series(x) for x in row] for row in matrix]

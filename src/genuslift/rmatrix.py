@@ -79,10 +79,10 @@ the identity, such as R_0 = 1, enters no product), subtracts the unit, and
 serves:
 
 * V and the unitarity of R (left = right = R_k, unit 1);
-* the unitarity of the calibration S (``descendent``: N_pq = S_p^T g S_q
-  in 1/z and 1/w, from left = S_p^T and right = S_q^T g, unit g), whose
-  quotient the genus-0 two-point descendents W of the tests' reference
-  read (``tests/oracles.py``);
+* the tests' references for the calibration S (``tests/oracles.py``:
+  N_pq = S_p^T g S_q in 1/z and 1/w, from left = S_p^T and right =
+  S_q^T g, unit g), whose remainder is the unitarity of S and whose
+  quotient gives the genus-0 two-point descendents W;
 * the propagator v of the Hodge-twisted point (``hodge``: left = right =
   the coefficients e_p of E(z) = exp sum a_k z^{2k-1} as 1 x 1 matrices,
   unit 1).  That is V of R(z) = E(z), and its tails T are the constants of
@@ -276,10 +276,11 @@ def homogeneous_R(frame: CanonicalFrame, order: int) -> RSeries:
     diagonal constants fixed by homogeneity along E.  There is no
     cross-direction residual (``cross_residual`` is None).
     """
-    if frame.model.euler is None:
-        raise ValueError("conformal normalization requires Euler data")
     if not frame.conformal:
-        raise ValueError("homogeneity needs u from the Euler multiplication")
+        raise ValueError(
+            "conformal normalization requires Euler data: homogeneity needs u "
+            "from the Euler multiplication"
+        )
     n = frame.dimension
     euler = frame.model.euler
     kernel = frame.kernel
@@ -544,17 +545,14 @@ def _divide(
     return table, remainders
 
 
-def compute_T(r: RSeries, cutoff: int | None = None) -> List[Dict[int, object]]:
-    """Tail values T^i_k for 2 <= k <= cutoff (default order+1)."""
+def compute_T(r: RSeries) -> List[Dict[int, object]]:
+    """Tail values T^i_k for 2 <= k <= order + 1, all that R_1 .. R_order
+    determine."""
     n = r.dimension
-    if cutoff is None:
-        cutoff = r.order + 1
-    if cutoff > r.order + 1:
-        raise ValueError("T cutoff exceeds the trustworthy range of R")
     sd = r.frame.kernel.sqrt_delta
     inv_sd = [1 / x for x in sd]
     out = [dict() for _ in range(n)]
-    for k in range(2, cutoff + 1):
+    for k in range(2, r.order + 2):
         rm = r.mats[k - 1]
         for i in range(n):
             s = 0
@@ -564,13 +562,13 @@ def compute_T(r: RSeries, cutoff: int | None = None) -> List[Dict[int, object]]:
     return out
 
 
-def edge_tail_data(r: RSeries, v_cutoff: int | None = None, t_cutoff: int | None = None) -> EdgeTailData:
+def edge_tail_data(r: RSeries, v_cutoff: int | None = None) -> EdgeTailData:
     """V, T, Delta and sqrt(Delta) of ``r``: kernel scalars computed at R's
     scale and lifted to the scale their numbers need
     (:meth:`EdgeTailData.in_kernel`), the form the graph sum and the Wick
     oracle run on."""
     v, resid = compute_V(r, v_cutoff)
-    t = compute_T(r, t_cutoff)
+    t = compute_T(r)
     return EdgeTailData(
         dimension=r.dimension,
         delta=r.frame.kernel.delta,
@@ -578,6 +576,6 @@ def edge_tail_data(r: RSeries, v_cutoff: int | None = None, t_cutoff: int | None
         v=v,
         t=t,
         v_cutoff=v_cutoff if v_cutoff is not None else r.order - 1,
-        t_cutoff=t_cutoff if t_cutoff is not None else r.order + 1,
+        t_cutoff=r.order + 1,
         residuals=resid,
     ).in_kernel(r.frame.ctx)

@@ -144,22 +144,13 @@ class FloatContext:
         with self.guard():
             return mpmath.fabs(self.num(x))
 
-    def re(self, x):
-        with self.guard():
-            return mpmath.re(self.num(x))
-
-    def im(self, x):
-        with self.guard():
-            return mpmath.im(self.num(x))
-
-    def chop(self, x, tol=None):
+    def chop(self, x):
         """Drop an imaginary part that is below tolerance (relative to |x|)."""
-        tol = self.tol if tol is None else self.num(tol)
         with self.guard():
             x = self.num(x)
             if isinstance(x, mpmath.mpc):
                 scale = max(mpmath.mpf(1), mpmath.fabs(x))
-                if mpmath.fabs(mpmath.im(x)) <= tol * scale:
+                if mpmath.fabs(mpmath.im(x)) <= self.tol * scale:
                     return mpmath.re(x)
             return x
 

@@ -156,9 +156,6 @@ class TruncatedSeries:
     def constant_term(self):
         return self.c.get((0,) * len(self.caps.names), 0)
 
-    def max_abs(self, ctx: Context):
-        return ctx.max_abs(self.c.values())
-
     def repruned(self, caps: Caps) -> "TruncatedSeries":
         """Same terms under new caps (names must match)."""
         if caps.names != self.caps.names:
@@ -356,20 +353,3 @@ class TruncatedSeries:
                 out.c[nk] = out.c.get(nk, 0) + k * v
         out.c = {k: v for k, v in out.c.items() if v or v != 0}
         return out
-
-    # -- evaluation -----------------------------------------------------------
-
-    def evaluate(self, assignment: Mapping[str, object], ctx: Context):
-        vals = []
-        for nm in self.caps.names:
-            if nm not in assignment:
-                raise KeyError(f"no value for variable {nm}")
-            vals.append(assignment[nm])
-        total = ctx.num(0)
-        for key, v in self.c.items():
-            term = v
-            for x, k in zip(vals, key):
-                if k:
-                    term = term * ctx.num(x) ** k
-            total = total + term
-        return total

@@ -7,9 +7,11 @@ library produces by another route:
   F0(tau) = (1/2) <tau(c) - c, tau(c) - c>'(t(tau)) with its one- and
   two-point tables at the library's critical point; the two-point
   functions W_{ml} are the quotient of ``rmatrix._divide`` on
-  N_ab = S_a^T g S_b, whose remainder is all the library keeps (the
-  unitarity residual of the calibration).  The library's descendent
-  potential starts at genus 2;
+  N_ab = S_a^T g S_b.  The library's descendent potential starts at
+  genus 2;
+* ``calibration_unitarity_residual``: the remainder of that division,
+  the unitarity residual of the calibration S*(-1/z) S(1/z) = 1, which
+  the library does not compute;
 * the formal regime: the critical point and genus-0 descendents with the
   couplings t_m (m >= 1) graded by a nilpotent bookkeeping variable, by
   nilpotent iteration, which is exact on polynomial potentials;
@@ -77,7 +79,8 @@ library produces by another route:
   trace(C_a P_i); the library applies the projectors to the unit vector
   only and reads du from the metric.
 * helpers the tests call and the library does not: ``shifted`` (a
-  curve-space point moved along a direction), ``t_entry`` (a tail value,
+  curve-space point moved along a direction), ``series_value`` (a
+  truncated series at given displacements), ``t_entry`` (a tail value,
   zero below k = 2), ``derivatives`` (an expression's partial derivatives
   from its jet), ``close`` (a comparison at a context's tolerance),
   ``det`` (a cofactor determinant), and the writers of the documents the
@@ -104,7 +107,6 @@ from genuslift.descendent import (
     Calibration,
     CurvePoint,
     _brackets,
-    _require_origin,
     _x_vectors,
     critical_point,
     descendent_frame,
@@ -143,6 +145,25 @@ from genuslift.scalars import EXACT, Context, FloatContext, format_rational, fro
 from genuslift.series import Caps, Key, TruncatedSeries
 
 _EPS = "e"
+
+
+# -- the calibration's unitarity -------------------------------------------------
+
+
+def calibration_unitarity_residual(calibration: Calibration, point, ctx: FloatContext):
+    """max_k |coefficient of z^{-k} in S*(-1/z) S(1/z) - 1| at a point,
+    S* = g^{-1} S^T g.  That coefficient is (-1)^k g^{-1} times the z^k
+    remainder of the division of N(x, y) - g by x + y, N_ab = S_a^T g S_b
+    = S_a^T (S_b^T g)^T (``rmatrix._divide``), in x = 1/z and y = 1/w."""
+    model = calibration.model
+    with ctx.guard():
+        svals = calibration.s_values(point, ctx)
+        g = [[ctx.num(x) for x in row] for row in model.metric]
+        ginv = [[ctx.num(x) for x in row] for row in model.metric_inverse]
+        left = [transpose(s) for s in svals]
+        right = [transpose(mat_mul(g, s)) for s in svals]
+        _, remainders = _divide(left, right, calibration.order, -1, g)
+        return ctx.max_abs(x for rem in remainders for row in mat_mul(ginv, rem) for x in row)
 
 
 # -- genus-0 descendents -------------------------------------------------------
@@ -221,7 +242,6 @@ def genus0_descendents(
     Needs the calibration through order 2 max(Kmax, 1) + 1: the two-point
     expansion pairs z- and w-coefficients across the full coupling window,
     and the -c of tau(c) - c occupies level 1 even with no couplings."""
-    _require_origin(calibration)
     kk = max(tau.kmax, 1)
     if calibration.order < 2 * kk + 1:
         raise ValueError(
@@ -311,7 +331,6 @@ def critical_point_formal(
     arithmetic throughout; restricted to polynomial potentials with rational
     data (a transcendental jet raises)."""
     n = model.dimension
-    _require_origin(calibration)
     kmax = tau.kmax
     if kmax > calibration.order:
         raise ValueError(
@@ -362,7 +381,6 @@ def critical_point_reference(
     each step costs one calibration evaluation and one N x N solve.  With
     all higher couplings zero the seed is already exact."""
     n = model.dimension
-    _require_origin(calibration)
     if tau.dimension != n:
         raise ValueError("curve-space point dimension mismatch")
     kmax = tau.kmax
@@ -1728,7 +1746,7 @@ def compute_V_series(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]
                     if s or s != 0:
                         num = num + TruncatedSeries(caps, {(p, q): s})
                 quot, rem = singular_quotient(num, "z", "w")
-                div_resid = max(div_resid, rem.max_abs(ctx))
+                div_resid = max(div_resid, ctx.max_abs(rem.c.values()))
                 for (k, l), v in quot.c.items():
                     if k + l <= cutoff:
                         table[(i, j, k, l)] = v * (-1) ** (k + l)
@@ -1762,7 +1780,7 @@ def frame_invariant_residuals(frame: CanonicalFrame) -> dict:
             TruncatedSeries.zero(frame.psi[0][0].caps),
         )
         out["orthonormality"] = max(
-            (prod[i][j] - eye[i][j]).max_abs(ctx) for i in range(n) for j in range(n)
+            ctx.max_abs((prod[i][j] - eye[i][j]).c.values()) for i in range(n) for j in range(n)
         )
 
         unit_resid = ctx.num(0)
@@ -1771,7 +1789,7 @@ def frame_invariant_residuals(frame: CanonicalFrame) -> dict:
             for i in range(1, n):
                 acc = acc + frame.idempotents[i][a]
             target = 1 if a == model.unit_index else 0
-            unit_resid = max(unit_resid, (acc - target).max_abs(ctx))
+            unit_resid = max(unit_resid, ctx.max_abs((acc - target).c.values()))
         out["unit_decomposition"] = unit_resid
 
         cjets = model.structure_constant_jets(frame.point, frame.order, ctx)
@@ -1782,7 +1800,7 @@ def frame_invariant_residuals(frame: CanonicalFrame) -> dict:
                 for j in range(n):
                     expect = frame.du[i][a] if i == j else None
                     diff = m[i][j] - expect if expect is not None else m[i][j]
-                    diag_resid = max(diag_resid, diff.max_abs(ctx))
+                    diag_resid = max(diag_resid, ctx.max_abs(diff.c.values()))
         out["diagonalization"] = diag_resid
 
         w = frame.rotation_jets()
@@ -1877,6 +1895,20 @@ def shifted(tau: CurvePoint, direction: CurvePoint, h) -> CurvePoint:
             tuple(a + h * b for a, b in zip(tau.coupling(m), direction.coupling(m)))
         )
     return CurvePoint(tuple(rows))
+
+
+def series_value(series: TruncatedSeries, assignment: Dict[str, object], ctx: Context):
+    """The series summed at the displacements ``assignment`` (one value per
+    variable name)."""
+    vals = [assignment[name] for name in series.caps.names]
+    total = ctx.num(0)
+    for key, v in series.c.items():
+        term = v
+        for x, k in zip(vals, key):
+            if k:
+                term = term * ctx.num(x) ** k
+        total = total + term
+    return total
 
 
 def t_entry(data: EdgeTailData, i, k):

@@ -51,6 +51,7 @@ from genuslift.rmatrix import compute_R, edge_tail_data
 from genuslift.scalars import EXACT, FloatContext, from_kernel
 from genuslift.series import TruncatedSeries
 from oracles import (
+    calibration_unitarity_residual,
     critical_inverse_jacobian,
     critical_point_formal,
     critical_point_reference,
@@ -96,12 +97,12 @@ def fd(sample):
 class TestCalibration:
     def test_point_model_powers(self):
         for k in range(1, 10):
-            entry = POINT_CAL.matrix(k)[0][0]
+            entry = POINT_CAL.s[k - 1][0][0]
             val = entry.evaluate((Fraction(3, 7),), EXACT)
             assert val == Fraction(3, 7) ** k / math.factorial(k)
 
     def test_first_order_is_shifted_hessian(self):
-        # d_a S_1 = C_a integrates to g^{-1} Hess(F), zeroed at the base
+        # d_a S_1 = C_a integrates to g^{-1} Hess(F), zeroed at the origin
         model = QUINTIC
         cal = QUINTIC_CAL
         pt = (Fraction(2, 7), Fraction(3, 5))
@@ -116,27 +117,25 @@ class TestCalibration:
                         expect += ginv[m][i] * (
                             hess.evaluate(pt, EXACT) - hess.evaluate((0, 0), EXACT)
                         )
-                assert cal.matrix(1)[i][j].evaluate(pt, EXACT) == expect
+                assert cal.s[0][i][j].evaluate(pt, EXACT) == expect
 
     def test_unitarity_at_random_points(self):
         rng = random.Random(11)
         for _ in range(3):
             pt = (Fraction(rng.randint(-8, 8), 16), Fraction(rng.randint(1, 12), 16))
-            assert QUINTIC_CAL.unitarity_residual(pt, CTX) < CTX.tol
+            assert calibration_unitarity_residual(QUINTIC_CAL, pt, CTX) < CTX.tol
 
     def test_unitarity_exponential_model(self):
         model = two_primary_model(Fraction(1))
         cal = compute_calibration(model, order=5)
-        assert cal.unitarity_residual((Fraction(1, 3), Fraction(2, 5)), CTX) < CTX.tol
+        assert calibration_unitarity_residual(cal, (Fraction(1, 3), Fraction(2, 5)), CTX) < CTX.tol
 
-    def test_configurable_base(self):
-        base = (Fraction(1, 3), Fraction(-1, 5))
-        cal = compute_calibration(QUINTIC, base=base, order=3)
-        assert cal.base == base
+    def test_every_s_k_vanishes_at_the_origin(self):
+        cal = compute_calibration(QUINTIC, order=3)
         for k in range(1, 4):
-            for row in cal.matrix(k):
+            for row in cal.s[k - 1]:
                 for entry in row:
-                    assert entry.evaluate(base, EXACT) == 0
+                    assert entry.evaluate((0, 0), EXACT) == 0
 
     def test_wdvv_violation_detected(self):
         # [C_1, C_2] != 0 for F = t1^2 t2^2 / 4; the S_1 step is still a
@@ -158,10 +157,6 @@ class TestCalibration:
     def test_validation(self):
         with pytest.raises(ValueError):
             compute_calibration(POINT, order=0)
-        with pytest.raises(ValueError):
-            compute_calibration(POINT, base=(0, 0), order=2)
-        with pytest.raises(ValueError):
-            POINT_CAL.matrix(10)
         with pytest.raises(ValueError):
             POINT_CAL.s_values((Fraction(1, 2),), None, order=10)
 
@@ -243,11 +238,6 @@ class TestCriticalPoint:
         tau = CurvePoint(((Fraction(1),), (0,), (Fraction(100),)))
         with pytest.raises(ArithmeticError, match="residual"):
             critical_point(POINT, POINT_CAL, tau, CTX)
-
-    def test_origin_gauge_required(self):
-        cal = compute_calibration(QUINTIC, base=(Fraction(1, 3), Fraction(1, 5)), order=3)
-        with pytest.raises(ValueError, match="origin"):
-            critical_point(QUINTIC, cal, QUINTIC_TAU, CTX)
 
     def test_coupling_order_guard(self):
         cal = compute_calibration(QUINTIC, order=1)

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +16,12 @@ from genuslift.frame import FrameKernel, NonSemisimpleError, canonical_frame
 from genuslift.frobenius import threefold_cusp_model, two_primary_model
 from genuslift.scalars import FloatContext
 from genuslift.series import TruncatedSeries
-from oracles import frame_invariant_residuals, projector_frame, two_primary_genus2_reference
+from oracles import (
+    frame_invariant_residuals,
+    projector_frame,
+    series_value,
+    two_primary_genus2_reference,
+)
 
 CTX = FloatContext(256)
 
@@ -107,7 +113,7 @@ class TestJetAccuracy:
             shifted = tuple(CTX.num(b) + hh for b, hh in zip(base, h))
             fr2 = canonical_frame(m, shifted, CTX, order=0)
             for i in range(2):
-                predicted = fr.u[i].evaluate({"t0": h[0], "t1": h[1]}, CTX)
+                predicted = series_value(fr.u[i], {"t0": h[0], "t1": h[1]}, CTX)
                 actual = fr2.u_values()[i]
                 assert mpmath.fabs(predicted - actual) < mpmath.mpf("1e-29")
 
@@ -120,7 +126,7 @@ class TestJetAccuracy:
             shifted = tuple(CTX.num(b) + hh for b, hh in zip(base, h))
             fr2 = canonical_frame(m, shifted, CTX, order=0)
             for i in range(3):
-                predicted = fr.delta[i].evaluate(dict(zip(("t0", "t1", "t2"), h)), CTX)
+                predicted = series_value(fr.delta[i], dict(zip(("t0", "t1", "t2"), h)), CTX)
                 actual = fr2.delta_values()[i]
                 scale = max(mpmath.mpf(1), mpmath.fabs(actual))
                 assert mpmath.fabs(predicted - actual) < mpmath.mpf("1e-30") * scale
@@ -147,7 +153,8 @@ class TestOptions:
         m = two_primary_model(Fraction(1, 2))
         pt = (0, Fraction(3, 7))
         fr = canonical_frame(m, pt, CTX, order=2)
-        fr2 = canonical_frame(m, pt, CTX, order=2, generator_weights=(1, 3))
+        # without Euler data the frame runs the generic generator t0 + 3 t1
+        fr2 = canonical_frame(replace(m, euler=None), pt, CTX, order=2)
         # same branches up to ordering; compare Delta multisets and du
         with CTX.guard():
             d1 = sorted(fr.delta_values(), key=lambda z: (mpmath.re(z), mpmath.im(z)))
@@ -396,7 +403,7 @@ class TestKernelFrame:
         impl = frame_module._frame_impl
 
         def counted(*args):
-            calls.append(args[8:])
+            calls.append(args[7:])
             return impl(*args)
 
         monkeypatch.setattr(frame_module, "_frame_impl", counted)
@@ -430,17 +437,22 @@ class TestJetFrameKernel:
     at one ``FloatContext.to_kernel`` scale.  A frame not built from the
     Euler multiplication has no gaps."""
 
+    # ``weights``: the generic generator sum_a w_a C_a of a model without
+    # Euler data, None on a conformal frame
     @pytest.mark.parametrize(
         "model, point, weights",
         [
             (two_primary_model(Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 5)), None),
             (threefold_cusp_model(), (Fraction(1, 3), Fraction(-2, 5), Fraction(-3, 7)), None),
-            (two_primary_model(Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 5)), [1, 3]),
+            (replace(two_primary_model(Fraction(1, 2)), euler=None),
+             (Fraction(1, 3), Fraction(2, 5)), [1, 3]),
         ],
     )
     @pytest.mark.parametrize("order", [1, 3])
     def test_constant_terms_at_one_scale(self, model, point, weights, order):
-        frame = canonical_frame(model, point, CTX, order=order, generator_weights=weights)
+        frame = canonical_frame(model, point, CTX, order=order)
+        assert frame.conformal == (weights is None)
+        assert weights is None or frame_module._default_weights(model.dimension) == weights
         n, u = frame.dimension, frame.u_values()
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if weights is None else []
         with CTX.guard():

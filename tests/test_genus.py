@@ -21,7 +21,9 @@ on two-primary + point in shared-unit flat coordinates.
 Genus 1 enters as a one-form: d F^1 = sum_i [V^{ii}_{00}/2 du^i +
 dDelta_i/(48 Delta_i)].  For the exponential two-primary model (d = 1) the
 components are exactly (0, -1/24), which also pins the quadrature helper;
-on QH(P^2) and QH(P^3) at t0 1 + t1 H they are -dt1/8 and -dt1/4.
+on QH(P^2) and QH(P^3) at t0 1 + t1 H they are -dt1/8 and -dt1/4, and on
+the r-spin models A_2 and A_3 they vanish.  At genus 2 and 3, QH(P^3) at
+t0 1 + t1 H gives the nonzero Hodge-integral constants -1/288 and 1/72576.
 """
 
 import gc
@@ -30,7 +32,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from math import comb
+from math import comb, factorial
 
 import mpmath
 import pytest
@@ -709,6 +711,35 @@ class TestExactZeros:
             return mpmath.fabs(wick_oracle(cls.data_genus4(d, point), 4))
 
 
+class TestGenusOneZeros:
+    """dF^1 vanishes on A_2 (two-primary d = 1/3, r = 3) and on A_3 (the
+    cusp, r = 4).  Givental's formula at those points gives Witten's r-spin
+    class (Faber-Shadrin-Zvonkine, Ann. Sci. ENS 2010).  A primary r-spin
+    correlator <e_{a_1} .. e_{a_n}>_g, 0 <= a_i <= r - 2, integrates a class
+    of degree ((r - 2)(g - 1) + sum a_i)/r over M_{g,n}, of dimension
+    3g - 3 + n, so it vanishes unless the two agree.  At g = 1 the degree is
+    sum a_i / r <= n (r - 2)/r < n: every genus-1 primary correlator with
+    n >= 1 insertions vanishes, and so does each component of dF^1.  The
+    control d = 1/2 is not an r-spin model and reads -5/96 at t1 = 2/5."""
+
+    @pytest.mark.parametrize(
+        "model, point",
+        [
+            (two_primary_model(Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 5))),
+            (threefold_cusp_model(), (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7))),
+        ],
+    )
+    def test_vanishes(self, model, point):
+        with CTX.guard():
+            assert CTX.max_abs(genus1_one_form(model, point, CTX)) <= mpmath.mpf("1e-70")
+
+    def test_control_does_not_vanish(self):
+        comps = genus1_one_form(two_primary_model(Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 5)), CTX)
+        with CTX.guard():
+            assert mpmath.fabs(comps[0]) <= mpmath.mpf("1e-70")
+            assert mpmath.fabs(comps[1] - CTX.num(Fraction(-5, 96))) <= mpmath.mpf("1e-70")
+
+
 class TestKernelRepresentation:
     """On kernel data the graph sum and the Wick oracle run on Gaussian
     fixed-point scalars; the same functions run straight on the mpmath data,
@@ -1220,6 +1251,35 @@ class TestProjectiveSpaceGenusOne:
         with CTX.guard():
             for got, value in zip(comps, want):
                 assert mpmath.fabs(got - CTX.num(value)) <= mpmath.mpf("1e-70")
+
+class TestProjectiveSpaceHigherGenus:
+    """F^2 and F^3 of QH(P^3) at t = t0 1 + t1 H through the graph sum: the
+    first nonzero exact gates at N = 4.  On H^0 + H^2 only degree 0
+    contributes, so F_g is the constant (-1)^g/2 int_X (c_3 - c_1 c_2)
+    int_{M_g} lambda_{g-1}^3 (Getzler-Pandharipande 1998; Faber-Pandharipande,
+    Invent. Math. 2000), with int lambda_{g-1}^3 = |B_2g| |B_{2g-2}| /
+    (2g (2g - 2) (2g - 2)!)."""
+
+    @staticmethod
+    def degree_zero_value(g):
+        # c(P^3) = (1 + H)^4, so int (c_3 - c_1 c_2) = 4 - 4 * 6 = -20
+        c = [comb(4, k) for k in range(4)]
+        chern = c[3] - c[1] * c[2]
+        b = rmatrix.bernoulli_numbers(2 * g)
+        hodge = abs(b[2 * g]) * abs(b[2 * g - 2]) / (2 * g * (2 * g - 2) * factorial(2 * g - 2))
+        return Fraction((-1) ** g, 2) * chern * hodge
+
+    def test_values(self):
+        assert self.degree_zero_value(2) == Fraction(-1, 288)
+        assert self.degree_zero_value(3) == Fraction(1, 72576)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("t0, t1", [(Fraction(1, 3), Fraction(-2, 5)), (0, Fraction(1, 7))])
+    def test_degree_zero_value(self, g, t0, t1):
+        rep = genus_potential(projective_space(3), (t0, t1, 0, 0), g, CTX)
+        want = self.degree_zero_value(g)
+        assert rel_err(rep.value, CTX.num(want)) <= mpmath.mpf("1e-70")
+
 
 class TestGenusOneFrames:
     """Genus 1 builds its frames through ``frame_and_R`` (the

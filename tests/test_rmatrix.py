@@ -36,7 +36,6 @@ from genuslift.rmatrix import (
     bernoulli_constants,
     bernoulli_numbers,
     compute_R,
-    compute_T,
     compute_V,
     edge_tail_data,
     homogeneous_R,
@@ -207,13 +206,8 @@ class TestStructure:
             assert unitarity_residual(r) <= loose
 
     def test_constants_mode_without_euler_frame(self):
-        frame = canonical_frame(
-            threefold_cusp_model(),
-            CUSP_POINT,
-            CTX,
-            order=4,
-            generator_weights=(Fraction(1), Fraction(2, 3), Fraction(4, 7)),
-        )
+        stripped = dataclasses.replace(threefold_cusp_model(), euler=None)
+        frame = canonical_frame(stripped, CUSP_POINT, CTX, order=4)
         assert not frame.conformal
         r = compute_R(frame, 4)
         assert r.mode == "constants"
@@ -228,19 +222,14 @@ class TestStructure:
     def test_conformal_mode_requires_euler(self):
         model = two_primary_model(Fraction(1))
         stripped = dataclasses.replace(model, euler=None)
-        frame = canonical_frame(
-            stripped, (Fraction(0), Fraction(0)), CTX, order=2,
-            generator_weights=(Fraction(1), Fraction(1, 2)),
-        )
+        frame = canonical_frame(stripped, (Fraction(0), Fraction(0)), CTX, order=2)
         with pytest.raises(ValueError):
             compute_R(frame, 2, mode="conformal")
 
     def test_conformal_mode_requires_euler_frame(self):
-        # Euler data, but u from a generic combination: homogeneity has no U
-        frame = canonical_frame(
-            threefold_cusp_model(), CUSP_POINT, CTX, order=2,
-            generator_weights=(Fraction(1), Fraction(2, 3), Fraction(4, 7)),
-        )
+        # no Euler data, so u comes from a generic combination: homogeneity has no U
+        stripped = dataclasses.replace(threefold_cusp_model(), euler=None)
+        frame = canonical_frame(stripped, CUSP_POINT, CTX, order=2)
         with pytest.raises(ValueError, match="Euler multiplication"):
             compute_R(frame, 2, mode="conformal")
         with pytest.raises(ValueError, match="normalization"):
@@ -341,8 +330,6 @@ class TestEdgeData:
     def test_cutoff_limits(self, exp_r):
         with pytest.raises(ValueError):
             compute_V(exp_r, cutoff=exp_r.order)
-        with pytest.raises(ValueError):
-            compute_T(exp_r, cutoff=exp_r.order + 2)
         v, _ = compute_V(exp_r, cutoff=1)
         assert all(k + l <= 1 for (_, _, k, l) in v)
 
@@ -455,10 +442,7 @@ class TestHomogeneous:
     def test_requires_euler_data(self):
         model = two_primary_model(Fraction(1))
         stripped = dataclasses.replace(model, euler=None)
-        frame = canonical_frame(
-            stripped, (Fraction(0), Fraction(0)), CTX, order=0,
-            generator_weights=(Fraction(1), Fraction(1, 2)),
-        )
+        frame = canonical_frame(stripped, (Fraction(0), Fraction(0)), CTX, order=0)
         with pytest.raises(ValueError):
             homogeneous_R(frame, 2)
 

@@ -7,9 +7,12 @@ is not rational, ``EXACT`` raises instead of rounding.
 """
 
 import ast
+import importlib
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
+from typing import NamedTuple
 
 import mpmath
 import pytest
@@ -508,51 +511,195 @@ UNREFERENCED_ALLOWED = {
     "rmatrix.bernoulli_constants": "the planned twisted point theories and equivariant "
     "QH(P^1) read it (ROADMAP items 4 and 20)",
     "cli._Parser.error": "argparse calls it on a usage mistake",
+    "series.TruncatedSeries.terms": "the benchmark's frame counter calls it on every "
+    "traced frame",
+}
+
+# defaulted parameters of src/ definitions that no src/ call sets, with the
+# reason each stays
+UNSET_ALLOWED = {
+    "io.parse_value(ctx)": "the benchmark's report checker passes its context",
 }
 
 
+class _Source(NamedTuple):
+    """One module of ``src/``: its file name, syntax tree, the names it
+    binds to modules and the ids of the nodes it calls."""
+
+    filename: str
+    tree: ast.Module
+    modules: set
+    called: set
+
+
+def _src_modules() -> list:
+    out = []
+    for path in sorted(Path(genuslift.__file__).parent.glob("*.py")):
+        name = "genuslift" if path.stem == "__init__" else f"genuslift.{path.stem}"
+        bound = vars(importlib.import_module(name)).items()
+        tree = ast.parse(path.read_text())
+        out.append(_Source(
+            path.name,
+            tree,
+            {key for key, value in bound if isinstance(value, ModuleType)},
+            {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)},
+        ))
+    return out
+
+
 def _definitions(tree, prefix):
-    """(qualified name, node) of every function, class and method."""
+    """(qualified name, node, whether a method) of every function, class
+    and method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             name = f"{prefix}.{node.name}"
-            yield name, node
+            yield name, node, isinstance(tree, ast.ClassDef)
             if isinstance(node, ast.ClassDef):
                 yield from _definitions(node, name)
 
 
+def _data_attributes(sources) -> set:
+    """Every slot, class-level field and ``self.x =`` target in ``src/``."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(source.tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        names.add(item.target.id)
+                    elif isinstance(item, ast.Assign) and any(
+                        getattr(target, "id", None) == "__slots__" for target in item.targets
+                    ):
+                        names |= set(ast.literal_eval(item.value))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    names |= {
+                        sub.attr for sub in ast.walk(target)
+                        if isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "self"
+                    }
+    return names
+
+
+def _is_property(node) -> bool:
+    return any(
+        getattr(d, "id", getattr(d, "attr", None)) in ("property", "cached_property")
+        for d in getattr(node, "decorator_list", [])
+    )
+
+
+def _reaches(ref, source, name: str, method: bool, call_only: bool) -> bool:
+    """Whether the node ``ref`` of ``source`` names the definition ``name``:
+    a bare name reaches a function or class, and an attribute whose base is
+    not an imported module reaches a method (only as a call when
+    ``call_only``).  An attribute of a module reaches what the module
+    defines."""
+    if isinstance(ref, ast.Name):
+        return not method and ref.id == name
+    if not isinstance(ref, ast.Attribute) or ref.attr != name:
+        return False
+    on_module = isinstance(ref.value, ast.Name) and ref.value.id in source.modules
+    if not method:
+        return on_module
+    return not on_module and (not call_only or id(ref) in source.called)
+
+
 def test_src_defines_only_what_src_reaches():
-    """Every function, class and method in ``src/`` is referenced in
-    ``src/`` outside its own definition, exported by ``genuslift.__all__``
-    or ``genuslift.hodge.__all__``, or allowed above with its reason.  An
-    import is not a reference, and dunder methods are called by Python.
-    Routes only tests call live in ``tests/oracles.py``."""
+    """Every function, class and method in ``src/`` is reached in ``src/``
+    outside its own definition, exported by ``genuslift.__all__`` or
+    ``genuslift.hodge.__all__``, or allowed above with its reason.  An
+    import is not a reference, and dunder methods are called by Python.  A
+    bare name reaches only a function or class; a method is reached only
+    through an attribute whose base is not an imported module (so
+    ``mpmath.re`` reaches no method ``re``), and, where its name is also a
+    data attribute (a slot, a field or a ``self.x =`` target), only by a
+    call.  Routes only tests call live in ``tests/oracles.py``."""
     import genuslift.hodge
 
     exported = set(genuslift.__all__) | set(genuslift.hodge.__all__)
-    references = []
-    definitions = []
-    for path in sorted(Path(genuslift.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                references.append((node.id, path.name, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                references.append((node.attr, path.name, node.lineno))
-        definitions += [(name, node, path.name) for name, node in _definitions(tree, path.stem)]
-    unreached = []
-    for qualified, node, filename in definitions:
-        name = node.name
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        if name in exported or qualified in UNREFERENCED_ALLOWED:
-            continue
-        if not any(
-            ref == name and not (where == filename and node.lineno <= line <= node.end_lineno)
-            for ref, where, line in references
-        ):
-            unreached.append(qualified)
+    sources = _src_modules()
+    data = _data_attributes(sources)
+    refs = [
+        (node, source) for source in sources for node in ast.walk(source.tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unreached, defined = [], set()
+    for home in sources:
+        for qualified, node, method in _definitions(home.tree, home.filename[:-3]):
+            defined.add(qualified)
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in exported or qualified in UNREFERENCED_ALLOWED:
+                continue
+            call_only = method and name in data and not _is_property(node)
+            if not any(
+                _reaches(ref, source, name, method, call_only)
+                and not (source is home and node.lineno <= ref.lineno <= node.end_lineno)
+                for ref, source in refs
+            ):
+                unreached.append(qualified)
     assert unreached == []
+    # an entry for a definition that is gone would outlive its reason
+    assert sorted(set(UNREFERENCED_ALLOWED) - defined) == []
+
+
+def _defaulted(node, method: bool) -> list:
+    """(name, position in a call or None) of each defaulted parameter; a
+    method's position does not count ``self`` or ``cls``."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    bound = 1 if method and not any(getattr(d, "id", None) == "staticmethod"
+                                    for d in node.decorator_list) else 0
+    out = [(arg.arg, index - bound) for index, arg in enumerate(positional)
+           if index >= len(positional) - len(args.defaults)]
+    out += [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def test_src_sets_every_defaulted_parameter():
+    """Every defaulted parameter of a function or method in ``src/`` that
+    ``genuslift.__all__`` or ``genuslift.hodge.__all__`` does not export
+    (with its class) is passed by some call in ``src/``, by keyword or by
+    position, or allowed above with its reason: a default no caller
+    overrides is a constant dressed as a knob.  ``Class(...)`` calls
+    ``Class.__init__``; a call reaches a definition as a reference does in
+    :func:`test_src_defines_only_what_src_reaches`."""
+    import genuslift.hodge
+
+    exported = set(genuslift.__all__) | set(genuslift.hodge.__all__)
+    sources = _src_modules()
+    calls = [
+        (node, source) for source in sources for node in ast.walk(source.tree)
+        if isinstance(node, ast.Call)
+    ]
+    unset, defined = [], set()
+    for home in sources:
+        stem = home.filename[:-3]
+        for qualified, node, method in _definitions(home.tree, stem):
+            if isinstance(node, ast.ClassDef) or qualified.split(".")[1] in exported:
+                continue
+            name, method_call = node.name, method
+            if name == "__init__":
+                # Class(...) is the call of Class.__init__
+                name, method_call = qualified.split(".")[-2], False
+            elif name.startswith("__"):
+                continue
+            sites = [call for call, source in calls
+                     if _reaches(call.func, source, name, method_call, False)]
+            for param, position in _defaulted(node, method):
+                defined.add(f"{qualified}({param})")
+                if not any(
+                    any(k.arg in (param, None) for k in call.keywords)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or (position is not None and len(call.args) > position)
+                    for call in sites
+                ):
+                    unset.append(f"{qualified}({param})")
+    assert [entry for entry in unset if entry not in UNSET_ALLOWED] == []
+    # an entry for a parameter that is gone would outlive its reason
+    assert sorted(set(UNSET_ALLOWED) - defined) == []
 
 
 def test_every_import_is_read():

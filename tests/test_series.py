@@ -146,7 +146,7 @@ class TestSeriesFunctions:
                 caps, "z", 1, ctx.num("0.5")
             )
             r = s.sqrt(ctx)
-            resid = (r * r - s).max_abs(ctx)
+            resid = ctx.max_abs((r * r - s).c.values())
         assert resid < ctx.tol
         assert close(ctx, r.constant_term(), 3)
 

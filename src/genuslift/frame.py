@@ -136,7 +136,6 @@ class CanonicalFrame:
     sqrt_delta: List[TruncatedSeries]
     psi: List[List[TruncatedSeries]]
     idempotents: List[List[TruncatedSeries]]
-    conformal: bool
     kernel: FrameKernel
     residual: object = None
 
@@ -458,7 +457,6 @@ def _frame_impl(model, point, ctx, order, permutation, sign_flips, anchors, leas
         sqrt_delta=[ring.series(x) for x in sqrt_delta],
         psi=rows(psi),
         idempotents=rows(idem),
-        conformal=conformal,
         residual=resid,
         kernel=kernel,
     )

@@ -908,7 +908,7 @@ def genus1_differential(frame: CanonicalFrame, data: EdgeTailData) -> list:
 def genus1_one_form(model: FrobeniusModel, point, ctx: FloatContext) -> list:
     """dF^1 at a point, on the frame and R_1 of :func:`frame_and_R`."""
     frame, r = frame_and_R(model, point, ctx, 1)
-    return genus1_differential(frame, edge_tail_data(r, v_cutoff=0))
+    return genus1_differential(frame, edge_tail_data(r))
 
 
 _STENCIL = ((1, Fraction(45)), (-1, Fraction(-45)), (2, Fraction(-9)),

@@ -1,7 +1,7 @@
 """Hodge-bundle deformation of the Witten-Kontsevich tau function.
 
-``tau_series`` assembles the logarithm of the tau function over the
-descendent couplings Q_0, Q_1, ...:
+The logarithm of the tau function over the descendent couplings
+Q_0, Q_1, ... is
 
     log tau = sum_{g,n} hbar^{g-1}/n! <tau_{k_1}..tau_{k_n}>_g Q_{k_1}..Q_{k_n},
 
@@ -31,9 +31,8 @@ Then with P = (1/2) sum v_kl d_{Q_k} d_{Q_l},
 
     lambda(hbar; Q; s) = [exp(hbar P) tau](Qtilde).
 
-``lemma_components`` computes (v, Qtilde) for numeric a, and
 ``hodge_lemma_residual`` checks the identity coefficient by coefficient
-as an equality of truncated series.
+as an equality of truncated series, with v and Qtilde kept symbolic in s.
 
 The quotient is the division of ``rmatrix._divide`` on the coefficients
 e_p of E(z) = exp{sum a_k z^{2k-1}} as 1 x 1 matrices, whose products
@@ -41,7 +40,9 @@ N_pq = e_p e_q it forms; it returns (-1)^{k+l} Q_kl, the sign v carries.
 So v and Qtilde are the edge and tail data of the one-dimensional
 R(z) = E(z): on the point model, ``twist_R`` of R = 1 by a gives
 V^{00}_{kl} = v_kl, and its tails T_k = (-1)^k e_{k-1} are the constants
-of Qtilde_k for k >= 2.
+of Qtilde_k for k >= 2.  The graph sum of that twisted point is then
+[hbar^{g-1} Q^0] log lambda at the same s, which ``tests/test_hodge.py``
+holds against ``hodge_lambda`` through genus 5.
 """
 
 from __future__ import annotations
@@ -58,14 +59,9 @@ from .series import Caps, TruncatedSeries
 __all__ = [
     "HodgeParameters",
     "HodgeTruncation",
-    "LinearForm",
-    "tau_series",
     "hodge_lambda",
-    "lemma_components",
     "hodge_lemma_residual",
 ]
-
-_TOO_SMALL = "truncation too small to represent a requested coefficient"
 
 
 @dataclass(frozen=True)
@@ -122,14 +118,6 @@ class HodgeTruncation:
         if self.q_index is not None:
             return self.q_index
         return max(3 * self.genus_max - 3 + self.q_degree, 0)
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """constant + sum_j coeffs[j] * Q_j."""
-
-    constant: object
-    coeffs: Tuple[object, ...]
 
 
 # -- rings ------------------------------------------------------------------
@@ -193,31 +181,18 @@ def _log_tau(caps: Caps, genus_max: int, q_degree: int, q_index: int) -> Truncat
     return TruncatedSeries(caps, coeffs)
 
 
-def tau_series(truncation: HodgeTruncation) -> TruncatedSeries:
-    """log tau over the variables ("h", "Q0", .., "QK").
-
-    Genus g enters as h^(g-1); the genus-zero part is the h^(-1) band.
-    """
-    caps = _ring(truncation.genus_max, truncation.q_degree, truncation.resolved_index, ())
-    return _log_tau(caps, truncation.genus_max, truncation.q_degree, truncation.resolved_index)
-
-
 # -- the flows ---------------------------------------------------------------
 
 
 def _flow(series: TruncatedSeries, m: int) -> TruncatedSeries:
     """(hbar D_m + L_m) applied over the ring of ``series``."""
     caps = series.caps
+    # the internal truncation keeps Q_0 .. Q_{2m} for every flowed m
     q_index = sum(1 for nm in caps.names if nm[0] == "Q") - 1
-    if 2 * m > q_index:
-        raise ValueError(_TOO_SMALL)
     hvar = TruncatedSeries.var(caps, "h")
     out = TruncatedSeries.zero(caps)
     for k in range(2 * m - 1):
-        l = 2 * m - 2 - k
-        if l > q_index or k > q_index:
-            continue
-        term = series.partial(f"Q{k}").partial(f"Q{l}")
+        term = series.partial(f"Q{k}").partial(f"Q{2 * m - 2 - k}")
         if term:
             out = out + (hvar * term).scale(Fraction(1 if k % 2 == 0 else -1, 2))
     out = out + series.partial(f"Q{2 * m}")
@@ -228,14 +203,12 @@ def _flow(series: TruncatedSeries, m: int) -> TruncatedSeries:
     return out
 
 
-def _fold_flows(tau: TruncatedSeries, s: HodgeParameters,
-                flow_order: Optional[Sequence[int]]) -> TruncatedSeries:
-    order = tuple(flow_order) if flow_order is not None else tuple(range(1, s.count + 1))
-    if sorted(order) != list(range(1, s.count + 1)):
-        raise ValueError("flow_order must be a permutation of 1..M")
+def _fold_flows(tau: TruncatedSeries, s: HodgeParameters) -> TruncatedSeries:
+    """The truncated exponential of each flow in turn, m = 1 .. M; the
+    flows commute, so the order is immaterial."""
     factors = _coupling_factors(s.count)
     lam = tau
-    for m in order:
+    for m in range(1, s.count + 1):
         svar = TruncatedSeries.var(tau.caps, f"s{m}", coeff=factors[m - 1])
         term = lam
         for j in range(1, s.degrees[m - 1] + 1):
@@ -269,59 +242,52 @@ def _window(series: TruncatedSeries, s: HodgeParameters,
     return TruncatedSeries(caps, kept)
 
 
-def _internal_tau(s: HodgeParameters, truncation: HodgeTruncation,
-                  internal: Optional[HodgeTruncation] = None):
-    """The internal truncation (derived, or ``internal`` checked against it)
-    and tau = exp(log tau) over its ring."""
-    need = _internal_truncation(s, truncation)
-    if internal is None:
-        internal = need
-    elif (internal.genus_max < need.genus_max
-          or internal.q_degree < need.q_degree
-          or internal.resolved_index < need.resolved_index):
-        raise ValueError(_TOO_SMALL)
+def _internal_tau(s: HodgeParameters, truncation: HodgeTruncation):
+    """The internal truncation and tau = exp(log tau) over its ring."""
+    internal = _internal_truncation(s, truncation)
     caps = _ring(internal.genus_max, internal.q_degree, internal.resolved_index,
                  s.degrees, h_floor=-1 - s.total)
     tau = _log_tau(caps, internal.genus_max, internal.q_degree, internal.resolved_index).exp()
     return internal, tau
 
 
-def hodge_lambda(s: HodgeParameters, truncation: HodgeTruncation, *,
-                 internal: Optional[HodgeTruncation] = None,
-                 flow_order: Optional[Sequence[int]] = None) -> TruncatedSeries:
+def hodge_lambda(s: HodgeParameters, truncation: HodgeTruncation) -> TruncatedSeries:
     """log lambda over ("h", "Q0", .., "QK", "s1", .., "sM").
 
-    The flows are integrated at an internally enlarged truncation so
-    that every coefficient inside the requested window is exact; pass
-    ``internal`` to override the enlargement (it must dominate the
-    derived minimum).  ``flow_order`` reorders the per-coupling
-    exponentials; the result is order-independent because the flow
-    operators commute.
+    Genus g enters as h^(g-1).  The flows are integrated at an internally
+    enlarged truncation so that every coefficient inside the requested
+    window is exact.  With no couplings this is log tau.
     """
-    _, tau = _internal_tau(s, truncation, internal)
-    return _window(_fold_flows(tau, s, flow_order), s, truncation).log()
+    _, tau = _internal_tau(s, truncation)
+    return _window(_fold_flows(tau, s), s, truncation).log()
 
 
 # -- closed form -------------------------------------------------------------
 
 
-def _closed_form(terms, zcap: int, q_index: int, extra: Sequence[Tuple[str, int]] = ()):
-    """v and Qtilde for the exponent sum of c z^p x^key over ``terms``.
+def _closed_form(s: HodgeParameters, q_index: int):
+    """v and Qtilde with the couplings a_k = B_{2k} s_k/(2k)! kept symbolic.
 
-    E(z) = exp(exponent) is expanded to z^zcap over the ``extra`` variables
-    x (name, degree); ``key`` is a monomial in x.  Its coefficients e_p,
-    series in x, give the coupling change, and as 1 x 1 matrices (zero past
-    z^zcap) they give v through the division (E(z)E(w) - 1)/(z + w) of
-    ``rmatrix._divide``, which forms the products N_pq = e_p e_q.  Entries
-    come back as dicts over x-exponent keys: v[(k, l)] is v_kl, and
+    Inside the s-window E(z) = exp{sum a_k z^{2k-1}} is an exact polynomial
+    of degree ``s.index_shift`` in z.  Its coefficients e_p, series in s,
+    give the coupling change, and as 1 x 1 matrices they give v through the
+    division (E(z)E(w) - 1)/(z + w) of ``rmatrix._divide``, which forms the
+    products N_pq = e_p e_q and leaves no remainder.  Entries come back as
+    dicts over s-exponent keys: v[(k, l)] is v_kl, and
     Qtilde_k = consts[k] + sum_j matrix[k][j] Q_j for k <= q_index.
     """
-    names = tuple(nm for nm, _ in extra)
-    ring = Caps.box(("z",) + names, maxs={"z": zcap, **dict(extra)})
-    e_z = TruncatedSeries(ring, {(p,) + key: c for p, c, key in terms}).exp()
+    factors = _coupling_factors(s.count)
+    names = _s_names(s.count)
+    zcap = s.index_shift
+    ring = Caps.box(("z",) + names, maxs={"z": zcap, **dict(zip(names, s.degrees))})
+    exponent = {
+        (2 * m - 1,) + tuple(int(j == m - 1) for j in range(s.count)): factors[m - 1]
+        for m in range(1, s.count + 1)
+    }
+    e_z = TruncatedSeries(ring, exponent).exp()
     order = 2 * zcap
-    xring = Caps.box(names, maxs=dict(extra))
-    e = [TruncatedSeries(xring) for _ in range(order + 1)]
+    sring = Caps.box(names, maxs=dict(zip(names, s.degrees)))
+    e = [TruncatedSeries(sring) for _ in range(order + 1)]
     for key, val in e_z.c.items():
         e[key[0]].c[key[1:]] = val
     coefficients = [[[x]] for x in e]
@@ -329,20 +295,15 @@ def _closed_form(terms, zcap: int, q_index: int, extra: Sequence[Tuple[str, int]
     # the quotient already carries the sign of v: (-1)^{k+l} Q_kl
     v = {(k, l): entry.c for (_, _, k, l), entry in quotient.items()}
 
+    # z + Qtilde(-z) = [z + Q(-z)] E(z): the constants are the e_{k-1} of
+    # z E(z) - z, in which e_0 = 1 cancels the dilaton shift at k = 1
     consts: List[Dict[Tuple[int, ...], Fraction]] = []
     matrix: List[List[Dict[Tuple[int, ...], Fraction]]] = []
-    zero_x = (0,) * len(names)
     for k in range(q_index + 1):
         sk = 1 if k % 2 == 0 else -1
         const = {}
-        if 1 <= k <= zcap + 1:
+        if 2 <= k <= zcap + 1:
             const = {sq: sk * val for sq, val in e[k - 1].c.items()}
-        if k == 1:
-            base = const.get(zero_x, Fraction(0)) - sk
-            if base:
-                const[zero_x] = base
-            else:
-                const.pop(zero_x, None)
         row = []
         for j in range(k + 1):
             sj = sk * (1 if j % 2 == 0 else -1)
@@ -350,45 +311,6 @@ def _closed_form(terms, zcap: int, q_index: int, extra: Sequence[Tuple[str, int]
         consts.append(const)
         matrix.append(row)
     return v, consts, matrix
-
-
-def lemma_components(a: Sequence, *, q_index: int, v_total: int):
-    """Propagator table v_kl and coupling forms Qtilde_k for numeric a.
-
-    ``a`` lists a_1, a_2, ..; entry a_k multiplies z^(2k-1) in the
-    exponent.  Returns (v, forms): ``v`` maps (k, l) with k + l <=
-    v_total to the nonzero v_kl, and ``forms[k]`` is the linear form
-    Qtilde_k = constant + sum_j coeffs[j] Q_j for k <= q_index.  The
-    (z, w) expansion is carried one order past ``v_total`` so every
-    returned entry is exact.
-    """
-    if q_index < 0 or v_total < 0:
-        raise ValueError("truncation orders must be nonnegative")
-    zcap = max(v_total + 1, q_index)
-    terms = [(2 * k - 1, ak, ()) for k, ak in enumerate(a, start=1)]
-    v, consts, matrix = _closed_form(terms, zcap, q_index)
-    table = {kl: entry[()] for kl, entry in v.items() if sum(kl) <= v_total}
-    forms = tuple(
-        LinearForm(consts[k].get((), Fraction(0)),
-                   tuple(entry.get((), Fraction(0)) for entry in matrix[k]))
-        for k in range(q_index + 1)
-    )
-    return table, forms
-
-
-def _symbolic_pieces(s: HodgeParameters, q_index: int):
-    """v and Qtilde with the couplings a_k = B_{2k} s_k/(2k)! kept symbolic.
-
-    Inside the multilinear s-window the exponential E(z) is an exact
-    polynomial, so the propagator quotient divides with zero remainder.
-    Entries come back as dicts over s-exponent keys.
-    """
-    factors = _coupling_factors(s.count)
-    terms = [
-        (2 * m - 1, factors[m - 1], tuple(int(j == m - 1) for j in range(s.count)))
-        for m in range(1, s.count + 1)
-    ]
-    return _closed_form(terms, s.index_shift, q_index, tuple(zip(_s_names(s.count), s.degrees)))
 
 
 def _lift(caps: Caps, sdict: Dict[Tuple[int, ...], Fraction],
@@ -407,7 +329,7 @@ def _product_side(tau: TruncatedSeries, s: HodgeParameters, q_index: int) -> Tru
     """[exp(hbar P) tau](Qtilde) over the ring of ``tau``."""
     caps = tau.caps
     n_q = q_index + 1
-    v, consts, matrix = _symbolic_pieces(s, q_index)
+    v, consts, matrix = _closed_form(s, q_index)
     hvar = TruncatedSeries.var(caps, "h")
     acc = tau
     layer = tau
@@ -485,6 +407,6 @@ def hodge_lemma_residual(s: HodgeParameters, truncation: HodgeTruncation) -> Tru
     holds.
     """
     internal, tau = _internal_tau(s, truncation)
-    lhs = _window(_fold_flows(tau, s, None), s, truncation)
+    lhs = _window(_fold_flows(tau, s), s, truncation)
     rhs = _window(_product_side(tau, s, internal.resolved_index), s, truncation)
     return lhs - rhs

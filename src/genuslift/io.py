@@ -322,7 +322,7 @@ def frame_to_json(frame: CanonicalFrame) -> dict:
         "precision": precision_annotation(ctx),
         "point": [format_value(x, ctx) for x in frame.point],
         "order": frame.order,
-        "conformal": frame.conformal,
+        "conformal": frame.model.euler is not None,
         "u": [format_value(x, ctx) for x in frame.u_values()],
         "delta": [format_value(x, ctx) for x in frame.delta_values()],
         "sqrt_delta": [format_value(x, ctx) for x in frame.sqrt_delta_values()],

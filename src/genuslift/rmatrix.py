@@ -136,11 +136,11 @@ def compute_R(frame: CanonicalFrame, order: int, mode: str | None = None) -> RSe
     multiplication, at any order).  "constants" runs the jet recursion with
     the unitarity normalization (odd diagonal constants zero), which needs
     frame jets of order ``order`` and reports the cross-direction residual.
-    Default: conformal when the frame was built from the Euler
-    multiplication, else constants.
+    Default: conformal when the model has Euler data (its frame is built
+    from the Euler multiplication), else constants.
     """
     if mode is None:
-        mode = "conformal" if frame.conformal else "constants"
+        mode = "conformal" if frame.model.euler is not None else "constants"
     if mode == "conformal":
         return homogeneous_R(frame, order)
     if mode != "constants":
@@ -276,7 +276,7 @@ def homogeneous_R(frame: CanonicalFrame, order: int) -> RSeries:
     diagonal constants fixed by homogeneity along E.  There is no
     cross-direction residual (``cross_residual`` is None).
     """
-    if not frame.conformal:
+    if frame.model.euler is None:
         raise ValueError(
             "conformal normalization requires Euler data: homogeneity needs u "
             "from the Euler multiplication"
@@ -476,11 +476,11 @@ class EdgeTailData:
         )
 
 
-def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
-    """Edge coefficients V^{ij}_{kl} for k+l <= cutoff (default order-1),
-    from the matrices of R.  Returns (table, residuals): the symmetry of
-    V, the cross-direction residual of R when it has one, and the unitarity
-    of R.
+def compute_V(r: RSeries) -> Tuple[Dict, dict]:
+    """Edge coefficients V^{ij}_{kl} for k+l <= order-1, all that R_1 ..
+    R_order determine, from the matrices of R.  Returns (table,
+    residuals): the symmetry of V, the cross-direction residual of R when
+    it has one, and the unitarity of R.
 
     With N_pq = R_p R_q^T, comparing coefficients in
     sum N_pq z^p w^q - delta = (z + w) sum Q_kl z^k w^l gives
@@ -491,11 +491,7 @@ def compute_V(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
     division is N(z, -z) - delta, the unitarity residual, so one table of
     products feeds both.  Only nonzero entries are stored.
     """
-    if cutoff is None:
-        cutoff = r.order - 1
-    if cutoff > r.order - 1:
-        raise ValueError("V cutoff exceeds the trustworthy range of R")
-    table, remainders = _divide(r.mats, r.mats, r.order, cutoff, identity(r.dimension, 1, 0))
+    table, remainders = _divide(r.mats, r.mats, r.order, r.order - 1, identity(r.dimension, 1, 0))
     asymmetry = [v - table.get((j, i, l, k), 0) for (i, j, k, l), v in table.items()]
     residuals = {"v_symmetry": r.frame.ctx.max_abs(asymmetry)}
     if r.cross_residual is not None:
@@ -562,12 +558,12 @@ def compute_T(r: RSeries) -> List[Dict[int, object]]:
     return out
 
 
-def edge_tail_data(r: RSeries, v_cutoff: int | None = None) -> EdgeTailData:
+def edge_tail_data(r: RSeries) -> EdgeTailData:
     """V, T, Delta and sqrt(Delta) of ``r``: kernel scalars computed at R's
     scale and lifted to the scale their numbers need
     (:meth:`EdgeTailData.in_kernel`), the form the graph sum and the Wick
     oracle run on."""
-    v, resid = compute_V(r, v_cutoff)
+    v, resid = compute_V(r)
     t = compute_T(r)
     return EdgeTailData(
         dimension=r.dimension,
@@ -575,7 +571,7 @@ def edge_tail_data(r: RSeries, v_cutoff: int | None = None) -> EdgeTailData:
         sqrt_delta=r.frame.kernel.sqrt_delta,
         v=v,
         t=t,
-        v_cutoff=v_cutoff if v_cutoff is not None else r.order - 1,
+        v_cutoff=r.order - 1,
         t_cutoff=r.order + 1,
         residuals=resid,
     ).in_kernel(r.frame.ctx)

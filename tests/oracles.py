@@ -1716,17 +1716,14 @@ def singular_quotient(
     return quotient, remainder
 
 
-def compute_V_series(r: RSeries, cutoff: int | None = None) -> Tuple[Dict, dict]:
-    """Edge coefficients V^{ij}_{kl} for k+l <= cutoff (default order-1),
-    from the matrices of R.  Returns (table, residuals): the divisibility
-    of the numerator by z + w, the symmetry of V, the cross-direction
-    residual of R when it has one, and the unitarity of R."""
+def compute_V_series(r: RSeries) -> Tuple[Dict, dict]:
+    """Edge coefficients V^{ij}_{kl} for k+l <= order-1, from the matrices
+    of R.  Returns (table, residuals): the divisibility of the numerator by
+    z + w, the symmetry of V, the cross-direction residual of R when it has
+    one, and the unitarity of R."""
     ctx = r.frame.ctx
     n = r.dimension
-    if cutoff is None:
-        cutoff = r.order - 1
-    if cutoff > r.order - 1:
-        raise ValueError("V cutoff exceeds the trustworthy range of R")
+    cutoff = r.order - 1
     with ctx.guard():
         products = {
             (p, q): mat_mul(r.mats[p], transpose(r.mats[q]))

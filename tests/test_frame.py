@@ -451,7 +451,7 @@ class TestJetFrameKernel:
     @pytest.mark.parametrize("order", [1, 3])
     def test_constant_terms_at_one_scale(self, model, point, weights, order):
         frame = canonical_frame(model, point, CTX, order=order)
-        assert frame.conformal == (weights is None)
+        assert (frame.model.euler is None) == (weights is not None)
         assert weights is None or frame_module._default_weights(model.dimension) == weights
         n, u = frame.dimension, frame.u_values()
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if weights is None else []

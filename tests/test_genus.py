@@ -1152,7 +1152,7 @@ class TestValidation:
         point = (Fraction(1, 3), Fraction(2, 5))
         _, r = frame_and_R(model, point, CTX, 3)
         with pytest.raises(ValueError, match="edge coefficients known to order 2, need 5"):
-            route(edge_tail_data(r, v_cutoff=2), 3)
+            route(edge_tail_data(r), 3)
         # V in full, T one order short
         _, r = frame_and_R(model, point, CTX, 6)
         data = edge_tail_data(r)
@@ -1201,7 +1201,7 @@ class TestGenusOne:
             sign_flips=draw.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)),
         )
         r = rmatrix.compute_R(frame, 1) if d == "sum" else oracles.jet_R_conformal(frame, 1)
-        reference = oracles.genus1_differential_jets(frame, edge_tail_data(r, v_cutoff=0))
+        reference = oracles.genus1_differential_jets(frame, edge_tail_data(r))
         comps = genus1_one_form(model, point, CTX)
         with CTX.guard():
             for got, want in zip(comps, reference):

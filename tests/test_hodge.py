@@ -1,4 +1,4 @@
-"""Hodge deformation of the tau function: flows versus closed form.
+"""Hodge deformation of the tau function: flows, closed form and graph sum.
 
 The deformed family lambda(hbar; Q; s) is produced two independent
 ways: by integrating the Bernoulli-weighted flows
@@ -9,28 +9,40 @@ term by term from the tau function, and by the product formula
 [exp(hbar P) tau](Qtilde) with the propagator v and coupling change
 Qtilde generated by exp{sum a_k z^{2k-1}}.  Everything is exact
 rational arithmetic, so the two routes must agree coefficient by
-coefficient, not merely to tolerance.  The closed form also meets the
-R-matrix pipeline: on the point model twisted by a, the edge coefficients
-V and tails T are v and the constants of Qtilde.
+coefficient, not merely to tolerance.
+
+The flows also meet the R-matrix pipeline.  On the point model twisted by
+a_m = B_{2m} s_m/(2m)! (``twist_R`` of R = 1), the edge coefficients V
+and tails T are v and the constants of Qtilde, checked against a
+reference formed here on Fractions.  The graph sum and the Wick oracle of
+that twisted point give F_g = [hbar^{g-1} Q^0] log lambda at the same s
+(``TestTwistedPointGate``); the two sides share only the psi-intersection
+table.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
 
-from genuslift.frame import canonical_frame
+from genuslift.genus import frame_and_R, genus_potential, wick_oracle
 from genuslift.frobenius import point_model
 from genuslift.hodge import (
     HodgeParameters,
     HodgeTruncation,
     hodge_lambda,
     hodge_lemma_residual,
-    lemma_components,
-    tau_series,
 )
-from genuslift.rmatrix import compute_T, compute_V, homogeneous_R, twist_R
-from genuslift.scalars import FloatContext, from_kernel
+from genuslift.rmatrix import compute_T, compute_V, edge_tail_data
+from genuslift.scalars import FloatContext
+from genuslift.series import Caps, TruncatedSeries
+from oracles import singular_quotient
+
+CTX = FloatContext()
+POINT = (Fraction(1, 3),)
+# a_m / s_m = B_{2m}/(2m)! for m = 1, 2: B_2 = 1/6, B_4 = -1/30
+COUPLING_FACTORS = (Fraction(1, 12), Fraction(-1, 720))
 
 
 def _tau_key(truncation, h, qexp):
@@ -44,10 +56,29 @@ def _lam_key(truncation, h, qexp, sexp):
     return _tau_key(truncation, h, qexp) + tuple(sexp)
 
 
+def _log_tau(truncation):
+    """log tau over ("h", "Q0", .., "QK"): log lambda with no couplings."""
+    return hodge_lambda(HodgeParameters(()), truncation)
+
+
+def _twisted_point(a, order):
+    """R_0 .. R_order of the point model twisted by a_1, a_2, ..: the 1 x 1
+    R(z) = E(z) = exp{sum a_k z^{2k-1}}."""
+    return frame_and_R(point_model(), POINT, CTX, order, gauge=[a])[1]
+
+
+def _assert_close(pairs, name):
+    """Each (got, want) within 2^(16 - prec) of the largest |want|."""
+    with CTX.guard():
+        size = max(mpmath.fabs(CTX.num(want)) for _, want in pairs)
+        gap = max(mpmath.fabs(CTX.num(got) - CTX.num(want)) for got, want in pairs)
+        assert gap <= mpmath.ldexp(size, 16 - CTX.prec_bits), (name, gap, size)
+
+
 class TestTauSeries:
     def test_low_genus_anchors(self):
         tr = HodgeTruncation(genus_max=2, q_degree=4)
-        lt = tau_series(tr)
+        lt = _log_tau(tr)
         assert lt.c[_tau_key(tr, -1, {0: 3})] == Fraction(1, 6)
         assert lt.c[_tau_key(tr, 0, {1: 1})] == Fraction(1, 24)
         assert lt.c[_tau_key(tr, 1, {4: 1})] == Fraction(1, 1152)
@@ -56,7 +87,7 @@ class TestTauSeries:
     def test_dimension_rule_on_every_key(self):
         # sum k*m_k = 3g-3+n transported to the ring reads 3h + degree
         tr = HodgeTruncation(genus_max=3, q_degree=5)
-        lt = tau_series(tr)
+        lt = _log_tau(tr)
         assert lt.c
         for key in lt.c:
             h, qexps = key[0], key[1:]
@@ -88,99 +119,152 @@ class TestHodgeLambda:
         ll = hodge_lambda(s, tr)
         assert ll.c[_lam_key(tr, 1, {}, (0, 1))] == Fraction(-1, 34560)
 
-    def test_no_couplings_reduces_to_tau(self):
-        tr = HodgeTruncation(genus_max=2, q_degree=4)
-        assert hodge_lambda(HodgeParameters(()), tr).c == tau_series(tr).c
-
     def test_coupling_free_slice_is_tau(self):
         s = HodgeParameters((1, 1))
         tr = HodgeTruncation(genus_max=2, q_degree=4)
         ll = hodge_lambda(s, tr)
         slice_ = {k[:-2]: v for k, v in ll.c.items() if k[-2:] == (0, 0)}
-        assert slice_ == tau_series(tr).c
-
-    def test_flow_order_is_immaterial(self):
-        s = HodgeParameters((1, 1))
-        tr = HodgeTruncation(genus_max=2, q_degree=3)
-        forward = hodge_lambda(s, tr, flow_order=(1, 2))
-        backward = hodge_lambda(s, tr, flow_order=(2, 1))
-        assert forward.c == backward.c
+        assert slice_ == _log_tau(tr).c
 
     def test_degree_zero_coupling_is_inert(self):
         s = HodgeParameters((0,))
         tr = HodgeTruncation(genus_max=2, q_degree=3)
         ll = hodge_lambda(s, tr)
         assert all(k[-1] == 0 for k in ll.c)
-        assert {k[:-1]: v for k, v in ll.c.items()} == tau_series(tr).c
+        assert {k[:-1]: v for k, v in ll.c.items()} == _log_tau(tr).c
 
 
 class TestLemmaComponents:
-    def test_zero_couplings_are_trivial(self):
-        v, forms = lemma_components([], q_index=3, v_total=2)
-        assert v == {}
-        for k, form in enumerate(forms):
-            assert form.constant == 0
-            assert len(form.coeffs) == k + 1
-            assert form.coeffs[k] == 1
-            assert all(c == 0 for c in form.coeffs[:k])
+    """The lemma's propagator v_kl, read from ``compute_V`` of the twisted
+    point as V^{00}_{kl}."""
 
     def test_single_coupling_hand_expansion(self):
         # (e^{a(z+w)} - 1)/(z+w) = sum a^n (z+w)^{n-1}/n! with the
         # alternating (-z)^k(-w)^l sign convention
         a = Fraction(3, 7)
-        v, forms = lemma_components([a], q_index=2, v_total=3)
-        assert v[(0, 0)] == a
-        assert v[(1, 0)] == v[(0, 1)] == -a * a / 2
-        assert v[(2, 0)] == v[(0, 2)] == a ** 3 / 6
-        assert v[(1, 1)] == a ** 3 / 3
-
-    def test_constant_coupling_preserved(self):
-        v, forms = lemma_components([Fraction(5, 2), Fraction(-1, 3)], q_index=4, v_total=2)
-        assert forms[0].constant == 0
-        assert forms[0].coeffs == (1,)
-
-    def test_dilaton_bookkeeping(self):
-        a = Fraction(3, 7)
-        _, forms = lemma_components([a], q_index=2, v_total=1)
-        assert forms[1].constant == 0
-        assert forms[1].coeffs == (-a, 1)
-        # the shift of the linear coupling leaks a constant into Qtilde_2
-        assert forms[2].constant == a
-        assert forms[2].coeffs == (a * a / 2, -a, 1)
+        table, _ = compute_V(_twisted_point([a], 4))
+        _assert_close([
+            (table[(0, 0, 0, 0)], a),
+            (table[(0, 0, 1, 0)], -a * a / 2),
+            (table[(0, 0, 0, 1)], -a * a / 2),
+            (table[(0, 0, 2, 0)], a ** 3 / 6),
+            (table[(0, 0, 0, 2)], a ** 3 / 6),
+            (table[(0, 0, 1, 1)], a ** 3 / 3),
+        ], "v")
 
     def test_propagator_symmetry(self):
-        v, _ = lemma_components([Fraction(1, 2), Fraction(2, 5)], q_index=0, v_total=6)
-        for (k, l), val in v.items():
-            assert v[(l, k)] == val
+        table, _ = compute_V(_twisted_point([Fraction(1, 2), Fraction(2, 5)], 7))
+        assert table
+        _assert_close([(val, table[(0, 0, l, k)]) for (_, _, k, l), val in table.items()], "v")
 
 
 class TestRMatrixConventions:
-    """The closed form against the R-matrix pipeline on the point model:
-    ``twist_R`` of R = 1 by a is the 1 x 1 R(z) = E(z), so V of
-    ``compute_V`` is the propagator v and the tails T_k of ``compute_T``
-    are the constants of Qtilde_k for k >= 2, with the same signs."""
+    """The lemma's conventions against the R-matrix pipeline on the point
+    model: ``twist_R`` of R = 1 by a is the 1 x 1 R(z) = E(z), so V of
+    ``compute_V`` is the propagator v = (-1)^{k+l} [z^k w^l]
+    (E(z)E(w) - 1)/(z + w) and the tails T_k of ``compute_T`` are the
+    constants (-1)^k e_{k-1} of Qtilde_k for k >= 2, with the same signs.
+    The reference divides on Fractions by ``oracles.singular_quotient``
+    and shares no code with ``compute_V``."""
 
     def test_v_and_tails_match_twisted_point(self):
-        ctx = FloatContext()
         a = [Fraction(1, 12), Fraction(-1, 360), Fraction(1, 1260)]
         order = 7
-        frame = canonical_frame(point_model(), (Fraction(1, 3),), ctx, order=0)
-        r = twist_R(homogeneous_R(frame, order), [a])
+        r = _twisted_point(a, order)
         table, _ = compute_V(r)
         tails = compute_T(r)[0]
-        v, forms = lemma_components(a, q_index=order + 1, v_total=order - 1)
+
+        caps = Caps.total(("z", "w"), order)
+
+        def exponential(x):
+            exponent = TruncatedSeries.zero(caps)
+            for k, ak in enumerate(a, start=1):
+                exponent = exponent + TruncatedSeries.var(caps, x, 2 * k - 1, ak)
+            return exponent.exp()
+
+        e_z = exponential("z")
+        quotient, _ = singular_quotient(e_z * exponential("w") - 1, "z", "w")
+        v = {
+            (k, l): (-1) ** (k + l) * val
+            for (k, l), val in quotient.c.items() if k + l <= order - 1
+        }
+        e = [e_z.c.get((p, 0), Fraction(0)) for p in range(order + 1)]
+
         pairs = [
             (table.get((0, 0, k, l), 0), v.get((k, l), 0))
             for k in range(order)
             for l in range(order - k)
         ]
         assert len(v) == sum(1 for x, _ in pairs if x)
-        tail_pairs = [(tails[k], forms[k].constant) for k in range(2, order + 2)]
-        with ctx.guard():
-            for name, rows in (("V", pairs), ("T", tail_pairs)):
-                size = max(mpmath.fabs(ctx.num(want)) for _, want in rows)
-                gap = max(mpmath.fabs(from_kernel(got) - ctx.num(want)) for got, want in rows)
-                assert gap <= mpmath.ldexp(size, 16 - ctx.prec_bits), (name, gap, size)
+        _assert_close(pairs, "V")
+        _assert_close([(tails[k], (-1) ** k * e[k - 1]) for k in range(2, order + 2)], "T")
+
+
+def _flows_value(g, s, window):
+    """[hbar^{g-1} Q^0] log lambda at the rational couplings s, over the
+    window of retained s-degrees."""
+    ll = hodge_lambda(HodgeParameters(window), HodgeTruncation(g, 0))
+    total = Fraction(0)
+    for key, c in ll.c.items():
+        if key[0] == g - 1:
+            for sm, e in zip(s, key[-len(window):]):
+                c *= sm ** e
+            total += c
+    return total
+
+
+class TestTwistedPointGate:
+    """F_g of the point model twisted by a_m = B_{2m} s_m/(2m)! is the
+    Hodge integral [hbar^{g-1} Q^0] log lambda at the same s.
+
+    The class exp(sum s_m ch_{2m-1}) has its degree-(3g - 3) part in the
+    monomials of weighted degree 3g - 3, s_m of weight 2m - 1, so each
+    window holds every such monomial in the nonzero s; a window that
+    leaves one out is off by O(1) (s_2^2 at g = 3 under a (3, 1) window).
+    Both sides are exact up to the pipeline's rounding, and they share
+    only the psi-intersection table, so the bound is 1e-70 relative."""
+
+    @pytest.mark.parametrize(
+        "g, s, window, value, routes",
+        [
+            (2, (Fraction(1, 3), Fraction(-2, 5)), (3, 1), Fraction(1, 72900), ("graph", "wick")),
+            (3, (Fraction(1, 3),), (6,), Fraction(1, 47617113600), ("graph",)),
+            (3, (0, Fraction(-2, 5)), (0, 2), Fraction(-1, 326592000), ("graph",)),
+            (4, (0, Fraction(-2, 5)), (0, 3), Fraction(1, 293932800000), ("graph", "wick")),
+            # no skeletons at genus 5
+            (5, (0, Fraction(-2, 5)), (0, 4), Fraction(-1, 145496736000000), ("wick",)),
+        ],
+    )
+    def test_pipeline_equals_flows(self, g, s, window, value, routes):
+        want = _flows_value(g, s, window)
+        assert want == value
+        gauge = [f * x for f, x in zip(COUPLING_FACTORS, s)]
+        got = []
+        if "graph" in routes:
+            report = genus_potential(point_model(), POINT, g, CTX, gauge=[gauge])
+            got.append(report.value)
+            data = report.data
+        else:
+            data = edge_tail_data(_twisted_point(gauge, 3 * g - 3))
+        if "wick" in routes:
+            got.append(wick_oracle(data, g))
+        with CTX.guard():
+            for x in got:
+                assert mpmath.fabs(x - CTX.num(want)) <= mpmath.mpf("1e-70") * abs(CTX.num(want))
+
+    @pytest.mark.parametrize(
+        "g, integral",
+        [(2, Fraction(1, 2880)), (3, Fraction(1, 90720)), (4, Fraction(1, 113400)),
+         (5, Fraction(31, 680400))],
+    )
+    def test_lambda_one_powers(self, g, integral):
+        # s_1 = 1 gives exp(lambda_1), whose degree-(3g - 3) part is
+        # lambda_1^{3g-3}/(3g-3)!; the integrals are Faber's
+        r = _twisted_point([COUPLING_FACTORS[0]], 3 * g - 3)
+        value = wick_oracle(edge_tail_data(r), g)
+        want = integral / factorial(3 * g - 3)
+        with CTX.guard():
+            assert mpmath.fabs(value - CTX.num(want)) <= mpmath.mpf("1e-70") * CTX.num(want)
 
 
 class TestLemmaIdentity:
@@ -209,15 +293,3 @@ class TestValidation:
             HodgeTruncation(-1, 3)
         with pytest.raises(ValueError):
             HodgeTruncation(2, 3, q_index=-2)
-
-    def test_internal_override_below_minimum(self):
-        s = HodgeParameters((1, 1))
-        tr = HodgeTruncation(2, 4)
-        with pytest.raises(ValueError, match="truncation too small"):
-            hodge_lambda(s, tr, internal=HodgeTruncation(2, 5))
-
-    def test_flow_order_must_be_permutation(self):
-        s = HodgeParameters((1, 1))
-        tr = HodgeTruncation(2, 3)
-        with pytest.raises(ValueError):
-            hodge_lambda(s, tr, flow_order=(1, 1))

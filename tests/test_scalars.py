@@ -510,6 +510,8 @@ UNREFERENCED_ALLOWED = {
     "homogeneity gates step the couplings with it (ROADMAP item 3)",
     "rmatrix.bernoulli_constants": "the planned twisted point theories and equivariant "
     "QH(P^1) read it (ROADMAP items 4 and 20)",
+    "hodge.hodge_lambda": "the independent reference of the twisted-point gate "
+    "(tests/test_hodge.py::TestTwistedPointGate) and of acceptance criterion 6",
     "cli._Parser.error": "argparse calls it on a usage mistake",
     "series.TruncatedSeries.terms": "the benchmark's frame counter calls it on every "
     "traced frame",
@@ -606,17 +608,14 @@ def _reaches(ref, source, name: str, method: bool, call_only: bool) -> bool:
 
 def test_src_defines_only_what_src_reaches():
     """Every function, class and method in ``src/`` is reached in ``src/``
-    outside its own definition, exported by ``genuslift.__all__`` or
-    ``genuslift.hodge.__all__``, or allowed above with its reason.  An
-    import is not a reference, and dunder methods are called by Python.  A
-    bare name reaches only a function or class; a method is reached only
-    through an attribute whose base is not an imported module (so
-    ``mpmath.re`` reaches no method ``re``), and, where its name is also a
-    data attribute (a slot, a field or a ``self.x =`` target), only by a
-    call.  Routes only tests call live in ``tests/oracles.py``."""
-    import genuslift.hodge
-
-    exported = set(genuslift.__all__) | set(genuslift.hodge.__all__)
+    outside its own definition, exported by ``genuslift.__all__``, or
+    allowed above with its reason.  An import is not a reference, and
+    dunder methods are called by Python.  A bare name reaches only a
+    function or class; a method is reached only through an attribute whose
+    base is not an imported module (so ``mpmath.re`` reaches no method
+    ``re``), and, where its name is also a data attribute (a slot, a field
+    or a ``self.x =`` target), only by a call.  Routes only tests call live in ``tests/oracles.py``."""
+    exported = set(genuslift.__all__)
     sources = _src_modules()
     data = _data_attributes(sources)
     refs = [
@@ -660,15 +659,13 @@ def _defaulted(node, method: bool) -> list:
 
 def test_src_sets_every_defaulted_parameter():
     """Every defaulted parameter of a function or method in ``src/`` that
-    ``genuslift.__all__`` or ``genuslift.hodge.__all__`` does not export
-    (with its class) is passed by some call in ``src/``, by keyword or by
-    position, or allowed above with its reason: a default no caller
-    overrides is a constant dressed as a knob.  ``Class(...)`` calls
-    ``Class.__init__``; a call reaches a definition as a reference does in
+    ``genuslift.__all__`` does not export (with its class) is passed by
+    some call in ``src/``, by keyword or by position, or allowed above with
+    its reason: a default no caller overrides is a constant dressed as a
+    knob.  ``Class(...)`` calls ``Class.__init__``; a call reaches a
+    definition as a reference does in
     :func:`test_src_defines_only_what_src_reaches`."""
-    import genuslift.hodge
-
-    exported = set(genuslift.__all__) | set(genuslift.hodge.__all__)
+    exported = set(genuslift.__all__)
     sources = _src_modules()
     calls = [
         (node, source) for source in sources for node in ast.walk(source.tree)

@@ -56,7 +56,17 @@ their slot tuples without sorting, and the last product forms only the
 even degrees.  P is neutral for the grading, so at q = 0 it sends a term
 c hbar^a q^M of E_d to c hbar^{d/2} <M>, the moment of a centred Gaussian
 vector whose covariance holds the propagator weights (Isserlis's theorem,
-:func:`gaussian_moment`, memoized per monomial); odd degrees give nothing.
+:func:`gaussian_moment`); odd degrees give nothing.
+
+Which monomials and contractions that forms depends on g and N alone, so
+:func:`wick_program` runs the expansion once per (g, N) on stand-ins for
+the vertex correlators and propagator weights and records its products,
+divisions and sums as a flat program on numbered registers, and every
+call replays it on the numbers of its data (:func:`wick_moments`).  As in
+the graph sum, only structure leaves a term out, a weight or correlator
+that vanishes on the data enters as an exact 0, and the replay forms
+every product in the association of the expansion, so its moments are
+those of the expansion on the data, bit for bit.
 
 Both routes need V to joint order 3g - 4 and T to order 3g - 2, and both
 refuse shorter data with a ValueError.
@@ -102,12 +112,13 @@ read.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, count, cycle, islice, repeat
 from math import factorial
-from operator import add, and_, lshift, mul, or_, rshift
+from operator import add, and_, lshift, mul, or_, rshift, truediv
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
@@ -721,22 +732,22 @@ def gaussian_moment(mono: Tuple[int, ...], cov: dict, memo: dict):
     return total
 
 
-def _log_tau_layers(data: EdgeTailData, g: int) -> List[List[dict]]:
+def _log_tau_layers(vertex, n: int, g: int) -> List[List[dict]]:
     """The vertex generating functions log tau(hbar Delta_i; Q^i) around
     Q = T, truncated at weighted degree 2g - 2 and split by degree: one
-    list of layers per canonical index i.
+    list of layers per canonical index i < ``n``.
 
     Entry d of index i maps a sorted tuple of slots i(3g - 3) + k, one per
     factor q^i_k, to the coefficient of hbar^{(d - m)/2} times their
     product, with m the length of the tuple; the coefficient includes 1/c!
     for a factor repeated c times.  A vertex without edges has the empty
-    tuple in its own index's layers.  Correlators come from the memo
-    ``data.vertices`` when it holds them; the ones computed here are added
-    to it."""
+    tuple in its own index's layers.  ``vertex`` maps a slot (g_v, i,
+    sorted edge powers) to its correlator, or to None where the vertex
+    vanishes and its term is left out."""
     kq = 3 * g - 4  # largest psi-power any vertex can absorb
     top = 2 * g - 2
     per_index: List[List[dict]] = []
-    for i in range(data.dimension):
+    for i in range(n):
         layers: List[dict] = [{} for _ in range(top + 1)]
         for g_v in range(g + 1):
             for m in range(top - 2 * (g_v - 1) + 1):
@@ -749,7 +760,7 @@ def _log_tau_layers(data: EdgeTailData, g: int) -> List[List[dict]]:
                     for ks in _ascending_tuples(m, s, 0):
                         if ks and ks[-1] > kq:
                             continue
-                        coeff = _cached_vertex((g_v, i, ks), data)
+                        coeff = vertex((g_v, i, ks))
                         if coeff is None:
                             continue
                         denom = 1
@@ -818,8 +829,9 @@ def wick_oracle(data: EdgeTailData, g: int):
 
     It reads the vertex correlators and edge weights ``data`` keeps, as the
     graph sum does: correlators missing from the memo ``data.vertices`` are
-    computed on the process intersection table and added.  The expansion
-    and its logarithm run on the numbers ``data`` holds, at the precision
+    computed on the process intersection table and added.  The moments
+    replay the expansion :func:`wick_program` recorded, and they and the
+    logarithm run on the numbers ``data`` holds, at the precision
     :func:`graph_sum` states."""
     if g < 2:
         raise ValueError("the expansion is normalized for genus >= 2")
@@ -836,30 +848,104 @@ def wick_oracle(data: EdgeTailData, g: int):
 def wick_moments(data: EdgeTailData, g: int) -> dict:
     """The coefficients Z_b of hbar^b, 1 <= b < g, of exp(P) exp(log tau)
     at q = 0, in the numbers ``data`` holds; vanishing ones are left out.
-    F^g is the hbar^{g-1} coefficient of log(1 + sum_b Z_b hbar^b).  The
-    propagator weights are read from ``data.edge_weights``."""
+    F^g is the hbar^{g-1} coefficient of log(1 + sum_b Z_b hbar^b).
+
+    The products, divisions and sums are those of the :func:`wick_program`
+    of g and ``data.dimension``, replayed on the vertex correlators of the
+    memo ``data.vertices`` (a vanishing one enters as an exact 0) and the
+    propagator weights of ``data.edge_weights``."""
+    program = wick_program(g, data.dimension)
+    # a zero of the data's own kind: an int 0 would divide into a float
+    zero = Fraction(0) * data.delta[0]
+    registers = list(program.constants)
+    for key in program.vertices:
+        val = _cached_vertex(key, data)
+        registers.append(zero if val is None else val)
+    registers += map(data.edge_weights.__getitem__, program.weights)
+    read = registers.__getitem__
+    for op, left, right, counts in program.steps:
+        values = map(op, map(read, left), map(read, right))
+        if counts is None:
+            registers += values
+        else:
+            registers += [sum(islice(values, c - 1), next(values)) for c in counts]
+    return {b: registers[reg] for b, reg in program.outputs if registers[reg]}
+
+
+class WickProgram(NamedTuple):
+    """The moments Z_b of :func:`wick_moments` for one genus and N
+    indices, recorded once as straight-line code on numbered registers.
+
+    The registers start with the ints of ``constants``, which the
+    expansion multiplies and divides by; then the vertex correlators of
+    the slots ``vertices`` lists, (g_v, i, sorted edge powers); then the
+    propagator weights of the slots ``weights`` lists, (i, j, k, l) for
+    V^{ij}_{kl} sqrt(Delta_i Delta_j).  Each entry (op, left, right,
+    counts) of ``steps`` appends registers: op is a product or a division,
+    and it forms op(left[t], right[t]) for every t.  Without ``counts``
+    each of these is a register; with them, each count c appends the sum
+    of the next c, left to right.  A step reads only registers written
+    before it.  ``outputs`` pairs each b whose Z_b does not vanish for all
+    data with the register of Z_b."""
+
+    constants: Tuple[int, ...]
+    vertices: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+    weights: Tuple[Tuple[int, int, int, int], ...]
+    steps: Tuple[Tuple[object, array, array, Optional[array]], ...]
+    outputs: Tuple[Tuple[int, int], ...]
+
+
+@cache
+def wick_program(g: int, n: int) -> WickProgram:
+    """The :class:`WickProgram` of genus ``g`` over ``n`` indices: the
+    expansion of exp(P) exp(log tau) at q = 0, run once on stand-ins for
+    the numbers of the data.
+
+    :func:`_log_tau_layers`, :func:`_exp_by_index` and
+    :func:`gaussian_moment` run as they do on numbers, on a register
+    (:class:`_Number`) for every vertex slot whose
+    ``IntersectionTable.tail_terms`` are not empty and for every propagator
+    weight V^{ij}_{kl} with k + l <= 3g - 4.  A longer V cutoff would add
+    weights no term reads: a pairing of two slots is an edge of a stable
+    graph of genus at most g, and the psi powers of an edge are bounded by
+    the budgets of its two vertices, 3g - 4 in all, so a moment that pairs
+    slots beyond that has no matching of the rest.  Which terms they form
+    depends on these alone, so the program forms, for any data, the
+    products and divisions of their numeric run in the same order and
+    association, and its sums add the same terms in the same order; a
+    weight or correlator that vanishes on the data enters as an exact 0.
+    A sum or product that no output reads is not recorded, and the steps
+    group the rest by height, then kind (:meth:`_Tape.program`)."""
     kq = 3 * g - 4
-    powers = _exp_by_index(_log_tau_layers(data, g))
-    edge_weights = data.edge_weights
+    tape = _Tape()
+    vertices: list = []
+
+    def vertex(key):
+        # a slot without tail terms vanishes for all data
+        if not _DEFAULT_TABLE.tail_terms(key[0], key[2]):
+            return None
+        vertices.append(key)
+        return tape.input()
+
+    powers = _exp_by_index(_log_tau_layers(vertex, n, g))
 
     # propagator weights C_uv = V^{ij}_{kl} sqrt(Delta_i Delta_j) for
     # u = slot (i, k) <= v = slot (j, l); slot (i, k) is i(kq + 1) + k,
     # as in the monomials of _log_tau_layers
-    slots = [(i, k) for i in range(data.dimension) for k in range(kq + 1)]
+    slots = [(i, k) for i in range(n) for k in range(kq + 1)]
+    weights: list = []
     cov: dict = {}
     for u, (i, k) in enumerate(slots):
         for v in range(u, len(slots)):
             j, l = slots[v]
-            if k + l > data.v_cutoff:
-                continue
-            w = edge_weights[(i, j, k, l)]
-            if w != 0:
-                cov.setdefault(u, {})[v] = w
+            if k + l <= kq:
+                weights.append((i, j, k, l))
+                cov.setdefault(u, {})[v] = tape.input()
 
     # exp(P) hbar^a q^M at q = 0 is hbar^{a + m/2} <M>, and a degree-2b
     # term has a + m/2 = b
     memo: dict = {}
-    moments = {}
+    outputs = []
     for b in range(1, g):
         z = 0
         for mono, coef in powers[2 * b].items():
@@ -867,8 +953,206 @@ def wick_moments(data: EdgeTailData, g: int) -> dict:
             if moment:
                 z = z + coef * moment
         if z:
-            moments[b] = z
-    return moments
+            outputs.append((b, tape.register(z)))
+    return tape.program(vertices, weights, outputs)
+
+
+# step kinds of a _Tape: a product of two registers, a sum of such
+# products, a division by a constant
+_PRODUCT, _DOT, _DIV = range(3)
+
+_new = object.__new__
+
+
+class _Number:
+    """A number of the expansion :func:`wick_program` records.
+
+    A :class:`_Register` is a register of its tape.  A :class:`_Product`
+    of two registers and a :class:`_Sum` of such products are recorded
+    when first read, so one that nothing reads is never recorded.  A
+    product or a division by an int other than 1 reads a constant
+    register; a product by the int 1 or a division by 1 is the number
+    itself, and so is its sum with the int 0 a running sum starts from.
+    Every such number is true."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        tape = self.tape
+        a = self.reg if self.__class__ is _Register else tape.register(self)
+        if other.__class__ is int:
+            if other == 1:
+                return self
+            b = tape.constants[other]
+        else:
+            b = other.reg if other.__class__ is _Register else tape.register(other)
+        node = _new(_Product)
+        node.tape, node.a, node.b = tape, a, b
+        return node
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if other == 1:
+            return self
+        tape = self.tape
+        a = self.reg if self.__class__ is _Register else tape.register(self)
+        return tape.record(_DIV, a, tape.constants[other])
+
+    def __add__(self, other):
+        if other.__class__ is int:
+            return self
+        tape = self.tape
+        if other.__class__ is _Product:
+            a, b = other.a, other.b
+        else:
+            a, b = tape.register(other), tape.constants[1]
+        cls = self.__class__
+        if cls is _Sum and self.reg is None:
+            terms, n = self.terms, self.n
+            if len(terms) != n:
+                # another sum extends this list already
+                terms = terms[:n]
+        elif cls is _Product:
+            terms, n = [self.a, self.b], 2
+        else:
+            terms, n = [tape.register(self), tape.constants[1]], 2
+        terms.append(a)
+        terms.append(b)
+        node = _new(_Sum)
+        node.tape, node.terms, node.n, node.reg = tape, terms, n + 2, None
+        return node
+
+    __radd__ = __add__
+
+
+class _Register(_Number):
+    __slots__ = ("tape", "reg")
+
+
+class _Product(_Number):
+    __slots__ = ("tape", "a", "b")
+
+
+class _Sum(_Number):
+    """The sum of the products of the registers ``terms[2t]`` and
+    ``terms[2t + 1]`` for 2t < ``n``, left to right; ``reg`` is its
+    register once recorded.  A longer sum may share the list, so it is
+    read to ``n`` only."""
+
+    __slots__ = ("tape", "terms", "n", "reg")
+
+
+class _Constants(dict):
+    """Registers by value, each made by ``make`` on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, value):
+        reg = self[value] = self.make()
+        return reg
+
+
+class _Tape:
+    """The registers :func:`wick_program` records, numbered in the order
+    formed, and the steps that form them.  ``height`` holds per register
+    one more than the height of its highest operand (0 for an input or a
+    constant), and ``steps`` maps (height, kind) to the registers of that
+    height and kind with their operands: for a sum of products the term
+    counts and the factors of every term.  A product read alone is
+    recorded once per pair of registers."""
+
+    def __init__(self):
+        self.height: list = []
+        self.inputs: list = []
+        self.steps: dict = {}
+        self.products: dict = {}
+        self.constants = _Constants(self._fresh)
+
+    def _fresh(self) -> int:
+        self.height.append(0)
+        return len(self.height) - 1
+
+    def input(self) -> _Register:
+        """A new register for an input of the data."""
+        node = _new(_Register)
+        node.tape, node.reg = self, self._fresh()
+        self.inputs.append(node.reg)
+        return node
+
+    def _step(self, height: int, kind: int) -> list:
+        key = (height, kind)
+        step = self.steps.get(key)
+        if step is None:
+            step = self.steps[key] = [[], [], [], []]
+        return step
+
+    def record(self, kind: int, a: int, b: int) -> _Register:
+        """Record the product or division ``kind`` of registers a and b."""
+        height = self.height
+        top = height[a] if height[a] > height[b] else height[b]
+        regs, left, right, _ = self._step(top + 1, kind)
+        node = _new(_Register)
+        node.tape, node.reg = self, len(height)
+        regs.append(node.reg)
+        left.append(a)
+        right.append(b)
+        height.append(top + 1)
+        return node
+
+    def register(self, node: _Number) -> int:
+        """The register of ``node``, recorded now if it is not yet."""
+        if node.__class__ is _Register:
+            return node.reg
+        if node.__class__ is _Product:
+            key = (node.a, node.b)
+            reg = self.products.get(key)
+            if reg is None:
+                reg = self.products[key] = self.record(_PRODUCT, node.a, node.b).reg
+            return reg
+        if node.reg is None:
+            height = self.height
+            terms = node.terms[:node.n]
+            top = 1 + max(map(height.__getitem__, terms))
+            regs, left, right, counts = self._step(top, _DOT)
+            node.reg = len(height)
+            regs.append(node.reg)
+            left += terms[::2]
+            right += terms[1::2]
+            counts.append(len(terms) // 2)
+            height.append(top)
+            node.terms = None
+        return node.reg
+
+    def program(self, vertices: list, weights: list, outputs: list) -> WickProgram:
+        """The recording as a :class:`WickProgram` that reads the vertex
+        and weight slots ``vertices`` and ``weights`` (in the order their
+        inputs were made) and returns the (b, register) pairs of
+        ``outputs``.  The registers are numbered again: the constants,
+        the inputs, then those of the steps by height and kind."""
+        constants = self.constants
+        steps = sorted(self.steps.items())
+        order = list(chain(constants.values(), self.inputs, *(step[0] for _, step in steps)))
+        number = [0] * len(order)
+        deque(map(number.__setitem__, order, count()), 0)
+        renumber = number.__getitem__
+        return WickProgram(
+            constants=tuple(constants),
+            vertices=tuple(vertices),
+            weights=tuple(weights),
+            steps=tuple(
+                (
+                    truediv if kind == _DIV else mul,
+                    array("I", map(renumber, left)),
+                    array("I", map(renumber, right)),
+                    array("I", counts) if kind == _DOT else None,
+                )
+                for (_, kind), (_, left, right, counts) in steps
+            ),
+            outputs=tuple((b, number[reg]) for b, reg in outputs),
+        )
 
 
 # -- genus 1 ------------------------------------------------------------------------

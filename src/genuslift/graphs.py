@@ -42,7 +42,7 @@ divided by |Aut(skeleton)| = |automorphisms| * ``edge_aut``.  That is how
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import groupby, product
 from math import factorial
 from typing import Iterator, List, Sequence, Tuple
@@ -77,7 +77,12 @@ class Skeleton:
         return 3 * self.genera[v] - 3 + sum(row) + row[v]
 
     def describe(self) -> str:
-        """Vertex genera, edges and |Aut|; distinct for distinct skeletons."""
+        """Vertex genera, edges and |Aut|; distinct for distinct skeletons.
+        Built once per skeleton, which lives as long as the process."""
+        return self._description
+
+    @cached_property
+    def _description(self) -> str:
         verts = " ".join(f"g{g}" for g in self.genera)
         edges = " ".join(
             (f"{v}-{w}" if v != w else f"loop{v}") + (f"x{m}" if m > 1 else "")

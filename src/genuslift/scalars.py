@@ -145,12 +145,14 @@ class FloatContext:
             return mpmath.fabs(self.num(x))
 
     def chop(self, x):
-        """Drop an imaginary part that is below tolerance (relative to |x|)."""
+        """Drop an imaginary part that is below tolerance (relative to |x|).
+        One at most the tolerance itself goes without forming |x|, since
+        tol * max(1, |x|) >= tol."""
         with self.guard():
             x = self.num(x)
             if isinstance(x, mpmath.mpc):
-                scale = max(mpmath.mpf(1), mpmath.fabs(x))
-                if mpmath.fabs(mpmath.im(x)) <= self.tol * scale:
+                im = mpmath.fabs(mpmath.im(x))
+                if im <= self.tol or im <= self.tol * max(mpmath.mpf(1), mpmath.fabs(x)):
                     return mpmath.re(x)
             return x
 

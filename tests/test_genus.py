@@ -52,6 +52,7 @@ from genuslift.frobenius import (
 from genuslift import genus as genus_module
 from genuslift import rmatrix
 from genuslift.genus import (
+    _cached_vertex,
     _exp_by_index,
     _graded_exp,
     _log_tau_layers,
@@ -65,10 +66,12 @@ from genuslift.genus import (
     graph_sum_program,
     skeleton_values,
     walk_plan,
+    wick_moments,
     wick_oracle,
+    wick_program,
 )
 from genuslift.graphs import skeletons
-from genuslift.intersection import vertex_correlator
+from genuslift.intersection import _DEFAULT_TABLE, vertex_correlator
 from genuslift.io import format_value
 from genuslift.rmatrix import EdgeTailData, edge_tail_data
 from genuslift.scalars import FloatContext, GaussianFixed, from_kernel
@@ -183,6 +186,11 @@ def projective_space(n):
 def rel_err(value, reference):
     with CTX.guard():
         return mpmath.fabs(value - reference) / mpmath.fabs(reference)
+
+
+def numeric_layers(data, g):
+    """``_log_tau_layers`` on the vertex correlators of ``data``."""
+    return _log_tau_layers(lambda key: _cached_vertex(key, data), data.dimension, g)
 
 
 def summed_layers(per_index):
@@ -949,6 +957,7 @@ class TestWickExpansion:
     def test_counts_with_and_without_the_graph_sum_table(self, monkeypatch):
         model = two_primary_model(Fraction(1, 2))
         rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
+        wick_program.cache_clear()
         calls, memos = [], []
         correlator, moment = genus_module.vertex_correlator, genus_module.gaussian_moment
 
@@ -971,8 +980,9 @@ class TestWickExpansion:
         calls.clear()
         alone = wick_oracle(replace(rep.data), 3)
         assert len(calls) == len(set(calls)) == 116
-        # one memo per call, holding every even monomial reached
-        assert [len(m) for m in memos] == [251, 251]
+        # one recording, whose memo holds every even monomial reached; the
+        # second call replays it
+        assert [len(m) for m in memos] == [251]
         assert shared == alone
         assert rel_err(shared, rep.value) < TIGHT
 
@@ -997,7 +1007,7 @@ class TestWickExpansion:
     )
     def test_graded_exp_is_the_series_exp(self, shape, seed):
         g, n = shape
-        layers = summed_layers(_log_tau_layers(synthetic_data(n, g, seed), g))
+        layers = summed_layers(numeric_layers(synthetic_data(n, g, seed), g))
         slots = n * (3 * g - 3)
         names = ("h",) + tuple(f"q{s}" for s in range(slots))
         grading = dict.fromkeys(names, 1)
@@ -1021,7 +1031,7 @@ class TestWickExpansion:
 
     @pytest.mark.parametrize("g, n", [(2, 1), (2, 3), (3, 2)])
     def test_exp_by_index_is_the_exp_of_the_sum(self, g, n):
-        per_index = _log_tau_layers(synthetic_data(n, g, seed=700 + 10 * g + n), g)
+        per_index = numeric_layers(synthetic_data(n, g, seed=700 + 10 * g + n), g)
         # every index has a genus-2 vertex without edges on the empty tuple:
         # from two indices on, two degree splits meet on that tuple
         assert all(layers[2].get(()) for layers in per_index)
@@ -1034,6 +1044,8 @@ class TestWickExpansion:
 
     def test_routes_share_no_engine(self, monkeypatch):
         data = synthetic_data(2, 3, seed=321)
+        # the oracle records its expansion on its first call for a key
+        wick_program.cache_clear()
         calls = []
         for name in ("_replay", "graph_sum_program", "_graded_exp", "gaussian_moment"):
             def spy(*args, _name=name, _real=getattr(genus_module, name)):
@@ -1058,6 +1070,118 @@ class TestWickExpansion:
             fresh = vertex_correlator(g_v, ks, data.t[i], data.delta[i])
             assert (0 if value is None else value) == fresh
             assert (value is None) == (fresh == 0)
+
+
+def zeroed_data(n, g, seed):
+    """``synthetic_data`` with exact zeros planted: V^{00}_{00} and
+    V^{0,n-1}_{01} (with their transposes), T^0_3, and T^0_{3g-2} chosen
+    so that the genus-g vertex without edges at index 0 vanishes, though
+    its tail terms do not.  That correlator is affine in T_{3g-2}: only the
+    one-leg tail term reaches it."""
+    data = synthetic_data(n, g, seed)
+    v = dict(data.v)
+    for i, j, k, l in ((0, 0, 0, 0), (0, n - 1, 0, 1)):
+        v[(i, j, k, l)] = v[(j, i, l, k)] = Fraction(0)
+    t = [dict(tails) for tails in data.t]
+    t[0][3] = Fraction(0)
+    top = 3 * g - 2
+    t[0][top] = Fraction(0)
+    base = vertex_correlator(g, (), t[0], data.delta[0])
+    t[0][top] = Fraction(1)
+    slope = vertex_correlator(g, (), t[0], data.delta[0]) - base
+    t[0][top] = -base / slope
+    return replace(data, v=v, t=t)
+
+
+def expanded_moments(data, g):
+    """The moments of ``wick_moments`` from the expansion run straight on
+    the numbers of ``data``, skipping the terms that vanish on them: the
+    reference its replay must match bit for bit."""
+    kq = 3 * g - 4
+    powers = _exp_by_index(numeric_layers(data, g))
+    slots = [(i, k) for i in range(data.dimension) for k in range(kq + 1)]
+    cov = {}
+    for u, (i, k) in enumerate(slots):
+        for v in range(u, len(slots)):
+            j, l = slots[v]
+            if k + l <= data.v_cutoff and data.edge_weights[(i, j, k, l)] != 0:
+                cov.setdefault(u, {})[v] = data.edge_weights[(i, j, k, l)]
+    memo, moments = {}, {}
+    for b in range(1, g):
+        z = 0
+        for mono, coef in powers[2 * b].items():
+            moment = gaussian_moment(mono, cov, memo)
+            if moment:
+                z = z + coef * moment
+        if z:
+            moments[b] = z
+    return moments
+
+
+class TestWickProgram:
+    """The Wick oracle replays an expansion recorded once per (g, N) on
+    stand-ins for the data's numbers."""
+
+    @pytest.mark.parametrize("d", [Fraction(1, 2), Fraction(3, 2)])
+    @pytest.mark.parametrize(
+        "point", [(Fraction(2, 7), Fraction(3, 5)), (Fraction(-1, 3), Fraction(7, 9))]
+    )
+    def test_replay_is_the_expansion_bit_for_bit(self, d, point):
+        _, r = frame_and_R(two_primary_model(d), point, CTX, 6)
+        data = edge_tail_data(r)
+        got, want = wick_moments(data, 3), expanded_moments(data, 3)
+        assert list(got) == list(want) == [1, 2]
+        for b, z in got.items():
+            assert isinstance(z, GaussianFixed)
+            assert (z.__class__, z.re, z.im) == (want[b].__class__, want[b].re, want[b].im)
+
+    @pytest.mark.parametrize("g, n", [(2, 1), (2, 3), (3, 2), (4, 1)])
+    def test_planted_zeros_enter_exactly(self, g, n):
+        data = zeroed_data(n, g, seed=900 + 10 * g + n)
+        # the vanishing vertex and weights are registers of the program
+        assert _DEFAULT_TABLE.tail_terms(g, ())
+        assert vertex_correlator(g, (), data.t[0], data.delta[0]) == 0
+        program = wick_program(g, n)
+        assert (g, 0, ()) in program.vertices
+        assert {(0, 0, 0, 0), (0, n - 1, 0, 1)} <= set(program.weights)
+        value = wick_oracle(data, g)
+        assert isinstance(value, Fraction)
+        assert value == wick_oracle_layers(data, g)
+        assert data.vertices[(g, 0, ())] is None
+
+    def test_second_call_of_a_key_records_nothing(self):
+        first, second = synthetic_data(2, 3, seed=61), synthetic_data(2, 3, seed=62)
+        wick_oracle(first, 3)
+        before = wick_program.cache_info()
+        value = wick_oracle(second, 3)
+        after = wick_program.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits + 1, before.misses, before.currsize
+        )
+        assert value == wick_oracle_layers(second, 3)
+
+    @pytest.mark.parametrize("g, n", [(2, 3), (3, 2), (4, 1)])
+    def test_longer_cutoff_reads_the_same_program(self, g, n):
+        # no term reads V past joint order 3g - 4; the reference reads the
+        # data's V to its own cutoff, here 2(3g - 4), where random weights
+        # stand
+        wide = synthetic_data(n, g, seed=64)
+        rng = random.Random(65)
+        v = dict(wide.v)
+        for i in range(n):
+            for j in range(n):
+                for k in range(3 * g - 3):
+                    for l in range(3 * g - 3):
+                        if 3 * g - 4 < k + l and (i, j, k, l) not in v:
+                            v[(i, j, k, l)] = v[(j, i, l, k)] = Fraction(rng.randint(1, 9))
+        wide = replace(wide, v=v, v_cutoff=6 * g - 8)
+        narrow = replace(wide, v={k: x for k, x in v.items() if k[2] + k[3] <= 3 * g - 4},
+                         v_cutoff=3 * g - 4)
+        value = wick_oracle(narrow, g)
+        before = wick_program.cache_info()
+        assert wick_oracle(wide, g) == value == wick_oracle_layers(wide, g)
+        assert wick_program.cache_info().misses == before.misses
+        assert max(k + l for _, _, k, l in wick_program(g, n).weights) == 3 * g - 4
 
 
 class TestGenusReport:

@@ -78,16 +78,23 @@ and the edge weights V^{ij}_{kl} sqrt(Delta_i) sqrt(Delta_j)
 and summation are its own, which makes the two mutual oracles; agreement
 is exact on rational synthetic data.
 
-Both run one generic code path over the numbers their data holds and
-convert nothing.  The pipeline's edge/tail data hold *kernel scalars*
-(``scalars``): ``rmatrix.edge_tail_data`` and ``descendent.bold_quantities``
-compute R, V and T on the frame's values converted once, so the kernels
+Both run on the numbers their data holds and convert nothing.  The
+pipeline's edge/tail data hold *kernel scalars* (``scalars``):
+``rmatrix.edge_tail_data`` and ``descendent.bold_quantities`` compute R, V
+and T on the frame's values converted once, so the kernels
 (:func:`skeleton_values`, ``EdgeTailData.edge_weights``,
 ``vertex_correlator``, :func:`wick_moments`) multiply Gaussian fixed-point
-numbers on Python ints in place of mpmath ``mpc``.  The skeleton values
-and the oracle's moments go back once with ``from_kernel``, at the
-precision the data carries, and the final sum and the oracle's logarithm
-run at that precision.  Rational data stays exact throughout; mpmath data
+numbers on Python ints in place of mpmath ``mpc``.  Both recorded programs
+replay kernel data on its integer *lanes* (``scalars.to_lanes``): two
+lists of the scaled real and imaginary parts, on which each product is
+floored as a kernel product is (``scalars.lane_products``) and each sum
+adds ints exactly, so every register holds the parts the kernel scalars'
+operators would form, bit for bit, and only the outputs become kernel
+scalars again.  Other data, rational or mpmath, replay by their own
+operators.  The data's type picks the loop.  The skeleton values and the
+oracle's moments go back once with ``from_kernel``, at the precision the
+data carries, and the final sum and the oracle's logarithm run at that
+precision.  Rational data stays exact throughout; mpmath data
 runs at the caller's working precision.  A :class:`GenusReport` keeps its
 data, and with it the vertex correlators and edge weights the sum formed,
 so ``wick_oracle(report.data, g)`` reads them again.
@@ -118,7 +125,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, count, cycle, islice, repeat
 from math import factorial
-from operator import add, and_, lshift, mul, or_, rshift, truediv
+from operator import add, and_, floordiv, lshift, mul, or_, rshift, truediv
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
@@ -129,7 +136,7 @@ from .frobenius import FrobeniusModel
 from .graphs import Skeleton, skeletons
 from .intersection import _DEFAULT_TABLE, _ascending_tuples, vertex_correlator
 from .rmatrix import EdgeTailData, RSeries, edge_tail_data, twist_R
-from .scalars import FloatContext, _context_of, from_kernel
+from .scalars import FloatContext, GaussianFixed, _context_of, from_kernel, lane_products, to_lanes
 from .series import Caps, TruncatedSeries
 
 
@@ -208,7 +215,9 @@ class GraphSumProgram(NamedTuple):
     left to right.  A step reads only registers written before it.
     ``outputs`` holds, per skeleton of ``graphs.skeletons(g)`` in order,
     the register of its sum, or None where the sum vanishes for all data
-    (or the program leaves the skeleton out)."""
+    (or the program leaves the skeleton out).  :func:`skeleton_values`
+    replays it on the lanes of kernel data and by the operators of any
+    other."""
 
     weights: Tuple[Tuple[int, int, int, int], ...]
     vertices: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
@@ -646,9 +655,9 @@ def graph_sum(data: EdgeTailData, g: int, frame=None) -> GenusReport:
     process intersection table.
 
     The sum runs on the numbers ``data`` holds, and the report keeps them.
-    Kernel scalars run at their own precision, rational data stays exact,
-    and mpmath data runs at the caller's working precision, as in
-    ``vertex_correlator``."""
+    Kernel scalars run at their own precision, on integer lanes, rational
+    data stays exact, and mpmath data runs at the caller's working
+    precision, as in ``vertex_correlator``."""
     ctx = _context_of(data.delta[0])
     with ctx.guard():
         contributions = [(sk, from_kernel(val)) for sk, val in skeleton_values(data, g)]
@@ -674,6 +683,12 @@ def skeleton_values(data: EdgeTailData, g: int) -> List[Tuple[Skeleton, object]]
     weight vanishes, only the skeleton without edges is replayed and every
     other contributes 0.
 
+    Kernel data replay on the lanes of their registers, each product
+    floored as a kernel product and each sum of ints exact, so each value
+    is the kernel scalar the operators would form, bit for bit (a
+    vanishing one is a kernel 0); other data replay by their own operators
+    (:func:`_replay`).
+
     The weights are ``data.edge_weights``, and the correlators come from
     the memo ``data.vertices``, which is extended here to every vertex slot
     of the program."""
@@ -687,10 +702,33 @@ def skeleton_values(data: EdgeTailData, g: int) -> List[Tuple[Skeleton, object]]
     for key in program.vertices:
         val = _cached_vertex(key, data)
         registers.append(0 if val is None else val)
-    _replay(program.steps, registers)
+    kind = data.delta[0].__class__
+    if issubclass(kind, GaussianFixed):
+        re, im = to_lanes(registers, kind)
+        # both lanes take their full length at once: grown step by step,
+        # two lists of 677k registers at (5, 2) raised a cold op's peak RSS
+        end = len(re)
+        size = end + sum(len(ops) // 2 if c is None else len(c) for c, ops in program.steps)
+        re += [0] * (size - end)
+        im += [0] * (size - end)
+        shift = kind.shift
+        for counts, operands in program.steps:
+            if counts is None:
+                half = len(operands) // 2
+                parts = lane_products(re, im, operands[:half], operands[half:], shift)
+            else:
+                parts = [[sum(islice(terms, c)) for c in counts]
+                         for terms in (map(re.__getitem__, operands), map(im.__getitem__, operands))]
+            start, end = end, end + len(parts[0])
+            re[start:end], im[start:end] = parts
+
+        def read(out):
+            return kind(re[out], im[out])
+    else:
+        read = _replay(program.steps, registers).__getitem__
     values = []
     for sk, out in zip(skeletons(g), program.outputs):
-        total = 0 if out is None else registers[out]
+        total = 0 if out is None else read(out)
         values.append((sk, total / sk.aut if total else total))
     return values
 
@@ -853,7 +891,11 @@ def wick_moments(data: EdgeTailData, g: int) -> dict:
     The products, divisions and sums are those of the :func:`wick_program`
     of g and ``data.dimension``, replayed on the vertex correlators of the
     memo ``data.vertices`` (a vanishing one enters as an exact 0) and the
-    propagator weights of ``data.edge_weights``."""
+    propagator weights of ``data.edge_weights``.  Kernel data replay on the
+    lanes of their registers, as in :func:`skeleton_values`: a product by
+    a constant reads the constant scaled by 2**shift, and a division by
+    one floors each part by the int, as ``GaussianFixed`` does.  Other
+    data replay by their own operators."""
     program = wick_program(g, data.dimension)
     # a zero of the data's own kind: an int 0 would divide into a float
     zero = Fraction(0) * data.delta[0]
@@ -862,6 +904,23 @@ def wick_moments(data: EdgeTailData, g: int) -> dict:
         val = _cached_vertex(key, data)
         registers.append(zero if val is None else val)
     registers += map(data.edge_weights.__getitem__, program.weights)
+    kind = data.delta[0].__class__
+    if issubclass(kind, GaussianFixed):
+        re, im = to_lanes(registers, kind)
+        shift = kind.shift
+        for op, left, right, counts in program.steps:
+            if op is truediv:
+                # the divisors are constant registers, read as the ints they are
+                divisors = list(map(program.constants.__getitem__, right))
+                for lane in (re, im):
+                    lane += list(map(floordiv, map(lane.__getitem__, left), divisors))
+                continue
+            products = lane_products(re, im, left, right, shift)
+            if counts is not None:
+                products = [[sum(islice(terms, c)) for c in counts] for terms in map(iter, products)]
+            re += products[0]
+            im += products[1]
+        return {b: kind(re[reg], im[reg]) for b, reg in program.outputs if re[reg] or im[reg]}
     read = registers.__getitem__
     for op, left, right, counts in program.steps:
         values = map(op, map(read, left), map(read, right))
@@ -886,7 +945,8 @@ class WickProgram(NamedTuple):
     each of these is a register; with them, each count c appends the sum
     of the next c, left to right.  A step reads only registers written
     before it.  ``outputs`` pairs each b whose Z_b does not vanish for all
-    data with the register of Z_b."""
+    data with the register of Z_b.  :func:`wick_moments` replays it on the
+    lanes of kernel data and by the operators of any other."""
 
     constants: Tuple[int, ...]
     vertices: Tuple[Tuple[int, int, Tuple[int, ...]], ...]

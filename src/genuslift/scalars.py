@@ -34,6 +34,14 @@ carry (:func:`_context_of`), and :func:`from_kernel` converts each result
 back.  Rational data needs no conversion: a ``Fraction`` is its own kernel
 scalar, and sums over it stay exact.
 
+The two recorded programs of ``genus`` (the graph sum and the Wick oracle)
+replay kernel data without kernel scalar objects: :func:`to_lanes` splits
+their input registers once into *lanes*, two lists of the scaled integer
+parts, and :func:`lane_products` forms the products of a step on them,
+floored as :meth:`GaussianFixed.__mul__` floors; sums of parts are exact,
+and a division by an int floors each part as ``/`` does.  Only their
+outputs become kernel scalars again.
+
 Arithmetic code takes a context and calls it; which backend runs is
 decided here alone.  ``EXACT`` is the default wherever a context is
 optional.
@@ -45,7 +53,7 @@ import fractions
 import math
 from functools import cache
 from math import isqrt
-from typing import Iterable, Union
+from typing import Iterable, Tuple, Union
 
 import mpmath
 from mpmath.libmp import from_man_exp, round_nearest
@@ -499,6 +507,40 @@ def _fixed_type(shift: int, prec: int) -> type:
         (GaussianFixed,),
         {"__slots__": (), "shift": shift, "prec": prec, "__module__": __name__},
     )
+
+
+def to_lanes(values: Iterable, kind: type) -> Tuple[list, list]:
+    """The *lanes* of ``values``: their scaled integer parts at the scale of
+    the :class:`GaussianFixed` subclass ``kind``, as two lists re and im.
+    A kernel scalar of ``kind`` gives its parts and an int n those of
+    ``kind.convert(n)``, (n 2**shift, 0).  Any other number raises
+    ``TypeError``, so numbers of two scales never meet unnoticed here
+    either."""
+    shift = kind.shift
+    re, im = [], []
+    for x in values:
+        if x.__class__ is kind:
+            re.append(x.re)
+            im.append(x.im)
+        elif x.__class__ is int:
+            re.append(x << shift)
+            im.append(0)
+        else:
+            raise TypeError(f"{type(x).__name__} is not a kernel scalar of {kind.__name__}")
+    return re, im
+
+
+def lane_products(re: list, im: list, left, right, shift: int) -> Tuple[list, list]:
+    """The products of the registers left[t] and right[t] of the lanes
+    ``re``, ``im`` at scale ``shift``, as two new lanes.  Each is floored
+    as :meth:`GaussianFixed.__mul__` floors it, so the parts are those of
+    the product of the kernel scalars, bit for bit."""
+    out_re, out_im = [], []
+    for x, y in zip(left, right):
+        a, b, c, d = re[x], im[x], re[y], im[y]
+        out_re.append((a * c - b * d) >> shift)
+        out_im.append((a * d + b * c) >> shift)
+    return out_re, out_im
 
 
 def from_kernel(x):

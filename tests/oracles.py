@@ -56,6 +56,9 @@ library produces by another route:
 * ``wick_oracle_layers``: the Wick expansion of F^g as a capped series
   exponential followed by one propagator layer per order, each scaled by
   1/n!;
+* ``wick_replay_by_operators``: the recorded Wick program replayed by the
+  operators of the data's numbers; the library replays kernel data on
+  integer lanes;
 * ``jet_R_conformal``: R of a conformal model by the jet recursion on
   frame jets, its diagonal constants fixed by Euler homogeneity; the
   library solves the conformal R from the order-0 frame alone;
@@ -96,7 +99,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, islice, permutations, product
 from math import factorial
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -116,9 +119,11 @@ from genuslift.frobenius import FrobeniusModel
 from genuslift.expressions import Expression, _bounded, _multi_indices, t_names
 from genuslift.genus import (
     _STENCIL,
+    _cached_vertex,
     genus1_differential,
     genus1_one_form,
     walk_plan,
+    wick_program,
 )
 from genuslift.graphs import Skeleton, _cells, _edge_aut, _refined_colors, _rows, skeletons
 from genuslift.intersection import (
@@ -1506,6 +1511,29 @@ def wick_oracle_layers(
         else:
             logged = connected.log(ctx)
         return logged.scalar_coeff((g - 1,))
+
+
+def wick_replay_by_operators(data: EdgeTailData, g: int) -> dict:
+    """Every Z_b register of the ``genus.wick_program`` of g and
+    ``data.dimension``, vanishing ones included, replayed by the operators
+    of the numbers ``data`` holds, so kernel scalars multiply, divide and
+    add as objects.  The library replays kernel data on integer lanes
+    instead, and must match this bit for bit."""
+    program = wick_program(g, data.dimension)
+    zero = Fraction(0) * data.delta[0]
+    registers = list(program.constants)
+    for key in program.vertices:
+        val = _cached_vertex(key, data)
+        registers.append(zero if val is None else val)
+    registers += map(data.edge_weights.__getitem__, program.weights)
+    read = registers.__getitem__
+    for op, left, right, counts in program.steps:
+        values = map(op, map(read, left), map(read, right))
+        if counts is None:
+            registers += values
+        else:
+            registers += [sum(islice(values, c - 1), next(values)) for c in counts]
+    return {b: registers[reg] for b, reg in program.outputs}
 
 
 # -- the R-matrix route on mpmath numbers ------------------------------------------

@@ -1149,6 +1149,53 @@ class TestWickProgram:
         assert value == wick_oracle_layers(data, g)
         assert data.vertices[(g, 0, ())] is None
 
+    @staticmethod
+    def assert_lanes_are_the_operators(data, g):
+        """``wick_moments`` on kernel data, which runs on integer lanes,
+        against the program replayed by the kernel scalars' operators:
+        every Z_b register bit for bit, the vanishing ones left out."""
+        assert isinstance(data.delta[0], GaussianFixed)
+        got = wick_moments(data, g)
+        want = oracles.wick_replay_by_operators(data, g)
+        assert list(got) == [b for b, z in want.items() if z]
+        for b, z in got.items():
+            assert isinstance(want[b], GaussianFixed)
+            assert TestSkeletonProgram.bits(z) == TestSkeletonProgram.bits(want[b])
+
+    @pytest.mark.parametrize("g", [3, 4])
+    @pytest.mark.parametrize("d", [Fraction(1, 2), Fraction(1, 3)])
+    def test_lanes_match_the_operators_two_primary(self, d, g):
+        point = (Fraction(2, 7), Fraction(3, 5))
+        _, r = frame_and_R(two_primary_model(d), point, CTX, 3 * g - 3)
+        self.assert_lanes_are_the_operators(edge_tail_data(r), g)
+
+    def test_lanes_match_the_operators_cusp(self):
+        _, r = frame_and_R(
+            threefold_cusp_model(), (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2)), CTX, 3
+        )
+        self.assert_lanes_are_the_operators(edge_tail_data(r), 2)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_lanes_match_the_operators_point_model_bold_data(self, g):
+        tau = CurvePoint(((Fraction(1, 50),), (Fraction(1, 40),), (Fraction(1, 30),)))
+        _, bold = descendent_frame(POINT, POINT_CAL, tau, CTX, order=3 * g - 3)
+        self.assert_lanes_are_the_operators(bold, g)
+
+    @pytest.mark.parametrize("g, n", [(2, 1), (2, 3), (3, 2), (4, 1)])
+    def test_lanes_match_the_operators_on_planted_zeros(self, g, n):
+        data = zeroed_data(n, g, seed=900 + 10 * g + n).in_kernel(CTX)
+        # the planted zeros of V and T are kernel zeros of the data's one
+        # scale; the cancelling vertex is not, as T_{3g-2} was rounded
+        kind = type(data.delta[0])
+        zeros = [data.edge_weights[(0, 0, 0, 0)], data.edge_weights[(0, n - 1, 0, 1)], data.t[0][3]]
+        assert all(type(z) is kind and z == 0 for z in zeros)
+        self.assert_lanes_are_the_operators(data, g)
+        # with every tail at index 0 a kernel zero, the vertices there that
+        # need a tail vanish and enter the registers as zeros
+        data = replace(data, t=[{a: kind(0, 0) for a in data.t[0]}, *data.t[1:]])
+        self.assert_lanes_are_the_operators(data, g)
+        assert None in data.vertices.values()
+
     def test_second_call_of_a_key_records_nothing(self):
         first, second = synthetic_data(2, 3, seed=61), synthetic_data(2, 3, seed=62)
         wick_oracle(first, 3)

@@ -30,7 +30,7 @@ from genuslift.frobenius import (
     two_primary_model,
 )
 from genuslift.linalg import mat_inv
-from genuslift.scalars import EXACT, FloatContext, from_kernel
+from genuslift.scalars import EXACT, FloatContext, _fixed_type, from_kernel, lane_products, to_lanes
 from oracles import close, critical_point_reference, det
 
 CTX = FloatContext(256)
@@ -330,6 +330,42 @@ class TestKernelScalars:
         assert from_kernel(Fraction(1, 3)) == Fraction(1, 3)
         with pytest.raises(ArithmeticError):
             CTX.to_kernel([mpmath.mpf("inf")])
+
+
+parts = st.integers(min_value=-(1 << 600), max_value=1 << 600)
+imaginary_parts = st.one_of(st.just(0), parts)
+
+
+class TestLanes:
+    """The graph sum and the Wick oracle replay kernel data on lanes, two
+    lists of scaled integer parts: a product there is floored as a kernel
+    product, a sum adds ints and a division by an int floors each part.
+    Each must give the parts the kernel scalar's own operator gives."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(parts, imaginary_parts, parts, imaginary_parts,
+           st.sampled_from([0, 1, 300, 568]),
+           st.integers(min_value=-(1 << 70), max_value=1 << 70).filter(bool))
+    def test_lane_arithmetic_is_the_kernel_arithmetic(self, a, b, c, d, shift, n):
+        kind = _fixed_type(shift, PREC)
+        x, y = kind(a, b), kind(c, d)
+        re, im = to_lanes([x, y, n, 0], kind)
+        assert (re, im) == ([a, c, n << shift, 0], [b, d, 0, 0])
+        # register pairs: x y, y x, x x, x by the int n, the int n by y, x by 0
+        want = [x * y, y * x, x * x, x * n, n * y, x * 0]
+        got = lane_products(re, im, [0, 1, 0, 0, 2, 0], [1, 0, 0, 2, 1, 3], shift)
+        assert got == ([z.re for z in want], [z.im for z in want])
+        total = x + y
+        assert (re[0] + re[1], im[0] + im[1]) == (total.re, total.im)
+        quotient = x / n
+        assert (re[0] // n, im[0] // n) == (quotient.re, quotient.im)
+
+    def test_lanes_take_one_scale(self):
+        kind = _fixed_type(300, PREC)
+        assert to_lanes([], kind) == ([], [])
+        for stranger in (_fixed_type(301, PREC)(1, 0), Fraction(1, 2), mpmath.mpf(1)):
+            with pytest.raises(TypeError):
+                to_lanes([kind(1, 2), stranger], kind)
 
 
 def test_no_backend_branches_in_src():

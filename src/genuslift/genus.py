@@ -14,13 +14,11 @@ No decorated graph is built.  By orbit-stabilizer the decorated graphs of
 one skeleton (``graphs.skeletons``) add up to the sum over all N^|V|
 labelings of its vertices, divided by |Aut(skeleton)|.  Which products and
 sums that takes depends on the genus and N alone, so
-:func:`graph_sum_program` records it once per (g, N) as one flat program on
-numbered registers for all skeletons of genus g, and
-:func:`skeleton_values` replays it on the edge weights and vertex
-correlators of the data at hand and reads each skeleton's sum from its own
-register.  Each skeleton is walked along its memoized :func:`walk_plan`,
-which places the vertices by one sort key: ascending psi cap, then number
-of edges, then vertex number.  A vertex is multiplied in once its last
+:func:`graph_sum_program` records it once per (g, N) as one
+:class:`Program` for all skeletons of genus g, and :func:`skeleton_values`
+reads each skeleton's sum from its own output.  Each skeleton is walked
+along its memoized :func:`walk_plan`, which places the vertices by one
+sort key: ascending psi cap, then number of edges, then vertex number.  A vertex is multiplied in once its last
 half-edge has a power, and the sum over the remaining edges is one register
 per edge reached and (index, sorted powers) of every still-open vertex; a
 closed vertex drops out of that key, so labelings and power assignments
@@ -30,10 +28,8 @@ the skeleton's terms in the walk's order, and as they are labeled each
 product of two registers (left to right) and each sum of terms (in order)
 enters the program once: a skeleton reads a product or sum that another
 skeleton, or another state of its own, formed already.  Only structure
-leaves a term out (the psi budgets, and a vertex whose
-``IntersectionTable.tail_terms`` are empty): a weight or correlator that
-vanishes on some data enters the replay as an exact 0, so every sum comes
-out as the numeric walk would make it, bit for bit.
+leaves a term out: the psi budgets, and a vertex whose
+``IntersectionTable.tail_terms`` are empty.
 
 ``wick_oracle`` evaluates the same quantity without enumerating graphs: it
 truncates each vertex generating function log tau(hbar Delta_i; Q^i) around
@@ -60,13 +56,15 @@ vector whose covariance holds the propagator weights (Isserlis's theorem,
 
 Which monomials and contractions that forms depends on g and N alone, so
 :func:`wick_program` runs the expansion once per (g, N) on stand-ins for
-the vertex correlators and propagator weights and records its products,
-divisions and sums as a flat program on numbered registers, and every
-call replays it on the numbers of its data (:func:`wick_moments`).  As in
-the graph sum, only structure leaves a term out, a weight or correlator
-that vanishes on the data enters as an exact 0, and the replay forms
-every product in the association of the expansion, so its moments are
-those of the expansion on the data, bit for bit.
+the vertex correlators and propagator weights and records it as a
+:class:`Program`, whose outputs are the moments of :func:`wick_moments`.
+
+A :class:`Program` is straight-line code on numbered registers: the
+products, divisions by constants and sums of its route's numeric run, in
+the same order and association.  :func:`replay` runs either route's
+program on the edge weights and vertex correlators of the data at hand.
+A weight or correlator that vanishes on the data enters as an exact 0, so
+every output is what the numeric run would form on the data, bit for bit.
 
 Both routes need V to joint order 3g - 4 and T to order 3g - 2, and both
 refuse shorter data with a ValueError.
@@ -74,9 +72,10 @@ refuse shorter data with a ValueError.
 The oracle shares with the graph sum the input tables and what the data
 derives from them: the memo of ``vertex_correlator`` (``data.vertices``)
 and the edge weights V^{ij}_{kl} sqrt(Delta_i) sqrt(Delta_j)
-(``data.edge_weights``), the same products either side would form.  Graphs
-and summation are its own, which makes the two mutual oracles; agreement
-is exact on rational synthetic data.
+(``data.edge_weights``), the same products either side would form, and
+:func:`replay`, which runs whatever program it is given.  Graphs, the
+expansion and the recording of each are the route's own, which makes the
+two mutual oracles; agreement is exact on rational synthetic data.
 
 Both run on the numbers their data holds and convert nothing.  The
 pipeline's edge/tail data hold *kernel scalars* (``scalars``):
@@ -84,14 +83,14 @@ pipeline's edge/tail data hold *kernel scalars* (``scalars``):
 and T on the frame's values converted once, so the kernels
 (:func:`skeleton_values`, ``EdgeTailData.edge_weights``,
 ``vertex_correlator``, :func:`wick_moments`) multiply Gaussian fixed-point
-numbers on Python ints in place of mpmath ``mpc``.  Both recorded programs
-replay kernel data on its integer *lanes* (``scalars.to_lanes``): two
-lists of the scaled real and imaginary parts, on which each product is
-floored as a kernel product is (``scalars.lane_products``) and each sum
-adds ints exactly, so every register holds the parts the kernel scalars'
-operators would form, bit for bit, and only the outputs become kernel
-scalars again.  Other data, rational or mpmath, replay by their own
-operators.  The data's type picks the loop.  The skeleton values and the
+numbers on Python ints in place of mpmath ``mpc``.  :func:`replay` runs
+kernel data on its integer *lanes* (``scalars.to_lanes``): two lists of
+the scaled real and imaginary parts, on which each product is floored as
+a kernel product is (``scalars.lane_products``) and each sum adds ints
+exactly, so every register holds the parts the kernel scalars' operators
+would form, bit for bit, and only the outputs become kernel scalars
+again.  Other data, rational or mpmath, replay by their own operators.
+The data's type picks the loop.  The skeleton values and the
 oracle's moments go back once with ``from_kernel``, at the precision the
 data carries, and the final sum and the oracle's logarithm run at that
 precision.  Rational data stays exact throughout; mpmath data
@@ -201,27 +200,29 @@ def walk_plan(sk: Skeleton) -> WalkPlan:
     return _plan(sk, sorted(range(n), key=lambda v: (sk.psi_cap(v), sum(sk.adjacency[v]), v)))
 
 
-class GraphSumProgram(NamedTuple):
-    """The sums of all skeletons of one genus over all labelings by N
-    indices, recorded once as straight-line code on numbered registers.
+class Program(NamedTuple):
+    """Straight-line code on numbered registers, recorded once per genus
+    and N by :func:`graph_sum_program` or :func:`wick_program` and run by
+    :func:`replay`.
 
-    Registers 0 .. len(weights) - 1 hold the edge weights of the slots
-    ``weights`` lists, (i, j, k, l) for V^{ij}_{kl} sqrt(Delta_i Delta_j);
-    the next len(vertices) registers hold the vertex correlators of the
-    slots ``vertices`` lists, (g_v, i, sorted edge powers).  Each entry of
-    ``steps`` appends registers: (None, operands) appends the products of
-    the first half of the operands, in order, by the second half; (counts,
-    operands) appends, for each count c, the sum of the next c operands,
-    left to right.  A step reads only registers written before it.
-    ``outputs`` holds, per skeleton of ``graphs.skeletons(g)`` in order,
-    the register of its sum, or None where the sum vanishes for all data
-    (or the program leaves the skeleton out).  :func:`skeleton_values`
-    replays it on the lanes of kernel data and by the operators of any
-    other."""
+    The registers start with the ints of ``constants``; then the edge
+    weights of the slots ``weights`` lists, (i, j, k, l) for
+    V^{ij}_{kl} sqrt(Delta_i Delta_j); then the vertex correlators of the
+    slots ``vertices`` lists, (g_v, i, sorted edge powers).  Each entry
+    (op, left, right, counts) of ``steps`` appends registers: op is a
+    product or a division by a constant register, and it forms
+    op(left[t], right[t]) for every t, or op is None and it reads left[t]
+    as it is.  Without ``counts`` each of these is a register; with them,
+    each count c appends the sum of the next c, left to right.  A step
+    reads only registers written before it.  ``outputs`` holds the
+    register of each output, or None where the output vanishes for all
+    data (or the program leaves it out): one per skeleton of ``graphs.skeletons(g)`` for the graph sum,
+    the Z_b of :func:`wick_moments` at b - 1 for the Wick oracle."""
 
+    constants: Tuple[int, ...]
     weights: Tuple[Tuple[int, int, int, int], ...]
     vertices: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
-    steps: Tuple[Tuple[Optional[array], array], ...]
+    steps: Tuple[Tuple[object, array, Optional[array], Optional[array]], ...]
     outputs: Tuple[Optional[int], ...]
 
 
@@ -347,10 +348,9 @@ def _record(sk: Skeleton, weights: dict, vertices: dict, live: list) -> List[lis
 
 
 @cache
-def graph_sum_program(g: int, n: int, edges: bool = True) -> GraphSumProgram:
-    """The :class:`GraphSumProgram` of the skeletons of genus ``g`` over
-    ``n`` indices; with ``edges`` false, of the skeleton without edges
-    alone.
+def graph_sum_program(g: int, n: int, edges: bool = True) -> Program:
+    """The :class:`Program` of the skeletons of genus ``g`` over ``n``
+    indices; with ``edges`` false, of the skeleton without edges alone.
 
     Which terms a labeling contributes does not depend on its indices, so
     each skeleton's walk (:func:`_record`) runs over a single index, and the
@@ -420,9 +420,12 @@ def graph_sum_program(g: int, n: int, edges: bool = True) -> GraphSumProgram:
             fresh += _enter(with_state, last, size + len(fresh))
             if fresh:
                 size += len(fresh)
-                steps.append((None, array("I", chain(
-                    map(rshift, fresh, repeat(32)), map(and_, fresh, repeat(_LOW))
-                ))))
+                steps.append((
+                    mul,
+                    array("I", map(rshift, fresh, repeat(32))),
+                    array("I", map(and_, fresh, repeat(_LOW))),
+                    None,
+                ))
             terms[:len(pairs)] = chain(
                 map(products.__getitem__, inputs_only), map(with_state.__getitem__, last)
             )
@@ -432,14 +435,17 @@ def graph_sum_program(g: int, n: int, edges: bool = True) -> GraphSumProgram:
         fresh = _enter(sums, [grp for grp in groups if len(grp) > 1], size)
         if fresh:
             size += len(fresh)
-            steps.append((array("I", map(len, fresh)), array("I", chain.from_iterable(fresh))))
+            steps.append((
+                None, array("I", chain.from_iterable(fresh)), None, array("I", map(len, fresh))
+            ))
         regs = iter([sums[grp] if len(grp) > 1 else grp[0] for grp in groups])
         for _, counts, _, s in batch:
             below[s] = list(islice(regs, len(counts)))
             if height == len(walks[s][1]) - 1:
                 # the first edge has one state: the skeleton's sum
                 outputs[s] = below[s][0]
-    return GraphSumProgram(
+    return Program(
+        constants=(),
         weights=tuple((i, j, k, l) for i in range(n) for j in range(n) for k, l in weights),
         vertices=tuple((g_v, i, ks) for i in range(n) for g_v, ks in shapes),
         steps=tuple(steps),
@@ -518,22 +524,60 @@ def _offsets(n: int, placed: Sequence[int], const: int, coefs: dict) -> List[int
     return values
 
 
-def _replay(steps, registers: list) -> list:
-    """Run the steps of a :class:`GraphSumProgram` on ``registers``, which
-    hold its inputs, and return them with every register the steps wrote.
-    Every product multiplies left by right and every sum adds its terms
-    left to right, on whatever numbers the registers hold."""
-    for counts, operands in steps:
-        values = list(map(registers.__getitem__, operands))
-        if counts is None:
-            half = len(values) // 2
-            registers += map(mul, values[:half], values[half:])
-            continue
-        terms = iter(values)
-        for c in counts:
-            head = next(terms)
-            registers.append(sum(islice(terms, c - 1), head))
-    return registers
+def replay(program: Program, data: EdgeTailData) -> list:
+    """The outputs of ``program`` on the numbers ``data`` holds, the int 0
+    for an output None.
+
+    The registers load the program's constants, the edge weights of
+    ``data.edge_weights`` and the vertex correlators of the memo
+    ``data.vertices``, which is extended here to every slot the program
+    reads; a vanishing correlator enters as the exact 0 of the data's kind.
+    Kernel data run on the lanes of their registers (``scalars.to_lanes``):
+    each product is floored as a kernel product
+    (``scalars.lane_products``), a division by a constant floors each part
+    by the int, as ``GaussianFixed`` does, and each sum adds ints exactly,
+    so every output is the kernel scalar the operators would form, bit for
+    bit (a vanishing one a kernel 0).  Other data run by their own
+    operators, every product left by right and every sum left to right."""
+    # a zero of the data's own kind: an int 0 would divide into a float
+    zero = Fraction(0) * data.delta[0]
+    registers = list(program.constants)
+    registers += map(data.edge_weights.__getitem__, program.weights)
+    for key in program.vertices:
+        val = _cached_vertex(key, data)
+        registers.append(zero if val is None else val)
+    kind = data.delta[0].__class__
+    if not issubclass(kind, GaussianFixed):
+        read = registers.__getitem__
+        for op, left, right, counts in program.steps:
+            values = map(read, left) if op is None else map(op, map(read, left), map(read, right))
+            if counts is None:
+                registers += values
+            else:
+                registers += [sum(islice(values, c - 1), next(values)) for c in counts]
+        return [0 if out is None else registers[out] for out in program.outputs]
+    re, im = to_lanes(registers, kind)
+    # both lanes take their full length at once: grown step by step, two
+    # lists of 677k registers at (5, 2) raised a cold op's peak RSS
+    end = len(re)
+    size = end + sum(len(left) if c is None else len(c) for _, left, _, c in program.steps)
+    re += [0] * (size - end)
+    im += [0] * (size - end)
+    shift = kind.shift
+    for op, left, right, counts in program.steps:
+        if op is mul:
+            parts = lane_products(re, im, left, right, shift)
+        elif op is truediv:
+            # the divisors are constant registers, read as the ints they are
+            divisors = list(map(program.constants.__getitem__, right))
+            parts = [list(map(floordiv, map(lane.__getitem__, left), divisors)) for lane in (re, im)]
+        else:
+            parts = [map(re.__getitem__, left), map(im.__getitem__, left)]
+        if counts is not None:
+            parts = [[sum(islice(terms, c)) for c in counts] for terms in map(iter, parts)]
+        start, end = end, end + len(parts[0])
+        re[start:end], im[start:end] = parts
+    return [0 if out is None else kind(re[out], im[out]) for out in program.outputs]
 
 
 def _require_orders(data: EdgeTailData, g: int) -> None:
@@ -675,62 +719,22 @@ def skeleton_values(data: EdgeTailData, g: int) -> List[Tuple[Skeleton, object]]
     |Aut(skeleton)|, in the numbers ``data`` holds.
 
     By orbit-stabilizer this is the sum of the decorated graphs with this
-    skeleton, each over its own |Aut|.  The sums replay
-    :func:`graph_sum_program` on the numbers of ``data``: the program fixes
-    which products and sums to form, and only the weights and vertex
-    correlators it reads depend on the data.  A vertex or weight that
-    vanishes on this data enters as the exact 0 it is; where every edge
-    weight vanishes, only the skeleton without edges is replayed and every
-    other contributes 0.
-
-    Kernel data replay on the lanes of their registers, each product
-    floored as a kernel product and each sum of ints exact, so each value
-    is the kernel scalar the operators would form, bit for bit (a
-    vanishing one is a kernel 0); other data replay by their own operators
-    (:func:`_replay`).
-
-    The weights are ``data.edge_weights``, and the correlators come from
-    the memo ``data.vertices``, which is extended here to every vertex slot
-    of the program."""
+    skeleton, each over its own |Aut|.  The sums are the outputs of
+    :func:`graph_sum_program` run by :func:`replay` on the numbers of
+    ``data``: the program fixes which products and sums to form, and only
+    the weights and vertex correlators it reads depend on the data, so on
+    kernel data each value is the kernel scalar the operators would form,
+    bit for bit.  Where every edge weight vanishes, only the skeleton
+    without edges is replayed and every other contributes 0."""
     _require_orders(data, g)
-    edge_weights = data.edge_weights
     # every term of a skeleton with edges has a weight: where all vanish,
     # so does its sum, whatever the vertices (the point model's bold data
     # has no V at all)
-    program = graph_sum_program(g, data.dimension, any(edge_weights.values()))
-    registers = list(map(edge_weights.__getitem__, program.weights))
-    for key in program.vertices:
-        val = _cached_vertex(key, data)
-        registers.append(0 if val is None else val)
-    kind = data.delta[0].__class__
-    if issubclass(kind, GaussianFixed):
-        re, im = to_lanes(registers, kind)
-        # both lanes take their full length at once: grown step by step,
-        # two lists of 677k registers at (5, 2) raised a cold op's peak RSS
-        end = len(re)
-        size = end + sum(len(ops) // 2 if c is None else len(c) for c, ops in program.steps)
-        re += [0] * (size - end)
-        im += [0] * (size - end)
-        shift = kind.shift
-        for counts, operands in program.steps:
-            if counts is None:
-                half = len(operands) // 2
-                parts = lane_products(re, im, operands[:half], operands[half:], shift)
-            else:
-                parts = [[sum(islice(terms, c)) for c in counts]
-                         for terms in (map(re.__getitem__, operands), map(im.__getitem__, operands))]
-            start, end = end, end + len(parts[0])
-            re[start:end], im[start:end] = parts
-
-        def read(out):
-            return kind(re[out], im[out])
-    else:
-        read = _replay(program.steps, registers).__getitem__
-    values = []
-    for sk, out in zip(skeletons(g), program.outputs):
-        total = 0 if out is None else read(out)
-        values.append((sk, total / sk.aut if total else total))
-    return values
+    program = graph_sum_program(g, data.dimension, any(data.edge_weights.values()))
+    return [
+        (sk, total / sk.aut if total else total)
+        for sk, total in zip(skeletons(g), replay(program, data))
+    ]
 
 
 # -- operator-exponential oracle ---------------------------------------------------
@@ -888,76 +892,17 @@ def wick_moments(data: EdgeTailData, g: int) -> dict:
     at q = 0, in the numbers ``data`` holds; vanishing ones are left out.
     F^g is the hbar^{g-1} coefficient of log(1 + sum_b Z_b hbar^b).
 
-    The products, divisions and sums are those of the :func:`wick_program`
-    of g and ``data.dimension``, replayed on the vertex correlators of the
-    memo ``data.vertices`` (a vanishing one enters as an exact 0) and the
-    propagator weights of ``data.edge_weights``.  Kernel data replay on the
-    lanes of their registers, as in :func:`skeleton_values`: a product by
-    a constant reads the constant scaled by 2**shift, and a division by
-    one floors each part by the int, as ``GaussianFixed`` does.  Other
-    data replay by their own operators."""
+    The moments are the outputs of the :func:`wick_program` of g and
+    ``data.dimension`` run by :func:`replay` on the vertex correlators of
+    the memo ``data.vertices`` and the propagator weights of
+    ``data.edge_weights``."""
     program = wick_program(g, data.dimension)
-    # a zero of the data's own kind: an int 0 would divide into a float
-    zero = Fraction(0) * data.delta[0]
-    registers = list(program.constants)
-    for key in program.vertices:
-        val = _cached_vertex(key, data)
-        registers.append(zero if val is None else val)
-    registers += map(data.edge_weights.__getitem__, program.weights)
-    kind = data.delta[0].__class__
-    if issubclass(kind, GaussianFixed):
-        re, im = to_lanes(registers, kind)
-        shift = kind.shift
-        for op, left, right, counts in program.steps:
-            if op is truediv:
-                # the divisors are constant registers, read as the ints they are
-                divisors = list(map(program.constants.__getitem__, right))
-                for lane in (re, im):
-                    lane += list(map(floordiv, map(lane.__getitem__, left), divisors))
-                continue
-            products = lane_products(re, im, left, right, shift)
-            if counts is not None:
-                products = [[sum(islice(terms, c)) for c in counts] for terms in map(iter, products)]
-            re += products[0]
-            im += products[1]
-        return {b: kind(re[reg], im[reg]) for b, reg in program.outputs if re[reg] or im[reg]}
-    read = registers.__getitem__
-    for op, left, right, counts in program.steps:
-        values = map(op, map(read, left), map(read, right))
-        if counts is None:
-            registers += values
-        else:
-            registers += [sum(islice(values, c - 1), next(values)) for c in counts]
-    return {b: registers[reg] for b, reg in program.outputs if registers[reg]}
-
-
-class WickProgram(NamedTuple):
-    """The moments Z_b of :func:`wick_moments` for one genus and N
-    indices, recorded once as straight-line code on numbered registers.
-
-    The registers start with the ints of ``constants``, which the
-    expansion multiplies and divides by; then the vertex correlators of
-    the slots ``vertices`` lists, (g_v, i, sorted edge powers); then the
-    propagator weights of the slots ``weights`` lists, (i, j, k, l) for
-    V^{ij}_{kl} sqrt(Delta_i Delta_j).  Each entry (op, left, right,
-    counts) of ``steps`` appends registers: op is a product or a division,
-    and it forms op(left[t], right[t]) for every t.  Without ``counts``
-    each of these is a register; with them, each count c appends the sum
-    of the next c, left to right.  A step reads only registers written
-    before it.  ``outputs`` pairs each b whose Z_b does not vanish for all
-    data with the register of Z_b.  :func:`wick_moments` replays it on the
-    lanes of kernel data and by the operators of any other."""
-
-    constants: Tuple[int, ...]
-    vertices: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
-    weights: Tuple[Tuple[int, int, int, int], ...]
-    steps: Tuple[Tuple[object, array, array, Optional[array]], ...]
-    outputs: Tuple[Tuple[int, int], ...]
+    return {b: z for b, z in enumerate(replay(program, data), 1) if z}
 
 
 @cache
-def wick_program(g: int, n: int) -> WickProgram:
-    """The :class:`WickProgram` of genus ``g`` over ``n`` indices: the
+def wick_program(g: int, n: int) -> Program:
+    """The :class:`Program` of genus ``g`` over ``n`` indices: the
     expansion of exp(P) exp(log tau) at q = 0, run once on stand-ins for
     the numbers of the data.
 
@@ -1012,8 +957,7 @@ def wick_program(g: int, n: int) -> WickProgram:
             moment = gaussian_moment(mono, cov, memo)
             if moment:
                 z = z + coef * moment
-        if z:
-            outputs.append((b, tape.register(z)))
+        outputs.append(tape.register(z) if z else None)
     return tape.program(vertices, weights, outputs)
 
 
@@ -1186,22 +1130,27 @@ class _Tape:
             node.terms = None
         return node.reg
 
-    def program(self, vertices: list, weights: list, outputs: list) -> WickProgram:
-        """The recording as a :class:`WickProgram` that reads the vertex
-        and weight slots ``vertices`` and ``weights`` (in the order their
-        inputs were made) and returns the (b, register) pairs of
-        ``outputs``.  The registers are numbered again: the constants,
-        the inputs, then those of the steps by height and kind."""
+    def program(self, vertices: list, weights: list, outputs: list) -> Program:
+        """The recording as a :class:`Program` that reads the vertex and
+        weight slots ``vertices`` and ``weights`` (whose inputs were made
+        in that order) and returns the registers of ``outputs``, None
+        kept.  The registers are numbered again: the constants, the
+        weights, the vertices, then those of the steps by height and
+        kind."""
         constants = self.constants
         steps = sorted(self.steps.items())
-        order = list(chain(constants.values(), self.inputs, *(step[0] for _, step in steps)))
+        split = len(vertices)
+        order = list(chain(
+            constants.values(), self.inputs[split:], self.inputs[:split],
+            *(step[0] for _, step in steps),
+        ))
         number = [0] * len(order)
         deque(map(number.__setitem__, order, count()), 0)
         renumber = number.__getitem__
-        return WickProgram(
+        return Program(
             constants=tuple(constants),
-            vertices=tuple(vertices),
             weights=tuple(weights),
+            vertices=tuple(vertices),
             steps=tuple(
                 (
                     truediv if kind == _DIV else mul,
@@ -1211,7 +1160,7 @@ class _Tape:
                 )
                 for (_, kind), (_, left, right, counts) in steps
             ),
-            outputs=tuple((b, number[reg]) for b, reg in outputs),
+            outputs=tuple(None if reg is None else number[reg] for reg in outputs),
         )
 
 

@@ -34,8 +34,8 @@ carry (:func:`_context_of`), and :func:`from_kernel` converts each result
 back.  Rational data needs no conversion: a ``Fraction`` is its own kernel
 scalar, and sums over it stay exact.
 
-The two recorded programs of ``genus`` (the graph sum and the Wick oracle)
-replay kernel data without kernel scalar objects: :func:`to_lanes` splits
+``genus.replay`` runs the recorded programs of the graph sum and the Wick
+oracle on kernel data without kernel scalar objects: :func:`to_lanes` splits
 their input registers once into *lanes*, two lists of the scaled integer
 parts, and :func:`lane_products` forms the products of a step on them,
 floored as :meth:`GaussianFixed.__mul__` floors; sums of parts are exact,

@@ -56,9 +56,9 @@ library produces by another route:
 * ``wick_oracle_layers``: the Wick expansion of F^g as a capped series
   exponential followed by one propagator layer per order, each scaled by
   1/n!;
-* ``wick_replay_by_operators``: the recorded Wick program replayed by the
-  operators of the data's numbers; the library replays kernel data on
-  integer lanes;
+* ``replay_by_operators``: a recorded program, of the graph sum or the
+  Wick oracle, replayed by the operators of the data's numbers; the
+  library replays kernel data on integer lanes;
 * ``jet_R_conformal``: R of a conformal model by the jet recursion on
   frame jets, its diagonal constants fixed by Euler homogeneity; the
   library solves the conformal R from the order-0 frame alone;
@@ -123,7 +123,6 @@ from genuslift.genus import (
     genus1_differential,
     genus1_one_form,
     walk_plan,
-    wick_program,
 )
 from genuslift.graphs import Skeleton, _cells, _edge_aut, _refined_colors, _rows, skeletons
 from genuslift.intersection import (
@@ -1513,27 +1512,27 @@ def wick_oracle_layers(
         return logged.scalar_coeff((g - 1,))
 
 
-def wick_replay_by_operators(data: EdgeTailData, g: int) -> dict:
-    """Every Z_b register of the ``genus.wick_program`` of g and
-    ``data.dimension``, vanishing ones included, replayed by the operators
-    of the numbers ``data`` holds, so kernel scalars multiply, divide and
-    add as objects.  The library replays kernel data on integer lanes
-    instead, and must match this bit for bit."""
-    program = wick_program(g, data.dimension)
+def replay_by_operators(program, data: EdgeTailData) -> list:
+    """Every output of a ``genus.Program`` (``graph_sum_program`` or
+    ``wick_program``), vanishing ones included and the int 0 for an output
+    None, replayed by the operators of the numbers ``data`` holds, so
+    kernel scalars multiply, divide and add as objects.  The library
+    replays kernel data on integer lanes instead, and must match this bit
+    for bit."""
     zero = Fraction(0) * data.delta[0]
     registers = list(program.constants)
+    registers += map(data.edge_weights.__getitem__, program.weights)
     for key in program.vertices:
         val = _cached_vertex(key, data)
         registers.append(zero if val is None else val)
-    registers += map(data.edge_weights.__getitem__, program.weights)
     read = registers.__getitem__
     for op, left, right, counts in program.steps:
-        values = map(op, map(read, left), map(read, right))
+        values = map(read, left) if op is None else map(op, map(read, left), map(read, right))
         if counts is None:
             registers += values
         else:
             registers += [sum(islice(values, c - 1), next(values)) for c in counts]
-    return {b: registers[reg] for b, reg in program.outputs}
+    return [0 if out is None else registers[out] for out in program.outputs]
 
 
 # -- the R-matrix route on mpmath numbers ------------------------------------------

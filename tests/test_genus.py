@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import comb, factorial
+from operator import mul, truediv
 
 import mpmath
 import pytest
@@ -611,22 +612,38 @@ class TestSkeletonProgram:
             assert rendered == format_value(CTX.chop(from_kernel(want)), CTX)
             assert (rendered == "0.0") == (sk.adjacency != ((0,),))
 
-    @pytest.mark.parametrize("g, n", [(2, 3), (3, 2)])
-    def test_program_is_recorded_once(self, g, n):
-        program = graph_sum_program(g, n)
-        assert graph_sum_program(g, n) is program
-        # every register an operand reads exists before it is read
-        inputs = len(program.weights) + len(program.vertices)
-        for counts, operands in program.steps:
-            assert max(operands) < inputs
-            if counts is None:
-                assert len(operands) % 2 == 0
-                inputs += len(operands) // 2
+    @pytest.mark.parametrize(
+        "recorder, g, n",
+        [
+            pytest.param(graph_sum_program, 2, 3, id="2-3"),
+            pytest.param(graph_sum_program, 3, 2, id="3-2"),
+            pytest.param(wick_program, 2, 3, id="wick-2-3"),
+            pytest.param(wick_program, 3, 2, id="wick-3-2"),
+        ],
+    )
+    def test_program_is_recorded_once(self, recorder, g, n):
+        program = recorder(g, n)
+        assert recorder(g, n) is program
+        # every register an operand reads exists before it is read, and a
+        # division reads its divisor from a constant register
+        registers = len(program.constants) + len(program.weights) + len(program.vertices)
+        for op, left, right, counts in program.steps:
+            assert op in (mul, truediv, None)
+            assert max(left) < registers
+            if op is None:
+                assert right is None and counts is not None
             else:
-                assert len(operands) == sum(counts)
-                inputs += len(counts)
-        assert len(program.outputs) == len(skeletons(g))
-        assert all(out is None or out < inputs for out in program.outputs)
+                assert len(right) == len(left) and max(right) < registers
+            if op is truediv:
+                assert counts is None and max(right) < len(program.constants)
+            if counts is None:
+                registers += len(left)
+            else:
+                assert sum(counts) == len(left)
+                registers += len(counts)
+        outputs = len(skeletons(g)) if recorder is graph_sum_program else g - 1
+        assert len(program.outputs) == outputs
+        assert all(out is None or out < registers for out in program.outputs)
 
     @pytest.mark.parametrize(
         "g, n, products, sums",
@@ -634,15 +651,16 @@ class TestSkeletonProgram:
     )
     def test_each_product_and_sum_is_formed_once(self, g, n, products, sums):
         steps = graph_sum_program(g, n).steps
-        assert sum(len(ops) // 2 for counts, ops in steps if counts is None) == products
-        assert sum(len(counts) for counts, _ in steps if counts is not None) == sums
-        pairs = [pair for counts, ops in steps if counts is None
-                 for pair in zip(ops[:len(ops) // 2], ops[len(ops) // 2:])]
+        # products alone, and sums of registers read as they are
+        assert {(op, counts is None) for op, _, _, counts in steps} == {(mul, True), (None, False)}
+        assert sum(len(left) for op, left, _, _ in steps if op is mul) == products
+        assert sum(len(counts) for op, _, _, counts in steps if op is None) == sums
+        pairs = [pair for op, left, right, _ in steps if op is mul for pair in zip(left, right)]
         assert len(pairs) == len(set(pairs))
         terms = []
-        for counts, ops in steps:
-            if counts is not None:
-                it = iter(ops)
+        for op, left, _, counts in steps:
+            if op is None:
+                it = iter(left)
                 terms += [tuple(islice(it, c)) for c in counts]
         assert len(terms) == len(set(terms)) and all(len(t) > 1 for t in terms)
 
@@ -1047,18 +1065,21 @@ class TestWickExpansion:
         # the oracle records its expansion on its first call for a key
         wick_program.cache_clear()
         calls = []
-        for name in ("_replay", "graph_sum_program", "_graded_exp", "gaussian_moment"):
+        for name in ("replay", "graph_sum_program", "wick_program", "_graded_exp",
+                     "gaussian_moment"):
             def spy(*args, _name=name, _real=getattr(genus_module, name)):
                 calls.append(_name)
                 return _real(*args)
 
             monkeypatch.setattr(genus_module, name, spy)
+        # each route records with its own recorder; both run the recording
+        # with the one replay
         wick_oracle(data, 3)
-        assert {"_graded_exp", "gaussian_moment"} <= set(calls)
-        assert not {"_replay", "graph_sum_program"} & set(calls)
+        assert {"wick_program", "_graded_exp", "gaussian_moment"} <= set(calls)
+        assert "graph_sum_program" not in calls
         calls.clear()
         graph_sum(data, 3)
-        assert set(calls) == {"_replay", "graph_sum_program"}
+        assert set(calls) == {"replay", "graph_sum_program"}
 
     def test_shared_table_is_sound(self):
         data = synthetic_data(2, 3, seed=321)
@@ -1118,9 +1139,14 @@ def expanded_moments(data, g):
     return moments
 
 
+# the two routes to F^g, each replaying its own recorded program
+ROUTES = (skeleton_values, wick_moments)
+
+
 class TestWickProgram:
     """The Wick oracle replays an expansion recorded once per (g, N) on
-    stand-ins for the data's numbers."""
+    stand-ins for the data's numbers.  The lane tests hold the graph sum's
+    replay to its operators as well."""
 
     @pytest.mark.parametrize("d", [Fraction(1, 2), Fraction(3, 2)])
     @pytest.mark.parametrize(
@@ -1150,36 +1176,49 @@ class TestWickProgram:
         assert data.vertices[(g, 0, ())] is None
 
     @staticmethod
-    def assert_lanes_are_the_operators(data, g):
-        """``wick_moments`` on kernel data, which runs on integer lanes,
-        against the program replayed by the kernel scalars' operators:
-        every Z_b register bit for bit, the vanishing ones left out."""
+    def assert_lanes_are_the_operators(data, g, route):
+        """``route`` (``skeleton_values`` or ``wick_moments``) on kernel
+        data, whose ``replay`` runs on integer lanes, against the program
+        it replays run by the kernel scalars' operators on the same data:
+        every output bit for bit, the vanishing ones included."""
         assert isinstance(data.delta[0], GaussianFixed)
-        got = wick_moments(data, g)
-        want = oracles.wick_replay_by_operators(data, g)
-        assert list(got) == [b for b, z in want.items() if z]
-        for b, z in got.items():
-            assert isinstance(want[b], GaussianFixed)
-            assert TestSkeletonProgram.bits(z) == TestSkeletonProgram.bits(want[b])
+        replays = []
+
+        def spy(program, data, _real=genus_module.replay):
+            replays.append((program, _real(program, data)))
+            return replays[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(genus_module, "replay", spy)
+            route(data, g)
+        [(program, got)] = replays
+        want = oracles.replay_by_operators(program, data)
+        assert len(got) == len(want) == len(program.outputs)
+        for out, z, w in zip(program.outputs, got, want):
+            assert out is None or isinstance(w, GaussianFixed)
+            assert TestSkeletonProgram.bits(z) == TestSkeletonProgram.bits(w)
 
     @pytest.mark.parametrize("g", [3, 4])
     @pytest.mark.parametrize("d", [Fraction(1, 2), Fraction(1, 3)])
     def test_lanes_match_the_operators_two_primary(self, d, g):
         point = (Fraction(2, 7), Fraction(3, 5))
         _, r = frame_and_R(two_primary_model(d), point, CTX, 3 * g - 3)
-        self.assert_lanes_are_the_operators(edge_tail_data(r), g)
+        for route in ROUTES:
+            self.assert_lanes_are_the_operators(edge_tail_data(r), g, route)
 
     def test_lanes_match_the_operators_cusp(self):
         _, r = frame_and_R(
             threefold_cusp_model(), (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2)), CTX, 3
         )
-        self.assert_lanes_are_the_operators(edge_tail_data(r), 2)
+        for route in ROUTES:
+            self.assert_lanes_are_the_operators(edge_tail_data(r), 2, route)
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_lanes_match_the_operators_point_model_bold_data(self, g):
         tau = CurvePoint(((Fraction(1, 50),), (Fraction(1, 40),), (Fraction(1, 30),)))
         _, bold = descendent_frame(POINT, POINT_CAL, tau, CTX, order=3 * g - 3)
-        self.assert_lanes_are_the_operators(bold, g)
+        for route in ROUTES:
+            self.assert_lanes_are_the_operators(bold, g, route)
 
     @pytest.mark.parametrize("g, n", [(2, 1), (2, 3), (3, 2), (4, 1)])
     def test_lanes_match_the_operators_on_planted_zeros(self, g, n):
@@ -1189,12 +1228,32 @@ class TestWickProgram:
         kind = type(data.delta[0])
         zeros = [data.edge_weights[(0, 0, 0, 0)], data.edge_weights[(0, n - 1, 0, 1)], data.t[0][3]]
         assert all(type(z) is kind and z == 0 for z in zeros)
-        self.assert_lanes_are_the_operators(data, g)
+        for route in ROUTES:
+            self.assert_lanes_are_the_operators(data, g, route)
         # with every tail at index 0 a kernel zero, the vertices there that
         # need a tail vanish and enter the registers as zeros
         data = replace(data, t=[{a: kind(0, 0) for a in data.t[0]}, *data.t[1:]])
-        self.assert_lanes_are_the_operators(data, g)
+        for route in ROUTES:
+            self.assert_lanes_are_the_operators(data, g, route)
         assert None in data.vertices.values()
+
+    @pytest.mark.parametrize(
+        "g, n, products, sums, terms, divisions, registers",
+        [
+            (2, 3, 81, 33, 122, 39, 219),
+            (3, 2, 349, 317, 1269, 206, 1049),
+            (4, 1, 276, 359, 2565, 455, 1375),
+        ],
+    )
+    def test_program_size(self, g, n, products, sums, terms, divisions, registers):
+        program = wick_program(g, n)
+        steps = program.steps
+        assert sum(len(left) for op, left, _, c in steps if op is mul and c is None) == products
+        assert sum(len(c) for op, _, _, c in steps if op is mul and c is not None) == sums
+        assert sum(sum(c) for op, _, _, c in steps if op is mul and c is not None) == terms
+        assert sum(len(left) for op, left, _, _ in steps if op is truediv) == divisions
+        inputs = len(program.constants) + len(program.weights) + len(program.vertices)
+        assert inputs + products + sums + divisions == registers
 
     def test_second_call_of_a_key_records_nothing(self):
         first, second = synthetic_data(2, 3, seed=61), synthetic_data(2, 3, seed=62)

@@ -306,7 +306,8 @@ def _cmd_genus(args):
         model, point, args.g, ctx, order=config.r_order, mode=args.mode, gauge=config.gauge
     )
     # the data keep the graph sum's vertex correlators, almost every one
-    # the oracle needs, and its edge weights, all of them
+    # the oracle needs (it replays the vertex program of the rest), and its
+    # edge weights, all of them
     oracle = wick_oracle(report.data, args.g)
     contributions = report.contribution_map()
     with ctx.guard():

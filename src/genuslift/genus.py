@@ -4,11 +4,13 @@ F^g at a semisimple point is assembled from the canonical-frame data of the
 point: every connected stable decorated graph contributes
 
     1/|Aut| * prod_edges  V^{i_v i_w}_{k l} sqrt(Delta_{i_v}) sqrt(Delta_{i_w})
-            * prod_vertices  vertex_correlator(g_v, ks_v, T^{i_v}, Delta_{i_v})
+            * prod_vertices  <tau_{ks_v} prod T^{i_v}>_{g_v} Delta_{i_v}^{g_v - 1}
 
-summed over half-edge psi-powers (k, l).  The per-vertex power budget
-3 g_v - 3 + valence bounds every sum, so the whole expression is a finite
-rational combination of the V/T/Delta tables.
+summed over half-edge psi-powers (k, l), where the vertex correlator sums
+the tail legs tau_a (a >= 2), each weighted by the tail value T^{i_v}_a.
+The per-vertex power budget 3 g_v - 3 + valence bounds every sum, so the
+whole expression is a finite rational combination of the V/T/Delta
+tables.
 
 No decorated graph is built.  By orbit-stabilizer the decorated graphs of
 one skeleton (``graphs.skeletons``) add up to the sum over all N^|V|
@@ -59,30 +61,41 @@ Which monomials and contractions that forms depends on g and N alone, so
 the vertex correlators and propagator weights and records it as a
 :class:`Program`, whose outputs are the moments of :func:`wick_moments`.
 
+Which tail legs a vertex correlator sums, and with which rational
+weights, depends on g_v and the edge powers alone
+(``IntersectionTable.tail_terms``), so :func:`vertex_program` records the
+correlators of a tuple of slots (g_v, i, sorted edge powers) once, on the
+tail values T^i_a and the powers Delta_i^{g_v - 1}.
+
 A :class:`Program` is straight-line code on numbered registers: the
-products, divisions by constants and sums of its route's numeric run, in
-the same order and association.  :func:`replay` runs either route's
-program on the edge weights and vertex correlators of the data at hand.
-A weight or correlator that vanishes on the data enters as an exact 0, so
-every output is what the numeric run would form on the data, bit for bit.
+products, divisions by constants and sums of its numeric run, in the same
+order and association.  :func:`replay` runs any of the three programs on
+the tables of the data at hand: the edge weights and vertex correlators
+for either route, the tail values and Delta powers for the vertices.  A
+number that vanishes on the data enters as an exact 0, so every output is
+what the numeric run would form on the data, bit for bit.
 
 Both routes need V to joint order 3g - 4 and T to order 3g - 2, and both
 refuse shorter data with a ValueError.
 
 The oracle shares with the graph sum the input tables and what the data
-derives from them: the memo of ``vertex_correlator`` (``data.vertices``)
-and the edge weights V^{ij}_{kl} sqrt(Delta_i) sqrt(Delta_j)
+derives from them: the memo of vertex correlators (``data.vertices``) and
+the edge weights V^{ij}_{kl} sqrt(Delta_i) sqrt(Delta_j)
 (``data.edge_weights``), the same products either side would form, and
-:func:`replay`, which runs whatever program it is given.  Graphs, the
-expansion and the recording of each are the route's own, which makes the
-two mutual oracles; agreement is exact on rational synthetic data.
+:func:`replay`, which runs whatever program it is given.  A replay that
+reads vertex slots the memo lacks fills them first by one replay of the
+:func:`vertex_program` of exactly those slots, so each correlator is
+formed once per data: in a genus-3 op at N = 2 the graph sum fills 114
+slots and the oracle then adds 2.  Graphs, the expansion and the recording
+of each are the route's own, which makes the two mutual oracles; agreement
+is exact on rational synthetic data.
 
 Both run on the numbers their data holds and convert nothing.  The
 pipeline's edge/tail data hold *kernel scalars* (``scalars``):
 ``rmatrix.edge_tail_data`` and ``descendent.bold_quantities`` compute R, V
 and T on the frame's values converted once, so the kernels
 (:func:`skeleton_values`, ``EdgeTailData.edge_weights``,
-``vertex_correlator``, :func:`wick_moments`) multiply Gaussian fixed-point
+:func:`wick_moments`, the vertex correlators) multiply Gaussian fixed-point
 numbers on Python ints in place of mpmath ``mpc``.  :func:`replay` runs
 kernel data on its integer *lanes* (``scalars.to_lanes``): two lists of
 the scaled real and imaginary parts, on which each product is floored as
@@ -133,7 +146,7 @@ from . import rmatrix
 from .frame import CanonicalFrame, canonical_frame
 from .frobenius import FrobeniusModel
 from .graphs import Skeleton, skeletons
-from .intersection import _DEFAULT_TABLE, _ascending_tuples, vertex_correlator
+from .intersection import _DEFAULT_TABLE, _ascending_tuples
 from .rmatrix import EdgeTailData, RSeries, edge_tail_data, twist_R
 from .scalars import FloatContext, GaussianFixed, _context_of, from_kernel, lane_products, to_lanes
 from .series import Caps, TruncatedSeries
@@ -201,27 +214,29 @@ def walk_plan(sk: Skeleton) -> WalkPlan:
 
 
 class Program(NamedTuple):
-    """Straight-line code on numbered registers, recorded once per genus
-    and N by :func:`graph_sum_program` or :func:`wick_program` and run by
-    :func:`replay`.
+    """Straight-line code on numbered registers, recorded once by
+    :func:`graph_sum_program`, :func:`wick_program` or
+    :func:`vertex_program` and run by :func:`replay`.
 
-    The registers start with the ints of ``constants``; then the edge
-    weights of the slots ``weights`` lists, (i, j, k, l) for
-    V^{ij}_{kl} sqrt(Delta_i Delta_j); then the vertex correlators of the
-    slots ``vertices`` lists, (g_v, i, sorted edge powers).  Each entry
-    (op, left, right, counts) of ``steps`` appends registers: op is a
-    product or a division by a constant register, and it forms
-    op(left[t], right[t]) for every t, or op is None and it reads left[t]
-    as it is.  Without ``counts`` each of these is a register; with them,
-    each count c appends the sum of the next c, left to right.  A step
-    reads only registers written before it.  ``outputs`` holds the
-    register of each output, or None where the output vanishes for all
-    data (or the program leaves it out): one per skeleton of ``graphs.skeletons(g)`` for the graph sum,
-    the Z_b of :func:`wick_moments` at b - 1 for the Wick oracle."""
+    The registers start with the ints of ``constants``; then, for each
+    (table, keys) of ``inputs`` in turn, the numbers of the data's table
+    at those keys: ``"edge_weights"`` at (i, j, k, l), V^{ij}_{kl}
+    sqrt(Delta_i Delta_j); ``"vertices"`` at (g_v, i, sorted edge powers),
+    the vertex correlators; ``"t"`` at (i, a), the tail values T^i_a; and
+    ``"delta"`` at (i, p), the powers Delta_i^p.  Each entry (op, left,
+    right, counts) of ``steps`` appends registers: op is a product or a
+    division by a constant register, and it forms op(left[t], right[t])
+    for every t, or op is None and it reads left[t] as it is.  Without
+    ``counts`` each of these is a register; with them, each count c
+    appends the sum of the next c, left to right.  A step reads only
+    registers written before it.  ``outputs`` holds the register of each
+    output, or None where the output vanishes for all data (or the
+    program leaves it out): one per skeleton of ``graphs.skeletons(g)``
+    for the graph sum, the Z_b of :func:`wick_moments` at b - 1 for the
+    Wick oracle, one per slot for the vertex correlators."""
 
     constants: Tuple[int, ...]
-    weights: Tuple[Tuple[int, int, int, int], ...]
-    vertices: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+    inputs: Tuple[Tuple[str, tuple], ...]
     steps: Tuple[Tuple[object, array, Optional[array], Optional[array]], ...]
     outputs: Tuple[Optional[int], ...]
 
@@ -446,8 +461,12 @@ def graph_sum_program(g: int, n: int, edges: bool = True) -> Program:
                 outputs[s] = below[s][0]
     return Program(
         constants=(),
-        weights=tuple((i, j, k, l) for i in range(n) for j in range(n) for k, l in weights),
-        vertices=tuple((g_v, i, ks) for i in range(n) for g_v, ks in shapes),
+        inputs=(
+            ("edge_weights", tuple(
+                (i, j, k, l) for i in range(n) for j in range(n) for k, l in weights
+            )),
+            ("vertices", tuple((g_v, i, ks) for i in range(n) for g_v, ks in shapes)),
+        ),
         steps=tuple(steps),
         outputs=tuple(outputs),
     )
@@ -528,26 +547,26 @@ def replay(program: Program, data: EdgeTailData) -> list:
     """The outputs of ``program`` on the numbers ``data`` holds, the int 0
     for an output None.
 
-    The registers load the program's constants, the edge weights of
-    ``data.edge_weights`` and the vertex correlators of the memo
-    ``data.vertices``, which is extended here to every slot the program
-    reads; a vanishing correlator enters as the exact 0 of the data's kind.
-    Kernel data run on the lanes of their registers (``scalars.to_lanes``):
-    each product is floored as a kernel product
-    (``scalars.lane_products``), a division by a constant floors each part
-    by the int, as ``GaussianFixed`` does, and each sum adds ints exactly,
-    so every output is the kernel scalar the operators would form, bit for
-    bit (a vanishing one a kernel 0).  Other data run by their own
-    operators, every product left by right and every sum left to right."""
-    # a zero of the data's own kind: an int 0 would divide into a float
+    The registers load the program's constants and then its inputs from
+    the tables of ``data`` (:func:`_load`); the vertex correlators come
+    from the memo ``data.vertices``, whose missing slots one replay of
+    their :func:`vertex_program` fills first.  Kernel data run on the
+    lanes of their registers (``scalars.to_lanes``): each product is
+    floored as a kernel product (``scalars.lane_products``), a division by
+    a constant floors each part by the int, as ``GaussianFixed`` does, and
+    each sum adds ints exactly, so every output is the kernel scalar the
+    operators would form, bit for bit (a vanishing one a kernel 0).  Other
+    data run by their own operators on constants of their own kind, every
+    product left by right and every sum left to right."""
+    # a zero of the data's own kind: an int 0 would divide into a float,
+    # and so would the constants
     zero = Fraction(0) * data.delta[0]
-    registers = list(program.constants)
-    registers += map(data.edge_weights.__getitem__, program.weights)
-    for key in program.vertices:
-        val = _cached_vertex(key, data)
-        registers.append(zero if val is None else val)
     kind = data.delta[0].__class__
-    if not issubclass(kind, GaussianFixed):
+    lanes = issubclass(kind, GaussianFixed)
+    registers = list(program.constants) if lanes else [zero + c for c in program.constants]
+    for table, keys in program.inputs:
+        registers += _load(data, table, keys, zero)
+    if not lanes:
         read = registers.__getitem__
         for op, left, right, counts in program.steps:
             values = map(read, left) if op is None else map(op, map(read, left), map(read, right))
@@ -580,6 +599,75 @@ def replay(program: Program, data: EdgeTailData) -> list:
     return [0 if out is None else kind(re[out], im[out]) for out in program.outputs]
 
 
+def _load(data: EdgeTailData, table: str, keys: tuple, zero) -> list:
+    """The numbers of ``data``'s ``table`` at ``keys`` (the tables of
+    :class:`Program`), a missing tail value as ``zero``.  Delta_i^p is
+    formed by the number's own ``**``.  A vertex correlator is read from
+    the memo ``data.vertices``, which holds None where it vanishes; the
+    slots missing from it are filled first, by one :func:`replay` of the
+    :func:`vertex_program` of exactly those slots."""
+    if table == "edge_weights":
+        return list(map(data.edge_weights.__getitem__, keys))
+    if table == "t":
+        return [data.t[i].get(a, zero) for i, a in keys]
+    if table == "delta":
+        return [data.delta[i] ** p for i, p in keys]
+    memo = data.vertices
+    missing = tuple(key for key in keys if key not in memo)
+    if missing:
+        formed = replay(vertex_program(missing), data)
+        memo.update(zip(missing, [x if x else None for x in formed]))
+    return [zero if x is None else x for x in map(memo.__getitem__, keys)]
+
+
+@cache
+def vertex_program(slots: tuple) -> Program:
+    """The :class:`Program` of the vertex correlators of ``slots``, each
+    (g_v, i, sorted edge powers) with ``IntersectionTable.tail_terms`` not
+    empty: one output per slot,
+
+        <tau_{ks} prod_a tau_a>_{g_v} prod_a T^i_a  summed,  times Delta_i^{g_v - 1},
+
+    on the tail values T^i_a (a >= 2) and the powers Delta_i^{g_v - 1}
+    (g_v != 1) of the data.  Each tail term, of weight p/q, is its first
+    tail value times p, divided by q, then times each further tail value
+    in turn; the terms are summed in ``tail_terms`` order and the sum is
+    multiplied by the power.  A slot whose budget leaves no tail leg has
+    the one term of weight p/q, and its correlator is the power times p,
+    divided by q (p divided by q at g_v = 1).  A product by 1, a division
+    by 1 and the power Delta^0 are left out, as exact on every number.  On
+    kernel data each correlator is the one its operators form in that
+    order, bit for bit."""
+    tape = _Tape()
+    terms = [_DEFAULT_TABLE.tail_terms(g_v, ks) for g_v, _, ks in slots]
+    tail_keys = sorted({
+        (i, a) for (_, i, _), legs_weights in zip(slots, terms)
+        for legs, _ in legs_weights for a in legs
+    })
+    power_keys = sorted({(i, g_v - 1) for g_v, i, _ in slots if g_v != 1})
+    tail = {key: tape.input() for key in tail_keys}
+    power = {key: tape.input() for key in power_keys}
+    outputs = []
+    for (g_v, i, _), legs_weights in zip(slots, terms):
+        scale = power.get((i, g_v - 1))
+        if not legs_weights[0][0]:
+            # no tail leg: the weight is the only term
+            [(_, c)] = legs_weights
+            value = tape.constant(c.numerator) if scale is None else scale * c.numerator
+            value = value / c.denominator
+        else:
+            value = 0
+            for legs, c in legs_weights:
+                term = tail[i, legs[0]] * c.numerator / c.denominator
+                for a in legs[1:]:
+                    term = tail[i, a] * term
+                value = value + term
+            if scale is not None:
+                value = value * scale
+        outputs.append(tape.register(value))
+    return tape.program((("t", tuple(tail_keys)), ("delta", tuple(power_keys))), outputs)
+
+
 def _require_orders(data: EdgeTailData, g: int) -> None:
     """Raise ValueError unless ``data`` knows V to joint order 3g - 4 and T
     to order 3g - 2, the most an edge or a vertex of genus g reads: a loop
@@ -588,18 +676,6 @@ def _require_orders(data: EdgeTailData, g: int) -> None:
         raise ValueError(f"edge coefficients known to order {data.v_cutoff}, need {3 * g - 4}")
     if data.t_cutoff < 3 * g - 2:
         raise ValueError(f"tail coefficients known to order {data.t_cutoff}, need {3 * g - 2}")
-
-
-def _cached_vertex(key, data: EdgeTailData):
-    """The vertex correlator of slot ``key`` = (g_v, i_v, sorted edge
-    powers) on ``data`` from its memo ``data.vertices``, None where it
-    vanishes; a missing slot is computed and added."""
-    memo = data.vertices
-    if key not in memo:
-        g_v, i, ks = key
-        val = vertex_correlator(g_v, ks, data.t[i], data.delta[i])
-        memo[key] = None if val == 0 else val
-    return memo[key]
 
 
 @dataclass
@@ -701,7 +777,7 @@ def graph_sum(data: EdgeTailData, g: int, frame=None) -> GenusReport:
     The sum runs on the numbers ``data`` holds, and the report keeps them.
     Kernel scalars run at their own precision, on integer lanes, rational
     data stays exact, and mpmath data runs at the caller's working
-    precision, as in ``vertex_correlator``."""
+    precision."""
     ctx = _context_of(data.delta[0])
     with ctx.guard():
         contributions = [(sk, from_kernel(val)) for sk, val in skeleton_values(data, g)]
@@ -871,7 +947,7 @@ def wick_oracle(data: EdgeTailData, g: int):
 
     It reads the vertex correlators and edge weights ``data`` keeps, as the
     graph sum does: correlators missing from the memo ``data.vertices`` are
-    computed on the process intersection table and added.  The moments
+    formed by their :func:`vertex_program` and added.  The moments
     replay the expansion :func:`wick_program` recorded, and they and the
     logarithm run on the numbers ``data`` holds, at the precision
     :func:`graph_sum` states."""
@@ -958,7 +1034,9 @@ def wick_program(g: int, n: int) -> Program:
             if moment:
                 z = z + coef * moment
         outputs.append(tape.register(z) if z else None)
-    return tape.program(vertices, weights, outputs)
+    return tape.program(
+        (("vertices", tuple(vertices)), ("edge_weights", tuple(weights))), outputs
+    )
 
 
 # step kinds of a _Tape: a product of two registers, a sum of such
@@ -1130,27 +1208,27 @@ class _Tape:
             node.terms = None
         return node.reg
 
-    def program(self, vertices: list, weights: list, outputs: list) -> Program:
-        """The recording as a :class:`Program` that reads the vertex and
-        weight slots ``vertices`` and ``weights`` (whose inputs were made
-        in that order) and returns the registers of ``outputs``, None
-        kept.  The registers are numbered again: the constants, the
-        weights, the vertices, then those of the steps by height and
-        kind."""
+    def constant(self, value: int) -> _Register:
+        """The constant register of the int ``value``."""
+        node = _new(_Register)
+        node.tape, node.reg = self, self.constants[value]
+        return node
+
+    def program(self, inputs: tuple, outputs: list) -> Program:
+        """The recording as a :class:`Program` that reads the data at
+        ``inputs`` (in the order their input registers were made) and
+        returns the registers of ``outputs``, None kept.  The registers are
+        numbered again: the constants, the inputs, then those of the steps
+        by height and kind."""
         constants = self.constants
         steps = sorted(self.steps.items())
-        split = len(vertices)
-        order = list(chain(
-            constants.values(), self.inputs[split:], self.inputs[:split],
-            *(step[0] for _, step in steps),
-        ))
+        order = list(chain(constants.values(), self.inputs, *(step[0] for _, step in steps)))
         number = [0] * len(order)
         deque(map(number.__setitem__, order, count()), 0)
         renumber = number.__getitem__
         return Program(
             constants=tuple(constants),
-            weights=tuple(weights),
-            vertices=tuple(vertices),
+            inputs=inputs,
             steps=tuple(
                 (
                     truediv if kind == _DIV else mul,

@@ -16,31 +16,34 @@ equation removes tau_1 insertions, and when every index is >= 2 the KdV
         + sum <tau_a S_1>_{g_1} <tau_b S_2>_{g_2} ]
 
 where the inner sum runs over ordered stable splittings g_1+g_2 = g,
-S_1 + S_2 = S.  Seeds: <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.  Every
-reduction lowers (g, n) lexicographically, so the recursion terminates.
+S_1 + S_2 = S.  Splittings that differ only in which of several equal
+insertions go left have the same value, so they are summed once, times
+the product of the binomials of the multiplicities.  Seeds: <tau_0^3>_0 =
+1 and <tau_1>_1 = 1/24.  Every reduction lowers (g, n) lexicographically,
+so the recursion terminates.
 
-``vertex_correlator`` dresses a correlator with tail insertions: the sum
-over extra tau_a legs, each weighted by a tail value T_a with T_0 = T_1 = 0,
+A graph vertex dresses a correlator with tail insertions: the sum over
+extra tau_a legs, each weighted by a tail value T_a with T_0 = T_1 = 0,
 truncates because a_j >= 2 forces at most 3g - 3 + m - sum(edge ks) legs.
 Which legs can enter and with what rational weight depends only on the
 genus and the edge powers, never on the tail values: the process table
-memoizes that list as :meth:`IntersectionTable.tail_terms`, and the
-correlator multiplies the tail values into it.  An empty list means the
-correlator vanishes for every choice of tails; the graph sum prunes such
-vertices before it sees any data.
+memoizes that list as :meth:`IntersectionTable.tail_terms`, from which
+``genus.vertex_program`` records the vertex sums once and replays them on
+the tail values.  An empty list means the correlator vanishes for every
+choice of tails; the graph sum prunes such vertices before it sees any
+data.
 
 The numbers are exact constants, so one table serves the whole process:
-``psi_intersection`` and ``vertex_correlator`` read it, and so does the
-graph sum's pruning.  Code that wants a table of its own (an entry count
-that must not depend on what ran before) builds an ``IntersectionTable``
-and calls its :meth:`~IntersectionTable.value` and
-:meth:`~IntersectionTable.tail_terms`.
+``psi_intersection`` and the recorded programs of ``genus`` read it.  Code
+that wants a table of its own (an entry count that must not depend on what
+ran before) builds an ``IntersectionTable`` and calls its
+:meth:`~IntersectionTable.value` and :meth:`~IntersectionTable.tail_terms`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Dict, Iterator, Sequence, Tuple
 
 IntersectionKey = Tuple[int, Tuple[int, ...]]
@@ -127,15 +130,8 @@ class IntersectionTable:
             for t in range(d, d + nop + 1):
                 coeff *= 2 * t + 1
             total += coeff * self._value(g, others[:j] + (d + nop,) + others[j + 1:])
-        # the ordered splits S_1 + S_2 of the other insertions, shared by
-        # every (a, g1) below
-        splits = [
-            (
-                tuple(x for t, x in enumerate(others) if mask >> t & 1),
-                tuple(x for t, x in enumerate(others) if not mask >> t & 1),
-            )
-            for mask in range(1 << len(others))
-        ]
+        # shared by every (a, g1) below
+        splits = self._splits(others)
         half = Fraction(0)
         for a in range(nop):
             b = nop - 1 - a
@@ -144,7 +140,7 @@ class IntersectionTable:
                 half += weight * self._value(g - 1, others + (a, b))
             for g1 in range(g + 1):
                 g2 = g - g1
-                for s1, s2 in splits:
+                for s1, s2, ways in splits:
                     if not (_stable(g1, len(s1) + 1) and _stable(g2, len(s2) + 1)):
                         continue
                     # both factors fill the table; a product with a
@@ -152,9 +148,25 @@ class IntersectionTable:
                     left = self._value(g1, (a,) + s1)
                     right = self._value(g2, (b,) + s2)
                     if left and right:
-                        half += weight * left * right
+                        half += ways * weight * left * right
         total += half / 2
         return total / _odd_double_factorial(2 * kmax + 1)
+
+    @staticmethod
+    def _splits(others: Tuple[int, ...]) -> list:
+        """The ordered splits S_1 + S_2 of the sorted insertions ``others``
+        as (S_1, S_2, ways), both sorted: t of the m entries equal to d go
+        to S_1 in binom(m, t) of the 2^n ordered ways, and the value of a
+        split depends on the multisets alone."""
+        splits = [((), (), 1)]
+        for d in sorted(set(others)):
+            m = others.count(d)
+            splits = [
+                (s1 + (d,) * t, s2 + (d,) * (m - t), ways * comb(m, t))
+                for s1, s2, ways in splits
+                for t in range(m + 1)
+            ]
+        return splits
 
     def tail_terms(self, g: int, edge_ks: Tuple[int, ...]) -> TailTerms:
         """The tail sum of a genus-g vertex with edge powers ``edge_ks``,
@@ -225,30 +237,3 @@ def _ascending_tuples(count: int, total: int, minimum: int) -> Iterator[Tuple[in
     for first in range(minimum, total - minimum * (count - 1) + 1):
         for rest in _ascending_tuples(count - 1, total - first, first):
             yield (first,) + rest
-
-
-def vertex_correlator(g: int, edge_ks: Sequence[int], tails, hbar_delta):
-    """Correlator of a single graph vertex: edge insertions tau_{k} plus the
-    tail sum, times (hbar*Delta)^(g-1).
-
-    ``tails`` maps index a >= 2 to the tail value T_a (anything else is
-    treated as zero).  Unstable or dimension-starved configurations return
-    0 rather than raising, so callers can sum blindly over graphs.  The sum
-    runs over :meth:`IntersectionTable.tail_terms` of the process table in
-    their order, skipping a term with a vanishing tail value.  The
-    tails and ``hbar_delta`` may be any scalars that add and multiply with
-    Fractions: rationals, the kernel scalars of ``scalars``, or mpmath
-    numbers, which are summed at the caller's working precision (call it
-    inside the context's guard).
-    """
-    if isinstance(hbar_delta, int):
-        hbar_delta = Fraction(hbar_delta)
-    total = Fraction(0)
-    for assignment, coeff in _DEFAULT_TABLE.tail_terms(g, tuple(sorted(int(k) for k in edge_ks))):
-        tvals = [tails.get(a, 0) for a in assignment]
-        if any(v == 0 for v in tvals):
-            continue
-        for v in tvals:
-            coeff = v * coeff
-        total = total + coeff
-    return total * hbar_delta ** (g - 1)

@@ -420,8 +420,10 @@ class EdgeTailData:
     The tables derived from them live here too, so every graph sum and Wick
     oracle on this data shares them: ``vertices`` memoizes the vertex
     correlators, (g_v, i, sorted edge powers) mapping to the correlator of
-    (T^i, Delta_i), or to None where it vanishes (``genus._cached_vertex``
-    fills it), and :attr:`edge_weights` is formed on first use.  New data,
+    (T^i, Delta_i), or to None where it vanishes (``genus.replay`` fills
+    the slots a program reads, by one replay of their
+    ``genus.vertex_program``), and :attr:`edge_weights` is formed on first
+    use.  New data,
     from ``dataclasses.replace`` or :meth:`in_kernel`, starts without
     either."""
 

@@ -47,18 +47,24 @@ library produces by another route:
   goes; the library records the walks of all skeletons of one genus once
   as one program, each product and sum formed once, and replays it on the
   numbers;
+* ``vertex_correlator``: a vertex correlator as the operators of its
+  numbers form it from the table's memoized tail terms, term by term; the
+  library records those sums once as a program and replays it;
 * ``direct_vertex_correlator``: a vertex correlator summed over its tail
   legs straight from the intersection table; the library reads the legs
   and their weights from the table's memoized tail terms;
+* ``SubsetIntersectionTable``: the psi-intersection table with the KdV
+  step summed over every ordered split of the other insertions; the
+  library groups the splits by multiplicity;
 * ``mpmath_data``: kernel data taken back to mpmath numbers;
 * ``evaluate_graph_ordered``: one decorated graph's contribution by a plain
   descent over its half-edge powers, with no sharing between assignments;
 * ``wick_oracle_layers``: the Wick expansion of F^g as a capped series
   exponential followed by one propagator layer per order, each scaled by
   1/n!;
-* ``replay_by_operators``: a recorded program, of the graph sum or the
-  Wick oracle, replayed by the operators of the data's numbers; the
-  library replays kernel data on integer lanes;
+* ``replay_by_operators``: a recorded program, of the graph sum, the
+  Wick oracle or the vertex correlators, replayed by the operators of the
+  data's numbers; the library replays kernel data on integer lanes;
 * ``jet_R_conformal``: R of a conformal model by the jet recursion on
   frame jets, its diagonal constants fixed by Euler homogeneity; the
   library solves the conformal R from the order-0 frame alone;
@@ -119,9 +125,9 @@ from genuslift.frobenius import FrobeniusModel
 from genuslift.expressions import Expression, _bounded, _multi_indices, t_names
 from genuslift.genus import (
     _STENCIL,
-    _cached_vertex,
     genus1_differential,
     genus1_one_form,
+    vertex_program,
     walk_plan,
 )
 from genuslift.graphs import Skeleton, _cells, _edge_aut, _refined_colors, _rows, skeletons
@@ -131,7 +137,6 @@ from genuslift.intersection import (
     _ascending_tuples,
     _stable,
     psi_intersection,
-    vertex_correlator,
 )
 from genuslift.linalg import (
     Matrix,
@@ -1234,7 +1239,51 @@ def walk_skeleton_values(
     ]
 
 
-# -- the vertex correlator by its direct sum -------------------------------------
+# -- the vertex correlator by its tail terms and by its direct sum ----------------
+
+
+def vertex_correlator(g: int, edge_ks: Sequence[int], tails, hbar_delta):
+    """Correlator of a single graph vertex: edge insertions tau_{k} plus the
+    tail sum, times (hbar*Delta)^(g-1), by the operators of the numbers.
+
+    ``tails`` maps index a >= 2 to the tail value T_a (anything else is
+    treated as zero).  Unstable or dimension-starved configurations return
+    0 rather than raising, so callers can sum blindly over graphs.  The sum
+    runs over ``IntersectionTable.tail_terms`` of the process table in
+    their order, skipping a term with a vanishing tail value.  The tails
+    and ``hbar_delta`` may be any scalars that add and multiply with
+    Fractions: rationals, the kernel scalars of ``scalars``, or mpmath
+    numbers, which are summed at the caller's working precision (call it
+    inside the context's guard).  The library records these sums once as
+    ``genus.vertex_program`` and replays them on the tail values."""
+    if isinstance(hbar_delta, int):
+        hbar_delta = Fraction(hbar_delta)
+    total = Fraction(0)
+    for assignment, coeff in _DEFAULT_TABLE.tail_terms(g, tuple(sorted(int(k) for k in edge_ks))):
+        tvals = [tails.get(a, 0) for a in assignment]
+        if any(v == 0 for v in tvals):
+            continue
+        for v in tvals:
+            coeff = v * coeff
+        total = total + coeff
+    return total * hbar_delta ** (g - 1)
+
+
+class SubsetIntersectionTable(IntersectionTable):
+    """The psi-intersection table with the KdV step summed over all 2^n
+    ordered splits S_1 + S_2 of the other insertions, one subset at a
+    time; the library's table groups the splits by multiplicity."""
+
+    @staticmethod
+    def _splits(others: Tuple[int, ...]) -> list:
+        return [
+            (
+                tuple(x for t, x in enumerate(others) if mask >> t & 1),
+                tuple(x for t, x in enumerate(others) if not mask >> t & 1),
+                1,
+            )
+            for mask in range(1 << len(others))
+        ]
 
 
 def direct_vertex_correlator(
@@ -1513,18 +1562,26 @@ def wick_oracle_layers(
 
 
 def replay_by_operators(program, data: EdgeTailData) -> list:
-    """Every output of a ``genus.Program`` (``graph_sum_program`` or
-    ``wick_program``), vanishing ones included and the int 0 for an output
-    None, replayed by the operators of the numbers ``data`` holds, so
-    kernel scalars multiply, divide and add as objects.  The library
-    replays kernel data on integer lanes instead, and must match this bit
-    for bit."""
+    """Every output of a ``genus.Program`` (``graph_sum_program``,
+    ``wick_program`` or ``vertex_program``), vanishing ones included and
+    the int 0 for an output None, replayed by the operators of the numbers
+    ``data`` holds, so kernel scalars multiply, divide and add as objects.
+    The constants are numbers of the data's kind, and the vertex
+    correlators a program reads are the outputs of their
+    ``vertex_program`` replayed here, not the memo ``data.vertices``.  The
+    library replays kernel data on integer lanes instead, and must match
+    this bit for bit."""
     zero = Fraction(0) * data.delta[0]
-    registers = list(program.constants)
-    registers += map(data.edge_weights.__getitem__, program.weights)
-    for key in program.vertices:
-        val = _cached_vertex(key, data)
-        registers.append(zero if val is None else val)
+    registers = [zero + c for c in program.constants]
+    for table, keys in program.inputs:
+        if table == "edge_weights":
+            registers += map(data.edge_weights.__getitem__, keys)
+        elif table == "t":
+            registers += [data.t[i].get(a, zero) for i, a in keys]
+        elif table == "delta":
+            registers += [data.delta[i] ** p for i, p in keys]
+        else:
+            registers += replay_by_operators(vertex_program(keys), data)
     read = registers.__getitem__
     for op, left, right, counts in program.steps:
         values = map(read, left) if op is None else map(op, map(read, left), map(read, right))

@@ -53,7 +53,6 @@ from genuslift.frobenius import (
 from genuslift import genus as genus_module
 from genuslift import rmatrix
 from genuslift.genus import (
-    _cached_vertex,
     _exp_by_index,
     _graded_exp,
     _log_tau_layers,
@@ -66,13 +65,14 @@ from genuslift.genus import (
     graph_sum,
     graph_sum_program,
     skeleton_values,
+    vertex_program,
     walk_plan,
     wick_moments,
     wick_oracle,
     wick_program,
 )
 from genuslift.graphs import skeletons
-from genuslift.intersection import _DEFAULT_TABLE, vertex_correlator
+from genuslift.intersection import _DEFAULT_TABLE
 from genuslift.io import format_value
 from genuslift.rmatrix import EdgeTailData, edge_tail_data
 from genuslift.scalars import FloatContext, GaussianFixed, from_kernel
@@ -90,6 +90,7 @@ from oracles import (
     mpc_edge_tail_data,
     mpc_homogeneous_R,
     two_primary_genus2_reference,
+    vertex_correlator,
     wick_oracle_layers,
 )
 
@@ -190,8 +191,15 @@ def rel_err(value, reference):
 
 
 def numeric_layers(data, g):
-    """``_log_tau_layers`` on the vertex correlators of ``data``."""
-    return _log_tau_layers(lambda key: _cached_vertex(key, data), data.dimension, g)
+    """``_log_tau_layers`` on the vertex correlators of ``data``, formed by
+    their operators (``oracles.vertex_correlator``)."""
+
+    def vertex(key):
+        g_v, i, ks = key
+        value = vertex_correlator(g_v, ks, data.t[i], data.delta[i])
+        return value if value else None
+
+    return _log_tau_layers(vertex, data.dimension, g)
 
 
 def summed_layers(per_index):
@@ -626,7 +634,7 @@ class TestSkeletonProgram:
         assert recorder(g, n) is program
         # every register an operand reads exists before it is read, and a
         # division reads its divisor from a constant register
-        registers = len(program.constants) + len(program.weights) + len(program.vertices)
+        registers = len(program.constants) + sum(len(keys) for _, keys in program.inputs)
         for op, left, right, counts in program.steps:
             assert op in (mul, truediv, None)
             assert max(left) < registers
@@ -670,8 +678,9 @@ class TestSkeletonProgram:
         assert [out is not None for out in program.outputs] == [
             not walk_plan(sk).edges for sk in skeleton_list
         ]
-        assert program.weights == ()
-        assert program.vertices == ((3, 0, ()), (3, 1, ()))
+        assert program.inputs == (
+            ("edge_weights", ()), ("vertices", ((3, 0, ()), (3, 1, ())))
+        )
 
 
 class TestExactZeros:
@@ -822,25 +831,38 @@ class TestKernelRepresentation:
         assert isinstance(report.value, Fraction)
 
 
+def spy_vertex_programs(monkeypatch) -> list:
+    """Every tuple of slots ``genus.replay`` asks a vertex program for, in
+    order: each is replayed once, on the data the memo lacks them on."""
+    asked = []
+
+    def spy(slots, _real=genus_module.vertex_program):
+        asked.append(slots)
+        return _real(slots)
+
+    monkeypatch.setattr(genus_module, "vertex_program", spy)
+    return asked
+
+
 class TestSharedVertexCache:
     def test_each_vertex_evaluated_once(self, monkeypatch):
+        asked = spy_vertex_programs(monkeypatch)
         calls = []
-        original = genus_module.vertex_correlator
 
-        def counting(g_v, ks, tails, delta):
+        def counting(g_v, ks, tails, delta, _real=oracles.vertex_correlator):
             calls.append((g_v, tuple(ks), id(tails)))
-            return original(g_v, ks, tails, delta)
+            return _real(g_v, ks, tails, delta)
 
-        monkeypatch.setattr(genus_module, "vertex_correlator", counting)
         monkeypatch.setattr(oracles, "vertex_correlator", counting)
         model = two_primary_model(Fraction(1, 2))
         rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
-        # one call per distinct (g_v, i_v, edge powers) over all 42 skeletons
-        assert len(calls) == len(set(calls)) == 114
+        # one replay of one slot per distinct (g_v, i_v, edge powers) over
+        # all 42 skeletons
+        [slots] = asked
+        assert len(slots) == len(set(slots)) == 114
         decorated = decorated_sum(rep.data, 3, ctx=CTX, vertex_cache=dict(rep.data.vertices))
         # the 271 decorated graphs reach no vertex the skeletons did not
-        assert len(calls) == 114
-        calls.clear()
+        assert calls == [] and len(asked) == 1
         with CTX.guard():
             for graph, val in decorated:
                 assert evaluate_graph(graph, rep.data) == val
@@ -879,7 +901,7 @@ class TestSharedVertexCache:
         def forbidden(*args):
             raise AssertionError("formed again")
 
-        monkeypatch.setattr(genus_module, "vertex_correlator", forbidden)
+        monkeypatch.setattr(genus_module, "vertex_program", forbidden)
         monkeypatch.setattr(EdgeTailData, "v_entry", forbidden)
         assert graph_sum(data, 3).value == first.value
         assert wick_oracle(data, 3) == wick
@@ -888,6 +910,103 @@ class TestSharedVertexCache:
         assert fresh.vertices == {} and "edge_weights" not in vars(fresh)
         with pytest.raises(AssertionError, match="formed again"):
             graph_sum(fresh, 3)
+
+
+@st.composite
+def vertex_problems(draw):
+    """Distinct stable slots (g_v <= 4, i < 2, sorted edge powers) whose
+    tail terms are not empty, and two-index Fraction data: nonzero Delta
+    and tails T_2 .. T_16, some of them 0 and some missing."""
+    slots = []
+    for _ in range(draw(st.integers(1, 8))):
+        g_v = draw(st.integers(0, 4))
+        m = draw(st.integers(max(0, 3 - 2 * g_v), 5))
+        ks = tuple(sorted(draw(st.lists(st.integers(0, 3 * g_v - 3 + m), min_size=m, max_size=m))))
+        key = (g_v, draw(st.integers(0, 1)), ks)
+        if _DEFAULT_TABLE.tail_terms(g_v, ks) and key not in slots:
+            slots.append(key)
+    values = st.fractions(-9, 9, max_denominator=7)
+    delta = [draw(values.filter(bool)) for _ in range(2)]
+    t = [
+        {a: draw(values) for a in range(2, 17) if draw(st.booleans()) or a % 5}
+        for _ in range(2)
+    ]
+    data = EdgeTailData(dimension=2, delta=delta, sqrt_delta=[None, None], v={}, t=t,
+                        v_cutoff=0, t_cutoff=16)
+    return tuple(slots), data
+
+
+class TestVertexProgram:
+    """The vertex correlators of a tuple of slots recorded once as a
+    program (``genus.vertex_program``) and replayed on the data's tail
+    values and Delta powers, against the correlators their operators form
+    term by term (``oracles.vertex_correlator``)."""
+
+    @pytest.mark.parametrize(
+        "model, point, g, slots, complex_slots",
+        [
+            pytest.param(two_primary_model(Fraction(1, 2)), (Fraction(2, 7), Fraction(3, 5)), 3,
+                         116, 0, id="two-primary-1/2"),
+            pytest.param(two_primary_model(Fraction(3, 2)), (Fraction(2, 7), Fraction(3, 5)), 3,
+                         116, 94, id="two-primary-3/2"),
+            pytest.param(threefold_cusp_model(), (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2)),
+                         2, 30, 18, id="cusp"),
+        ],
+    )
+    def test_pipeline_slots_bit_for_bit(self, model, point, g, slots, complex_slots):
+        _, r = frame_and_R(model, point, CTX, 3 * g - 3)
+        data = edge_tail_data(r)
+        graph_sum(data, g)
+        wick_oracle(data, g)
+        assert len(data.vertices) == slots
+        for (g_v, i, ks), value in data.vertices.items():
+            want = vertex_correlator(g_v, ks, data.t[i], data.delta[i])
+            if value is None:
+                assert want == 0
+            else:
+                assert TestSkeletonProgram.bits(value) == TestSkeletonProgram.bits(want)
+        # a complex Delta_i gives complex lanes
+        assert sum(bool(x and x.im) for x in data.vertices.values()) == complex_slots
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(vertex_problems())
+    def test_exact_on_rationals(self, problem):
+        slots, data = problem
+        program = vertex_program(slots)
+        got = genus_module.replay(program, data)
+        want = [vertex_correlator(g_v, ks, data.t[i], data.delta[i]) for g_v, i, ks in slots]
+        assert all(isinstance(x, Fraction) for x in got)
+        assert got == want
+        assert oracles.replay_by_operators(program, data) == want
+
+    def test_point_descendent_replays_one_slot(self, monkeypatch):
+        asked = spy_vertex_programs(monkeypatch)
+        tau = CurvePoint(((Fraction(1, 50),), (Fraction(1, 40),), (Fraction(1, 30),)))
+        _, bold = descendent_frame(POINT, POINT_CAL, tau, CTX, order=6)
+        skeleton_values(bold, 3)
+        assert asked == [((3, 0, ()),)]
+
+    def test_leaves_out_exact_identities(self):
+        slots = ((1, 0, (1,)), (0, 0, (0, 0, 0)), (2, 0, ()))
+        program = vertex_program(slots)
+        # recorded once per tuple of slots, so new data replay it
+        assert vertex_program(slots) is program
+        # (2, ()) reads T_2, T_3, T_4 and Delta, (0, (0, 0, 0)) Delta^-1,
+        # and (1, (1,)) no power at all
+        assert program.inputs == (("t", ((0, 2), (0, 3), (0, 4))), ("delta", ((0, -1), (0, 1))))
+        # <tau_0^3>_0 = 1 times Delta^-1 is the input register itself
+        assert program.outputs[1] == len(program.constants) + 3
+        # <tau_1>_1 = 1/24 is the constant 1 divided by 24; the weights
+        # 1/1152, 29/5760 and 7/1440 of (2, ()) divide once each, and only
+        # 29 and 7 multiply
+        constants = program.constants
+        divisors = [constants[r] for op, _, right, _ in program.steps if op is truediv for r in right]
+        assert sorted(divisors) == [24, 1152, 1440, 5760]
+        numerators = [
+            constants[r] for op, _, right, c in program.steps if op is mul and c is None
+            for r in right if r < len(constants)
+        ]
+        assert sorted(numerators) == [7, 29]
 
 
 class TestSeriesProductPruning:
@@ -976,28 +1095,25 @@ class TestWickExpansion:
         model = two_primary_model(Fraction(1, 2))
         rep = genus_potential(model, (Fraction(2, 7), Fraction(3, 5)), 3, CTX)
         wick_program.cache_clear()
-        calls, memos = [], []
-        correlator, moment = genus_module.vertex_correlator, genus_module.gaussian_moment
-
-        def counting(g_v, ks, tails, delta):
-            calls.append((g_v, tuple(ks), id(tails)))
-            return correlator(g_v, ks, tails, delta)
+        memos = []
+        moment = genus_module.gaussian_moment
 
         def spying(mono, cov, memo):
             if not any(m is memo for m in memos):
                 memos.append(memo)
             return moment(mono, cov, memo)
 
-        monkeypatch.setattr(genus_module, "vertex_correlator", counting)
+        asked = spy_vertex_programs(monkeypatch)
         monkeypatch.setattr(genus_module, "gaussian_moment", spying)
         assert len(rep.data.vertices) == 114
         shared = wick_oracle(rep.data, 3)
         # the graph sum already holds 114 of the oracle's 116 correlators
-        assert len(calls) == 2
+        assert [len(slots) for slots in asked] == [2]
         assert len(rep.data.vertices) == 116
-        calls.clear()
+        asked.clear()
         alone = wick_oracle(replace(rep.data), 3)
-        assert len(calls) == len(set(calls)) == 116
+        [slots] = asked
+        assert len(slots) == len(set(slots)) == 116
         # one recording, whose memo holds every even monomial reached; the
         # second call replays it
         assert [len(m) for m in memos] == [251]
@@ -1167,9 +1283,9 @@ class TestWickProgram:
         # the vanishing vertex and weights are registers of the program
         assert _DEFAULT_TABLE.tail_terms(g, ())
         assert vertex_correlator(g, (), data.t[0], data.delta[0]) == 0
-        program = wick_program(g, n)
-        assert (g, 0, ()) in program.vertices
-        assert {(0, 0, 0, 0), (0, n - 1, 0, 1)} <= set(program.weights)
+        inputs = dict(wick_program(g, n).inputs)
+        assert (g, 0, ()) in inputs["vertices"]
+        assert {(0, 0, 0, 0), (0, n - 1, 0, 1)} <= set(inputs["edge_weights"])
         value = wick_oracle(data, g)
         assert isinstance(value, Fraction)
         assert value == wick_oracle_layers(data, g)
@@ -1178,9 +1294,12 @@ class TestWickProgram:
     @staticmethod
     def assert_lanes_are_the_operators(data, g, route):
         """``route`` (``skeleton_values`` or ``wick_moments``) on kernel
-        data, whose ``replay`` runs on integer lanes, against the program
+        data, whose ``replay`` runs on integer lanes, against each program
         it replays run by the kernel scalars' operators on the same data:
-        every output bit for bit, the vanishing ones included."""
+        the vertex program of the slots the data's memo lacks, if any, then
+        the route's own, whose vertex correlators the operators form again
+        by the vertex program.  Every output bit for bit, the vanishing
+        ones included; returns the number of vertex programs replayed."""
         assert isinstance(data.delta[0], GaussianFixed)
         replays = []
 
@@ -1191,12 +1310,16 @@ class TestWickProgram:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(genus_module, "replay", spy)
             route(data, g)
-        [(program, got)] = replays
-        want = oracles.replay_by_operators(program, data)
-        assert len(got) == len(want) == len(program.outputs)
-        for out, z, w in zip(program.outputs, got, want):
-            assert out is None or isinstance(w, GaussianFixed)
-            assert TestSkeletonProgram.bits(z) == TestSkeletonProgram.bits(w)
+        *vertices, _ = replays
+        assert len(vertices) <= 1
+        assert all(dict(program.inputs).keys() == {"t", "delta"} for program, _ in vertices)
+        for program, got in replays:
+            want = oracles.replay_by_operators(program, data)
+            assert len(got) == len(want) == len(program.outputs)
+            for out, z, w in zip(program.outputs, got, want):
+                assert out is None or isinstance(w, GaussianFixed)
+                assert TestSkeletonProgram.bits(z) == TestSkeletonProgram.bits(w)
+        return len(vertices)
 
     @pytest.mark.parametrize("g", [3, 4])
     @pytest.mark.parametrize("d", [Fraction(1, 2), Fraction(1, 3)])
@@ -1204,14 +1327,15 @@ class TestWickProgram:
         point = (Fraction(2, 7), Fraction(3, 5))
         _, r = frame_and_R(two_primary_model(d), point, CTX, 3 * g - 3)
         for route in ROUTES:
-            self.assert_lanes_are_the_operators(edge_tail_data(r), g, route)
+            # fresh data: the route replays the vertex program of its slots
+            assert self.assert_lanes_are_the_operators(edge_tail_data(r), g, route) == 1
 
     def test_lanes_match_the_operators_cusp(self):
         _, r = frame_and_R(
             threefold_cusp_model(), (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2)), CTX, 3
         )
         for route in ROUTES:
-            self.assert_lanes_are_the_operators(edge_tail_data(r), 2, route)
+            assert self.assert_lanes_are_the_operators(edge_tail_data(r), 2, route) == 1
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_lanes_match_the_operators_point_model_bold_data(self, g):
@@ -1252,7 +1376,7 @@ class TestWickProgram:
         assert sum(len(c) for op, _, _, c in steps if op is mul and c is not None) == sums
         assert sum(sum(c) for op, _, _, c in steps if op is mul and c is not None) == terms
         assert sum(len(left) for op, left, _, _ in steps if op is truediv) == divisions
-        inputs = len(program.constants) + len(program.weights) + len(program.vertices)
+        inputs = len(program.constants) + sum(len(keys) for _, keys in program.inputs)
         assert inputs + products + sums + divisions == registers
 
     def test_second_call_of_a_key_records_nothing(self):
@@ -1287,7 +1411,7 @@ class TestWickProgram:
         before = wick_program.cache_info()
         assert wick_oracle(wide, g) == value == wick_oracle_layers(wide, g)
         assert wick_program.cache_info().misses == before.misses
-        assert max(k + l for _, _, k, l in wick_program(g, n).weights) == 3 * g - 4
+        assert max(k + l for _, _, k, l in dict(wick_program(g, n).inputs)["edge_weights"]) == 3 * g - 4
 
 
 class TestGenusReport:

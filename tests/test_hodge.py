@@ -17,7 +17,9 @@ and tails T are v and the constants of Qtilde, checked against a
 reference formed here on Fractions.  The graph sum and the Wick oracle of
 that twisted point give F_g = [hbar^{g-1} Q^0] log lambda at the same s
 (``TestTwistedPointGate``); the two sides share only the psi-intersection
-table.
+table.  Twisted by three characters that sum to 0 (the Calabi-Yau vertex),
+F_g is a triple Hodge integral of lambda_{g-1}^3, known in closed form
+(``TestCalabiYauVertex``).
 """
 
 from fractions import Fraction
@@ -34,7 +36,7 @@ from genuslift.hodge import (
     hodge_lambda,
     hodge_lemma_residual,
 )
-from genuslift.rmatrix import compute_T, compute_V, edge_tail_data
+from genuslift.rmatrix import bernoulli_constants, compute_T, compute_V, edge_tail_data
 from genuslift.scalars import FloatContext
 from genuslift.series import Caps, TruncatedSeries
 from oracles import singular_quotient
@@ -265,6 +267,77 @@ class TestTwistedPointGate:
         want = integral / factorial(3 * g - 3)
         with CTX.guard():
             assert mpmath.fabs(value - CTX.num(want)) <= mpmath.mpf("1e-70") * CTX.num(want)
+
+
+def _lambda_top_cubed(g: int) -> Fraction:
+    """The triple Hodge integral of lambda_{g-1}^3 over M_g,
+    |B_{2g}| |B_{2g-2}| / (2g (2g - 2) (2g - 2)!) (Faber-Pandharipande),
+    from mpmath's exact Bernoulli numbers."""
+    b2g, b2g2 = (abs(Fraction(*mpmath.bernfrac(n))) for n in (2 * g, 2 * g - 2))
+    return b2g * b2g2 / (2 * g * (2 * g - 2) * factorial(2 * g - 2))
+
+
+def _calabi_yau_value(chars, g: int) -> Fraction:
+    """(-1)^g int lambda_{g-1}^3 / (2 e_3^{g-1}) with e_3 the product of
+    the three characters."""
+    e3 = Fraction(chars[0]) * chars[1] * chars[2]
+    return (-1) ** g * _lambda_top_cubed(g) / (2 * e3 ** (g - 1))
+
+
+class TestCalabiYauVertex:
+    """F_g of the point model twisted by three characters chi_j with
+    chi_1 + chi_2 + chi_3 = 0 is a triple Hodge integral.
+
+    The twist is the class prod_j c_top(E^v (x) chi_j) / chi_j^g.  Its
+    logarithm is -sum_k (k - 1)! ch_k(E) sum_j chi_j^{-k}, and ch_{2m}(E) =
+    0 for m >= 1, so it is exp(sum_m s_m ch_{2m-1}(E)) with s_m = -(2m -
+    2)! sum_j chi_j^{1 - 2m}: the gauge a_m = B_{2m} s_m / (2m)! is
+    ``rmatrix.bernoulli_constants([chi], m_max)``.  The factor of chi_j
+    is sum_i (-1)^i lambda_i chi_j^{-i}.  Mumford's relation c(E) c(E^v) =
+    1 gives lambda_g^2 = 0 and lambda_{g-1}^2 = 2 lambda_g lambda_{g-2},
+    so in degree 3g - 3 only lambda_{g-1}^3, with coefficient (-1)^{g-1}
+    e_3^{1-g}, and lambda_g lambda_{g-1} lambda_{g-2}, with (-1)^{g-1}
+    e_3^{-g} sum_{j != k} chi_j chi_k^2 = (-1)^g 3 e_3^{1-g} (as e_1 = 0),
+    survive.  The second monomial is half the first, so
+
+        F_g = (-1)^g int lambda_{g-1}^3 / (2 e_3^{g-1}).
+
+    The control (1, 2, -2) is not Calabi-Yau.  It pairs 2 with -2, and
+    c(E^v (x) chi) c(E^v (x) -chi) = (-1)^g chi^{2g} by the same relation,
+    so its class is the total lambda class c(E^v), which has no part of
+    degree 3g - 3 > g: its F_g vanishes and does not match the formula.
+    Both routes run on kernel data through the recorded vertex sums; the
+    bound is 1e-70 relative."""
+
+    @staticmethod
+    def data(chars, g):
+        gauge = bernoulli_constants([chars], (3 * g - 2) // 2 + 1)
+        return frame_and_R(point_model(), POINT, CTX, 3 * g - 3, gauge=gauge)[1], gauge
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_wick_and_graph_sum(self, g):
+        chars = (1, 1, -2)
+        want = _calabi_yau_value(chars, g)
+        r, gauge = self.data(chars, g)
+        got = [wick_oracle(edge_tail_data(r), g)]
+        # no skeletons at genus 5
+        if g <= 4:
+            got.append(genus_potential(point_model(), POINT, g, CTX, gauge=gauge).value)
+        with CTX.guard():
+            for x in got:
+                assert mpmath.fabs(x - CTX.num(want)) <= mpmath.mpf("1e-70") * abs(CTX.num(want))
+
+    def test_lambda_integral_at_genus_two(self):
+        assert _lambda_top_cubed(2) == Fraction(1, 2880)
+        assert _calabi_yau_value((1, 1, -2), 3) == Fraction(-1, 5806080)
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_control_is_not_calabi_yau(self, g):
+        chars = (1, 2, -2)
+        formula = CTX.num(_calabi_yau_value(chars, g))
+        value = wick_oracle(edge_tail_data(self.data(chars, g)[0]), g)
+        with CTX.guard():
+            assert mpmath.fabs(value) <= mpmath.mpf("1e-70") * abs(formula)
 
 
 class TestLemmaIdentity:

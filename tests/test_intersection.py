@@ -3,8 +3,12 @@
 Low cases are checked against hand derivations (string/dilaton chains from
 the two seeds) and against three independent closed forms: the genus-0
 multinomial (n-3)!/prod(d_i!), the one-point tower <tau_{3g-2}>_g =
-1/(24^g g!), and the published two-point genus-3 values.  The correlator's
-memoized tail terms are checked against the direct sum over tail legs.
+1/(24^g g!), and the published two-point genus-3 values.  The table's KdV
+step, which groups the splits of the other insertions by multiplicity, is
+checked entry by entry against the sum over every ordered split
+(``oracles.SubsetIntersectionTable``).  The memoized tail terms are checked
+through the reference correlator (``oracles.vertex_correlator``) against
+the direct sum over tail legs.
 """
 
 import math
@@ -19,10 +23,9 @@ from genuslift.intersection import (
     IntersectionTable,
     _ascending_tuples,
     psi_intersection,
-    vertex_correlator,
 )
 from genuslift.scalars import FloatContext
-from oracles import direct_vertex_correlator
+from oracles import SubsetIntersectionTable, direct_vertex_correlator, vertex_correlator
 
 CTX = FloatContext()
 
@@ -109,6 +112,17 @@ class TestKnownValues:
 
     def test_default_table_wrapper(self):
         assert psi_intersection(2, (4,)) == Fraction(1, 1152)
+
+    def test_multiset_splits_equal_every_ordered_split(self):
+        # every entry a vertex without edges reaches up to genus 6, in the
+        # table and in the reference that sums all 2^n splits
+        table, reference = IntersectionTable(), SubsetIntersectionTable()
+        for g in range(2, 7):
+            assert table.tail_terms(g, ()) == reference.tail_terms(g, ())
+        assert len(table) == len(reference) == 652
+        for (g, ks), value in table._cache.items():
+            assert reference._cache[(g, ks)] == value
+        assert table.identity_failures() == []
 
     def test_string_dilaton_hold_on_every_entry(self, table):
         # exercise some deeper entries first so the sweep has material

@@ -97,12 +97,16 @@ and T on the frame's values converted once, so the kernels
 (:func:`skeleton_values`, ``EdgeTailData.edge_weights``,
 :func:`wick_moments`, the vertex correlators) multiply Gaussian fixed-point
 numbers on Python ints in place of mpmath ``mpc``.  :func:`replay` runs
-kernel data on its integer *lanes* (``scalars.to_lanes``): two lists of
-the scaled real and imaginary parts, on which each product is floored as
-a kernel product is (``scalars.lane_products``) and each sum adds ints
+kernel data on its integer *lanes* (``scalars.to_lanes``): lists of the
+scaled real and imaginary parts, on which each product is floored as a
+kernel product is (``scalars.lane_products``) and each sum adds ints
 exactly, so every register holds the parts the kernel scalars' operators
 would form, bit for bit, and only the outputs become kernel scalars
-again.  Other data, rational or mpmath, replay by their own operators.
+again.  The loaded registers pick the lanes: where every imaginary part
+is 0 (a real potential at a real point with every Delta_i > 0) the real
+lane runs alone, a product there is (a c) >> shift, and each output has
+imaginary part 0, as the two lanes would give it, since every imaginary
+term they would form is an exact 0.  Other data, rational or mpmath, replay by their own operators.
 The data's type picks the loop.  The skeleton values and the
 oracle's moments go back once with ``from_kernel``, at the precision the
 data carries, and the final sum and the oracle's logarithm run at that
@@ -551,11 +555,13 @@ def replay(program: Program, data: EdgeTailData) -> list:
     the tables of ``data`` (:func:`_load`); the vertex correlators come
     from the memo ``data.vertices``, whose missing slots one replay of
     their :func:`vertex_program` fills first.  Kernel data run on the
-    lanes of their registers (``scalars.to_lanes``): each product is
-    floored as a kernel product (``scalars.lane_products``), a division by
-    a constant floors each part by the int, as ``GaussianFixed`` does, and
-    each sum adds ints exactly, so every output is the kernel scalar the
-    operators would form, bit for bit (a vanishing one a kernel 0).  Other
+    lanes of their registers (``scalars.to_lanes``), the real lane alone
+    where every register loaded is real and both lanes otherwise: each
+    product is floored as a kernel product (``scalars.lane_products``), a
+    division by a constant floors each part by the int, as
+    ``GaussianFixed`` does, and each sum adds ints exactly, so every output
+    is the kernel scalar the operators would form, bit for bit (a vanishing
+    one a kernel 0, a real one with imaginary part 0).  Other
     data run by their own operators on constants of their own kind, every
     product left by right and every sum left to right."""
     # a zero of the data's own kind: an int 0 would divide into a float,
@@ -575,28 +581,30 @@ def replay(program: Program, data: EdgeTailData) -> list:
             else:
                 registers += [sum(islice(values, c - 1), next(values)) for c in counts]
         return [0 if out is None else registers[out] for out in program.outputs]
-    re, im = to_lanes(registers, kind)
-    # both lanes take their full length at once: grown step by step, two
-    # lists of 677k registers at (5, 2) raised a cold op's peak RSS
-    end = len(re)
+    lanes = to_lanes(registers, kind)
+    # every lane takes its full length at once: grown step by step, the
+    # lanes of 677k registers at (5, 2) raised a cold op's peak RSS
+    end = len(registers)
     size = end + sum(len(left) if c is None else len(c) for _, left, _, c in program.steps)
-    re += [0] * (size - end)
-    im += [0] * (size - end)
+    for lane in lanes:
+        lane += [0] * (size - end)
     shift = kind.shift
     for op, left, right, counts in program.steps:
         if op is mul:
-            parts = lane_products(re, im, left, right, shift)
+            parts = lane_products(lanes, left, right, shift)
         elif op is truediv:
             # the divisors are constant registers, read as the ints they are
             divisors = list(map(program.constants.__getitem__, right))
-            parts = [list(map(floordiv, map(lane.__getitem__, left), divisors)) for lane in (re, im)]
+            parts = [list(map(floordiv, map(lane.__getitem__, left), divisors)) for lane in lanes]
         else:
-            parts = [map(re.__getitem__, left), map(im.__getitem__, left)]
+            parts = [map(lane.__getitem__, left) for lane in lanes]
         if counts is not None:
             parts = [[sum(islice(terms, c)) for c in counts] for terms in map(iter, parts)]
         start, end = end, end + len(parts[0])
-        re[start:end], im[start:end] = parts
-    return [0 if out is None else kind(re[out], im[out]) for out in program.outputs]
+        for lane, part in zip(lanes, parts):
+            lane[start:end] = part
+    re, im = lanes if len(lanes) == 2 else (lanes[0], None)
+    return [0 if out is None else kind(re[out], im[out] if im else 0) for out in program.outputs]
 
 
 def _load(data: EdgeTailData, table: str, keys: tuple, zero) -> list:

@@ -34,13 +34,16 @@ carry (:func:`_context_of`), and :func:`from_kernel` converts each result
 back.  Rational data needs no conversion: a ``Fraction`` is its own kernel
 scalar, and sums over it stay exact.
 
-``genus.replay`` runs the recorded programs of the graph sum and the Wick
-oracle on kernel data without kernel scalar objects: :func:`to_lanes` splits
-their input registers once into *lanes*, two lists of the scaled integer
-parts, and :func:`lane_products` forms the products of a step on them,
-floored as :meth:`GaussianFixed.__mul__` floors; sums of parts are exact,
-and a division by an int floors each part as ``/`` does.  Only their
-outputs become kernel scalars again.
+``genus.replay`` runs the recorded programs of the graph sum, the Wick
+oracle and the vertex correlators on kernel data without kernel scalar
+objects: :func:`to_lanes` splits their input registers once into *lanes*,
+lists of the scaled integer parts, re and im, or re alone where every
+imaginary part is 0, and :func:`lane_products` forms the products of a
+step on as many lanes as there are, floored as
+:meth:`GaussianFixed.__mul__` floors; sums of parts are exact, and a
+division by an int floors each part as ``/`` does.  On one lane every
+imaginary term two lanes would form is an exact 0, so it gives the same
+bits for fewer products.  Only their outputs become kernel scalars again.
 
 Arithmetic code takes a context and calls it; which backend runs is
 decided here alone.  ``EXACT`` is the default wherever a context is
@@ -52,8 +55,10 @@ from __future__ import annotations
 import fractions
 import math
 from functools import cache
+from itertools import repeat
 from math import isqrt
-from typing import Iterable, Tuple, Union
+from operator import mul, rshift
+from typing import Iterable, Union
 
 import mpmath
 from mpmath.libmp import from_man_exp, round_nearest
@@ -509,13 +514,13 @@ def _fixed_type(shift: int, prec: int) -> type:
     )
 
 
-def to_lanes(values: Iterable, kind: type) -> Tuple[list, list]:
+def to_lanes(values: Iterable, kind: type) -> tuple:
     """The *lanes* of ``values``: their scaled integer parts at the scale of
-    the :class:`GaussianFixed` subclass ``kind``, as two lists re and im.
-    A kernel scalar of ``kind`` gives its parts and an int n those of
-    ``kind.convert(n)``, (n 2**shift, 0).  Any other number raises
-    ``TypeError``, so numbers of two scales never meet unnoticed here
-    either."""
+    the :class:`GaussianFixed` subclass ``kind``, as a tuple of lists, (re,
+    im), or (re,) alone when every imaginary part is 0.  A kernel scalar of
+    ``kind`` gives its parts and an int n those of ``kind.convert(n)``, (n
+    2**shift, 0).  Any other number raises ``TypeError``, so numbers of two
+    scales never meet unnoticed here either."""
     shift = kind.shift
     re, im = [], []
     for x in values:
@@ -527,14 +532,20 @@ def to_lanes(values: Iterable, kind: type) -> Tuple[list, list]:
             im.append(0)
         else:
             raise TypeError(f"{type(x).__name__} is not a kernel scalar of {kind.__name__}")
-    return re, im
+    return (re, im) if any(im) else (re,)
 
 
-def lane_products(re: list, im: list, left, right, shift: int) -> Tuple[list, list]:
-    """The products of the registers left[t] and right[t] of the lanes
-    ``re``, ``im`` at scale ``shift``, as two new lanes.  Each is floored
-    as :meth:`GaussianFixed.__mul__` floors it, so the parts are those of
-    the product of the kernel scalars, bit for bit."""
+def lane_products(lanes: tuple, left, right, shift: int) -> tuple:
+    """The products of the registers left[t] and right[t] of ``lanes``
+    (:func:`to_lanes`) at scale ``shift``, as new lanes, as many as given.
+    Each is floored as :meth:`GaussianFixed.__mul__` floors it, so the
+    parts are those of the product of the kernel scalars, bit for bit.  On
+    one lane a product is (a c) >> shift: every imaginary term the two
+    lanes would form is an exact 0."""
+    if len(lanes) == 1:
+        read = lanes[0].__getitem__
+        return (list(map(rshift, map(mul, map(read, left), map(read, right)), repeat(shift))),)
+    re, im = lanes
     out_re, out_im = [], []
     for x, y in zip(left, right):
         a, b, c, d = re[x], im[x], re[y], im[y]

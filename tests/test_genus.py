@@ -1292,27 +1292,40 @@ class TestWickProgram:
         assert data.vertices[(g, 0, ())] is None
 
     @staticmethod
-    def assert_lanes_are_the_operators(data, g, route):
+    def assert_lanes_are_the_operators(data, g, route, lanes, vertex_lanes=None):
         """``route`` (``skeleton_values`` or ``wick_moments``) on kernel
         data, whose ``replay`` runs on integer lanes, against each program
         it replays run by the kernel scalars' operators on the same data:
         the vertex program of the slots the data's memo lacks, if any, then
         the route's own, whose vertex correlators the operators form again
         by the vertex program.  Every output bit for bit, the vanishing
-        ones included; returns the number of vertex programs replayed."""
+        ones included.  The route's program runs on ``lanes`` lanes, the
+        vertex program on ``vertex_lanes`` (default ``lanes``): one where
+        every register it loads is real, two otherwise.  Returns the number
+        of vertex programs replayed."""
         assert isinstance(data.delta[0], GaussianFixed)
-        replays = []
+        replays, counts = [], []
 
         def spy(program, data, _real=genus_module.replay):
             replays.append((program, _real(program, data)))
             return replays[-1][1]
 
+        def count(values, kind, _real=genus_module.to_lanes):
+            loaded = _real(values, kind)
+            counts.append(len(loaded))
+            return loaded
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(genus_module, "replay", spy)
+            patch.setattr(genus_module, "to_lanes", count)
             route(data, g)
         *vertices, _ = replays
         assert len(vertices) <= 1
         assert all(dict(program.inputs).keys() == {"t", "delta"} for program, _ in vertices)
+        # a nested vertex replay loads its lanes and returns before the
+        # route's replay loads its own, so the counts come in replay order
+        vertex_lanes = lanes if vertex_lanes is None else vertex_lanes
+        assert counts == [vertex_lanes] * len(vertices) + [lanes]
         for program, got in replays:
             want = oracles.replay_by_operators(program, data)
             assert len(got) == len(want) == len(program.outputs)
@@ -1322,27 +1335,30 @@ class TestWickProgram:
         return len(vertices)
 
     @pytest.mark.parametrize("g", [3, 4])
-    @pytest.mark.parametrize("d", [Fraction(1, 2), Fraction(1, 3)])
+    @pytest.mark.parametrize("d", [Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)])
     def test_lanes_match_the_operators_two_primary(self, d, g):
         point = (Fraction(2, 7), Fraction(3, 5))
         _, r = frame_and_R(two_primary_model(d), point, CTX, 3 * g - 3)
+        # at this point every Delta_i is positive for d = 1/2 and 1/3, and
+        # the data are real; at d = 3/2 one is negative
+        lanes = 2 if d == Fraction(3, 2) else 1
         for route in ROUTES:
             # fresh data: the route replays the vertex program of its slots
-            assert self.assert_lanes_are_the_operators(edge_tail_data(r), g, route) == 1
+            assert self.assert_lanes_are_the_operators(edge_tail_data(r), g, route, lanes) == 1
 
     def test_lanes_match_the_operators_cusp(self):
         _, r = frame_and_R(
             threefold_cusp_model(), (Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2)), CTX, 3
         )
         for route in ROUTES:
-            assert self.assert_lanes_are_the_operators(edge_tail_data(r), 2, route) == 1
+            assert self.assert_lanes_are_the_operators(edge_tail_data(r), 2, route, 2) == 1
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_lanes_match_the_operators_point_model_bold_data(self, g):
         tau = CurvePoint(((Fraction(1, 50),), (Fraction(1, 40),), (Fraction(1, 30),)))
         _, bold = descendent_frame(POINT, POINT_CAL, tau, CTX, order=3 * g - 3)
         for route in ROUTES:
-            self.assert_lanes_are_the_operators(bold, g, route)
+            self.assert_lanes_are_the_operators(bold, g, route, 1)
 
     @pytest.mark.parametrize("g, n", [(2, 1), (2, 3), (3, 2), (4, 1)])
     def test_lanes_match_the_operators_on_planted_zeros(self, g, n):
@@ -1353,13 +1369,34 @@ class TestWickProgram:
         zeros = [data.edge_weights[(0, 0, 0, 0)], data.edge_weights[(0, n - 1, 0, 1)], data.t[0][3]]
         assert all(type(z) is kind and z == 0 for z in zeros)
         for route in ROUTES:
-            self.assert_lanes_are_the_operators(data, g, route)
+            self.assert_lanes_are_the_operators(data, g, route, 1)
         # with every tail at index 0 a kernel zero, the vertices there that
         # need a tail vanish and enter the registers as zeros
         data = replace(data, t=[{a: kind(0, 0) for a in data.t[0]}, *data.t[1:]])
         for route in ROUTES:
-            self.assert_lanes_are_the_operators(data, g, route)
+            self.assert_lanes_are_the_operators(data, g, route, 1)
         assert None in data.vertices.values()
+
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_one_complex_edge_weight_takes_both_lanes(self, at):
+        """Real two-primary data with i/8 added to one edge weight, the
+        first or the last the route's program loads: the route replays on
+        two lanes, the vertex program, which reads no edge weight, on one,
+        and every output is still the operators' own.  Realness judged
+        from any part of the registers that leaves the planted weight out
+        would drop its imaginary part."""
+        _, r = frame_and_R(two_primary_model(Fraction(1, 2)), (Fraction(2, 7), Fraction(3, 5)), CTX, 6)
+        for route, program in ((skeleton_values, graph_sum_program(3, 2)),
+                               (wick_moments, wick_program(3, 2))):
+            data = edge_tail_data(r)
+            kind = type(data.delta[0])
+            key = dict(program.inputs)["edge_weights"][at]
+            data.edge_weights = {**data.edge_weights}
+            data.edge_weights[key] += kind(0, 1 << kind.shift - 3)
+            assert self.assert_lanes_are_the_operators(data, 3, route, 2, vertex_lanes=1) == 1
+            values = route(data, 3)
+            values = [z for _, z in values] if route is skeleton_values else values.values()
+            assert any(z and z.im for z in values)
 
     @pytest.mark.parametrize(
         "g, n, products, sums, terms, divisions, registers",

@@ -8,6 +8,7 @@ is not rational, ``EXACT`` raises instead of rounding.
 
 import ast
 import importlib
+import math
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -337,10 +338,11 @@ imaginary_parts = st.one_of(st.just(0), parts)
 
 
 class TestLanes:
-    """The graph sum and the Wick oracle replay kernel data on lanes, two
-    lists of scaled integer parts: a product there is floored as a kernel
-    product, a sum adds ints and a division by an int floors each part.
-    Each must give the parts the kernel scalar's own operator gives."""
+    """The graph sum and the Wick oracle replay kernel data on lanes, lists
+    of scaled integer parts: re and im, or re alone when every imaginary
+    part is 0.  A product there is floored as a kernel product, a sum adds
+    ints and a division by an int floors each part.  Each must give the
+    parts the kernel scalar's own operator gives."""
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(parts, imaginary_parts, parts, imaginary_parts,
@@ -349,20 +351,30 @@ class TestLanes:
     def test_lane_arithmetic_is_the_kernel_arithmetic(self, a, b, c, d, shift, n):
         kind = _fixed_type(shift, PREC)
         x, y = kind(a, b), kind(c, d)
-        re, im = to_lanes([x, y, n, 0], kind)
-        assert (re, im) == ([a, c, n << shift, 0], [b, d, 0, 0])
+        lanes = to_lanes([x, y, n, 0], kind)
+        re = [a, c, n << shift, 0]
+        assert lanes == ((re, [b, d, 0, 0]) if b or d else (re,))
         # register pairs: x y, y x, x x, x by the int n, the int n by y, x by 0
+        left, right = [0, 1, 0, 0, 2, 0], [1, 0, 0, 2, 1, 3]
         want = [x * y, y * x, x * x, x * n, n * y, x * 0]
-        got = lane_products(re, im, [0, 1, 0, 0, 2, 0], [1, 0, 0, 2, 1, 3], shift)
-        assert got == ([z.re for z in want], [z.im for z in want])
+        got = lane_products(lanes, left, right, shift)
+        assert got == ([z.re for z in want], [z.im for z in want])[:len(lanes)]
+        if not (b or d):
+            # one lane: the kernel product is real, and its part is the
+            # product of the parts floored toward -inf
+            assert all(z.im == 0 for z in want)
+            assert got[0] == [math.floor(Fraction(re[s] * re[t], 1 << shift))
+                              for s, t in zip(left, right)]
         total = x + y
-        assert (re[0] + re[1], im[0] + im[1]) == (total.re, total.im)
+        assert [lane[0] + lane[1] for lane in lanes] == [total.re, total.im][:len(lanes)]
         quotient = x / n
-        assert (re[0] // n, im[0] // n) == (quotient.re, quotient.im)
+        assert [lane[0] // n for lane in lanes] == [quotient.re, quotient.im][:len(lanes)]
 
     def test_lanes_take_one_scale(self):
         kind = _fixed_type(300, PREC)
-        assert to_lanes([], kind) == ([], [])
+        assert to_lanes([], kind) == ([],)
+        assert to_lanes([kind(1, 0), 2], kind) == ([1, 2 << 300],)
+        assert to_lanes([kind(1, 0), kind(0, -1)], kind) == ([1, 0], [0, -1])
         for stranger in (_fixed_type(301, PREC)(1, 0), Fraction(1, 2), mpmath.mpf(1)):
             with pytest.raises(TypeError):
                 to_lanes([kind(1, 2), stranger], kind)

@@ -218,10 +218,10 @@ def _config(args, genus: Optional[int] = None) -> RunConfig:
 
 def _breach(ctx: FloatContext, *residuals, tol: str | None = None) -> bool:
     """Whether some residual exceeds ``tol`` (rational text), by default the
-    context's tolerance; None residuals are skipped."""
-    with ctx.guard():
-        bound = ctx.tol if tol is None else ctx.num(Fraction(tol))
-        return any(r is not None and ctx.abs(r) > bound for r in residuals)
+    context's tolerance; None residuals are skipped.  mpmath compares
+    exactly, so the comparison needs no guard."""
+    bound = ctx.tol if tol is None else ctx.num(Fraction(tol))
+    return any(r is not None and ctx.abs(r) > bound for r in residuals)
 
 
 # -- subcommand handlers ----------------------------------------------------------
@@ -264,7 +264,9 @@ def _cmd_frame(args):
         sign_flips=_parse_ints(args.sign_flips, "sign flips") if args.sign_flips else None,
         anchors=config.anchors,
     )
-    return EXIT_OK, render_report(frame_to_json(frame), config.output)
+    with ctx.guard():
+        doc = frame_to_json(frame)
+    return EXIT_OK, render_report(doc, config.output)
 
 
 def _r_series(args, config, ctx):
@@ -278,10 +280,11 @@ def _cmd_rmatrix(args):
     config = _config(args)
     ctx = config.context()
     r = _r_series(args, config, ctx)
-    unitarity = unitarity_residual(r)
-    doc = rseries_to_json(r, ctx)
-    doc["unitarity_residual"] = format_value(unitarity, ctx)
-    code = EXIT_NUMERICAL if _breach(ctx, unitarity, r.cross_residual) else EXIT_OK
+    with ctx.guard():
+        unitarity = unitarity_residual(r)
+        doc = rseries_to_json(r, ctx)
+        doc["unitarity_residual"] = format_value(unitarity, ctx)
+        code = EXIT_NUMERICAL if _breach(ctx, unitarity, r.cross_residual) else EXIT_OK
     return code, render_report(doc, config.output)
 
 
@@ -290,8 +293,9 @@ def _cmd_edges(args):
     ctx = config.context()
     r = _r_series(args, config, ctx)
     data = edge_tail_data(r)
-    doc = edge_data_to_json(data, ctx)
-    code = EXIT_NUMERICAL if _breach(ctx, *data.residuals.values()) else EXIT_OK
+    with ctx.guard():
+        doc = edge_data_to_json(data, ctx)
+        code = EXIT_NUMERICAL if _breach(ctx, *data.residuals.values()) else EXIT_OK
     return code, render_report(doc, config.output)
 
 
@@ -309,29 +313,31 @@ def _cmd_genus(args):
     # the oracle needs (it replays the vertex program of the rest), and its
     # edge weights, all of them
     oracle = wick_oracle(report.data, args.g)
-    contributions = report.contribution_map()
     with ctx.guard():
         residual = ctx.abs(report.value - oracle)
-        # the sum and the oracle carry rounding relative to the largest term
-        size = max([ctx.num(1)] + [ctx.abs(v) for v in contributions.values()])
-    doc = {
-        "precision": precision_annotation(ctx),
-        "genus": args.g,
-        "point": [format_rational(x) for x in point],
-        "F_g": format_value(ctx.chop(report.value), ctx),
-        # one entry per skeleton, its decorated graphs summed
-        "graphs": {
-            k: format_value(ctx.chop(v), ctx)
-            for k, v in sorted(contributions.items())
-        },
-        "oracle": format_value(ctx.chop(oracle), ctx),
-        "residual": format_value(residual, ctx),
-        "residuals": {
-            k: format_value(v, ctx) for k, v in sorted(report.data.residuals.items())
-        },
-    }
-    gates = [residual / size, *report.data.residuals.values()]
-    code = EXIT_NUMERICAL if _breach(ctx, *gates) else EXIT_OK
+        # the sum and the oracle carry rounding relative to the largest
+        # term; the size only scales the gate and is never printed, so the
+        # skeleton values are compared as formed, kernel scalars by their
+        # integer norms, and only the largest is converted
+        size = max(1, ctx.max_abs(report.kernels))
+        doc = {
+            "precision": precision_annotation(ctx),
+            "genus": args.g,
+            "point": [format_rational(x) for x in point],
+            "F_g": format_value(ctx.chop(report.value), ctx),
+            # one entry per skeleton, its decorated graphs summed
+            "graphs": {
+                k: format_value(ctx.chop(v), ctx)
+                for k, v in sorted(report.contribution_map().items())
+            },
+            "oracle": format_value(ctx.chop(oracle), ctx),
+            "residual": format_value(residual, ctx),
+            "residuals": {
+                k: format_value(v, ctx) for k, v in sorted(report.data.residuals.items())
+            },
+        }
+        gates = [residual / size, *report.data.residuals.values()]
+        code = EXIT_NUMERICAL if _breach(ctx, *gates) else EXIT_OK
     return code, render_report(doc, config.output)
 
 
@@ -341,18 +347,20 @@ def _cmd_genus1_diff(args):
     model = _load_model(args.model, config.tolerance)
     point = _point(args, model)
     components = genus1_one_form(model, point, ctx)
-    doc = {
-        "precision": precision_annotation(ctx),
-        "point": [format_rational(x) for x in point],
-        "components": [format_value(c, ctx) for c in components],
-    }
-    code = EXIT_OK
-    if args.closedness:
-        residual = genus1_closedness_residual(model, point, ctx, step=Fraction(args.step))
-        doc["closedness_residual"] = format_value(residual, ctx)
-        doc["closedness_step"] = format_rational(Fraction(args.step))
-        if args.closedness_tol is not None and _breach(ctx, residual, tol=args.closedness_tol):
-            code = EXIT_NUMERICAL
+    with ctx.guard():
+        doc = {
+            "precision": precision_annotation(ctx),
+            "point": [format_rational(x) for x in point],
+            "components": [format_value(c, ctx) for c in components],
+        }
+        code = EXIT_OK
+        # the residual runs inside its own guard of this precision
+        if args.closedness:
+            residual = genus1_closedness_residual(model, point, ctx, step=Fraction(args.step))
+            doc["closedness_residual"] = format_value(residual, ctx)
+            doc["closedness_step"] = format_rational(Fraction(args.step))
+            if args.closedness_tol is not None and _breach(ctx, residual, tol=args.closedness_tol):
+                code = EXIT_NUMERICAL
     return code, render_report(doc, config.output)
 
 
@@ -379,30 +387,30 @@ def _cmd_descendent(args):
     # the report's frame sits at the critical point, and its bold data
     # carry the residuals
     residuals = report.data.residuals
-    doc = {
-        "precision": precision_annotation(ctx),
-        "genus": args.g,
-        "Kmax": tau.kmax,
-        "critical_point": [format_value(ctx.chop(x), ctx) for x in report.frame.point],
-        "criticality_residual": format_value(residuals["criticality"], ctx),
-        "F_g": format_value(ctx.chop(report.value), ctx),
-        # one entry per skeleton, its decorated graphs summed
-        "graphs": {
-            k: format_value(ctx.chop(v), ctx)
-            for k, v in sorted(report.contribution_map().items())
-        },
-        "residuals": {k: format_value(v, ctx) for k, v in sorted(residuals.items())},
-    }
-    gates = list(residuals.values())
-    if model.dimension == 1:
-        oracle = point_descendent_resummed(tau, args.g, ctx)
-        with ctx.guard():
+    oracle = point_descendent_resummed(tau, args.g, ctx) if model.dimension == 1 else None
+    with ctx.guard():
+        doc = {
+            "precision": precision_annotation(ctx),
+            "genus": args.g,
+            "Kmax": tau.kmax,
+            "critical_point": [format_value(ctx.chop(x), ctx) for x in report.frame.point],
+            "criticality_residual": format_value(residuals["criticality"], ctx),
+            "F_g": format_value(ctx.chop(report.value), ctx),
+            # one entry per skeleton, its decorated graphs summed
+            "graphs": {
+                k: format_value(ctx.chop(v), ctx)
+                for k, v in sorted(report.contribution_map().items())
+            },
+            "residuals": {k: format_value(v, ctx) for k, v in sorted(residuals.items())},
+        }
+        gates = list(residuals.values())
+        if oracle is not None:
             residual = ctx.abs(report.value - oracle)
-        doc["oracle"] = format_value(oracle, ctx)
-        doc["residual"] = format_value(residual, ctx)
-        gates.append(residual)
-    breach = _breach(ctx, *gates)
-    return (EXIT_NUMERICAL if breach else EXIT_OK), render_report(doc, config.output)
+            doc["oracle"] = format_value(oracle, ctx)
+            doc["residual"] = format_value(residual, ctx)
+            gates.append(residual)
+        code = EXIT_NUMERICAL if _breach(ctx, *gates) else EXIT_OK
+    return code, render_report(doc, config.output)
 
 
 def _cmd_wk(args):

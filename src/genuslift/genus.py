@@ -113,7 +113,9 @@ data carries, and the final sum and the oracle's logarithm run at that
 precision.  Rational data stays exact throughout; mpmath data
 runs at the caller's working precision.  A :class:`GenusReport` keeps its
 data, and with it the vertex correlators and edge weights the sum formed,
-so ``wick_oracle(report.data, g)`` reads them again.
+so ``wick_oracle(report.data, g)`` reads them again, and the skeleton
+values as they were formed, kernel scalars on kernel data, so a caller
+can size them by integer norms without converting each.
 
 Genus 1 is exposed as the one-form
 
@@ -693,16 +695,21 @@ class GenusReport:
     ``contributions`` pairs every skeleton of genus ``genus`` with the sum
     of its decorated graphs; :meth:`contribution_map` keys them by
     :meth:`Skeleton.describe`.  ``value`` and ``contributions`` are at
-    working precision (or exact).  ``data`` is the edge/tail data the sum
-    ran on, with the vertex correlators and edge weights the sum formed on
-    it, which :func:`wick_oracle` on ``data`` reads.  ``frame`` is the
-    canonical frame of the data's point, where the pipeline built one."""
+    working precision (or exact).  ``kernels`` holds the same sums, in the
+    order of ``contributions``, as :func:`skeleton_values` forms them in
+    the numbers ``data`` holds: kernel scalars on kernel data, which
+    ``FloatContext.max_abs`` orders by integer norms.  ``data`` is the
+    edge/tail data the sum ran on, with the vertex correlators and edge
+    weights the sum formed on it, which :func:`wick_oracle` on ``data``
+    reads.  ``frame`` is the canonical frame of the data's point, where
+    the pipeline built one."""
 
     genus: int
     value: object
     contributions: List[Tuple[Skeleton, object]]
     data: EdgeTailData
     frame: Optional[CanonicalFrame] = None
+    kernels: Sequence = ()
 
     def contribution_map(self):
         return {sk.describe(): v for sk, v in self.contributions}
@@ -782,18 +789,23 @@ def graph_sum(data: EdgeTailData, g: int, frame=None) -> GenusReport:
     only passed through to the report.  The vertex correlators read the one
     process intersection table.
 
-    The sum runs on the numbers ``data`` holds, and the report keeps them.
+    The sum runs on the numbers ``data`` holds, and the report keeps them,
+    and the skeleton values as they were formed (``GenusReport.kernels``).
     Kernel scalars run at their own precision, on integer lanes, rational
     data stays exact, and mpmath data runs at the caller's working
     precision."""
     ctx = _context_of(data.delta[0])
     with ctx.guard():
-        contributions = [(sk, from_kernel(val)) for sk, val in skeleton_values(data, g)]
+        values = skeleton_values(data, g)
+        contributions = [(sk, from_kernel(val)) for sk, val in values]
         # the reported value is the sum of the reported contributions
         total = ctx.num(0)
         for _, val in contributions:
             total = total + val
-    return GenusReport(genus=g, value=total, contributions=contributions, data=data, frame=frame)
+    return GenusReport(
+        genus=g, value=total, contributions=contributions, data=data, frame=frame,
+        kernels=[val for _, val in values],
+    )
 
 
 def skeleton_values(data: EdgeTailData, g: int) -> List[Tuple[Skeleton, object]]:

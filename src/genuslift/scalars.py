@@ -13,8 +13,11 @@ backends, each driven through a context object with the same methods:
   potential, frame jets, the frame at an irrational point such as a
   descendent critical point), and to pick the scale of kernel scalars and
   convert to and from them.  mpmath's global precision is mutable state,
-  so every operation runs inside a ``workprec`` guard, and the context
-  carries the default tolerance used by internal consistency checks.
+  so every operation runs inside a guard (:meth:`FloatContext.guard`):
+  a ``workprec`` one, or a do-nothing one when mpmath already runs at the
+  context's precision, so a caller that opens one guard around many calls
+  crosses into ``workprec`` once.  The context carries the default
+  tolerance used by internal consistency checks.
 
 Everything from the eigenvalues of the order-0 canonical frame to F_g --
 the frame's roots, idempotents, Delta and Psi, R, its edge and tail tables
@@ -80,6 +83,19 @@ def format_rational(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+class _Held:
+    """The do-nothing guard: no precision to pin, or the one to pin holds."""
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+
+_HELD = _Held()
+
+
 class FloatContext:
     """Fixed-precision mpmath arithmetic with a default comparison tolerance.
 
@@ -99,6 +115,12 @@ class FloatContext:
         self.digits = max(5, int(self.prec_bits * 0.30103))
 
     def guard(self):
+        """Pin mpmath at ``prec_bits`` for a ``with`` block: a ``workprec``
+        guard, or, when mpmath already runs at ``prec_bits``, the do-nothing
+        guard :meth:`ExactContext.guard` returns.  Calls made inside a
+        guard of this precision then pay no ``workprec`` round trip."""
+        if mpmath.mp.prec == self.prec_bits:
+            return _HELD
         return mpmath.workprec(self.prec_bits)
 
     # -- conversions ----------------------------------------------------
@@ -106,14 +128,12 @@ class FloatContext:
     def num(self, x):
         """Convert int/Fraction/float/str/mpf/mpc, or a kernel scalar
         (:func:`from_kernel`), to mpf or mpc at full precision."""
-        if mpmath.mp.prec != self.prec_bits:
-            with self.guard():
-                return self.num(x)
-        if isinstance(x, Rational):
-            return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-        if isinstance(x, complex):
-            return mpmath.mpc(x.real, x.imag)
-        return mpmath.mpmathify(from_kernel(x))
+        with self.guard():
+            if isinstance(x, Rational):
+                return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+            if isinstance(x, complex):
+                return mpmath.mpc(x.real, x.imag)
+            return mpmath.mpmathify(from_kernel(x))
 
     def parse(self, text: str):
         with self.guard():
@@ -210,15 +230,9 @@ class ExactContext:
     tol = Rational(0)
     prec_bits = None
 
-    def guard(self) -> "ExactContext":
-        """No precision to pin: the context is its own do-nothing guard."""
-        return self
-
-    def __enter__(self) -> "ExactContext":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
+    def guard(self) -> _Held:
+        """No precision to pin: the do-nothing guard."""
+        return _HELD
 
     def num(self, x) -> Rational:
         return x if x.__class__ is Rational else Rational(x)

@@ -22,12 +22,18 @@ from genuslift import (
     genus_potential,
     parse_tau,
     point_model,
+    render_report,
+    threefold_cusp_model,
     two_primary_model,
+    wick_oracle,
 )
 from genuslift import cli, rmatrix
 from genuslift.cli import run_command
+from genuslift.descendent import point_descendent_resummed
+from genuslift.genus import skeleton_values
 from genuslift.graphs import skeletons
 from genuslift.io import format_value
+from genuslift.scalars import from_kernel
 from oracles import model_to_json
 
 CTX = FloatContext(256)
@@ -697,6 +703,156 @@ class TestOnePath:
         assert code == 0
         (line,) = [x for x in text.splitlines() if "string-dilaton-identities" in x]
         assert line.endswith("0 failures over 19 entries")
+
+
+GENUS_CASES = [
+    ("two-primary:d=1/2", two_primary_model(Fraction(1, 2)), "2/7,3/5", 3),
+    ("two-primary:d=3/2", two_primary_model(Fraction(3, 2)), "2/7,3/5", 3),
+    ("threefold-cusp", threefold_cusp_model(), "1/3,1/2,-1/2", 2),
+    # skeleton values up to about 1e50, where the size is not 1
+    ("two-primary:d=1/2", two_primary_model(Fraction(1, 2)), "1/3,1/100000000000", 2),
+]
+DESCENDENT_CASES = [
+    ("point", point_model(), SHIFTED_POINT_TAU, 3),
+    ("two-primary:d=1/2", two_primary_model(Fraction(1, 2)),
+     {"t": [["1/17", "3/17"], ["1/33", "-1/35"], ["-1/39", "1/41"]]}, 2),
+]
+
+
+def _separately_printed(ctx, x, chop=True):
+    """``format_value(ctx.chop(x), ctx)`` with each call under its own guard."""
+    return format_value(ctx.chop(x) if chop else x, ctx)
+
+
+def _reports(argv, doc):
+    """(exit code, JSON report, text report) of ``argv`` and the JSON and
+    text renderings of ``doc``."""
+    json_code, json_text = run_command(argv + ["--format", "json"])
+    text_code, text = run_command(argv + ["--format", "text"])
+    assert json_code == text_code
+    return (json_code, json_text, text), (render_report(doc, "json"), render_report(doc, "text"))
+
+
+class TestOneGuardPerReport:
+    """A command crosses into ``mpmath.workprec`` once per report, not once
+    per printed value, and prints, value by value, what a per-value guard
+    printed: each number formatted as ``format_value(ctx.chop(v), ctx)``
+    on its own, the genus gate sized by the largest |skeleton value|."""
+
+    @staticmethod
+    def entries(monkeypatch, argv) -> int:
+        entered = []
+        workprec = mpmath.workprec
+
+        def counting(n):
+            entered.append(n)
+            return workprec(n)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mpmath, "workprec", counting)
+            code, _ = run_command(argv)
+        assert code == 0
+        return len(entered)
+
+    @pytest.mark.parametrize("d", ["1/2", "1/3", "1", "3/2", "5/3"])
+    def test_warm_genus_op_enters_workprec_a_few_times(self, monkeypatch, d):
+        argv = ["genus", "--model", f"two-primary:d={d}", "--g", "3", "--format", "json"]
+        run_command(argv + ["--point", "2/7,3/5"])
+        assert self.entries(monkeypatch, argv + ["--point", "-3/7,5/9"]) <= 16
+
+    @pytest.mark.parametrize("spec, g, tau", [
+        ("point", 2, DESCENDENT_CASES[0][2]),
+        ("point", 3, DESCENDENT_CASES[0][2]),
+        ("two-primary:d=1/2", 2, DESCENDENT_CASES[1][2]),
+    ])
+    def test_warm_descendent_op_enters_workprec_a_few_times(self, monkeypatch, spec, g, tau):
+        argv = ["descendent", "--model", spec, "--g", str(g), "--format", "json"]
+        run_command(argv + ["--tau", json.dumps(tau)])
+        shifted = {"t": [[str(Fraction(x) + Fraction(1, 97)) for x in row] for row in tau["t"]]}
+        assert self.entries(monkeypatch, argv + ["--tau", json.dumps(shifted)]) <= 24
+
+    @pytest.mark.parametrize(
+        "spec, model, point, g", GENUS_CASES, ids=[f"{c[0]}-{c[2]}" for c in GENUS_CASES]
+    )
+    def test_genus_report_is_the_value_by_value_report(self, monkeypatch, spec, model, point, g):
+        monkeypatch.delenv("GENUSLIFT_PRECISION", raising=False)
+        ctx = RunConfig().context()
+        coords = tuple(Fraction(x) for x in point.split(","))
+        report = genus_potential(model, coords, g, ctx, order=3 * g - 3)
+        oracle = wick_oracle(report.data, g)
+        with ctx.guard():
+            residual = ctx.abs(report.value - oracle)
+        size = max([ctx.num(1)] + [ctx.abs(v) for _, v in report.contributions])
+        with mpmath.workprec(ctx.prec_bits):
+            largest = max(mpmath.fabs(from_kernel(v)) for _, v in skeleton_values(report.data, g))
+            assert size == max(1, largest)
+            gates = [residual / size, *report.data.residuals.values()]
+        doc = {
+            "precision": {"bits": ctx.prec_bits, "digits": ctx.digits},
+            "genus": g,
+            "point": [str(x) for x in coords],
+            "F_g": _separately_printed(ctx, report.value),
+            "graphs": {
+                k: _separately_printed(ctx, v) for k, v in sorted(report.contribution_map().items())
+            },
+            "oracle": _separately_printed(ctx, oracle),
+            "residual": _separately_printed(ctx, residual, chop=False),
+            "residuals": {
+                k: _separately_printed(ctx, v, chop=False)
+                for k, v in sorted(report.data.residuals.items())
+            },
+        }
+        # the gates the command hands to _breach, bit for bit: residual /
+        # size divided at working precision, then the data's residuals
+        passed, breach = [], cli._breach
+
+        def keeping(ctx, *residuals, tol=None):
+            passed.append(residuals)
+            return breach(ctx, *residuals, tol=tol)
+
+        monkeypatch.setattr(cli, "_breach", keeping)
+        printed, expected = _reports(["genus", "--model", spec, "--point", point, "--g", str(g)], doc)
+        assert printed[1:] == expected
+        assert [[r._mpf_ for r in p] for p in passed] == [[r._mpf_ for r in gates]] * 2
+        assert printed[0] == (2 if any(ctx.abs(r) > ctx.tol for r in gates) else 0)
+
+    @pytest.mark.parametrize(
+        "spec, model, tau, g", DESCENDENT_CASES, ids=[c[0] for c in DESCENDENT_CASES]
+    )
+    def test_descendent_report_is_the_value_by_value_report(self, monkeypatch, spec, model, tau, g):
+        monkeypatch.delenv("GENUSLIFT_PRECISION", raising=False)
+        ctx = RunConfig().context()
+        point = parse_tau(json.dumps(tau))
+        calibration = compute_calibration(model, order=max(point.kmax, 1))
+        report = descendent_potential(model, calibration, point, g, ctx, order=3 * g - 3)
+        residuals = report.data.residuals
+        doc = {
+            "precision": {"bits": ctx.prec_bits, "digits": ctx.digits},
+            "genus": g,
+            "Kmax": point.kmax,
+            "critical_point": [_separately_printed(ctx, x) for x in report.frame.point],
+            "criticality_residual": _separately_printed(ctx, residuals["criticality"], chop=False),
+            "F_g": _separately_printed(ctx, report.value),
+            "graphs": {
+                k: _separately_printed(ctx, v) for k, v in sorted(report.contribution_map().items())
+            },
+            "residuals": {
+                k: _separately_printed(ctx, v, chop=False) for k, v in sorted(residuals.items())
+            },
+        }
+        gates = list(residuals.values())
+        if model.dimension == 1:
+            oracle = point_descendent_resummed(point, g, ctx)
+            with ctx.guard():
+                residual = ctx.abs(report.value - oracle)
+            doc["oracle"] = _separately_printed(ctx, oracle, chop=False)
+            doc["residual"] = _separately_printed(ctx, residual, chop=False)
+            gates.append(residual)
+        printed, expected = _reports(
+            ["descendent", "--model", spec, "--tau", json.dumps(tau), "--g", str(g)], doc
+        )
+        assert printed[1:] == expected
+        assert printed[0] == (2 if any(ctx.abs(r) > ctx.tol for r in gates) else 0)
 
 
 class TestPublicApi:

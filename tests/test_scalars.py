@@ -158,6 +158,104 @@ class TestFloatConversion:
         assert x._mpf_[3] > 250
 
 
+def _bits(x):
+    """The raw parts of an mpmath number, a string as it is."""
+    if isinstance(x, mpmath.mpc):
+        return x._mpc_
+    return x._mpf_ if isinstance(x, mpmath.mpf) else x
+
+
+def _guarded_calls() -> list:
+    """(method, argument) pairs covering every guarding FloatContext
+    method on rationals, kernel scalars and mpmath numbers, made at the
+    context's precision."""
+    prec = CTX.prec_bits
+    kind = _fixed_type(prec + 40, prec)
+    with mpmath.workprec(prec):
+        real = kind.convert(mpmath.mpf(2) / 7)
+        plane = kind.convert(mpmath.mpc(-3, 5) / 11)
+        # an imaginary part below the tolerance, which chop drops
+        nearly_real = mpmath.mpc(mpmath.mpf(1) / 3, mpmath.mpf("1e-50"))
+    return [
+        ("num", Fraction(1, 3)),
+        ("num", plane),
+        ("abs", Fraction(-2, 7)),
+        ("abs", plane),
+        ("chop", nearly_real),
+        ("chop", plane),
+        ("format", Fraction(1, 3)),
+        ("format", plane),
+        ("sqrt", Fraction(-2, 3)),
+        ("sqrt", plane),
+        ("exp", Fraction(1, 3)),
+        ("exp", plane),
+        ("log", Fraction(-1, 3)),
+        ("log", real),
+        ("max_abs", [real, Fraction(-1, 5), plane, 0]),
+        ("max_abs", [Fraction(7, 3), plane]),
+    ]
+
+
+class TestGuards:
+    """Every guarding method gives the same bits whatever precision mpmath
+    runs at when it is called, and leaves that precision as it found it."""
+
+    @pytest.mark.parametrize(
+        "name, arg", _guarded_calls(), ids=[f"{n}-{i}" for i, (n, _) in enumerate(_guarded_calls())]
+    )
+    def test_same_bits_outside_inside_and_under_another_precision(self, name, arg):
+        method = getattr(CTX, name)
+        assert mpmath.mp.prec == 53
+        outside = _bits(method(arg))
+        assert mpmath.mp.prec == 53
+        with CTX.guard():
+            inside = _bits(method(arg))
+            assert mpmath.mp.prec == PREC
+        with FloatContext(128).guard():
+            under_128 = _bits(method(arg))
+            assert mpmath.mp.prec == 128
+        assert mpmath.mp.prec == 53
+        assert inside == outside and under_128 == outside
+
+    def test_guards_of_two_precisions_restore_in_order(self):
+        low = FloatContext(128)
+        assert mpmath.mp.prec == 53
+        with CTX.guard():
+            assert mpmath.mp.prec == PREC
+            with low.guard():
+                assert mpmath.mp.prec == 128
+                with CTX.guard():
+                    assert mpmath.mp.prec == PREC
+                    # at its own precision a guard pins nothing
+                    with CTX.guard():
+                        assert mpmath.mp.prec == PREC
+                    assert mpmath.mp.prec == PREC
+                assert mpmath.mp.prec == 128
+            assert mpmath.mp.prec == PREC
+        assert mpmath.mp.prec == 53
+        with pytest.raises(ZeroDivisionError):
+            with CTX.guard(), low.guard(), CTX.guard():
+                Fraction(1, 0)
+        assert mpmath.mp.prec == 53
+
+    def test_guard_at_the_working_precision_opens_no_workprec(self, monkeypatch):
+        calls, low = _guarded_calls(), FloatContext(128)
+        entered = []
+        workprec = mpmath.workprec
+
+        def counting(n):
+            entered.append(n)
+            return workprec(n)
+
+        monkeypatch.setattr(mpmath, "workprec", counting)
+        with CTX.guard():
+            for name, arg in calls:
+                getattr(CTX, name)(arg)
+            with low.guard():
+                CTX.abs(Fraction(1, 3))
+        assert entered == [PREC, 128, PREC]
+
+
 PREC = CTX.prec_bits
 
 
